@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExprEvalError, ExprSyntaxError
+from .errors import CapExceeded, ExprEvalError, ExprSyntaxError
 from .extend import ExtensionScenario, TensorElement, ext_tau
 from .ground import GroundElement, GroundField
 from .laurent import TwistedSeries, embed_fraction
-from .skewfrac import SkewFraction
+from .skewfrac import EXPONENT_CAP, PRECISION_CAP, SkewFraction
 
 # ---------------------------------------------------------------------- tokens
 
@@ -309,6 +309,15 @@ class EvalContext:
     scenario: ExtensionScenario | None = None
     precision: int = 16
 
+    def __post_init__(self) -> None:
+        _capped(self.precision, PRECISION_CAP, "series precision")
+
+
+def _capped(value: int, cap: int, what: str) -> int:
+    if abs(value) > cap:
+        raise CapExceeded(f"{what} {value} exceeds cap {cap}")
+    return value
+
 
 def ground_symbols(field: GroundField) -> dict[str, GroundElement]:
     """Letter names for non-rational basis directions.
@@ -363,6 +372,12 @@ def _as_literal_int(node: Node) -> int:
     raise ExprEvalError("expected an integer literal argument")
 
 
+def _as_precision(args: tuple[Node, ...], ctx: EvalContext) -> int:
+    if len(args) < 2:
+        return ctx.precision
+    return _capped(_as_literal_int(args[1]), PRECISION_CAP, "series precision")
+
+
 def evaluate(node: Node, ctx: EvalContext) -> Value:
     """Evaluate to a fraction, an extension element, or a Laurent series."""
     if isinstance(node, Num):
@@ -388,6 +403,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
     if isinstance(node, Neg):
         return -evaluate(node.operand, ctx)
     if isinstance(node, Pow):
+        _capped(node.exponent, EXPONENT_CAP, "exponent")
         base = evaluate(node.base, ctx)
         if node.exponent < 0:
             return _invert(base) ** (-node.exponent)
@@ -421,7 +437,7 @@ def _call(node: Call, ctx: EvalContext) -> Value:
     if head == "embed":
         if len(args) not in (1, 2):
             raise ExprEvalError("embed takes an element and an optional precision")
-        precision = _as_literal_int(args[1]) if len(args) == 2 else ctx.precision
+        precision = _as_precision(args, ctx)
         value = evaluate(args[0], ctx)
         if not isinstance(value, SkewFraction):
             raise ExprEvalError("embed acts on ground fractions")
@@ -429,7 +445,7 @@ def _call(node: Call, ctx: EvalContext) -> Value:
     if head == "tau":
         if len(args) not in (1, 2):
             raise ExprEvalError("tau takes an element and an optional precision")
-        precision = _as_literal_int(args[1]) if len(args) == 2 else ctx.precision
+        precision = _as_precision(args, ctx)
         value = evaluate(args[0], ctx)
         if isinstance(value, SkewFraction):
             if ctx.scenario is None:

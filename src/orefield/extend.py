@@ -203,13 +203,6 @@ class CentralPolynomial:
             acc = acc * other + CentralPolynomial.constant(self.field, c)
         return acc
 
-    def evaluate_fraction(self, point: SkewFraction) -> SkewFraction:
-        """Value at a fraction; central coefficients commute past the point."""
-        acc = SkewFraction.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def embed_coefficients(self, prec: int) -> list[TwistedSeries]:
         return [embed_fraction(c, prec) for c in self.coeffs]
 
@@ -843,11 +836,7 @@ def canonical_decomposition(
                 if all(v == 0 for v in lam_coords):
                     continue
                 lam = field.element(lam_coords)
-                contrib = z.scale_ground_left(lam)
-                shifted = TwistedSeries(
-                    field, contrib.val + n * q, contrib.coeffs, contrib.prec + n * q
-                )
-                table[(r, j)] = table[(r, j)] + shifted
+                table[(r, j)] = table[(r, j)] + z.scale_ground_left(lam).shift(n * q)
     if verify:
         prec = min(
             [min_prec] + [s.prec for s in table.values()]
@@ -892,14 +881,10 @@ def match_root_polynomial(
         base = scenario.rho_powers[i]
         for e in range(num_degree + 1):
             for w in wbasis:
-                s = base.scale_ground_left(w)
-                cols.append(TwistedSeries(field, s.val + n * e, s.coeffs, s.prec + n * e))
+                cols.append(base.scale_ground_left(w).shift(n * e))
     for e in range(den_degree + 1):
         for w in wbasis:
-            s = target.scale_ground_left(w)
-            cols.append(
-                -TwistedSeries(field, s.val + n * e, s.coeffs, s.prec + n * e)
-            )
+            cols.append(-target.scale_ground_left(w).shift(n * e))
     lo = min(s.val for s in cols)
     hi = min(s.prec for s in cols)
     if hi <= lo:

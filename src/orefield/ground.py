@@ -58,10 +58,6 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 class GroundElement:
     """Element of a ground field; a thin immutable wrapper over coordinates."""
 
@@ -117,7 +113,7 @@ class GroundElement:
         return self.is_central() and self.sigma() == self
 
     def __str__(self) -> str:
-        return "[" + ",".join(format_fraction(a) for a in self.coords) + "]"
+        return "[" + ",".join(map(str, self.coords)) + "]"
 
     __repr__ = __str__
 
@@ -205,11 +201,13 @@ class GroundField:
         return table
 
     def _compile_kernel(self) -> None:
-        """Compile the integer kernel: kmul, kmac, kmsub, kscale, ksig[k], kadj.
+        """Compile the integer kernel: kmul, kmac, kmsub, kdot, kscale, ksig[k],
+        kadj.
 
         With dT the common denominator of the structure constants and s that
         of the automorphism powers:  kmul(a, b) = dT * a*b,
         kmac(c, a, b) = c + dT * a*b,  kmsub(c, a, b) = c - dT * a*b,
+        kdot(c, A, B) = c + dT * sum a_i*b_i  over the pairs of zip(A, B),
         kscale(k, a) = k * a,  ksig[k](a) = s * sigma^k(a)  and
         kadj(a) = (adj, N) with  a * adj = adj * a = N  exactly, N a nonzero
         integer.
@@ -223,6 +221,7 @@ class GroundField:
         self.kmsub = _compile_bilinear(
             "kmsub", [{ij: -c for ij, c in t.items()} for t in terms], accumulate=True
         )
+        self.kdot = _compile_dot("kdot", terms)
         self.kscale = _compile("kscale", "k, a", [_unpack("a", dim)], [f"k*a{i}" for i in range(dim)])
         self.sig_den = lcm(*(x.denominator for m in self._sigma_pows for row in m for x in row))
         self.ksig: list[Callable] = [
@@ -342,10 +341,6 @@ class GroundField:
         return out
 
     # -- derived structure ------------------------------------------------
-
-    def mult_matrices(self, e: Coords) -> tuple[list, list]:
-        """Public alias: matrices of left and right multiplication by e."""
-        return self._mult_matrices(e)
 
     def _mult_matrices(self, e: Coords) -> tuple[list, list]:
         """Matrices of left and right multiplication by e."""
@@ -491,6 +486,10 @@ def _signed_sum(terms: list[tuple[int, str]], lead: str | None = None) -> str:
 def _compile(name: str, args: str, unpack: list[str], exprs: list[str]) -> Callable:
     lines = [f"def {name}({args}):"] + [f"    {u}" for u in unpack]
     lines.append("    return (" + "".join(f"{e}, " for e in exprs) + ")")
+    return _exec(name, lines)
+
+
+def _exec(name: str, lines: list[str]) -> Callable:
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<orefield kernel {name}>", "exec"), namespace)
     return namespace[name]
@@ -515,8 +514,9 @@ def _bilinear_terms(table: list[list[Coords]], den: int) -> list[dict[tuple[int,
     ]
 
 
-def _compile_bilinear(name: str, terms: list[dict[tuple[int, int], int]], accumulate: bool) -> Callable:
-    """out[k] = sum c * a_i * b_j over terms[k][(i, j)] = c, grouped by a_i."""
+def _bilinear_exprs(terms: list[dict[tuple[int, int], int]], accumulate: bool) -> list[str]:
+    """Source of  (c_k +) sum c * a_i * b_j  over terms[k][(i, j)] = c,
+    grouped by a_i."""
     dim = len(terms)
     exprs = []
     for k in range(dim):
@@ -528,10 +528,28 @@ def _compile_bilinear(name: str, terms: list[dict[tuple[int, int], int]], accumu
             elif inner:
                 grouped.append((1, f"a{i}*({_signed_sum(inner)})"))
         exprs.append(_signed_sum(grouped, f"c{k}" if accumulate else None))
+    return exprs
+
+
+def _compile_bilinear(name: str, terms: list[dict[tuple[int, int], int]], accumulate: bool) -> Callable:
+    """out[k] = (c_k +) sum c * a_i * b_j over terms[k][(i, j)] = c."""
+    dim = len(terms)
+    exprs = _bilinear_exprs(terms, accumulate)
     unpack = [_unpack("a", dim), _unpack("b", dim)]
     if accumulate:
         return _compile(name, "c, a, b", [_unpack("c", dim)] + unpack, exprs)
     return _compile(name, "a, b", unpack, exprs)
+
+
+def _compile_dot(name: str, terms: list[dict[tuple[int, int], int]]) -> Callable:
+    """(C, A, B) -> C + sum over the pairs (a, b) of zip(A, B) of the bilinear
+    form: one call for a whole convolution sum, the loop in generated code."""
+    dim = len(terms)
+    lines = [f"def {name}(c, A, B):", f"    {_unpack('c', dim)}", "    for a, b in zip(A, B):"]
+    lines += [f"        {_unpack('a', dim)}", f"        {_unpack('b', dim)}"]
+    lines += [f"        c{k} += {e}" for k, e in enumerate(_bilinear_exprs(terms, False))]
+    lines.append("    return (" + "".join(f"c{k}, " for k in range(dim)) + ")")
+    return _exec(name, lines)
 
 
 def _compile_linear(name: str, matrix: list[list[int]]) -> Callable:
@@ -696,11 +714,11 @@ def _poly_label(poly: Coords) -> str:
         if c == 0:
             continue
         if m == 0:
-            parts.append(format_fraction(c))
+            parts.append(str(c))
         elif m == 1:
-            parts.append(f"{format_fraction(c)}*y")
+            parts.append(f"{c}*y")
         else:
-            parts.append(f"{format_fraction(c)}*y^{m}")
+            parts.append(f"{c}*y^{m}")
     return " + ".join(parts)
 
 

@@ -122,21 +122,49 @@ def mul_rows(field: GroundField, f: Rows, g: Rows) -> Rows:
 def series_mul_rows(
     field: GroundField, f: Rows, fval: int, g: Rows, size: int
 ) -> Rows:
-    """s*dT * (f*g) truncated to `size` coefficients; f starts at t^fval."""
+    """s*dT * (f*g) truncated to `size` coefficients; f starts at t^fval.
+
+    The terms f_i with i in one residue class mod n all twist g by the same
+    sigma^(fval+i), so each output coefficient is one `kdot` per class and
+    run of nonzero f_i, over a slice of f and a reversed, strided slice of
+    the twisted g.  Zero rows of f are skipped, so a sparse left operand,
+    such as a polynomial or a series in t^n, costs only its nonzero terms.
+    """
     n = field.sigma_order
-    kmac, zero, ksig = field.kmac, field.zero_row, field.ksig
-    g = g[:size]
-    twisted: dict[int, Rows] = {}
+    kdot, zero, ksig = field.kdot, field.zero_row, field.ksig
+    g = strip(g[:size], zero)
+    lg = len(g)
     out = [zero] * size
-    for i, a in enumerate(f[:size]):
-        if a == zero:
+    for i0 in range(min(n, len(f), size) if g else 0):
+        a = f[i0:size:n]  # the terms f_(i0 + n*k)
+        runs = _nonzero_runs(a, zero)
+        if not runs:
             continue
-        r = (fval + i) % n
-        if r not in twisted:
-            twisted[r] = list(map(ksig[r], g))
-        for j, b in enumerate(twisted[r][: size - i]):
-            out[i + j] = kmac(out[i + j], a, b)
+        twisted = list(map(ksig[(fval + i0) % n], g))
+        for m in range(i0 + n * runs[0][0], min(size, i0 + n * (runs[-1][1] - 1) + lg)):
+            # the k with 0 <= m - i0 - n*k < lg
+            lo = max(0, -((lg - 1 - m + i0) // n))
+            hi = (m - i0) // n + 1
+            for start, end in runs:
+                k, stop_k = max(lo, start), min(hi, end)
+                if k < stop_k:
+                    j = m - i0 - n * k
+                    stop = j - n * (stop_k - k)
+                    out[m] = kdot(out[m], a[k:stop_k], twisted[j : stop if stop >= 0 else None : -n])
     return out
+
+
+def _nonzero_runs(rows: Rows, zero: Row) -> list[tuple[int, int]]:
+    """(start, end) of each maximal run of nonzero rows."""
+    runs = []
+    start = None
+    for k, r in enumerate(rows + [zero]):
+        if r != zero and start is None:
+            start = k
+        elif r == zero and start is not None:
+            runs.append((start, k))
+            start = None
+    return runs
 
 
 # -- pseudo-division -------------------------------------------------------------
@@ -262,28 +290,45 @@ def solve_rows(field: GroundField, d: Rows, v: int, num: Rows, size: int) -> tup
     Each x_j is kept reduced, as numerators O_j over its own denominator
     E_j, so the cancellation a quotient of polynomials undergoes keeps the
     numbers small; the result is put over one common denominator at the end.
+    The sum is one `kdot` per step, over the twists sigma^r(O_j) that are
+    made once per solved coefficient.
     """
-    ksig, kmul, kmsub, kscale = field.ksig, field.kmul, field.kmsub, field.kscale
+    ksig, kmul, kscale, kdot = field.ksig, field.kmul, field.kscale, field.kdot
     zero, n = field.zero_row, field.sigma_order
     sd = field.sig_den * field.mul_den
     g0 = content([d[0]])
     adj, norm = field.kadj(tuple(x // g0 for x in d[0]))
     base = sd * sd * g0 * norm
     back = ksig[-v % n]
-    terms = [(i, di, ksig[(v + i) % n]) for i, di in enumerate(d[1:size], 1) if di != zero]
-    out: list[tuple[Row, int]] = []
+    # (i, -d_i, r): the term d_i sigma^r(x_(j-i)), r = (v+i) mod n, to subtract
+    terms = [(i, kscale(-1, di), (v + i) % n) for i, di in enumerate(d[1:size], 1) if di != zero]
+    outs: Rows = []
+    dens: list[int] = []
+    twists: list[Rows] = [[] for _ in range(n)]  # twists[r][k] = s sigma^r(O_k)
+    every = 1  # lcm of all the E_k so far
+    active = 0
     for j in range(size):
-        active = [t for t in terms if t[0] <= j]
-        common = lcm(*(out[j - i][1] for i, _, _ in active))
+        while active < len(terms) and terms[active][0] <= j:
+            active += 1
+        act = terms[:active]
+        # over the common denominator of the x_(j-i) in the sum: when every
+        # d_1 .. d_j is nonzero, that is the lcm of all E_k so far
+        common = every if active == j else lcm(*(dens[j - i] for i, _, _ in act))
         acc = kscale(sd * common, num[j]) if j < len(num) else zero
-        for i, di, sig in active:
-            o, e = out[j - i]
-            acc = kmsub(acc, di if e == common else kscale(common // e, di), sig(o))
+        acc = kdot(
+            acc,
+            [nd if dens[j - i] == common else kscale(common // dens[j - i], nd) for i, nd, _ in act],
+            [twists[r][j - i] for i, _, r in act],
+        )
         o = back(kmul(adj, acc))
         e = base * common
         g = gcd(e, *o)
         if e < 0:
             g = -g
-        out.append((tuple(x // g for x in o), e // g))
-    den = lcm(*(e for _, e in out))
-    return [kscale(den // e, o) for o, e in out], den
+        o, e = tuple(x // g for x in o), e // g
+        outs.append(o)
+        dens.append(e)
+        for r in range(n):
+            twists[r].append(ksig[r](o))
+        every = lcm(every, e)
+    return [kscale(every // e, o) for o, e in zip(outs, dens)], every

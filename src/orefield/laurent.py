@@ -2,9 +2,12 @@
 
 A series is a triple (valuation, coefficients, precision): the coefficients
 cover the exponents ``val .. prec-1`` and nothing is known from ``prec`` on.
-The representation is normalised so that a nonzero series has a nonzero
-coefficient at its valuation; a series that is zero to its precision is
-stored with empty coefficients and ``val == prec``.
+They are stored as the integer rows of `orefield.kernel` over one common
+denominator, and every operation works on those rows; the `GroundElement`
+coefficients are built only when read.  The representation is normalised so
+that a nonzero series has a nonzero coefficient at its valuation; a series
+that is zero to its precision is stored with no coefficients and
+``val == prec``.
 
 Precision bookkeeping is pessimistic and explicit:
 
@@ -30,7 +33,7 @@ classical iteration legitimate; the inputs are checked for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from math import lcm
 from typing import Sequence
 
 from . import kernel
@@ -48,42 +51,57 @@ from .skewpoly import SkewPolynomial
 
 
 class TwistedSeries:
-    __slots__ = ("field", "val", "prec", "coeffs", "_rows")
+    """Stored as integer rows over one denominator (see `orefield.kernel`):
+    rows[k]/den is the coefficient of t^(val+k) for val <= val+k < prec.
+    The form is canonical (den > 0, no content common to den and the rows, a
+    nonzero first row; the zero series has no rows and val == prec), so `==`
+    compares rows, and `coeffs` is built from them on first use."""
+
+    __slots__ = ("field", "val", "prec", "_rows", "_den", "_coeffs")
 
     def __init__(
         self,
         field: GroundField,
         val: int,
-        coeffs: tuple[GroundElement, ...],
+        coeffs: Sequence[GroundElement],
         prec: int,
     ) -> None:
-        self.field = field
-        self.val = val
-        self.coeffs = coeffs
-        self.prec = prec
-        self._rows: tuple[list, int] | None = None
+        rows, den = kernel.rows_of(coeffs)
+        self._set(field, val, rows, den, prec)
 
     @classmethod
     def _from_rows(
         cls, field: GroundField, val: int, rows: list, den: int, prec: int
     ) -> "TwistedSeries":
         """Normalised series with coefficients rows[k]/den at t^(val+k)."""
+        s = cls.__new__(cls)
+        s._set(field, val, rows, den, prec)
+        return s
+
+    def _set(self, field: GroundField, val: int, rows: list, den: int, prec: int) -> None:
+        self.field = field
+        self.prec = prec
+        self._coeffs = None
         zero = field.zero_row
         start = next((k for k, r in enumerate(rows) if r != zero), None)
         if start is None or val + start >= prec:
-            return cls(field, prec, (), prec)
-        rows = rows[start : prec - val]
+            self.val, self._rows, self._den = prec, [], 1
+            return
         val += start
-        rows, den = kernel.reduce(rows + [zero] * (prec - val - len(rows)), den)
-        s = cls(field, val, tuple(kernel.elements_of(field, rows, den)), prec)
-        s._rows = (rows, den)
-        return s
+        rows = rows[start : start + prec - val]
+        self.val = val
+        self._rows, self._den = kernel.reduce(rows + [zero] * (prec - val - len(rows)), den)
+
+    @property
+    def coeffs(self) -> tuple[GroundElement, ...]:
+        """The coefficients of t^val .. t^(prec-1)."""
+        if self._coeffs is None:
+            self._coeffs = tuple(kernel.elements_of(self.field, self._rows, self._den))
+        return self._coeffs
 
     def int_rows(self) -> tuple[list, int]:
         """Integer numerators of the coefficients over one common denominator."""
-        if self._rows is None:
-            self._rows = kernel.rows_of(self.coeffs)
-        return self._rows
+        return self._rows, self._den
 
     @classmethod
     def make(
@@ -98,23 +116,15 @@ class TwistedSeries:
                 elems.append(field.from_rational(c))
             else:
                 elems.append(field.element(c))
-        elems = elems[: max(prec - val, 0)]
-        while elems and elems[0].is_zero():
-            elems.pop(0)
-            val += 1
-        while len(elems) < prec - val:
-            elems.append(field.zero())
-        if not elems or all(e.is_zero() for e in elems):
-            return cls(field, prec, (), prec)
-        return cls(field, val, tuple(elems), prec)
+        return cls(field, val, elems, prec)
 
     @classmethod
     def zero(cls, field: GroundField, prec: int) -> "TwistedSeries":
-        return cls(field, prec, (), prec)
+        return cls._from_rows(field, prec, [], 1, prec)
 
     @classmethod
     def from_ground(cls, e: GroundElement, prec: int) -> "TwistedSeries":
-        return cls.make(e.field, 0, [e], prec)
+        return cls(e.field, 0, [e], prec)
 
     @classmethod
     def one(cls, field: GroundField, prec: int) -> "TwistedSeries":
@@ -122,18 +132,18 @@ class TwistedSeries:
 
     @classmethod
     def t_power(cls, field: GroundField, power: int, prec: int) -> "TwistedSeries":
-        return cls.make(field, power, [field.one()], prec)
+        return cls(field, power, [field.one()], prec)
 
     @classmethod
     def from_polynomial(cls, p: SkewPolynomial, prec: int) -> "TwistedSeries":
         rows, den = p.int_rows()
-        return cls._from_rows(p.field, 0, list(rows), den, prec)
+        return cls._from_rows(p.field, 0, rows, den, prec)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         """Zero to the stated precision."""
-        return not self.coeffs
+        return self.val >= self.prec
 
     def coefficient(self, exponent: int) -> GroundElement:
         if exponent >= self.prec:
@@ -150,11 +160,12 @@ class TwistedSeries:
             and self.field == other.field
             and self.val == other.val
             and self.prec == other.prec
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.val, self.prec, tuple(c.coords for c in self.coeffs)))
+        return hash((self.val, self.prec, self._den, tuple(self._rows)))
 
     def truncate(self, prec: int) -> "TwistedSeries":
         if prec > self.prec:
@@ -163,9 +174,22 @@ class TwistedSeries:
             )
         if prec == self.prec:
             return self
-        return TwistedSeries.make(
-            self.field, self.val, list(self.coeffs[: prec - self.val]), prec
+        return TwistedSeries._from_rows(self.field, self.val, self._rows, self._den, prec)
+
+    def shift(self, k: int) -> "TwistedSeries":
+        """s * t^k: every exponent, and the precision, moves up by k."""
+        s = self._canonical(self.val + k, self._rows, self.prec + k)
+        s._coeffs = self._coeffs
+        return s
+
+    def _canonical(self, val: int, rows: list, prec: int) -> "TwistedSeries":
+        """A series over this one's field and denominator from rows that
+        are already in canonical form for them."""
+        s = TwistedSeries.__new__(TwistedSeries)
+        s.field, s.val, s.prec, s._rows, s._den, s._coeffs = (
+            self.field, val, prec, rows, self._den, None
         )
+        return s
 
     def _same(self, other: "TwistedSeries") -> None:
         if self.field is not other.field:
@@ -173,29 +197,34 @@ class TwistedSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
+    def _combine(self, other: "TwistedSeries", sign: int) -> "TwistedSeries":
         self._same(other)
         field = self.field
         prec = min(self.prec, other.prec)
         val = min(self.val, other.val)
-        zero = field.zero().coords
+        size = prec - val
+        if size <= 0:
+            return TwistedSeries.zero(field, prec)
+        zero = field.zero_row
+        den = lcm(self._den, other._den)
 
         def window(s: "TwistedSeries") -> list:
-            return [zero] * (s.val - val) + [c.coords for c in s.coeffs[: prec - s.val]]
+            shift = s.val - val
+            return [zero] * shift + s._rows[: size - shift] if shift < size else []
 
-        out = [
-            tuple(x + y for x, y in zip(a, b))
-            for a, b in zip_longest(window(self), window(other), fillvalue=zero)
-        ]
-        return TwistedSeries.make(field, val, [GroundElement(field, c) for c in out], prec)
-
-    def __neg__(self) -> "TwistedSeries":
-        return TwistedSeries(
-            self.field, self.val, tuple(-c for c in self.coeffs), self.prec
+        rows = kernel.lincomb(
+            window(self), den // self._den, window(other), sign * (den // other._den), zero
         )
+        return TwistedSeries._from_rows(field, val, rows, den, prec)
+
+    def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TwistedSeries") -> "TwistedSeries":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "TwistedSeries":
+        return self._canonical(self.val, kernel.scale(self._rows, -1), self.prec)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         self._same(other)
@@ -216,9 +245,10 @@ class TwistedSeries:
         if c.is_zero() or self.is_zero():
             return TwistedSeries.zero(field, self.prec)
         (cr,), dc = kernel.rows_of([c])
-        f, df = self.int_rows()
-        rows = [field.kmul(cr, r) for r in f]
-        return TwistedSeries._from_rows(field, self.val, rows, dc * df * field.mul_den, self.prec)
+        rows = [field.kmul(cr, r) for r in self._rows]
+        return TwistedSeries._from_rows(
+            field, self.val, rows, dc * self._den * field.mul_den, self.prec
+        )
 
     def inv(self) -> "TwistedSeries":
         """Two-sided inverse to the propagated precision."""
@@ -246,7 +276,7 @@ class TwistedSeries:
         return result
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero():
             return f"O(t^{self.prec})"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -301,26 +331,28 @@ def embed_fraction(x: SkewFraction, prec: int) -> TwistedSeries:
     field = x.field
     if x.is_zero():
         return TwistedSeries.zero(field, prec)
-    vden = next(i for i, c in enumerate(x.den.coeffs) if not c.is_zero())
-    work = prec + 2 * vden
+    work = prec + 2 * _low_degree(x.den)
     den = TwistedSeries.from_polynomial(x.den, work)
     num = TwistedSeries.from_polynomial(x.num, work)
     return solve_left(den, num).truncate(prec)
+
+
+def _low_degree(p: SkewPolynomial) -> int:
+    """The exponent of the lowest nonzero term of a nonzero polynomial."""
+    zero = p.field.zero_row
+    return next(i for i, r in enumerate(p.int_rows()[0]) if r != zero)
 
 
 def is_invariant_series(s: TwistedSeries) -> bool:
     """Coefficients invariant and supported on exponents divisible by the
     automorphism order: the commutative series the twisted ring is built
     over."""
-    n = s.field.sigma_order
-    for k, c in enumerate(s.coeffs):
-        if c.is_zero():
-            continue
-        if (s.val + k) % n != 0:
-            return False
-        if not (c.is_central() and c.sigma() == c):
-            return False
-    return True
+    field = s.field
+    n, zero = field.sigma_order, field.zero_row
+    return all(
+        r == zero or ((s.val + k) % n == 0 and field.is_invariant_row(r))
+        for k, r in enumerate(s.int_rows()[0])
+    )
 
 
 def evaluate_poly(
@@ -342,22 +374,26 @@ def newton_root(
 
     `coeffs` are the ascending x-coefficients; `seed` must be an invariant
     scalar with  f(seed) = 0 mod t  and  f'(seed) a unit mod t  (simple
-    residual root).  The contact valuation doubles every iteration, so the
-    loop is logarithmic in the precision.
+    residual root).  The contact valuation c (the valuation of f at the
+    current root) doubles every round, and a round only needs the series to
+    about 2c: it runs at precision  min(work, 2c + pad),  where `work` is
+    the padded precision of the whole lift and pad = work - precision
+    (Brent & Kung, "Fast algorithms for manipulating formal power series",
+    J. ACM 25, 1978).  So the lift costs about two rounds at full precision
+    instead of one per round.  The root entering a round is a fixed series,
+    so it moves to the higher precision by zero extension; it keeps the
+    precision it lost to the coefficients' poles, so the result carries
+    the same precision as a lift run at `work` throughout.
     """
     if not coeffs or len(coeffs) < 2:
         raise ValueError("need a polynomial of degree >= 1")
     field = coeffs[0].field
     if not seed.is_invariant():
         raise NotInvariantSeries("newton seed must lie in the invariant subfield")
-    den_val = 0
-    for c in coeffs:
-        if not c.is_zero():
-            den_val = max(
-                den_val, next(i for i, a in enumerate(c.den.coeffs) if not a.is_zero())
-            )
+    den_val = max((_low_degree(c.den) for c in coeffs if not c.is_zero()), default=0)
     depth = len(coeffs) - 1
     work = precision + 2 * depth * den_val + 2
+    pad = work - precision
     fc = [embed_fraction(c, work) for c in coeffs]
     for s in fc:
         if not is_invariant_series(s):
@@ -367,23 +403,49 @@ def newton_root(
     dc = [
         fc[m].scale_ground_left(field.from_rational(m)) for m in range(1, len(fc))
     ]
-    rho = TwistedSeries.from_ground(seed, work)
-    value = evaluate_poly(fc, rho)
-    deriv = evaluate_poly(dc, rho)
+
+    def at(series: list[TwistedSeries], x: TwistedSeries, p: int) -> TwistedSeries:
+        return evaluate_poly([s.truncate(p) for s in series], x)
+
+    def lift(x: TwistedSeries, p: int, q: int) -> TwistedSeries:
+        # x, made in a round at precision p, for a round at precision q >= p
+        if q == p:
+            return x
+        return TwistedSeries._from_rows(field, x.val, x._rows, x._den, x.prec + q - p)
+
+    p = min(work, 2 + pad)
+    rho = TwistedSeries.from_ground(seed, p)
+    value, deriv = at(fc, rho, p), at(dc, rho, p)
     if deriv.is_zero() or deriv.val > 0:
         raise NotSimpleRoot("derivative at the seed is not a unit mod t")
     if not value.is_zero() and value.val <= 0:
         raise NoResidualRoot("seed is not a residual root mod t")
     guard = 0
     last_val = 0
-    while not value.is_zero():
+    while True:
+        if value.is_zero():
+            if p == work:
+                break
+            # the root already holds to this precision: look further
+            q = min(work, 2 * p + pad)
+            rho, p = lift(rho, p, q), q
+            value, deriv = at(fc, rho, p), None
+            continue
         if value.val <= last_val or guard > precision:
             raise NotSimpleRoot("newton iteration stalled; root is not simple")
         last_val = value.val
         guard += 1
+        q = min(work, 2 * value.val + pad)
+        if q > p:
+            rho, p = lift(rho, p, q), q
+            value, deriv = at(fc, rho, p), None
+        if deriv is None:
+            deriv = at(dc, rho, p)
         rho = rho - value * deriv.inv()
-        value = evaluate_poly(fc, rho)
-        deriv = evaluate_poly(dc, rho)
+        # the next contact is about twice this one: evaluate there
+        q = min(work, 4 * last_val + pad)
+        rho, p = lift(rho, p, q), q
+        value, deriv = at(fc, rho, p), None
     if rho.prec < precision:
         raise InsufficientPrecision(
             f"newton produced precision {rho.prec} < requested {precision}"

@@ -33,6 +33,10 @@ from .ground import GroundElement, GroundField
 from .skewpoly import SkewPolynomial, common_left_multiple, exact_left_quotient, gcld
 
 CENTER_DEGREE_CAP = 8
+# bounds on what an expression or the command line can ask for: the
+# precision of a series (embed, tau, --precision) and the size of a power
+PRECISION_CAP = 1024
+EXPONENT_CAP = 64
 
 
 class SkewFraction:
@@ -233,8 +237,8 @@ def center_basis(field: GroundField, max_degree: int, cap: int = CENTER_DEGREE_C
             rows.append([sig[r][c] - ident[r][c] for c in range(D)])
         for j in range(D):
             e = tuple(Fraction(int(l == j)) for l in range(D))
-            lm, _ = field.mult_matrices(e)
-            _, rm = field.mult_matrices(field.sigma_coords(e, m))
+            lm, _ = field._mult_matrices(e)
+            _, rm = field._mult_matrices(field.sigma_coords(e, m))
             for r in range(D):
                 rows.append([rm[r][c] - lm[r][c] for c in range(D)])
         for vec in linalg.nullspace(rows, D):

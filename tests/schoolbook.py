@@ -11,8 +11,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from itertools import zip_longest
+
 from orefield import linalg
-from orefield.errors import DivisionByZero, MixedFields, NotInvertible, ZeroSeries
+from orefield.errors import (
+    DivisionByZero,
+    InsufficientPrecision,
+    MixedFields,
+    NoResidualRoot,
+    NotInvariantSeries,
+    NotInvertible,
+    NotSimpleRoot,
+    ZeroSeries,
+)
 from orefield.laurent import TwistedSeries
 from orefield.skewpoly import SkewPolynomial
 
@@ -346,7 +357,54 @@ def common_left_multiple(a, b):
 
 
 def _series(field, val, coords, prec):
-    return TwistedSeries.make(field, val, [field.element(c) for c in coords], prec)
+    """Normalised series from coordinate tuples; coefficients beyond prec are cut."""
+    coords = list(coords[: max(prec - val, 0)])
+    while coords and _is_zero(coords[0]):
+        coords.pop(0)
+        val += 1
+    if not coords:
+        return TwistedSeries.zero(field, prec)
+    coords += [field.zero().coords] * (prec - val - len(coords))
+    return TwistedSeries(field, val, [field.element(c) for c in coords], prec)
+
+
+def series_data(s):
+    """(val, coefficient coordinates, prec): what a series is, read eagerly."""
+    return s.val, [c.coords for c in s.coeffs], s.prec
+
+
+def series_eq(a, b):
+    return a.field == b.field and series_data(a) == series_data(b)
+
+
+def series_add(a, b):
+    _check(a, b)
+    field = a.field
+    prec = min(a.prec, b.prec)
+    val = min(a.val, b.val)
+    zero = field.zero().coords
+
+    def window(s):
+        return [zero] * (s.val - val) + [c.coords for c in s.coeffs[: prec - s.val]]
+
+    out = [_add(x, y) for x, y in zip_longest(window(a), window(b), fillvalue=zero)]
+    return _series(field, val, out, prec)
+
+
+def series_neg(s):
+    return _series(s.field, s.val, [tuple(-x for x in c.coords) for c in s.coeffs], s.prec)
+
+
+def series_sub(a, b):
+    return series_add(a, series_neg(b))
+
+
+def series_truncate(s, prec):
+    if prec > s.prec:
+        raise InsufficientPrecision(f"cannot extend precision {s.prec} to {prec}")
+    if prec == s.prec:
+        return s
+    return _series(s.field, s.val, [c.coords for c in s.coeffs[: prec - s.val]], prec)
 
 
 def series_mul(f, g):
@@ -416,3 +474,82 @@ def solve_left(den, num):
             acc = _sub(acc, mul_coords(field, d[k], sigma_coords(field, out[idx - k], v + k)))
         out.append(sigma_coords(field, mul_coords(field, d0inv, acc), -v))
     return _series(field, w, out, out_prec)
+
+
+# -- Newton lifting at full precision every round ----------------------------
+
+
+def _embed(x, prec):
+    """den^-1 num as a series, through the schoolbook recurrence."""
+    field = x.field
+    if x.is_zero():
+        return TwistedSeries.zero(field, prec)
+    vden = next(i for i, c in enumerate(x.den.coeffs) if not c.is_zero())
+    work = prec + 2 * vden
+    den = _series(field, 0, _coords(x.den), work)
+    num = _series(field, 0, _coords(x.num), work)
+    return series_truncate(solve_left(den, num), prec)
+
+
+def _is_invariant(field, a):
+    units = [_unit(field.dim, j) for j in range(field.dim)]
+    central = all(mul_coords(field, a, e) == mul_coords(field, e, a) for e in units)
+    return central and sigma_coords(field, a, 1) == tuple(a)
+
+
+def _invariant_series(s):
+    n = s.field.sigma_order
+    return all(
+        c.is_zero() or ((s.val + k) % n == 0 and _is_invariant(s.field, c.coords))
+        for k, c in enumerate(s.coeffs)
+    )
+
+
+def _horner(coeff_series, point):
+    acc = coeff_series[-1]
+    for c in reversed(coeff_series[:-1]):
+        acc = series_add(series_mul(acc, point), c)
+    return acc
+
+
+def newton_root(coeffs, seed, precision):
+    """The lift as a loop of Newton steps, each run at the full padded
+    precision `work`."""
+    if not coeffs or len(coeffs) < 2:
+        raise ValueError("need a polynomial of degree >= 1")
+    field = coeffs[0].field
+    if not _is_invariant(field, seed.coords):
+        raise NotInvariantSeries("newton seed must lie in the invariant subfield")
+    den_val = 0
+    for c in coeffs:
+        if not c.is_zero():
+            den_val = max(den_val, next(i for i, a in enumerate(c.den.coeffs) if not a.is_zero()))
+    depth = len(coeffs) - 1
+    work = precision + 2 * depth * den_val + 2
+    fc = [_embed(c, work) for c in coeffs]
+    if not all(_invariant_series(s) for s in fc):
+        raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
+    dc = [
+        _series(field, s.val, [tuple(m * x for x in c.coords) for c in s.coeffs], s.prec)
+        for m, s in enumerate(fc)
+    ][1:]
+    rho = _series(field, 0, [seed.coords], work)
+    value = _horner(fc, rho)
+    deriv = _horner(dc, rho)
+    if deriv.is_zero() or deriv.val > 0:
+        raise NotSimpleRoot("derivative at the seed is not a unit mod t")
+    if not value.is_zero() and value.val <= 0:
+        raise NoResidualRoot("seed is not a residual root mod t")
+    guard = 0
+    last_val = 0
+    while not value.is_zero():
+        if value.val <= last_val or guard > precision:
+            raise NotSimpleRoot("newton iteration stalled; root is not simple")
+        last_val = value.val
+        guard += 1
+        rho = series_sub(rho, series_mul(value, series_inv(deriv)))
+        value = _horner(fc, rho)
+        deriv = _horner(dc, rho)
+    if rho.prec < precision:
+        raise InsufficientPrecision(f"newton produced precision {rho.prec} < requested {precision}")
+    return series_truncate(rho, precision)

@@ -1,6 +1,7 @@
 """Command line driver: output shapes, exit classes, determinism."""
 
 import json
+import time
 
 import pytest
 import yaml
@@ -77,6 +78,39 @@ def test_eval_accepts_scenario_contexts(capsys):
 def test_eval_rejects_tower_contexts(capsys):
     code, _, err = run(capsys, "eval", "x", "--scenario", "T1")
     assert code == EXIT_PARSE and "tower" in err
+
+
+# -- caps: each user-controlled size is bounded, and breaking a bound exits 3 at once
+
+
+def _exceeds_cap(capsys, *argv):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    return code == EXIT_VALIDATION and "exceeds cap" in err and time.perf_counter() - t0 < 1.0
+
+
+def test_embed_precision_cap(capsys):
+    assert _exceeds_cap(capsys, "eval", "--field", "gauss", "embed((1-t)^-1, 100000)")
+
+
+def test_tau_precision_cap(capsys):
+    assert _exceeds_cap(capsys, "eval", "--field", "gauss", "tau(1 - t, 100000)")
+
+
+def test_precision_option_cap(capsys):
+    assert _exceeds_cap(capsys, "eval", "--field", "gauss", "--precision", "100000", "embed(1 - t)")
+
+
+def test_exponent_cap(capsys):
+    assert _exceeds_cap(capsys, "eval", "--field", "gauss", "(1 + t)^100000")
+    assert _exceeds_cap(capsys, "eval", "--field", "gauss", "t^-100000")
+
+
+def test_values_at_the_caps_are_accepted(capsys):
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "--precision", "1024", "embed((1-t)^-1)")
+    assert code == 0 and out.strip().endswith("O(t^1024)")
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "t^64")
+    assert code == 0 and out.strip() == "[1,0]*t^64"
 
 
 # -- divmod / invert / center ------------------------------------------------------

@@ -14,11 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schoolbook as sb
-from conftest import ALL_FIELDS, GAUSS, HAMILTON, ROOT2, elements, polys
-from orefield.errors import DivisionByZero, MixedFields, NotInvertible, ZeroSeries
+from conftest import ALL_FIELDS, GAUSS, HAMILTON, RATIONALS, ROOT2, elements, polys
+from orefield.errors import (
+    DivisionByZero,
+    InsufficientPrecision,
+    MixedFields,
+    NotInvertible,
+    OrefieldError,
+    ZeroSeries,
+)
 from orefield.ground import make_number_field, make_quaternions
-from orefield.laurent import TwistedSeries, solve_left
+from orefield.laurent import TwistedSeries, newton_root, solve_left
 from orefield.sampling import random_element, random_polynomial
+from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial, common_left_multiple, gcld, ore_witness
 
 # i^2 = -1/2: the structure constants have denominator 2
@@ -202,6 +210,152 @@ def test_series_kernels_match_reference_fixed_seed(field):
         _check_series(_series(p, -1, 20), _series(q, 2, 22))
 
 
+def same_series(a, b):
+    """Equal values, equal eager data and equal printed forms."""
+    return a == b and sb.series_data(a) == sb.series_data(b) and str(a) == str(b)
+
+
+def _check_series_ring(a, b):
+    assert same_series(a + b, sb.series_add(a, b))
+    assert same_series(a - b, sb.series_sub(a, b))
+    assert same_series(-a, sb.series_neg(a))
+    assert (a == b) == sb.series_eq(a, b)
+    for prec in {a.prec + 1, a.prec, a.prec - 1, a.val + 1, a.val, a.val - 1}:
+        if prec > a.prec:
+            for op in (a.truncate, lambda p: sb.series_truncate(a, p)):
+                with pytest.raises(InsufficientPrecision):
+                    op(prec)
+        else:
+            assert same_series(a.truncate(prec), sb.series_truncate(a, prec))
+    # a value built another way compares and hashes equal
+    again = sb.series_sub(sb.series_add(a, b), b)
+    cut = min(a.prec, b.prec)
+    assert again == a.truncate(cut) and hash(again) == hash(a.truncate(cut))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_series_ring_operations_match_reference(field, data):
+    p = data.draw(polys(field, max_degree=4))
+    q = data.draw(polys(field, max_degree=4))
+    va = data.draw(st.integers(-2, 4))
+    vb = data.draw(st.integers(-2, 4))
+    prec = data.draw(st.integers(-1, 10))
+    a = _series(p, va, prec)
+    b = _series(q, vb, prec + data.draw(st.integers(-3, 3)))
+    _check_series_ring(a, b)
+    _check_series_ring(b, a)
+    _check_series_ring(a, a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_series_ring_operations_match_reference_fixed_seed(field):
+    rng = random.Random(404)
+    zero = TwistedSeries.zero(field, 9)
+    for _ in range(8):
+        p = random_polynomial(field, rng, 5)
+        q = random_polynomial(field, rng, 5)
+        a, b = _series(p, rng.randint(-2, 3), 12), _series(q, rng.randint(-2, 3), 10)
+        for x, y in ((a, b), (b, a), (a, -a), (a, zero), (zero, a), (a, a.truncate(6))):
+            _check_series_ring(x, y)
+
+
+# -- Newton lifting -------------------------------------------------------------------
+
+
+def _invariant(field, rng):
+    """A random element of the invariant subfield (possibly zero)."""
+    coords = [Fraction(0)] * field.dim
+    for w in field.invariant_basis:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        coords = [x + c * y for x, y in zip(coords, w)]
+    return field.element(coords)
+
+
+def _central_fraction(field, rng, poles):
+    """num/den with invariant coefficients in t^n; den may vanish at t = 0."""
+    n = field.sigma_order
+
+    def poly(degree, low):
+        coeffs = [field.zero()] * (n * (low + degree) + 1)
+        for k in range(low, low + degree + 1):
+            coeffs[n * k] = _invariant(field, rng)
+        return SkewPolynomial.from_coeffs(field, coeffs)
+
+    den = poly(rng.randint(0, 1), rng.randint(0, poles))
+    if den.is_zero():
+        den = SkewPolynomial.one(field)
+    return SkewFraction.make(poly(rng.randint(0, 2), 0), den)
+
+
+def _newton_case(field, rng):
+    """(coefficients, seed, precision); the seed is usually a residual root,
+    and the coefficients have poles at t = 0 about half the time."""
+    poles = rng.choice([0, 0, 1, 2])
+    coeffs = [_central_fraction(field, rng, poles) for _ in range(rng.randint(2, 4))]
+    seed = _invariant(field, rng)
+    if rng.random() < 0.8:
+        # a_0 = -sum a_i seed^i + t^n r  makes f(seed) = t^n r
+        s = SkewFraction.from_ground(seed)
+        acc, power = SkewFraction.zero(field), SkewFraction.one(field)
+        for a in coeffs[1:]:
+            power = power * s
+            acc = acc + a * power
+        shift = SkewFraction.t_power(field, field.sigma_order)
+        coeffs[0] = shift * _central_fraction(field, rng, poles) - acc
+    return coeffs, seed, rng.randint(1, 14)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrefieldError as exc:
+        return type(exc)
+
+
+def _check_newton(coeffs, seed, precision):
+    mine = _outcome(newton_root, coeffs, seed, precision)
+    ref = _outcome(sb.newton_root, coeffs, seed, precision)
+    if isinstance(ref, type):
+        assert mine is ref
+    else:
+        assert not isinstance(mine, type), mine
+        assert same_series(mine, ref)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_newton_root_matches_full_precision_loop(field, seed):
+    _check_newton(*_newton_case(field, random.Random(seed)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_newton_root_matches_full_precision_loop_fixed_seed(field):
+    rng = random.Random(1978)
+    for _ in range(10):
+        _check_newton(*_newton_case(field, rng))
+
+
+def test_newton_root_matches_full_precision_loop_when_poles_cost_precision():
+    """f = x^2 - 1 - t^(k+1) + (x - 1)^2 / t^k at the seed 1: every round
+    loses precision to the poles, so long lifts run out of it."""
+    field = RATIONALS
+    outcomes = []
+    for k in (1, 2):
+        t_k = SkewPolynomial.t_power(field, k)
+
+        def frac(*coeffs):
+            return SkewFraction.make(SkewPolynomial.from_coeffs(field, list(coeffs)), t_k)
+
+        coeffs = [frac(*([1] + [0] * (k - 1) + [-1] + [0] * k + [-1])), frac(-2), frac(*([1] + [0] * (k - 1) + [1]))]
+        for precision in (8, 30, 64, 100):
+            _check_newton(coeffs, field.one(), precision)
+            outcomes.append(_outcome(newton_root, coeffs, field.one(), precision))
+    assert InsufficientPrecision in outcomes and any(isinstance(x, TwistedSeries) for x in outcomes)
+
+
 # -- one path for every field ---------------------------------------------------------
 
 _ARITHMETIC = (
@@ -212,8 +366,9 @@ _ARITHMETIC = (
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_every_field_runs_on_integer_rows(field, monkeypatch):
-    """Products, divisions, Euclidean loops and series recurrences do no
-    Fraction arithmetic at all once their operands are in row form."""
+    """Products, divisions, Euclidean loops, series recurrences and series
+    sums, negation, truncation and comparison do no Fraction arithmetic at
+    all once their operands are in row form."""
     rng = random.Random(5)
     f = random_polynomial(field, rng, 4) * SkewPolynomial.t_power(field, 2)
     g = random_polynomial(field, rng, 3) + SkewPolynomial.t_power(field, 3)
@@ -236,6 +391,11 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
     sf * sg
     solve_left(sg, sf)
     sg.inv()
+    sf + sg
+    sf - sg
+    -sf
+    sf.truncate(9)
+    sf == sg
     monkeypatch.undo()
     with pytest.raises(AssertionError):
         for name in _ARITHMETIC:
