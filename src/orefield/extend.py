@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import linalg
+from . import kernel, linalg
 from .errors import (
     DivisionByZero,
     InsufficientPrecision,
@@ -641,14 +641,7 @@ class TensorElement:
     def __pow__(self, n: int) -> "TensorElement":
         if n < 0:
             return self.inv() ** (-n)
-        result = TensorElement.one(self.scenario)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return kernel.power(self, n, TensorElement.one(self.scenario))
 
     def apply(self, g: str) -> "TensorElement":
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""

@@ -100,6 +100,23 @@ def lincomb(a: Rows, x: int, b: Rows, y: int, zero: Row) -> Rows:
     return [tuple([x * u + y * w for u, w in zip(r, s)]) for r, s in zip(a, b)]
 
 
+def power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply, with `one` the unit of x's ring.
+
+    The products result*x come in the order of the bits of n, as in the
+    textbook loop; the square after the top bit, which no product would
+    use, is not made.
+    """
+    result = one
+    while True:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 # -- products ------------------------------------------------------------------
 
 
@@ -238,8 +255,11 @@ def _primitive(*polys: Rows) -> tuple[Rows, ...]:
 
 def gcld_rows(field: GroundField, a: Rows, b: Rows) -> Rows:
     """A greatest common left divisor of nonzero-or-zero a, b (not both zero),
-    up to a right unit: the last nonzero primitive pseudo-remainder."""
+    up to a right unit: the last nonzero primitive pseudo-remainder.  A
+    nonzero constant remainder is a unit, so the loop stops there."""
     while b:
+        if len(b) == 1:
+            return b
         r = pdivmod_left(field, a, b, want_q=False)[1]
         a, b = b, (_primitive(r)[0] if r else r)
     return a

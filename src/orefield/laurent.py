@@ -266,14 +266,7 @@ class TwistedSeries:
     def __pow__(self, n: int) -> "TwistedSeries":
         if n < 0:
             return self.inv() ** (-n)
-        result = TwistedSeries.one(self.field, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return kernel.power(self, n, TwistedSeries.one(self.field, self.prec))
 
     def __str__(self) -> str:
         if self.is_zero():

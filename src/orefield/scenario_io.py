@@ -60,7 +60,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .errors import OrefieldError, ScenarioFormatError, ScenarioValidationError
+from .errors import CapExceeded, OrefieldError, ScenarioFormatError, ScenarioValidationError
 from .exprs import EvalContext, evaluate_text
 from .extend import CentralPolynomial, ExtensionScenario, FiniteGroup
 from .ground import (
@@ -73,7 +73,7 @@ from .ground import (
     make_rationals,
 )
 from .laurent import TwistedSeries
-from .skewfrac import SkewFraction
+from .skewfrac import PRECISION_CAP, SkewFraction
 from .tower import GroupSystem, TowerScenario
 
 __all__ = [
@@ -121,6 +121,14 @@ def _int(value: Any, where: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise _fail(where, f"expected an integer >= {minimum}")
     return value
+
+
+def _precision(value: Any, where: str) -> int:
+    """A series precision: at least 1 and at most PRECISION_CAP."""
+    prec = _int(value, where, minimum=1)
+    if prec > PRECISION_CAP:
+        raise CapExceeded(f"{where} {prec} exceeds cap {PRECISION_CAP}")
+    return prec
 
 
 def _list(value: Any, where: str) -> list:
@@ -317,7 +325,7 @@ def _parse_scenario_body(
     doc: Mapping, field: GroundField, where: str
 ) -> ExtensionScenario:
     name = _string(doc["name"], f"{where}.name")
-    precision = _int(doc["precision"], f"{where}.precision", minimum=1)
+    precision = _precision(doc["precision"], f"{where}.precision")
     f = _central(doc["f"], field, f"{where}.f")
     group = _parse_group(doc["group"], f"{where}.group")
     images_doc = doc["images"]
@@ -336,7 +344,7 @@ def _parse_scenario_body(
     if "root" in doc:
         root_doc = _mapping(doc["root"], f"{where}.root", ("val", "prec", "coeffs"))
         val = _int(root_doc["val"], f"{where}.root.val")
-        prec = _int(root_doc["prec"], f"{where}.root.prec", minimum=1)
+        prec = _precision(root_doc["prec"], f"{where}.root.prec")
         entries = [
             _ground(c, field, f"{where}.root.coeffs[{m}]")
             for m, c in enumerate(_list(root_doc["coeffs"], f"{where}.root.coeffs"))

@@ -11,10 +11,15 @@ Reduction removes the common left divisor (which cancels:
 parts by the inverse of the denominator's leading coefficient on the left,
 which leaves the value unchanged.
 
-Equality is always decided through the Ore condition: find a common left
-multiple ``u*den_x = v*den_y`` and compare ``u*num_x`` against ``v*num_y``.
-The canonical forms make structural comparison possible as well, and the
-test-suite checks the two agree, but the arithmetic never relies on it.
+This form is unique.  For x = d^-1 * n the polynomials r with r*x
+polynomial form the left ideal generated by one d_min; a left-coprime pair
+has d = unit * d_min, and "monic" fixes the unit (then n = d*x as well).
+So `==` and `hash` are structural: two fractions over the same field are
+equal exactly when their denominators and numerators are, with no
+polynomial product.  Inversion needs no reduction either: gcld(n, d) = 1 is
+symmetric, so ``n^-1 * d`` is only scaled to make n monic.  Addition and
+multiplication still go through the Ore condition (a common left multiple)
+and reduce their result.
 
 The center of this skew field is the rational function field in t^n (n the
 automorphism order) over the invariant subfield; `center_basis` computes an
@@ -27,10 +32,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg
+from . import kernel, linalg
 from .errors import CapExceeded, DivisionByZero
 from .ground import GroundElement, GroundField
-from .skewpoly import SkewPolynomial, common_left_multiple, exact_left_quotient, gcld
+from .skewpoly import (
+    SkewPolynomial,
+    common_left_multiple,
+    exact_left_quotient,
+    gcld,
+    left_normalised,
+)
 
 CENTER_DEGREE_CAP = 8
 # bounds on what an expression or the command line can ask for: the
@@ -64,10 +75,16 @@ class SkewFraction:
         if d.degree > 0:
             den = exact_left_quotient(den, d)
             num = exact_left_quotient(num, d)
-        c = den.leading().inv()
-        if not den.is_monic():
-            den = den.scale_left(c)
-            num = num.scale_left(c)
+        return cls._monic(den, num)
+
+    @classmethod
+    def _monic(cls, den: SkewPolynomial, num: SkewPolynomial) -> "SkewFraction":
+        """den^-1 * num for a left-coprime pair: both parts scaled on the left
+        by the unit that makes den monic, which keeps them coprime."""
+        if den.is_monic():
+            return cls(den, num)
+        dr = den.int_rows()
+        den, num = left_normalised(den.field, dr, [dr, num.int_rows()])
         return cls(den, num)
 
     @classmethod
@@ -119,13 +136,10 @@ class SkewFraction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkewFraction):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self.den.is_invariant_central() or other.den.is_invariant_central():
-            # one denominator commutes, so it is its own cross multiplier
-            return other.den * self.num == self.den * other.num
-        u, v = common_left_multiple(self.den, other.den)
-        return u * self.num == v * other.num
+        if self.field is not other.field:
+            self.field.check_same(other.field)
+        # both sides are canonical, and the canonical form is unique
+        return self.same_representation(other)
 
     def __hash__(self) -> int:
         return hash((self.den, self.num))
@@ -168,19 +182,13 @@ class SkewFraction:
     def inv(self) -> "SkewFraction":
         if self.is_zero():
             raise DivisionByZero("inversion of the zero fraction")
-        return SkewFraction.make(self.den, self.num)
+        # gcld(num, den) = 1 as well, so only the unit is left to fix
+        return SkewFraction._monic(self.num, self.den)
 
     def __pow__(self, n: int) -> "SkewFraction":
         if n < 0:
             return self.inv() ** (-n)
-        result = SkewFraction.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return kernel.power(self, n, SkewFraction.one(self.field))
 
     def __str__(self) -> str:
         if self.den.degree == 0:

@@ -203,14 +203,7 @@ class SkewPolynomial:
     def __pow__(self, n: int) -> "SkewPolynomial":
         if n < 0:
             raise ValueError("negative powers are fractions, not polynomials")
-        result = SkewPolynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return kernel.power(self, n, SkewPolynomial.one(self.field))
 
     def scale_left(self, c: GroundElement) -> "SkewPolynomial":
         """c * f  (no twist: constants multiply coefficients directly)."""
@@ -262,10 +255,15 @@ class SkewPolynomial:
         return self._divmod(g, kernel.pdivmod_left)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        # a kernel result stays rows only: printing does not keep the
+        # coefficients it builds
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = kernel.elements_of(self.field, *self._rows)
+        if not coeffs:
             return "0"
         parts = []
-        for m, c in enumerate(self.coeffs):
+        for m, c in enumerate(coeffs):
             if c.is_zero():
                 continue
             if m == 0:
@@ -305,12 +303,15 @@ def _right_normalised(field: GroundField, lead_of: list, polys: list) -> list[Sk
     return [SkewPolynomial._from_rows(field, kernel.mul_rows(field, p, c), den) for p in polys]
 
 
-def _left_normalised(field: GroundField, lead_of: list, polys: list) -> list[SkewPolynomial]:
-    """c * polys for the left unit c that makes `lead_of` monic."""
-    adj, norm = field.kadj(lead_of[-1])
-    # c = adj / N; the product rows carry dT * s
-    den = field.mul_den * field.sig_den * norm
-    return [SkewPolynomial._from_rows(field, kernel.mul_rows(field, [adj], p), den) for p in polys]
+def left_normalised(field: GroundField, lead_of: tuple, polys: list) -> list[SkewPolynomial]:
+    """c * p for each p in polys, for the left unit c that makes `lead_of`
+    monic; `lead_of` and each p are (rows, den) pairs as from `int_rows`."""
+    rows, den = lead_of
+    adj, norm = field.kadj(rows[-1])
+    # c = den * adj / N; the product rows carry dT * s
+    c = [field.kscale(den, adj)] if den != 1 else [adj]
+    k = field.mul_den * field.sig_den * norm
+    return [SkewPolynomial._from_rows(field, kernel.mul_rows(field, c, p), k * d) for p, d in polys]
 
 
 def exact_left_quotient(f: SkewPolynomial, d: SkewPolynomial) -> SkewPolynomial:
@@ -365,4 +366,4 @@ def common_left_multiple(
     ar, da = a.int_rows()
     br, db = b.int_rows()
     u, v = kernel.cofactor_rows(field, ar, da, br, db, right=False)
-    return tuple(_left_normalised(field, u, [u, kernel.scale(v, -1)]))
+    return tuple(left_normalised(field, (u, 1), [(u, 1), (kernel.scale(v, -1), 1)]))

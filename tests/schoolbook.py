@@ -4,7 +4,10 @@ These are the straightforward `Fraction` implementations the package used
 before its arithmetic moved onto integer rows (see `orefield.kernel`).  They
 work coefficient by coefficient on `Fraction` coordinate tuples and call
 nothing of the package's own arithmetic, so a kernel test compares two
-independent computations.  Nothing outside the tests imports this module.
+independent computations.  The fraction routines are the reduction,
+inversion and Ore-condition equality that `SkewFraction` ran before it
+worked on its canonical form alone.  Nothing outside the tests imports
+this module.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from orefield.errors import (
     ZeroSeries,
 )
 from orefield.laurent import TwistedSeries
+from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
 
@@ -351,6 +355,42 @@ def common_left_multiple(a, b):
     u, v = u_cur, -v_cur
     c = inv_coords(field, _coords(u)[-1])
     return _scale_left(u, c), _scale_left(v, c)
+
+
+# -- left fractions ------------------------------------------------------------
+
+
+def fraction_make(num, den):
+    """The canonical den^-1 * num: cancel the monic gcld, then scale both
+    parts on the left by the inverse of den's leading coefficient."""
+    _check(num, den)
+    field = den.field
+    if den.is_zero():
+        raise DivisionByZero("fraction with zero denominator")
+    if num.is_zero():
+        return SkewFraction(SkewPolynomial.one(field), SkewPolynomial.zero(field))
+    d = gcld(den, num)
+    if d.degree > 0:
+        den, num = divmod_left(den, d)[0], divmod_left(num, d)[0]
+    c = inv_coords(field, _coords(den)[-1])
+    return SkewFraction(_scale_left(den, c), _scale_left(num, c))
+
+
+def fraction_inv(x):
+    """num^-1 * den, reduced again from scratch."""
+    if x.is_zero():
+        raise DivisionByZero("inversion of the zero fraction")
+    return fraction_make(x.den, x.num)
+
+
+def fraction_eq(x, y):
+    """Equality by the Ore condition: find a common left multiple
+    u*den_x = v*den_y and compare u*num_x against v*num_y."""
+    _check(x.den, y.den)
+    if x.is_zero() or y.is_zero():
+        return x.is_zero() and y.is_zero()
+    u, v = common_left_multiple(x.den, y.den)
+    return _coords(poly_mul(u, x.num)) == _coords(poly_mul(v, y.num))
 
 
 # -- twisted Laurent series -------------------------------------------------

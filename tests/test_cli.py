@@ -1,14 +1,19 @@
 """Command line driver: output shapes, exit classes, determinism."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 import yaml
 
 from orefield.catalog import scenario_catalog, tower_catalog
 from orefield.cli import EXIT_CHECKS, EXIT_PARSE, EXIT_VALIDATION, main
-from orefield.scenario_io import scenario_document, tower_document
+from orefield.scenario_io import load_document, scenario_document, tower_document
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(capsys, *argv):
@@ -104,6 +109,39 @@ def test_precision_option_cap(capsys):
 def test_exponent_cap(capsys):
     assert _exceeds_cap(capsys, "eval", "--field", "gauss", "(1 + t)^100000")
     assert _exceeds_cap(capsys, "eval", "--field", "gauss", "t^-100000")
+
+
+def _capped_scenario_file(tmp_path, doc):
+    path = tmp_path / f"{doc['name']}-capped.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def test_scenario_file_precision_cap(capsys, tmp_path):
+    doc = yaml.safe_load((SCENARIOS / "T3L1.yaml").read_text(encoding="utf-8"))
+    doc["precision"] = 100000
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "extension.precision 100000 exceeds cap 1024" in err
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_scenario_file_root_and_level_precision_caps(capsys, tmp_path):
+    doc = scenario_document(scenario_catalog("T3L1"))
+    del doc["newton"]
+    doc["root"] = {"val": 1, "prec": 100000, "coeffs": ["[1]"]}
+    code, _, err = run(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "root.prec 100000 exceeds cap" in err
+    doc = tower_document(tower_catalog("T3", validate=False))
+    doc["levels"][0]["precision"] = 1025
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "precision 1025 exceeds cap" in err
+
+
+def test_scenario_file_precision_at_the_cap_is_accepted():
+    doc = scenario_document(scenario_catalog("T3L1"))
+    doc["precision"] = 1024
+    assert load_document(yaml.safe_dump(doc)).precision == 1024
 
 
 def test_values_at_the_caps_are_accepted(capsys):
@@ -250,6 +288,23 @@ def test_verify_is_deterministic_for_a_fixed_seed(capsys):
     code1, out1, _ = run(capsys, "verify", "--scenario", "T3", "--seed", "7", "--format", "json")
     code2, out2, _ = run(capsys, "verify", "--scenario", "T3", "--seed", "7", "--format", "json")
     assert (code1, code2) == (0, 0) and out1 == out2
+
+
+# sha256 of `verify --scenario T --seed 7 --format json` stdout: the reports
+# must stay byte-identical while the arithmetic under them changes
+VERIFY_SHA256 = {
+    "T1": "c3ae4d356e32dbf683bba3539b7f52831e86090a78488693edc83af335fcba8c",
+    "T2": "d7112cf0d0cffdb0531111b2e6cd4d0ec40071cd8c10c453657d10781b6146ee",
+    "T3": "2cbe347f890d860c47816f576f48e35a19e08d5ba3e83b3a3c4fe6d445ea6a46",
+    "T4": "0321dace5ce7178abba8bcc68edf22171a5412e0f91498e23bb23031d5fce9a0",
+}
+
+
+@pytest.mark.parametrize("tower", sorted(VERIFY_SHA256))
+def test_verify_report_is_pinned(capsys, tower):
+    code, out, _ = run(capsys, "verify", "--scenario", tower, "--seed", "7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[tower]
 
 
 def test_verify_accepts_extension_targets(capsys):

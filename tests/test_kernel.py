@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schoolbook as sb
-from conftest import ALL_FIELDS, GAUSS, HAMILTON, RATIONALS, ROOT2, elements, polys
+from conftest import ALL_FIELDS, GAUSS, HAMILTON, RATIONALS, ROOT2, elements, nonzero_polys, polys
 from orefield.errors import (
     DivisionByZero,
     InsufficientPrecision,
@@ -25,7 +25,12 @@ from orefield.errors import (
 )
 from orefield.ground import make_number_field, make_quaternions
 from orefield.laurent import TwistedSeries, newton_root, solve_left
-from orefield.sampling import random_element, random_polynomial
+from orefield.sampling import (
+    random_element,
+    random_nonzero_element,
+    random_nonzero_polynomial,
+    random_polynomial,
+)
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial, common_left_multiple, gcld, ore_witness
 
@@ -167,6 +172,44 @@ def test_mixed_fields_rejected_by_every_kernel():
             op()
     with pytest.raises(MixedFields):
         sb.poly_mul(f, g)
+
+
+# -- left fractions ------------------------------------------------------------------
+
+
+def same_fraction(x, y):
+    return x.same_representation(y) and str(x) == str(y)
+
+
+def _check_fraction(num, den):
+    """make (and inv) normalise on integer rows to the reference's form."""
+    x = SkewFraction.make(num, den)
+    assert same_fraction(x, sb.fraction_make(num, den))
+    if not x.is_zero():
+        assert same_fraction(x.inv(), sb.fraction_inv(x))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fraction_normalisation_matches_reference(field, data):
+    num = data.draw(polys(field, max_degree=2))
+    den = data.draw(nonzero_polys(field, max_degree=2))
+    c = data.draw(nonzero_polys(field, max_degree=1))
+    _check_fraction(num, den)
+    _check_fraction(c * num, c * den)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_fraction_normalisation_matches_reference_fixed_seed(field):
+    rng = random.Random(77)
+    for _ in range(8):
+        num = random_polynomial(field, rng, 3)
+        den = random_nonzero_polynomial(field, rng, 2)
+        c = random_nonzero_polynomial(field, rng, 1)
+        _check_fraction(num, den)
+        _check_fraction(c * num, c * den)
+        _check_fraction(den, SkewPolynomial.constant(field, random_nonzero_element(field, rng)))
 
 
 # -- twisted Laurent series ---------------------------------------------------------
@@ -366,9 +409,10 @@ _ARITHMETIC = (
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_every_field_runs_on_integer_rows(field, monkeypatch):
-    """Products, divisions, Euclidean loops, series recurrences and series
-    sums, negation, truncation and comparison do no Fraction arithmetic at
-    all once their operands are in row form."""
+    """Products, divisions, Euclidean loops, series recurrences, series
+    sums, negation, truncation and comparison, and the reduction, inversion
+    and comparison of fractions do no Fraction arithmetic at all once their
+    operands are in row form."""
     rng = random.Random(5)
     f = random_polynomial(field, rng, 4) * SkewPolynomial.t_power(field, 2)
     g = random_polynomial(field, rng, 3) + SkewPolynomial.t_power(field, 3)
@@ -396,6 +440,8 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
     -sf
     sf.truncate(9)
     sf == sg
+    x = SkewFraction.make(f, g * d)
+    x.inv() == x
     monkeypatch.undo()
     with pytest.raises(AssertionError):
         for name in _ARITHMETIC:

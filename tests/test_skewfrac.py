@@ -1,15 +1,28 @@
 """Left fraction canonical forms, field laws and the center computation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orefield.errors import CapExceeded, DivisionByZero
+import schoolbook as sb
+from orefield.errors import CapExceeded, DivisionByZero, MixedFields
+from orefield.sampling import random_fraction, random_nonzero_polynomial
 from orefield.skewfrac import SkewFraction, center_basis, is_central
 from orefield.skewpoly import SkewPolynomial
 
-from conftest import GAUSS, HAMILTON, RATIONALS, ROOT2, fractions_of, nonzero_fractions_of
+from conftest import (
+    ALL_FIELDS,
+    GAUSS,
+    HAMILTON,
+    RATIONALS,
+    ROOT2,
+    fractions_of,
+    nonzero_fractions_of,
+    nonzero_polys,
+)
 
 
 def P(field, *coeffs):
@@ -96,9 +109,82 @@ def test_inverse_round_trip(x):
 @settings(max_examples=30)
 @given(x=fractions_of(GAUSS), y=fractions_of(GAUSS))
 def test_equality_is_symmetric_with_canonical_forms(x, y):
-    """Ore cross-multiplication equality agrees with structural equality."""
-    assert (x == y) == x.same_representation(y)
+    """Structural equality agrees with Ore cross-multiplication equality."""
+    assert (x == y) == sb.fraction_eq(x, y)
     assert (x == y) == (y == x)
+
+
+# ------------------------------------- == and inv against the Ore-condition oracle
+
+FIELD_IDS = [f.name for f in ALL_FIELDS]
+
+
+def same(x, y):
+    """One canonical form and one printed form."""
+    return x.same_representation(y) and str(x) == str(y)
+
+
+def _check_eq_and_inv(x, y, c):
+    """x == y and x.inv() against the oracle; c is a nonzero polynomial, so
+    (c*den)^-1 (c*num) is x again, built from a pair with a common factor."""
+    assert (x == y) == sb.fraction_eq(x, y) == (y == x)
+    assert (x != y) == (not sb.fraction_eq(x, y))
+    blown = SkewFraction.make(c * x.num, c * x.den)
+    assert blown == x and sb.fraction_eq(blown, x) and same(blown, x)
+    assert hash(blown) == hash(x)
+    for z in (x, y):
+        if z.is_zero():
+            with pytest.raises(DivisionByZero):
+                z.inv()
+            continue
+        mine = z.inv()
+        assert same(mine, sb.fraction_inv(z))
+        assert same(mine, SkewFraction.make(z.den, z.num))
+        assert mine.den.is_monic()
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=FIELD_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_eq_and_inv_match_the_oracle(field, data):
+    size = {"max_degree": 1, "span": 2} if field is HAMILTON else {}
+    x = data.draw(fractions_of(field, **size))
+    y = data.draw(st.one_of(fractions_of(field, **size), st.just(x)))
+    c = data.draw(nonzero_polys(field, max_degree=2, span=2))
+    _check_eq_and_inv(x, y, c)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=FIELD_IDS)
+def test_eq_and_inv_match_the_oracle_fixed_seed(field):
+    rng = random.Random(4)
+    t = SkewFraction.t_power(field)
+    specials = [SkewFraction.zero(field), SkewFraction.one(field), t, t ** -2]
+    for _ in range(12):
+        x = random_fraction(field, rng, max_degree=2)
+        y = random_fraction(field, rng, max_degree=2)
+        c = random_nonzero_polynomial(field, rng, 2)
+        for a, b in ((x, y), (x, x), (x, -x), (x, (x + y) - y)):
+            _check_eq_and_inv(a, b, c)
+        for s in specials:
+            _check_eq_and_inv(x, s, c)
+            _check_eq_and_inv(s, x, c)
+
+
+@pytest.mark.parametrize(
+    "left, right", [(GAUSS, ROOT2), (HAMILTON, RATIONALS)], ids=["gauss-root2", "hamilton-rationals"]
+)
+def test_equality_across_fields_is_rejected(left, right):
+    """Even two zeros over different fields are not comparable."""
+    for x, y in (
+        (SkewFraction.zero(left), SkewFraction.zero(right)),
+        (SkewFraction.one(left), SkewFraction.one(right)),
+        (SkewFraction.t_power(left, -1), SkewFraction.t_power(right, 2)),
+    ):
+        for op in (lambda: x == y, lambda: y == x, lambda: x != y):
+            with pytest.raises(MixedFields):
+                op()
+        with pytest.raises(MixedFields):
+            sb.fraction_eq(x, y)
 
 
 @settings(max_examples=30)
