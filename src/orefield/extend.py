@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import kernel, linalg
@@ -933,39 +934,99 @@ def _rational_invariants(field: GroundField) -> bool:
     return len(field.invariant_basis) == 1
 
 
-def _central_fraction_to_uv(c: SkewFraction, field: GroundField, u_sym):
-    """A central fraction as a sympy expression in u = t^n (rational case)."""
-    import sympy
+def _central_upoly(p: SkewPolynomial, field: GroundField) -> tuple[list[int], int]:
+    """A central polynomial as integers in u = t^n (rational case).
 
+    Returns (c, den) with p = sum_k c[k] / (den * w_a) * u^k, read from the
+    integer rows at the anchor coordinate a, the first nonzero entry w_a of
+    the invariant basis vector w.
+    """
     n = field.sigma_order
     w = field.invariant_basis[0]
     anchor = next(i for i, v in enumerate(w) if v != 0)
+    rows, den = p.int_rows()
+    out = [0] * ((len(rows) - 1) // n + 1)
+    for m, row in enumerate(rows):
+        if not any(row):
+            continue
+        if m % n:
+            raise ScenarioValidationError(
+                f"exponent {m} of {p} is not a multiple of the twist order"
+            )
+        out[m // n] = row[anchor]
+    return out, den
 
-    def poly_expr(p: SkewPolynomial):
-        expr = sympy.Integer(0)
-        for m, a in enumerate(p.coeffs):
-            if a.is_zero():
-                continue
-            if m % n:
-                raise ScenarioValidationError(
-                    f"exponent {m} of {p} is not a multiple of the twist order"
-                )
-            ratio = Fraction(a.coords[anchor], w[anchor])
-            expr += sympy.Rational(ratio.numerator, ratio.denominator) * u_sym ** (m // n)
-        return expr
 
-    return poly_expr(c.num) / poly_expr(c.den)
+# integer points u0 tried, in this order, by the specialisation certificate
+_SPECIALISATION_POINTS = (0, 1, -1, 2, -2, 3, -3)
+
+
+def _horner(c: list[int], u0: int) -> int:
+    value = 0
+    for a in reversed(c):
+        value = value * u0 + a
+    return value
+
+
+def _specialised(coeffs: list, u0: int) -> list[int] | None:
+    """f(x, u0) cleared to Z[x] from (i, numerator, denominator) triples of
+    `_central_upoly` data; None when a denominator vanishes at u0."""
+    values = []
+    for i, (num, num_den), (den, den_den) in coeffs:
+        d = _horner(den, u0)
+        if d == 0:
+            return None
+        values.append((i, Fraction(_horner(num, u0) * den_den, d * num_den)))
+    scale = lcm(*(v.denominator for _, v in values))
+    cleared = [0] * (values[-1][0] + 1)
+    for i, v in values:
+        cleared[i] = v.numerator * (scale // v.denominator)
+    return cleared
+
+
+def _specialisation_point(scenario: ExtensionScenario) -> int | None:
+    """The first u0 in _SPECIALISATION_POINTS that certifies f irreducible.
+
+    u0 certifies when every coefficient denominator of f is nonzero at u0,
+    and f(x, u0), cleared to Z[x], factors as one irreducible factor of
+    degree `scenario.degree` = deg f (so its multiplicity is 1, and the
+    leading coefficient of f is nonzero at u0).  None when no point does.
+    Exponents off the multiples of the twist order raise
+    `ScenarioValidationError`.
+    """
+    from .factor import factor_list
+
+    field = scenario.field
+    coeffs = [
+        (i, _central_upoly(c.num, field), _central_upoly(c.den, field))
+        for i, c in enumerate(scenario.f.coeffs)
+        if not c.is_zero()
+    ]
+    for u0 in _SPECIALISATION_POINTS:
+        cleared = _specialised(coeffs, u0)
+        if cleared is None:
+            continue
+        factors = factor_list(cleared)[1]
+        if len(factors) == 1 and len(factors[0][0]) - 1 == scenario.degree:
+            return u0
+    return None
 
 
 def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
     """(status, details) for f over the central function field.
 
     Only available when the invariant subfield is the rationals: then f is a
-    polynomial over Q(u) and bivariate factorization over Q decides
-    irreducibility (factors in u alone are content and do not matter).
+    polynomial over Q(u).  Specialisation settles the usual case without
+    sympy.  Let F be f cleared of denominators and made primitive in
+    Q[u][x].  If at an integer u0 every coefficient denominator and the
+    leading coefficient of f are nonzero, a factorization F = G*H in
+    Q[u][x] with both x-degrees positive (Gauss's lemma) specialises to one
+    of f(x, u0) with the same degrees; so f(x, u0) irreducible over Q of
+    degree deg f proves f irreducible over Q(u) (`_specialisation_point`).
+    When no point certifies, bivariate factorization over Q decides (sympy,
+    imported only then; factors in u alone are content and do not matter),
+    and only this fallback can report how f splits.
     """
-    import sympy
-
     field = scenario.field
     if not _rational_invariants(field):
         return (
@@ -973,12 +1034,22 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
             "certificate needs a rational invariant subfield "
             f"(dimension {len(field.invariant_basis)} here)",
         )
+    passed = ("pass", f"bivariate factorization leaves one x-factor of degree {scenario.degree}")
+    if _specialisation_point(scenario) is not None:
+        return passed
+    import sympy
+
     x_sym, u_sym = sympy.symbols("x u")
+
+    def upoly(c: list[int]):
+        return sum((a * u_sym**k for k, a in enumerate(c)), sympy.Integer(0))
+
     expr = sympy.Integer(0)
     for i, c in enumerate(scenario.f.coeffs):
         if c.is_zero():
             continue
-        expr += _central_fraction_to_uv(c, field, u_sym) * x_sym**i
+        (num, num_den), (den, den_den) = _central_upoly(c.num, field), _central_upoly(c.den, field)
+        expr += upoly(num) * den_den / (upoly(den) * num_den) * x_sym**i
     numerator, _ = sympy.fraction(sympy.together(expr))
     factors = sympy.factor_list(sympy.expand(numerator), x_sym, u_sym)[1]
     positive = [(p, e) for p, e in factors if sympy.degree(p, gen=x_sym) > 0]
@@ -987,7 +1058,7 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
         and positive[0][1] == 1
         and sympy.degree(positive[0][0], gen=x_sym) == scenario.degree
     ):
-        return ("pass", f"bivariate factorization leaves one x-factor of degree {scenario.degree}")
+        return passed
     shapes = ", ".join(
         f"deg_x={sympy.degree(p, gen=x_sym)} mult={e}" for p, e in positive
     )

@@ -610,19 +610,19 @@ def _irreducible(poly: Coords) -> bool:
     """Irreducibility over Q of a monic integer polynomial.
 
     Up to degree 2 it is decided by hand (a monic quadratic splits exactly
-    when its discriminant is a square); sympy, and its import, is only paid
-    for cubics and beyond.
+    when its discriminant is a square), so building the catalog fields does
+    not load `orefield.factor`; from degree 3 on, the polynomial is
+    irreducible when its factorization over Z is itself, once.
     """
     if len(poly) == 2:
         return True
     if len(poly) == 3:
         disc = int(poly[1] ** 2 - 4 * poly[0])
         return disc < 0 or isqrt(disc) ** 2 != disc
-    import sympy
+    from .factor import factor_list
 
-    y = sympy.symbols("y")
-    expr = sum(int(c) * y**m for m, c in enumerate(poly))
-    return sympy.Poly(expr, y, domain="QQ").is_irreducible
+    factors = factor_list([int(c) for c in poly])[1]
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 def make_rationals() -> GroundField:

@@ -271,8 +271,12 @@ class TwistedSeries:
     def __str__(self) -> str:
         if self.is_zero():
             return f"O(t^{self.prec})"
+        # printing does not keep the coefficients it builds
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = kernel.elements_of(self.field, self._rows, self._den)
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if c.is_zero():
                 continue
             e = self.val + k

@@ -73,7 +73,7 @@ from .ground import (
     make_rationals,
 )
 from .laurent import TwistedSeries
-from .skewfrac import PRECISION_CAP, SkewFraction
+from .skewfrac import FACTOR_DEGREE_CAP, PRECISION_CAP, SkewFraction
 from .tower import GroupSystem, TowerScenario
 
 __all__ = [
@@ -129,6 +129,12 @@ def _precision(value: Any, where: str) -> int:
     if prec > PRECISION_CAP:
         raise CapExceeded(f"{where} {prec} exceeds cap {PRECISION_CAP}")
     return prec
+
+
+def _check_factor_degree(degree: int, where: str) -> None:
+    """What the certificates factor: a degree of at most FACTOR_DEGREE_CAP."""
+    if degree > FACTOR_DEGREE_CAP:
+        raise CapExceeded(f"{where} degree {degree} exceeds cap {FACTOR_DEGREE_CAP}")
 
 
 def _list(value: Any, where: str) -> list:
@@ -250,7 +256,7 @@ def _fraction(value: Any, field: GroundField, where: str) -> SkewFraction:
         raise _fail(where, "expected a coefficient (number or expression string)")
     try:
         result = evaluate_text(value, EvalContext(field))
-    except ScenarioValidationError:
+    except (CapExceeded, ScenarioValidationError):
         raise
     except OrefieldError as exc:
         raise _fail(where, f"bad coefficient {value!r} ({exc})") from None
@@ -327,6 +333,9 @@ def _parse_scenario_body(
     name = _string(doc["name"], f"{where}.name")
     precision = _precision(doc["precision"], f"{where}.precision")
     f = _central(doc["f"], field, f"{where}.f")
+    _check_factor_degree(f.degree, f"{where}.f")
+    for m, c in enumerate(f.coeffs):
+        _check_factor_degree(max(c.num.degree, c.den.degree), f"{where}.f[{m}]")
     group = _parse_group(doc["group"], f"{where}.group")
     images_doc = doc["images"]
     if not isinstance(images_doc, Mapping):
@@ -412,7 +421,9 @@ def _parse_tower(doc: Mapping) -> TowerScenario:
         where = f"tower.nonsquares[{n}]"
         body = _mapping(entry, where, ("label", "witness"))
         label = _string(body["label"], f"{where}.label")
-        witnesses.append((label, _fraction(body["witness"], field, f"{where}.witness")))
+        witness = _fraction(body["witness"], field, f"{where}.witness")
+        _check_factor_degree(max(witness.num.degree, witness.den.degree), f"{where}.witness")
+        witnesses.append((label, witness))
     return TowerScenario(
         name, system, levels, eps, embeddings, nonsquare_witnesses=tuple(witnesses)
     )

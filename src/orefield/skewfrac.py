@@ -44,6 +44,9 @@ from .skewpoly import (
 )
 
 CENTER_DEGREE_CAP = 8
+# bound on what the certificates factor: the degree in t of a scenario file's
+# nonsquare witnesses and of f's coefficients, and the degree of f in x
+FACTOR_DEGREE_CAP = 64
 # bounds on what an expression or the command line can ask for: the
 # precision of a series (embed, tau, --precision) and the size of a power
 PRECISION_CAP = 1024

@@ -19,7 +19,7 @@ from .extend import (
     CheckResult,
     ExtensionScenario,
     FiniteGroup,
-    _central_fraction_to_uv,
+    _central_upoly,
     _rational_invariants,
     fixed_space,
     run_scenario_checks,
@@ -374,12 +374,13 @@ def check_functoriality(ts: TowerScenario) -> list[CheckResult]:
 def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
     """Certify that a central fraction is not a square in the center.
 
-    Over a rational invariant subfield the center is a rational function
-    field, where being a square forces every irreducible factor to even
-    multiplicity; one odd factor is an exact disproof.
+    Over a rational invariant subfield the center is the rational function
+    field Q(u), u = t^n.  The witness is the reduced N(u)/D(u), and being a
+    square there forces every irreducible factor of N and D to even
+    multiplicity; one odd factor is an exact disproof.  N and D are read as
+    integer polynomials from the witness's rows and factored over Z by
+    `orefield.factor`, so this certificate never imports sympy.
     """
-    import sympy
-
     name = f"nonsquare[{label}]"
     law = "the witness has an odd-multiplicity factor, so it is not a square"
     field = witness.field
@@ -390,14 +391,15 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
             law,
             "certificate needs a rational invariant subfield",
         )
-    u = sympy.Symbol("u")
-    expr = _central_fraction_to_uv(witness, field, u)
-    numerator, denominator = sympy.fraction(sympy.together(expr))
-    odd = []
-    for part in (numerator, denominator):
-        for factor, mult in sympy.factor_list(sympy.expand(part))[1]:
-            if sympy.degree(factor, gen=u) > 0 and mult % 2 == 1:
-                odd.append(f"{factor}")
+    from .factor import factor_list, poly_str
+
+    parts = [_central_upoly(part, field)[0] for part in (witness.num, witness.den)]
+    odd = [
+        poly_str(factor, "u")
+        for part in parts
+        for factor, mult in factor_list(part)[1]
+        if mult % 2 == 1
+    ]
     if odd:
         return CheckResult(
             name, "pass", law, f"odd factors: {', '.join(sorted(odd))}"

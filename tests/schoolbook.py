@@ -6,8 +6,9 @@ work coefficient by coefficient on `Fraction` coordinate tuples and call
 nothing of the package's own arithmetic, so a kernel test compares two
 independent computations.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
-worked on its canonical form alone.  Nothing outside the tests imports
-this module.
+worked on its canonical form alone.  The certificates at the end are the
+sympy factorizations that `orefield.extend` and `orefield.tower` ran before
+`orefield.factor`.  Nothing outside the tests imports this module.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from orefield.errors import (
     NotInvariantSeries,
     NotInvertible,
     NotSimpleRoot,
+    ScenarioValidationError,
     ZeroSeries,
 )
 from orefield.laurent import TwistedSeries
@@ -593,3 +595,86 @@ def newton_root(coeffs, seed, precision):
     if rho.prec < precision:
         raise InsufficientPrecision(f"newton produced precision {rho.prec} < requested {precision}")
     return series_truncate(rho, precision)
+
+
+# -- certificates ---------------------------------------------------------------
+#
+# The sympy certificates the package ran before `orefield.factor`: the
+# f-irreducible certificate by bivariate factorization over Q, and the
+# nonsquare certificate by univariate factorization of the witness.
+
+
+def _central_fraction_to_uv(c, field, u_sym):
+    """A central fraction as a sympy expression in u = t^n (rational case)."""
+    import sympy
+
+    n = field.sigma_order
+    w = field.invariant_basis[0]
+    anchor = next(i for i, v in enumerate(w) if v != 0)
+
+    def poly_expr(p):
+        expr = sympy.Integer(0)
+        for m, a in enumerate(p.coeffs):
+            if a.is_zero():
+                continue
+            if m % n:
+                raise ScenarioValidationError(
+                    f"exponent {m} of {p} is not a multiple of the twist order"
+                )
+            ratio = Fraction(a.coords[anchor], w[anchor])
+            expr += sympy.Rational(ratio.numerator, ratio.denominator) * u_sym ** (m // n)
+        return expr
+
+    return poly_expr(c.num) / poly_expr(c.den)
+
+
+def irreducibility_certificate(scenario):
+    """(status, details) for f over the central function field."""
+    import sympy
+
+    field = scenario.field
+    if len(field.invariant_basis) != 1:
+        return (
+            "skipped",
+            "certificate needs a rational invariant subfield "
+            f"(dimension {len(field.invariant_basis)} here)",
+        )
+    x_sym, u_sym = sympy.symbols("x u")
+    expr = sympy.Integer(0)
+    for i, c in enumerate(scenario.f.coeffs):
+        if c.is_zero():
+            continue
+        expr += _central_fraction_to_uv(c, field, u_sym) * x_sym**i
+    numerator, _ = sympy.fraction(sympy.together(expr))
+    factors = sympy.factor_list(sympy.expand(numerator), x_sym, u_sym)[1]
+    positive = [(p, e) for p, e in factors if sympy.degree(p, gen=x_sym) > 0]
+    if (
+        len(positive) == 1
+        and positive[0][1] == 1
+        and sympy.degree(positive[0][0], gen=x_sym) == scenario.degree
+    ):
+        return ("pass", f"bivariate factorization leaves one x-factor of degree {scenario.degree}")
+    shapes = ", ".join(
+        f"deg_x={sympy.degree(p, gen=x_sym)} mult={e}" for p, e in positive
+    )
+    return ("fail", f"f splits over the center: x-positive factors [{shapes}]")
+
+
+def nonsquare_certificate(label, witness):
+    """(status, details) of the nonsquare certificate."""
+    import sympy
+
+    field = witness.field
+    if len(field.invariant_basis) != 1:
+        return ("skipped", "certificate needs a rational invariant subfield")
+    u = sympy.Symbol("u")
+    expr = _central_fraction_to_uv(witness, field, u)
+    numerator, denominator = sympy.fraction(sympy.together(expr))
+    odd = []
+    for part in (numerator, denominator):
+        for factor, mult in sympy.factor_list(sympy.expand(part))[1]:
+            if sympy.degree(factor, gen=u) > 0 and mult % 2 == 1:
+                odd.append(f"{factor}")
+    if odd:
+        return ("pass", f"odd factors: {', '.join(sorted(odd))}")
+    return ("fail", "every factor has even multiplicity")

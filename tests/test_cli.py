@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 import yaml
 
+import orefield
 from orefield.catalog import scenario_catalog, tower_catalog
 from orefield.cli import EXIT_CHECKS, EXIT_PARSE, EXIT_VALIDATION, main
+from orefield.extend import _irreducibility_certificate
 from orefield.scenario_io import load_document, scenario_document, tower_document
+from orefield.tower import nonsquare_certificate
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -142,6 +148,67 @@ def test_scenario_file_precision_at_the_cap_is_accepted():
     doc = scenario_document(scenario_catalog("T3L1"))
     doc["precision"] = 1024
     assert load_document(yaml.safe_dump(doc)).precision == 1024
+
+
+def test_scenario_file_factor_degree_caps(capsys, tmp_path):
+    doc = tower_document(tower_catalog("T1", validate=False))
+    doc["nonsquares"][0]["witness"] = "(1 + t)^64*(1 + t)^64*(1 + t)^64"
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "nonsquares[0].witness degree 192 exceeds cap 64" in err
+    assert time.perf_counter() - t0 < 5.0
+    doc = yaml.safe_load((SCENARIOS / "T3L1.yaml").read_text(encoding="utf-8"))
+    doc["f"] = [1] + [0] * 64 + [1]
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "extension.f degree 65 exceeds cap 64" in err
+    doc["f"] = ["1/((1 + t)^64*(1 + t))", 0, 0, 1]
+    code, _, err = run(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "extension.f[0] degree 65 exceeds cap 64" in err
+    # an expression cap inside a file is a cap too, not a malformed file
+    doc["f"] = ["(1 + t)^65", 0, 0, 1]
+    code, _, err = run(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "exponent 65 exceeds cap 64" in err
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_scenario_file_degrees_at_the_factor_cap_are_accepted():
+    doc = tower_document(tower_catalog("T1", validate=False))
+    doc["nonsquares"][0]["witness"] = "(1 + t)^64"
+    label, witness = load_document(yaml.safe_dump(doc)).nonsquare_witnesses[0]
+    t0 = time.perf_counter()
+    assert nonsquare_certificate(label, witness).details == "every factor has even multiplicity"
+    doc = scenario_document(scenario_catalog("T3L1"))
+    doc["f"] = ["(1 + t)^64"] + [0] * 63 + [1]  # x^64 + (1 + u)^64, irreducible
+    scn = load_document(yaml.safe_dump(doc))
+    assert scn.degree == 64
+    assert _irreducibility_certificate(scn)[0] == "pass"
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_verify_extend_and_field_construction_never_import_sympy():
+    """sympy is only the fallback of the f-irreducible certificate, which no
+    catalog level reaches."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from fractions import Fraction\n"
+        "from orefield import cli\n"
+        "from orefield.ground import make_number_field\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for tower in ('T1', 'T2', 'T3', 'T4'):\n"
+        "        assert cli.main(['verify', '--scenario', tower, '--seed', '7', '--format', 'json']) == 0\n"
+        "    for level in ('T1L1', 'T1L2', 'T2L1', 'T2L2', 'T3L1'):\n"
+        "        assert cli.main(['extend', '--scenario', level]) == 0\n"
+        "make_number_field([8, -12, 0, 1], sigma_image=[-4, 0, Fraction(1, 2)])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_values_at_the_caps_are_accepted(capsys):

@@ -1,5 +1,6 @@
 """Ground field arithmetic, automorphisms and derived structure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from orefield.errors import (
     NotInvertible,
     ReduciblePolynomial,
 )
-from orefield.ground import make_number_field, make_quaternions
+from orefield.ground import _irreducible, make_number_field, make_quaternions
 
 from conftest import GAUSS, HAMILTON, RATIONALS, ROOT2, elements, nonzero_elements
 
@@ -98,6 +99,20 @@ def test_min_poly_degree_cap():
 def test_min_poly_irreducibility():
     with pytest.raises(ReduciblePolynomial):
         make_number_field([-1, 0, 1])  # y^2 - 1 = (y-1)(y+1)
+    with pytest.raises(ReduciblePolynomial):
+        make_number_field([4, 0, 0, 0, 1])  # y^4 + 4 = (y^2-2y+2)(y^2+2y+2)
+    assert make_number_field([1, 0, 0, 0, 1]).dim == 4  # y^4 + 1 splits mod every prime
+
+
+def test_irreducibility_matches_sympy_on_small_monic_polynomials():
+    import sympy
+
+    y = sympy.Symbol("y")
+    for degree in (1, 2, 3, 4):
+        for tail in itertools.product(range(-2, 3), repeat=degree):
+            poly = tuple(F(c) for c in tail) + (F(1),)
+            expected = sympy.Poly(sum(int(c) * y**m for m, c in enumerate(poly)), y).is_irreducible
+            assert _irreducible(poly) == expected, poly
 
 
 def test_sigma_image_must_be_a_root():

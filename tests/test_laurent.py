@@ -58,6 +58,18 @@ def test_leading_zero_coefficients_raise_valuation():
     assert str(s) == "[1,0]*t + [0,1]*t^2 + O(t^4)"
 
 
+def test_printing_keeps_no_coefficients():
+    a = TwistedSeries.make(GAUSS, 0, [[1, 2], [Fraction(1, 3), -1], [0, 5]], 6)
+    b = TwistedSeries.make(GAUSS, -1, [[2, -1], [1, 1]], 6)
+    lazy, eager = a * b, a * b
+    eager.coeffs
+    assert lazy._coeffs is None
+    assert str(lazy) == str(eager) == (
+        "[4,3]*t^-1 + [2/3,4/3] + [13/3,26/3]*t + [-5,5]*t^2 + O(t^5)"
+    )
+    assert lazy._coeffs is None
+
+
 def test_coefficient_beyond_precision():
     s = TwistedSeries.from_ground(GAUSS.one(), 3)
     with pytest.raises(InsufficientPrecision):
