@@ -13,6 +13,10 @@ codes classify failures: 2 for parse problems (expressions, arguments,
 malformed scenario files), 3 for validation problems (bad input values,
 scenario certificates that do not hold), 4 for relation checks that
 ran and failed, 5 for anything unexpected.
+
+Each command imports what it needs: the expression language only for the
+commands that parse expressions, and the scenario-file reader (and with it
+PyYAML) only when --scenario names a file rather than a catalog entry.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import (
     ScenarioFormatError,
     ScenarioValidationError,
 )
-from .exprs import EvalContext, evaluate_text
 from .extend import (
     CheckResult,
     ExtensionScenario,
@@ -42,7 +45,6 @@ from .extend import (
 from .ground import gauss_conjugation, hamilton_rationals, make_rationals
 from .laurent import TwistedSeries
 from .sampling import random_tensor
-from .scenario_io import load_path
 from .skewfrac import SkewFraction, center_basis
 from .skewpoly import SkewPolynomial
 from .tower import TowerScenario, run_tower_checks
@@ -64,7 +66,10 @@ _FIELDS: dict[str, Callable] = {
 # shared plumbing
 
 
-def _context(args: argparse.Namespace) -> EvalContext:
+def _evaluator(args: argparse.Namespace) -> Callable[[str], object]:
+    """Evaluation of expression text in the command's field or scenario."""
+    from .exprs import EvalContext, evaluate_text
+
     scenario = None
     if getattr(args, "scenario", None):
         target = _resolve(args.scenario)
@@ -76,7 +81,8 @@ def _context(args: argparse.Namespace) -> EvalContext:
         field = scenario.field
     else:
         field = _FIELDS[args.field]()
-    return EvalContext(field, scenario=scenario, precision=args.precision)
+    ctx = EvalContext(field, scenario=scenario, precision=args.precision)
+    return lambda text: evaluate_text(text, ctx)
 
 
 def _resolve(spec: str) -> ExtensionScenario | TowerScenario:
@@ -85,6 +91,8 @@ def _resolve(spec: str) -> ExtensionScenario | TowerScenario:
         return scenario_catalog(spec)
     if spec in tower_names():
         return tower_catalog(spec, validate=False)
+    from .scenario_io import load_path
+
     try:
         return load_path(spec)
     except OSError as exc:
@@ -139,15 +147,15 @@ def _any_fail(rows: Sequence[CheckResult]) -> bool:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    value = evaluate_text(args.expr, _context(args))
+    value = _evaluator(args)(args.expr)
     _print_value(args, value=str(value))
     return EXIT_OK
 
 
 def cmd_divmod(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    f = _as_polynomial(evaluate_text(args.dividend, ctx), "the dividend")
-    g = _as_polynomial(evaluate_text(args.divisor, ctx), "the divisor")
+    evaluate = _evaluator(args)
+    f = _as_polynomial(evaluate(args.dividend), "the dividend")
+    g = _as_polynomial(evaluate(args.divisor), "the divisor")
     q, r = f.divmod_left(g) if args.side == "left" else f.divmod_right(g)
     _print_value(args, quotient=str(q), remainder=str(r))
     return EXIT_OK
@@ -174,7 +182,7 @@ def _round_trip(value, inverse) -> bool:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    value = evaluate_text(args.expr, _context(args))
+    value = _evaluator(args)(args.expr)
     inverse = value.inv()
     _print_value(
         args,

@@ -339,6 +339,12 @@ def ground_symbols(field: GroundField) -> dict[str, GroundElement]:
     return symbols
 
 
+def _degree(value: Value) -> int:
+    """The degree in t of a fraction (the larger of its parts' degrees);
+    0 for a series, whose precision is capped, and an extension element."""
+    return value.size() if isinstance(value, SkewFraction) else 0
+
+
 def _is_series(value: Value) -> bool:
     return isinstance(value, TwistedSeries)
 
@@ -405,6 +411,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
     if isinstance(node, Pow):
         _capped(node.exponent, EXPONENT_CAP, "exponent")
         base = evaluate(node.base, ctx)
+        _capped(_degree(base) * abs(node.exponent), PRECISION_CAP, "power degree")
         if node.exponent < 0:
             return _invert(base) ** (-node.exponent)
         return base ** node.exponent
@@ -414,6 +421,9 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
             return a + b
         if node.op == "-":
             return a - b
+        # bound the degree before the product is formed: a product of
+        # fractions may hold no more coefficients than a series
+        _capped(_degree(a) + _degree(b), PRECISION_CAP, "product degree")
         if node.op == "*":
             return a * b
         return a * _invert(b)

@@ -10,11 +10,16 @@ rho of f, the Galois action x -> q_g(x) of a finite group, and the maps that
 the rest of the package (towers, command line) consumes:
 
 * `CentralPolynomial` -- polynomials in the central variable x whose
-  coefficients are central fractions; ordinary commutative arithmetic.
+  coefficients are central fractions; ordinary commutative arithmetic,
+  run on reduced N/D pairs over Z[u] (`orefield.factor.RationalFunction`)
+  when the invariant subfield is Q, as at every catalog level, and on
+  `SkewFraction`s over any other invariant subfield.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data (reduction tables, the full
-  image closure, matrices, the lifted root).
+  image closure, matrices, the lifted root).  The tables, images and
+  matrices are computed on the same central coefficients and read as
+  `SkewFraction`s, each built once, without a `gcld`.
 * `TensorElement` -- an element of L as a coordinate vector over the skew
   field; multiplication reduces through the tables, inversion solves a
   one-sided linear system, `apply` acts by the Galois matrices.
@@ -72,23 +77,102 @@ def _as_fraction(field: GroundField, value) -> SkewFraction:
     raise TypeError(f"cannot interpret {value!r} as a central fraction")
 
 
+# -- central coefficients -------------------------------------------------------
+#
+# When the invariant subfield is Q, the center is Q(u), u = t^n, and a central
+# coefficient is held as a `RationalFunction`.  Over any other invariant
+# subfield it stays a `SkewFraction`.  Both kinds have + - * inv == is_zero,
+# so the central polynomials, the reduction table, the Galois matrices and the
+# fixed space run the same code on either.  `orefield.factor` is imported on
+# first use: building the catalog scenarios needs no central arithmetic, so a
+# process that builds them only to compute with their fields does not load it.
+
+
+def _central(field: GroundField, c: SkewFraction):
+    """A central fraction as a coefficient of the central layer."""
+    if not _rational_invariants(field):
+        return c
+    from .factor import RationalFunction
+
+    num, num_den = _central_upoly(c.num, field)
+    den, den_den = _central_upoly(c.den, field)
+    if not c.is_invariant_central():
+        raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
+    return RationalFunction.make([a * den_den for a in num], [a * num_den for a in den])
+
+
+def _view(field: GroundField, c) -> SkewFraction:
+    """A central coefficient as a `SkewFraction`, built without `gcld`.
+
+    For N/D in Q(u), den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D),
+    with the unit written as the first coordinate (as `from_rational` does).
+    A Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring too,
+    so every common left divisor of den and num is a unit: this is the
+    canonical reduced form.
+    """
+    if isinstance(c, SkewFraction):
+        return c
+    n, zero = field.sigma_order, field.zero_row
+    tail = zero[1:]
+
+    def poly(coeffs: tuple[int, ...]) -> SkewPolynomial:
+        rows = [zero] * ((len(coeffs) - 1) * n + 1) if coeffs else []
+        for k, a in enumerate(coeffs):
+            if a:
+                rows[k * n] = (a,) + tail
+        return SkewPolynomial._from_rows(field, rows, c.den[-1])
+
+    return SkewFraction(poly(c.den), poly(c.num))
+
+
+def _central_zero(field: GroundField):
+    if not _rational_invariants(field):
+        return SkewFraction.zero(field)
+    from .factor import RationalFunction
+
+    return RationalFunction.zero()
+
+
+def _central_one(field: GroundField):
+    if not _rational_invariants(field):
+        return SkewFraction.one(field)
+    from .factor import RationalFunction
+
+    return RationalFunction.one()
+
+
 class CentralPolynomial:
     """Polynomial in x with central-fraction coefficients.
 
     x is adjoined centrally, so this is plain commutative polynomial
-    arithmetic; the heavy lifting happens inside the coefficient field.
-    Construct through `from_coeffs`, which checks centrality; the raw
-    constructor is reserved for internal arithmetic on already-checked
-    coefficients.
+    arithmetic on the central coefficients: reduced N/D pairs over Z[u]
+    when the invariant subfield is Q (every catalog level), central
+    `SkewFraction`s otherwise.  `coeffs` shows them as `SkewFraction`s,
+    built once on first use.  Construct through `from_coeffs`, which checks
+    centrality; the raw constructor takes `SkewFraction`s that are already
+    known to be central, and converts them on first use.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_coeffs", "_data")
 
     def __init__(self, field: GroundField, coeffs: tuple[SkewFraction, ...]) -> None:
         while coeffs and coeffs[-1].is_zero():
             coeffs = coeffs[:-1]
         self.field = field
-        self.coeffs = coeffs
+        self._coeffs: tuple[SkewFraction, ...] | None = tuple(coeffs)
+        self._data: tuple | None = None
+
+    @classmethod
+    def _of(cls, field: GroundField, coeffs) -> "CentralPolynomial":
+        """The polynomial with these central coefficients."""
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        p = cls.__new__(cls)
+        p.field = field
+        p._coeffs = None
+        p._data = tuple(coeffs)
+        return p
 
     @classmethod
     def from_coeffs(cls, field: GroundField, coeffs: Iterable) -> "CentralPolynomial":
@@ -112,96 +196,111 @@ class CentralPolynomial:
 
     @classmethod
     def one(cls, field: GroundField) -> "CentralPolynomial":
-        return cls(field, (SkewFraction.one(field),))
+        return cls._of(field, (_central_one(field),))
 
     @classmethod
     def x(cls, field: GroundField) -> "CentralPolynomial":
-        return cls(field, (SkewFraction.zero(field), SkewFraction.one(field)))
+        return cls._of(field, (_central_zero(field), _central_one(field)))
+
+    @property
+    def central_coeffs(self) -> tuple:
+        """The central coefficients, ascending in x."""
+        if self._data is None:
+            self._data = tuple(_central(self.field, c) for c in self._coeffs)
+        return self._data
+
+    @property
+    def coeffs(self) -> tuple[SkewFraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(_view(self.field, c) for c in self._data)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._coeffs is not None else self._data) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def coefficient(self, m: int) -> SkewFraction:
-        if 0 <= m < len(self.coeffs):
+        if 0 <= m <= self.degree:
             return self.coeffs[m]
         return SkewFraction.zero(self.field)
 
     def leading(self) -> SkewFraction:
-        if not self.coeffs:
+        if self.is_zero():
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self._coeffs is not None:
+            return self._coeffs[-1]
+        return _view(self.field, self._data[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == SkewFraction.one(self.field)
+        return not self.is_zero() and self.leading() == SkewFraction.one(self.field)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CentralPolynomial):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.central_coeffs == other.central_coeffs
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CentralPolynomial(
-            self.field,
-            tuple(self.coefficient(m) + other.coefficient(m) for m in range(n)),
+        a, b = self.central_coeffs, other.central_coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return CentralPolynomial._of(
+            self.field, [c + b[m] if m < len(b) else c for m, c in enumerate(a)]
         )
 
     def __neg__(self) -> "CentralPolynomial":
-        return CentralPolynomial(self.field, tuple(-c for c in self.coeffs))
+        return CentralPolynomial._of(self.field, [-c for c in self.central_coeffs])
 
     def __sub__(self, other: "CentralPolynomial") -> "CentralPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        if self.is_zero() or other.is_zero():
+        a, b = self.central_coeffs, other.central_coeffs
+        if not a or not b:
             return CentralPolynomial.zero(self.field)
-        out = [SkewFraction.zero(self.field)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        out = [_central_zero(self.field)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return CentralPolynomial(self.field, tuple(out))
+            for j, y in enumerate(b):
+                if not y.is_zero():
+                    out[i + j] = out[i + j] + x * y
+        return CentralPolynomial._of(self.field, out)
 
     def scale(self, c: SkewFraction) -> "CentralPolynomial":
-        return CentralPolynomial(self.field, tuple(c * a for a in self.coeffs))
+        return self * CentralPolynomial.constant(self.field, c)
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        lead_inv = g.leading().inv()
-        rem = list(self.coeffs)
-        quo = [SkewFraction.zero(self.field)] * max(len(rem) - len(g.coeffs) + 1, 0)
-        while len(rem) >= len(g.coeffs) and rem:
-            if rem[-1].is_zero():
-                rem.pop()
+        field = self.field
+        gd = g.central_coeffs
+        lead_inv = gd[-1].inv()
+        rem = list(self.central_coeffs)
+        quo = [_central_zero(field)] * max(len(rem) - len(gd) + 1, 0)
+        while len(rem) >= len(gd) and rem:
+            top = rem.pop()
+            if top.is_zero():
                 continue
-            shift = len(rem) - len(g.coeffs)
-            c = rem[-1] * lead_inv
+            shift = len(rem) + 1 - len(gd)
+            c = top * lead_inv
             quo[shift] = c
-            for j, b in enumerate(g.coeffs):
-                rem[shift + j] = rem[shift + j] - c * b
-            rem.pop()
-        return (
-            CentralPolynomial(self.field, tuple(quo)),
-            CentralPolynomial(self.field, tuple(rem)),
-        )
+            # the top term cancels; only the lower terms of g are subtracted
+            for j, b in enumerate(gd[:-1]):
+                if not b.is_zero():
+                    rem[shift + j] = rem[shift + j] - c * b
+        return CentralPolynomial._of(field, quo), CentralPolynomial._of(field, rem)
 
     def compose(self, other: "CentralPolynomial") -> "CentralPolynomial":
         """self(other(x)), by Horner in the polynomial ring."""
-        if self.is_zero():
+        coeffs = self.central_coeffs
+        if not coeffs:
             return CentralPolynomial.zero(self.field)
-        acc = CentralPolynomial.constant(self.field, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * other + CentralPolynomial.constant(self.field, c)
+        acc = CentralPolynomial._of(self.field, coeffs[-1:])
+        for c in reversed(coeffs[:-1]):
+            acc = acc * other + CentralPolynomial._of(self.field, (c,))
         return acc
 
     def embed_coefficients(self, prec: int) -> list[TwistedSeries]:
@@ -320,6 +419,10 @@ class ExtensionScenario:
       generator images under the table, with consistency checks),
     * the matrices of the induced linear maps,
     * the series root rho, lifted once at padded precision.
+
+    The reduction vectors and matrices are computed on central coefficients
+    (see `CentralPolynomial`); `reduction_row` and `matrix` show them as
+    `SkewFraction`s, each built once.
     """
 
     def __init__(
@@ -354,9 +457,12 @@ class ExtensionScenario:
                 )
         if rho_override is None and newton_seed is None:
             raise ScenarioValidationError(f"{name}: no root recipe (seed or override)")
-        self._rtables: list[tuple[SkewFraction, ...]] = []
+        self._rtables: list[tuple] = []
+        self._rviews: list[tuple[SkewFraction, ...]] = []
         self._images: dict[str, CentralPolynomial] | None = None
-        self._matrices: dict[str, list[list[SkewFraction]]] = {}
+        self._matrices: dict[str, list[list]] = {}
+        self._matrix_views: dict[str, list[list[SkewFraction]]] = {}
+        self._fixed: dict[tuple[str, ...], list[tuple[SkewFraction, ...]]] = {}
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
         self._rho_powers: list[TwistedSeries] | None = None
@@ -369,23 +475,30 @@ class ExtensionScenario:
 
     def reduction_row(self, p: int) -> tuple[SkewFraction, ...]:
         """Coordinates of x^p modulo f (cached, extended on demand)."""
+        while len(self._rviews) <= p:
+            row = self._reduction_data(len(self._rviews))
+            self._rviews.append(tuple(_view(self.field, c) for c in row))
+        return self._rviews[p]
+
+    def _reduction_data(self, p: int) -> tuple:
+        """`reduction_row` on central coefficients."""
         d = self.degree
+        zero = _central_zero(self.field)
         if not self._rtables:
+            one = _central_one(self.field)
             for i in range(d):
-                unit = [SkewFraction.zero(self.field)] * d
-                unit[i] = SkewFraction.one(self.field)
+                unit = [zero] * d
+                unit[i] = one
                 self._rtables.append(tuple(unit))
+        f = self.f.central_coeffs
         while len(self._rtables) <= p:
             prev = self._rtables[-1]
             top = prev[d - 1]
-            row = [SkewFraction.zero(self.field)] * d
-            for m in range(1, d):
-                row[m] = prev[m - 1]
+            row = [zero, *prev[: d - 1]]
             if not top.is_zero():
                 for m in range(d):
-                    c = self.f.coefficient(m)
-                    if not c.is_zero():
-                        row[m] = row[m] - top * c
+                    if not f[m].is_zero():
+                        row[m] = row[m] - top * f[m]
             self._rtables.append(tuple(row))
         return self._rtables[p]
 
@@ -438,15 +551,24 @@ class ExtensionScenario:
 
     def matrix(self, g: str) -> list[list[SkewFraction]]:
         """Row i = coordinates of q_g(x)^i modulo f."""
+        if g not in self._matrix_views:
+            self._matrix_views[g] = [
+                [_view(self.field, c) for c in row] for row in self._matrix_data(g)
+            ]
+        return self._matrix_views[g]
+
+    def _matrix_data(self, g: str) -> list[list]:
+        """`matrix` on central coefficients."""
         if g not in self.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
         if g not in self._matrices:
             d = self.degree
+            zero = _central_zero(self.field)
             q = self.images[g]
             rows = []
             power = CentralPolynomial.one(self.field)
             for _ in range(d):
-                rows.append([power.coefficient(m) for m in range(d)])
+                rows.append([*power.central_coeffs] + [zero] * (d - 1 - power.degree))
                 power = self.reduce_polynomial(power * q)
             self._matrices[g] = rows
         return self._matrices[g]
@@ -455,13 +577,17 @@ class ExtensionScenario:
 
     def _coefficient_valuation_pad(self) -> int:
         """Extra working precision to absorb denominator valuations of f."""
+        n = self.field.sigma_order
         worst = 0
-        for c in self.f.coeffs:
+        for c in self.f.central_coeffs:
             if c.is_zero():
                 continue
-            num_val = next(m for m, a in enumerate(c.num.coeffs) if not a.is_zero())
-            den_val = next(m for m, a in enumerate(c.den.coeffs) if not a.is_zero())
-            worst = max(worst, den_val - num_val)
+            if isinstance(c, SkewFraction):
+                num_val = next(m for m, a in enumerate(c.num.coeffs) if not a.is_zero())
+                den_val = next(m for m, a in enumerate(c.den.coeffs) if not a.is_zero())
+                worst = max(worst, den_val - num_val)
+            else:
+                worst = max(worst, -n * c.valuation())
         return 2 * self.degree * worst + 4
 
     @property
@@ -679,35 +805,32 @@ def fixed_space(
     """Canonical basis of the joint fixed space of the listed group elements.
 
     Defaults to the full group.  The matrices have central entries, so the
-    kernel computed over the commutative central fractions has the same
-    dimension as the fixed subspace over the whole skew field.
+    kernel computed over the commutative central coefficients has the same
+    dimension as the fixed subspace over the whole skew field.  The basis is
+    computed once per list of names and returned as fresh lists of
+    `SkewFraction`s.
     """
-    names = list(elements) if elements is not None else list(scenario.group.elements)
+    names = tuple(elements) if elements is not None else scenario.group.elements
     for g in names:
         if g not in scenario.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
-    d = scenario.degree
-    field = scenario.field
-    one = SkewFraction.one(field)
-    zero = SkewFraction.zero(field)
-    rows = []
-    for g in names:
-        if g == scenario.group.identity:
-            continue
-        M = scenario.matrix(g)
-        for m in range(d):
-            row = []
-            for i in range(d):
-                entry = M[i][m]
-                if i == m:
-                    entry = entry - one
-                row.append(entry)
-            rows.append(row)
-    if not rows:
-        return [
-            [one if i == j else zero for i in range(d)] for j in range(d)
-        ]
-    return linalg.nullspace_generic(rows, d, one, zero)
+    if names not in scenario._fixed:
+        d = scenario.degree
+        field = scenario.field
+        one, zero = _central_one(field), _central_zero(field)
+        rows = []
+        for g in names:
+            if g == scenario.group.identity:
+                continue
+            M = scenario._matrix_data(g)
+            for m in range(d):
+                rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
+        if rows:
+            basis = linalg.nullspace_generic(rows, d, one, zero)
+        else:
+            basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
+        scenario._fixed[names] = [tuple(_view(field, c) for c in vec) for vec in basis]
+    return [list(vec) for vec in scenario._fixed[names]]
 
 
 def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
@@ -969,14 +1092,14 @@ def _horner(c: list[int], u0: int) -> int:
 
 
 def _specialised(coeffs: list, u0: int) -> list[int] | None:
-    """f(x, u0) cleared to Z[x] from (i, numerator, denominator) triples of
-    `_central_upoly` data; None when a denominator vanishes at u0."""
+    """f(x, u0) cleared to Z[x] from the (i, N_i, D_i) of f's coefficients
+    N_i/D_i in Q(u); None when a denominator vanishes at u0."""
     values = []
-    for i, (num, num_den), (den, den_den) in coeffs:
+    for i, num, den in coeffs:
         d = _horner(den, u0)
         if d == 0:
             return None
-        values.append((i, Fraction(_horner(num, u0) * den_den, d * num_den)))
+        values.append((i, Fraction(_horner(num, u0), d)))
     scale = lcm(*(v.denominator for _, v in values))
     cleared = [0] * (values[-1][0] + 1)
     for i, v in values:
@@ -996,10 +1119,9 @@ def _specialisation_point(scenario: ExtensionScenario) -> int | None:
     """
     from .factor import factor_list
 
-    field = scenario.field
     coeffs = [
-        (i, _central_upoly(c.num, field), _central_upoly(c.den, field))
-        for i, c in enumerate(scenario.f.coeffs)
+        (i, c.num, c.den)
+        for i, c in enumerate(scenario.f.central_coeffs)
         if not c.is_zero()
     ]
     for u0 in _SPECIALISATION_POINTS:
@@ -1045,11 +1167,9 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
         return sum((a * u_sym**k for k, a in enumerate(c)), sympy.Integer(0))
 
     expr = sympy.Integer(0)
-    for i, c in enumerate(scenario.f.coeffs):
-        if c.is_zero():
-            continue
-        (num, num_den), (den, den_den) = _central_upoly(c.num, field), _central_upoly(c.den, field)
-        expr += upoly(num) * den_den / (upoly(den) * num_den) * x_sym**i
+    for i, c in enumerate(scenario.f.central_coeffs):
+        if not c.is_zero():
+            expr += upoly(c.num) / upoly(c.den) * x_sym**i
     numerator, _ = sympy.fraction(sympy.together(expr))
     factors = sympy.factor_list(sympy.expand(numerator), x_sym, u_sym)[1]
     positive = [(p, e) for p, e in factors if sympy.degree(p, gen=x_sym) > 0]

@@ -18,8 +18,14 @@ The result is deterministic and has the shape of `sympy.factor_list`: a
 signed content and primitive factors with positive leading coefficients.
 The certificates of `orefield.extend` and `orefield.tower` and the
 irreducibility test of `orefield.ground` (cubics and up) use it instead of
-sympy.  They import it on first use, so a process that only builds the
-catalog fields or does arithmetic does not load it.
+sympy.
+
+`RationalFunction` is the field Q(u) on the same lists: a reduced quotient
+of two integer polynomials.  `orefield.extend` keeps the coefficients of
+its central polynomials, reduction tables and Galois matrices in it.
+
+Every user imports this module on first use, so a process that only builds
+the catalog or does arithmetic on it does not load it.
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ from itertools import combinations
 from math import gcd as igcd, isqrt
 from typing import Sequence
 
+from .errors import DivisionByZero
+
 Poly = list[int]
 
-__all__ = ["content", "primitive", "gcd", "squarefree", "factor_list", "poly_str"]
+__all__ = ["content", "primitive", "gcd", "squarefree", "factor_list", "poly_str", "RationalFunction"]
 
 
 # -- integer polynomials --------------------------------------------------------
@@ -123,6 +131,9 @@ def gcd(f: Sequence[int], g: Sequence[int]) -> Poly:
     if len(f) < len(g):
         f, g = g, f
     while g:
+        if len(g) == 1:
+            # a nonzero constant: the inputs are coprime
+            return g
         f, g = g, primitive(_prem(f, g))[1]
     return f
 
@@ -375,3 +386,137 @@ def poly_str(coeffs: Sequence[int], var: str = "u") -> str:
         else:
             parts.append(f"{'+' if a > 0 else '-'} {body}")
     return " ".join(parts) if parts else "0"
+
+
+# -- the rational function field Q(u) ---------------------------------------------
+
+
+class RationalFunction:
+    """N/D in Q(u), with N and D integer polynomials in canonical form:
+    gcd(N, D) = 1 in Q[u], no integer content common to N and D, and
+    lc(D) > 0; zero is 0/1.
+
+    The form is unique, so `==` and `hash` compare the parts.  Sums and
+    products reduce as in Henrici's rational arithmetic (P. Henrici, "A
+    subroutine for computations with rational numbers", J. ACM 3, 1956): of
+    two reduced operands, a product can only cancel gcd(N1, D2) and
+    gcd(N2, D1), and a sum only a factor of gcd(D1, D2), so every gcd runs
+    on the smallest polynomials that can share a factor.  Construct through
+    `make` (or `zero`/`one`); the constructor takes canonical parts as is.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]) -> None:
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def make(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+        """The canonical form of num/den."""
+        num, den = _trim(list(num)), _trim(list(den))
+        if not den:
+            raise DivisionByZero("rational function with zero denominator")
+        if len(num) > 1 and len(den) > 1:
+            g = gcd(num, den)
+            if len(g) > 1:
+                num, den = _divexact(num, g), _divexact(den, g)
+        return _canonical(num, den)
+
+    @staticmethod
+    def zero() -> "RationalFunction":
+        return _ZERO
+
+    @staticmethod
+    def one() -> "RationalFunction":
+        return _ONE
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def valuation(self) -> int:
+        """The order of the zero at u = 0 (negative for a pole)."""
+        return _order(self.num) - _order(self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __neg__(self) -> "RationalFunction":
+        return RationalFunction(tuple(-a for a in self.num), self.den)
+
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RationalFunction.make(_add(a, c), b)
+        g = gcd(b, d) if len(b) > 1 and len(d) > 1 else [1]
+        if len(g) == 1:
+            # a/b + c/d = (ad + cb)/(bd), already coprime
+            return _canonical(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
+        b, d = _divexact(b, g), _divexact(d, g)
+        t = _add(_mul(a, d), _mul(c, b))
+        if not t:
+            return _ZERO
+        # only the factors of g can divide t
+        g2 = gcd(t, g)
+        if len(g2) > 1:
+            t, g = _divexact(t, g2), _divexact(g, g2)
+        return _canonical(t, _mul(_mul(b, d), g))
+
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        return self + (-other)
+
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        if not self.num or not other.num:
+            return _ZERO
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) > 1 and len(d) > 1:
+            g = gcd(a, d)
+            if len(g) > 1:
+                a, d = _divexact(a, g), _divexact(d, g)
+        if len(c) > 1 and len(b) > 1:
+            g = gcd(c, b)
+            if len(g) > 1:
+                c, b = _divexact(c, g), _divexact(b, g)
+        return _canonical(_mul(a, c), _mul(b, d))
+
+    def inv(self) -> "RationalFunction":
+        if not self.num:
+            raise DivisionByZero("inversion of the zero rational function")
+        if self.num[-1] < 0:
+            return RationalFunction(tuple(-a for a in self.den), tuple(-a for a in self.num))
+        return RationalFunction(self.den, self.num)
+
+    def __str__(self) -> str:
+        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+
+    __repr__ = __str__
+
+
+def _order(f: Sequence[int]) -> int:
+    return next(k for k, a in enumerate(f) if a)
+
+
+def _canonical(num: Poly, den: Poly) -> RationalFunction:
+    """num/den for parts coprime in Q[u]: content and sign fixed."""
+    if not num:
+        return _ZERO
+    c = igcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = [a // c for a in num]
+        den = [a // c for a in den]
+    return RationalFunction(tuple(num), tuple(den))
+
+
+_ZERO = RationalFunction((), (1,))
+_ONE = RationalFunction((1,), (1,))

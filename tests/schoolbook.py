@@ -6,9 +6,11 @@ work coefficient by coefficient on `Fraction` coordinate tuples and call
 nothing of the package's own arithmetic, so a kernel test compares two
 independent computations.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
-worked on its canonical form alone.  The certificates at the end are the
-sympy factorizations that `orefield.extend` and `orefield.tower` ran before
-`orefield.factor`.  Nothing outside the tests imports this module.
+worked on its canonical form alone.  The central polynomial routines are
+the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
+central coefficients became pairs over Z[u].  The certificates at the end
+are the sympy factorizations that `orefield.extend` and `orefield.tower`
+ran before `orefield.factor`.  Nothing outside the tests imports this module.
 """
 
 from __future__ import annotations
@@ -393,6 +395,67 @@ def fraction_eq(x, y):
         return x.is_zero() and y.is_zero()
     u, v = common_left_multiple(x.den, y.den)
     return _coords(poly_mul(u, x.num)) == _coords(poly_mul(v, y.num))
+
+
+# -- central polynomials ------------------------------------------------------
+#
+# The arithmetic `CentralPolynomial` ran before its coefficients moved to
+# reduced pairs over Z[u]: x is central, so these are the commutative
+# schoolbook routines on tuples of central `SkewFraction`s (ascending in x,
+# no trailing zeros), with every coefficient operation on the Ore path.
+
+
+def central_trim(coeffs):
+    coeffs = tuple(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def central_add(field, a, b):
+    zero = SkewFraction.zero(field)
+    return central_trim(x + y for x, y in zip_longest(a, b, fillvalue=zero))
+
+
+def central_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [SkewFraction.zero(field)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return central_trim(out)
+
+
+def central_divmod(field, f, g):
+    """(q, r) with f = q*g + r and deg r < deg g."""
+    if not g:
+        raise DivisionByZero("polynomial division by zero")
+    lead_inv = g[-1].inv()
+    rem = list(f)
+    quo = [SkewFraction.zero(field)] * max(len(rem) - len(g) + 1, 0)
+    while len(rem) >= len(g) and rem:
+        if rem[-1].is_zero():
+            rem.pop()
+            continue
+        shift = len(rem) - len(g)
+        c = rem[-1] * lead_inv
+        quo[shift] = c
+        for j, b in enumerate(g):
+            rem[shift + j] = rem[shift + j] - c * b
+        rem.pop()
+    return central_trim(quo), central_trim(rem)
+
+
+def central_compose(field, f, g):
+    """f(g(x)) by Horner."""
+    acc = ()
+    for c in reversed(f):
+        acc = central_add(field, central_mul(field, acc, g), (c,))
+    return acc
 
 
 # -- twisted Laurent series -------------------------------------------------

@@ -172,6 +172,21 @@ def test_scenario_file_factor_degree_caps(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_scenario_file_expressions_stop_at_the_degree_cap(capsys, tmp_path):
+    # the degree is bounded before each product is formed: 16 factors reach
+    # degree 1024, and the 17th exits at once instead of building the rest
+    doc = tower_document(tower_catalog("T1", validate=False))
+    doc["nonsquares"][0]["witness"] = "*".join(["(1 + t)^64"] * 48)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "product degree 1088 exceeds cap 1024" in err
+    assert time.perf_counter() - t0 < 5.0
+    doc["nonsquares"][0]["witness"] = "((1 + t)^64)^17"
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "power degree 1088 exceeds cap 1024" in err
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_scenario_file_degrees_at_the_factor_cap_are_accepted():
     doc = tower_document(tower_catalog("T1", validate=False))
     doc["nonsquares"][0]["witness"] = "(1 + t)^64"
@@ -211,11 +226,32 @@ def test_verify_extend_and_field_construction_never_import_sympy():
     assert done.stdout.strip() == "[]"
 
 
+def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
+    """A catalog target needs no scenario-file reader, and verify parses no
+    expressions."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from orefield import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--scenario', 'T1', '--seed', '7']) == 0\n"
+        "print(sorted(m for m in ('yaml', 'orefield.scenario_io', 'orefield.exprs') if m in sys.modules))\n"
+    )
+    paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_values_at_the_caps_are_accepted(capsys):
     code, out, _ = run(capsys, "eval", "--field", "gauss", "--precision", "1024", "embed((1-t)^-1)")
     assert code == 0 and out.strip().endswith("O(t^1024)")
     code, out, _ = run(capsys, "eval", "--field", "gauss", "t^64")
     assert code == 0 and out.strip() == "[1,0]*t^64"
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "(t^64)^8 * (t^64)^8")
+    assert code == 0 and out.strip() == "[1,0]*t^1024"
 
 
 # -- divmod / invert / center ------------------------------------------------------

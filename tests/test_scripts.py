@@ -1,0 +1,57 @@
+"""The scripts reproduce what the repository commits and prints.
+
+`scripts/export_scenarios.py` must regenerate every file in `scenarios/`
+byte for byte (compared in memory; nothing is written), and the output of
+`scripts/cubic_walkthrough.py` (root lifting, Galois orbit, tau and the
+canonical decomposition of the cubic) is pinned by its sha256.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+from orefield.catalog import scenario_catalog, scenario_names, tower_catalog, tower_names
+from orefield.scenario_io import dump_document
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+WALKTHROUGH_SHA256 = "86e7b541883eda5a210d63f4589ec0581a0d8f4d6cfc20ffdc5726d8b8640a0b"
+
+
+def _export_script():
+    spec = importlib.util.spec_from_file_location("export_scenarios", SCRIPTS / "export_scenarios.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EXPORT = _export_script()
+
+
+def test_every_committed_scenario_file_is_exported():
+    committed = sorted(path.stem for path in EXPORT.OUT.glob("*.yaml"))
+    assert committed == sorted(scenario_names() + tower_names())
+
+
+@pytest.mark.parametrize("name", scenario_names() + tower_names())
+def test_export_reproduces_the_committed_scenario_file(name):
+    path = EXPORT.OUT / f"{name}.yaml"
+    where = path.relative_to(EXPORT.OUT.parent)
+    if name in scenario_names():
+        header = EXPORT.EXTENSION_HEADER.format(name=name, path=where)
+        doc = scenario_catalog(name)
+    else:
+        header = EXPORT.TOWER_HEADER.format(name=name, path=where)
+        doc = tower_catalog(name, validate=False)
+    assert dump_document(doc, header=header) == path.read_text(encoding="utf-8")
+
+
+def test_cubic_walkthrough_output_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(SCRIPTS / "cubic_walkthrough.py"), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == WALKTHROUGH_SHA256
