@@ -28,7 +28,7 @@ from .errors import CapExceeded, ExprEvalError, ExprSyntaxError
 from .extend import ExtensionScenario, TensorElement, ext_tau
 from .ground import GroundElement, GroundField
 from .laurent import TwistedSeries, embed_fraction
-from .skewfrac import EXPONENT_CAP, PRECISION_CAP, SkewFraction
+from .skewfrac import EXPONENT_CAP, FACTOR_DEGREE_CAP, PRECISION_CAP, SkewFraction
 
 # ---------------------------------------------------------------------- tokens
 
@@ -345,6 +345,23 @@ def _degree(value: Value) -> int:
     return value.size() if isinstance(value, SkewFraction) else 0
 
 
+def _is_fraction(value: Value) -> bool:
+    return isinstance(value, SkewFraction) and not value.is_polynomial()
+
+
+# The degree of a result is bounded before it is formed.  Polynomial products
+# and powers are cheap and may reach PRECISION_CAP, as many coefficients as a
+# series holds.  Arithmetic on fractions runs Ore common multiples and gcld,
+# whose cost grows steeply with the degree, so a sum, product, quotient or
+# power that involves a denominator may reach twice FACTOR_DEGREE_CAP: enough
+# to combine two of the fractions a scenario file may hold.
+_FRACTION_DEGREE_CAP = 2 * FACTOR_DEGREE_CAP
+
+
+def _bound_degree(degree: int, fraction: bool, what: str) -> None:
+    _capped(degree, _FRACTION_DEGREE_CAP if fraction else PRECISION_CAP, what)
+
+
 def _is_series(value: Value) -> bool:
     return isinstance(value, TwistedSeries)
 
@@ -411,22 +428,26 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
     if isinstance(node, Pow):
         _capped(node.exponent, EXPONENT_CAP, "exponent")
         base = evaluate(node.base, ctx)
-        _capped(_degree(base) * abs(node.exponent), PRECISION_CAP, "power degree")
+        _bound_degree(
+            _degree(base) * abs(node.exponent),
+            node.exponent < 0 or _is_fraction(base),
+            "power degree",
+        )
         if node.exponent < 0:
             return _invert(base) ** (-node.exponent)
         return base ** node.exponent
     if isinstance(node, Bin):
         a, b = _join(evaluate(node.left, ctx), evaluate(node.right, ctx), ctx)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        # bound the degree before the product is formed: a product of
-        # fractions may hold no more coefficients than a series
-        _capped(_degree(a) + _degree(b), PRECISION_CAP, "product degree")
-        if node.op == "*":
-            return a * b
-        return a * _invert(b)
+        if node.op == "/":
+            b = _invert(b)
+        fraction = _is_fraction(a) or _is_fraction(b)
+        if node.op in "+-":
+            # a sum of polynomials keeps the larger degree, already bounded
+            if fraction:
+                _capped(_degree(a) + _degree(b), _FRACTION_DEGREE_CAP, "sum degree")
+            return a + b if node.op == "+" else a - b
+        _bound_degree(_degree(a) + _degree(b), fraction, "product degree")
+        return a * b
     if isinstance(node, Call):
         return _call(node, ctx)
     raise TypeError(f"not an expression node: {node!r}")

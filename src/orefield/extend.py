@@ -237,12 +237,18 @@ class CentralPolynomial:
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading() == SkewFraction.one(self.field)
 
+    def _same(self, other: "CentralPolynomial") -> None:
+        if self.field is not other.field:
+            self.field.check_same(other.field)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CentralPolynomial):
             return NotImplemented
+        self._same(other)
         return self.central_coeffs == other.central_coeffs
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
+        self._same(other)
         a, b = self.central_coeffs, other.central_coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -257,6 +263,7 @@ class CentralPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "CentralPolynomial") -> "CentralPolynomial":
+        self._same(other)
         a, b = self.central_coeffs, other.central_coeffs
         if not a or not b:
             return CentralPolynomial.zero(self.field)
@@ -270,9 +277,10 @@ class CentralPolynomial:
         return CentralPolynomial._of(self.field, out)
 
     def scale(self, c: SkewFraction) -> "CentralPolynomial":
-        return self * CentralPolynomial.constant(self.field, c)
+        return self * CentralPolynomial.constant(c.field, c)
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
+        self._same(g)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
         field = self.field
@@ -295,6 +303,7 @@ class CentralPolynomial:
 
     def compose(self, other: "CentralPolynomial") -> "CentralPolynomial":
         """self(other(x)), by Horner in the polynomial ring."""
+        self._same(other)
         coeffs = self.central_coeffs
         if not coeffs:
             return CentralPolynomial.zero(self.field)
@@ -446,6 +455,8 @@ class ExtensionScenario:
         self.newton_seed = newton_seed
         self.newton_coeffs = tuple(newton_coeffs) if newton_coeffs is not None else None
         self.rho_override = rho_override
+        if f.field is not field:
+            field.check_same(f.field)
         if f.is_zero() or f.degree < 1:
             raise ScenarioValidationError(f"{name}: f must have degree >= 1")
         if not f.is_monic():
@@ -462,7 +473,6 @@ class ExtensionScenario:
         self._images: dict[str, CentralPolynomial] | None = None
         self._matrices: dict[str, list[list]] = {}
         self._matrix_views: dict[str, list[list[SkewFraction]]] = {}
-        self._fixed: dict[tuple[str, ...], list[tuple[SkewFraction, ...]]] = {}
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
         self._rho_powers: list[TwistedSeries] | None = None
@@ -577,17 +587,13 @@ class ExtensionScenario:
 
     def _coefficient_valuation_pad(self) -> int:
         """Extra working precision to absorb denominator valuations of f."""
-        n = self.field.sigma_order
         worst = 0
-        for c in self.f.central_coeffs:
+        for c in self.f.coeffs:
             if c.is_zero():
                 continue
-            if isinstance(c, SkewFraction):
-                num_val = next(m for m, a in enumerate(c.num.coeffs) if not a.is_zero())
-                den_val = next(m for m, a in enumerate(c.den.coeffs) if not a.is_zero())
-                worst = max(worst, den_val - num_val)
-            else:
-                worst = max(worst, -n * c.valuation())
+            num_val = next(m for m, a in enumerate(c.num.coeffs) if not a.is_zero())
+            den_val = next(m for m, a in enumerate(c.den.coeffs) if not a.is_zero())
+            worst = max(worst, den_val - num_val)
         return 2 * self.degree * worst + 4
 
     @property
@@ -807,30 +813,27 @@ def fixed_space(
     Defaults to the full group.  The matrices have central entries, so the
     kernel computed over the commutative central coefficients has the same
     dimension as the fixed subspace over the whole skew field.  The basis is
-    computed once per list of names and returned as fresh lists of
-    `SkewFraction`s.
+    returned as `SkewFraction`s.
     """
-    names = tuple(elements) if elements is not None else scenario.group.elements
+    names = list(elements) if elements is not None else list(scenario.group.elements)
     for g in names:
         if g not in scenario.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
-    if names not in scenario._fixed:
-        d = scenario.degree
-        field = scenario.field
-        one, zero = _central_one(field), _central_zero(field)
-        rows = []
-        for g in names:
-            if g == scenario.group.identity:
-                continue
-            M = scenario._matrix_data(g)
-            for m in range(d):
-                rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
-        if rows:
-            basis = linalg.nullspace_generic(rows, d, one, zero)
-        else:
-            basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
-        scenario._fixed[names] = [tuple(_view(field, c) for c in vec) for vec in basis]
-    return [list(vec) for vec in scenario._fixed[names]]
+    d = scenario.degree
+    field = scenario.field
+    one, zero = _central_one(field), _central_zero(field)
+    rows = []
+    for g in names:
+        if g == scenario.group.identity:
+            continue
+        M = scenario._matrix_data(g)
+        for m in range(d):
+            rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
+    if rows:
+        basis = linalg.nullspace_generic(rows, d, one, zero)
+    else:
+        basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
+    return [[_view(field, c) for c in vec] for vec in basis]
 
 
 def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:

@@ -434,10 +434,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def valuation(self) -> int:
-        """The order of the zero at u = 0 (negative for a pole)."""
-        return _order(self.num) - _order(self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -499,10 +495,6 @@ class RationalFunction:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
 
     __repr__ = __str__
-
-
-def _order(f: Sequence[int]) -> int:
-    return next(k for k, a in enumerate(f) if a)
 
 
 def _canonical(num: Poly, den: Poly) -> RationalFunction:

@@ -173,8 +173,9 @@ def test_scenario_file_factor_degree_caps(capsys, tmp_path):
 
 
 def test_scenario_file_expressions_stop_at_the_degree_cap(capsys, tmp_path):
-    # the degree is bounded before each product is formed: 16 factors reach
-    # degree 1024, and the 17th exits at once instead of building the rest
+    # the degree is bounded before each product is formed: 16 polynomial
+    # factors reach degree 1024, and the 17th exits at once instead of
+    # building the rest
     doc = tower_document(tower_catalog("T1", validate=False))
     doc["nonsquares"][0]["witness"] = "*".join(["(1 + t)^64"] * 48)
     t0 = time.perf_counter()
@@ -184,6 +185,23 @@ def test_scenario_file_expressions_stop_at_the_degree_cap(capsys, tmp_path):
     doc["nonsquares"][0]["witness"] = "((1 + t)^64)^17"
     code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
     assert code == EXIT_VALIDATION and "power degree 1088 exceeds cap 1024" in err
+    assert time.perf_counter() - t0 < 5.0
+    # arithmetic with denominators is capped at 128: each sum combines the
+    # denominators through an Ore common multiple, so two terms reach degree
+    # 128 and the third exits at once instead of growing it by 64 per term
+    doc["nonsquares"][0]["witness"] = " + ".join(f"({c} + t)^-64" for c in range(1, 49))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "sum degree 192 exceeds cap 128" in err
+    assert time.perf_counter() - t0 < 5.0
+    # and so are a quotient and a power with a denominator
+    doc["nonsquares"][0]["witness"] = "(1 + t)^64 / ((2 + t)^64 * (2 + t))"
+    code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+    assert code == EXIT_VALIDATION and "product degree 129 exceeds cap 128" in err
+    for witness in ("((1 + t)^-64)^3", "((1 + t)^3)^-64"):
+        doc["nonsquares"][0]["witness"] = witness
+        code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
+        assert code == EXIT_VALIDATION and "power degree 192 exceeds cap 128" in err
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -252,6 +270,10 @@ def test_values_at_the_caps_are_accepted(capsys):
     assert code == 0 and out.strip() == "[1,0]*t^64"
     code, out, _ = run(capsys, "eval", "--field", "gauss", "(t^64)^8 * (t^64)^8")
     assert code == 0 and out.strip() == "[1,0]*t^1024"
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "(t^60)^10 + (t^60)^10")
+    assert code == 0 and out.strip() == "[2,0]*t^600"
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "(1 + t)^-64 - (2 + t)^-64")
+    assert code == 0 and out.count("t^128") == 1
 
 
 # -- divmod / invert / center ------------------------------------------------------
