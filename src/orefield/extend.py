@@ -20,9 +20,16 @@ the rest of the package (towers, command line) consumes:
   image closure, matrices, the lifted root).  The tables, images and
   matrices are computed on the same central coefficients and read as
   `SkewFraction`s, each built once, without a `gcld`.
-* `TensorElement` -- an element of L as a coordinate vector over the skew
-  field; multiplication reduces through the tables, inversion solves a
-  one-sided linear system, `apply` acts by the Galois matrices.
+* `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
+  central denominator c in Z[u] and twisted polynomials P_i, in a canonical
+  form with structural `==`.  Multiplication reduces through the reduction
+  table, `apply` acts by the Galois matrices, both held over one common
+  Z[u] denominator, and inversion solves a one-sided system by fraction-free
+  elimination with norm-conjugate pivots (`linalg.solve_right_generic`);
+  fraction inputs enter through the norm conjugate
+  (`skewpoly.norm_conjugate`), den^-1 num = c^-1 (q num).  None of these
+  runs an Ore reduction; `coords` shows the coordinates as canonical
+  `SkewFraction`s, built on first use.
 * `ext_tau` -- evaluation at the series root, a homomorphism into the
   twisted Laurent series.
 * `canonical_decomposition` -- rewrites a sum of (polynomial) * (invariant
@@ -59,7 +66,13 @@ from .laurent import (
     newton_root,
 )
 from .skewfrac import SkewFraction, is_central
-from .skewpoly import SkewPolynomial
+from .skewpoly import (
+    SkewPolynomial,
+    central_polynomial,
+    norm_conjugate,
+    reduce_central,
+    times_central,
+)
 
 
 def _as_fraction(field: GroundField, value) -> SkewFraction:
@@ -112,17 +125,8 @@ def _view(field: GroundField, c) -> SkewFraction:
     """
     if isinstance(c, SkewFraction):
         return c
-    n, zero = field.sigma_order, field.zero_row
-    tail = zero[1:]
-
-    def poly(coeffs: tuple[int, ...]) -> SkewPolynomial:
-        rows = [zero] * ((len(coeffs) - 1) * n + 1) if coeffs else []
-        for k, a in enumerate(coeffs):
-            if a:
-                rows[k * n] = (a,) + tail
-        return SkewPolynomial._from_rows(field, rows, c.den[-1])
-
-    return SkewFraction(poly(c.den), poly(c.num))
+    lead = c.den[-1]
+    return SkewFraction(central_polynomial(field, c.den, lead), central_polynomial(field, c.num, lead))
 
 
 def _central_zero(field: GroundField):
@@ -473,6 +477,8 @@ class ExtensionScenario:
         self._images: dict[str, CentralPolynomial] | None = None
         self._matrices: dict[str, list[list]] = {}
         self._matrix_views: dict[str, list[list[SkewFraction]]] = {}
+        self._rtable: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
+        self._mtables: dict[str, tuple[list[int], list[tuple[SkewPolynomial, ...]]]] = {}
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
         self._rho_powers: list[TwistedSeries] | None = None
@@ -511,6 +517,15 @@ class ExtensionScenario:
                         row[m] = row[m] - top * f[m]
             self._rtables.append(tuple(row))
         return self._rtables[p]
+
+    def _reduction_table(self, size: int) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
+        """(C, T) with  x^p = C(t^n)^-1 * sum_m T[p - d][m] x^m  modulo f for
+        d <= p < size, over one common denominator C in Z[u] (cached)."""
+        d = self.degree
+        if self._rtable is None or len(self._rtable[1]) < size - d:
+            rows = [self.reduction_row(p) for p in range(d, max(size, 2 * d - 1))]
+            self._rtable = _table_over_common_denominator(rows)
+        return self._rtable
 
     def reduce_polynomial(self, p: CentralPolynomial) -> "CentralPolynomial":
         _, rem = p.divmod_by(self.f)
@@ -583,6 +598,12 @@ class ExtensionScenario:
             self._matrices[g] = rows
         return self._matrices[g]
 
+    def _matrix_table(self, g: str) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
+        """`matrix` as (C, T) with row i, entry m = C(t^n)^-1 * T[i][m] (cached)."""
+        if g not in self._mtables:
+            self._mtables[g] = _table_over_common_denominator(self.matrix(g))
+        return self._mtables[g]
+
     # -- the series root -------------------------------------------------------
 
     def _coefficient_valuation_pad(self) -> int:
@@ -642,40 +663,68 @@ class ExtensionScenario:
 
 
 class TensorElement:
-    """Element of the extension, as coordinates over the skew fraction field.
+    """Element of the extension:  c(t^n)^-1 * sum_i P_i x^i.
 
-    The coordinate vector v represents  sum_i v_i x^i  with x central of
-    degree d over the center; products reduce through the scenario's tables.
+    c (`den`) lies in Z[u], u = t^n, and is primitive with a positive
+    leading coefficient; the P_i (`polys`) are twisted polynomials, and no
+    factor of c divides every Z[u]-coordinate of every P_i.  The c with
+    c * element polynomial form an ideal of Q[u], and this c generates it,
+    so the form is unique and `==` compares the parts.  x and c are central:
+    sums, products, the Galois action and inversion run on polynomial
+    products and the scenario's tables over one central denominator, with
+    one gcd normalisation over Z[u] per result and no Ore reduction.
+    `coords`, the coordinates over the skew field as canonical
+    `SkewFraction`s, are built on first use.  Construct through `make` (or
+    the classmethods); the constructor takes canonical parts as is.
     """
 
-    __slots__ = ("scenario", "coords")
+    __slots__ = ("scenario", "den", "polys", "_coords")
 
-    def __init__(self, scenario: ExtensionScenario, coords: Sequence[SkewFraction]) -> None:
-        d = scenario.degree
-        if len(coords) != d:
-            raise ValueError(f"expected {d} coordinates, got {len(coords)}")
+    def __init__(
+        self, scenario: ExtensionScenario, den: tuple[int, ...], polys: tuple[SkewPolynomial, ...]
+    ) -> None:
         self.scenario = scenario
-        self.coords = tuple(coords)
+        self.den = den
+        self.polys = polys
+        self._coords: tuple[SkewFraction, ...] | None = None
+
+    @classmethod
+    def _reduced(cls, scenario: ExtensionScenario, den: Sequence[int], polys: list) -> "TensorElement":
+        """den(t^n)^-1 * sum_i polys[i] x^i in canonical form."""
+        den, polys = reduce_central(den, polys)
+        return cls(scenario, tuple(den), tuple(polys))
+
+    @classmethod
+    def _modulo_f(cls, scenario: ExtensionScenario, den: Sequence[int], conv: list) -> "TensorElement":
+        """den(t^n)^-1 * sum_p conv[p] x^p, reduced modulo f."""
+        from .factor import _mul
+
+        d = scenario.degree
+        while len(conv) > d and conv[-1].is_zero():
+            conv.pop()
+        if len(conv) <= d:
+            return cls._reduced(scenario, den, conv + [SkewPolynomial.zero(scenario.field)] * (d - len(conv)))
+        c, table = scenario._reduction_table(len(conv))
+        out = conv[:d] if c == [1] else [times_central(v, c) for v in conv[:d]]
+        for p in range(d, len(conv)):
+            v = conv[p]
+            if v.is_zero():
+                continue
+            for m, entry in enumerate(table[p - d]):
+                if not entry.is_zero():
+                    out[m] = out[m] + entry * v
+        return cls._reduced(scenario, _mul(den, c), out)
 
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
         """Coerce a (possibly long) coefficient list, reducing modulo f."""
         field = scenario.field
-        fractions = [_as_fraction(field, v) for v in values]
-        d = scenario.degree
-        out = [SkewFraction.zero(field)] * d
-        for p, c in enumerate(fractions):
-            if c.is_zero():
-                continue
-            row = scenario.reduction_row(p)
-            for m in range(d):
-                if not row[m].is_zero():
-                    out[m] = out[m] + c * row[m]
-        return cls(scenario, out)
+        den, conv = _over_common_denominator([_as_fraction(field, v) for v in values])
+        return cls._modulo_f(scenario, den, conv)
 
     @classmethod
     def zero(cls, scenario: ExtensionScenario) -> "TensorElement":
-        return cls(scenario, [SkewFraction.zero(scenario.field)] * scenario.degree)
+        return cls(scenario, (1,), (SkewPolynomial.zero(scenario.field),) * scenario.degree)
 
     @classmethod
     def one(cls, scenario: ExtensionScenario) -> "TensorElement":
@@ -685,6 +734,17 @@ class TensorElement:
     def x(cls, scenario: ExtensionScenario) -> "TensorElement":
         return cls.make(scenario, [0, 1])
 
+    @property
+    def coords(self) -> tuple[SkewFraction, ...]:
+        """The coordinates c(t^n)^-1 * P_i as canonical `SkewFraction`s."""
+        if self._coords is None:
+            if self.den == (1,):
+                self._coords = tuple(SkewFraction.from_polynomial(p) for p in self.polys)
+            else:
+                c = central_polynomial(self.scenario.field, self.den)
+                self._coords = tuple(SkewFraction.make(p, c) for p in self.polys)
+        return self._coords
+
     def _same(self, other: "TensorElement") -> None:
         if self.scenario is not other.scenario:
             raise MixedScenarios(
@@ -692,84 +752,89 @@ class TensorElement:
             )
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return all(p.is_zero() for p in self.polys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._same(other)
-        return all(a == b for a, b in zip(self.coords, other.coords))
+        # both sides are canonical, and the canonical form is unique
+        return self.den == other.den and self.polys == other.polys
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        from .factor import _divexact, _mul, gcd
+
         self._same(other)
-        return TensorElement(
-            self.scenario, [a + b for a, b in zip(self.coords, other.coords)]
-        )
+        a, b = self.den, other.den
+        if a == b:
+            return TensorElement._reduced(self.scenario, a, [p + q for p, q in zip(self.polys, other.polys)])
+        g = gcd(a, b)
+        ra, rb = _divexact(list(a), g), _divexact(list(b), g)
+        sums = [times_central(p, rb) + times_central(q, ra) for p, q in zip(self.polys, other.polys)]
+        if len(g) == 1:
+            # coprime denominators leave nothing to cancel
+            return TensorElement(self.scenario, tuple(_mul(a, b)), tuple(sums))
+        return TensorElement._reduced(self.scenario, _mul(_mul(ra, rb), g), sums)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(self.scenario, [-a for a in self.coords])
+        return TensorElement(self.scenario, self.den, tuple(-p for p in self.polys))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
 
-    def scale_left(self, c: SkewFraction) -> "TensorElement":
-        return TensorElement(self.scenario, [c * a for a in self.coords])
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
+        from .factor import _mul
+
         self._same(other)
         d = self.scenario.degree
-        field = self.scenario.field
-        conv = [SkewFraction.zero(field)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        conv = [SkewPolynomial.zero(self.scenario.field)] * (2 * d - 1)
+        for i, a in enumerate(self.polys):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coords):
-                if b.is_zero():
-                    continue
-                conv[i + j] = conv[i + j] + a * b
-        out = [SkewFraction.zero(field)] * d
-        for p, c in enumerate(conv):
-            if c.is_zero():
-                continue
-            row = self.scenario.reduction_row(p)
-            for m in range(d):
-                if not row[m].is_zero():
-                    out[m] = out[m] + c * row[m]
-        return TensorElement(self.scenario, out)
+            for j, b in enumerate(other.polys):
+                if not b.is_zero():
+                    conv[i + j] = conv[i + j] + a * b
+        return TensorElement._modulo_f(self.scenario, _mul(self.den, other.den), conv)
 
     def inv(self) -> "TensorElement":
         """Right inverse (= two-sided: compose with the verify in tests).
 
-        Solves  sum_j (sum_i a_i R^(i+j)) b_j = 1  for the unknowns b_j that
-        sit on the right of the known coefficients, which is exactly what
-        one-sided elimination supports.  A singular system means the element
-        is a zero divisor (f reducible) or zero.
+        For self = c^-1 * sum_i P_i x^i and the table x^p = C^-1 T_p, the
+        inverse sum_j y_j x^j solves  sum_j (sum_i P_i T'_(i+j)) y_j = c*C e_0
+        with T'_p = C e_p for p < d; the unknowns y_j sit on the right of
+        the known coefficients, which is what `linalg.solve_right_generic`
+        eliminates.  A singular system means the element is a zero divisor
+        (f reducible) or zero.
         """
+        from .factor import _mul
+
         if self.is_zero():
             raise SingularElement("inversion of zero")
-        d = self.scenario.degree
-        field = self.scenario.field
-        zero = SkewFraction.zero(field)
-        rows = []
-        for m in range(d):
-            row = []
+        scenario = self.scenario
+        d = scenario.degree
+        zero = SkewPolynomial.zero(scenario.field)
+        c, table = scenario._reduction_table(2 * d - 1)
+        rows = [[zero] * d for _ in range(d)]
+        for i, a in enumerate(self.polys):
+            if a.is_zero():
+                continue
+            scaled = a if c == [1] else times_central(a, c)
             for j in range(d):
-                entry = zero
-                for i, a in enumerate(self.coords):
-                    if a.is_zero():
-                        continue
-                    r = self.scenario.reduction_row(i + j)[m]
-                    if not r.is_zero():
-                        entry = entry + a * r
-                row.append(entry)
-            rows.append(row)
-        rhs = [SkewFraction.one(field)] + [zero] * (d - 1)
+                if i + j < d:
+                    rows[i + j][j] = rows[i + j][j] + scaled
+                    continue
+                for m, entry in enumerate(table[i + j - d]):
+                    if not entry.is_zero():
+                        rows[m][j] = rows[m][j] + entry * a
+        rhs = [central_polynomial(scenario.field, _mul(self.den, c))] + [zero] * (d - 1)
         sol = linalg.solve_right_generic(rows, rhs)
         if sol is None:
             raise SingularElement(
                 f"element of {self.scenario.name} is not invertible"
             )
-        return TensorElement(self.scenario, sol)
+        # the solution comes in the canonical form already
+        den, ys = sol
+        return TensorElement(scenario, tuple(den), tuple(ys))
 
     def __pow__(self, n: int) -> "TensorElement":
         if n < 0:
@@ -778,16 +843,17 @@ class TensorElement:
 
     def apply(self, g: str) -> "TensorElement":
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""
-        M = self.scenario.matrix(g)
-        d = self.scenario.degree
-        out = [SkewFraction.zero(self.scenario.field)] * d
-        for i, v in enumerate(self.coords):
+        from .factor import _mul
+
+        c, table = self.scenario._matrix_table(g)
+        out = [SkewPolynomial.zero(self.scenario.field)] * self.scenario.degree
+        for i, v in enumerate(self.polys):
             if v.is_zero():
                 continue
-            for m in range(d):
-                if not M[i][m].is_zero():
-                    out[m] = out[m] + v * M[i][m]
-        return TensorElement(self.scenario, out)
+            for m, entry in enumerate(table[i]):
+                if not entry.is_zero():
+                    out[m] = out[m] + entry * v
+        return TensorElement._reduced(self.scenario, _mul(self.den, c), out)
 
     def __str__(self) -> str:
         parts = []
@@ -803,6 +869,35 @@ class TensorElement:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int], list[SkewPolynomial]]:
+    """(C, P) with values[k] = C(t^n)^-1 * P[k], C in Z[u] primitive.
+
+    Each den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
+    (`skewpoly.norm_conjugate`), and C is the lcm of the c.
+    """
+    from .factor import _divexact, _mul, gcd
+
+    pairs = []
+    for v in values:
+        if v.is_polynomial():
+            pairs.append(([1], v.num))
+        else:
+            q, c = norm_conjugate(v.den)
+            pairs.append((c, q * v.num))
+    common = [1]
+    for c, _ in pairs:
+        if c != common:
+            common = _mul(common, _divexact(c, gcd(common, c)))
+    return common, [p if c == common else times_central(p, _divexact(common, c)) for c, p in pairs]
+
+
+def _table_over_common_denominator(rows) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
+    """Rows of central fractions as (C, T), entry = C(t^n)^-1 * T[i][m]."""
+    den, flat = _over_common_denominator([x for row in rows for x in row])
+    width = len(rows[0]) if rows else 0
+    return den, [tuple(flat[i : i + width]) for i in range(0, len(flat), width)]
 
 
 def fixed_space(

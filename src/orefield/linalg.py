@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals (and other exact fields).
 
-Everything here is plain Gauss-Jordan elimination with `fractions.Fraction`
-entries; no pivoting heuristics are needed because the arithmetic is exact.
-The generic variants accept any commutative field elements implementing
-``+ - *``, ``inv()`` and ``is_zero()`` so the same elimination drives both
-rational systems and systems over larger exact fields.
+The rational routines are plain Gauss-Jordan elimination with
+`fractions.Fraction` entries; no pivoting heuristics are needed because the
+arithmetic is exact.  `nullspace_generic` accepts any commutative field
+elements implementing ``+ - *``, ``inv()`` and ``is_zero()``.
+`solve_right_generic` solves over the skew field of fractions of a twisted
+polynomial ring without forming a fraction: fraction-free elimination on
+polynomial entries, whose pivots are inverted through their norm conjugates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 Row = list[Fraction]
 
@@ -156,42 +159,78 @@ def nullspace_generic(rows: list[list], ncols: int, one, zero) -> list[list]:
     return basis
 
 
-def solve_right_generic(rows: list[list], rhs: list, inv: Callable = None):
-    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over a skew field.
+def solve_right_generic(rows: list[list], rhs: list):
+    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over the skew field of
+    fractions of D[t], for entries that are twisted polynomials.
 
-    Row operations only ever multiply a row on the left, which is compatible
-    with unknowns appearing on the right of the coefficients; this is the
-    elimination that inverts elements of a tensor algebra, where entries do
-    not commute.  Returns the solution list or None when singular.
+    Fraction-free elimination that multiplies rows on the left only, which
+    is compatible with unknowns on the right of the coefficients (entries do
+    not commute).  A pivot pi comes with its norm conjugate, q*pi = c(t^n)
+    central, so an entry e below it is cleared by
+
+        row <- c * row - (e*q) * (pivot row),
+
+    and the row is then divided by its content: the gcd over Q[u] of its
+    Z[u]-coordinates, and its rational content.  Back-substitution keeps the
+    unknowns over one growing central denominator.  Returns (den, xs) with
+    x_j = den(t^n)^-1 * xs[j], den in Z[u] primitive with a positive leading
+    coefficient, or None when the system is singular or inconsistent.
     """
+    from .factor import _mul
+    from .skewpoly import SkewPolynomial, norm_conjugate, reduce_central, times_central
+
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pinv = aug[r][c].inv()
-        aug[r] = [pinv * v for v in aug[r]]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    if len(pivots) < ncols:
-        return None
-    # fully eliminated rows must carry a zero right-hand side, otherwise the
-    # system is overdetermined-inconsistent rather than solvable
-    for i in range(len(pivots), n):
-        if not aug[i][ncols].is_zero():
+    pivots = []
+    for k in range(ncols):
+        nonzero = [i for i in range(k, n) if not aug[i][k].is_zero()]
+        if not nonzero:
             return None
-    x = [None] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i][ncols]
-    return x
+        # the pivot of least degree keeps the norms small
+        best = min(nonzero, key=lambda i: aug[i][k].degree)
+        aug[k], aug[best] = aug[best], aug[k]
+        pivot = aug[k]
+        q, c = norm_conjugate(pivot[k])
+        pivots.append((q, c))
+        zero = SkewPolynomial.zero(pivot[k].field)
+        for i in range(k + 1, n):
+            row = aug[i]
+            if row[k].is_zero():
+                continue
+            factor = row[k] * q
+            aug[i] = _primitive_row(
+                [zero] * (k + 1)
+                + [times_central(a, c) - factor * b for a, b in zip(row[k + 1 :], pivot[k + 1 :])]
+            )
+    if any(not aug[i][ncols].is_zero() for i in range(ncols, n)):
+        return None
+    den = [1]
+    xs: list = []
+    for k in range(ncols - 1, -1, -1):
+        q, c = pivots[k]
+        row = aug[k]
+        acc = times_central(row[ncols], den)
+        for j, x in enumerate(xs, k + 1):
+            acc = acc - row[j] * x
+        # x_k = pi^-1 den^-1 acc = (c den)^-1 q acc, as den is central
+        xs = [q * acc] + [times_central(x, c) for x in xs]
+        den, xs = reduce_central(_mul(den, c), xs)
+    return den, xs
+
+
+def _primitive_row(row: list) -> list:
+    """The row divided by its content over Q[u] and by its rational content."""
+    from .skewpoly import central_content, divide_central, times_central
+
+    g = central_content(row)
+    if not g:
+        return row
+    if len(g) > 1:
+        row = [divide_central(p, g) for p in row]
+    parts = [p.int_rows() for p in row]
+    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
+    den = lcm(*(d for _, d in parts))
+    if num == den == 1:
+        return row
+    return [times_central(p, [den], num) for p in row]

@@ -24,15 +24,20 @@ coefficient tuples with no trailing zeros, the zero polynomial being the
 empty tuple (its degree is reported as -1).  Products, divisions and the
 Euclidean loops run on the integer rows of `orefield.kernel`; a polynomial
 keeps its rows once computed, since it is immutable.
+
+u = t^n (n the order of the twist) is central.  `norm_conjugate` writes
+p^-1 = c(t^n)^-1 * q with c an integer polynomial in u, and the helpers
+beside it compute on the Z[u]-coordinates of a polynomial: the arithmetic
+of fractions over one central denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import kernel
-from .errors import DivisionByZero
+from .errors import DivisionByZero, NotInvertible
 from .ground import GroundElement, GroundField
 
 
@@ -367,3 +372,202 @@ def common_left_multiple(
     br, db = b.int_rows()
     u, v = kernel.cofactor_rows(field, ar, da, br, db, right=False)
     return tuple(left_normalised(field, (u, 1), [(u, 1), (kernel.scale(v, -1), 1)]))
+
+
+# -- central scalars and the norm conjugate ----------------------------------------
+#
+# u = t^n (n the twist order) is central, and D[t] is a free Q[u]-module on the
+# e_l t^r (l < dim, r < n).  The Z[u]-coordinate (r, l) of a polynomial is read
+# off its integer rows as  sum_k rows[k*n + r][l] u^k;  the rational scalar of
+# the rows (their denominator) does not change a gcd over Q[u].  An element of
+# Z[u] is a list of Python ints, ascending, as in `orefield.factor`.
+
+
+def central_coordinates(p: SkewPolynomial) -> Iterator[list[int]]:
+    """The nonzero Z[u]-coordinates of p's integer rows."""
+    rows = p.int_rows()[0]
+    n, dim = p.field.sigma_order, p.field.dim
+    for r in range(n):
+        block = rows[r::n]
+        for l in range(dim):
+            coord = [row[l] for row in block]
+            if any(coord):
+                yield coord
+
+
+def central_polynomial(field: GroundField, c: Sequence[int], over: int = 1) -> SkewPolynomial:
+    """c(t^n) / over, for c in Z[u]."""
+    n, zero = field.sigma_order, field.zero_row
+    rows = [zero] * ((len(c) - 1) * n + 1) if c else []
+    for k, a in enumerate(c):
+        if a:
+            rows[k * n] = (a,) + zero[1:]
+    return SkewPolynomial._from_rows(field, rows, over)
+
+
+def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:
+    """p * c(t^n) / over, for c in Z[u]: a convolution of rows with stride n."""
+    field = p.field
+    rows, den = p.int_rows()
+    if len(c) == 1:
+        return SkewPolynomial._from_rows(field, kernel.scale(rows, c[0]), den * over)
+    n, zero = field.sigma_order, field.zero_row
+    out = [zero] * (len(rows) + (len(c) - 1) * n) if rows and c else []
+    for k, a in enumerate(c):
+        if not a:
+            continue
+        for m, row in enumerate(rows):
+            if row != zero:
+                o = out[m + k * n]
+                out[m + k * n] = tuple([x + a * y for x, y in zip(o, row)])
+    return SkewPolynomial._from_rows(field, out, den * over)
+
+
+def divide_central(p: SkewPolynomial, g: Sequence[int]) -> SkewPolynomial:
+    """p / g(t^n), for a primitive g in Z[u] that divides every Z[u]-coordinate
+    of p: the quotient's coordinates are then integral (Gauss's lemma), and
+    the synthetic division below divides exactly."""
+    field = p.field
+    rows, den = p.int_rows()
+    if len(g) == 1:
+        return SkewPolynomial._from_rows(field, rows, den * g[0])
+    n, zero = field.sigma_order, field.zero_row
+    shift, lead = (len(g) - 1) * n, g[-1]
+    lower = [(j * n, b) for j, b in enumerate(g[:-1]) if b]
+    rem = list(rows)
+    quo = [zero] * max(len(rem) - shift, 0)
+    for m in range(len(quo) - 1, -1, -1):
+        top = rem[m + shift]
+        if top == zero:
+            continue
+        q = tuple([x // lead for x in top])
+        quo[m] = q
+        for off, b in lower:
+            rem[m + off] = tuple([x - b * y for x, y in zip(rem[m + off], q)])
+    return SkewPolynomial._from_rows(field, quo, den)
+
+
+def central_content(polys: Iterable[SkewPolynomial], start: Sequence[int] = ()) -> list[int]:
+    """The gcd over Q[u] of `start` and of every Z[u]-coordinate of polys:
+    primitive with a positive leading coefficient, [] when all are zero.
+    Stops at the first constant."""
+    from .factor import gcd, primitive
+
+    g = primitive(start)[1]
+    for p in polys:
+        for coord in central_coordinates(p):
+            if len(g) == 1:
+                return g
+            g = gcd(g, coord) if g else primitive(coord)[1]
+    return g
+
+
+def reduce_central(den: Sequence[int], polys: list) -> tuple[list[int], list]:
+    """The canonical form of the vector den(t^n)^-1 * polys, den in Z[u]
+    nonzero: den primitive with a positive leading coefficient, and no
+    common factor of den and every Z[u]-coordinate of polys left (so a
+    zero vector has den = [1])."""
+    from .factor import _divexact, primitive
+
+    g = central_content(polys, den)
+    if not g or all(p.is_zero() for p in polys):
+        return [1], polys
+    if len(g) > 1:
+        den = _divexact(list(den), g)
+        polys = [divide_central(p, g) for p in polys]
+    scale, den = primitive(den)
+    if scale != 1:
+        polys = [times_central(p, [1], scale) for p in polys]
+    return den, polys
+
+
+def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
+    """(q, c) with  q*p = p*q = c(t^n),  c in Z[u] nonzero, primitive, with a
+    positive leading coefficient.
+
+    So p^-1 = c(t^n)^-1 * q moves a denominator into the center (M.
+    Giesbrecht, J. Symbolic Comput. 26, 1998; X. Caruso & J. Le Borgne,
+    J. Symbolic Comput. 79, 2017).  q is, up to a rational scalar:
+
+    * 1 when p is central and the invariant subfield is Q (all of Q[t]);
+    * the coefficientwise conjugate over a quaternion algebra over Q
+      (sigma = id there), so c is the reduced norm;
+    * sigma(a) - b*t for p = a + b*t, a and b in F[t^2], over a quadratic
+      field F with sigma of order 2, so c = a*sigma(a) - b*sigma(b)*t^2;
+    * otherwise the column of the adjugate of left multiplication by p on
+      the free Q[u]-module D[t] (Bareiss over Z[u]): c is the full norm,
+      a power of the reduced one.
+
+    Since D[t] is a domain, q*p = c central gives p*q = c too.
+    """
+    if p.is_zero():
+        raise DivisionByZero("the zero polynomial has no norm")
+    field = p.field
+    rows, den = p.int_rows()
+    n = field.sigma_order
+    if len(field.invariant_basis) == 1 and p.is_invariant_central():
+        q = SkewPolynomial.one(field)
+    elif field.kind == "quaternions" and field.base_dim == 1:
+        q = SkewPolynomial._from_rows(field, [(r[0], -r[1], -r[2], -r[3]) for r in rows], den)
+    elif field.kind == "number-field" and field.dim == 2 and n == 2:
+        s, sig = field.sig_den, field.ksig[1]
+        q = SkewPolynomial._from_rows(
+            field,
+            [sig(r) if m % 2 == 0 else tuple(-s * x for x in r) for m, r in enumerate(rows)],
+            den * s,
+        )
+    else:
+        q = _adjugate_conjugate(p)
+    prod, pden = (q * p).int_rows()
+    scale, c = _primitive_central(prod, n)
+    if not c:
+        raise NotInvertible(
+            f"nonzero polynomial with zero norm in {field.name}; "
+            "the configured quaternion algebra is not a division ring"
+        )
+    # q*p = scale * c / pden, so (q * pden/scale) * p = c
+    qrows, qden = q.int_rows()
+    return SkewPolynomial._from_rows(field, kernel.scale(qrows, pden), qden * scale), c
+
+
+def _primitive_central(rows: list, n: int) -> tuple[int, list[int]]:
+    """(s, c) with the central rows equal to s * c(t^n), c primitive with a
+    positive leading coefficient; the rows hold an element of Q[u]."""
+    from .factor import primitive
+
+    return primitive([rows[k][0] for k in range(0, len(rows), n)])
+
+
+def _adjugate_conjugate(p: SkewPolynomial) -> SkewPolynomial:
+    """A q with p*q in Z[u], from the matrix of y -> p*y over Z[u]."""
+    from .factor import solve_fraction_free
+
+    field = p.field
+    n, dim, zero = field.sigma_order, field.dim, field.zero_row
+    rows = p.int_rows()[0]
+    size = n * dim
+    mat = [[[] for _ in range(size)] for _ in range(size)]
+    for r in range(n):
+        for l in range(dim):
+            unit = zero[:l] + (1,) + zero[l + 1 :]
+            image = kernel.mul_rows(field, rows, [zero] * r + [unit])
+            for m, row in enumerate(image):
+                k, rr = divmod(m, n)
+                for ll, a in enumerate(row):
+                    if a:
+                        entry = mat[rr * dim + ll][r * dim + l]
+                        entry.extend([0] * (k + 1 - len(entry)))
+                        entry[k] = a
+    rhs = [[1]] + [[] for _ in range(size - 1)]
+    y, det = solve_fraction_free(mat, rhs)
+    if not det:
+        raise NotInvertible(f"nonzero polynomial with zero norm in {field.name}")
+    depth = max(len(v) for v in y)
+    out = [zero] * (depth * n)
+    for r in range(n):
+        for l in range(dim):
+            for k, a in enumerate(y[r * dim + l]):
+                if a:
+                    m = k * n + r
+                    out[m] = out[m][:l] + (a,) + out[m][l + 1 :]
+    return SkewPolynomial._from_rows(field, out, 1)

@@ -8,9 +8,12 @@ independent computations.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
 worked on its canonical form alone.  The central polynomial routines are
 the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
-central coefficients became pairs over Z[u].  The certificates at the end
-are the sympy factorizations that `orefield.extend` and `orefield.tower`
-ran before `orefield.factor`.  Nothing outside the tests imports this module.
+central coefficients became pairs over Z[u].  The tensor routines are the
+`SkewFraction`-coordinate arithmetic of `TensorElement` before it moved to
+one central denominator, with the Gauss-Jordan solve it inverted by.  The
+certificates at the end are the sympy factorizations that `orefield.extend`
+and `orefield.tower` ran before `orefield.factor`.  Nothing outside the
+tests imports this module.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from orefield.errors import (
     NotInvertible,
     NotSimpleRoot,
     ScenarioValidationError,
+    SingularElement,
     ZeroSeries,
 )
+from orefield.extend import _as_fraction
 from orefield.laurent import TwistedSeries
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
@@ -456,6 +461,138 @@ def central_compose(field, f, g):
     for c in reversed(f):
         acc = central_add(field, central_mul(field, acc, g), (c,))
     return acc
+
+
+# -- tensor elements ----------------------------------------------------------
+#
+# The arithmetic `TensorElement` ran before it moved to one central
+# denominator: coordinate vectors of `SkewFraction`s over the scenario's
+# `reduction_row` and `matrix` views, every product and sum reduced on the
+# Ore path, and inversion by Gauss-Jordan elimination over the skew field.
+
+
+def tensor_make(scenario, values):
+    """The coordinates of sum_p values[p] x^p modulo f."""
+    field = scenario.field
+    d = scenario.degree
+    out = [SkewFraction.zero(field)] * d
+    for p, c in enumerate(_as_fraction(field, v) for v in values):
+        if c.is_zero():
+            continue
+        row = scenario.reduction_row(p)
+        for m in range(d):
+            if not row[m].is_zero():
+                out[m] = out[m] + c * row[m]
+    return tuple(out)
+
+
+def tensor_mul(scenario, a, b):
+    field = scenario.field
+    d = scenario.degree
+    conv = [SkewFraction.zero(field)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                conv[i + j] = conv[i + j] + x * y
+    out = [SkewFraction.zero(field)] * d
+    for p, c in enumerate(conv):
+        if c.is_zero():
+            continue
+        row = scenario.reduction_row(p)
+        for m in range(d):
+            if not row[m].is_zero():
+                out[m] = out[m] + c * row[m]
+    return tuple(out)
+
+
+def tensor_inv(scenario, a):
+    """Solves  sum_j (sum_i a_i R^(i+j)) b_j = 1  for the b_j on the right."""
+    if all(c.is_zero() for c in a):
+        raise SingularElement("inversion of zero")
+    field = scenario.field
+    d = scenario.degree
+    zero = SkewFraction.zero(field)
+    rows = []
+    for m in range(d):
+        row = []
+        for j in range(d):
+            entry = zero
+            for i, x in enumerate(a):
+                if x.is_zero():
+                    continue
+                r = scenario.reduction_row(i + j)[m]
+                if not r.is_zero():
+                    entry = entry + x * r
+            row.append(entry)
+        rows.append(row)
+    sol = solve_right_generic(rows, [SkewFraction.one(field)] + [zero] * (d - 1))
+    if sol is None:
+        raise SingularElement(f"element of {scenario.name} is not invertible")
+    return tuple(sol)
+
+
+def tensor_apply(scenario, a, g):
+    M = scenario.matrix(g)
+    d = scenario.degree
+    out = [SkewFraction.zero(scenario.field)] * d
+    for i, v in enumerate(a):
+        if v.is_zero():
+            continue
+        for m in range(d):
+            if not M[i][m].is_zero():
+                out[m] = out[m] + v * M[i][m]
+    return tuple(out)
+
+
+def tensor_str(coords):
+    parts = []
+    for i, c in enumerate(coords):
+        if c.is_zero():
+            continue
+        if i == 0:
+            parts.append(f"({c})")
+        elif i == 1:
+            parts.append(f"({c})*x")
+        else:
+            parts.append(f"({c})*x^{i}")
+    return " + ".join(parts) if parts else "0"
+
+
+def solve_right_generic(rows, rhs):
+    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over a skew field by
+    Gauss-Jordan elimination; row operations multiply on the left only.
+    Returns the solution list or None when singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pinv = aug[r][c].inv()
+        aug[r] = [pinv * v for v in aug[r]]
+        for i in range(n):
+            if i != r and not aug[i][c].is_zero():
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    if len(pivots) < ncols:
+        return None
+    for i in range(len(pivots), n):
+        if not aug[i][ncols].is_zero():
+            return None
+    x = [None] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = aug[i][ncols]
+    return x
 
 
 # -- twisted Laurent series -------------------------------------------------

@@ -32,7 +32,18 @@ from orefield.sampling import (
     random_polynomial,
 )
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial, common_left_multiple, gcld, ore_witness
+from orefield.factor import content as fcontent
+from orefield.skewpoly import (
+    SkewPolynomial,
+    _adjugate_conjugate,
+    central_polynomial,
+    common_left_multiple,
+    gcld,
+    norm_conjugate,
+    ore_witness,
+    reduce_central,
+    times_central,
+)
 
 # i^2 = -1/2: the structure constants have denominator 2
 HALF_QUATERNIONS = make_quaternions(Fraction(-1, 2), -3, name="(-1/2,-3)")
@@ -447,3 +458,62 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
         for name in _ARITHMETIC:
             monkeypatch.setattr(Fraction, name, forbidden)
         sb.poly_mul(f, g)
+
+
+# -- norm conjugates ------------------------------------------------------------------
+
+NORM_FIELDS = FIELDS + [H_GOLDEN]
+# the fields with a closed-form norm conjugate; the others run the Bareiss rule
+CLOSED_FORM = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN]
+
+
+def _check_norm_conjugate(p):
+    q, c = norm_conjugate(p)
+    assert c and c[-1] > 0 and fcontent(c) == 1
+    central = central_polynomial(p.field, c)
+    assert q * p == central and p * q == central
+    assert central.is_invariant_central()
+    return q, c
+
+
+def _central_poly(field, rng):
+    coeffs = [field.zero()] * (field.sigma_order * 2 + 1)
+    for k in range(3):
+        coeffs[k * field.sigma_order] = _invariant(field, rng)
+    coeffs[-1] = coeffs[-1] if not coeffs[-1].is_zero() else field.one()
+    return SkewPolynomial.from_coeffs(field, coeffs)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=[f.name for f in NORM_FIELDS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_norm_conjugate_is_central(field, data):
+    _check_norm_conjugate(data.draw(nonzero_polys(field)))
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=[f.name for f in NORM_FIELDS])
+def test_norm_conjugate_is_central_fixed_seed(field):
+    rng = random.Random(41)
+    for _ in range(5):
+        _check_norm_conjugate(random_nonzero_polynomial(field, rng, 4))
+        e = random_nonzero_element(field, rng)
+        _check_norm_conjugate(SkewPolynomial.constant(field, e))
+        _check_norm_conjugate(SkewPolynomial.t_power(field, rng.randint(1, 5), e))
+        _check_norm_conjugate(_central_poly(field, rng))
+
+
+@pytest.mark.parametrize("field", CLOSED_FORM, ids=[f.name for f in CLOSED_FORM])
+def test_closed_form_norm_conjugates_match_the_bareiss_rule(field):
+    """Both give p^-1 = c^-1 * q; reduced to the minimal central multiple c
+    of p they are the same canonical pair."""
+    rng = random.Random(43)
+    cases = [random_nonzero_polynomial(field, rng, 3) for _ in range(6)]
+    cases += [SkewPolynomial.t_power(field, 3, random_nonzero_element(field, rng)), _central_poly(field, rng)]
+    for p in cases:
+        q, c = norm_conjugate(p)
+        adj = _adjugate_conjugate(p)
+        # adj * p = full / den, so p^-1 = full^-1 * (den * adj)
+        prod, den = (adj * p).int_rows()
+        full = [prod[k][0] for k in range(0, len(prod), field.sigma_order)]
+        mine, bareiss = reduce_central(c, [q]), reduce_central(full, [times_central(adj, [den])])
+        assert mine[0] == bareiss[0] and mine[1] == bareiss[1]
