@@ -674,25 +674,32 @@ class TensorElement:
     products and the scenario's tables over one central denominator, with
     one gcd normalisation over Z[u] per result and no Ore reduction.
     `coords`, the coordinates over the skew field as canonical
-    `SkewFraction`s, are built on first use.  Construct through `make` (or
-    the classmethods); the constructor takes canonical parts as is.
+    `SkewFraction`s, are built on first use.  The constructor takes d
+    coordinates (anything `make` coerces) and brings them to that form.
     """
 
     __slots__ = ("scenario", "den", "polys", "_coords")
 
-    def __init__(
-        self, scenario: ExtensionScenario, den: tuple[int, ...], polys: tuple[SkewPolynomial, ...]
-    ) -> None:
-        self.scenario = scenario
-        self.den = den
-        self.polys = polys
+    def __init__(self, scenario: ExtensionScenario, coords: Sequence) -> None:
+        d = scenario.degree
+        if len(coords) != d:
+            raise ValueError(f"expected {d} coordinates, got {len(coords)}")
+        made = TensorElement.make(scenario, coords)
+        self.scenario, self.den, self.polys = scenario, made.den, made.polys
         self._coords: tuple[SkewFraction, ...] | None = None
+
+    @classmethod
+    def _raw(cls, scenario: ExtensionScenario, den: Sequence[int], polys: Sequence) -> "TensorElement":
+        """den(t^n)^-1 * sum_i polys[i] x^i from parts in canonical form."""
+        element = cls.__new__(cls)
+        element.scenario, element.den, element.polys = scenario, tuple(den), tuple(polys)
+        element._coords = None
+        return element
 
     @classmethod
     def _reduced(cls, scenario: ExtensionScenario, den: Sequence[int], polys: list) -> "TensorElement":
         """den(t^n)^-1 * sum_i polys[i] x^i in canonical form."""
-        den, polys = reduce_central(den, polys)
-        return cls(scenario, tuple(den), tuple(polys))
+        return cls._raw(scenario, *reduce_central(den, polys))
 
     @classmethod
     def _modulo_f(cls, scenario: ExtensionScenario, den: Sequence[int], conv: list) -> "TensorElement":
@@ -724,7 +731,7 @@ class TensorElement:
 
     @classmethod
     def zero(cls, scenario: ExtensionScenario) -> "TensorElement":
-        return cls(scenario, (1,), (SkewPolynomial.zero(scenario.field),) * scenario.degree)
+        return cls._raw(scenario, (1,), (SkewPolynomial.zero(scenario.field),) * scenario.degree)
 
     @classmethod
     def one(cls, scenario: ExtensionScenario) -> "TensorElement":
@@ -773,11 +780,11 @@ class TensorElement:
         sums = [times_central(p, rb) + times_central(q, ra) for p, q in zip(self.polys, other.polys)]
         if len(g) == 1:
             # coprime denominators leave nothing to cancel
-            return TensorElement(self.scenario, tuple(_mul(a, b)), tuple(sums))
+            return TensorElement._raw(self.scenario, _mul(a, b), sums)
         return TensorElement._reduced(self.scenario, _mul(_mul(ra, rb), g), sums)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(self.scenario, self.den, tuple(-p for p in self.polys))
+        return TensorElement._raw(self.scenario, self.den, [-p for p in self.polys])
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
@@ -833,8 +840,7 @@ class TensorElement:
                 f"element of {self.scenario.name} is not invertible"
             )
         # the solution comes in the canonical form already
-        den, ys = sol
-        return TensorElement(scenario, tuple(den), tuple(ys))
+        return TensorElement._raw(scenario, *sol)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n < 0:

@@ -20,8 +20,7 @@ The certificates of `orefield.extend` and `orefield.tower` and the
 irreducibility test of `orefield.ground` (cubics and up) use it instead of
 sympy.
 
-`gcd` goes modular from degree 12 on, and `solve_fraction_free` is
-Bareiss elimination over Z[u].
+`solve_fraction_free` is Bareiss elimination over Z[u].
 
 `RationalFunction` is the field Q(u) on the same lists: a reduced quotient
 of two integer polynomials.  `orefield.extend` keeps the coefficients of
@@ -131,78 +130,17 @@ def _prem(f: Poly, g: Poly) -> Poly:
 
 
 def gcd(f: Sequence[int], g: Sequence[int]) -> Poly:
-    """The primitive gcd with a positive leading coefficient; [] when both
-    are zero.
-
-    From degree `_MODULAR_GCD_DEGREE` on, modular (W. S. Brown, J. ACM 18,
-    1971, in one variable): `_gcd_modular` settles every input whose gcd
-    fits its primes.  The primitive remainder sequence does the rest, and
-    every input of lower degree, where it is the faster of the two.
-    """
+    """The primitive gcd with a positive leading coefficient (primitive
+    remainder sequence); [] when both are zero."""
     f, g = primitive(f)[1], primitive(g)[1]
     if len(f) < len(g):
         f, g = g, f
-    if len(g) > _MODULAR_GCD_DEGREE:
-        # a divisor of f is its gcd with f, as in a running content
-        h = g if _divides(g, f) else _gcd_modular(f, g)
-        if h is not None:
-            return h
     while g:
         if len(g) == 1:
             # a nonzero constant: the inputs are coprime
             return g
         f, g = g, primitive(_prem(f, g))[1]
     return f
-
-
-# The least degree of both inputs at which `gcd` goes modular.  At degree
-# 12 neither way wins: on random inputs the remainder sequence was about 2x
-# faster with 2-bit coefficients and 1.2-1.3x slower with 20-bit ones; at
-# degree 24 it was about as fast, and 3-4.5x slower.
-_MODULAR_GCD_DEGREE = 12
-
-# Mersenne primes: the modular gcd adds their bits to its modulus in turn
-_GCD_PRIMES = tuple(2**k - 1 for k in (61, 89, 107, 127, 521, 607, 1279))
-
-
-def _gcd_modular(f: Poly, g: Poly) -> Poly | None:
-    """gcd of primitive f, g of degree >= 1, or None when the primes run out.
-
-    Modulo a prime p that divides neither leading coefficient, the monic gcd
-    has at least the degree of the true gcd H, so a constant one proves
-    coprimality.  Otherwise the monic gcds of the least degree seen, scaled
-    by gcd(lc f, lc g) (a multiple of lc H), are combined by Chinese
-    remaindering; the primitive part of their symmetric lift is H as soon as
-    it divides both f and g, since it then divides H and is not of lower
-    degree.
-    """
-    gamma = igcd(f[-1], g[-1])
-    degree, modulus, acc = 0, 1, []
-    for p in _GCD_PRIMES:
-        if not (f[-1] % p and g[-1] % p):
-            continue
-        h = _gcd_mod(_reduce(f, p), _reduce(g, p), p)
-        if len(h) == 1:
-            return [1]
-        if not degree or len(h) < degree:
-            degree, modulus, acc = len(h), 1, [0] * len(h)
-        elif len(h) > degree:
-            continue  # an unlucky prime: the gcd grew modulo p
-        inv = pow(modulus, -1, p)
-        acc = [a + modulus * ((gamma * b - a) * inv % p) for a, b in zip(acc, h)]
-        modulus *= p
-        candidate = primitive(_symmetric(acc, modulus))[1]
-        if _divides(candidate, f) and _divides(candidate, g):
-            return candidate
-    return None
-
-
-def _divides(g: Poly, f: Poly) -> bool:
-    try:
-        _divexact(f, g)
-    except ArithmeticError:
-        return False
-    return True
 
 
 def solve_fraction_free(mat: list[list[Poly]], rhs: list[Poly]) -> tuple[list[Poly], Poly]:

@@ -491,12 +491,18 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
 
     * 1 when p is central and the invariant subfield is Q (all of Q[t]);
     * the coefficientwise conjugate over a quaternion algebra over Q
-      (sigma = id there), so c is the reduced norm;
+      (sigma = id there), so c is the reduced norm; over a quaternion
+      algebra over a number field K with sigma = id, that conjugate times
+      the adjugate of the reduced norm on K[t] (Bareiss over Z[u]);
     * sigma(a) - b*t for p = a + b*t, a and b in F[t^2], over a quadratic
       field F with sigma of order 2, so c = a*sigma(a) - b*sigma(b)*t^2;
+    * over any other number field K whose invariant subfield is Q (K/Q
+      cyclic, generated by sigma), row 0 of the adjugate of right
+      multiplication by p on D[t] as a free left K[u]-module with basis
+      1, t, ..., t^(n-1): c is the reduced norm;
     * otherwise the column of the adjugate of left multiplication by p on
-      the free Q[u]-module D[t] (Bareiss over Z[u]): c is the full norm,
-      a power of the reduced one.
+      the free Q[u]-module D[t] (Bareiss over Z[u]), cut down to the
+      minimal central multiple of p.
 
     Since D[t] is a domain, q*p = c central gives p*q = c too.
     """
@@ -505,10 +511,14 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     field = p.field
     rows, den = p.int_rows()
     n = field.sigma_order
-    if len(field.invariant_basis) == 1 and p.is_invariant_central():
+    rational, full = len(field.invariant_basis) == 1, False
+    if rational and p.is_invariant_central():
         q = SkewPolynomial.one(field)
-    elif field.kind == "quaternions" and field.base_dim == 1:
-        q = SkewPolynomial._from_rows(field, [(r[0], -r[1], -r[2], -r[3]) for r in rows], den)
+    elif field.kind == "quaternions" and n == 1:
+        d = field.base_dim
+        q = SkewPolynomial._from_rows(field, [r[:d] + tuple([-x for x in r[d:]]) for r in rows], den)
+        if d > 1:
+            q = _adjugate_conjugate(q * p, d) * q
     elif field.kind == "number-field" and field.dim == 2 and n == 2:
         s, sig = field.sig_den, field.ksig[1]
         q = SkewPolynomial._from_rows(
@@ -516,8 +526,10 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
             [sig(r) if m % 2 == 0 else tuple(-s * x for x in r) for m, r in enumerate(rows)],
             den * s,
         )
+    elif field.kind == "number-field" and rational:
+        q = _cyclic_conjugate(p)
     else:
-        q = _adjugate_conjugate(p)
+        q, full = _adjugate_conjugate(p), True
     prod, pden = (q * p).int_rows()
     scale, c = _primitive_central(prod, n)
     if not c:
@@ -527,7 +539,11 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
         )
     # q*p = scale * c / pden, so (q * pden/scale) * p = c
     qrows, qden = q.int_rows()
-    return SkewPolynomial._from_rows(field, kernel.scale(qrows, pden), qden * scale), c
+    q = SkewPolynomial._from_rows(field, kernel.scale(qrows, pden), qden * scale)
+    if full:
+        # the full norm is a power of the minimal central multiple
+        c, (q,) = reduce_central(c, [q])
+    return q, c
 
 
 def _primitive_central(rows: list, n: int) -> tuple[int, list[int]]:
@@ -538,12 +554,51 @@ def _primitive_central(rows: list, n: int) -> tuple[int, list[int]]:
     return primitive([rows[k][0] for k in range(0, len(rows), n)])
 
 
-def _adjugate_conjugate(p: SkewPolynomial) -> SkewPolynomial:
-    """A q with p*q in Z[u], from the matrix of y -> p*y over Z[u]."""
+def _cyclic_conjugate(p: SkewPolynomial) -> SkewPolynomial:
+    """A q with q*p in Q[u] over a number field K whose invariant subfield is
+    Q, from the matrix N of y -> y*p over K[u] (a commutative subring, since
+    sigma^n = id): t^i * p = sum_k N[i][k] * t^k.  Row 0 of adj(N) is
+    division-free by Laplace expansion along the columns k = 1, ..., n-1,
+    with the minors memoised by their row sets."""
+    field = p.field
+    n, zero = field.sigma_order, field.zero_row
+    cols: list[list[SkewPolynomial]] = [[] for _ in range(n)]
+    for i in range(n):
+        rows, den = (SkewPolynomial.t_power(field, i) * p).int_rows()
+        for k in range(n):
+            block = rows[k::n]
+            spread = [zero] * ((len(block) - 1) * n + 1) if block else []
+            spread[::n] = block
+            cols[k].append(SkewPolynomial._from_rows(field, spread, den))
+    minors = {(): SkewPolynomial.one(field)}
+
+    def minor(subset: tuple[int, ...]) -> SkewPolynomial:
+        # the rows `subset` of N against its last len(subset) columns
+        if subset not in minors:
+            col = cols[n - len(subset)]
+            total = SkewPolynomial.zero(field)
+            for idx, r in enumerate(subset):
+                term = col[r] * minor(subset[:idx] + subset[idx + 1 :])
+                total = total - term if idx % 2 else total + term
+            minors[subset] = total
+        return minors[subset]
+
+    q = SkewPolynomial.zero(field)
+    for i in range(n):
+        cofactor = minor(tuple(r for r in range(n) if r != i)) * SkewPolynomial.t_power(field, i)
+        q = q - cofactor if i % 2 else q + cofactor
+    return q
+
+
+def _adjugate_conjugate(p: SkewPolynomial, dim: int = 0) -> SkewPolynomial:
+    """A q with p*q in Z[u], from the matrix of y -> p*y over Z[u]; on the
+    span of the first `dim` basis elements times powers of t when p keeps
+    it (the base field K[t] of a quaternion algebra), else on all of D[t]."""
     from .factor import solve_fraction_free
 
     field = p.field
-    n, dim, zero = field.sigma_order, field.dim, field.zero_row
+    n, zero = field.sigma_order, field.zero_row
+    dim = dim or field.dim
     rows = p.int_rows()[0]
     size = n * dim
     mat = [[[] for _ in range(size)] for _ in range(size)]

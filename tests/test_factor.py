@@ -124,44 +124,3 @@ def test_poly_str_prints_as_sympy_does():
     for coeffs in ([1, 1], [1, 0, 1], [7, -1, 0, 0, 0, 3], [0, 1], [0, 2], [-1, 0, 1], [5], [0, 0, -1, 1]):
         assert poly_str(coeffs, "u") == str(_expr(coeffs))
     assert poly_str([], "u") == "0"
-
-
-def _sympy_gcd(f, g):
-    h = sympy.gcd(_expr(f), _expr(g))
-    if h.is_number:
-        return [1]
-    h = _coeffs(sympy.primitive(h)[1])
-    return h if h[-1] > 0 else [-a for a in h]
-
-
-large_factors = st.lists(st.integers(-2**40, 2**40), min_size=6, max_size=12).filter(lambda g: g[-1])
-
-
-@settings(max_examples=40, deadline=None)
-@given(large_factors, large_factors, large_factors)
-def test_modular_gcd_matches_sympy(h, a, b):
-    """Degrees past the modular threshold, with and without a common factor."""
-    f, g = _product((h, 1), (a, 1)), _product((h, 1), (b, 1))
-    assert gcd(f, g) == _sympy_gcd(f, g)
-    assert gcd(a + [0] * 12 + [1], b + [0] * 12 + [3]) == _sympy_gcd(a + [0] * 12 + [1], b + [0] * 12 + [3])
-
-
-def test_modular_gcd_edges():
-    m61, m89 = 2**61 - 1, 2**89 - 1
-    h, k = [1, 2, 1], [1, 1]
-    a = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, 9, 7]
-    c = [2, 7, 1, -8, 2, 8, 1, 8, 2, -8, 4, 5, 9, 1]
-    # modulo 2^61 - 1 the cofactors share x + 1 as well, so the first
-    # prime's gcd has too high a degree and the second one replaces it
-    ka = _product((k, 1), (a, 1))
-    f = _product((h, 1), ([x + m61 for x in ka], 1))
-    g = _product((h, 1), (k, 1), (c, 1))
-    assert gcd(f, g) == _sympy_gcd(f, g) == h
-    # a leading coefficient divisible by a prime skips that prime
-    f2 = _product((h, 1), (a[:-1] + [m61 * m89], 1))
-    g2 = _product((h, 1), (c, 1))
-    assert gcd(f2, g2) == _sympy_gcd(f2, g2) == h
-    # coefficients past every prime fall back to the remainder sequence
-    big = [1, 0, 1, 2**3000 + 1]
-    f3, g3 = _product((big, 1), (a, 1)), _product((big, 1), (c, 1))
-    assert gcd(f3, g3) == _sympy_gcd(f3, g3)

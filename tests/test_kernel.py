@@ -462,9 +462,14 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
 
 # -- norm conjugates ------------------------------------------------------------------
 
-NORM_FIELDS = FIELDS + [H_GOLDEN]
-# the fields with a closed-form norm conjugate; the others run the Bareiss rule
-CLOSED_FORM = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN]
+# quaternions over Q(sqrt2) with sigma(sqrt2) = -sqrt2: the Bareiss rule's
+# full norm has four times the degree of the minimal central multiple
+H_FLIP = make_quaternions(-1, -1, min_poly=[-2, 0, 1], sigma_image=[0, -1], name="H over Q(sqrt2)/flip")
+NORM_FIELDS = FIELDS + [H_GOLDEN, H_FLIP]
+# the fields with a closed-form or structured norm conjugate (the cyclic
+# rule over CUBIC, conjugate times base adjugate over H_GOLDEN); the others
+# run the Bareiss rule
+CLOSED_FORM = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN, CUBIC, H_GOLDEN]
 
 
 def _check_norm_conjugate(p):
@@ -473,6 +478,9 @@ def _check_norm_conjugate(p):
     central = central_polynomial(p.field, c)
     assert q * p == central and p * q == central
     assert central.is_invariant_central()
+    if p.field not in CLOSED_FORM:
+        # the Bareiss rule cuts its full norm down to the minimal multiple
+        assert reduce_central(c, [q])[0] == c
     return q, c
 
 

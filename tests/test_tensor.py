@@ -19,6 +19,7 @@ from orefield.skewpoly import central_coordinates
 
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
+from test_kernel import CUBIC, H_GOLDEN
 
 Z2 = FiniteGroup(
     ("e", "s"), "e", {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
@@ -36,7 +37,12 @@ def quadratic(name, field, constant):
 # subfield is Q(sqrt2), so the central coefficients stay `SkewFraction`s and
 # the norm conjugates run the Bareiss rule
 ROOT2_SCENARIO = quadratic("Q(sqrt2)/id", STATIC, central_fraction(STATIC, [1], [1, 1], [0, 1]))
-SCENARIOS = [scenario_catalog(name) for name in ("T1L1", "T2L1", "T3L1")] + [ROOT2_SCENARIO]
+# the norm conjugates of the cyclic rule (a cubic field with sigma of order
+# 3) and of quaternions over a number field
+CUBIC_SCENARIO = quadratic("cubic", CUBIC, central_fraction(CUBIC, [1, 2], [1, 1]))
+GOLDEN_SCENARIO = quadratic("H/Q(sqrt5)", H_GOLDEN, central_fraction(H_GOLDEN, [1, 2], [1, 1]))
+SCENARIOS = [scenario_catalog(name) for name in ("T1L1", "T2L1", "T3L1")]
+SCENARIOS += [ROOT2_SCENARIO, CUBIC_SCENARIO, GOLDEN_SCENARIO]
 IDS = [s.name for s in SCENARIOS]
 
 
@@ -109,7 +115,8 @@ def test_tensor_arithmetic_matches_the_schoolbook_arithmetic(scenario):
     check()
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=IDS)
+# the oracle's inverses over H/Q(sqrt5) take seconds: hypothesis covers it
+@pytest.mark.parametrize("scenario", SCENARIOS[:-1], ids=IDS[:-1])
 def test_tensor_arithmetic_matches_at_fixed_seeds(scenario):
     rng = random.Random(31)
     zero, one = TensorElement.zero(scenario), TensorElement.one(scenario)
@@ -124,6 +131,18 @@ def test_tensor_arithmetic_matches_at_fixed_seeds(scenario):
         check_pair(scenario, element, element)
     assert zero.den == (1,) and a - a == zero
     assert (a * a.inv()) == one and (a.inv() * a) == one
+
+
+def test_constructor_takes_coordinates_and_checks_their_number():
+    rng = random.Random(39)
+    for scenario in SCENARIOS:
+        values = random_values(scenario, rng, scenario.degree)
+        element = TensorElement(scenario, values)
+        assert is_canonical(element) and element == TensorElement.make(scenario, values)
+        assert TensorElement(scenario, element.coords) == element
+        for wrong in (values[:-1], values + [0]):
+            with pytest.raises(ValueError):
+                TensorElement(scenario, wrong)
 
 
 def test_zero_divisors_raise_like_the_oracle():
