@@ -16,7 +16,8 @@ ran and failed, 5 for anything unexpected.
 
 Each command imports what it needs: the expression language only for the
 commands that parse expressions, and the scenario-file reader (and with it
-PyYAML) only when --scenario names a file rather than a catalog entry.
+PyYAML) only when --scenario names a file rather than a catalog entry,
+and the random samplers only for verify's seeded probes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .extend import (
 )
 from .ground import gauss_conjugation, hamilton_rationals, make_rationals
 from .laurent import TwistedSeries
-from .sampling import random_tensor
 from .skewfrac import SkewFraction, center_basis
 from .skewpoly import SkewPolynomial
 from .tower import TowerScenario, run_tower_checks
@@ -268,6 +268,8 @@ _PROBE_DEGREE_LIMIT = 3
 
 
 def _level_probes(level: ExtensionScenario, rng: random.Random) -> list[CheckResult]:
+    from .sampling import random_tensor
+
     rows = [
         _probe(
             f"{level.name}:generator-invert",

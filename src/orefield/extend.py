@@ -34,7 +34,11 @@ the rest of the package (towers, command line) consumes:
   twisted Laurent series.
 * `canonical_decomposition` -- rewrites a sum of (polynomial) * (invariant
   series) products over the canonical left basis e_j t^r, so that the sum
-  vanishes exactly when every table entry does.
+  vanishes exactly when every table entry does.  It does not recompute the
+  identity; the tests do, on every decomposition they make.
+
+Inputs come in through one lift, `SkewFraction.coerce`, and the fixed space
+is the kernel that `linalg.nullspace` computes on the central coefficients.
 """
 
 from __future__ import annotations
@@ -73,21 +77,6 @@ from .skewpoly import (
     reduce_central,
     times_central,
 )
-
-
-def _as_fraction(field: GroundField, value) -> SkewFraction:
-    if isinstance(value, SkewFraction):
-        field.check_same(value.field)
-        return value
-    if isinstance(value, SkewPolynomial):
-        field.check_same(value.field)
-        return SkewFraction.from_polynomial(value)
-    if isinstance(value, GroundElement):
-        field.check_same(value.field)
-        return SkewFraction.from_ground(value)
-    if isinstance(value, (int, Fraction)):
-        return SkewFraction.from_rational(field, value)
-    raise TypeError(f"cannot interpret {value!r} as a central fraction")
 
 
 # -- central coefficients -------------------------------------------------------
@@ -182,7 +171,7 @@ class CentralPolynomial:
     def from_coeffs(cls, field: GroundField, coeffs: Iterable) -> "CentralPolynomial":
         out = []
         for c in coeffs:
-            frac = _as_fraction(field, c)
+            frac = SkewFraction.coerce(field, c)
             if not (frac.is_invariant_central() or is_central(frac)):
                 raise ScenarioValidationError(
                     f"coefficient {frac} of a central polynomial is not central"
@@ -726,7 +715,7 @@ class TensorElement:
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
         """Coerce a (possibly long) coefficient list, reducing modulo f."""
         field = scenario.field
-        den, conv = _over_common_denominator([_as_fraction(field, v) for v in values])
+        den, conv = _over_common_denominator([SkewFraction.coerce(field, v) for v in values])
         return cls._modulo_f(scenario, den, conv)
 
     @classmethod
@@ -931,7 +920,7 @@ def fixed_space(
         for m in range(d):
             rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
     if rows:
-        basis = linalg.nullspace_generic(rows, d, one, zero)
+        basis = linalg.nullspace(rows, d)
     else:
         basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
     return [[_view(field, c) for c in vec] for vec in basis]
@@ -981,27 +970,9 @@ def _splitting_inverse(field: GroundField) -> list[list[Fraction]]:
     return field._splitting
 
 
-def _as_polynomial(field: GroundField, h) -> SkewPolynomial:
-    if isinstance(h, SkewFraction):
-        field.check_same(h.field)
-        if h.den.degree != 0:
-            raise NotPolynomial(f"{h} has a nontrivial denominator")
-        return h.num
-    if isinstance(h, SkewPolynomial):
-        field.check_same(h.field)
-        return h
-    if isinstance(h, GroundElement):
-        field.check_same(h.field)
-        return SkewPolynomial.constant(field, h)
-    if isinstance(h, (int, Fraction)):
-        return SkewPolynomial.constant(field, field.from_rational(h))
-    raise TypeError(f"cannot interpret {h!r} as a polynomial")
-
-
 def canonical_decomposition(
     field: GroundField,
     terms: Sequence[tuple],
-    verify: bool = True,
 ) -> dict[tuple[int, int], TwistedSeries]:
     """Rewrite  sum (h * z)  over the canonical left basis  e_j t^r.
 
@@ -1013,7 +984,8 @@ def canonical_decomposition(
 
     Because the e_j t^r are a left basis over the invariant series field,
     the total sum vanishes (to precision) exactly when every table entry
-    does.  With `verify` the identity is recomputed directly and compared.
+    does.  The identity itself is checked by the tests, which recompute
+    both sides directly.
     """
     n = field.sigma_order
     hb = field.h_basis
@@ -1021,7 +993,9 @@ def canonical_decomposition(
     pairs: list[tuple[SkewPolynomial, TwistedSeries]] = []
     min_prec: int | None = None
     for h, z in terms:
-        poly = _as_polynomial(field, h)
+        frac = SkewFraction.coerce(field, h)
+        if not frac.is_polynomial():
+            raise NotPolynomial(f"{frac} has a nontrivial denominator")
         if not isinstance(z, TwistedSeries):
             raise TypeError(f"expected a series, got {z!r}")
         field.check_same(z.field)
@@ -1030,7 +1004,7 @@ def canonical_decomposition(
                 "decomposition input series must have invariant coefficients "
                 "at exponents divisible by the automorphism order"
             )
-        pairs.append((poly, z))
+        pairs.append((frac.num, z))
         min_prec = z.prec if min_prec is None else min(min_prec, z.prec)
     if min_prec is None:
         min_prec = 0
@@ -1058,23 +1032,6 @@ def canonical_decomposition(
                     continue
                 lam = field.element(lam_coords)
                 table[(r, j)] = table[(r, j)] + z.scale_ground_left(lam).shift(n * q)
-    if verify:
-        prec = min(
-            [min_prec] + [s.prec for s in table.values()]
-        )
-        direct = TwistedSeries.zero(field, prec)
-        for poly, z in pairs:
-            direct = direct + TwistedSeries.from_polynomial(poly, prec) * z
-        recomposed = TwistedSeries.zero(field, prec)
-        for (r, j), s in table.items():
-            basis_series = TwistedSeries.from_polynomial(
-                SkewPolynomial.t_power(field, r, hb[j]), prec
-            )
-            recomposed = recomposed + basis_series * s
-        if direct.truncate(min(direct.prec, recomposed.prec)) != recomposed.truncate(
-            min(direct.prec, recomposed.prec)
-        ):
-            raise OrefieldError("internal: decomposition identity failed")
     return table
 
 

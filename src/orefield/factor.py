@@ -528,6 +528,14 @@ class RationalFunction:
             return RationalFunction(tuple(-a for a in self.den), tuple(-a for a in self.num))
         return RationalFunction(self.den, self.num)
 
+    def __pow__(self, n: int) -> "RationalFunction":
+        if n < 0:
+            return self.inv() ** -n
+        out = _ONE
+        for _ in range(n):
+            out = out * self
+        return out
+
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
 

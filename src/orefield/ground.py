@@ -318,6 +318,16 @@ class GroundField:
             raise ValueError(f"{self.name} needs {self.dim} coordinates, got {len(tup)}")
         return GroundElement(self, tup)
 
+    def coerce(self, value) -> GroundElement:
+        """The one way in: an element of this field, a rational, or a
+        coordinate sequence, as an element of this field."""
+        if isinstance(value, GroundElement):
+            self.check_same(value.field)
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        return self.element(value)
+
     def basis_element(self, m: int) -> GroundElement:
         coords = [Fraction(0)] * self.dim
         coords[m] = Fraction(1)

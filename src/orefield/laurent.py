@@ -32,7 +32,6 @@ classical iteration legitimate; the inputs are checked for it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -108,15 +107,7 @@ class TwistedSeries:
         cls, field: GroundField, val: int, coeffs: Sequence, prec: int
     ) -> "TwistedSeries":
         """Normalised series from raw data; coefficients beyond prec are cut."""
-        elems = []
-        for c in coeffs:
-            if isinstance(c, GroundElement):
-                elems.append(c)
-            elif isinstance(c, (int, Fraction)):
-                elems.append(field.from_rational(c))
-            else:
-                elems.append(field.element(c))
-        return cls(field, val, elems, prec)
+        return cls(field, val, [field.coerce(c) for c in coeffs], prec)
 
     @classmethod
     def zero(cls, field: GroundField, prec: int) -> "TwistedSeries":

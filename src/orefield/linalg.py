@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals (and other exact fields).
 
-The rational routines are plain Gauss-Jordan elimination with
-`fractions.Fraction` entries; no pivoting heuristics are needed because the
-arithmetic is exact.  `nullspace_generic` accepts any commutative field
-elements implementing ``+ - *``, ``inv()`` and ``is_zero()``.
-`solve_right_generic` solves over the skew field of fractions of a twisted
-polynomial ring without forming a fraction: fraction-free elimination on
-polynomial entries, whose pivots are inverted through their norm conjugates.
+`rref` is the one Gauss-Jordan elimination, over any exact commutative
+field: `fractions.Fraction`s, `orefield.factor.RationalFunction`s, or
+central `SkewFraction`s.  It needs ``+ - * ==`` and integer powers of the
+entries (``x ** -1`` the inverse, ``x ** 0`` the unit), and no pivoting
+heuristics because the arithmetic is exact.  `nullspace`, `solve`,
+`invert_matrix` and `rank` are built on it.  `solve_right_generic` solves
+over the skew field of fractions of a twisted polynomial ring without
+forming a fraction: fraction-free elimination on polynomial entries, whose
+pivots are inverted through their norm conjugates.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     pivots: list[int] = []
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
+    one = _unit(mat)
+    zero = one - one
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
+        inv = mat[r][c] ** -1
         mat[r] = [v * inv for v in mat[r]]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
+            if i != r and mat[i][c] != zero:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -43,22 +47,26 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     return mat, pivots
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right kernel of the matrix.
+def _unit(rows: list[Row]):
+    """The 1 of the entries' field; of the rationals for an empty matrix."""
+    return rows[0][0] ** 0 if rows and rows[0] else Fraction(1)
+
+
+def nullspace(rows: list[Row], ncols: int) -> list[tuple]:
+    """Canonical basis of the right kernel of the matrix, over the field of
+    its entries (the rationals when there are no rows).
 
     One basis vector per free column, ordered by free column index; the
     vector has 1 at its free column which makes the basis reproducible.
     """
-    if not rows:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
-        ]
+    one = _unit(rows)
+    zero = one - one
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -mat[r][fc]
         basis.append(tuple(vec))
@@ -119,44 +127,6 @@ def invert_matrix(a: list[Row]) -> list[Row] | None:
 
 def rank(rows: list[Row]) -> int:
     return len(rref(rows)[1]) if rows else 0
-
-
-# -- generic elimination over an arbitrary exact (commutative) field ---------
-#
-# Entries must support +, -, *, unary -, `inv()` and `is_zero()`.  Used for
-# matrices over the central subfield of a fraction field, where coefficients
-# are exact but not rational numbers.
-
-
-def nullspace_generic(rows: list[list], ncols: int, one, zero) -> list[list]:
-    """Kernel basis, same canonical shape as `nullspace`, over any exact field."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def solve_right_generic(rows: list[list], rhs: list):

@@ -103,6 +103,18 @@ class SkewFraction:
         return cls.from_ground(field.from_rational(Fraction(x)))
 
     @classmethod
+    def coerce(cls, field: GroundField, value) -> "SkewFraction":
+        """The one lift into the fraction field: a fraction or a polynomial
+        over field, or anything `GroundField.coerce` takes."""
+        if isinstance(value, SkewFraction):
+            field.check_same(value.field)
+            return value
+        if isinstance(value, SkewPolynomial):
+            field.check_same(value.field)
+            return cls.from_polynomial(value)
+        return cls.from_ground(field.coerce(value))
+
+    @classmethod
     def t_power(cls, field: GroundField, power: int = 1) -> "SkewFraction":
         if power >= 0:
             return cls.from_polynomial(SkewPolynomial.t_power(field, power))

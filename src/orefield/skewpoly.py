@@ -33,7 +33,6 @@ of fractions over one central denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
@@ -81,15 +80,7 @@ class SkewPolynomial:
 
     @classmethod
     def from_coeffs(cls, field: GroundField, coeffs: Iterable) -> "SkewPolynomial":
-        out: list[GroundElement] = []
-        for c in coeffs:
-            if isinstance(c, GroundElement):
-                field.check_same(c.field)
-                out.append(c)
-            elif isinstance(c, (int, Fraction)):
-                out.append(field.from_rational(c))
-            else:
-                out.append(field.element(c))
+        out = [field.coerce(c) for c in coeffs]
         while out and out[-1].is_zero():
             out.pop()
         return cls(field, tuple(out))
@@ -104,14 +95,14 @@ class SkewPolynomial:
 
     @classmethod
     def t_power(cls, field: GroundField, power: int = 1, coeff=None) -> "SkewPolynomial":
-        lead = field.one() if coeff is None else coeff
+        lead = field.one() if coeff is None else field.coerce(coeff)
         if lead.is_zero():
             return cls.zero(field)
         return cls(field, (field.zero(),) * power + (lead,))
 
     @classmethod
     def constant(cls, field: GroundField, value) -> "SkewPolynomial":
-        e = value if isinstance(value, GroundElement) else field.from_rational(value)
+        e = field.coerce(value)
         return cls.zero(field) if e.is_zero() else cls(field, (e,))
 
     # -- structure ---------------------------------------------------------
@@ -219,10 +210,6 @@ class SkewPolynomial:
         """f * c = sum_i f_i sigma^i(c) t^i."""
         self.field.check_same(c.field)
         return self * SkewPolynomial.constant(self.field, c)
-
-    def monic_left(self) -> "SkewPolynomial":
-        """Scale by the inverse of the leading coefficient on the left."""
-        return self.scale_left(self.leading().inv())
 
     def monic_right(self) -> "SkewPolynomial":
         """Right-unit scaling to a monic polynomial (keeps left divisibility)."""

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from orefield.extend import canonical_decomposition
 from orefield.ground import (
     gauss_conjugation,
     hamilton_rationals,
     make_number_field,
     make_rationals,
 )
+from orefield.laurent import TwistedSeries
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
@@ -80,3 +82,22 @@ def fractions_of(field, max_degree: int = 2, span: int = 2):
 
 def nonzero_fractions_of(field, max_degree: int = 2, span: int = 2):
     return fractions_of(field, max_degree, span).filter(lambda x: not x.is_zero())
+
+
+def checked_decomposition(field, terms):
+    """`canonical_decomposition` with its identity checked: sum h*z,
+    recomputed directly, equals sum (e_j t^r) * z_{r,j} to the common
+    precision."""
+    table = canonical_decomposition(field, terms)
+    prec = min([z.prec for _, z in terms] + [s.prec for s in table.values()])
+    direct = TwistedSeries.zero(field, prec)
+    for h, z in terms:
+        poly = SkewFraction.coerce(field, h).num
+        direct = direct + TwistedSeries.from_polynomial(poly, prec) * z
+    recomposed = TwistedSeries.zero(field, prec)
+    for (r, j), s in table.items():
+        basis = SkewPolynomial.t_power(field, r, field.h_basis[j])
+        recomposed = recomposed + TwistedSeries.from_polynomial(basis, prec) * s
+    common = min(direct.prec, recomposed.prec)
+    assert direct.truncate(common) == recomposed.truncate(common)
+    return table

@@ -35,7 +35,6 @@ from orefield.errors import (
     SingularElement,
     ZeroSeries,
 )
-from orefield.extend import _as_fraction
 from orefield.laurent import TwistedSeries
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
@@ -476,7 +475,7 @@ def tensor_make(scenario, values):
     field = scenario.field
     d = scenario.degree
     out = [SkewFraction.zero(field)] * d
-    for p, c in enumerate(_as_fraction(field, v) for v in values):
+    for p, c in enumerate(SkewFraction.coerce(field, v) for v in values):
         if c.is_zero():
             continue
         row = scenario.reduction_row(p)

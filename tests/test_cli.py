@@ -244,15 +244,16 @@ def test_verify_extend_and_field_construction_never_import_sympy():
     assert done.stdout.strip() == "[]"
 
 
-def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
-    """A catalog target needs no scenario-file reader, and verify parses no
-    expressions."""
+def loaded_after(commands, modules):
+    """Those of the modules that running the commands, one after another in
+    a fresh process, leaves in sys.modules."""
     script = (
         "import contextlib, io, sys\n"
         "from orefield import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--scenario', 'T1', '--seed', '7']) == 0\n"
-        "print(sorted(m for m in ('yaml', 'orefield.scenario_io', 'orefield.exprs') if m in sys.modules))\n"
+        f"    for argv in {commands!r}:\n"
+        "        assert cli.main(argv) == 0\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
     paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -260,7 +261,20 @@ def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
+    """A catalog target needs no scenario-file reader, and verify parses no
+    expressions."""
+    commands = [["verify", "--scenario", "T1", "--seed", "7"]]
+    assert loaded_after(commands, ("yaml", "orefield.scenario_io", "orefield.exprs")) == "[]"
+
+
+def test_eval_and_center_never_import_the_samplers():
+    """Only verify's seeded probes draw random elements."""
+    commands = [["eval", "t*i + i*t"], ["center", "--field", "gauss"]]
+    assert loaded_after(commands, ("orefield.sampling",)) == "[]"
 
 
 def test_values_at_the_caps_are_accepted(capsys):

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from orefield.catalog import scenario_catalog
 from orefield.errors import (
     InsufficientPrecision,
     MixedScenarios,
@@ -20,7 +21,6 @@ from orefield.extend import (
     ExtensionScenario,
     FiniteGroup,
     TensorElement,
-    canonical_decomposition,
     ext_tau,
     fixed_space,
     match_root_polynomial,
@@ -31,7 +31,7 @@ from orefield.sampling import random_tensor
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
-from conftest import GAUSS, HAMILTON
+from conftest import GAUSS, HAMILTON, checked_decomposition
 
 F = Fraction
 
@@ -368,7 +368,7 @@ def test_decomposition_splits_by_residue_and_basis_index():
     # i * t * z lands at exponent residue 1 with ground direction i
     z = GAUSSX.rho
     i_t = SkewPolynomial.from_coeffs(GAUSS, [[0, 0], [0, 1]])
-    table = canonical_decomposition(GAUSS, [(i_t, z)])
+    table = checked_decomposition(GAUSS, [(i_t, z)])
     assert table[(1, 1)] == z
     for key in ((0, 0), (0, 1), (1, 0)):
         assert table[key].is_zero()
@@ -377,7 +377,7 @@ def test_decomposition_splits_by_residue_and_basis_index():
 def test_decomposition_shifts_whole_periods_into_the_series():
     z = GAUSSX.rho
     t2 = SkewPolynomial.from_coeffs(GAUSS, [[0, 0], [0, 0], [1, 0]])
-    table = canonical_decomposition(GAUSS, [(t2, z)])
+    table = checked_decomposition(GAUSS, [(t2, z)])
     shifted = TwistedSeries.t_power(GAUSS, 2, z.prec + 2) * z
     assert table[(0, 0)] == shifted.truncate(z.prec)
 
@@ -387,32 +387,40 @@ def test_decomposition_zero_test():
     # all-zero table, and a nonvanishing one must show a nonzero entry
     z = QUAT.rho
     h = SkewPolynomial.from_coeffs(HAMILTON, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    cancelled = canonical_decomposition(HAMILTON, [(h, z), (h.scale_left(-HAMILTON.one()), z)])
+    cancelled = checked_decomposition(HAMILTON, [(h, z), (h.scale_left(-HAMILTON.one()), z)])
     assert all(entry.is_zero() for entry in cancelled.values())
-    alone = canonical_decomposition(HAMILTON, [(h, z)])
+    alone = checked_decomposition(HAMILTON, [(h, z)])
     assert any(not entry.is_zero() for entry in alone.values())
     assert alone[(0, 1)] == z
+
+
+def test_decomposition_identity_on_the_walkthrough_input():
+    # scripts/cubic_walkthrough.py decomposes f_0 * tau(3 + x^3) over Q
+    scn = scenario_catalog("T3L1")
+    z = ext_tau(TensorElement.make(scn, [3]) + TensorElement.x(scn) ** 3, 24)
+    table = checked_decomposition(scn.field, [(scn.f.coefficient(0), z)])
+    assert any(not entry.is_zero() for entry in table.values())
 
 
 def test_decomposition_rejects_true_fractions():
     z = QUAT.rho
     inv_t = rational_poly(HAMILTON, 0, 1).inv()
     with pytest.raises(NotPolynomial):
-        canonical_decomposition(HAMILTON, [(inv_t, z)])
+        checked_decomposition(HAMILTON, [(inv_t, z)])
 
 
 def test_decomposition_rejects_noninvariant_series():
     odd = TwistedSeries.t_power(GAUSS, 1, 6)
     with pytest.raises(NotInvariantSeries):
-        canonical_decomposition(GAUSS, [(GAUSS.one(), odd)])
+        checked_decomposition(GAUSS, [(GAUSS.one(), odd)])
     moved = TwistedSeries.make(GAUSS, 0, [[0, 1]], 6)
     with pytest.raises(NotInvariantSeries):
-        canonical_decomposition(GAUSS, [(GAUSS.one(), moved)])
+        checked_decomposition(GAUSS, [(GAUSS.one(), moved)])
 
 
 def test_decomposition_rejects_nonseries_input():
     with pytest.raises(TypeError):
-        canonical_decomposition(GAUSS, [(GAUSS.one(), 7)])
+        checked_decomposition(GAUSS, [(GAUSS.one(), 7)])
 
 
 # ------------------------------------------------------- series-to-element match
