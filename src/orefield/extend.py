@@ -832,9 +832,10 @@ class TensorElement:
         return TensorElement._raw(scenario, *sol)
 
     def __pow__(self, n: int) -> "TensorElement":
-        if n < 0:
-            return self.inv() ** (-n)
-        return kernel.power(self, n, TensorElement.one(self.scenario))
+        if n == 0:
+            return TensorElement.one(self.scenario)
+        x = self if n > 0 else self.inv()
+        return kernel.power(x, abs(n) - 1, x)
 
     def apply(self, g: str) -> "TensorElement":
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""

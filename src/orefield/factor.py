@@ -20,8 +20,6 @@ The certificates of `orefield.extend` and `orefield.tower` and the
 irreducibility test of `orefield.ground` (cubics and up) use it instead of
 sympy.
 
-`solve_fraction_free` is Bareiss elimination over Z[u].
-
 `RationalFunction` is the field Q(u) on the same lists: a reduced quotient
 of two integer polynomials.  `orefield.extend` keeps the coefficients of
 its central polynomials, reduction tables and Galois matrices in it.
@@ -42,8 +40,7 @@ from .errors import DivisionByZero
 Poly = list[int]
 
 __all__ = [
-    "content", "primitive", "gcd", "squarefree", "factor_list", "poly_str",
-    "solve_fraction_free", "RationalFunction",
+    "content", "primitive", "gcd", "squarefree", "factor_list", "poly_str", "RationalFunction",
 ]
 
 
@@ -141,38 +138,6 @@ def gcd(f: Sequence[int], g: Sequence[int]) -> Poly:
             return g
         f, g = g, primitive(_prem(f, g))[1]
     return f
-
-
-def solve_fraction_free(mat: list[list[Poly]], rhs: list[Poly]) -> tuple[list[Poly], Poly]:
-    """(x, D) with  mat @ x = D * rhs  over Z[u], D = +-det(mat).
-
-    Bareiss elimination (E. Bareiss, Math. Comp. 22, 1968): every division
-    is exact, so the entries stay minors of the input.  D is [] (and x
-    meaningless) for a singular matrix.
-    """
-    n = len(mat)
-    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
-    prev: Poly = [1]
-    for k in range(n):
-        p = next((i for i in range(k, n) if aug[i][k]), None)
-        if p is None:
-            return [[] for _ in range(n)], []
-        aug[k], aug[p] = aug[p], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            a = aug[i][k]
-            for j in range(k + 1, n + 1):
-                aug[i][j] = _divexact(_sub(_mul(aug[i][j], pivot), _mul(a, aug[k][j])), prev)
-            aug[i][k] = []
-        prev = pivot
-    det = aug[n - 1][n - 1]
-    x: list[Poly] = [[] for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        acc = _mul(det, aug[i][n])
-        for j in range(i + 1, n):
-            acc = _sub(acc, _mul(aug[i][j], x[j]))
-        x[i] = _divexact(acc, aug[i][i])
-    return x, det
 
 
 def squarefree(f: Sequence[int]) -> list[tuple[Poly, int]]:

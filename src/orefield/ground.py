@@ -19,10 +19,10 @@ from the structure constants (scaled to integers over one common
 denominator), the powers of the automorphism (a signed permutation such as
 complex conjugation compiles to sign flips, the identity to nothing), and an
 adjugate `adj(a)` with  a * adj(a) = N(a)  for a nonzero rational N(a)
-(closed forms for dimension <= 2 and for quaternions, fraction-free
-elimination otherwise).  They take coordinate tuples of Python ints (or of
-Fractions) and are what `orefield.kernel` runs every polynomial and series
-operation on.
+(closed forms up to base degree 2, Cayley-Hamilton by Newton's identities
+above).  They take coordinate tuples of Python ints (or of Fractions) and
+are what `orefield.kernel` runs every polynomial and series operation on,
+beside the reduced trace behind `skewpoly.norm_conjugate`.
 
 Quaternion configurations are assumed to describe division algebras (true
 for the classical choices with alpha, beta < 0 over the rationals);
@@ -146,6 +146,7 @@ class GroundField:
         self.center_basis = self._compute_center_basis()
         self.invariant_basis = self._compute_invariant_basis()
         self.h_basis = self._compute_h_basis()
+        self._compile_traces()
         self._splitting: list[list[Fraction]] | None = None
 
     # -- construction helpers -------------------------------------------
@@ -244,17 +245,32 @@ class GroundField:
                 b0, b1 = b
                 return (b0 - p1 * b1, -b1), b0 * b0 - p1 * b0 * b1 + p0 * b1 * b1
         else:
-            bmul = _compile_bilinear(
-                "bmul", _bilinear_terms(_power_table(self.base_poly, d), 1), accumulate=False
-            )
-            units = [(0,) * j + (1,) + (0,) * (d - j - 1) for j in range(d)]
+            table = _power_table(self.base_poly, d)
+            bmul = _compile_bilinear("bmul", _bilinear_terms(table, 1), accumulate=False)
+            # Tr(y^i) = sum_j (coordinate j of y^i * y^j): integers, p monic
+            btr = [int(sum(table[i][j][j] for j in range(d))) for i in range(d)]
+            one = (1,) + (0,) * (d - 1)
 
             def base_adj(b):
-                # adj(b) solves  L_b x = N e_0  for the matrix of b * (.)
-                cols = [bmul(b, u) for u in units]
-                return _solve_fraction_free(
-                    [[cols[j][i] for j in range(d)] for i in range(d)], units[0]
-                )
+                # Cayley-Hamilton: the power sums s_k = Tr(b^k) give the
+                # integer coefficients e_k of the characteristic polynomial
+                # by Newton's identities, and adj = sum (-1)^k e_k b^(d-1-k)
+                # has  b * adj = (-1)^(d+1) e_d = N(b)
+                powers = [one, b]
+                for _ in range(d - 1):
+                    powers.append(bmul(powers[-1], b))
+                s = [sum([c * x for c, x in zip(btr, pw)]) for pw in powers]
+                e = [1]
+                for k in range(1, d + 1):
+                    acc = 0
+                    for i in range(1, k + 1):
+                        acc += e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
+                    e.append(acc // k)
+                adj = [0] * d
+                for k in range(d):
+                    c = e[k] if k % 2 == 0 else -e[k]
+                    adj = [a + c * x for a, x in zip(adj, powers[d - 1 - k])]
+                return tuple(adj), e[d] if d % 2 else -e[d]
 
         name = self.name
         if self.kind != "quaternions":
@@ -280,6 +296,44 @@ class GroundField:
             return kmul(conj, adj_b + pad), norm
 
         return kadj
+
+    def _compile_traces(self) -> None:
+        """The reduced degree and the two traces behind `skewpoly.norm_conjugate`.
+
+        D(t) is central simple over K'(u), u = t^n, K' the invariant subfield
+        of dimension w = len(invariant_basis) over Q; its reduced degree m has
+        m^2 * w = dim * n.  With tr(a) the trace of left multiplication by a
+        on D over Q and pi the tr-orthogonal projection of D onto K', the
+        reduced trace is  Trd(sum a_k t^k) = sum_k m * pi(a_kn) u^k,  and the
+        trace of K' over Q is  w * tr(x) / dim  on x in K'.  Compiled over
+        integers like `ksig`:  ktrd(a) = trd_den * m * pi(a),
+        kconj(a) = trd_den * (m * pi(a) - a)  (the conjugate when m = 2) and
+        ktr(a) = tr_den * w * tr(a) / dim  in coordinate 0.
+        """
+        dim, basis = self.dim, self.invariant_basis
+        w = self.invariant_degree = len(basis)
+        m = self.reduced_degree = isqrt(dim * self.sigma_order // w)
+        units = [(0,) * i + (1,) + (0,) * (dim - i - 1) for i in range(dim)]
+        # mul_den * tr(e_i), and the invariant basis scaled to integers (pi
+        # is the same for any scaling of the basis)
+        tr = [sum(self.kmul(e, f)[j] for j, f in enumerate(units)) for e in units]
+        basis = [tuple(int(x * lcm(*(y.denominator for y in b))) for x in b) for b in basis]
+
+        def tr_of_product(a, b):
+            return Fraction(sum(x * y for x, y in zip(tr, self.kmul(a, b))))
+
+        # pi(e) = sum_j mu_j b_j with tr(pi(e) b) = tr(e b) for every basis element b
+        gram_inv = linalg.invert_matrix([[tr_of_product(b, c) for c in basis] for b in basis])
+        mus = [linalg.mat_vec(gram_inv, [tr_of_product(e, b) for b in basis]) for e in units]
+        trd = [[m * sum(mu[j] * b[r] for j, b in enumerate(basis)) for mu in mus] for r in range(dim)]
+        self.trd_den = lcm(*(x.denominator for row in trd for x in row))
+        trd = [[int(x * self.trd_den) for x in row] for row in trd]
+        self.ktrd = _compile_linear("ktrd", trd)
+        conj = [[x - self.trd_den * (r == c) for c, x in enumerate(row)] for r, row in enumerate(trd)]
+        self.kconj = _compile_linear("kconj", conj)
+        tr_k = [Fraction(w * x, dim * self.mul_den) for x in tr]
+        self.tr_den = lcm(*(x.denominator for x in tr_k))
+        self.ktr = _compile_linear("ktr", [[int(x * self.tr_den) for x in tr_k]] + [[0] * dim] * (dim - 1))
 
     # -- basic coordinate arithmetic -------------------------------------
 
@@ -573,32 +627,6 @@ def _compile_linear(name: str, matrix: list[list[int]]) -> Callable:
 
 def _identity(a):
     return a
-
-
-def _solve_fraction_free(mat: list[list[int]], rhs: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(x, D) with  mat @ x = D * rhs  over the integers, D = +-det(mat).
-
-    Bareiss elimination; D is 0 (and x meaningless) for a singular matrix.
-    """
-    n = len(mat)
-    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if aug[i][k]), None)
-        if p is None:
-            return (0,) * n, 0
-        aug[k], aug[p] = aug[p], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    det = aug[n - 1][n - 1]
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = det * aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = acc // aug[i][i]
-    return tuple(x), det
 
 
 def _check_min_poly(coeffs: Sequence) -> Coords:

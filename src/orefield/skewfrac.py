@@ -201,9 +201,10 @@ class SkewFraction:
         return SkewFraction._monic(self.num, self.den)
 
     def __pow__(self, n: int) -> "SkewFraction":
-        if n < 0:
-            return self.inv() ** (-n)
-        return kernel.power(self, n, SkewFraction.one(self.field))
+        if n == 0:
+            return SkewFraction.one(self.field)
+        x = self if n > 0 else self.inv()
+        return kernel.power(x, abs(n) - 1, x)
 
     def __str__(self) -> str:
         if self.den.degree == 0:

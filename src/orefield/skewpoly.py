@@ -474,51 +474,33 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
 
     So p^-1 = c(t^n)^-1 * q moves a denominator into the center (M.
     Giesbrecht, J. Symbolic Comput. 26, 1998; X. Caruso & J. Le Borgne,
-    J. Symbolic Comput. 79, 2017).  q is, up to a rational scalar:
-
-    * 1 when p is central and the invariant subfield is Q (all of Q[t]);
-    * the coefficientwise conjugate over a quaternion algebra over Q
-      (sigma = id there), so c is the reduced norm; over a quaternion
-      algebra over a number field K with sigma = id, that conjugate times
-      the adjugate of the reduced norm on K[t] (Bareiss over Z[u]);
-    * sigma(a) - b*t for p = a + b*t, a and b in F[t^2], over a quadratic
-      field F with sigma of order 2, so c = a*sigma(a) - b*sigma(b)*t^2;
-    * over any other number field K whose invariant subfield is Q (K/Q
-      cyclic, generated by sigma), row 0 of the adjugate of right
-      multiplication by p on D[t] as a free left K[u]-module with basis
-      1, t, ..., t^(n-1): c is the reduced norm;
-    * otherwise the column of the adjugate of left multiplication by p on
-      the free Q[u]-module D[t] (Bareiss over Z[u]), cut down to the
-      minimal central multiple of p.
+    J. Symbolic Comput. 79, 2017).  q is 1 when p is central and the
+    invariant subfield K' is Q.  Otherwise q comes from Cayley-Hamilton in
+    D(t), of reduced degree m over its center K'(u): Newton's identities turn
+    the reduced traces Trd(p^k) into the coefficients e_k of the reduced
+    characteristic polynomial, and q = sum_(k<m) (-1)^k e_k p^(m-1-k) has
+    p*q = +-Nrd(p).  At m = 2, q = Trd(p) - p: the quaternion conjugate, and
+    sigma(a) - b*t for p = a + b*t over a quadratic field.  When K' is not Q,
+    the same rule with the trace of K' over Q takes the norm down to Q[u];
+    then, or when m > 2, one `reduce_central` cuts c to the minimal central
+    multiple of p.
 
     Since D[t] is a domain, q*p = c central gives p*q = c too.
     """
+    from .factor import primitive
+
     if p.is_zero():
         raise DivisionByZero("the zero polynomial has no norm")
     field = p.field
-    rows, den = p.int_rows()
-    n = field.sigma_order
-    rational, full = len(field.invariant_basis) == 1, False
-    if rational and p.is_invariant_central():
+    w, m = field.invariant_degree, field.reduced_degree
+    if w == 1 and p.is_invariant_central():
         q = SkewPolynomial.one(field)
-    elif field.kind == "quaternions" and n == 1:
-        d = field.base_dim
-        q = SkewPolynomial._from_rows(field, [r[:d] + tuple([-x for x in r[d:]]) for r in rows], den)
-        if d > 1:
-            q = _adjugate_conjugate(q * p, d) * q
-    elif field.kind == "number-field" and field.dim == 2 and n == 2:
-        s, sig = field.sig_den, field.ksig[1]
-        q = SkewPolynomial._from_rows(
-            field,
-            [sig(r) if m % 2 == 0 else tuple(-s * x for x in r) for m, r in enumerate(rows)],
-            den * s,
-        )
-    elif field.kind == "number-field" and rational:
-        q = _cyclic_conjugate(p)
     else:
-        q, full = _adjugate_conjugate(p), True
+        q = _conjugate(p) if m == 2 else _cayley_hamilton(p, m, field.ktrd, field.trd_den)
+        if w > 1:
+            q = _cayley_hamilton(q * p, w, field.ktr, field.tr_den) * q
     prod, pden = (q * p).int_rows()
-    scale, c = _primitive_central(prod, n)
+    scale, c = primitive([prod[k][0] for k in range(0, len(prod), field.sigma_order)])
     if not c:
         raise NotInvertible(
             f"nonzero polynomial with zero norm in {field.name}; "
@@ -527,89 +509,51 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     # q*p = scale * c / pden, so (q * pden/scale) * p = c
     qrows, qden = q.int_rows()
     q = SkewPolynomial._from_rows(field, kernel.scale(qrows, pden), qden * scale)
-    if full:
-        # the full norm is a power of the minimal central multiple
+    if w > 1 or m > 2:
         c, (q,) = reduce_central(c, [q])
     return q, c
 
 
-def _primitive_central(rows: list, n: int) -> tuple[int, list[int]]:
-    """(s, c) with the central rows equal to s * c(t^n), c primitive with a
-    positive leading coefficient; the rows hold an element of Q[u]."""
-    from .factor import primitive
-
-    return primitive([rows[k][0] for k in range(0, len(rows), n)])
-
-
-def _cyclic_conjugate(p: SkewPolynomial) -> SkewPolynomial:
-    """A q with q*p in Q[u] over a number field K whose invariant subfield is
-    Q, from the matrix N of y -> y*p over K[u] (a commutative subring, since
-    sigma^n = id): t^i * p = sum_k N[i][k] * t^k.  Row 0 of adj(N) is
-    division-free by Laplace expansion along the columns k = 1, ..., n-1,
-    with the minors memoised by their row sets."""
+def _conjugate(p: SkewPolynomial) -> SkewPolynomial:
+    """Trd(p) - p for a field of reduced degree 2, in one pass over the rows:
+    the constant term of each power of u goes through `kconj`, the rest
+    changes sign."""
     field = p.field
-    n, zero = field.sigma_order, field.zero_row
-    cols: list[list[SkewPolynomial]] = [[] for _ in range(n)]
-    for i in range(n):
-        rows, den = (SkewPolynomial.t_power(field, i) * p).int_rows()
-        for k in range(n):
-            block = rows[k::n]
-            spread = [zero] * ((len(block) - 1) * n + 1) if block else []
-            spread[::n] = block
-            cols[k].append(SkewPolynomial._from_rows(field, spread, den))
-    minors = {(): SkewPolynomial.one(field)}
+    rows, den = p.int_rows()
+    n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
+    out = [kconj(r) if k % n == 0 else kscale(-s, r) for k, r in enumerate(rows)]
+    return SkewPolynomial._from_rows(field, out, den * s)
 
-    def minor(subset: tuple[int, ...]) -> SkewPolynomial:
-        # the rows `subset` of N against its last len(subset) columns
-        if subset not in minors:
-            col = cols[n - len(subset)]
-            total = SkewPolynomial.zero(field)
-            for idx, r in enumerate(subset):
-                term = col[r] * minor(subset[:idx] + subset[idx + 1 :])
-                total = total - term if idx % 2 else total + term
-            minors[subset] = total
-        return minors[subset]
 
-    q = SkewPolynomial.zero(field)
-    for i in range(n):
-        cofactor = minor(tuple(r for r in range(n) if r != i)) * SkewPolynomial.t_power(field, i)
-        q = q - cofactor if i % 2 else q + cofactor
+def _trace(p: SkewPolynomial, ktr, over: int) -> SkewPolynomial:
+    """The trace `ktr`/over of p, coefficientwise on the powers of u = t^n."""
+    field = p.field
+    rows, den = p.int_rows()
+    out = [field.zero_row] * len(rows)
+    out[:: field.sigma_order] = map(ktr, rows[:: field.sigma_order])
+    return SkewPolynomial._from_rows(field, out, den * over)
+
+
+def _cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> SkewPolynomial:
+    """q = sum_(k<m) (-1)^k e_k p^(m-1-k), so that  p*q = q*p = +-e_m,  for
+    the degree-m characteristic polynomial of p whose power sums are the
+    traces s_k = ktr(p^k)/over: k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
+    q is summed by Horner's rule."""
+    if m == 1:
+        return SkewPolynomial.one(p.field)
+    powers = [p]
+    for _ in range(m - 2):
+        powers.append(powers[-1] * p)
+    sums = [_trace(x, ktr, over) for x in powers]
+    e, q = [], p
+    for k in range(1, m):
+        # e[k-1] = e_k; the term i = k has e_0 = 1
+        acc = sums[k - 1] if k % 2 else -sums[k - 1]
+        for i in range(1, k):
+            term = e[k - i - 1] * sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(times_central(acc, [1], k))
+        q = q - e[-1] if k % 2 else q + e[-1]
+        if k < m - 1:
+            q = q * p
     return q
-
-
-def _adjugate_conjugate(p: SkewPolynomial, dim: int = 0) -> SkewPolynomial:
-    """A q with p*q in Z[u], from the matrix of y -> p*y over Z[u]; on the
-    span of the first `dim` basis elements times powers of t when p keeps
-    it (the base field K[t] of a quaternion algebra), else on all of D[t]."""
-    from .factor import solve_fraction_free
-
-    field = p.field
-    n, zero = field.sigma_order, field.zero_row
-    dim = dim or field.dim
-    rows = p.int_rows()[0]
-    size = n * dim
-    mat = [[[] for _ in range(size)] for _ in range(size)]
-    for r in range(n):
-        for l in range(dim):
-            unit = zero[:l] + (1,) + zero[l + 1 :]
-            image = kernel.mul_rows(field, rows, [zero] * r + [unit])
-            for m, row in enumerate(image):
-                k, rr = divmod(m, n)
-                for ll, a in enumerate(row):
-                    if a:
-                        entry = mat[rr * dim + ll][r * dim + l]
-                        entry.extend([0] * (k + 1 - len(entry)))
-                        entry[k] = a
-    rhs = [[1]] + [[] for _ in range(size - 1)]
-    y, det = solve_fraction_free(mat, rhs)
-    if not det:
-        raise NotInvertible(f"nonzero polynomial with zero norm in {field.name}")
-    depth = max(len(v) for v in y)
-    out = [zero] * (depth * n)
-    for r in range(n):
-        for l in range(dim):
-            for k, a in enumerate(y[r * dim + l]):
-                if a:
-                    m = k * n + r
-                    out[m] = out[m][:l] + (a,) + out[m][l + 1 :]
-    return SkewPolynomial._from_rows(field, out, 1)

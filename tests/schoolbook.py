@@ -6,8 +6,11 @@ work coefficient by coefficient on `Fraction` coordinate tuples and call
 nothing of the package's own arithmetic, so a kernel test compares two
 independent computations.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
-worked on its canonical form alone.  The central polynomial routines are
-the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
+worked on its canonical form alone.  The Bareiss norm conjugate (adjugate
+of left multiplication, eliminated over Z[u]) is what
+`skewpoly.norm_conjugate` ran for fields without a closed form before it
+moved to Cayley-Hamilton on reduced traces.  The central polynomial
+routines are the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
 central coefficients became pairs over Z[u].  The tensor routines are the
 `SkewFraction`-coordinate arithmetic of `TensorElement` before it moved to
 one central denominator, with the Gauss-Jordan solve it inverted by.  The
@@ -19,6 +22,7 @@ tests imports this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from itertools import zip_longest
 
@@ -363,6 +367,121 @@ def common_left_multiple(a, b):
     u, v = u_cur, -v_cur
     c = inv_coords(field, _coords(u)[-1])
     return _scale_left(u, c), _scale_left(v, c)
+
+
+# -- norm conjugates by elimination --------------------------------------------
+
+
+def _zu_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _zu_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _zu_sub(f, g):
+    out = list(f) + [0] * (len(g) - len(f))
+    for k, b in enumerate(g):
+        out[k] -= b
+    return _zu_trim(out)
+
+
+def _zu_divexact(f, g):
+    r, q = list(f), [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + len(g) - 1], g[-1])
+        assert not rem, "inexact division in Z[u]"
+        q[k] = c
+        for j, b in enumerate(g):
+            r[k + j] -= c * b
+    assert not any(r), "inexact division in Z[u]"
+    return _zu_trim(q)
+
+
+def solve_fraction_free(mat, rhs):
+    """(x, D) with  mat @ x = D * rhs  over Z[u], D = +-det(mat).
+
+    Bareiss elimination (E. Bareiss, Math. Comp. 22, 1968): every division
+    is exact, so the entries stay minors of the input.  D is [] (and x
+    meaningless) for a singular matrix.
+    """
+    n = len(mat)
+    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+    prev = [1]
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        if p is None:
+            return [[] for _ in range(n)], []
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot = aug[k][k]
+        for i in range(k + 1, n):
+            a = aug[i][k]
+            for j in range(k + 1, n + 1):
+                aug[i][j] = _zu_divexact(_zu_sub(_zu_mul(aug[i][j], pivot), _zu_mul(a, aug[k][j])), prev)
+            aug[i][k] = []
+        prev = pivot
+    det = aug[n - 1][n - 1]
+    x = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        acc = _zu_mul(det, aug[i][n])
+        for j in range(i + 1, n):
+            acc = _zu_sub(acc, _zu_mul(aug[i][j], x[j]))
+        x[i] = _zu_divexact(acc, aug[i][i])
+    return x, det
+
+
+def bareiss_norm_conjugate(p):
+    """(q, c) with  q*p = c(t^n),  c in Z[u]: q is the adjugate column of
+    y -> p*y on D[t] as a free Z[u]-module with basis e_l t^r (l < dim,
+    r < n), and c is the full norm, not cut to p's minimal central
+    multiple.  Raises NotInvertible when that norm is zero."""
+    field = p.field
+    n, dim = field.sigma_order, field.dim
+    size = n * dim
+    # the images p * e_l t^r, their coordinates over a common denominator
+    images = []
+    for r in range(n):
+        for l in range(dim):
+            unit = _poly(field, [field.zero().coords] * r + [_unit(dim, l)])
+            images.append(_coords(poly_mul(p, unit)))
+    den = 1
+    for image in images:
+        for a in image:
+            for x in a:
+                den = lcm(den, x.denominator)
+    mat = [[[] for _ in range(size)] for _ in range(size)]
+    for col, image in enumerate(images):
+        for m, a in enumerate(image):
+            k, rr = divmod(m, n)
+            for ll, x in enumerate(a):
+                if x:
+                    entry = mat[rr * dim + ll][col]
+                    entry.extend([0] * (k + 1 - len(entry)))
+                    entry[k] = int(x * den)
+    y, det = solve_fraction_free(mat, [[1]] + [[] for _ in range(size - 1)])
+    if not det:
+        raise NotInvertible(f"nonzero polynomial with zero norm in {field.name}")
+    coords = [[Fraction(0)] * dim for _ in range(n * max(len(v) for v in y))]
+    for r in range(n):
+        for l in range(dim):
+            for k, a in enumerate(y[r * dim + l]):
+                coords[k * n + r][l] = Fraction(a)
+    q = _poly(field, coords)
+    # (den p) * q = det, so q * p = det / den as well (a domain)
+    prod = _coords(poly_mul(q, p))
+    scale = 1
+    for a in prod:
+        for x in a:
+            scale = lcm(scale, x.denominator)
+    c = [int(prod[k][0] * scale) for k in range(0, len(prod), n)]
+    return _poly(field, [tuple(scale * x for x in a) for a in _coords(q)]), c
 
 
 # -- left fractions ------------------------------------------------------------

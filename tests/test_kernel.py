@@ -8,6 +8,7 @@ constants or automorphism matrices are not integral.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from orefield.skewfrac import SkewFraction
 from orefield.factor import content as fcontent
 from orefield.skewpoly import (
     SkewPolynomial,
-    _adjugate_conjugate,
+    _trace,
     central_polynomial,
     common_left_multiple,
     gcld,
@@ -48,16 +49,20 @@ from orefield.skewpoly import (
 # i^2 = -1/2: the structure constants have denominator 2
 HALF_QUATERNIONS = make_quaternions(Fraction(-1, 2), -3, name="(-1/2,-3)")
 # y = 2*theta for theta^3 - 3 theta + 1 = 0; sigma(y) = y^2/2 - 4 has a
-# denominator, and the order-3 automorphism needs the eliminated adjugate
+# denominator, and its degree 3 takes the Cayley-Hamilton ground adjugate
 CUBIC = make_number_field([8, -12, 0, 1], sigma_image=[-4, 0, Fraction(1, 2)], name="cubic")
 STATIC_ROOT2 = make_number_field([-2, 0, 1], sigma_image=[0, 1], name="Q(sqrt2)/id")
 # y^2 + y + 1: a quadratic with a nonzero y-coefficient
 EISENSTEIN = make_number_field([1, 1, 1], sigma_image=[-1, -1], name="Q(w)/conj")
+# the fifth cyclotomic field with sigma(z) = z^2 of order 4: its ground
+# adjugate divides by 3 in Newton's identities, and its norm conjugate has
+# reduced degree 4 over a commutative ground
+ZETA5 = make_number_field([1, 1, 1, 1, 1], sigma_image=[0, 0, 1, 0], name="Q(zeta5)")
 # definite quaternions over the real quadratic field Q[y]/(y^2 - y - 1): the
 # adjugate goes through the norm of the base field
 H_GOLDEN = make_quaternions(-1, -1, min_poly=[-1, -1, 1], name="H over Q(sqrt5)")
 
-FIELDS = ALL_FIELDS + [HALF_QUATERNIONS, CUBIC, STATIC_ROOT2, EISENSTEIN]
+FIELDS = ALL_FIELDS + [HALF_QUATERNIONS, CUBIC, STATIC_ROOT2, EISENSTEIN, ZETA5]
 FIELD_IDS = [f.name for f in FIELDS]
 
 
@@ -221,6 +226,32 @@ def test_fraction_normalisation_matches_reference_fixed_seed(field):
         _check_fraction(num, den)
         _check_fraction(c * num, c * den)
         _check_fraction(den, SkewPolynomial.constant(field, random_nonzero_element(field, rng)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_fraction_powers_match_repeated_products(field, monkeypatch):
+    """x ** k is the product of |k| factors x (or x^-1), and x ** -1 is the
+    inverse itself: no `make`, so no multiplication by one."""
+    rng = random.Random(61)
+    one = SkewFraction.one(field)
+    for _ in range(3):
+        x = SkewFraction.make(random_nonzero_polynomial(field, rng, 2), random_nonzero_polynomial(field, rng, 2))
+        for k in range(-3, 4):
+            factor, expected = x if k > 0 else x.inv(), one
+            for _ in range(abs(k)):
+                expected = expected * factor
+            assert same_fraction(x ** k, expected)
+        calls = []
+        make = SkewFraction.make
+
+        def counting(num, den):
+            calls.append(1)
+            return make(num, den)
+
+        monkeypatch.setattr(SkewFraction, "make", staticmethod(counting))
+        assert same_fraction(x ** -1, x.inv())
+        monkeypatch.undo()
+        assert not calls
 
 
 # -- twisted Laurent series ---------------------------------------------------------
@@ -462,14 +493,15 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
 
 # -- norm conjugates ------------------------------------------------------------------
 
-# quaternions over Q(sqrt2) with sigma(sqrt2) = -sqrt2: the Bareiss rule's
-# full norm has four times the degree of the minimal central multiple
+# quaternions over Q(sqrt2) with sigma(sqrt2) = -sqrt2: reduced degree 4, and
+# the full norm of left multiplication has four times the degree of the
+# minimal central multiple
 H_FLIP = make_quaternions(-1, -1, min_poly=[-2, 0, 1], sigma_image=[0, -1], name="H over Q(sqrt2)/flip")
 NORM_FIELDS = FIELDS + [H_GOLDEN, H_FLIP]
-# the fields with a closed-form or structured norm conjugate (the cyclic
-# rule over CUBIC, conjugate times base adjugate over H_GOLDEN); the others
-# run the Bareiss rule
-CLOSED_FORM = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN, CUBIC, H_GOLDEN]
+NORM_IDS = [f.name for f in NORM_FIELDS]
+# the fields of reduced degree at most 2 over the invariant subfield Q: c is
+# the reduced norm, uncut; every other field cuts it to the minimal multiple
+REDUCED_NORM_FIELDS = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN]
 
 
 def _check_norm_conjugate(p):
@@ -478,8 +510,7 @@ def _check_norm_conjugate(p):
     central = central_polynomial(p.field, c)
     assert q * p == central and p * q == central
     assert central.is_invariant_central()
-    if p.field not in CLOSED_FORM:
-        # the Bareiss rule cuts its full norm down to the minimal multiple
+    if p.field not in REDUCED_NORM_FIELDS:
         assert reduce_central(c, [q])[0] == c
     return q, c
 
@@ -492,14 +523,34 @@ def _central_poly(field, rng):
     return SkewPolynomial.from_coeffs(field, coeffs)
 
 
-@pytest.mark.parametrize("field", NORM_FIELDS, ids=[f.name for f in NORM_FIELDS])
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_reduced_degree_and_reduced_trace(field):
+    """m^2 w = dim n, Trd(1) = m, Trd(p) = m p for invariant-central p, and
+    Trd(p) is invariant central for any p."""
+    m, w = field.reduced_degree, field.invariant_degree
+    assert w == len(field.invariant_basis)
+    assert m * m * w == field.dim * field.sigma_order
+
+    def trd(p):
+        return _trace(p, field.ktrd, field.trd_den)
+
+    one = SkewPolynomial.one(field)
+    assert trd(one) == SkewPolynomial.constant(field, m)
+    rng = random.Random(29)
+    for _ in range(4):
+        p = _central_poly(field, rng)
+        assert trd(p) == times_central(p, [m])
+        assert trd(random_polynomial(field, rng, 5)).is_invariant_central()
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_norm_conjugate_is_central(field, data):
     _check_norm_conjugate(data.draw(nonzero_polys(field)))
 
 
-@pytest.mark.parametrize("field", NORM_FIELDS, ids=[f.name for f in NORM_FIELDS])
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
 def test_norm_conjugate_is_central_fixed_seed(field):
     rng = random.Random(41)
     for _ in range(5):
@@ -510,18 +561,87 @@ def test_norm_conjugate_is_central_fixed_seed(field):
         _check_norm_conjugate(_central_poly(field, rng))
 
 
-@pytest.mark.parametrize("field", CLOSED_FORM, ids=[f.name for f in CLOSED_FORM])
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
 def test_closed_form_norm_conjugates_match_the_bareiss_rule(field):
-    """Both give p^-1 = c^-1 * q; reduced to the minimal central multiple c
-    of p they are the same canonical pair."""
+    """The Cayley-Hamilton rule and the adjugate of left multiplication
+    (`schoolbook.bareiss_norm_conjugate`) both give p^-1 = c^-1 * q; reduced
+    to the minimal central multiple c of p they are the same canonical pair."""
     rng = random.Random(43)
     cases = [random_nonzero_polynomial(field, rng, 3) for _ in range(6)]
     cases += [SkewPolynomial.t_power(field, 3, random_nonzero_element(field, rng)), _central_poly(field, rng)]
     for p in cases:
         q, c = norm_conjugate(p)
-        adj = _adjugate_conjugate(p)
-        # adj * p = full / den, so p^-1 = full^-1 * (den * adj)
-        prod, den = (adj * p).int_rows()
-        full = [prod[k][0] for k in range(0, len(prod), field.sigma_order)]
-        mine, bareiss = reduce_central(c, [q]), reduce_central(full, [times_central(adj, [den])])
+        adj, full = sb.bareiss_norm_conjugate(p)
+        assert adj * p == central_polynomial(field, full)
+        mine, bareiss = reduce_central(c, [q]), reduce_central(full, [adj])
         assert mine[0] == bareiss[0] and mine[1] == bareiss[1]
+
+
+def _conjugate_pair(p, w):
+    """(w / lam, c) for the lam that makes  w * p = lam * c(t^n)  with c
+    primitive and a positive leading coefficient, written out in Fractions."""
+    field = p.field
+    prod = w * p
+    values = [prod.coefficient(k).coords[0] for k in range(0, prod.degree + 1, field.sigma_order)]
+    den = lcm(*(x.denominator for x in values))
+    ints = [int(x * den) for x in values]
+    lam = Fraction(gcd(*ints) * (1 if ints[-1] > 0 else -1), den)
+    scaled = [field.element([x / lam for x in a.coords]) for a in w.coeffs]
+    return SkewPolynomial.from_coeffs(field, scaled), [int(x / lam) for x in values]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GAUSS, HAMILTON], ids=["Q", "gauss", "hamilton"])
+def test_norm_conjugate_keeps_the_closed_forms(field):
+    """Over Q, Q(i) and H_Q the pair is the written-out closed form: a
+    rational constant, sigma(a) - b*t for p = a + b*t (a, b in Q(i)[t^2]),
+    and the coefficientwise quaternion conjugate."""
+    rng = random.Random(47)
+    for _ in range(10):
+        p = random_nonzero_polynomial(field, rng, 4)
+        if field is RATIONALS:
+            w = SkewPolynomial.one(field)
+        elif field is GAUSS:
+            w = SkewPolynomial.from_coeffs(
+                field, [a.sigma() if k % 2 == 0 else -a for k, a in enumerate(p.coeffs)]
+            )
+        else:
+            w = SkewPolynomial.from_coeffs(
+                field, [[a.coords[0]] + [-x for x in a.coords[1:]] for a in p.coeffs]
+            )
+        q, c = norm_conjugate(p)
+        expected_q, expected_c = _conjugate_pair(p, w)
+        assert c == expected_c and same(q, expected_q)
+
+
+def test_split_algebra_norm_conjugate_raises_on_zero_norm():
+    """In the split algebra (1, 1 / Q), 1 + i has reduced norm 0, and so has
+    every multiple of it; a polynomial of nonzero norm still gets one."""
+    split = make_quaternions(1, 1, name="split")
+    zero_norm = SkewPolynomial.from_coeffs(split, [[1, 1, 0, 0]])
+    one_plus_t = SkewPolynomial.from_coeffs(split, [1, 1])
+    for p in (zero_norm, zero_norm * one_plus_t):
+        with pytest.raises(NotInvertible):
+            norm_conjugate(p)
+    p = SkewPolynomial.from_coeffs(split, [[1, 0, 1, 0], [0, 2, 0, 1], [3, 0, 0, 0]])
+    q, c = norm_conjugate(p)
+    central = central_polynomial(split, c)
+    assert q * p == central and p * q == central
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_norm_conjugates_and_ground_adjugates_run_on_integer_rows(field, monkeypatch):
+    """`norm_conjugate` and the ground adjugate `kadj` (Newton's identities
+    over Z for base fields of degree 3 and up) do no Fraction arithmetic."""
+    rng = random.Random(53)
+    cases = [random_nonzero_polynomial(field, rng, 3) for _ in range(3)] + [_central_poly(field, rng)]
+    rows = [p.int_rows()[0][-1] for p in cases]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in a norm conjugate or adjugate")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    for p in cases:
+        norm_conjugate(p)
+    for a in rows:
+        field.kadj(a)

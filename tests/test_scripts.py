@@ -1,9 +1,10 @@
 """The scripts reproduce what the repository commits and prints.
 
 `scripts/export_scenarios.py` must regenerate every file in `scenarios/`
-byte for byte (compared in memory; nothing is written), and the output of
+byte for byte (compared in memory; nothing is written), the output of
 `scripts/cubic_walkthrough.py` (root lifting, Galois orbit, tau and the
-canonical decomposition of the cubic) is pinned by its sha256.
+canonical decomposition of the cubic) is pinned by its sha256, and
+`scripts/verify_catalog.py` passes every catalog tower.
 """
 
 import contextlib
@@ -55,3 +56,14 @@ def test_cubic_walkthrough_output_is_pinned():
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(SCRIPTS / "cubic_walkthrough.py"), run_name="__main__")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == WALKTHROUGH_SHA256
+
+
+def test_verify_catalog_passes_every_tower(monkeypatch):
+    monkeypatch.setattr("sys.argv", ["verify_catalog.py", "--seed", "7"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "verify_catalog.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    lines = out.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines] == list(tower_names())
+    assert all(", 0 failing, " in line and "[fail]" not in line for line in lines)

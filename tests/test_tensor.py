@@ -35,10 +35,10 @@ def quadratic(name, field, constant):
 
 # x^2 = (1 + sqrt2*u)/(1 + u) over Q(sqrt2) with sigma = id: the invariant
 # subfield is Q(sqrt2), so the central coefficients stay `SkewFraction`s and
-# the norm conjugates run the Bareiss rule
+# the norm conjugates take a second Cayley-Hamilton pass down to Q[u]
 ROOT2_SCENARIO = quadratic("Q(sqrt2)/id", STATIC, central_fraction(STATIC, [1], [1, 1], [0, 1]))
-# the norm conjugates of the cyclic rule (a cubic field with sigma of order
-# 3) and of quaternions over a number field
+# norm conjugates of reduced degree 3 (a cubic field with sigma of order 3)
+# and over quaternions over a number field (two passes)
 CUBIC_SCENARIO = quadratic("cubic", CUBIC, central_fraction(CUBIC, [1, 2], [1, 1]))
 GOLDEN_SCENARIO = quadratic("H/Q(sqrt5)", H_GOLDEN, central_fraction(H_GOLDEN, [1, 2], [1, 1]))
 SCENARIOS = [scenario_catalog(name) for name in ("T1L1", "T2L1", "T3L1")]
@@ -188,3 +188,18 @@ def test_products_inverses_and_equality_make_no_ore_reduction(monkeypatch):
         assert a * a.inv() == one
         assert (a * b == b * a) in (True, False)
     assert calls == []
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=IDS[:3])
+def test_powers_match_repeated_products(scenario):
+    rng = random.Random(41)
+    one = TensorElement.one(scenario)
+    for _ in range(2):
+        a = random_tensor(scenario, rng, max_degree=1)
+        if a.is_zero():
+            continue
+        for k in range(-3, 4):
+            factor, expected = a if k > 0 else a.inv(), one
+            for _ in range(abs(k)):
+                expected = expected * factor
+            assert a ** k == expected and str(a ** k) == str(expected)
