@@ -247,9 +247,10 @@ def _tau_probe(a: TensorElement, b: TensorElement) -> tuple[bool, str]:
     # Denominators spend some of the root's precision, so step the request
     # down until all three evaluations fit.
     want = a.scenario.precision
+    ab = a * b
     while True:
         try:
-            lhs = ext_tau(a * b, want)
+            lhs = ext_tau(ab, want)
             rhs = ext_tau(a, want) * ext_tau(b, want)
             break
         except InsufficientPrecision:

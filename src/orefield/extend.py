@@ -31,7 +31,10 @@ the rest of the package (towers, command line) consumes:
   runs an Ore reduction; `coords` shows the coordinates as canonical
   `SkewFraction`s, built on first use.
 * `ext_tau` -- evaluation at the series root, a homomorphism into the
-  twisted Laurent series.
+  twisted Laurent series: c(t^n)^-1 * sum_i P_i rho^i, one division by the
+  central denominator, computed once per element.  The root residual and
+  the tower embedding check evaluate on rho's `CentralSeries` form when it
+  has one.
 * `canonical_decomposition` -- rewrites a sum of (polynomial) * (invariant
   series) products over the canonical left basis e_j t^r, so that the sum
   vanishes exactly when every table entry does.  It does not recompute the
@@ -63,11 +66,13 @@ from .errors import (
 )
 from .ground import GroundElement, GroundField
 from .laurent import (
+    CentralSeries,
     TwistedSeries,
     embed_fraction,
     evaluate_poly,
     is_invariant_series,
     newton_root,
+    solve_left,
 )
 from .skewfrac import SkewFraction, is_central
 from .skewpoly import (
@@ -308,10 +313,14 @@ class CentralPolynomial:
     def embed_coefficients(self, prec: int) -> list[TwistedSeries]:
         return [embed_fraction(c, prec) for c in self.coeffs]
 
-    def evaluate_series(self, point: TwistedSeries) -> TwistedSeries:
+    def evaluate_series(self, point):
+        """The value at a `TwistedSeries`, or at a `CentralSeries` over a
+        rational invariant subfield, as a series of the point's kind."""
+        if isinstance(point, CentralSeries) and not _rational_invariants(self.field):
+            point = point.to_twisted()
         if self.is_zero():
-            return TwistedSeries.zero(self.field, point.prec)
-        return evaluate_poly(self.embed_coefficients(point.prec), point)
+            return type(point).zero(self.field, point.prec)
+        return evaluate_poly(_series_coefficients(self, point, point.prec), point)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -330,6 +339,14 @@ class CentralPolynomial:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _series_coefficients(p: CentralPolynomial, point, prec: int) -> list:
+    """p's coefficients as series at precision prec, of the point's kind: a
+    `CentralSeries` point takes them from the Z[u] pairs of `central_coeffs`."""
+    if isinstance(point, CentralSeries):
+        return [CentralSeries.embed(p.field, c.num, c.den, prec) for c in p.central_coeffs]
+    return p.embed_coefficients(prec)
 
 
 class FiniteGroup:
@@ -420,7 +437,8 @@ class ExtensionScenario:
     * the image polynomial q_g for every group element (closure of the
       generator images under the table, with consistency checks),
     * the matrices of the induced linear maps,
-    * the series root rho, lifted once at padded precision.
+    * the series root rho, lifted once at padded precision, and its central
+      form (`root`, `root_work`) when it has one.
 
     The reduction vectors and matrices are computed on central coefficients
     (see `CentralPolynomial`); `reduction_row` and `matrix` show them as
@@ -470,6 +488,8 @@ class ExtensionScenario:
         self._mtables: dict[str, tuple[list[int], list[tuple[SkewPolynomial, ...]]]] = {}
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
+        self._root_work: CentralSeries | TwistedSeries | None = None
+        self._root_powers: list | None = None
         self._rho_powers: list[TwistedSeries] | None = None
 
     @property
@@ -633,12 +653,39 @@ class ExtensionScenario:
         return self._rho
 
     @property
+    def root_work(self) -> CentralSeries | TwistedSeries:
+        """`rho_work` in the form the checks compute with: its `CentralSeries`
+        when the invariant subfield is Q and rho lies in Q((u)), as every
+        catalog root does, and `rho_work` itself otherwise."""
+        if self._root_work is None:
+            work = self.rho_work
+            central = CentralSeries.from_twisted(work) if _rational_invariants(self.field) else None
+            self._root_work = work if central is None else central
+        return self._root_work
+
+    @property
+    def root(self) -> CentralSeries | TwistedSeries:
+        """`rho` in the form of `root_work`."""
+        work = self.root_work
+        return work if work.prec <= self.precision else work.truncate(self.precision)
+
+    @property
+    def root_powers(self) -> list:
+        """root^0 .. root^(d-1), in the form of `root`."""
+        if self._root_powers is None:
+            root = self.root
+            powers = [type(root).from_ground(self.field.one(), root.prec)]
+            for _ in range(self.degree - 1):
+                powers.append(powers[-1] * root)
+            self._root_powers = powers
+        return self._root_powers
+
+    @property
     def rho_powers(self) -> list[TwistedSeries]:
         if self._rho_powers is None:
-            powers = [TwistedSeries.one(self.field, self.rho.prec)]
-            for _ in range(self.degree - 1):
-                powers.append(powers[-1] * self.rho)
-            self._rho_powers = powers
+            self._rho_powers = [
+                p.to_twisted() if isinstance(p, CentralSeries) else p for p in self.root_powers
+            ]
         return self._rho_powers
 
     def validate(self) -> None:
@@ -667,7 +714,7 @@ class TensorElement:
     coordinates (anything `make` coerces) and brings them to that form.
     """
 
-    __slots__ = ("scenario", "den", "polys", "_coords")
+    __slots__ = ("scenario", "den", "polys", "_coords", "_tau")
 
     def __init__(self, scenario: ExtensionScenario, coords: Sequence) -> None:
         d = scenario.degree
@@ -676,13 +723,14 @@ class TensorElement:
         made = TensorElement.make(scenario, coords)
         self.scenario, self.den, self.polys = scenario, made.den, made.polys
         self._coords: tuple[SkewFraction, ...] | None = None
+        self._tau: TwistedSeries | None = None
 
     @classmethod
     def _raw(cls, scenario: ExtensionScenario, den: Sequence[int], polys: Sequence) -> "TensorElement":
         """den(t^n)^-1 * sum_i polys[i] x^i from parts in canonical form."""
         element = cls.__new__(cls)
         element.scenario, element.den, element.polys = scenario, tuple(den), tuple(polys)
-        element._coords = None
+        element._coords = element._tau = None
         return element
 
     @classmethod
@@ -930,22 +978,59 @@ def fixed_space(
 def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
     """Evaluate at the series root:  sum_i v_i rho^i,  then truncate.
 
+    The value at the full precision the root allows is computed once and
+    kept on the element, so a request at a lower precision only truncates.
     Raises InsufficientPrecision when denominator valuations eat more
     precision than the scenario's root supplies.
     """
+    if element._tau is None:
+        element._tau = _value_at_root(element)
+    tau = element._tau
+    if tau.prec < precision:
+        raise InsufficientPrecision(
+            f"tau reached O(t^{tau.prec}) but O(t^{precision}) was requested"
+        )
+    return tau.truncate(precision)
+
+
+def _value_at_root(element: TensorElement) -> TwistedSeries:
+    """c(t^n)^-1 * sum_i P_i rho^i: sparse polynomial-times-series products
+    and one division by the central denominator.
+
+    The result is cut to the precision the coordinate-wise sum
+    sum_i embed(v_i, N) * rho^i  reaches, N = rho.prec:  the least of N and,
+    for each nonzero v_i = c^-1 P_i of valuation w_i,
+    min(N + val rho^i, prec rho^i + min(w_i, N))  (the product rule, with
+    the embedded v_i known to N).  The sum itself is known beyond that.
+    """
     scenario = element.scenario
     field = scenario.field
-    work = scenario.rho.prec
-    acc = TwistedSeries.zero(field, work)
-    for i, c in enumerate(element.coords):
-        if c.is_zero():
+    top = scenario.rho.prec
+    v = field.sigma_order * next(k for k, a in enumerate(element.den) if a)
+    zero = field.zero_row
+    reach = top
+    acc = None
+    for p, power in zip(element.polys, scenario.root_powers):
+        if p.is_zero():
             continue
-        acc = acc + embed_fraction(c, work) * scenario.rho_powers[i]
-    if acc.prec < precision:
-        raise InsufficientPrecision(
-            f"tau reached O(t^{acc.prec}) but O(t^{precision}) was requested"
-        )
-    return acc.truncate(precision)
+        low = next(m for m, r in enumerate(p.int_rows()[0]) if r != zero)
+        reach = min(reach, top + power.val, power.prec + min(low - v, top))
+        # P_i rho^i is known to prec rho^i + low, as the product rule says
+        work = power.prec + low - power.val
+        if isinstance(power, CentralSeries):
+            # rho^i = t^val * (sum_k a_k u^k)/den commutes with P_i
+            ints, den = power.int_coeffs()
+            term = TwistedSeries.from_polynomial(times_central(p, ints, den), work).shift(power.val)
+        else:
+            term = TwistedSeries.from_polynomial(p, work) * power
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return TwistedSeries.zero(field, top)
+    if element.den != (1,):
+        c = central_polynomial(field, element.den)
+        work = max(acc.prec, acc.prec + v - acc.val, v + 1)
+        acc = solve_left(TwistedSeries.from_polynomial(c, work), acc)
+    return acc.truncate(reach)
 
 
 # -- canonical decomposition --------------------------------------------------
@@ -1271,9 +1356,9 @@ def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
         return _irreducibility_certificate(scenario)
 
     def check_residual():
-        rho = scenario.rho_work
+        rho = scenario.root_work
         work = rho.prec + scenario._coefficient_valuation_pad()
-        value = evaluate_poly(scenario.f.embed_coefficients(work), rho)
+        value = evaluate_poly(_series_coefficients(scenario.f, rho, work), rho)
         if not value.is_zero():
             first = value.val
             return ("fail", f"f(rho) has a nonzero coefficient at t^{first}")

@@ -36,6 +36,7 @@ from math import gcd as igcd, isqrt
 from typing import Sequence
 
 from .errors import DivisionByZero
+from .kernel import power
 
 Poly = list[int]
 
@@ -494,12 +495,10 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inv() ** -n
-        out = _ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return _ONE
+        x = self if n > 0 else self.inv()
+        return power(x, abs(n) - 1, x)
 
     def __str__(self) -> str:
         return f"({poly_str(self.num)})/({poly_str(self.den)})"

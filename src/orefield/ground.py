@@ -407,14 +407,18 @@ class GroundField:
     # -- derived structure ------------------------------------------------
 
     def _mult_matrices(self, e: Coords) -> tuple[list, list]:
-        """Matrices of left and right multiplication by e."""
-        left, right = [], []
-        for j in range(self.dim):
-            u = _unit(self.dim, j)
-            left.append(self.mul_coords(e, u))
-            right.append(self.mul_coords(u, e))
-        lm = [[left[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        rm = [[right[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrices of left and right multiplication by e, read from the
+        integer kernel: column j is kmul(a, e_j) or kmul(e_j, a) for the
+        integer numerators a of e, over den * mul_den."""
+        dim = self.dim
+        den = lcm(*(x.denominator for x in e))
+        a = tuple(x.numerator * (den // x.denominator) for x in e)
+        den *= self.mul_den
+        units = [(0,) * j + (1,) + (0,) * (dim - j - 1) for j in range(dim)]
+        left = [self.kmul(a, u) for u in units]
+        right = [self.kmul(u, a) for u in units]
+        lm = [[Fraction(left[j][i], den) for j in range(dim)] for i in range(dim)]
+        rm = [[Fraction(right[j][i], den) for j in range(dim)] for i in range(dim)]
         return lm, rm
 
     def _compute_center_basis(self) -> tuple[Coords, ...]:

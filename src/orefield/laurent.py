@@ -23,16 +23,27 @@ products are row convolutions too.  Polynomials and fractions embed through
 `from_polynomial` and `embed_fraction`; the embedding is the canonical one
 fixing the ground field and sending t to t.
 
+`CentralSeries` is the commutative field Q((u)), u = t^n (n the
+automorphism order), inside the twisted series: rational coefficients on
+the exponents divisible by n, stored as one list of ints over one positive
+denominator, in canonical form.  Its `val` and `prec` stay t-exponents
+(coefficient k sits at t^(val + n*k)), so the precision rules above, and
+those of `solve_left`, hold for it unchanged, and it prints as the
+`TwistedSeries` it converts to.  A product costs one integer convolution
+instead of a twisted one on rows of the ground field's dimension.
+
 `newton_root` lifts a simple residual root of a polynomial with *central*
 coefficients (invariant coefficients supported on exponents divisible by
 the automorphism order) to a series root, doubling the contact valuation
 each round.  The commutativity of everything in sight is what makes the
-classical iteration legitimate; the inputs are checked for it.
+classical iteration legitimate; the inputs are checked for it.  When the
+invariant subfield is Q the lift lies in Q((u)) and runs on `CentralSeries`;
+otherwise the same loop runs on `TwistedSeries`.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import kernel
@@ -165,6 +176,10 @@ class TwistedSeries:
             )
         if prec == self.prec:
             return self
+        return self._at_precision(prec)
+
+    def _at_precision(self, prec: int) -> "TwistedSeries":
+        """The same coefficients, cut at prec or known as zeros up to it."""
         return TwistedSeries._from_rows(self.field, self.val, self._rows, self._den, prec)
 
     def shift(self, k: int) -> "TwistedSeries":
@@ -282,6 +297,269 @@ class TwistedSeries:
     __repr__ = __str__
 
 
+class CentralSeries:
+    """An element of Q((u)), u = t^n (n the automorphism order): the
+    commutative series with rational coefficients on the exponents divisible
+    by n, the series analogue of `orefield.factor.RationalFunction`.
+
+    Stored as one list of ints over one positive denominator: ints[k]/den is
+    the coefficient of t^(val + n*k) for val <= val + n*k < prec.  `val` and
+    `prec` are t-exponents, so the precision rules of `TwistedSeries` (add,
+    mul, inv, `solve_left`) hold unchanged.  The form is canonical (den > 0,
+    no content common to den and the ints, a nonzero first coefficient; the
+    zero series has no ints and val == prec), so `==` compares the parts.
+    `to_twisted` and `from_twisted` convert without changing the value or
+    the precision.
+    """
+
+    __slots__ = ("field", "val", "prec", "_ints", "_den")
+
+    @classmethod
+    def _make(cls, field: GroundField, val: int, ints: list, den: int, prec: int) -> "CentralSeries":
+        """Normalised series with coefficients ints[k]/den at t^(val+n*k);
+        val is a multiple of n unless every coefficient is zero."""
+        s = cls.__new__(cls)
+        s.field, s.prec = field, prec
+        n = field.sigma_order
+        start = next((k for k, c in enumerate(ints) if c), None)
+        if start is None or val + n * start >= prec:
+            s.val, s._ints, s._den = prec, [], 1
+            return s
+        val += n * start
+        size = -((val - prec) // n)
+        ints = ints[start : start + size]
+        ints += [0] * (size - len(ints))
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+        s.val, s._ints, s._den = val, ints, den
+        return s
+
+    @classmethod
+    def zero(cls, field: GroundField, prec: int) -> "CentralSeries":
+        return cls._make(field, prec, [], 1, prec)
+
+    @classmethod
+    def from_ground(cls, e: GroundElement, prec: int) -> "CentralSeries":
+        """A rational constant."""
+        (row,), den = kernel.rows_of([e])
+        if any(row[1:]):
+            raise ValueError(f"{e} is not rational")
+        return cls._make(e.field, 0, [row[0]], den, prec)
+
+    @classmethod
+    def embed(cls, field: GroundField, num: Sequence[int], den: Sequence[int], prec: int) -> "CentralSeries":
+        """num(u)/den(u) for integer polynomials in u, to precision exactly
+        prec: the value and precision `embed_fraction` gives the fraction."""
+        n = field.sigma_order
+        lo_num = next((k for k, c in enumerate(num) if c), None)
+        if lo_num is None:
+            return cls.zero(field, prec)
+        lo_den = next(k for k, c in enumerate(den) if c)
+        val = n * (lo_num - lo_den)
+        size = -((val - prec) // n)
+        if size <= 0:
+            return cls.zero(field, prec)
+        ints, q_den = _quotient(list(den[lo_den:]), list(num[lo_num:]), size)
+        return cls._make(field, val, ints, q_den, prec)
+
+    @classmethod
+    def from_twisted(cls, s: TwistedSeries) -> "CentralSeries | None":
+        """s as a central series, or None unless every coefficient of s is
+        rational and sits on an exponent divisible by n."""
+        field = s.field
+        if s.is_zero():
+            return cls.zero(field, s.prec)
+        rows, den = s.int_rows()
+        ints = _rational_ints(field, rows)
+        if s.val % field.sigma_order or ints is None:
+            return None
+        # the rows are canonical, so the ints are too
+        c = cls.__new__(cls)
+        c.field, c.val, c.prec, c._ints, c._den = field, s.val, s.prec, ints, den
+        return c
+
+    def to_twisted(self) -> TwistedSeries:
+        field = self.field
+        if self.is_zero():
+            return TwistedSeries.zero(field, self.prec)
+        n, zero = field.sigma_order, field.zero_row
+        tail = zero[1:]
+        rows = [zero] * (self.prec - self.val)
+        for k, c in enumerate(self._ints):
+            if c:
+                rows[n * k] = (c,) + tail
+        return TwistedSeries._from_rows(field, self.val, rows, self._den, self.prec)
+
+    def int_coeffs(self) -> tuple[list, int]:
+        """Integer numerators of the coefficients over one common denominator."""
+        return self._ints, self._den
+
+    # -- structure ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        """Zero to the stated precision."""
+        return self.val >= self.prec
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, CentralSeries)
+            and self.field == other.field
+            and self.val == other.val
+            and self.prec == other.prec
+            and self._den == other._den
+            and self._ints == other._ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.val, self.prec, self._den, tuple(self._ints)))
+
+    def truncate(self, prec: int) -> "CentralSeries":
+        if prec > self.prec:
+            raise InsufficientPrecision(
+                f"cannot extend precision {self.prec} to {prec}"
+            )
+        if prec == self.prec:
+            return self
+        return self._at_precision(prec)
+
+    def _at_precision(self, prec: int) -> "CentralSeries":
+        """The same coefficients, cut at prec or known as zeros up to it."""
+        return CentralSeries._make(self.field, self.val, self._ints, self._den, prec)
+
+    def _same(self, other: "CentralSeries") -> None:
+        if self.field is not other.field:
+            self.field.check_same(other.field)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _combine(self, other: "CentralSeries", sign: int) -> "CentralSeries":
+        self._same(other)
+        field = self.field
+        prec = min(self.prec, other.prec)
+        terms = [(s, c) for s, c in ((self, 1), (other, sign)) if not s.is_zero()]
+        if not terms:
+            return CentralSeries.zero(field, prec)
+        n = field.sigma_order
+        val = min(s.val for s, _ in terms)
+        size = -((val - prec) // n)
+        if size <= 0:
+            return CentralSeries.zero(field, prec)
+        den = lcm(*(s._den for s, _ in terms))
+        out = [0] * size
+        for s, c in terms:
+            shift = (s.val - val) // n
+            scale = c * (den // s._den)
+            for k, a in enumerate(s._ints[: max(size - shift, 0)], shift):
+                out[k] += scale * a
+        return CentralSeries._make(field, val, out, den, prec)
+
+    def __add__(self, other: "CentralSeries") -> "CentralSeries":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "CentralSeries") -> "CentralSeries":
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "CentralSeries":
+        return CentralSeries._make(self.field, self.val, [-c for c in self._ints], self._den, self.prec)
+
+    def __mul__(self, other: "CentralSeries") -> "CentralSeries":
+        self._same(other)
+        field = self.field
+        prec = min(self.prec + other.val, other.prec + self.val)
+        if self.is_zero() or other.is_zero():
+            return CentralSeries.zero(field, prec)
+        val = self.val + other.val
+        size = -((val - prec) // field.sigma_order)
+        out = [0] * max(size, 0)
+        g = other._ints
+        for i, a in enumerate(self._ints[:size]):
+            if a:
+                for j, b in enumerate(g[: size - i], i):
+                    out[j] += a * b
+        return CentralSeries._make(field, val, out, self._den * other._den, prec)
+
+    def scale_ground_left(self, c: GroundElement) -> "CentralSeries":
+        """c * self for a rational constant c."""
+        field = self.field
+        field.check_same(c.field)
+        if c.is_zero() or self.is_zero():
+            return CentralSeries.zero(field, self.prec)
+        (row,), dc = kernel.rows_of([c])
+        if any(row[1:]):
+            raise ValueError(f"{c} is not rational")
+        return CentralSeries._make(
+            field, self.val, [row[0] * a for a in self._ints], dc * self._den, self.prec
+        )
+
+    def inv(self) -> "CentralSeries":
+        """The inverse to the precision `TwistedSeries.inv` propagates."""
+        if self.is_zero():
+            raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
+        v = self.val
+        ints, den = _quotient(self._ints, [self._den], len(self._ints))
+        return CentralSeries._make(self.field, -v, ints, den, self.prec - 2 * v)
+
+    def solve_left(self, num: "CentralSeries") -> "CentralSeries":
+        """self^-1 * num, to the precision `laurent.solve_left` gives."""
+        field = self.field
+        self._same(num)
+        if self.is_zero():
+            raise ZeroSeries(f"division by a series that is zero mod t^{self.prec}")
+        v = self.val
+        out_prec = min(self.prec - 2 * v + num.val, self.prec - v, num.prec - v)
+        if num.is_zero():
+            return CentralSeries.zero(field, out_prec)
+        w = num.val - v
+        size = -((w - out_prec) // field.sigma_order)
+        if size <= 0:
+            return CentralSeries.zero(field, out_prec)
+        ints, den = _quotient(self._ints, [c * self._den for c in num._ints], size)
+        return CentralSeries._make(field, w, ints, den * num._den, out_prec)
+
+    def __str__(self) -> str:
+        return str(self.to_twisted())
+
+    __repr__ = __str__
+
+
+def _quotient(d: list, num: list, size: int) -> tuple[list, int]:
+    """(X, E) with  sum_j X_j/E u^j = num/d  mod u^size, for integer
+    polynomials with d[0] != 0.
+
+    The recurrence  x_j = (num_j - sum_k d_k x_(j-k)) / d_0  keeps each x_j
+    reduced, as O_j over its own denominator E_j, as `kernel.solve_rows`
+    does, so the cancellation of a quotient keeps the numbers small.  An E_j
+    may be negative; their lcm E is not.
+    """
+    d0 = d[0]
+    terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
+    outs: list[int] = []
+    dens: list[int] = []
+    every = 1  # lcm of all the E_k so far
+    active = 0
+    for j in range(size):
+        while active < len(terms) and terms[active][0] <= j:
+            active += 1
+        act = terms[:active]
+        # over the common denominator of the x_(j-k) in the sum: when every
+        # d_1 .. d_j is nonzero, that is the lcm of all E_k so far
+        common = every if active == j else lcm(*(dens[j - k] for k, _ in act))
+        acc = num[j] * common if j < len(num) else 0
+        for k, dk in act:
+            e = dens[j - k]
+            acc -= dk * (outs[j - k] if e == common else outs[j - k] * (common // e))
+        e = d0 * common
+        g = gcd(acc, e)
+        outs.append(acc // g)
+        dens.append(e // g)
+        every = lcm(every, e // g)
+    return [o * (every // e) for o, e in zip(outs, dens)], every
+
+
 def solve_left(den: TwistedSeries, num: TwistedSeries) -> TwistedSeries:
     """The unique s with den * s = num, i.e. den^-1 * num.
 
@@ -372,6 +650,10 @@ def newton_root(
     so it moves to the higher precision by zero extension; it keeps the
     precision it lost to the coefficients' poles, so the result carries
     the same precision as a lift run at `work` throughout.
+
+    The coefficients are invariant series in t^n, so when the invariant
+    subfield is Q the whole lift lies in Q((u)) and runs on `CentralSeries`;
+    over any other invariant subfield the same loop runs on `TwistedSeries`.
     """
     if not coeffs or len(coeffs) < 2:
         raise ValueError("need a polynomial of degree >= 1")
@@ -382,27 +664,21 @@ def newton_root(
     depth = len(coeffs) - 1
     work = precision + 2 * depth * den_val + 2
     pad = work - precision
-    fc = [embed_fraction(c, work) for c in coeffs]
-    for s in fc:
-        if not is_invariant_series(s):
-            raise NotInvariantSeries(
-                "polynomial coefficients must be invariant series in t^n"
-            )
+    central = len(field.invariant_basis) == 1
+    fc = [_embed_coefficient(c, work, central) for c in coeffs]
     dc = [
         fc[m].scale_ground_left(field.from_rational(m)) for m in range(1, len(fc))
     ]
 
-    def at(series: list[TwistedSeries], x: TwistedSeries, p: int) -> TwistedSeries:
+    def at(series: list, x, p: int):
         return evaluate_poly([s.truncate(p) for s in series], x)
 
-    def lift(x: TwistedSeries, p: int, q: int) -> TwistedSeries:
+    def lift(x, p: int, q: int):
         # x, made in a round at precision p, for a round at precision q >= p
-        if q == p:
-            return x
-        return TwistedSeries._from_rows(field, x.val, x._rows, x._den, x.prec + q - p)
+        return x if q == p else x._at_precision(x.prec + q - p)
 
     p = min(work, 2 + pad)
-    rho = TwistedSeries.from_ground(seed, p)
+    rho = (CentralSeries if central else TwistedSeries).from_ground(seed, p)
     value, deriv = at(fc, rho, p), at(dc, rho, p)
     if deriv.is_zero() or deriv.val > 0:
         raise NotSimpleRoot("derivative at the seed is not a unit mod t")
@@ -438,4 +714,45 @@ def newton_root(
         raise InsufficientPrecision(
             f"newton produced precision {rho.prec} < requested {precision}"
         )
-    return rho.truncate(precision)
+    rho = rho.truncate(precision)
+    return rho.to_twisted() if central else rho
+
+
+def _embed_coefficient(c: SkewFraction, prec: int, central: bool):
+    """A polynomial coefficient of `newton_root` as an invariant series: a
+    `CentralSeries` when `central`, read straight from the rows of num and
+    den when both are rational polynomials in t^n."""
+    if central:
+        num, den = _u_polynomial(c.num), _u_polynomial(c.den)
+        if num is not None and den is not None:
+            return CentralSeries.embed(
+                c.field, [a * den[1] for a in num[0]], [a * num[1] for a in den[0]], prec
+            )
+    s = embed_fraction(c, prec)
+    if not is_invariant_series(s):
+        raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
+    return CentralSeries.from_twisted(s) if central else s
+
+
+def _u_polynomial(p: SkewPolynomial) -> tuple[list[int], int] | None:
+    """(ints, den) with p = sum_k ints[k]/den * t^(n*k), or None unless every
+    coefficient of p is rational and sits on an exponent divisible by n."""
+    rows, den = p.int_rows()
+    ints = _rational_ints(p.field, rows)
+    return None if ints is None else (ints, den)
+
+
+def _rational_ints(field: GroundField, rows: list) -> list[int] | None:
+    """The first entries of rows[0], rows[n], rows[2n], ..., or None unless
+    those rows are rational and every other row is zero."""
+    n, zero = field.sigma_order, field.zero_row
+    ints = []
+    for m, row in enumerate(rows):
+        if m % n:
+            if row != zero:
+                return None
+        elif any(row[1:]):
+            return None
+        else:
+            ints.append(row[0])
+    return ints

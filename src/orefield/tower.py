@@ -234,9 +234,12 @@ def check_embeddings(ts: TowerScenario) -> list[CheckResult]:
                 CheckResult(name, "fail", law, "f_lower(p(x)) is nonzero modulo f_upper")
             )
             continue
-        series = embedding.evaluate_series(upper.rho)
-        common = min(series.prec, lower.rho.prec)
-        if series.truncate(common) != lower.rho.truncate(common):
+        point, target = upper.root, lower.root
+        if type(point) is not type(target):
+            point, target = upper.rho, lower.rho
+        series = embedding.evaluate_series(point)
+        common = min(series.prec, target.prec)
+        if series.truncate(common) != target.truncate(common):
             results.append(
                 CheckResult(
                     name,

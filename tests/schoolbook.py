@@ -4,7 +4,10 @@ These are the straightforward `Fraction` implementations the package used
 before its arithmetic moved onto integer rows (see `orefield.kernel`).  They
 work coefficient by coefficient on `Fraction` coordinate tuples and call
 nothing of the package's own arithmetic, so a kernel test compares two
-independent computations.  The fraction routines are the reduction,
+independent computations.  The ground routines include the multiplication
+matrices, and the center, invariant and splitting bases built on them, that
+`GroundField` computed from `Fraction` products before it read them from
+its integer kernel.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
 worked on its canonical form alone.  The Bareiss norm conjugate (adjugate
 of left multiplication, eliminated over Z[u]) is what
@@ -13,7 +16,10 @@ moved to Cayley-Hamilton on reduced traces.  The central polynomial
 routines are the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
 central coefficients became pairs over Z[u].  The tensor routines are the
 `SkewFraction`-coordinate arithmetic of `TensorElement` before it moved to
-one central denominator, with the Gauss-Jordan solve it inverted by.  The
+one central denominator, with the Gauss-Jordan solve it inverted by.
+`ext_tau` is the coordinate-wise evaluation at the series root, one
+embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
+it divided once by the central denominator.  The
 certificates at the end are the sympy factorizations that `orefield.extend`
 and `orefield.tower` ran before `orefield.factor`.  Nothing outside the
 tests imports this module.
@@ -143,6 +149,59 @@ def mul_coords(field, a, b):
     )
     c3 = madd((1, mul(a0, b3)), (1, mul(a3, b0)), (1, mul(a1, b2)), (-1, mul(a2, b1)))
     return tuple(c0 + c1 + c2 + c3)
+
+
+def mult_matrices(field, e):
+    """Matrices of left and right multiplication by e, from the Fraction
+    products with the unit vectors."""
+    left, right = [], []
+    for j in range(field.dim):
+        u = _unit(field.dim, j)
+        left.append(mul_coords(field, e, u))
+        right.append(mul_coords(field, u, e))
+    lm = [[left[j][i] for j in range(field.dim)] for i in range(field.dim)]
+    rm = [[right[j][i] for j in range(field.dim)] for i in range(field.dim)]
+    return lm, rm
+
+
+def _commutator_rows(field):
+    rows = []
+    for m in range(field.dim):
+        lm, rm = mult_matrices(field, _unit(field.dim, m))
+        for i in range(field.dim):
+            rows.append([lm[i][j] - rm[i][j] for j in range(field.dim)])
+    return rows
+
+
+def center_basis(field):
+    if field.kind != "quaternions":
+        return tuple(_unit(field.dim, j) for j in range(field.dim))
+    return tuple(linalg.nullspace(_commutator_rows(field), field.dim))
+
+
+def invariant_basis(field):
+    if field.sigma_is_identity:
+        return center_basis(field)
+    rows = _commutator_rows(field) if field.kind == "quaternions" else []
+    ident = linalg.identity(field.dim)
+    for i in range(field.dim):
+        rows.append([field.sigma_matrix[i][j] - ident[i][j] for j in range(field.dim)])
+    return tuple(linalg.nullspace(rows, field.dim))
+
+
+def h_basis(field):
+    """Greedy basis of the field over its invariant subfield."""
+    chosen, span_rows, rank = [], [], 0
+    for m in range(field.dim):
+        e = _unit(field.dim, m)
+        candidate = span_rows + [list(mul_coords(field, b, e)) for b in invariant_basis(field)]
+        new_rank = linalg.rank(candidate)
+        if new_rank > rank:
+            chosen.append(field.element(e))
+            span_rows, rank = candidate, new_rank
+        if rank == field.dim:
+            break
+    return tuple(chosen)
 
 
 def inv_coords(field, a):
@@ -913,6 +972,41 @@ def newton_root(coeffs, seed, precision):
     if rho.prec < precision:
         raise InsufficientPrecision(f"newton produced precision {rho.prec} < requested {precision}")
     return series_truncate(rho, precision)
+
+
+# -- evaluation at the series root ----------------------------------------------
+
+
+def ext_tau(element, precision):
+    """sum_i v_i rho^i over the coordinates v_i as canonical fractions: each
+    embedded to the root's precision and multiplied by rho^i."""
+    acc = tau_sum(element, root_powers(element.scenario))
+    if acc.prec < precision:
+        raise InsufficientPrecision(
+            f"tau reached O(t^{acc.prec}) but O(t^{precision}) was requested"
+        )
+    return series_truncate(acc, precision)
+
+
+def root_powers(scenario):
+    """rho^0 .. rho^(d-1)."""
+    field = scenario.field
+    powers = [_series(field, 0, [field.one().coords], scenario.rho.prec)]
+    for _ in range(scenario.degree - 1):
+        powers.append(series_mul(powers[-1], scenario.rho))
+    return powers
+
+
+def tau_sum(element, powers):
+    """The sum of `ext_tau` at the precision it reaches, given `root_powers`."""
+    field = element.scenario.field
+    work = element.scenario.rho.prec
+    acc = TwistedSeries.zero(field, work)
+    for i, c in enumerate(element.coords):
+        if c.is_zero():
+            continue
+        acc = series_add(acc, series_mul(_embed(c, work), powers[i]))
+    return acc
 
 
 # -- certificates ---------------------------------------------------------------

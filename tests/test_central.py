@@ -125,6 +125,32 @@ def test_rational_function_edges():
     assert x.inv() * x == one and x - x == zero
 
 
+def test_rational_function_powers_match_repeated_products(monkeypatch):
+    """x ** k is the product of |k| factors x (or x^-1), and x ** -1 is the
+    inverse itself, with no product."""
+    rng = random.Random(67)
+    one = RationalFunction.one()
+    for _ in range(6):
+        num = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))]
+        den = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))]
+        num[-1], den[-1] = num[-1] or 1, den[-1] or 1
+        x = RationalFunction.make(num, den)
+        for k in range(-3, 4):
+            factor, expected = x if k > 0 else x.inv(), one
+            for _ in range(abs(k)):
+                expected = expected * factor
+            assert x ** k == expected
+        calls = []
+        mul = RationalFunction.__mul__
+        monkeypatch.setattr(RationalFunction, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert x ** -1 == x.inv()
+        monkeypatch.undo()
+        assert not calls
+    assert RationalFunction.zero() ** 0 == one
+    with pytest.raises(DivisionByZero):
+        RationalFunction.zero() ** -1
+
+
 # -- CentralPolynomial against the schoolbook arithmetic --------------------------------
 
 

@@ -446,6 +446,14 @@ def test_verify_report_is_pinned(capsys, tower):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[tower]
 
 
+def test_verify_report_is_pinned_at_another_probe_seed(capsys):
+    """T3 at probe seed 8 steps the tau request down differently from seed 7."""
+    code, out, _ = run(capsys, "verify", "--scenario", "T3", "--seed", "8", "--format", "json")
+    assert code == 0
+    digest = "26dd664024db23292099bb888c156697608e3b79b1873805389b042a26a104ec"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_accepts_extension_targets(capsys):
     code, out, _ = run(capsys, "verify", "--scenario", "T3L1", "--format", "json")
     assert code == 0

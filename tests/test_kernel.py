@@ -25,7 +25,8 @@ from orefield.errors import (
     ZeroSeries,
 )
 from orefield.ground import make_number_field, make_quaternions
-from orefield.laurent import TwistedSeries, newton_root, solve_left
+from orefield import kernel
+from orefield.laurent import CentralSeries, TwistedSeries, embed_fraction, newton_root, solve_left
 from orefield.sampling import (
     random_element,
     random_nonzero_element,
@@ -441,6 +442,152 @@ def test_newton_root_matches_full_precision_loop_when_poles_cost_precision():
     assert InsufficientPrecision in outcomes and any(isinstance(x, TwistedSeries) for x in outcomes)
 
 
+# -- central series ---------------------------------------------------------------------
+
+# n = 1, 1, 2, 3: every one has the invariant subfield Q
+CENTRAL_FIELDS = [RATIONALS, HAMILTON, GAUSS, CUBIC]
+CENTRAL_IDS = [f.name for f in CENTRAL_FIELDS]
+
+
+def _central(field, ints, den, val_u, prec):
+    """(CentralSeries, TwistedSeries) of sum_k ints[k]/den t^(n*(val_u + k)) + O(t^prec)."""
+    n = field.sigma_order
+    coeffs = []
+    for c in ints:
+        coeffs += [Fraction(c, den)] + [0] * (n - 1)
+    twisted = TwistedSeries.make(field, n * val_u, coeffs, prec)
+    central = CentralSeries.from_twisted(twisted)
+    assert central is not None and central.to_twisted() == twisted
+    return central, twisted
+
+
+def _same_central(c, t):
+    """c is t's central form: equal values, precision and printed form."""
+    return c.to_twisted() == t and CentralSeries.from_twisted(t) == c and str(c) == str(t)
+
+
+def _check_central(a, ta, b, tb):
+    assert _same_central(a + b, ta + tb)
+    assert _same_central(a - b, ta - tb)
+    assert _same_central(-a, -ta)
+    assert _same_central(a * b, ta * tb)
+    assert (a == b) == (ta == tb)
+    if a == b:
+        assert hash(a) == hash(b)
+    for x, tx in ((a, ta), (b, tb)):
+        if tx.is_zero():
+            for op in (x.inv, tx.inv, lambda: x.solve_left(a), lambda: solve_left(tx, ta)):
+                with pytest.raises(ZeroSeries):
+                    op()
+        else:
+            assert _same_central(x.inv(), tx.inv())
+            assert _same_central(x.solve_left(a), solve_left(tx, ta))
+            assert _same_central(x.solve_left(b), solve_left(tx, tb))
+    for prec in {a.prec + 1, a.prec, a.prec - 1, a.val + 1, a.val, a.val - 1}:
+        if prec > a.prec:
+            with pytest.raises(InsufficientPrecision):
+                a.truncate(prec)
+        else:
+            assert _same_central(a.truncate(prec), ta.truncate(prec))
+
+
+def _random_central(field, rng):
+    ints = [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(rng.randint(0, 6))]
+    val_u = rng.randint(-2, 2)
+    prec = field.sigma_order * val_u + rng.randint(-1, 13)
+    return _central(field, ints, rng.randint(1, 6), val_u, prec)
+
+
+@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_central_series_match_twisted_series(field, seed):
+    rng = random.Random(seed)
+    (a, ta), (b, tb) = _random_central(field, rng), _random_central(field, rng)
+    _check_central(a, ta, b, tb)
+    _check_central(b, tb, a, ta)
+
+
+@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+def test_central_series_match_twisted_series_fixed_seed(field):
+    rng = random.Random(2024)
+    n = field.sigma_order
+    zero = _central(field, [], 1, 0, 7)
+    for _ in range(10):
+        (a, ta), (b, tb) = _random_central(field, rng), _random_central(field, rng)
+        # odd t-precisions, a cut below the valuation, and zero results
+        cut = a.val + 2 * n + 1 if a.val + 2 * n + 1 <= a.prec else a.prec
+        pairs = [(b, tb), (a, ta), (-a, -ta), zero, (a.truncate(cut), ta.truncate(cut))]
+        for x, tx in pairs:
+            _check_central(a, ta, x, tx)
+            _check_central(x, tx, a, ta)
+    assert (a - a).is_zero() and _same_central(a - a, ta - ta)
+
+
+def test_central_series_keep_pessimistic_precision():
+    """1/(u - u^2) at n = 2 from  u - u^2 + O(t^7):  valuation -2, known to
+    O(t^3)."""
+    a, ta = _central(GAUSS, [1, -1], 1, 1, 7)
+    inv = a.inv()
+    assert (inv.val, inv.prec) == (-2, 3) and inv.int_coeffs() == ([1, 1, 1], 1)
+    assert str(inv) == "[1,0]*t^-2 + [1,0] + [1,0]*t^2 + O(t^3)"
+    # a product gains the precision of the other factor's valuation:
+    # min(7 + 0, 5 + 2)
+    s, _ = _central(GAUSS, [3], 2, 0, 5)
+    assert (a * s).prec == 7 and (s * a).prec == 7
+
+
+def test_only_rational_series_on_the_center_convert():
+    n = GAUSS.sigma_order
+    assert n == 2
+    assert CentralSeries.from_twisted(TwistedSeries.make(GAUSS, 0, [[1, 0], [1, 0]], 4)) is None
+    assert CentralSeries.from_twisted(TwistedSeries.make(GAUSS, 1, [[1, 0]], 4)) is None
+    assert CentralSeries.from_twisted(TwistedSeries.make(GAUSS, 0, [[1, 1]], 4)) is None
+    assert CentralSeries.from_twisted(TwistedSeries.make(HAMILTON, 0, [[0, 0, 1, 0]], 4)) is None
+    zero = CentralSeries.from_twisted(TwistedSeries.zero(GAUSS, 3))
+    assert zero.is_zero() and zero.prec == 3 and zero == CentralSeries.zero(GAUSS, 3)
+
+
+@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+def test_central_embedding_matches_embed_fraction(field):
+    rng = random.Random(77)
+    n = field.sigma_order
+    for _ in range(12):
+        num = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+        den = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if not any(den):
+            den[-1] = 1
+        prec = rng.randint(1, 12)
+
+        def upoly(c):
+            rows = []
+            for a in c:
+                rows += [a] + [0] * (n - 1)
+            return SkewPolynomial.from_coeffs(field, rows)
+
+        x = SkewFraction.make(upoly(num), upoly(den))
+        assert _same_central(CentralSeries.embed(field, num, den, prec), embed_fraction(x, prec))
+
+
+def test_newton_root_runs_on_the_center(monkeypatch):
+    """Over a field whose invariant subfield is Q the lift makes no twisted
+    series product; over Q(sqrt2) with sigma = id the same loop makes them."""
+    calls = []
+    original = kernel.series_mul_rows
+    monkeypatch.setattr(kernel, "series_mul_rows", lambda *a: calls.append(1) or original(*a))
+    for field in (HAMILTON, GAUSS, CUBIC):
+        n = field.sigma_order
+        one_plus_u = SkewPolynomial.from_coeffs(field, [1] + [0] * (n - 1) + [1])
+        coeffs = [SkewFraction.from_polynomial(-one_plus_u), SkewFraction.zero(field), SkewFraction.one(field)]
+        root = newton_root(coeffs, field.one(), 20)
+        assert root == sb.newton_root(coeffs, field.one(), 20)
+    assert calls == []
+    coeffs = [SkewFraction.coerce(STATIC_ROOT2, c) for c in ([-1, 0], 0, 1)]
+    coeffs[0] = coeffs[0] - SkewFraction.t_power(STATIC_ROOT2, 1)
+    newton_root(coeffs, STATIC_ROOT2.one(), 10)
+    assert calls
+
+
 # -- one path for every field ---------------------------------------------------------
 
 _ARITHMETIC = (
@@ -502,6 +649,16 @@ NORM_IDS = [f.name for f in NORM_FIELDS]
 # the fields of reduced degree at most 2 over the invariant subfield Q: c is
 # the reduced norm, uncut; every other field cuts it to the minimal multiple
 REDUCED_NORM_FIELDS = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN]
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_multiplication_matrices_and_derived_bases_match_the_fraction_products(field):
+    rng = random.Random(83)
+    for e in [sb._unit(field.dim, j) for j in range(field.dim)] + [random_element(field, rng).coords]:
+        assert field._mult_matrices(e) == sb.mult_matrices(field, e)
+    assert field.center_basis == sb.center_basis(field)
+    assert field.invariant_basis == sb.invariant_basis(field)
+    assert field.h_basis == sb.h_basis(field)
 
 
 def _check_norm_conjugate(p):

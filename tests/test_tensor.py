@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook as sb
 from orefield import kernel
-from orefield.catalog import scenario_catalog
-from orefield.errors import MixedScenarios, SingularElement
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, TensorElement
+from orefield.catalog import scenario_catalog, scenario_names
+from orefield.errors import InsufficientPrecision, MixedScenarios, SingularElement
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, TensorElement, ext_tau
+from orefield.laurent import CentralSeries, TwistedSeries
 from orefield.factor import content, gcd
 from orefield.sampling import random_fraction, random_tensor
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import central_coordinates
+from orefield.skewpoly import SkewPolynomial, central_coordinates
 
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
@@ -203,3 +204,89 @@ def test_powers_match_repeated_products(scenario):
             for _ in range(abs(k)):
                 expected = expected * factor
             assert a ** k == expected and str(a ** k) == str(expected)
+
+
+# -- evaluation at the series root ------------------------------------------------
+
+# x^2 + 1 over H_Q with the root i given, not lifted: a root that is not central
+I_ROOT = ExtensionScenario(
+    "x^2+1 at i",
+    HAMILTON,
+    CentralPolynomial.from_coeffs(HAMILTON, [1, 0, 1]),
+    Z2,
+    {"s": CentralPolynomial.from_coeffs(HAMILTON, [0, -1])},
+    12,
+    rho_override=TwistedSeries.from_ground(HAMILTON.element([0, 1, 0, 0]), 12),
+)
+TAU_SCENARIOS = [scenario_catalog(name) for name in scenario_names()] + [I_ROOT, ROOT2_SCENARIO]
+TAU_IDS = [s.name for s in TAU_SCENARIOS]
+
+
+def check_tau(element, powers):
+    """ext_tau equals the coordinate-wise oracle at the precision the oracle
+    reaches, and raises at the requests where the oracle raises."""
+    full = sb.tau_sum(element, powers)
+    top = element.scenario.rho.prec
+    for want in sorted({full.prec + 1, top, full.prec, full.prec - 5, 1}, reverse=True):
+        if want > full.prec:
+            with pytest.raises(InsufficientPrecision):
+                ext_tau(element, want)
+        else:
+            assert ext_tau(element, want) == sb.series_truncate(full, want)
+
+
+def test_catalog_roots_are_central_and_the_given_root_is_not():
+    for scenario in TAU_SCENARIOS:
+        central = isinstance(scenario.root, CentralSeries)
+        assert central == (scenario not in (I_ROOT, ROOT2_SCENARIO))
+        twisted = scenario.root.to_twisted() if central else scenario.root
+        assert twisted == scenario.rho
+
+
+@pytest.mark.parametrize("scenario", TAU_SCENARIOS, ids=TAU_IDS)
+def test_tau_matches_the_coordinate_wise_sum(scenario):
+    rng = random.Random(53)
+    powers = sb.root_powers(scenario)
+    a = random_tensor(scenario, rng, max_degree=1, span=2)
+    # coordinates with poles at t = 0 spend precision
+    pole = SkewFraction.make(
+        SkewPolynomial.one(scenario.field),
+        SkewPolynomial.t_power(scenario.field, scenario.field.sigma_order),
+    )
+    poles = TensorElement.make(scenario, [pole] * scenario.degree)
+    # alone on the top coordinate, where rho^(d-1) may be known beyond rho
+    top = TensorElement.make(scenario, [0] * (scenario.degree - 1) + [pole])
+    for element in (TensorElement.zero(scenario), TensorElement.x(scenario), a, poles, poles * a, top):
+        check_tau(element, powers)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=IDS[:3])
+def test_tau_matches_the_coordinate_wise_sum_on_random_tensors(scenario):
+    powers = sb.root_powers(scenario)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        a = random_tensor(scenario, rng, max_degree=2)
+        check_tau(a, powers)
+        check_tau(a * random_tensor(scenario, rng, max_degree=1), powers)
+
+    check()
+
+
+def test_tau_retries_only_truncate(monkeypatch):
+    """A request that raises keeps the value, so a retry at a lower
+    precision makes no series product or division."""
+    scenario = scenario_catalog("T3L1")
+    pole = SkewFraction.make(SkewPolynomial.one(RATIONALS), SkewPolynomial.t_power(RATIONALS, 3))
+    element = TensorElement.make(scenario, [pole, 1])
+    with pytest.raises(InsufficientPrecision):
+        ext_tau(element, scenario.precision)
+    calls = []
+    for name in ("series_mul_rows", "solve_rows"):
+        original = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, original=original, name=name: calls.append(name) or original(*a))
+    low = ext_tau(element, scenario.precision - 8)
+    assert calls == []
+    assert low == sb.ext_tau(element, scenario.precision - 8)
