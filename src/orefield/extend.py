@@ -14,6 +14,10 @@ the rest of the package (towers, command line) consumes:
   run on reduced N/D pairs over Z[u] (`orefield.factor.RationalFunction`)
   when the invariant subfield is Q, as at every catalog level, and on
   `SkewFraction`s over any other invariant subfield.
+* `PowerRows` -- the rows q^k modulo f of one polynomial q: the Galois
+  matrix when q = q_g, and the table every composition modulo f in the check
+  battery and the tower checks reads, p(q) = sum_k p_k (q^k mod f), as a
+  `Residue` over one common Z[u] denominator.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data (reduction tables, the full
@@ -49,6 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -151,7 +156,7 @@ class CentralPolynomial:
     known to be central, and converts them on first use.
     """
 
-    __slots__ = ("field", "_coeffs", "_data")
+    __slots__ = ("field", "_coeffs", "_data", "_residue")
 
     def __init__(self, field: GroundField, coeffs: tuple[SkewFraction, ...]) -> None:
         while coeffs and coeffs[-1].is_zero():
@@ -159,6 +164,7 @@ class CentralPolynomial:
         self.field = field
         self._coeffs: tuple[SkewFraction, ...] | None = tuple(coeffs)
         self._data: tuple | None = None
+        self._residue: Residue | None = None
 
     @classmethod
     def _of(cls, field: GroundField, coeffs) -> "CentralPolynomial":
@@ -168,7 +174,7 @@ class CentralPolynomial:
             coeffs.pop()
         p = cls.__new__(cls)
         p.field = field
-        p._coeffs = None
+        p._coeffs = p._residue = None
         p._data = tuple(coeffs)
         return p
 
@@ -299,16 +305,16 @@ class CentralPolynomial:
                     rem[shift + j] = rem[shift + j] - c * b
         return CentralPolynomial._of(field, quo), CentralPolynomial._of(field, rem)
 
-    def compose(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        """self(other(x)), by Horner in the polynomial ring."""
-        self._same(other)
-        coeffs = self.central_coeffs
-        if not coeffs:
-            return CentralPolynomial.zero(self.field)
-        acc = CentralPolynomial._of(self.field, coeffs[-1:])
-        for c in reversed(coeffs[:-1]):
-            acc = acc * other + CentralPolynomial._of(self.field, (c,))
-        return acc
+    def residue(self) -> "Residue":
+        """self as a `Residue`: over one common Z[u] denominator, the lcm of
+        the coefficient denominators, when the invariant subfield is Q
+        (cached)."""
+        if self._residue is None:
+            if _rational_invariants(self.field):
+                self._residue = Residue(self.field, *_over_one_denominator(self.central_coeffs))
+            else:
+                self._residue = Residue(self.field, None, list(self.central_coeffs))
+        return self._residue
 
     def embed_coefficients(self, prec: int) -> list[TwistedSeries]:
         return [embed_fraction(c, prec) for c in self.coeffs]
@@ -349,6 +355,142 @@ def _series_coefficients(p: CentralPolynomial, point, prec: int) -> list:
     return p.embed_coefficients(prec)
 
 
+def _over_one_denominator(coeffs, den: Sequence[int] = (1,)) -> tuple[list[int], list[list[int]]]:
+    """(D, N) with coeffs[m] = N[m]/D for `RationalFunction`s coeffs, where D
+    in Z[u] is a multiple of den and of every denominator: their lcm over
+    Q[u] times an integer."""
+    from .factor import _divexact, _mul, gcd
+
+    den = list(den)
+    for c in coeffs:
+        if c.num and c.den != (1,):
+            cden = list(c.den)
+            if cden != den:
+                den = _mul(den, _divexact(cden, gcd(den, cden)))
+    return den, [_mul(list(c.num), _divexact(den, list(c.den))) for c in coeffs]
+
+
+class Residue:
+    """den(u)^-1 * sum_m nums[m] x^m: a polynomial in x over one common
+    denominator, as composition modulo f leaves it, before any gcd.
+
+    When the invariant subfield is Q, den and the nums are integer
+    polynomials in u = t^n; over any other, den is None and the nums are
+    the central coefficients themselves.  `==` cross-multiplies, and
+    `polynomial` reduces to the canonical `CentralPolynomial` with one
+    `RationalFunction.make` per coefficient.
+    """
+
+    __slots__ = ("field", "den", "nums")
+
+    def __init__(self, field: GroundField, den: list[int] | None, nums: list) -> None:
+        self.field, self.den, self.nums = field, den, nums
+
+    def is_zero(self) -> bool:
+        if self.den is None:
+            return all(c.is_zero() for c in self.nums)
+        return not any(self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Residue):
+            return NotImplemented
+        if self.den is None:
+            return self.polynomial() == other.polynomial()
+        from .factor import _mul
+
+        return all(
+            _mul(a, other.den) == _mul(b, self.den)
+            for a, b in zip_longest(self.nums, other.nums, fillvalue=[])
+        )
+
+    def polynomial(self) -> CentralPolynomial:
+        if self.den is None:
+            return CentralPolynomial._of(self.field, self.nums)
+        from .factor import RationalFunction
+
+        return CentralPolynomial._of(
+            self.field, [RationalFunction.make(a, self.den) for a in self.nums]
+        )
+
+
+class PowerRows:
+    """The rows q^k modulo f, k = 0, 1, ..., built on demand on central
+    coefficients: the matrix of powers that composition modulo f reads
+    (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
+    power series", J. ACM 25, 1978),
+
+        p(q) = sum_k p_k (q^k mod f)   modulo f,
+
+    for any polynomials p and q.  When the invariant subfield is Q the rows
+    are also held as integer polynomials over one common Z[u] denominator,
+    so a composite is a sum of integer polynomial products (a `Residue`)
+    with no gcd.
+    """
+
+    __slots__ = ("f", "q", "_rows", "_last", "_den", "_nums")
+
+    def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
+        f._same(q)
+        if f.is_zero():
+            raise DivisionByZero("power rows modulo the zero polynomial")
+        self.f, self.q = f, q
+        self._rows: list[list] = []
+        self._last: CentralPolynomial | None = None
+        self._den: list[int] = [1]
+        self._nums: list[list[list[int]]] = []
+
+    def rows(self, count: int) -> list[list]:
+        """Rows 0 .. count-1: row k holds the coordinates of q^k modulo f."""
+        field, d = self.f.field, self.f.degree
+        while len(self._rows) < count:
+            if self._last is None:
+                power = CentralPolynomial.one(field) if d else CentralPolynomial.zero(field)
+            else:
+                _, power = (self._last * self.q).divmod_by(self.f)
+            self._last = power
+            coeffs = power.central_coeffs
+            self._rows.append([*coeffs, *[_central_zero(field)] * (d - len(coeffs))])
+        return self._rows[:count]
+
+    def _table(self, count: int) -> list[list[list[int]]]:
+        """At least `count` rows as integer polynomials over the common
+        denominator `_den` (rational invariant subfield)."""
+        from .factor import _divexact, _mul
+
+        for row in self.rows(count)[len(self._nums) :]:
+            den, nums = _over_one_denominator(row, self._den)
+            if den != self._den:
+                scale = _divexact(den, self._den)
+                self._nums = [[_mul(a, scale) for a in r] for r in self._nums]
+                self._den = den
+            self._nums.append(nums)
+        return self._nums
+
+    def compose(self, p: CentralPolynomial) -> Residue:
+        """p(q) modulo f, as sum_k p_k (q^k mod f)."""
+        self.f._same(p)
+        field, d = self.f.field, self.f.degree
+        if not _rational_invariants(field):
+            out = [_central_zero(field)] * d
+            for c, row in zip(p.central_coeffs, self.rows(p.degree + 1)):
+                if c.is_zero():
+                    continue
+                for m, r in enumerate(row):
+                    if not r.is_zero():
+                        out[m] = out[m] + c * r
+            return Residue(field, None, out)
+        from .factor import _add, _mul
+
+        common = p.residue()
+        out: list[list[int]] = [[] for _ in range(d)]
+        for a, row in zip(common.nums, self._table(p.degree + 1)):
+            if a:
+                for m, r in enumerate(row):
+                    if r:
+                        out[m] = _add(out[m], _mul(a, r))
+        return Residue(field, _mul(common.den, self._den), out)
+
+
 class FiniteGroup:
     """A finite group given by element names and a full multiplication table."""
 
@@ -370,12 +512,6 @@ class FiniteGroup:
         if b not in self.elements:
             raise UnknownGroupElement(f"unknown group element {b!r}")
         return self.table[(a, b)]
-
-    def inverse(self, g: str) -> str:
-        for h in self.elements:
-            if self.op(g, h) == self.identity and self.op(h, g) == self.identity:
-                return h
-        raise ScenarioValidationError(f"group element {g!r} has no inverse")
 
     def validate(self) -> None:
         """Exhaustive closure / identity / associativity / inverse checks."""
@@ -436,7 +572,8 @@ class ExtensionScenario:
     * reduction vectors of x^p modulo f,
     * the image polynomial q_g for every group element (closure of the
       generator images under the table, with consistency checks),
-    * the matrices of the induced linear maps,
+    * the power rows q_g^k modulo f, whose first d rows are the matrices of
+      the induced linear maps,
     * the series root rho, lifted once at padded precision, and its central
       form (`root`, `root_work`) when it has one.
 
@@ -482,7 +619,7 @@ class ExtensionScenario:
         self._rtables: list[tuple] = []
         self._rviews: list[tuple[SkewFraction, ...]] = []
         self._images: dict[str, CentralPolynomial] | None = None
-        self._matrices: dict[str, list[list]] = {}
+        self._powers: dict[str, PowerRows] = {}
         self._matrix_views: dict[str, list[list[SkewFraction]]] = {}
         self._rtable: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
         self._mtables: dict[str, tuple[list[int], list[tuple[SkewPolynomial, ...]]]] = {}
@@ -546,9 +683,11 @@ class ExtensionScenario:
     def images(self) -> dict[str, CentralPolynomial]:
         """q_g modulo f for every group element, closed over the table.
 
-        The closure walks products with the generators; whenever an element
-        is reached twice the two candidate images must agree, otherwise the
-        declared table and the declared generator images are inconsistent.
+        The closure walks products with the generators, q_(g*s) = q_s(q_g)
+        read off the power rows of q_g; whenever an element is reached twice
+        the two candidate images must agree, otherwise the declared table
+        and the declared generator images are inconsistent.  Only an image
+        reached for the first time is reduced to canonical form.
         """
         if self._images is None:
             group = self.group
@@ -560,28 +699,37 @@ class ExtensionScenario:
                         f"{self.name}: image of {name!r} conflicts with identity"
                     )
                 images[name] = reduced
+            powers: dict[str, PowerRows] = {}
             queue = deque(images)
             while queue:
                 g = queue.popleft()
+                powers[g] = PowerRows(self.f, images[g])
                 for s in self.generator_images:
                     h = group.op(g, s)
-                    candidate = self.reduce_polynomial(images[s].compose(images[g]))
+                    candidate = powers[g].compose(images[s])
                     if h in images:
-                        if images[h] != candidate:
+                        if candidate != images[h].residue():
                             raise ScenarioValidationError(
                                 f"{self.name}: image of {h!r} is path dependent "
                                 f"(via {g!r}*{s!r})"
                             )
                     else:
-                        images[h] = candidate
+                        images[h] = candidate.polynomial()
                         queue.append(h)
             missing = sorted(set(group.elements) - set(images))
             if missing:
                 raise ScenarioValidationError(
                     f"{self.name}: generators do not reach {missing}"
                 )
-            self._images = images
+            self._images, self._powers = images, powers
         return self._images
+
+    def power_rows(self, g: str) -> PowerRows:
+        """The rows q_g^k modulo f: `matrix` is their first d."""
+        if g not in self.group.elements:
+            raise UnknownGroupElement(f"unknown group element {g!r}")
+        self.images  # the closure builds the rows of every element it reaches
+        return self._powers[g]
 
     def matrix(self, g: str) -> list[list[SkewFraction]]:
         """Row i = coordinates of q_g(x)^i modulo f."""
@@ -593,19 +741,7 @@ class ExtensionScenario:
 
     def _matrix_data(self, g: str) -> list[list]:
         """`matrix` on central coefficients."""
-        if g not in self.group.elements:
-            raise UnknownGroupElement(f"unknown group element {g!r}")
-        if g not in self._matrices:
-            d = self.degree
-            zero = _central_zero(self.field)
-            q = self.images[g]
-            rows = []
-            power = CentralPolynomial.one(self.field)
-            for _ in range(d):
-                rows.append([*power.central_coeffs] + [zero] * (d - 1 - power.degree))
-                power = self.reduce_polynomial(power * q)
-            self._matrices[g] = rows
-        return self._matrices[g]
+        return self.power_rows(g).rows(self.degree)
 
     def _matrix_table(self, g: str) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
         """`matrix` as (C, T) with row i, entry m = C(t^n)^-1 * T[i][m] (cached)."""
@@ -1372,19 +1508,17 @@ def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
 
     def check_galois_roots():
         for g in scenario.group.elements:
-            image = scenario.images[g]
-            value = scenario.reduce_polynomial(scenario.f.compose(image))
-            if not value.is_zero():
+            if not scenario.power_rows(g).compose(scenario.f).is_zero():
                 return ("fail", f"f(q_{g}) is nonzero modulo f")
         return ("pass", f"all {len(scenario.group.elements)} images are roots of f modulo f")
 
     def check_table():
         images = scenario.images
         for a in scenario.group.elements:
+            rows = scenario.power_rows(a)
             for b in scenario.group.elements:
                 ab = scenario.group.op(a, b)
-                composed = scenario.reduce_polynomial(images[b].compose(images[a]))
-                if composed != images[ab]:
+                if rows.compose(images[b]) != images[ab].residue():
                     return ("fail", f"q_({a}*{b}) differs from q_{b}(q_{a}(x)) modulo f")
         return ("pass", f"all {len(scenario.group.elements)**2} products compose correctly")
 

@@ -592,12 +592,16 @@ def embed_fraction(x: SkewFraction, prec: int) -> TwistedSeries:
 
     The result precision is exactly `prec`; the embedding computes at an
     internally padded precision so the denominator's valuation cannot eat
-    into the requested window.
+    into the requested window.  A fraction of valuation at least prec
+    embeds as the zero series, as in `CentralSeries.embed`.
     """
     field = x.field
     if x.is_zero():
         return TwistedSeries.zero(field, prec)
-    work = prec + 2 * _low_degree(x.den)
+    low = _low_degree(x.den)
+    if _low_degree(x.num) - low >= prec:
+        return TwistedSeries.zero(field, prec)
+    work = prec + 2 * low
     den = TwistedSeries.from_polynomial(x.den, work)
     num = TwistedSeries.from_polynomial(x.num, work)
     return solve_left(den, num).truncate(prec)

@@ -288,7 +288,11 @@ def _central(value: Any, field: GroundField, where: str) -> CentralPolynomial:
 
 def _parse_group(doc: Any, where: str) -> FiniteGroup:
     data = _mapping(doc, where, ("elements", "identity", "table"))
-    elements = [_string(e, f"{where}.elements") for e in _list(data["elements"], f"{where}.elements")]
+    entries = _list(data["elements"], f"{where}.elements")
+    if len(entries) > FACTOR_DEGREE_CAP:
+        # the order must equal deg f, and the group checks grow as its cube
+        raise CapExceeded(f"{where} order {len(entries)} exceeds cap {FACTOR_DEGREE_CAP}")
+    elements = [_string(e, f"{where}.elements") for e in entries]
     identity = _string(data["identity"], f"{where}.identity")
     rows = data["table"]
     if not isinstance(rows, Mapping):

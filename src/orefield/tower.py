@@ -19,6 +19,7 @@ from .extend import (
     CheckResult,
     ExtensionScenario,
     FiniteGroup,
+    PowerRows,
     _central_upoly,
     _rational_invariants,
     fixed_space,
@@ -122,6 +123,7 @@ class TowerScenario:
         self.eps = tuple(dict(e) for e in eps)
         self.embeddings = tuple(embeddings)
         self.nonsquare_witnesses = tuple(nonsquare_witnesses)
+        self._embedding_powers: dict[int, PowerRows] = {}
         if len(self.levels) != len(system.levels):
             raise ScenarioValidationError(
                 f"{name}: {len(system.levels)} groups but {len(self.levels)} levels"
@@ -160,17 +162,24 @@ class TowerScenario:
         """Project a level-`upper` system element down one level."""
         return self.system.epis[upper - 1][g]
 
+    def embedding_powers(self, n: int) -> PowerRows:
+        """The powers of `embeddings[n]` modulo the level-(n+2) f (cached)."""
+        if n not in self._embedding_powers:
+            embedding = self.embeddings[n]
+            if embedding is None:
+                raise EmbeddingMissing(
+                    f"{self.name}: no embedding of level {n + 1} into level {n + 2}"
+                )
+            self._embedding_powers[n] = PowerRows(self.levels[n + 1].f, embedding)
+        return self._embedding_powers[n]
+
 
 def _composition_mismatch(
-    upper: ExtensionScenario,
-    embedding: CentralPolynomial,
-    psi_image: CentralPolynomial,
-    phi_image: CentralPolynomial,
+    psi_rows: PowerRows, embedding: PowerRows, phi_image: CentralPolynomial
 ) -> bool:
-    """Does restriction disagree?  p(q_psi(x)) vs q_phi(p(x)) modulo f."""
-    lhs = upper.reduce_polynomial(embedding.compose(psi_image))
-    rhs = upper.reduce_polynomial(phi_image.compose(embedding))
-    return lhs != rhs
+    """Does restriction disagree?  p(q_psi(x)) vs q_phi(p(x)) modulo f, for
+    the power rows of q_psi and of the embedding p modulo the upper f."""
+    return psi_rows.compose(embedding.q) != embedding.compose(phi_image)
 
 
 def check_compatibility(ts: TowerScenario) -> list[CheckResult]:
@@ -183,20 +192,14 @@ def check_compatibility(ts: TowerScenario) -> list[CheckResult]:
     law = "restriction of eps_(n+1)(g) equals eps_n(s_(n+1)(g))"
     results = []
     for n in range(ts.depth - 1):
-        embedding = ts.embeddings[n]
-        if embedding is None:
-            raise EmbeddingMissing(
-                f"{ts.name}: no embedding of level {n + 1} into level {n + 2}"
-            )
+        powers = ts.embedding_powers(n)
         upper, lower = ts.levels[n + 1], ts.levels[n]
         for g in ts.system.levels[n + 1].elements:
             psi = ts.eps[n + 1][g]
             phi = ts.eps[n][ts.restriction(n + 1, g)]
             name = f"compat[{n + 2}->{n + 1}:{g}]"
             try:
-                bad = _composition_mismatch(
-                    upper, embedding, upper.images[psi], lower.images[phi]
-                )
+                bad = _composition_mismatch(upper.power_rows(psi), powers, lower.images[phi])
             except OrefieldError as exc:
                 results.append(CheckResult(name, "fail", law, str(exc)))
                 continue
@@ -220,16 +223,12 @@ def check_embeddings(ts: TowerScenario) -> list[CheckResult]:
     """The embedded generator is a root of the lower f and hits the lower rho."""
     results = []
     for n in range(ts.depth - 1):
-        embedding = ts.embeddings[n]
-        if embedding is None:
-            raise EmbeddingMissing(
-                f"{ts.name}: no embedding of level {n + 1} into level {n + 2}"
-            )
+        powers = ts.embedding_powers(n)
+        embedding = powers.q
         upper, lower = ts.levels[n + 1], ts.levels[n]
         name = f"embed[{n + 1}->{n + 2}]"
         law = "the embedded generator satisfies the lower minimal polynomial"
-        value = upper.reduce_polynomial(lower.f.compose(embedding))
-        if not value.is_zero():
+        if not powers.compose(lower.f).is_zero():
             results.append(
                 CheckResult(name, "fail", law, "f_lower(p(x)) is nonzero modulo f_upper")
             )
@@ -350,15 +349,13 @@ def check_functoriality(ts: TowerScenario) -> list[CheckResult]:
             )
         top = ts.levels[n + 2]
         bottom = ts.levels[n]
-        composite = top.reduce_polynomial(lower_emb.compose(upper_emb))
+        composite = PowerRows(top.f, ts.embedding_powers(n + 1).compose(lower_emb).polynomial())
         for g in ts.system.levels[n + 2].elements:
             psi = ts.eps[n + 2][g]
             projected = ts.restriction(n + 1, ts.restriction(n + 2, g))
             phi = ts.eps[n][projected]
             name = f"functorial[{n + 3}->{n + 1}:{g}]"
-            if _composition_mismatch(
-                top, composite, top.images[psi], bottom.images[phi]
-            ):
+            if _composition_mismatch(top.power_rows(psi), composite, bottom.images[phi]):
                 results.append(
                     CheckResult(
                         name,

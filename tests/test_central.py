@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, _central, _view
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _central, _view
 from orefield.factor import RationalFunction, content, gcd
 from orefield.ground import make_number_field
 from orefield.skewfrac import SkewFraction
@@ -170,17 +170,29 @@ def check_polys(field, p, q, g):
     assert (p + q).coeffs == schoolbook.central_add(field, a, b)
     assert (p - q).coeffs == schoolbook.central_add(field, a, tuple(-x for x in b))
     assert (p * q).coeffs == schoolbook.central_mul(field, a, b)
-    assert p.compose(q).coeffs == schoolbook.central_compose(field, a, b)
     assert (p + q == q + p) and ((p == q) == (a == b))
     if g.is_zero():
         with pytest.raises(DivisionByZero):
             p.divmod_by(g)
+        with pytest.raises(DivisionByZero):
+            PowerRows(g, q)
         with pytest.raises(DivisionByZero):
             schoolbook.central_divmod(field, a, c)
     else:
         quo, rem = p.divmod_by(g)
         assert (quo.coeffs, rem.coeffs) == schoolbook.central_divmod(field, a, c)
         assert quo * g + rem == p
+        check_composition(field, g, p, q)
+
+
+def check_composition(field, f, p, q):
+    """p(q) modulo f through the power rows of q, against composing by
+    Horner and dividing by f."""
+    expected = schoolbook.central_divmod(field, schoolbook.central_compose(field, p.coeffs, q.coeffs), f.coeffs)[1]
+    composite = PowerRows(f, q).compose(p)
+    assert composite.polynomial().coeffs == expected
+    assert composite.is_zero() == (not expected)
+    assert composite == CentralPolynomial(field, expected).residue()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -235,9 +247,11 @@ def test_raw_coefficients_off_the_center_are_refused():
 def test_mixing_fields_raises():
     p, q = CentralPolynomial.x(RATIONALS), CentralPolynomial.x(GAUSS)
     binary = (operator.add, operator.sub, operator.mul, operator.eq)
-    for op in (*binary, CentralPolynomial.divmod_by, CentralPolynomial.compose):
+    for op in (*binary, CentralPolynomial.divmod_by, PowerRows):
         with pytest.raises(MixedFields):
             op(p, q)
+    with pytest.raises(MixedFields):
+        PowerRows(p, p).compose(q)
     with pytest.raises(MixedFields):
         p.scale(SkewFraction.one(GAUSS))
     group = FiniteGroup(("e",), "e", {("e", "e"): "e"})

@@ -172,6 +172,20 @@ def test_scenario_file_factor_degree_caps(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_scenario_file_group_order_cap(capsys, tmp_path):
+    # the order is refused before the table is read: a group can only match
+    # deg f <= 64, and its axioms are checked over all triples
+    elements = [f"g{k}" for k in range(65)]
+    doc = yaml.safe_load((SCENARIOS / "T3L1.yaml").read_text(encoding="utf-8"))
+    doc["group"] = {"elements": elements, "identity": "g0", "table": {"g0": {"g0": "g0"}}}
+    assert _exceeds_cap(capsys, "extend", "--scenario", _capped_scenario_file(tmp_path, doc))
+    doc = tower_document(tower_catalog("T3", validate=False))
+    doc["system"]["groups"][0] = {"elements": elements, "identity": "g0", "table": {}}
+    path = _capped_scenario_file(tmp_path, doc)
+    assert _exceeds_cap(capsys, "tower", "--scenario", path)
+    assert "tower.system.groups[0] order 65 exceeds cap 64" in run(capsys, "tower", "--scenario", path)[2]
+
+
 def test_scenario_file_expressions_stop_at_the_degree_cap(capsys, tmp_path):
     # the degree is bounded before each product is formed: 16 polynomial
     # factors reach degree 1024, and the 17th exits at once instead of

@@ -20,6 +20,7 @@ from orefield.extend import (
     CentralPolynomial,
     ExtensionScenario,
     FiniteGroup,
+    PowerRows,
     TensorElement,
     ext_tau,
     fixed_space,
@@ -31,6 +32,7 @@ from orefield.sampling import random_tensor
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
+import schoolbook
 from conftest import GAUSS, HAMILTON, checked_decomposition
 
 F = Fraction
@@ -106,9 +108,11 @@ def test_central_polynomial_divmod_and_compose():
     f = QUAT.f
     q, r = (f * f).divmod_by(f)
     assert q == f and r.is_zero()
-    # f(-x) = f(x) here, so composing with the flip is invisible
+    # f(-x) = f(x) here, so composing with the flip is invisible modulo a
+    # polynomial of higher degree, and is a root of f modulo f
     flip = CentralPolynomial.from_coeffs(HAMILTON, [0, -1])
-    assert f.compose(flip) == f
+    assert PowerRows(f * f, flip).compose(f).polynomial() == f
+    assert PowerRows(f, flip).compose(f).is_zero()
 
 
 # ----------------------------------------------------------- scenario plumbing
@@ -435,3 +439,68 @@ def test_match_returns_none_for_a_corrupted_series():
     target = ext_tau(TensorElement.x(QUAT), 48)
     corrupted = target + TwistedSeries.t_power(HAMILTON, 20, 48)
     assert match_root_polynomial(QUAT, corrupted) is None
+
+
+# ------------------------------------------------- composition by power rows
+
+
+def horner_and_division(scenario, p, q):
+    """p(q) modulo f by Horner in the polynomial ring, then division by f."""
+    field = scenario.field
+    composed = CentralPolynomial(field, schoolbook.central_compose(field, p.coeffs, q.coeffs))
+    return composed.divmod_by(scenario.f)[1]
+
+
+def check_power_rows(scenario, q, rows):
+    for p in (scenario.f, *scenario.images.values(), q):
+        expected = horner_and_division(scenario, p, q)
+        composite = rows.compose(p)
+        assert composite.polynomial() == expected
+        assert composite == expected.residue()
+        assert composite.is_zero() == expected.is_zero()
+
+
+@pytest.mark.parametrize("name", ["T1L1", "T1L2", "T2L1", "T2L2", "T3L1"])
+def test_power_rows_compose_as_horner_and_division_on_every_catalog_level(name):
+    scenario = scenario_catalog(name)
+    for g in scenario.group.elements:
+        rows = scenario.power_rows(g)
+        assert rows.q == scenario.images[g]
+        check_power_rows(scenario, scenario.images[g], rows)
+
+
+def corrupted(name, images):
+    good = scenario_catalog(name)
+    images = {g: CentralPolynomial.from_coeffs(good.field, c) for g, c in images.items()}
+    return ExtensionScenario(
+        f"{name}-bad", good.field, good.f, good.group, images, good.precision,
+        newton_seed=good.newton_seed, newton_coeffs=good.newton_coeffs,
+    )
+
+
+def galois_rows(scenario):
+    return {
+        r.name: (r.status, r.details)
+        for r in run_scenario_checks(scenario)
+        if r.name.startswith("galois")
+    }
+
+
+def test_corrupted_images_fail_in_the_same_rows():
+    # 1 - x squares to the identity but is no root of x^2 - c
+    bad = corrupted("T2L1", {"s": [1, -1]})
+    check_power_rows(bad, bad.images["s"], bad.power_rows("s"))
+    assert galois_rows(bad) == {
+        "galois-faithful": ("pass", "images are pairwise distinct"),
+        "galois-roots": ("fail", "f(q_s) is nonzero modulo f"),
+        "galois-table": ("pass", "all 4 products compose correctly"),
+    }
+    # 1 + x does not square to the identity, and x + x^2 does not cube to it
+    for name, images, detail in (
+        ("T2L1", {"s": [1, 1]}, "T2L1-bad: image of 'e' is path dependent (via 's'*'s')"),
+        ("T3L1", {"g": [0, 1, 1]}, "T3L1-bad: image of 'e' is path dependent (via 'h'*'g')"),
+    ):
+        bad = corrupted(name, images)
+        ((g, q),) = bad.generator_images.items()
+        check_power_rows(scenario_catalog(name), q, PowerRows(bad.f, q))
+        assert set(galois_rows(bad).values()) == {("fail", detail)}

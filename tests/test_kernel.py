@@ -557,16 +557,36 @@ def test_central_embedding_matches_embed_fraction(field):
         den = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         if not any(den):
             den[-1] = 1
-        prec = rng.randint(1, 12)
-
-        def upoly(c):
-            rows = []
-            for a in c:
-                rows += [a] + [0] * (n - 1)
-            return SkewPolynomial.from_coeffs(field, rows)
-
-        x = SkewFraction.make(upoly(num), upoly(den))
+        prec = rng.randint(0, 12)
+        x = SkewFraction.make(_upoly(field, num), _upoly(field, den))
         assert _same_central(CentralSeries.embed(field, num, den, prec), embed_fraction(x, prec))
+
+
+def _upoly(field, c):
+    """sum c[k] u^k with u = t^n."""
+    rows = []
+    for a in c:
+        rows += [a] + [0] * (field.sigma_order - 1)
+    return SkewPolynomial.from_coeffs(field, rows)
+
+
+@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+def test_embed_fraction_at_or_below_the_valuation_is_zero(field):
+    n = field.sigma_order
+    t = SkewFraction.t_power(field, 1)
+    for prec in range(-2, 2):
+        assert embed_fraction(t, prec) == TwistedSeries.zero(field, prec)
+    assert embed_fraction(t, 2).val == 1
+    # u^a / (u^b (1 + u)) has valuation n(a - b): the zero series up to that
+    # precision, whatever the valuation b of the denominator, and nonzero past it
+    for a, b in ((0, 0), (2, 0), (0, 1), (1, 2), (2, 1)):
+        num, den = [0] * a + [1], [0] * b + [1, 1]
+        x = SkewFraction.make(_upoly(field, num), _upoly(field, den))
+        v = n * (a - b)
+        for prec in range(min(v, -n * b) - 2, v + 3):
+            value = embed_fraction(x, prec)
+            assert value.prec == prec and value.is_zero() == (prec <= v)
+            assert _same_central(CentralSeries.embed(field, num, den, prec), value)
 
 
 def test_newton_root_runs_on_the_center(monkeypatch):
