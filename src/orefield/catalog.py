@@ -114,12 +114,14 @@ def _quartic(name: str, field: GroundField) -> ExtensionScenario:
         field,
         [0, _uratio(field, (4, 2, 2), den), 0, _uratio(field, (-1,), den)],
     )
+    # negated on the fractions: building a scenario loads no central arithmetic
+    minus_flip_b = CentralPolynomial(field, tuple(-c for c in flip_b.coeffs))
     return ExtensionScenario(
         name=name,
         field=field,
         f=f,
         group=_v4(),
-        generator_images={"01": flip_b, "10": -flip_b},
+        generator_images={"01": flip_b, "10": minus_flip_b},
         precision=48,
         newton_seed=field.from_rational(2),
     )

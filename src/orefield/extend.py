@@ -14,21 +14,22 @@ the rest of the package (towers, command line) consumes:
   run on reduced N/D pairs over Z[u] (`orefield.factor.RationalFunction`)
   when the invariant subfield is Q, as at every catalog level, and on
   `SkewFraction`s over any other invariant subfield.
-* `PowerRows` -- the rows q^k modulo f of one polynomial q: the Galois
-  matrix when q = q_g, and the table every composition modulo f in the check
-  battery and the tower checks reads, p(q) = sum_k p_k (q^k mod f), as a
-  `Residue` over one common Z[u] denominator.
+* `PowerRows` -- the rows q^k modulo f of one polynomial q, built once and
+  read by everything that works modulo f: with q = x they are the reduction
+  table x^p mod f, with q = q_g the Galois matrix of g, and for any q the
+  table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f), as a
+  `Residue` over one common Z[u] denominator.  `twisted_table` shows the
+  rows as twisted polynomials over one common denominator.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
-  recipe, plus lazily computed derived data (reduction tables, the full
-  image closure, matrices, the lifted root).  The tables, images and
-  matrices are computed on the same central coefficients and read as
-  `SkewFraction`s, each built once, without a `gcld`.
+  recipe, plus lazily computed derived data: one `PowerRows` per image
+  polynomial (x's rows are the reduction table), the full image closure and
+  the lifted root.
 * `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
   central denominator c in Z[u] and twisted polynomials P_i, in a canonical
-  form with structural `==`.  Multiplication reduces through the reduction
-  table, `apply` acts by the Galois matrices, both held over one common
-  Z[u] denominator, and inversion solves a one-sided system by fraction-free
+  form with structural `==`.  Multiplication and inversion reduce through
+  the rows of x and `apply` acts by the rows of q_g, all read through
+  `twisted_table`; inversion solves a one-sided system by fraction-free
   elimination with norm-conjugate pivots (`linalg.solve_right_generic`);
   fraction inputs enter through the norm conjugate
   (`skewpoly.norm_conjugate`), den^-1 num = c^-1 (q num).  None of these
@@ -82,6 +83,7 @@ from .laurent import (
 from .skewfrac import SkewFraction, is_central
 from .skewpoly import (
     SkewPolynomial,
+    central_ints,
     central_polynomial,
     norm_conjugate,
     reduce_central,
@@ -94,10 +96,10 @@ from .skewpoly import (
 # When the invariant subfield is Q, the center is Q(u), u = t^n, and a central
 # coefficient is held as a `RationalFunction`.  Over any other invariant
 # subfield it stays a `SkewFraction`.  Both kinds have + - * inv == is_zero,
-# so the central polynomials, the reduction table, the Galois matrices and the
-# fixed space run the same code on either.  `orefield.factor` is imported on
-# first use: building the catalog scenarios needs no central arithmetic, so a
-# process that builds them only to compute with their fields does not load it.
+# so the central polynomials, their power rows and the fixed space run the
+# same code on either.  `orefield.factor` is imported on first use: building
+# the catalog scenarios needs no central arithmetic, so a process that builds
+# them only to compute with their fields does not load it.
 
 
 def _central(field: GroundField, c: SkewFraction):
@@ -106,11 +108,22 @@ def _central(field: GroundField, c: SkewFraction):
         return c
     from .factor import RationalFunction
 
-    num, num_den = _central_upoly(c.num, field)
-    den, den_den = _central_upoly(c.den, field)
-    if not c.is_invariant_central():
+    (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
+    num, den = central_ints(field, num_rows), central_ints(field, den_rows)
+    if num is None or den is None:
+        _check_stride(c)
         raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
     return RationalFunction.make([a * den_den for a in num], [a * num_den for a in den])
+
+
+def _check_stride(c: SkewFraction) -> None:
+    """Raise unless every exponent of c's numerator and denominator is a
+    multiple of the twist order."""
+    n = c.field.sigma_order
+    for p in (c.num, c.den):
+        m = next((m for m, a in enumerate(p.coeffs) if m % n and not a.is_zero()), None)
+        if m is not None:
+            raise ScenarioValidationError(f"exponent {m} of {p} is not a multiple of the twist order")
 
 
 def _view(field: GroundField, c) -> SkewFraction:
@@ -424,10 +437,10 @@ class PowerRows:
     for any polynomials p and q.  When the invariant subfield is Q the rows
     are also held as integer polynomials over one common Z[u] denominator,
     so a composite is a sum of integer polynomial products (a `Residue`)
-    with no gcd.
+    with no gcd.  With q = x the rows are the reduction table x^p mod f.
     """
 
-    __slots__ = ("f", "q", "_rows", "_last", "_den", "_nums")
+    __slots__ = ("f", "q", "_rows", "_last", "_den", "_nums", "_twisted")
 
     def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
         f._same(q)
@@ -438,6 +451,7 @@ class PowerRows:
         self._last: CentralPolynomial | None = None
         self._den: list[int] = [1]
         self._nums: list[list[list[int]]] = []
+        self._twisted: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
 
     def rows(self, count: int) -> list[list]:
         """Rows 0 .. count-1: row k holds the coordinates of q^k modulo f."""
@@ -465,6 +479,22 @@ class PowerRows:
                 self._den = den
             self._nums.append(nums)
         return self._nums
+
+    def twisted_table(self, count: int) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
+        """(C, T) with  q^k = C(t^n)^-1 * sum_m T[k][m] x^m  modulo f for at
+        least k < count, over one common denominator C in Z[u] (cached)."""
+        if self._twisted is None or len(self._twisted[1]) < count:
+            field = self.f.field
+            if _rational_invariants(field):
+                nums = self._table(count)
+                table = [tuple(central_polynomial(field, a) for a in row) for row in nums]
+                self._twisted = (self._den, table)
+            else:
+                rows = self.rows(count)
+                den, flat = _over_common_denominator([c for row in rows for c in row])
+                d = self.f.degree
+                self._twisted = (den, [tuple(flat[k : k + d]) for k in range(0, len(flat), d)])
+        return self._twisted
 
     def compose(self, p: CentralPolynomial) -> Residue:
         """p(q) modulo f, as sum_k p_k (q^k mod f)."""
@@ -569,17 +599,14 @@ class ExtensionScenario:
     in `run_scenario_checks` (or `validate`, which raises on the first
     failure).  Derived data is computed lazily and cached:
 
-    * reduction vectors of x^p modulo f,
+    * one `PowerRows` per polynomial: `reduction`, the rows x^p modulo f
+      that `TensorElement` multiplies and inverts with, and `power_rows(g)`,
+      the rows q_g^k modulo f whose first d are the matrix of g (for the
+      identity, `reduction` itself),
     * the image polynomial q_g for every group element (closure of the
       generator images under the table, with consistency checks),
-    * the power rows q_g^k modulo f, whose first d rows are the matrices of
-      the induced linear maps,
     * the series root rho, lifted once at padded precision, and its central
       form (`root`, `root_work`) when it has one.
-
-    The reduction vectors and matrices are computed on central coefficients
-    (see `CentralPolynomial`); `reduction_row` and `matrix` show them as
-    `SkewFraction`s, each built once.
     """
 
     def __init__(
@@ -616,13 +643,9 @@ class ExtensionScenario:
                 )
         if rho_override is None and newton_seed is None:
             raise ScenarioValidationError(f"{name}: no root recipe (seed or override)")
-        self._rtables: list[tuple] = []
-        self._rviews: list[tuple[SkewFraction, ...]] = []
+        self._reduction: PowerRows | None = None
         self._images: dict[str, CentralPolynomial] | None = None
         self._powers: dict[str, PowerRows] = {}
-        self._matrix_views: dict[str, list[list[SkewFraction]]] = {}
-        self._rtable: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
-        self._mtables: dict[str, tuple[list[int], list[tuple[SkewPolynomial, ...]]]] = {}
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
         self._root_work: CentralSeries | TwistedSeries | None = None
@@ -635,43 +658,12 @@ class ExtensionScenario:
 
     # -- reduction modulo f --------------------------------------------------
 
-    def reduction_row(self, p: int) -> tuple[SkewFraction, ...]:
-        """Coordinates of x^p modulo f (cached, extended on demand)."""
-        while len(self._rviews) <= p:
-            row = self._reduction_data(len(self._rviews))
-            self._rviews.append(tuple(_view(self.field, c) for c in row))
-        return self._rviews[p]
-
-    def _reduction_data(self, p: int) -> tuple:
-        """`reduction_row` on central coefficients."""
-        d = self.degree
-        zero = _central_zero(self.field)
-        if not self._rtables:
-            one = _central_one(self.field)
-            for i in range(d):
-                unit = [zero] * d
-                unit[i] = one
-                self._rtables.append(tuple(unit))
-        f = self.f.central_coeffs
-        while len(self._rtables) <= p:
-            prev = self._rtables[-1]
-            top = prev[d - 1]
-            row = [zero, *prev[: d - 1]]
-            if not top.is_zero():
-                for m in range(d):
-                    if not f[m].is_zero():
-                        row[m] = row[m] - top * f[m]
-            self._rtables.append(tuple(row))
-        return self._rtables[p]
-
-    def _reduction_table(self, size: int) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
-        """(C, T) with  x^p = C(t^n)^-1 * sum_m T[p - d][m] x^m  modulo f for
-        d <= p < size, over one common denominator C in Z[u] (cached)."""
-        d = self.degree
-        if self._rtable is None or len(self._rtable[1]) < size - d:
-            rows = [self.reduction_row(p) for p in range(d, max(size, 2 * d - 1))]
-            self._rtable = _table_over_common_denominator(rows)
-        return self._rtable
+    @property
+    def reduction(self) -> PowerRows:
+        """The rows x^p modulo f (built on first use)."""
+        if self._reduction is None:
+            self._reduction = PowerRows(self.f, CentralPolynomial.x(self.field))
+        return self._reduction
 
     def reduce_polynomial(self, p: CentralPolynomial) -> "CentralPolynomial":
         _, rem = p.divmod_by(self.f)
@@ -691,7 +683,7 @@ class ExtensionScenario:
         """
         if self._images is None:
             group = self.group
-            images = {group.identity: CentralPolynomial.x(self.field)}
+            images = {group.identity: self.reduction.q}
             for name, q in self.generator_images.items():
                 reduced = self.reduce_polynomial(q)
                 if name in images and images[name] != reduced:
@@ -699,11 +691,12 @@ class ExtensionScenario:
                         f"{self.name}: image of {name!r} conflicts with identity"
                     )
                 images[name] = reduced
-            powers: dict[str, PowerRows] = {}
+            powers = {group.identity: self.reduction}
             queue = deque(images)
             while queue:
                 g = queue.popleft()
-                powers[g] = PowerRows(self.f, images[g])
+                if g not in powers:
+                    powers[g] = PowerRows(self.f, images[g])
                 for s in self.generator_images:
                     h = group.op(g, s)
                     candidate = powers[g].compose(images[s])
@@ -725,29 +718,11 @@ class ExtensionScenario:
         return self._images
 
     def power_rows(self, g: str) -> PowerRows:
-        """The rows q_g^k modulo f: `matrix` is their first d."""
+        """The rows q_g^k modulo f: their first d are the matrix of g."""
         if g not in self.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
         self.images  # the closure builds the rows of every element it reaches
         return self._powers[g]
-
-    def matrix(self, g: str) -> list[list[SkewFraction]]:
-        """Row i = coordinates of q_g(x)^i modulo f."""
-        if g not in self._matrix_views:
-            self._matrix_views[g] = [
-                [_view(self.field, c) for c in row] for row in self._matrix_data(g)
-            ]
-        return self._matrix_views[g]
-
-    def _matrix_data(self, g: str) -> list[list]:
-        """`matrix` on central coefficients."""
-        return self.power_rows(g).rows(self.degree)
-
-    def _matrix_table(self, g: str) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
-        """`matrix` as (C, T) with row i, entry m = C(t^n)^-1 * T[i][m] (cached)."""
-        if g not in self._mtables:
-            self._mtables[g] = _table_over_common_denominator(self.matrix(g))
-        return self._mtables[g]
 
     # -- the series root -------------------------------------------------------
 
@@ -884,13 +859,13 @@ class TensorElement:
             conv.pop()
         if len(conv) <= d:
             return cls._reduced(scenario, den, conv + [SkewPolynomial.zero(scenario.field)] * (d - len(conv)))
-        c, table = scenario._reduction_table(len(conv))
+        c, table = scenario.reduction.twisted_table(max(len(conv), 2 * d - 1))
         out = conv[:d] if c == [1] else [times_central(v, c) for v in conv[:d]]
         for p in range(d, len(conv)):
             v = conv[p]
             if v.is_zero():
                 continue
-            for m, entry in enumerate(table[p - d]):
+            for m, entry in enumerate(table[p]):
                 if not entry.is_zero():
                     out[m] = out[m] + entry * v
         return cls._reduced(scenario, _mul(den, c), out)
@@ -993,7 +968,7 @@ class TensorElement:
         scenario = self.scenario
         d = scenario.degree
         zero = SkewPolynomial.zero(scenario.field)
-        c, table = scenario._reduction_table(2 * d - 1)
+        c, table = scenario.reduction.twisted_table(2 * d - 1)
         rows = [[zero] * d for _ in range(d)]
         for i, a in enumerate(self.polys):
             if a.is_zero():
@@ -1003,7 +978,7 @@ class TensorElement:
                 if i + j < d:
                     rows[i + j][j] = rows[i + j][j] + scaled
                     continue
-                for m, entry in enumerate(table[i + j - d]):
+                for m, entry in enumerate(table[i + j]):
                     if not entry.is_zero():
                         rows[m][j] = rows[m][j] + entry * a
         rhs = [central_polynomial(scenario.field, _mul(self.den, c))] + [zero] * (d - 1)
@@ -1025,7 +1000,7 @@ class TensorElement:
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""
         from .factor import _mul
 
-        c, table = self.scenario._matrix_table(g)
+        c, table = self.scenario.power_rows(g).twisted_table(self.scenario.degree)
         out = [SkewPolynomial.zero(self.scenario.field)] * self.scenario.degree
         for i, v in enumerate(self.polys):
             if v.is_zero():
@@ -1073,13 +1048,6 @@ def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int],
     return common, [p if c == common else times_central(p, _divexact(common, c)) for c, p in pairs]
 
 
-def _table_over_common_denominator(rows) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
-    """Rows of central fractions as (C, T), entry = C(t^n)^-1 * T[i][m]."""
-    den, flat = _over_common_denominator([x for row in rows for x in row])
-    width = len(rows[0]) if rows else 0
-    return den, [tuple(flat[i : i + width]) for i in range(0, len(flat), width)]
-
-
 def fixed_space(
     scenario: ExtensionScenario, elements: Sequence[str] | None = None
 ) -> list[list[SkewFraction]]:
@@ -1101,7 +1069,7 @@ def fixed_space(
     for g in names:
         if g == scenario.group.identity:
             continue
-        M = scenario._matrix_data(g)
+        M = scenario.power_rows(g).rows(d)
         for m in range(d):
             rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
     if rows:
@@ -1338,29 +1306,6 @@ def _spread(
 
 def _rational_invariants(field: GroundField) -> bool:
     return len(field.invariant_basis) == 1
-
-
-def _central_upoly(p: SkewPolynomial, field: GroundField) -> tuple[list[int], int]:
-    """A central polynomial as integers in u = t^n (rational case).
-
-    Returns (c, den) with p = sum_k c[k] / (den * w_a) * u^k, read from the
-    integer rows at the anchor coordinate a, the first nonzero entry w_a of
-    the invariant basis vector w.
-    """
-    n = field.sigma_order
-    w = field.invariant_basis[0]
-    anchor = next(i for i, v in enumerate(w) if v != 0)
-    rows, den = p.int_rows()
-    out = [0] * ((len(rows) - 1) // n + 1)
-    for m, row in enumerate(rows):
-        if not any(row):
-            continue
-        if m % n:
-            raise ScenarioValidationError(
-                f"exponent {m} of {p} is not a multiple of the twist order"
-            )
-        out[m // n] = row[anchor]
-    return out, den
 
 
 # integer points u0 tried, in this order, by the specialisation certificate

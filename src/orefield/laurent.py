@@ -57,7 +57,7 @@ from .errors import (
 )
 from .ground import GroundElement, GroundField
 from .skewfrac import SkewFraction
-from .skewpoly import SkewPolynomial
+from .skewpoly import SkewPolynomial, central_ints
 
 
 class TwistedSeries:
@@ -374,7 +374,7 @@ class CentralSeries:
         if s.is_zero():
             return cls.zero(field, s.prec)
         rows, den = s.int_rows()
-        ints = _rational_ints(field, rows)
+        ints = central_ints(field, rows)
         if s.val % field.sigma_order or ints is None:
             return None
         # the rows are canonical, so the ints are too
@@ -727,36 +727,13 @@ def _embed_coefficient(c: SkewFraction, prec: int, central: bool):
     `CentralSeries` when `central`, read straight from the rows of num and
     den when both are rational polynomials in t^n."""
     if central:
-        num, den = _u_polynomial(c.num), _u_polynomial(c.den)
+        (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
+        num, den = central_ints(c.field, num_rows), central_ints(c.field, den_rows)
         if num is not None and den is not None:
             return CentralSeries.embed(
-                c.field, [a * den[1] for a in num[0]], [a * num[1] for a in den[0]], prec
+                c.field, [a * den_den for a in num], [a * num_den for a in den], prec
             )
     s = embed_fraction(c, prec)
     if not is_invariant_series(s):
         raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
     return CentralSeries.from_twisted(s) if central else s
-
-
-def _u_polynomial(p: SkewPolynomial) -> tuple[list[int], int] | None:
-    """(ints, den) with p = sum_k ints[k]/den * t^(n*k), or None unless every
-    coefficient of p is rational and sits on an exponent divisible by n."""
-    rows, den = p.int_rows()
-    ints = _rational_ints(p.field, rows)
-    return None if ints is None else (ints, den)
-
-
-def _rational_ints(field: GroundField, rows: list) -> list[int] | None:
-    """The first entries of rows[0], rows[n], rows[2n], ..., or None unless
-    those rows are rational and every other row is zero."""
-    n, zero = field.sigma_order, field.zero_row
-    ints = []
-    for m, row in enumerate(rows):
-        if m % n:
-            if row != zero:
-                return None
-        elif any(row[1:]):
-            return None
-        else:
-            ints.append(row[0])
-    return ints

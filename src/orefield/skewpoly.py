@@ -392,6 +392,24 @@ def central_polynomial(field: GroundField, c: Sequence[int], over: int = 1) -> S
     return SkewPolynomial._from_rows(field, rows, over)
 
 
+def central_ints(field: GroundField, rows: list) -> list[int] | None:
+    """c in Z[u] with `rows` the integer rows of c(t^n), the inverse of
+    `central_polynomial`, or None unless rows[0], rows[n], rows[2n], ... are
+    rational and every other row is zero (over a rational invariant
+    subfield: unless the rows are those of an element of Q[u])."""
+    n, zero = field.sigma_order, field.zero_row
+    ints = []
+    for m, row in enumerate(rows):
+        if m % n:
+            if row != zero:
+                return None
+        elif any(row[1:]):
+            return None
+        else:
+            ints.append(row[0])
+    return ints
+
+
 def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:
     """p * c(t^n) / over, for c in Z[u]: a convolution of rows with stride n."""
     field = p.field

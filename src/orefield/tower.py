@@ -20,12 +20,13 @@ from .extend import (
     ExtensionScenario,
     FiniteGroup,
     PowerRows,
-    _central_upoly,
+    _check_stride,
     _rational_invariants,
     fixed_space,
     run_scenario_checks,
 )
 from .skewfrac import SkewFraction
+from .skewpoly import central_ints
 
 
 class GroupSystem:
@@ -379,7 +380,9 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
     square there forces every irreducible factor of N and D to even
     multiplicity; one odd factor is an exact disproof.  N and D are read as
     integer polynomials from the witness's rows and factored over Z by
-    `orefield.factor`, so this certificate never imports sympy.
+    `orefield.factor`, so this certificate never imports sympy.  A witness
+    outside Q(u) fails; an exponent off the multiples of n raises
+    `ScenarioValidationError`.
     """
     name = f"nonsquare[{label}]"
     law = "the witness has an odd-multiplicity factor, so it is not a square"
@@ -393,7 +396,10 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
         )
     from .factor import factor_list, poly_str
 
-    parts = [_central_upoly(part, field)[0] for part in (witness.num, witness.den)]
+    parts = [central_ints(field, part.int_rows()[0]) for part in (witness.num, witness.den)]
+    if None in parts:
+        _check_stride(witness)
+        return CheckResult(name, "fail", law, f"the witness {witness} is not in Q(u)")
     odd = [
         poly_str(factor, "u")
         for part in parts

@@ -45,6 +45,7 @@ from orefield.errors import (
     SingularElement,
     ZeroSeries,
 )
+from orefield.extend import _view
 from orefield.laurent import TwistedSeries
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
@@ -643,9 +644,21 @@ def central_compose(field, f, g):
 # -- tensor elements ----------------------------------------------------------
 #
 # The arithmetic `TensorElement` ran before it moved to one central
-# denominator: coordinate vectors of `SkewFraction`s over the scenario's
-# `reduction_row` and `matrix` views, every product and sum reduced on the
-# Ore path, and inversion by Gauss-Jordan elimination over the skew field.
+# denominator: coordinate vectors of `SkewFraction`s over the rows x^p and
+# q_g^i modulo f (`reduction_row` and `matrix`, read from the scenario's
+# `PowerRows`), every product and sum reduced on the Ore path, and inversion
+# by Gauss-Jordan elimination over the skew field.
+
+
+def reduction_row(scenario, p):
+    """The coordinates of x^p modulo f, as `SkewFraction`s."""
+    return tuple(_view(scenario.field, c) for c in scenario.reduction.rows(p + 1)[p])
+
+
+def matrix(scenario, g):
+    """Row i = the coordinates of q_g(x)^i modulo f, as `SkewFraction`s."""
+    rows = scenario.power_rows(g).rows(scenario.degree)
+    return [[_view(scenario.field, c) for c in row] for row in rows]
 
 
 def tensor_make(scenario, values):
@@ -656,7 +669,7 @@ def tensor_make(scenario, values):
     for p, c in enumerate(SkewFraction.coerce(field, v) for v in values):
         if c.is_zero():
             continue
-        row = scenario.reduction_row(p)
+        row = reduction_row(scenario, p)
         for m in range(d):
             if not row[m].is_zero():
                 out[m] = out[m] + c * row[m]
@@ -677,7 +690,7 @@ def tensor_mul(scenario, a, b):
     for p, c in enumerate(conv):
         if c.is_zero():
             continue
-        row = scenario.reduction_row(p)
+        row = reduction_row(scenario, p)
         for m in range(d):
             if not row[m].is_zero():
                 out[m] = out[m] + c * row[m]
@@ -699,7 +712,7 @@ def tensor_inv(scenario, a):
             for i, x in enumerate(a):
                 if x.is_zero():
                     continue
-                r = scenario.reduction_row(i + j)[m]
+                r = reduction_row(scenario, i + j)[m]
                 if not r.is_zero():
                     entry = entry + x * r
             row.append(entry)
@@ -711,7 +724,7 @@ def tensor_inv(scenario, a):
 
 
 def tensor_apply(scenario, a, g):
-    M = scenario.matrix(g)
+    M = matrix(scenario, g)
     d = scenario.degree
     out = [SkewFraction.zero(scenario.field)] * d
     for i, v in enumerate(a):

@@ -189,3 +189,11 @@ def test_nonrational_invariants_are_skipped_as_before():
     assert result.status == "skipped"
     scn = scenario(STATIC, [w, SkewFraction.zero(STATIC), SkewFraction.one(STATIC)])
     assert _irreducibility_certificate(scn) == schoolbook.irreducibility_certificate(scn)
+
+
+def test_witnesses_off_the_center_fail():
+    # over Q(i): 1 + (1+i)*u and i*u sit on the multiples of n, but are not in Q(u)
+    for coeffs in ([[1, 0], [0, 0], [1, 1]], [[0, 0], [0, 0], [0, 1]]):
+        witness = SkewFraction.from_polynomial(SkewPolynomial.from_coeffs(GAUSS, coeffs))
+        result = nonsquare_certificate("w", witness)
+        assert (result.status, result.details) == ("fail", f"the witness {witness} is not in Q(u)")

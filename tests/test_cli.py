@@ -249,13 +249,18 @@ def test_verify_extend_and_field_construction_never_import_sympy():
         "make_number_field([8, -12, 0, 1], sigma_image=[-4, 0, Fraction(1, 2)])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
     )
+    assert run_fresh(script) == "[]"
+
+
+def run_fresh(script):
+    """What the script prints, run in a fresh process on this checkout."""
     paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
 
 
 def loaded_after(commands, modules):
@@ -269,13 +274,21 @@ def loaded_after(commands, modules):
         "        assert cli.main(argv) == 0\n"
         f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
-    paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    return run_fresh(script)
+
+
+def test_building_the_catalog_scenarios_loads_no_central_arithmetic():
+    """The central coefficients and every table modulo f are built on first
+    use, so a process that only builds the scenarios never loads
+    `orefield.factor`."""
+    script = (
+        "import sys\n"
+        "from orefield.catalog import scenario_catalog, scenario_names\n"
+        "for name in scenario_names():\n"
+        "    scenario_catalog(name)\n"
+        "print('orefield.factor' in sys.modules)\n"
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
+    assert run_fresh(script) == "False"
 
 
 def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
@@ -410,6 +423,22 @@ def test_tower_on_corrupted_labelling_exits_check_failure(capsys, bad_eps_file):
     assert len(failing) == 2
     assert any("compat[2->1:01]" in line for line in failing)
     assert any("compat[2->1:10]" in line for line in failing)
+
+
+def test_tower_file_with_witnesses_off_the_center_fails(capsys, tmp_path):
+    # 1 + (1+i)*u and i*u over Q(i): on the multiples of n, not in Q(u)
+    doc = tower_document(tower_catalog("T2", validate=False))
+    doc["nonsquares"][0]["witness"] = "[1,0] + [1,1]*t^2"
+    doc["nonsquares"][1]["witness"] = "[0,1]*t^2"
+    path = tmp_path / "off-center.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, out, _ = run(capsys, "tower", "--scenario", str(path))
+    assert code == EXIT_CHECKS
+    failing = [line for line in out.splitlines() if line.startswith("[fail]")]
+    assert len(failing) == 2
+    assert failing[0].startswith("[fail] nonsquare[u+1]: the witness ")
+    assert failing[1].startswith("[fail] nonsquare[u^2+1]: the witness ")
+    assert all(line.endswith(" is not in Q(u)") for line in failing)
 
 
 def test_tower_json_rows_have_the_report_schema(capsys):

@@ -678,6 +678,9 @@ def test_multiplication_matrices_and_derived_bases_match_the_fraction_products(f
         assert field._mult_matrices(e) == sb.mult_matrices(field, e)
     assert field.center_basis == sb.center_basis(field)
     assert field.invariant_basis == sb.invariant_basis(field)
+    if len(field.invariant_basis) == 1:
+        # a rational invariant subfield is spanned by 1: its anchor is coordinate 0
+        assert field.invariant_basis == ((1,) + (0,) * (field.dim - 1),)
     assert field.h_basis == sb.h_basis(field)
 
 

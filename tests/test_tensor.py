@@ -3,6 +3,7 @@
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,12 @@ import schoolbook as sb
 from orefield import kernel
 from orefield.catalog import scenario_catalog, scenario_names
 from orefield.errors import InsufficientPrecision, MixedScenarios, SingularElement
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, TensorElement, ext_tau
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, TensorElement, ext_tau
 from orefield.laurent import CentralSeries, TwistedSeries
 from orefield.factor import content, gcd
 from orefield.sampling import random_fraction, random_tensor
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial, central_coordinates
+from orefield.skewpoly import SkewPolynomial, central_coordinates, central_polynomial
 
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
@@ -68,7 +69,8 @@ def check_values(scenario, values):
     assert TensorElement.make(scenario, element.coords) == element
 
 
-def check_pair(scenario, a, b):
+def check_products(scenario, a, b):
+    """Everything in `check_pair` but inversion."""
     ca, cb = a.coords, b.coords
     assert (a == b) == (ca == cb)
     assert a == TensorElement.make(scenario, ca)
@@ -83,6 +85,11 @@ def check_pair(scenario, a, b):
     for g in scenario.group.elements:
         image = a.apply(g)
         assert is_canonical(image) and image.coords == sb.tensor_apply(scenario, ca, g)
+
+
+def check_pair(scenario, a, b):
+    check_products(scenario, a, b)
+    ca = a.coords
     if a.is_zero():
         with pytest.raises(SingularElement):
             a.inv()
@@ -132,6 +139,55 @@ def test_tensor_arithmetic_matches_at_fixed_seeds(scenario):
         check_pair(scenario, element, element)
     assert zero.den == (1,) and a - a == zero
     assert (a * a.inv()) == one and (a.inv() * a) == one
+
+
+# the quartic levels' 4x4 tables and rows x^4 .. x^6; the oracle's inverses
+# there take seconds, and the tower tests invert the generators
+@pytest.mark.parametrize("name", ["T1L2", "T2L2"])
+def test_quartic_products_and_actions_match_at_a_fixed_seed(name):
+    scenario = scenario_catalog(name)
+    rng = random.Random(43)
+    for _ in range(3):
+        a, b = (random_tensor(scenario, rng, max_degree=2) for _ in range(2))
+        check_products(scenario, a, b)
+        check_values(scenario, random_values(scenario, rng, 2 * scenario.degree))
+
+
+ROW_SCENARIOS = [scenario_catalog(name) for name in ("T1L1", "T1L2", "T2L1", "T2L2", "T3L1")]
+ROW_SCENARIOS += [ROOT2_SCENARIO, CUBIC_SCENARIO]
+
+
+@pytest.mark.parametrize("scenario", ROW_SCENARIOS, ids=[s.name for s in ROW_SCENARIOS])
+def test_reduction_rows_are_the_remainders_of_the_powers_of_x(scenario):
+    field, d = scenario.field, scenario.degree
+    zero, one = SkewFraction.zero(field), SkewFraction.one(field)
+    c, table = scenario.reduction.twisted_table(2 * d - 1)
+    den = central_polynomial(field, c)
+    for p in range(2 * d - 1):
+        remainder = sb.central_divmod(field, (zero,) * p + (one,), scenario.f.coeffs)[1]
+        expected = remainder + (zero,) * (d - len(remainder))
+        assert sb.reduction_row(scenario, p) == expected
+        assert tuple(SkewFraction.make(entry, den) for entry in table[p]) == expected
+
+
+def test_the_identity_rows_are_the_table_products_reduce_with(monkeypatch):
+    scenario = quadratic("x^2 - 3", RATIONALS, SkewFraction.coerce(RATIONALS, 3))
+    identity = scenario.group.identity
+    rows = scenario.power_rows(identity)
+    assert rows is scenario.reduction and rows.q == CentralPolynomial.x(RATIONALS)
+    read = []
+    real = PowerRows.twisted_table
+
+    def recording(self, count):
+        read.append(self)
+        return real(self, count)
+
+    monkeypatch.setattr(PowerRows, "twisted_table", recording)
+    x = TensorElement.x(scenario)
+    assert x * x == TensorElement.make(scenario, [3])
+    assert x.inv() == TensorElement.make(scenario, [0, SkewFraction.coerce(RATIONALS, Fraction(1, 3))])
+    assert x.apply(identity) == x
+    assert len(read) == 3 and all(r is rows for r in read)
 
 
 def test_constructor_takes_coordinates_and_checks_their_number():
