@@ -80,7 +80,7 @@ from .laurent import (
     newton_root,
     solve_left,
 )
-from .skewfrac import SkewFraction, is_central
+from .skewfrac import SkewFraction
 from .skewpoly import (
     SkewPolynomial,
     central_ints,
@@ -104,7 +104,7 @@ from .skewpoly import (
 
 def _central(field: GroundField, c: SkewFraction):
     """A central fraction as a coefficient of the central layer."""
-    if not _rational_invariants(field):
+    if field.invariant_degree != 1:
         return c
     from .factor import RationalFunction
 
@@ -142,7 +142,7 @@ def _view(field: GroundField, c) -> SkewFraction:
 
 
 def _central_zero(field: GroundField):
-    if not _rational_invariants(field):
+    if field.invariant_degree != 1:
         return SkewFraction.zero(field)
     from .factor import RationalFunction
 
@@ -150,7 +150,7 @@ def _central_zero(field: GroundField):
 
 
 def _central_one(field: GroundField):
-    if not _rational_invariants(field):
+    if field.invariant_degree != 1:
         return SkewFraction.one(field)
     from .factor import RationalFunction
 
@@ -196,7 +196,7 @@ class CentralPolynomial:
         out = []
         for c in coeffs:
             frac = SkewFraction.coerce(field, c)
-            if not (frac.is_invariant_central() or is_central(frac)):
+            if not frac.is_invariant_central():
                 raise ScenarioValidationError(
                     f"coefficient {frac} of a central polynomial is not central"
                 )
@@ -213,11 +213,11 @@ class CentralPolynomial:
 
     @classmethod
     def one(cls, field: GroundField) -> "CentralPolynomial":
-        return cls._of(field, (_central_one(field),))
+        return cls(field, (SkewFraction.one(field),))
 
     @classmethod
     def x(cls, field: GroundField) -> "CentralPolynomial":
-        return cls._of(field, (_central_zero(field), _central_one(field)))
+        return cls(field, (SkewFraction.zero(field), SkewFraction.one(field)))
 
     @property
     def central_coeffs(self) -> tuple:
@@ -323,7 +323,7 @@ class CentralPolynomial:
         the coefficient denominators, when the invariant subfield is Q
         (cached)."""
         if self._residue is None:
-            if _rational_invariants(self.field):
+            if self.field.invariant_degree == 1:
                 self._residue = Residue(self.field, *_over_one_denominator(self.central_coeffs))
             else:
                 self._residue = Residue(self.field, None, list(self.central_coeffs))
@@ -335,7 +335,7 @@ class CentralPolynomial:
     def evaluate_series(self, point):
         """The value at a `TwistedSeries`, or at a `CentralSeries` over a
         rational invariant subfield, as a series of the point's kind."""
-        if isinstance(point, CentralSeries) and not _rational_invariants(self.field):
+        if isinstance(point, CentralSeries) and self.field.invariant_degree != 1:
             point = point.to_twisted()
         if self.is_zero():
             return type(point).zero(self.field, point.prec)
@@ -485,7 +485,7 @@ class PowerRows:
         least k < count, over one common denominator C in Z[u] (cached)."""
         if self._twisted is None or len(self._twisted[1]) < count:
             field = self.f.field
-            if _rational_invariants(field):
+            if field.invariant_degree == 1:
                 nums = self._table(count)
                 table = [tuple(central_polynomial(field, a) for a in row) for row in nums]
                 self._twisted = (self._den, table)
@@ -500,7 +500,7 @@ class PowerRows:
         """p(q) modulo f, as sum_k p_k (q^k mod f)."""
         self.f._same(p)
         field, d = self.f.field, self.f.degree
-        if not _rational_invariants(field):
+        if field.invariant_degree != 1:
             out = [_central_zero(field)] * d
             for c, row in zip(p.central_coeffs, self.rows(p.degree + 1)):
                 if c.is_zero():
@@ -590,6 +590,16 @@ class CheckResult:
     status: str  # "pass" | "fail" | "skipped"
     law: str
     details: str
+
+
+def guarded_check(name: str, law: str, fn) -> CheckResult:
+    """The row of a check `fn() -> (status, details)`; an `OrefieldError`
+    inside fn fails this row instead of ending the report."""
+    try:
+        status, details = fn()
+    except OrefieldError as exc:
+        status, details = "fail", str(exc)
+    return CheckResult(name, status, law, details)
 
 
 class ExtensionScenario:
@@ -770,7 +780,7 @@ class ExtensionScenario:
         catalog root does, and `rho_work` itself otherwise."""
         if self._root_work is None:
             work = self.rho_work
-            central = CentralSeries.from_twisted(work) if _rational_invariants(self.field) else None
+            central = CentralSeries.from_twisted(work) if self.field.invariant_degree == 1 else None
             self._root_work = work if central is None else central
         return self._root_work
 
@@ -1304,10 +1314,6 @@ def _spread(
 # -- the check battery ---------------------------------------------------------
 
 
-def _rational_invariants(field: GroundField) -> bool:
-    return len(field.invariant_basis) == 1
-
-
 # integer points u0 tried, in this order, by the specialisation certificate
 _SPECIALISATION_POINTS = (0, 1, -1, 2, -2, 3, -3)
 
@@ -1378,11 +1384,11 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
     and only this fallback can report how f splits.
     """
     field = scenario.field
-    if not _rational_invariants(field):
+    if field.invariant_degree != 1:
         return (
             "skipped",
             "certificate needs a rational invariant subfield "
-            f"(dimension {len(field.invariant_basis)} here)",
+            f"(dimension {field.invariant_degree} here)",
         )
     passed = ("pass", f"bivariate factorization leaves one x-factor of degree {scenario.degree}")
     if _specialisation_point(scenario) is not None:
@@ -1415,21 +1421,13 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
 
 def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
     """Every scenario-level certificate, as structured results sorted by name."""
-    results: list[CheckResult] = []
-
-    def guarded(name: str, law: str, fn) -> None:
-        try:
-            status, details = fn()
-        except OrefieldError as exc:
-            status, details = "fail", str(exc)
-        results.append(CheckResult(name, status, law, details))
 
     def check_shape():
         f = scenario.f
         if not f.is_monic():
             return ("fail", "f is not monic")
         for i, c in enumerate(f.coeffs):
-            if not (c.is_invariant_central() or is_central(c)):
+            if not c.is_invariant_central():
                 return ("fail", f"coefficient of x^{i} is not central")
         return ("pass", f"monic of degree {f.degree} with central coefficients")
 
@@ -1496,16 +1494,21 @@ def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
             )
         return ("pass", f"axioms hold, order {len(scenario.group.elements)} = degree")
 
-    guarded("f-shape", "f is monic with coefficients in the center", check_shape)
-    guarded(
-        "f-irreducible",
-        "f has no proper factor over the central function field",
-        check_irreducible,
-    )
-    guarded("root-residual", "f(rho) = 0 to the stated precision", check_residual)
-    guarded("galois-roots", "f(q_g(x)) = 0 (mod f) for every g", check_galois_roots)
-    guarded("galois-table", "q_(g*h)(x) = q_h(q_g(x)) (mod f)", check_table)
-    guarded("galois-faithful", "distinct group elements act differently", check_faithful)
-    guarded("fixed-space", "the full-group fixed space is spanned by 1", check_fixed)
-    guarded("group-axioms", "the table is a group of order deg f", check_group)
+    results = [
+        guarded_check(name, law, fn)
+        for name, law, fn in (
+            ("f-shape", "f is monic with coefficients in the center", check_shape),
+            (
+                "f-irreducible",
+                "f has no proper factor over the central function field",
+                check_irreducible,
+            ),
+            ("root-residual", "f(rho) = 0 to the stated precision", check_residual),
+            ("galois-roots", "f(q_g(x)) = 0 (mod f) for every g", check_galois_roots),
+            ("galois-table", "q_(g*h)(x) = q_h(q_g(x)) (mod f)", check_table),
+            ("galois-faithful", "distinct group elements act differently", check_faithful),
+            ("fixed-space", "the full-group fixed space is spanned by 1", check_fixed),
+            ("group-axioms", "the table is a group of order deg f", check_group),
+        )
+    ]
     return sorted(results, key=lambda r: r.name)

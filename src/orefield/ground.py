@@ -105,12 +105,9 @@ class GroundElement:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
-    def is_central(self) -> bool:
-        return self.field.is_central_coords(self.coords)
-
     def is_invariant(self) -> bool:
         """Central and fixed by the automorphism (no exception variant)."""
-        return self.is_central() and self.sigma() == self
+        return self.field.is_central_coords(self.coords) and self.sigma() == self
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.coords)) + "]"
@@ -129,7 +126,6 @@ class GroundField:
         beta: Coords | None,
         sigma_base: list[list[Fraction]],
         name: str,
-        order_cap: int = ORDER_CAP,
     ) -> None:
         self.kind = kind
         self.base_poly = base_poly
@@ -140,7 +136,7 @@ class GroundField:
         self.name = name
         self.sigma_matrix = self._expand_sigma(sigma_base)
         self.sigma_is_identity = self.sigma_matrix == linalg.identity(self.dim)
-        self.sigma_order = self._find_order(order_cap)
+        self.sigma_order = self._find_order()
         self._sigma_pows = self._power_matrices()
         self._compile_kernel()
         self.center_basis = self._compute_center_basis()
@@ -162,16 +158,16 @@ class GroundField:
                     mat[blk * d + r][blk * d + c] = sigma_base[r][c]
         return mat
 
-    def _find_order(self, cap: int) -> int:
+    def _find_order(self) -> int:
         if self.sigma_is_identity:
             return 1
         ident = linalg.identity(self.dim)
         power = self.sigma_matrix
-        for k in range(1, cap + 1):
+        for k in range(1, ORDER_CAP + 1):
             if power == ident:
                 return k
             power = linalg.matmul(power, self.sigma_matrix)
-        raise InfiniteOrder(f"automorphism order exceeds cap {cap}")
+        raise InfiniteOrder(f"automorphism order exceeds cap {ORDER_CAP}")
 
     def _power_matrices(self) -> list[list[list[Fraction]]]:
         pows = [linalg.identity(self.dim)]
@@ -701,13 +697,12 @@ def make_number_field(
     min_poly: Sequence,
     sigma_image: Sequence | None = None,
     name: str | None = None,
-    order_cap: int = ORDER_CAP,
 ) -> GroundField:
     poly = _check_min_poly(min_poly)
     image = None if sigma_image is None else tuple(_frac(c) for c in sigma_image)
     mat = _sigma_base_matrix(poly, image)
     label = name or f"Q[y]/({_poly_label(poly)})"
-    return GroundField("number-field", poly, None, None, mat, name=label, order_cap=order_cap)
+    return GroundField("number-field", poly, None, None, mat, name=label)
 
 
 def make_quaternions(
@@ -716,7 +711,6 @@ def make_quaternions(
     min_poly: Sequence | None = None,
     sigma_image: Sequence | None = None,
     name: str | None = None,
-    order_cap: int = ORDER_CAP,
 ) -> GroundField:
     if min_poly is None:
         poly = None
@@ -736,7 +730,7 @@ def make_quaternions(
             "automorphism must fix the quaternion constants alpha and beta"
         )
     label = name or f"({a},{b} / {'Q' if poly is None else 'Q[y]'})"
-    return GroundField("quaternions", poly, a, b, mat, name=label, order_cap=order_cap)
+    return GroundField("quaternions", poly, a, b, mat, name=label)
 
 
 def _coerce_base(value, base_dim: int) -> Coords:

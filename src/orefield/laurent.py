@@ -668,7 +668,7 @@ def newton_root(
     depth = len(coeffs) - 1
     work = precision + 2 * depth * den_val + 2
     pad = work - precision
-    central = len(field.invariant_basis) == 1
+    central = field.invariant_degree == 1
     fc = [_embed_coefficient(c, work, central) for c in coeffs]
     dc = [
         fc[m].scale_ground_left(field.from_rational(m)) for m in range(1, len(fc))
@@ -723,17 +723,13 @@ def newton_root(
 
 
 def _embed_coefficient(c: SkewFraction, prec: int, central: bool):
-    """A polynomial coefficient of `newton_root` as an invariant series: a
-    `CentralSeries` when `central`, read straight from the rows of num and
-    den when both are rational polynomials in t^n."""
-    if central:
-        (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
-        num, den = central_ints(c.field, num_rows), central_ints(c.field, den_rows)
-        if num is not None and den is not None:
-            return CentralSeries.embed(
-                c.field, [a * den_den for a in num], [a * num_den for a in den], prec
-            )
-    s = embed_fraction(c, prec)
-    if not is_invariant_series(s):
+    """A polynomial coefficient of `newton_root` as an invariant series,
+    refused unless it lies in the center; a `CentralSeries` read straight
+    from the rows of num and den when `central`."""
+    if not c.is_invariant_central():
         raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
-    return CentralSeries.from_twisted(s) if central else s
+    if not central:
+        return embed_fraction(c, prec)
+    (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
+    num, den = central_ints(c.field, num_rows), central_ints(c.field, den_rows)
+    return CentralSeries.embed(c.field, [a * den_den for a in num], [a * num_den for a in den], prec)

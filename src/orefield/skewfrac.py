@@ -22,17 +22,18 @@ multiplication still go through the Ore condition (a common left multiple)
 and reduce their result.
 
 The center of this skew field is the rational function field in t^n (n the
-automorphism order) over the invariant subfield; `center_basis` computes an
-exact basis of its polynomial part, degree by degree, by brute-force linear
-algebra on the commutation constraints.
+automorphism order) over the invariant subfield K' (the part of the ground
+field's center that the automorphism fixes).  So a fraction is central
+exactly when both parts of its canonical form have coefficients in K' at
+exponents divisible by n (`is_invariant_central`), and `center_basis` reads
+the polynomial part of the center off the invariant basis.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-from . import kernel, linalg
+from . import kernel
 from .errors import CapExceeded, DivisionByZero
 from .ground import GroundElement, GroundField
 from .skewpoly import (
@@ -145,7 +146,14 @@ class SkewFraction:
         return self.den == other.den and self.num == other.num
 
     def is_invariant_central(self) -> bool:
-        """Numerator and denominator both commute with everything."""
+        """Whether this fraction is central: the row test on both parts.
+
+        Parts that pass commute with everything, so such a fraction is
+        central.  Conversely a central x is a/b with a, b coprime in K'[u],
+        u = t^n, and b monic; a Bezout identity a*r + b*s = 1 in K'[u]
+        holds in the skew ring too, so b and a are left-coprime and b^-1 a
+        is the canonical form of x, whose parts both pass.
+        """
         return self.den.is_invariant_central() and self.num.is_invariant_central()
 
     def __eq__(self, other: object) -> bool:
@@ -214,58 +222,14 @@ class SkewFraction:
     __repr__ = __str__
 
 
-def is_central(
-    x: SkewFraction, trials: int = 0, rng: random.Random | None = None
-) -> bool:
-    """Commutes with t and with the ground field basis (hence with everything).
-
-    Optional extra randomized commutation trials against sampled fractions
-    re-check the same fact through independently generated witnesses.
-    """
-    field = x.field
-    t = SkewFraction.t_power(field)
-    if x * t != t * x:
-        return False
-    for e in field.h_basis:
-        ef = SkewFraction.from_ground(e)
-        if x * ef != ef * x:
-            return False
-    if trials:
-        from .sampling import random_fraction
-
-        rng = rng or random.Random(0)
-        for _ in range(trials):
-            y = random_fraction(field, rng, max_degree=2)
-            if x * y != y * x:
-                return False
-    return True
-
-
-def center_basis(field: GroundField, max_degree: int, cap: int = CENTER_DEGREE_CAP) -> list[SkewPolynomial]:
-    """Basis of the degree-bounded polynomial part of the center.
-
-    Solves, degree by degree, the exact commutation constraints
-    ``f*t = t*f`` and ``f*e = e*f`` for every ambient basis element e; the
-    two constraint families force invariant coefficients sitting at
-    exponents divisible by the automorphism order.
-    """
-    if max_degree > cap:
-        raise CapExceeded(f"center basis degree {max_degree} exceeds cap {cap}")
-    D = field.dim
-    ident = linalg.identity(D)
-    basis: list[SkewPolynomial] = []
-    for m in range(max_degree + 1):
-        rows: list[list[Fraction]] = []
-        sig = field._sigma_pows[1 % field.sigma_order]
-        for r in range(D):
-            rows.append([sig[r][c] - ident[r][c] for c in range(D)])
-        for j in range(D):
-            e = tuple(Fraction(int(l == j)) for l in range(D))
-            lm, _ = field._mult_matrices(e)
-            _, rm = field._mult_matrices(field.sigma_coords(e, m))
-            for r in range(D):
-                rows.append([rm[r][c] - lm[r][c] for c in range(D)])
-        for vec in linalg.nullspace(rows, D):
-            coeffs = [field.zero()] * m + [field.element(vec)]
-            basis.append(SkewPolynomial.from_coeffs(field, coeffs))
-    return basis
+def center_basis(field: GroundField, max_degree: int) -> list[SkewPolynomial]:
+    """Basis of the degree-bounded polynomial part of the center: w * t^m
+    for m a multiple of the automorphism order and w in the invariant basis,
+    ascending in m."""
+    if max_degree > CENTER_DEGREE_CAP:
+        raise CapExceeded(f"center basis degree {max_degree} exceeds cap {CENTER_DEGREE_CAP}")
+    return [
+        SkewPolynomial.from_coeffs(field, [field.zero()] * m + [field.element(w)])
+        for m in range(0, max_degree + 1, field.sigma_order)
+        for w in field.invariant_basis
+    ]

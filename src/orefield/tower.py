@@ -21,8 +21,8 @@ from .extend import (
     FiniteGroup,
     PowerRows,
     _check_stride,
-    _rational_invariants,
     fixed_space,
+    guarded_check,
     run_scenario_checks,
 )
 from .skewfrac import SkewFraction
@@ -198,66 +198,42 @@ def check_compatibility(ts: TowerScenario) -> list[CheckResult]:
         for g in ts.system.levels[n + 1].elements:
             psi = ts.eps[n + 1][g]
             phi = ts.eps[n][ts.restriction(n + 1, g)]
-            name = f"compat[{n + 2}->{n + 1}:{g}]"
-            try:
-                bad = _composition_mismatch(upper.power_rows(psi), powers, lower.images[phi])
-            except OrefieldError as exc:
-                results.append(CheckResult(name, "fail", law, str(exc)))
-                continue
-            if bad:
-                results.append(
-                    CheckResult(
-                        name,
-                        "fail",
-                        law,
-                        f"{g!r} restricts to {psi!r}-action, expected {phi!r}",
-                    )
-                )
-            else:
-                results.append(
-                    CheckResult(name, "pass", law, f"{g!r} projects to {phi!r}")
-                )
+
+            def row() -> tuple[str, str]:
+                if _composition_mismatch(upper.power_rows(psi), powers, lower.images[phi]):
+                    return ("fail", f"{g!r} restricts to {psi!r}-action, expected {phi!r}")
+                return ("pass", f"{g!r} projects to {phi!r}")
+
+            results.append(guarded_check(f"compat[{n + 2}->{n + 1}:{g}]", law, row))
     return results
 
 
 def check_embeddings(ts: TowerScenario) -> list[CheckResult]:
     """The embedded generator is a root of the lower f and hits the lower rho."""
+    law = "the embedded generator satisfies the lower minimal polynomial"
     results = []
     for n in range(ts.depth - 1):
         powers = ts.embedding_powers(n)
-        embedding = powers.q
         upper, lower = ts.levels[n + 1], ts.levels[n]
-        name = f"embed[{n + 1}->{n + 2}]"
-        law = "the embedded generator satisfies the lower minimal polynomial"
-        if not powers.compose(lower.f).is_zero():
-            results.append(
-                CheckResult(name, "fail", law, "f_lower(p(x)) is nonzero modulo f_upper")
-            )
-            continue
-        point, target = upper.root, lower.root
-        if type(point) is not type(target):
-            point, target = upper.rho, lower.rho
-        series = embedding.evaluate_series(point)
-        common = min(series.prec, target.prec)
-        if series.truncate(common) != target.truncate(common):
-            results.append(
-                CheckResult(
-                    name,
-                    "fail",
-                    law,
-                    f"p(rho_upper) differs from rho_lower before O(t^{common})",
-                )
-            )
-        else:
-            results.append(
-                CheckResult(
-                    name,
-                    "pass",
-                    law,
-                    f"root of f_lower, matches rho_lower to O(t^{common})",
-                )
-            )
+        results.append(
+            guarded_check(f"embed[{n + 1}->{n + 2}]", law, lambda: _embedding_row(powers, upper, lower))
+        )
     return results
+
+
+def _embedding_row(
+    powers: PowerRows, upper: ExtensionScenario, lower: ExtensionScenario
+) -> tuple[str, str]:
+    if not powers.compose(lower.f).is_zero():
+        return ("fail", "f_lower(p(x)) is nonzero modulo f_upper")
+    point, target = upper.root, lower.root
+    if type(point) is not type(target):
+        point, target = upper.rho, lower.rho
+    series = powers.q.evaluate_series(point)
+    common = min(series.prec, target.prec)
+    if series.truncate(common) != target.truncate(common):
+        return ("fail", f"p(rho_upper) differs from rho_lower before O(t^{common})")
+    return ("pass", f"root of f_lower, matches rho_lower to O(t^{common})")
 
 
 def degree_ledger(ts: TowerScenario) -> list[LedgerRow]:
@@ -372,6 +348,9 @@ def check_functoriality(ts: TowerScenario) -> list[CheckResult]:
     return results
 
 
+_NONSQUARE_LAW = "the witness has an odd-multiplicity factor, so it is not a square"
+
+
 def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
     """Certify that a central fraction is not a square in the center.
 
@@ -385,9 +364,9 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
     `ScenarioValidationError`.
     """
     name = f"nonsquare[{label}]"
-    law = "the witness has an odd-multiplicity factor, so it is not a square"
+    law = _NONSQUARE_LAW
     field = witness.field
-    if not _rational_invariants(field):
+    if field.invariant_degree != 1:
         return CheckResult(
             name,
             "skipped",
@@ -420,34 +399,25 @@ def run_tower_checks(ts: TowerScenario) -> list[CheckResult]:
     per level; this battery covers the relations *between* levels plus the
     group-system bookkeeping.
     """
-    results: list[CheckResult] = []
 
-    try:
+    def system_axioms() -> tuple[str, str]:
         ts.system.validate()
-        results.append(
-            CheckResult(
-                "system-axioms",
-                "pass",
-                "groups and connecting maps form a compatible system",
-                f"{ts.depth} levels, orders "
-                + ", ".join(str(len(g.elements)) for g in ts.system.levels),
-            )
-        )
-    except OrefieldError as exc:
-        results.append(
-            CheckResult(
-                "system-axioms",
-                "fail",
-                "groups and connecting maps form a compatible system",
-                str(exc),
-            )
-        )
+        orders = ", ".join(str(len(g.elements)) for g in ts.system.levels)
+        return ("pass", f"{ts.depth} levels, orders {orders}")
 
+    results = [
+        guarded_check(
+            "system-axioms", "groups and connecting maps form a compatible system", system_axioms
+        )
+    ]
     results.extend(check_eps_isomorphisms(ts))
     results.extend(check_ledger(ts))
     results.extend(check_embeddings(ts))
     results.extend(check_compatibility(ts))
     results.extend(check_functoriality(ts))
     for label, witness in ts.nonsquare_witnesses:
-        results.append(nonsquare_certificate(label, witness))
+        try:
+            results.append(nonsquare_certificate(label, witness))
+        except OrefieldError as exc:
+            results.append(CheckResult(f"nonsquare[{label}]", "fail", _NONSQUARE_LAW, str(exc)))
     return sorted(results, key=lambda r: r.name)

@@ -9,8 +9,11 @@ matrices, and the center, invariant and splitting bases built on them, that
 `GroundField` computed from `Fraction` products before it read them from
 its integer kernel.  The fraction routines are the reduction,
 inversion and Ore-condition equality that `SkewFraction` ran before it
-worked on its canonical form alone.  The Bareiss norm conjugate (adjugate
-of left multiplication, eliminated over Z[u]) is what
+worked on its canonical form alone.  The center routines are the
+commutation test and the per-degree nullspace search that `orefield` ran
+before it recognised the center by the rows of a canonical form alone.  The
+Bareiss norm conjugate (adjugate of left multiplication, eliminated over
+Z[u]) is what
 `skewpoly.norm_conjugate` ran for fields without a closed form before it
 moved to Cayley-Hamilton on reduced traces.  The central polynomial
 routines are the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
@@ -27,6 +30,7 @@ tests imports this module.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -47,6 +51,7 @@ from orefield.errors import (
 )
 from orefield.extend import _view
 from orefield.laurent import TwistedSeries
+from orefield.sampling import random_fraction
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
@@ -578,6 +583,40 @@ def fraction_eq(x, y):
         return x.is_zero() and y.is_zero()
     u, v = common_left_multiple(x.den, y.den)
     return _coords(poly_mul(u, x.num)) == _coords(poly_mul(v, y.num))
+
+
+# -- the center -----------------------------------------------------------------
+
+
+def is_central(x, trials=0, rng=None):
+    """Whether x commutes with t and with every unit of the ground field,
+    compared by the Ore condition; `trials` random fractions re-check the
+    same fact through independent witnesses."""
+    field = x.field
+    others = [SkewFraction.t_power(field)]
+    others += [SkewFraction.from_ground(field.element(_unit(field.dim, j))) for j in range(field.dim)]
+    rng = rng or random.Random(0)
+    others += [random_fraction(field, rng, max_degree=2) for _ in range(trials)]
+    return all(fraction_eq(x * y, y * x) for y in others)
+
+
+def center_by_commutation(field, max_degree):
+    """Basis of the polynomial part of the center up to `max_degree`,
+    searched degree by degree: w*t^m is central exactly when sigma(w) = w
+    and w*sigma^m(e) = e*w for every unit e, one nullspace per degree."""
+    dim = field.dim
+    ident = linalg.identity(dim)
+    basis = []
+    for m in range(max_degree + 1):
+        rows = [[field.sigma_matrix[r][c] - ident[r][c] for c in range(dim)] for r in range(dim)]
+        for j in range(dim):
+            e = _unit(dim, j)
+            lm, _ = mult_matrices(field, e)
+            _, rm = mult_matrices(field, sigma_coords(field, e, m))
+            rows.extend([rm[r][c] - lm[r][c] for c in range(dim)] for r in range(dim))
+        for w in linalg.nullspace(rows, dim):
+            basis.append(SkewPolynomial.from_coeffs(field, [field.zero()] * m + [field.element(w)]))
+    return basis
 
 
 # -- central polynomials ------------------------------------------------------

@@ -279,13 +279,15 @@ def loaded_after(commands, modules):
 
 def test_building_the_catalog_scenarios_loads_no_central_arithmetic():
     """The central coefficients and every table modulo f are built on first
-    use, so a process that only builds the scenarios never loads
-    `orefield.factor`."""
+    use, so a process that only builds the scenarios and the towers never
+    loads `orefield.factor`."""
     script = (
         "import sys\n"
-        "from orefield.catalog import scenario_catalog, scenario_names\n"
+        "from orefield.catalog import scenario_catalog, scenario_names, tower_catalog, tower_names\n"
         "for name in scenario_names():\n"
         "    scenario_catalog(name)\n"
+        "for name in tower_names():\n"
+        "    tower_catalog(name, validate=False)\n"
         "print('orefield.factor' in sys.modules)\n"
     )
     assert run_fresh(script) == "False"
@@ -376,6 +378,29 @@ def test_center_over_untwisted_rationals_keeps_everything(capsys):
     assert code == 0 and len(out.splitlines()) == 4
 
 
+def test_center_over_hamilton_keeps_every_power_of_t(capsys):
+    code, out, _ = run(capsys, "center", "--field", "hamilton", "--max-deg", "8")
+    assert code == 0
+    assert out.splitlines() == ["[1,0,0,0]", "[1,0,0,0]*t"] + [f"[1,0,0,0]*t^{m}" for m in range(2, 9)]
+
+
+# sha256 of `center --field F --max-deg 8 --format json` stdout
+CENTER_JSON_SHA256 = {
+    "rationals": "0064d22b65ba36eab2494914193868954f04d0742f952b7b9a83ec2e823449b1",
+    "gauss": "137b145824dc3e05a7def0d9102ec5f48542b68451838481114ad937f303b96e",
+    "hamilton": "b04463943321ab62f36bffc630afbc332c5fc899d99e8dcd9f332037ac4c5906",
+}
+
+
+@pytest.mark.parametrize("field", sorted(CENTER_JSON_SHA256))
+def test_center_json_is_pinned_and_lists_the_text_lines(capsys, field):
+    code, text, _ = run(capsys, "center", "--field", field, "--max-deg", "8")
+    assert code == 0
+    code, out, _ = run(capsys, "center", "--field", field, "--max-deg", "8", "--format", "json")
+    assert code == 0 and json.loads(out) == text.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == CENTER_JSON_SHA256[field]
+
+
 # -- extend / tower ------------------------------------------------------------------
 
 
@@ -426,19 +451,45 @@ def test_tower_on_corrupted_labelling_exits_check_failure(capsys, bad_eps_file):
 
 
 def test_tower_file_with_witnesses_off_the_center_fails(capsys, tmp_path):
-    # 1 + (1+i)*u and i*u over Q(i): on the multiples of n, not in Q(u)
+    # 1 + (1+i)*u and i*u over Q(i): on the multiples of n, not in Q(u);
+    # t is off the multiples of n, and its error fails its row alone
     doc = tower_document(tower_catalog("T2", validate=False))
     doc["nonsquares"][0]["witness"] = "[1,0] + [1,1]*t^2"
     doc["nonsquares"][1]["witness"] = "[0,1]*t^2"
+    doc["nonsquares"][2]["witness"] = "[1,0]*t"
     path = tmp_path / "off-center.yaml"
     path.write_text(yaml.safe_dump(doc))
-    code, out, _ = run(capsys, "tower", "--scenario", str(path))
-    assert code == EXIT_CHECKS
+    for command in ("tower", "verify"):
+        code, out, _ = run(capsys, command, "--scenario", str(path))
+        assert code == EXIT_CHECKS
+        failing = [line for line in out.splitlines() if line.startswith("[fail]")]
+        assert len(failing) == 3
+        assert failing[0].startswith("[fail] nonsquare[u+1]: the witness ")
+        assert failing[1].startswith("[fail] nonsquare[u^2+1]: the witness ")
+        assert all(line.endswith(" is not in Q(u)") for line in failing[:2])
+        assert failing[2] == (
+            "[fail] nonsquare[u^3+u^2+u+1]: exponent 1 of [1,0]*t is not a multiple of the twist order"
+        )
+
+
+def test_a_bad_level_root_fails_the_rows_that_read_it(capsys, tmp_path):
+    """3 is no residual root of T1L2's f: its residual and the embedding
+    row fail, and the rest of the report still prints."""
+    doc = tower_document(tower_catalog("T1", validate=False))
+    doc["levels"][1]["newton"]["seed"] = 3
+    path = tmp_path / "bad-seed.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, out, _ = run(capsys, "verify", "--scenario", str(path))
     failing = [line for line in out.splitlines() if line.startswith("[fail]")]
-    assert len(failing) == 2
-    assert failing[0].startswith("[fail] nonsquare[u+1]: the witness ")
-    assert failing[1].startswith("[fail] nonsquare[u^2+1]: the witness ")
-    assert all(line.endswith(" is not in Q(u)") for line in failing)
+    assert code == EXIT_VALIDATION and failing == [
+        "[fail] T1L2:root-residual: seed is not a residual root mod t",
+        "[fail] embed[1->2]: seed is not a residual root mod t",
+    ]
+    assert out.splitlines()[-1] == "38 checks: 36 pass, 2 fail, 0 skipped"
+    code, out, _ = run(capsys, "tower", "--scenario", str(path))
+    failing = [line for line in out.splitlines() if line.startswith("[fail]")]
+    assert code == EXIT_CHECKS and failing == ["[fail] embed[1->2]: seed is not a residual root mod t"]
+    assert out.splitlines()[-1] == "13 checks: 12 pass, 1 fail, 0 skipped"
 
 
 def test_tower_json_rows_have_the_report_schema(capsys):
@@ -487,6 +538,34 @@ def test_verify_report_is_pinned(capsys, tower):
     code, out, _ = run(capsys, "verify", "--scenario", tower, "--seed", "7", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[tower]
+
+
+# an extension over Q(sqrt2) with the identity twist: its invariant subfield
+# is Q(sqrt2), not Q, so its coefficients stay fractions over the whole field
+R2L1 = """\
+kind: extension
+field: {min-poly: [-2, 0, 1], sigma-image: [0, 1], name: "Q(sqrt2)/id"}
+name: R2L1
+precision: 24
+f: ["(1 + t)^-1*(-1 - [0,1]*t)", 0, 1]
+group: {elements: [e, s], identity: e, table: {e: {e: e, s: s}, s: {e: s, s: e}}}
+images: {s: [0, -1]}
+newton: {seed: 1}
+"""
+
+
+def test_an_invariant_subfield_larger_than_q_end_to_end(capsys, tmp_path):
+    path = tmp_path / "R2L1.yaml"
+    path.write_text(R2L1)
+    code, out, _ = run(capsys, "extend", "--scenario", str(path))
+    rows = out.splitlines()[:-1]
+    assert code == 0 and len(rows) == 8
+    assert rows[0] == "[skipped] f-irreducible: certificate needs a rational invariant subfield (dimension 2 here)"
+    assert all(row.startswith("[pass] ") for row in rows[1:])
+    code, out, _ = run(capsys, "verify", "--scenario", str(path), "--seed", "7", "--format", "json")
+    assert code == 0
+    digest = "6c69596f337089aa016e55e767619e464e1b36dfe31f3bc98747c32f2f53c515"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_report_is_pinned_at_another_probe_seed(capsys):

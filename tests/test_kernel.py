@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schoolbook as sb
-from conftest import ALL_FIELDS, GAUSS, HAMILTON, RATIONALS, ROOT2, elements, nonzero_polys, polys
+from conftest import ALL_FIELDS, GAUSS, HAMILTON, RATIONALS, ROOT2, elements, fractions_of, nonzero_polys, polys
 from orefield.errors import (
     DivisionByZero,
     InsufficientPrecision,
@@ -29,11 +29,12 @@ from orefield import kernel
 from orefield.laurent import CentralSeries, TwistedSeries, embed_fraction, newton_root, solve_left
 from orefield.sampling import (
     random_element,
+    random_fraction,
     random_nonzero_element,
     random_nonzero_polynomial,
     random_polynomial,
 )
-from orefield.skewfrac import SkewFraction
+from orefield.skewfrac import CENTER_DEGREE_CAP, SkewFraction, center_basis
 from orefield.factor import content as fcontent
 from orefield.skewpoly import (
     SkewPolynomial,
@@ -701,6 +702,61 @@ def _central_poly(field, rng):
         coeffs[k * field.sigma_order] = _invariant(field, rng)
     coeffs[-1] = coeffs[-1] if not coeffs[-1].is_zero() else field.one()
     return SkewPolynomial.from_coeffs(field, coeffs)
+
+
+def _centrality_cases(field, rng, noise):
+    """A central fraction, given with a common left factor that `make`
+    cancels, and three fractions near it: moved by noise, times t, and the
+    noise alone."""
+    g = random_nonzero_polynomial(field, rng, 1)
+    central = SkewFraction.make(g * _central_poly(field, rng), g * _central_poly(field, rng))
+    return central, [central + noise, central * SkewFraction.t_power(field), noise]
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_row_test_of_the_center_matches_the_ore_products(field, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    central, others = _centrality_cases(field, rng, data.draw(fractions_of(field, 1, 2)))
+    assert central.is_invariant_central() and sb.is_central(central)
+    for x in others:
+        assert x.is_invariant_central() == sb.is_central(x)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_row_test_of_the_center_matches_the_ore_products_at_fixed_seeds(field):
+    rng = random.Random(47)
+    for _ in range(3):
+        central, others = _centrality_cases(field, rng, random_fraction(field, rng, 1, 2))
+        assert central.is_invariant_central() and sb.is_central(central, trials=2, rng=rng)
+        for x in others:
+            assert x.is_invariant_central() == sb.is_central(x, trials=2, rng=rng)
+
+
+def test_pinned_centrality_verdicts_match_the_ore_products():
+    """The fractions `test_skewfrac` pins the row test on, with the random
+    commutation trials they were once checked with."""
+    num = SkewPolynomial.from_coeffs(GAUSS, [1, 0, 1])
+    den = SkewPolynomial.from_coeffs(GAUSS, [2, 0, 0, 0, 1])
+    cases = [
+        (SkewFraction.t_power(GAUSS, 2), 5),
+        (SkewFraction.t_power(GAUSS), 0),
+        (SkewFraction.from_ground(GAUSS.element([0, 1])), 0),
+        (SkewFraction.t_power(HAMILTON), 0),
+        (SkewFraction.from_ground(HAMILTON.basis_element(1)), 0),
+        (SkewFraction.make(num, den), 3),
+    ]
+    for x, trials in cases:
+        assert x.is_invariant_central() == sb.is_central(x, trials=trials)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_center_basis_matches_the_commutation_search(field):
+    search = sb.center_by_commutation(field, CENTER_DEGREE_CAP)
+    for degree in range(CENTER_DEGREE_CAP + 1):
+        expected = [str(p) for p in search if p.degree <= degree]
+        assert [str(p) for p in center_basis(field, degree)] == expected
 
 
 @pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)

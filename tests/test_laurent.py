@@ -278,6 +278,19 @@ def test_newton_rejects_non_invariant_data():
         newton_root(good, GAUSS.element([0, 1]), 6)
 
 
+def test_newton_refuses_a_coefficient_off_the_center_past_the_precision():
+    # i*t^100 lies beyond the working precision, where the embedded
+    # coefficient no longer shows it: the coefficient's rows are read instead
+    rows = [[-1, 0], [0, 0], [-1, 0]] + [[0, 0]] * 97 + [[0, -1]]
+    coeffs = [
+        SkewFraction.from_polynomial(P(GAUSS, *rows)),
+        SkewFraction.zero(GAUSS),
+        SkewFraction.one(GAUSS),
+    ]
+    with pytest.raises(NotInvariantSeries):
+        newton_root(coeffs, GAUSS.one(), 16)
+
+
 def test_invariant_series_predicate():
     even = TwistedSeries.make(GAUSS, 0, [[1, 0], [0, 0], [2, 0]], 4)
     odd = TwistedSeries.make(GAUSS, 0, [[1, 0], [1, 0]], 4)
