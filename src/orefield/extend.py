@@ -1109,7 +1109,8 @@ def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
 
 def _value_at_root(element: TensorElement) -> TwistedSeries:
     """c(t^n)^-1 * sum_i P_i rho^i: sparse polynomial-times-series products
-    and one division by the central denominator.
+    and one division by the central denominator, which `solve_left` reads as
+    central and runs on Q((u)) with no conjugate.
 
     The result is cut to the precision the coordinate-wise sum
     sum_i embed(v_i, N) * rho^i  reaches, N = rho.prec:  the least of N and,

@@ -22,7 +22,8 @@ adjugate `adj(a)` with  a * adj(a) = N(a)  for a nonzero rational N(a)
 (closed forms up to base degree 2, Cayley-Hamilton by Newton's identities
 above).  They take coordinate tuples of Python ints (or of Fractions) and
 are what `orefield.kernel` runs every polynomial and series operation on,
-beside the reduced trace behind `skewpoly.norm_conjugate`.
+beside the reduced trace behind `skewpoly.norm_conjugate` and, at reduced
+degree 2, the norm form behind the series division of `orefield.laurent`.
 
 Quaternion configurations are assumed to describe division algebras (true
 for the classical choices with alpha, beta < 0 over the rationals);
@@ -330,6 +331,34 @@ class GroundField:
         tr_k = [Fraction(w * x, dim * self.mul_den) for x in tr]
         self.tr_den = lcm(*(x.denominator for x in tr_k))
         self.ktr = _compile_linear("ktr", [[int(x * self.tr_den) for x in tr_k]] + [[0] * dim] * (dim - 1))
+        self.norm_terms = self._norm_terms(units) if m == 2 and w == 1 else None
+
+    def _norm_terms(self, units: list[Coords]) -> list[list[tuple[int, int, int]]]:
+        """The rational coordinate of a series norm N = s * s* at m = 2 over
+        K' = Q, as integer bilinear forms; s* is `kconj` on the exponents
+        divisible by n and -trd_den elsewhere (`skewpoly._conjugate`'s rule).
+
+        A term a t^f of s times the conjugate of a term b t^g, f + g = 0 mod
+        n, adds  (a sigma^f(b*))_0 = B_e(a, b), e = f mod n, to N.  Here
+        m^2 = dim * n = 4 leaves n <= 2, so f = g mod n too, and N sums
+        B_e(x_i, x_j) over the ordered pairs of one residue class: a sum of
+        coordinate convolutions, which do not depend on the order of the two
+        coordinates.  So norm_terms[e] lists (p, l, c), p <= l, the nonzero
+        coefficients of the symmetric part of  mul_den * sig_den * trd_den *
+        B_e  (with c = B[p][l] + B[l][p] off the diagonal)."""
+        s, kconj, kmul = self.trd_den, self.kconj, self.kmul
+        out = []
+        for e, sig in enumerate(self.ksig):
+            conj = kconj if e == 0 else (lambda b: tuple(-s * x for x in b))
+            form = [[kmul(a, sig(conj(b)))[0] for b in units] for a in units]
+            terms = []
+            for p in range(self.dim):
+                for l in range(p, self.dim):
+                    c = form[p][l] + form[l][p] if p < l else form[p][p]
+                    if c:
+                        terms.append((p, l, c))
+            out.append(terms)
+        return out
 
     # -- basic coordinate arithmetic -------------------------------------
 
@@ -729,7 +758,7 @@ def make_quaternions(
         raise NotAnAutomorphism(
             "automorphism must fix the quaternion constants alpha and beta"
         )
-    label = name or f"({a},{b} / {'Q' if poly is None else 'Q[y]'})"
+    label = name or f"({_poly_label(a)},{_poly_label(b)} / {'Q' if poly is None else 'Q[y]'})"
     return GroundField("quaternions", poly, a, b, mat, name=label)
 
 

@@ -297,58 +297,3 @@ def cofactor_rows(
         v_prev, v_cur = v_cur, v_next
     return u_cur, v_cur
 
-
-# -- series recurrence ------------------------------------------------------------
-
-
-def solve_rows(field: GroundField, d: Rows, v: int, num: Rows, size: int) -> tuple[Rows, int]:
-    """(rows, den) of the first `size` coefficients of x with  d * x = num.
-
-    d is a series of valuation v (d[0] != 0); num[j] is the coefficient that
-    fixes x_j through
-        x_j = sigma^-v( d_0^-1 (num_j - sum_k d_k sigma^(v+k)(x_(j-k))) ).
-    Each x_j is kept reduced, as numerators O_j over its own denominator
-    E_j, so the cancellation a quotient of polynomials undergoes keeps the
-    numbers small; the result is put over one common denominator at the end.
-    The sum is one `kdot` per step, over the twists sigma^r(O_j) that are
-    made once per solved coefficient.
-    """
-    ksig, kmul, kscale, kdot = field.ksig, field.kmul, field.kscale, field.kdot
-    zero, n = field.zero_row, field.sigma_order
-    sd = field.sig_den * field.mul_den
-    g0 = content([d[0]])
-    adj, norm = field.kadj(tuple(x // g0 for x in d[0]))
-    base = sd * sd * g0 * norm
-    back = ksig[-v % n]
-    # (i, -d_i, r): the term d_i sigma^r(x_(j-i)), r = (v+i) mod n, to subtract
-    terms = [(i, kscale(-1, di), (v + i) % n) for i, di in enumerate(d[1:size], 1) if di != zero]
-    outs: Rows = []
-    dens: list[int] = []
-    twists: list[Rows] = [[] for _ in range(n)]  # twists[r][k] = s sigma^r(O_k)
-    every = 1  # lcm of all the E_k so far
-    active = 0
-    for j in range(size):
-        while active < len(terms) and terms[active][0] <= j:
-            active += 1
-        act = terms[:active]
-        # over the common denominator of the x_(j-i) in the sum: when every
-        # d_1 .. d_j is nonzero, that is the lcm of all E_k so far
-        common = every if active == j else lcm(*(dens[j - i] for i, _, _ in act))
-        acc = kscale(sd * common, num[j]) if j < len(num) else zero
-        acc = kdot(
-            acc,
-            [nd if dens[j - i] == common else kscale(common // dens[j - i], nd) for i, nd, _ in act],
-            [twists[r][j - i] for i, _, r in act],
-        )
-        o = back(kmul(adj, acc))
-        e = base * common
-        g = gcd(e, *o)
-        if e < 0:
-            g = -g
-        o, e = tuple(x // g for x in o), e // g
-        outs.append(o)
-        dens.append(e)
-        for r in range(n):
-            twists[r].append(ksig[r](o))
-        every = lcm(every, e)
-    return [kscale(every // e, o) for o, e in zip(outs, dens)], every

@@ -17,11 +17,15 @@ Precision bookkeeping is pessimistic and explicit:
 * ``inv``: a series of valuation v known mod t^N has an inverse of
   valuation -v known mod t^(N-2v).
 
-Inversion and `solve_left` run one ascending coefficient recurrence on the
-integer rows of `orefield.kernel` (the cost is one twisted convolution), and
-products are row convolutions too.  Polynomials and fractions embed through
-`from_polynomial` and `embed_fraction`; the embedding is the canonical one
-fixing the ground field and sending t to t.
+Products are row convolutions on the integer rows of `orefield.kernel`.
+Inversion, `solve_left` and `embed_fraction` divide through the center: a
+conjugate s* makes N = s * s* central, so  s^-1 * x = N^-1 * (s* * x),  and
+dividing by N is an ascending recurrence on integers (`_quotient`), one per
+coordinate of the twisted series, not a twisted one.  A central divisor
+needs no conjugate, and a fraction den^-1 num embeds as the division of
+q num by the central norm c of den, (q, c) = `norm_conjugate`(den).
+Polynomials embed through `from_polynomial`; the embedding is the canonical
+one fixing the ground field and sending t to t.
 
 `CentralSeries` is the commutative field Q((u)), u = t^n (n the
 automorphism order), inside the twisted series: rational coefficients on
@@ -44,6 +48,7 @@ otherwise the same loop runs on `TwistedSeries`.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add, mul
 from typing import Sequence
 
 from . import kernel
@@ -57,7 +62,7 @@ from .errors import (
 )
 from .ground import GroundElement, GroundField
 from .skewfrac import SkewFraction
-from .skewpoly import SkewPolynomial, central_ints
+from .skewpoly import SkewPolynomial, central_ints, central_polynomial, norm_conjugate
 
 
 class TwistedSeries:
@@ -257,17 +262,12 @@ class TwistedSeries:
         )
 
     def inv(self) -> "TwistedSeries":
-        """Two-sided inverse to the propagated precision."""
-        field = self.field
+        """Two-sided inverse to the propagated precision, through the
+        center (see `_divide`)."""
         if self.is_zero():
-            # no known nonzero coefficient: nothing to pivot the recursion on
+            # no known nonzero coefficient: nothing to divide by
             raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
-        v = self.val
-        r = self.prec - v
-        d, dd = self.int_rows()
-        one = [(1,) + field.zero_row[1:]]
-        rows, den = kernel.solve_rows(field, d, v, one, r)
-        return TwistedSeries._from_rows(field, -v, kernel.scale(rows, dd), den, r - v)
+        return _divide(self, None, -self.val, self.prec - 2 * self.val)
 
     def __pow__(self, n: int) -> "TwistedSeries":
         if n < 0:
@@ -531,9 +531,11 @@ def _quotient(d: list, num: list, size: int) -> tuple[list, int]:
     polynomials with d[0] != 0.
 
     The recurrence  x_j = (num_j - sum_k d_k x_(j-k)) / d_0  keeps each x_j
-    reduced, as O_j over its own denominator E_j, as `kernel.solve_rows`
-    does, so the cancellation of a quotient keeps the numbers small.  An E_j
-    may be negative; their lcm E is not.
+    reduced, as O_j over its own denominator E_j, so the cancellation of a
+    quotient keeps the numbers small; the result is put over one common
+    denominator at the end.  An E_j may be negative; their lcm E is not.
+    `_divide` brings every twisted division down to it, or to its
+    several-column form `_quotients`.
     """
     d0 = d[0]
     terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
@@ -560,40 +562,196 @@ def _quotient(d: list, num: list, size: int) -> tuple[list, int]:
     return [o * (every // e) for o, e in zip(outs, dens)], every
 
 
-def solve_left(den: TwistedSeries, num: TwistedSeries) -> TwistedSeries:
-    """The unique s with den * s = num, i.e. den^-1 * num.
+def _quotients(d: list, nums: list, size: int) -> tuple[list, int]:
+    """`_quotient` for several numerators at once, over one common
+    denominator: (X, E) with  sum_j X[c][j]/E u^j = nums[c]/d  mod u^size.
 
-    One ascending coefficient recurrence instead of invert-then-multiply:
-    matching the coefficient of t^m leaves  d_v sigma^v(s_{m-v}) = known,
-    so each new coefficient costs one back-substitution row.  The result
-    precision is the same as `den.inv() * num` would propagate.
+    Each step reduces every column over one denominator E_j and shares the
+    factors d_k E/E_(j-k) among them, so dividing by a central polynomial
+    costs its few terms per coefficient, with one lcm and one gcd per step
+    for all the columns.  `_quotient` stays the scalar form: a single
+    column runs faster without the sharing.
     """
+    d0 = d[0]
+    terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
+    outs: list[list[int]] = [[] for _ in nums]
+    dens: list[int] = []
+    every = 1  # lcm of all the E_k so far
+    active = 0
+    for j in range(size):
+        while active < len(terms) and terms[active][0] <= j:
+            active += 1
+        act = terms[:active]
+        common = every if active == j else lcm(*(dens[j - k] for k, _ in act))
+        factors = [(j - k, dk if dens[j - k] == common else dk * (common // dens[j - k])) for k, dk in act]
+        accs = []
+        for num, out in zip(nums, outs):
+            acc = num[j] * common if j < len(num) else 0
+            for i, f in factors:
+                acc -= f * out[i]
+            accs.append(acc)
+        e = d0 * common
+        g = gcd(e, *accs)
+        for out, acc in zip(outs, accs):
+            out.append(acc // g)
+        dens.append(e // g)
+        every = lcm(every, e // g)
+    scales = [every // e for e in dens]
+    return [[o * s for o, s in zip(out, scales)] for out in outs], every
+
+
+def solve_left(den: TwistedSeries, num: TwistedSeries) -> TwistedSeries:
+    """The unique s with den * s = num, i.e. den^-1 * num, through the
+    center (see `_divide`).  The result precision is the same as
+    `den.inv() * num` would propagate."""
     field = den.field
     den._same(num)
     if den.is_zero():
         raise ZeroSeries(f"division by a series that is zero mod t^{den.prec}")
     v = den.val
     out_prec = min(den.prec - 2 * v + num.val, den.prec - v, num.prec - v)
-    if num.is_zero():
+    if num.is_zero() or out_prec <= num.val - v:
         return TwistedSeries.zero(field, out_prec)
-    w = num.val - v
-    size = out_prec - w
-    if size <= 0:
-        return TwistedSeries.zero(field, out_prec)
-    d, dd = den.int_rows()
-    nums, dn = num.int_rows()
-    # den * x = num  <=>  (dd*den) * x = (dd/dn) * (dn*num)
-    rows, x_den = kernel.solve_rows(field, d, v, nums, size)
-    return TwistedSeries._from_rows(field, w, kernel.scale(rows, dd), x_den * dn, out_prec)
+    return _divide(den, num, num.val - v, out_prec)
+
+
+def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) -> TwistedSeries:
+    """den^-1 * num (den^-1 when num is None), of valuation w, to exactly
+    the precision prec > w that `solve_left` and `inv` propagate.
+
+    The division goes through the center Q((u)), u = t^n: with a conjugate
+    den* such that N = den * den* = den* * den is central,
+        den^-1 * num = N^-1 * (den* * num),
+    and dividing a twisted series by the central N is one integer division
+    per coordinate and residue class mod n, not a twisted recurrence.  The
+    conjugate is
+    * none when den is itself central (`CentralSeries.from_twisted`); the
+      whole division runs on `CentralSeries` when num is central too, and
+      otherwise on `_quotients`, which divides all the coordinates by N's
+      recurrence at once (the central divisors that reach it, from
+      `embed_fraction` and `ext_tau`, are polynomials of a few terms);
+    * the rule of `skewpoly._conjugate` on the rows at m = 2 over K' = Q,
+      with only the rational coordinate of N computed (`_conjugate_norm`);
+    * otherwise `norm_conjugate` of the known part of den as a polynomial,
+      whose inverse agrees with den^-1 to the precision of the result.
+    A norm from a conjugate is a dense series: it is inverted once
+    (`_quotient`) and the inverse convolved with each coordinate
+    (`_convolve`).  Every route computes the exact quotient of the known
+    parts on the result's window, so the canonical result is the same
+    whichever runs.
+    """
+    field = den.field
+    size = prec - w
+    central = CentralSeries.from_twisted(den)
+    if central is not None:
+        if num is None:
+            return central.inv().to_twisted()
+        num_central = CentralSeries.from_twisted(num)
+        if num_central is not None:
+            return central.solve_left(num_central).to_twisted()
+        conj = None
+        norm, norm_den = central.int_coeffs()
+    else:
+        d, dd = den.int_rows()
+        # over a split quaternion algebra a leading coefficient of zero norm
+        # is not a unit: `kadj` raises the field's classified error
+        field.kadj(d[0])
+        conjugate = _conjugate_norm if field.norm_terms is not None else _polynomial_conjugate
+        conj, norm, norm_den = conjugate(field, d[:size], dd, den.val)
+    if conj is None:
+        rows, y_den = num.int_rows()
+    elif num is None:
+        rows, _, y_den = conj
+    else:
+        q, q_val, q_den = conj
+        nums, dn = num.int_rows()
+        rows = kernel.series_mul_rows(field, q, q_val, nums, size)
+        y_den = q_den * dn * field.mul_den * field.sig_den
+    # N^-1 y = norm_den * y / norm, one coordinate and residue class mod n
+    # at a time
+    n, dim = field.sigma_order, field.dim
+    count = -(-size // n)
+    cols = [[row[l] for row in rows[r:size:n]] for r in range(n) for l in range(dim)]
+    if conj is None:
+        cols, e = _quotients(norm, [[norm_den * a for a in col] for col in cols], count)
+    else:
+        inverse, e = _quotient(norm, [norm_den], count)
+        cols = [_convolve(inverse, col, count) for col in cols]
+    out = [field.zero_row] * size
+    for r in range(n):
+        for k, row in zip(range(r, size, n), zip(*cols[r * dim : (r + 1) * dim])):
+            out[k] = row
+    return TwistedSeries._from_rows(field, w, out, y_den * e, prec)
+
+
+def _conjugate_norm(field: GroundField, d: list, dd: int, v: int) -> tuple[tuple, list, int]:
+    """((conj, v, conj_den), ints, ints_den) for the series d/dd of
+    valuation v at m = 2 over K' = Q: the rows of d* over conj_den, and the
+    rational coefficients of N = d * d* at t^(2v + n*K), for the K with
+    n*K < len(d), over ints_den.  N sums the `GroundField.norm_terms` forms
+    over the pairs of rows in one residue class; each (p, l) is a
+    convolution of two coordinates, which reads each pair once when p = l."""
+    n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
+    conj = [kconj(r) if (v + k) % n == 0 else kscale(-s, r) for k, r in enumerate(d)]
+    count = -(-len(d) // n)
+    ints = [0] * count
+    for r in range(min(n, len(d))):
+        cols = list(zip(*d[r::n]))
+        length = len(cols[0])
+        # terms r + n*a and r + n*b sit at t^(2v + n*K) for a + b = K - 2r/n
+        shift = 2 * r // n
+        for p, l, c in field.norm_terms[(v + r) % n]:
+            x, y = cols[p], cols[l]
+            for big_k in range(shift, count):
+                m = big_k - shift
+                lo = max(0, m - length + 1)
+                if p == l:
+                    # the pairs a < b twice, and the square when a = b
+                    hi = (m + 1) // 2
+                    total = 2 * sum(map(mul, x[lo:hi], x[m - lo : m - hi : -1])) if lo < hi else 0
+                    if m % 2 == 0 and m // 2 < length:
+                        total += x[m // 2] ** 2
+                else:
+                    total = sum(map(mul, x[lo : m + 1], y[m - lo :: -1]))
+                ints[big_k] += c * total
+    return (conj, v, dd * s), ints, dd * dd * field.mul_den * field.sig_den * s
+
+
+def _polynomial_conjugate(field: GroundField, d: list, dd: int, v: int) -> tuple[tuple, list, int]:
+    """((q, q_val, q_den), c, 1) for the known part of the series d/dd of
+    valuation v: with u^a P = d/dd (P its rows at the exponents v mod n ...,
+    a = v div n), `norm_conjugate` gives q * P = c(u), so
+    (d/dd)^-1 = q * (u^a c)^-1.  q is returned as rows from its lowest term
+    q_val, and c from its valuation, which puts the t-valuation of u^a c at
+    v + q_val."""
+    n, zero = field.sigma_order, field.zero_row
+    q, c = norm_conjugate(SkewPolynomial._from_rows(field, [zero] * (v % n) + d, dd))
+    rows, q_den = q.int_rows()
+    q_val = next(k for k, r in enumerate(rows) if r != zero)
+    return (rows[q_val:], q_val, q_den), c[next(k for k, a in enumerate(c) if a) :], 1
+
+
+def _convolve(ints: list, col: list, count: int) -> list:
+    """The first `count` coefficients of ints * col as power series: a
+    multiple of `ints` added for each nonzero entry of col, so a polynomial
+    costs its number of terms."""
+    acc = [0] * count
+    for i, a in enumerate(col[:count]):
+        if a:
+            acc[i:] = map(add, acc[i:], map(a.__mul__, ints[: count - i]))
+    return acc
 
 
 def embed_fraction(x: SkewFraction, prec: int) -> TwistedSeries:
     """Canonical embedding den^-1 num -> (den series)^-1 * (num series).
 
-    The result precision is exactly `prec`; the embedding computes at an
-    internally padded precision so the denominator's valuation cannot eat
-    into the requested window.  A fraction of valuation at least prec
-    embeds as the zero series, as in `CentralSeries.embed`.
+    With (q, c) = `norm_conjugate`(den), den^-1 num = c(t^n)^-1 (q num), so
+    the series is a division by the central series c(t^n) (`solve_left`,
+    which runs it on the center).  The result precision is exactly `prec`;
+    the embedding computes at an internally padded precision so the
+    divisor's valuation cannot eat into the requested window.  A fraction
+    of valuation at least prec embeds as the zero series, as in
+    `CentralSeries.embed`.
     """
     field = x.field
     if x.is_zero():
@@ -601,9 +759,13 @@ def embed_fraction(x: SkewFraction, prec: int) -> TwistedSeries:
     low = _low_degree(x.den)
     if _low_degree(x.num) - low >= prec:
         return TwistedSeries.zero(field, prec)
-    work = prec + 2 * low
-    den = TwistedSeries.from_polynomial(x.den, work)
-    num = TwistedSeries.from_polynomial(x.num, work)
+    # the series of den is a unit times t^low only if its lowest coefficient
+    # is a unit, which `kadj` checks over a split quaternion algebra
+    field.kadj(x.den.int_rows()[0][low])
+    q, c = norm_conjugate(x.den)
+    work = prec + 2 * field.sigma_order * next(k for k, a in enumerate(c) if a)
+    den = TwistedSeries.from_polynomial(central_polynomial(field, c), work)
+    num = TwistedSeries.from_polynomial(q * x.num, work)
     return solve_left(den, num).truncate(prec)
 
 

@@ -66,6 +66,12 @@ H_GOLDEN = make_quaternions(-1, -1, min_poly=[-1, -1, 1], name="H over Q(sqrt5)"
 
 FIELDS = ALL_FIELDS + [HALF_QUATERNIONS, CUBIC, STATIC_ROOT2, EISENSTEIN, ZETA5]
 FIELD_IDS = [f.name for f in FIELDS]
+# quaternions over Q(sqrt2) with sigma(sqrt2) = -sqrt2: reduced degree 4, and
+# the full norm of left multiplication has four times the degree of the
+# minimal central multiple
+H_FLIP = make_quaternions(-1, -1, min_poly=[-2, 0, 1], sigma_image=[0, -1], name="H over Q(sqrt2)/flip")
+NORM_FIELDS = FIELDS + [H_GOLDEN, H_FLIP]
+NORM_IDS = [f.name for f in NORM_FIELDS]
 
 
 def same(p, q):
@@ -275,7 +281,7 @@ def _check_series(a, b):
         assert b.inv() == sb.series_inv(b)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_series_kernels_match_reference(field, data):
@@ -295,6 +301,74 @@ def test_series_kernels_match_reference_fixed_seed(field):
         q = random_polynomial(field, rng, 3)
         _check_series(_series(p, 0, 24), _series(q, 0, 24))
         _check_series(_series(p, -1, 20), _series(q, 2, 22))
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_series_division_matches_reference_at_every_valuation(field):
+    """Inverses and left quotients through the center equal the schoolbook
+    recurrence (value, valuation and precision) for divisors of valuation
+    -3 .. 3, odd ones included where n = 2 or 4, for divisors known only at
+    their valuation or one coefficient past it, and for central divisors,
+    which divide a twisted series coordinate by coordinate."""
+    rng = random.Random(314)
+    n = field.sigma_order
+    for v in range(-3, 4):
+        lead = [random_nonzero_element(field, rng)] + [random_element(field, rng) for _ in range(3)]
+        den = _series(SkewPolynomial.from_coeffs(field, lead), v, v + 9)
+        assert den.val == v
+        num = _series(random_polynomial(field, rng, 4), rng.randint(-2, 3), 10)
+        _check_series(num, den)
+        central = central_polynomial(field, [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(2)])
+        _check_series(num, _series(central, n * v, n * v + 7))
+        for known in (1, 2):
+            short = den.truncate(den.val + known)
+            assert short.inv() == sb.series_inv(short)
+            _check_series(num, short)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_solve_left_keeps_the_pessimistic_precision_rule(field):
+    """With num.val > den.val the quotient of the known parts is known past
+    den.prec - den.val; `solve_left` still states the rule's precision."""
+    rng = random.Random(2718)
+    for dv, nv in ((0, 3), (-1, 2), (1, 5), (2, 3)):
+        den = _series(random_nonzero_polynomial(field, rng, 2), dv, dv + 6)
+        num = _series(random_nonzero_polynomial(field, rng, 3), nv, nv + 12)
+        x = solve_left(den, num)
+        assert x.prec == min(den.prec - 2 * dv + nv, den.prec - dv, num.prec - dv)
+        assert x == sb.solve_left(den, num)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_embedding_with_a_denominator_of_positive_valuation_matches_reference(field):
+    rng = random.Random(1618)
+    for low in (1, 2, 3):
+        den = random_nonzero_polynomial(field, rng, 2) * SkewPolynomial.t_power(field, low)
+        x = SkewFraction.make(random_polynomial(field, rng, 3), den)
+        for prec in (1, 4, 9):
+            assert embed_fraction(x, prec) == sb._embed(x, prec)
+
+
+SPLIT = make_quaternions(1, 1)
+
+
+def test_zero_norm_leading_coefficients_keep_their_error():
+    """Over the split algebra (1,1 / Q), 1 + i is a nonzero zero divisor: a
+    series led by it has no inverse, and neither division through the
+    center nor an embedding returns one.  A leading coefficient of nonzero
+    norm still inverts, whatever the norms further on."""
+    zero_norm, unit = [1, 1, 0, 0], [2, 1, 0, 0]
+    for v in (0, 1):
+        s = TwistedSeries.make(SPLIT, v, [zero_norm, [0, 1, 1, 0], 1], v + 6)
+        num = TwistedSeries.make(SPLIT, 0, [1, [0, 0, 2, 1]], 8)
+        den = SkewPolynomial.from_coeffs(SPLIT, [0] * v + [zero_norm, 1])
+        x = SkewFraction.make(SkewPolynomial.one(SPLIT), den)
+        for op in (s.inv, lambda: solve_left(s, num), lambda: embed_fraction(x, 6)):
+            with pytest.raises(NotInvertible, match="not a division ring"):
+                op()
+    s = TwistedSeries.make(SPLIT, -1, [unit, zero_norm, [0, 3, 0, 1]], 6)
+    assert s.inv() == sb.series_inv(s)
+    assert solve_left(s, s) == sb.solve_left(s, s)
 
 
 def same_series(a, b):
@@ -661,12 +735,6 @@ def test_every_field_runs_on_integer_rows(field, monkeypatch):
 
 # -- norm conjugates ------------------------------------------------------------------
 
-# quaternions over Q(sqrt2) with sigma(sqrt2) = -sqrt2: reduced degree 4, and
-# the full norm of left multiplication has four times the degree of the
-# minimal central multiple
-H_FLIP = make_quaternions(-1, -1, min_poly=[-2, 0, 1], sigma_image=[0, -1], name="H over Q(sqrt2)/flip")
-NORM_FIELDS = FIELDS + [H_GOLDEN, H_FLIP]
-NORM_IDS = [f.name for f in NORM_FIELDS]
 # the fields of reduced degree at most 2 over the invariant subfield Q: c is
 # the reduced norm, uncut; every other field cuts it to the minimal multiple
 REDUCED_NORM_FIELDS = [RATIONALS, GAUSS, HAMILTON, ROOT2, HALF_QUATERNIONS, EISENSTEIN]

@@ -48,6 +48,15 @@ def test_unknown_field_names_are_rejected():
         parse_field({"alpha": -1})
 
 
+def test_unnamed_quaternion_fields_are_labelled_by_their_constants():
+    """A field given by alpha and beta without a name is labelled as the
+    algebra (alpha, beta / k) is written, with no Fraction reprs."""
+    assert parse_field({"alpha": 1, "beta": 1}).name == "(1,1 / Q)"
+    assert parse_field({"alpha": "-1/2", "beta": -3}).name == "(-1/2,-3 / Q)"
+    field = parse_field({"min-poly": [-2, 0, 1], "alpha": [0, 1], "beta": -1})
+    assert field.name == "(1*y,-1 / Q[y])"
+
+
 # -- extension documents ---------------------------------------------------------
 
 
