@@ -20,8 +20,11 @@ denominator), the powers of the automorphism (a signed permutation such as
 complex conjugation compiles to sign flips, the identity to nothing), and an
 adjugate `adj(a)` with  a * adj(a) = N(a)  for a nonzero rational N(a)
 (closed forms up to base degree 2, Cayley-Hamilton by Newton's identities
-above).  They take coordinate tuples of Python ints (or of Fractions) and
-are what `orefield.kernel` runs every polynomial and series operation on,
+above).  The product is compiled twice: as written, for the polynomial
+kernels, and as a paired bilinear form with fewer big-integer products per
+pair (`_paired_forms`), for series products.  They take coordinate tuples of
+Python ints (or of Fractions) and are what `orefield.kernel` runs every
+polynomial and series operation on,
 beside the reduced trace behind `skewpoly.norm_conjugate` and, at reduced
 degree 2, the norm form behind the series division of `orefield.laurent`.
 
@@ -199,16 +202,25 @@ class GroundField:
         return table
 
     def _compile_kernel(self) -> None:
-        """Compile the integer kernel: kmul, kmac, kmsub, kdot, kscale, ksig[k],
-        kadj.
+        """Compile the integer kernel: kmul, kmac, kmsub, kleft, kright,
+        ksums, kcombine, kscale, ksig[k], kadj.
 
         With dT the common denominator of the structure constants and s that
         of the automorphism powers:  kmul(a, b) = dT * a*b,
         kmac(c, a, b) = c + dT * a*b,  kmsub(c, a, b) = c - dT * a*b,
-        kdot(c, A, B) = c + dT * sum a_i*b_i  over the pairs of zip(A, B),
         kscale(k, a) = k * a,  ksig[k](a) = s * sigma^k(a)  and
         kadj(a) = (adj, N) with  a * adj = adj * a = N  exactly, N a nonzero
         integer.
+
+        Series products run on the same structure constants as the paired
+        bilinear form  dT * a*b = kcombine(L_r(a) * R_r(b) for r < R),
+        R = mul_rank, with the linear forms kleft(a) = (L_r(a))_r and
+        kright(b) = (R_r(b))_r of `_paired_forms`, and
+        ksums(c, A, B) = c + sum of the termwise products of the pairs of
+        forms in zip(A, B).  So a sum of products of pairs costs R
+        big-integer products per pair instead of dim^2: 1 on Q (every map
+        the identity), 3 on Q(i), 6 on a cubic field, 10 on H_Q and on a
+        quartic field, 36 on quaternions over a quadratic field.
         """
         dim = self.dim
         table = self._structure_constants()
@@ -219,7 +231,12 @@ class GroundField:
         self.kmsub = _compile_bilinear(
             "kmsub", [{ij: -c for ij, c in t.items()} for t in terms], accumulate=True
         )
-        self.kdot = _compile_dot("kdot", terms)
+        left, right, combine = _paired_forms(terms)
+        self.mul_rank = len(left)
+        self.kleft = _compile_linear("kleft", left)
+        self.kright = _compile_linear("kright", right)
+        self.ksums = _compile_sums("ksums", self.mul_rank)
+        self.kcombine = _compile_linear("kcombine", combine)
         self.kscale = _compile("kscale", "k, a", [_unpack("a", dim)], [f"k*a{i}" for i in range(dim)])
         self.sig_den = lcm(*(x.denominator for m in self._sigma_pows for row in m for x in row))
         self.ksig: list[Callable] = [
@@ -634,24 +651,75 @@ def _compile_bilinear(name: str, terms: list[dict[tuple[int, int], int]], accumu
     return _compile(name, "a, b", unpack, exprs)
 
 
-def _compile_dot(name: str, terms: list[dict[tuple[int, int], int]]) -> Callable:
-    """(C, A, B) -> C + sum over the pairs (a, b) of zip(A, B) of the bilinear
-    form: one call for a whole convolution sum, the loop in generated code."""
+def _paired_forms(terms: list[dict[tuple[int, int], int]]) -> tuple[list, list, list]:
+    """(left, right, combine) with  sum c * a_i * b_j over terms[k][(i, j)] = c
+    equal to  sum_r combine[k][r] * (left[r] . a) * (right[r] . b)  for
+    every k: the bilinear form with fewer products, for sums of many pairs.
+
+    Every diagonal product a_i b_i is made once and shared.  An off-diagonal
+    pair i < j whose coefficients agree in every coordinate k takes one
+    product, corrected by the diagonals,
+        a_i b_j + a_j b_i = (a_i + a_j)(b_i + b_j) - a_i b_i - a_j b_j,
+    and one whose coefficients are opposite in every coordinate likewise
+        a_i b_j - a_j b_i = (a_i + a_j)(b_j - b_i) + a_i b_i - a_j b_j;
+    any other term stays one product a_i b_j.  So there are at most dim^2
+    products, and a product no coordinate uses is dropped.
+    """
     dim = len(terms)
-    lines = [f"def {name}(c, A, B):", f"    {_unpack('c', dim)}", "    for a, b in zip(A, B):"]
-    lines += [f"        {_unpack('a', dim)}", f"        {_unpack('b', dim)}"]
-    lines += [f"        c{k} += {e}" for k, e in enumerate(_bilinear_exprs(terms, False))]
-    lines.append("    return (" + "".join(f"c{k}, " for k in range(dim)) + ")")
+    unit = [tuple(int(l == i) for l in range(dim)) for i in range(dim)]
+    diag = [(e, e) for e in unit]
+    coeffs = {d: [t.get((i, i), 0) for t in terms] for i, d in enumerate(diag)}
+
+    def add(form, k, c):
+        coeffs.setdefault(form, [0] * dim)[k] += c
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            u = [t.get((i, j), 0) for t in terms]
+            v = [t.get((j, i), 0) for t in terms]
+            both = tuple(x + y for x, y in zip(unit[i], unit[j]))
+            if u == v:
+                form, di, dj = (both, both), -1, -1
+            elif u == [-x for x in v]:
+                form, di, dj = (both, tuple(y - x for x, y in zip(unit[i], unit[j]))), 1, -1
+            else:
+                for k in range(dim):
+                    if u[k]:
+                        add((unit[i], unit[j]), k, u[k])
+                    if v[k]:
+                        add((unit[j], unit[i]), k, v[k])
+                continue
+            for k, c in enumerate(u):
+                if c:
+                    add(form, k, c)
+                    coeffs[diag[i]][k] += di * c
+                    coeffs[diag[j]][k] += dj * c
+    kept = [(form, col) for form, col in coeffs.items() if any(col)]
+    return (
+        [form[0] for form, _ in kept],
+        [form[1] for form, _ in kept],
+        [[col[k] for _, col in kept] for k in range(dim)],
+    )
+
+
+def _compile_sums(name: str, count: int) -> Callable:
+    """(C, A, B) -> C + sum over the pairs (a, b) of zip(A, B) of the
+    termwise products a_r*b_r, r < count: one call for a whole convolution
+    sum, the loop in generated code."""
+    lines = [f"def {name}(c, A, B):", f"    {_unpack('c', count)}", "    for a, b in zip(A, B):"]
+    lines += [f"        {_unpack('a', count)}", f"        {_unpack('b', count)}"]
+    lines += [f"        c{r} += a{r}*b{r}" for r in range(count)]
+    lines.append("    return (" + "".join(f"c{r}, " for r in range(count)) + ")")
     return _exec(name, lines)
 
 
 def _compile_linear(name: str, matrix: list[list[int]]) -> Callable:
     """a -> matrix @ a; the identity compiles to the identity function."""
-    n = len(matrix)
-    if all(matrix[r][c] == (r == c) for r in range(n) for c in range(n)):
+    n, m = len(matrix), len(matrix[0])
+    if n == m and all(matrix[r][c] == (r == c) for r in range(n) for c in range(n)):
         return _identity
-    exprs = [_signed_sum([(matrix[r][c], f"a{c}") for c in range(n)]) for r in range(n)]
-    return _compile(name, "a", [_unpack("a", n)], exprs)
+    exprs = [_signed_sum([(matrix[r][c], f"a{c}") for c in range(m)]) for r in range(n)]
+    return _compile(name, "a", [_unpack("a", m)], exprs)
 
 
 def _identity(a):

@@ -7,7 +7,13 @@ W. Hart, "FLINT: Fast Library for Number Theory", ICMS 2010).  The routines
 here run whole convolutions, divisions and Euclidean loops on such rows
 through the field's compiled integer kernel (`GroundField.kmac`, `kmul`,
 `ksig`, `kadj`), and the caller converts back once, so no `Fraction` is
-created or normalised inside a loop.
+created or normalised inside a loop.  Series products, whose long
+convolutions of big coefficients are dominated by integer multiplication,
+run on the field's paired bilinear form instead (`kleft`, `kright`,
+`ksums`, `kcombine`): R products per pair of rows, R = `mul_rank` (1 on Q,
+3 on Q(i), 10 on H_Q), against dim^2 in `kmac`.  The polynomial kernels
+keep `kmac`: on their short, small operands the extra additions of the
+pairing cost more than the products it saves.
 
 The kernel scales: with dT = `field.mul_den` and s = `field.sig_den`,
 
@@ -141,23 +147,31 @@ def series_mul_rows(
 ) -> Rows:
     """s*dT * (f*g) truncated to `size` coefficients; f starts at t^fval.
 
+    Each product of two rows is the field's paired bilinear form
+    dT * a*b = kcombine(L_r(a) * R_r(b) for r < R), R = `field.mul_rank`
+    (10 on H_Q, 3 on Q(i), 1 on Q).  So each row of f is mapped to its left
+    forms once and each twisted row of g to its right forms once, each output
+    coefficient accumulates R integer sums, and is combined once at the end.
     The terms f_i with i in one residue class mod n all twist g by the same
-    sigma^(fval+i), so each output coefficient is one `kdot` per class and
-    run of nonzero f_i, over a slice of f and a reversed, strided slice of
-    the twisted g.  Zero rows of f are skipped, so a sparse left operand,
-    such as a polynomial or a series in t^n, costs only its nonzero terms.
+    sigma^(fval+i), so the sums of an output coefficient are one `ksums` per
+    class and run of nonzero f_i, over a slice of the left forms of f and a
+    reversed, strided slice of the right forms of the twisted g.  Zero rows
+    of f are skipped, so a sparse left operand, such as a polynomial or a
+    series in t^n, costs only its nonzero terms.
     """
     n = field.sigma_order
-    kdot, zero, ksig = field.kdot, field.zero_row, field.ksig
+    kleft, kright, ksums, ksig = field.kleft, field.kright, field.ksums, field.ksig
+    zero = field.zero_row
     g = strip(g[:size], zero)
     lg = len(g)
-    out = [zero] * size
+    out = [(0,) * field.mul_rank] * size
     for i0 in range(min(n, len(f), size) if g else 0):
         a = f[i0:size:n]  # the terms f_(i0 + n*k)
         runs = _nonzero_runs(a, zero)
         if not runs:
             continue
-        twisted = list(map(ksig[(fval + i0) % n], g))
+        lefts = list(map(kleft, a))
+        rights = list(map(kright, map(ksig[(fval + i0) % n], g)))
         for m in range(i0 + n * runs[0][0], min(size, i0 + n * (runs[-1][1] - 1) + lg)):
             # the k with 0 <= m - i0 - n*k < lg
             lo = max(0, -((lg - 1 - m + i0) // n))
@@ -167,8 +181,8 @@ def series_mul_rows(
                 if k < stop_k:
                     j = m - i0 - n * k
                     stop = j - n * (stop_k - k)
-                    out[m] = kdot(out[m], a[k:stop_k], twisted[j : stop if stop >= 0 else None : -n])
-    return out
+                    out[m] = ksums(out[m], lefts[k:stop_k], rights[j : stop if stop >= 0 else None : -n])
+    return list(map(field.kcombine, out))
 
 
 def _nonzero_runs(rows: Rows, zero: Row) -> list[tuple[int, int]]:

@@ -105,6 +105,32 @@ def test_ground_kernel_matches_reference(field, data):
                 inv(a)
 
 
+# R, the big-integer products per pair of rows in a series product
+PAIRED_RANKS = {"Q": 1, "Q(i)/conj": 3, "H_Q": 10, "cubic": 6, "Q(zeta5)": 10, "H over Q(sqrt5)": 36}
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_paired_forms_give_the_product(field):
+    """kcombine(L_r(a) * R_r(b)) = dT * a*b in every coordinate, on integer
+    rows of 1 to 700 bits, with at most dim^2 products and the pinned
+    counts where they are known."""
+    rng = random.Random(59)
+    assert field.mul_rank <= field.dim**2
+    assert field.mul_rank == PAIRED_RANKS.get(field.name, field.mul_rank)
+    for bits in (1, 3, 40, 300, 700):
+        for _ in range(6):
+            a, b = ([rng.randint(-(2**bits), 2**bits) for _ in range(field.dim)] for _ in range(2))
+            products = tuple(x * y for x, y in zip(field.kleft(a), field.kright(b)))
+            assert len(products) == field.mul_rank
+            expected = tuple(field.mul_den * x for x in sb.mul_coords(field, a, b))
+            assert field.kcombine(products) == expected
+
+
+def test_rational_paired_forms_are_the_identity():
+    row = (5,)
+    assert RATIONALS.kleft(row) is RATIONALS.kright(row) is RATIONALS.kcombine(row) is row
+
+
 def test_ground_inverse_errors_match_reference():
     split = make_quaternions(1, 1, name="split")
     x = split.element([1, 1, 0, 0]).coords
@@ -301,6 +327,53 @@ def test_series_kernels_match_reference_fixed_seed(field):
         q = random_polynomial(field, rng, 3)
         _check_series(_series(p, 0, 24), _series(q, 0, 24))
         _check_series(_series(p, -1, 20), _series(q, 2, 22))
+
+
+SHAPES = ("dense", "runs", "center")
+
+
+def _big_series(field, rng, val, prec, shape):
+    """A series at t^val + O(t^prec) with 150-700-bit numerators over a
+    common denominator: dense, with runs of zero rows ("runs"), or on the
+    exponents divisible by n only ("center")."""
+    n = field.sigma_order
+    den = rng.choice((1, 1, 3, 2**61 - 1))
+    coeffs = []
+    for k in range(prec - val):
+        if (shape == "runs" and k % 7 in (2, 3, 4)) or (shape == "center" and (val + k) % n):
+            coeffs.append(0)
+        else:
+            coeffs.append(
+                [Fraction(rng.getrandbits(rng.randint(150, 700)) * rng.choice((1, -1)), den) for _ in range(field.dim)]
+            )
+    return TwistedSeries.make(field, val, coeffs, prec)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_series_products_match_reference_at_benchmark_sizes(field, data):
+    seed = data.draw(st.integers(0, 2**32))
+    va, vb = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    prec = data.draw(st.integers(48, 52))
+    shape = data.draw(st.sampled_from(SHAPES))
+    rng = random.Random(seed)
+    a = _big_series(field, rng, va, va + prec, shape)
+    b = _big_series(field, rng, vb, vb + prec, "dense")
+    assert a * b == sb.series_mul(a, b)
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_series_products_match_reference_at_benchmark_sizes_fixed_seed(field):
+    """Every left shape against a dense right operand at precision 48 and
+    valuations -3 .. 3, and a right operand with zero runs."""
+    rng = random.Random(4848)
+    for shape, (va, vb) in zip(SHAPES, ((-3, 3), (1, 2), (0, -1))):
+        a = _big_series(field, rng, va, va + 48, shape)
+        b = _big_series(field, rng, vb, vb + 48, "dense")
+        assert a * b == sb.series_mul(a, b)
+    b = _big_series(field, rng, -2, 46, "runs")
+    assert a * b == sb.series_mul(a, b)
 
 
 @pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
