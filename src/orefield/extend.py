@@ -10,16 +10,18 @@ rho of f, the Galois action x -> q_g(x) of a finite group, and the maps that
 the rest of the package (towers, command line) consumes:
 
 * `CentralPolynomial` -- polynomials in the central variable x whose
-  coefficients are central fractions; ordinary commutative arithmetic,
-  run on reduced N/D pairs over Z[u] (`orefield.factor.RationalFunction`)
-  when the invariant subfield is Q, as at every catalog level, and on
-  `SkewFraction`s over any other invariant subfield.
+  coefficients are central fractions, in one form on every field:
+  den(u)^-1 * sum_m N_m x^m, u = t^n, with den in Z[u] and the N_m in the
+  numerator ring of the center (Z[u] when the invariant subfield K' is Q,
+  as at every catalog level, central twisted polynomials otherwise).
+  Ordinary commutative arithmetic on the numerators, no gcd per
+  coefficient; `coeffs` shows canonical `SkewFraction`s.
 * `PowerRows` -- the rows q^k modulo f of one polynomial q, built once and
   read by everything that works modulo f: with q = x they are the reduction
   table x^p mod f, with q = q_g the Galois matrix of g, and for any q the
-  table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f), as a
-  `Residue` over one common Z[u] denominator.  `twisted_table` shows the
-  rows as twisted polynomials over one common denominator.
+  table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f).
+  `compose` and `twisted_table` read the rows over one common Z[u]
+  denominator.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data: one `PowerRows` per image
@@ -46,16 +48,18 @@ the rest of the package (towers, command line) consumes:
   identity; the tests do, on every decomposition they make.
 
 Inputs come in through one lift, `SkewFraction.coerce`, and the fixed space
-is the kernel that `linalg.nullspace` computes on the central coefficients.
+is the kernel that `linalg.nullspace` computes over the center, on the
+entries N_m/den of the Galois matrices.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from . import kernel, linalg
@@ -83,7 +87,7 @@ from .laurent import (
 from .skewfrac import SkewFraction
 from .skewpoly import (
     SkewPolynomial,
-    central_ints,
+    central_fraction_ints,
     central_polynomial,
     norm_conjugate,
     reduce_central,
@@ -91,104 +95,184 @@ from .skewpoly import (
 )
 
 
-# -- central coefficients -------------------------------------------------------
+# -- central polynomials -----------------------------------------------------------
 #
-# When the invariant subfield is Q, the center is Q(u), u = t^n, and a central
-# coefficient is held as a `RationalFunction`.  Over any other invariant
-# subfield it stays a `SkewFraction`.  Both kinds have + - * inv == is_zero,
-# so the central polynomials, their power rows and the fixed space run the
-# same code on either.  `orefield.factor` is imported on first use: building
-# the catalog scenarios needs no central arithmetic, so a process that builds
-# them only to compute with their fields does not load it.
+# A central polynomial is den(u)^-1 * sum_m N_m x^m, u = t^n: one denominator
+# den in Z[u] and numerators N_m in the numerator ring of the center K'(u).
+# That ring is Z[u] itself, as integer lists, when the invariant subfield K' is
+# Q (every catalog level), and the central `SkewPolynomial`s otherwise, since
+# `norm_conjugate` brings any K'(u) denominator down to Z[u].  `_numerators`
+# chooses the ring's few operations once per field, so the polynomials, their
+# power rows and the fixed space run one code on either:
+#
+# * `zero(field)`, `one(field)`, `is_zero`, `add`, `sub`, `mul`, and
+#   `scale(a, c)`, the product with c in Z[u];
+# * `unit_multiple(a)`, (q, c) with q*a = c in Z[u] and lc(c) > 0;
+# * `reduce(den, nums)`, the same value with no common factor of den and the
+#   nums left and lc(den) > 0 (lowest terms);
+# * `convert(field, coeffs)`, (den, nums) for central `SkewFraction`s,
+#   refusing one off the center;
+# * `entry(field, a, den)`, the element a/den of the center that
+#   `linalg.nullspace` eliminates over, `view(field, e)`, that entry as a
+#   canonical `SkewFraction`, and `twisted(field, a)`, a as a twisted
+#   polynomial.
+#
+# `orefield.factor` is imported on first use: building the catalog scenarios
+# needs no central arithmetic, so a process that builds them only to compute
+# with their fields does not load it.
 
 
-def _central(field: GroundField, c: SkewFraction):
-    """A central fraction as a coefficient of the central layer."""
-    if field.invariant_degree != 1:
-        return c
-    from .factor import RationalFunction
-
-    (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
-    num, den = central_ints(field, num_rows), central_ints(field, den_rows)
-    if num is None or den is None:
-        _check_stride(c)
-        raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
-    return RationalFunction.make([a * den_den for a in num], [a * num_den for a in den])
+def _numerators(field: GroundField) -> SimpleNamespace:
+    """The numerator ring of the center of `field`'s fraction field."""
+    return _integers() if field.invariant_degree == 1 else _POLYNOMIALS
 
 
-def _check_stride(c: SkewFraction) -> None:
-    """Raise unless every exponent of c's numerator and denominator is a
-    multiple of the twist order."""
-    n = c.field.sigma_order
-    for p in (c.num, c.den):
-        m = next((m for m, a in enumerate(p.coeffs) if m % n and not a.is_zero()), None)
-        if m is not None:
-            raise ScenarioValidationError(f"exponent {m} of {p} is not a multiple of the twist order")
+@cache
+def _integers() -> SimpleNamespace:
+    """Z[u] as ascending integer lists, the numerator ring when K' = Q; the
+    entries are `RationalFunction`s."""
+    from math import gcd as igcd
+
+    from .factor import RationalFunction, _add, _divexact, _mul, _sub, gcd
+
+    def reduce(den, nums):
+        if not any(nums):
+            return [1], []
+        g = den
+        for num in nums:
+            if len(g) == 1:
+                break
+            if num:
+                g = gcd(g, num)
+        if len(g) > 1:
+            den, nums = _divexact(den, g), [_divexact(num, g) if num else num for num in nums]
+        # then no integer content common to den and the nums, and lc(den) > 0
+        c = igcd(*den, *(a for num in nums for a in num))
+        if den[-1] < 0:
+            c = -c
+        if c == 1:
+            return den, nums
+        return [a // c for a in den], [[a // c for a in num] for num in nums]
+
+    def convert(field, coeffs):
+        pairs = []
+        for c in coeffs:
+            parts = central_fraction_ints(c)
+            if parts is None:
+                raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
+            pairs.append(parts)
+        den = _lcm(d for _, d in pairs)
+        return reduce(den, [_mul(num, _divexact(den, d)) for num, d in pairs])
+
+    def view(field, e):
+        # den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D); a Bezout
+        # identity D*a + N*b = 1 over Q[u] holds in the skew ring too, so
+        # this is the canonical reduced form
+        lead = e.den[-1]
+        return SkewFraction(central_polynomial(field, e.den, lead), central_polynomial(field, e.num, lead))
+
+    return SimpleNamespace(
+        zero=lambda field: [],
+        one=lambda field: [1],
+        is_zero=lambda a: not a,
+        add=_add,
+        sub=_sub,
+        mul=_mul,
+        scale=_mul,
+        unit_multiple=lambda a: ([1], a) if a[-1] > 0 else ([-1], [-x for x in a]),
+        reduce=reduce,
+        convert=convert,
+        entry=lambda field, a, den: RationalFunction.make(a, den),
+        view=view,
+        twisted=central_polynomial,
+    )
 
 
-def _view(field: GroundField, c) -> SkewFraction:
-    """A central coefficient as a `SkewFraction`, built without `gcld`.
-
-    For N/D in Q(u), den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D),
-    with the unit written as the first coordinate (as `from_rational` does).
-    A Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring too,
-    so every common left divisor of den and num is a unit: this is the
-    canonical reduced form.
-    """
-    if isinstance(c, SkewFraction):
-        return c
-    lead = c.den[-1]
-    return SkewFraction(central_polynomial(field, c.den, lead), central_polynomial(field, c.num, lead))
+def _central_fractions(field: GroundField, coeffs: Sequence[SkewFraction]) -> tuple[list[int], list[SkewPolynomial]]:
+    """`convert` over the twisted polynomials: the norm conjugates' form."""
+    for c in coeffs:
+        if not c.is_invariant_central():
+            raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
+    return _over_common_denominator(coeffs)
 
 
-def _central_zero(field: GroundField):
-    if field.invariant_degree != 1:
-        return SkewFraction.zero(field)
-    from .factor import RationalFunction
+# the twisted polynomials; their central elements K'[u] are the numerator ring
+# when K' is larger than Q, with central `SkewFraction`s as the entries
+_POLYNOMIALS = SimpleNamespace(
+    zero=SkewPolynomial.zero,
+    one=SkewPolynomial.one,
+    is_zero=SkewPolynomial.is_zero,
+    add=SkewPolynomial.__add__,
+    sub=SkewPolynomial.__sub__,
+    mul=SkewPolynomial.__mul__,
+    scale=times_central,
+    unit_multiple=norm_conjugate,
+    reduce=lambda den, nums: reduce_central(den, list(nums)),
+    convert=_central_fractions,
+    entry=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
+    view=lambda field, e: e,
+    twisted=lambda field, a: a,
+)
 
-    return RationalFunction.zero()
+
+def _accumulate(ring: SimpleNamespace, out: list, rows, values) -> list:
+    """out[m] + sum_k rows[k][m] * values[k] for every m, skipping zeros."""
+    for row, v in zip(rows, values):
+        if ring.is_zero(v):
+            continue
+        for m, entry in enumerate(row):
+            if not ring.is_zero(entry):
+                out[m] = ring.add(out[m], ring.mul(entry, v))
+    return out
 
 
-def _central_one(field: GroundField):
-    if field.invariant_degree != 1:
-        return SkewFraction.one(field)
-    from .factor import RationalFunction
+def _lcm(dens: Iterable[Sequence[int]]) -> list[int]:
+    """A common multiple in Z[u] of the dens: their lcm over Q[u] times an
+    integer."""
+    from .factor import _divexact, _mul, gcd
 
-    return RationalFunction.one()
+    common = [1]
+    for c in dens:
+        if c != common:
+            common = _mul(common, _divexact(list(c), gcd(common, c)))
+    return common
 
 
 class CentralPolynomial:
     """Polynomial in x with central-fraction coefficients.
 
     x is adjoined centrally, so this is plain commutative polynomial
-    arithmetic on the central coefficients: reduced N/D pairs over Z[u]
-    when the invariant subfield is Q (every catalog level), central
-    `SkewFraction`s otherwise.  `coeffs` shows them as `SkewFraction`s,
-    built once on first use.  Construct through `from_coeffs`, which checks
-    centrality; the raw constructor takes `SkewFraction`s that are already
-    known to be central, and converts them on first use.
+    arithmetic, held as den(u)^-1 * sum_m N_m x^m over one denominator den
+    in Z[u] (see `_numerators`).  Sums and products are numerator products
+    over the product or lcm of the denominators, with no gcd per
+    coefficient; `divmod_by` pseudo-divides and brings its remainder to
+    lowest terms, and `==` cross-multiplies.  `coeffs` shows the
+    coefficients as canonical `SkewFraction`s, built once on first use.
+    Construct through `from_coeffs`, which checks centrality; the raw
+    constructor takes `SkewFraction`s that are already known to be central,
+    and converts them on first arithmetic.
     """
 
-    __slots__ = ("field", "_coeffs", "_data", "_residue")
+    __slots__ = ("field", "_coeffs", "_den", "_nums")
 
     def __init__(self, field: GroundField, coeffs: tuple[SkewFraction, ...]) -> None:
         while coeffs and coeffs[-1].is_zero():
             coeffs = coeffs[:-1]
         self.field = field
         self._coeffs: tuple[SkewFraction, ...] | None = tuple(coeffs)
-        self._data: tuple | None = None
-        self._residue: Residue | None = None
+        self._den: list[int] | None = None
+        self._nums: tuple | None = None
 
     @classmethod
-    def _of(cls, field: GroundField, coeffs) -> "CentralPolynomial":
-        """The polynomial with these central coefficients."""
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+    def _of(cls, field: GroundField, den: list[int], nums) -> "CentralPolynomial":
+        """den(u)^-1 * sum_m nums[m] x^m, as given."""
+        is_zero = _numerators(field).is_zero
+        nums = list(nums)
+        while nums and is_zero(nums[-1]):
+            nums.pop()
         p = cls.__new__(cls)
-        p.field = field
-        p._coeffs = p._residue = None
-        p._data = tuple(coeffs)
+        p.field, p._coeffs = field, None
+        p._den, p._nums = (den, tuple(nums)) if nums else ([1], ())
         return p
 
     @classmethod
@@ -219,22 +303,27 @@ class CentralPolynomial:
     def x(cls, field: GroundField) -> "CentralPolynomial":
         return cls(field, (SkewFraction.zero(field), SkewFraction.one(field)))
 
-    @property
-    def central_coeffs(self) -> tuple:
-        """The central coefficients, ascending in x."""
-        if self._data is None:
-            self._data = tuple(_central(self.field, c) for c in self._coeffs)
-        return self._data
+    def parts(self) -> tuple[list[int], tuple]:
+        """(den, nums) with self = den(u)^-1 * sum_m nums[m] x^m."""
+        if self._nums is None:
+            den, nums = _numerators(self.field).convert(self.field, self._coeffs)
+            self._den, self._nums = den, tuple(nums)
+        return self._den, self._nums
+
+    def reduced(self) -> "CentralPolynomial":
+        """self with no common factor of den and the numerators left."""
+        return CentralPolynomial._of(self.field, *_numerators(self.field).reduce(*self.parts()))
 
     @property
     def coeffs(self) -> tuple[SkewFraction, ...]:
         if self._coeffs is None:
-            self._coeffs = tuple(_view(self.field, c) for c in self._data)
+            ring, field, den = _numerators(self.field), self.field, self._den
+            self._coeffs = tuple(ring.view(field, ring.entry(field, a, den)) for a in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs if self._coeffs is not None else self._data) - 1
+        return len(self._coeffs if self._coeffs is not None else self._nums) - 1
 
     def is_zero(self) -> bool:
         return self.degree < 0
@@ -247,9 +336,7 @@ class CentralPolynomial:
     def leading(self) -> SkewFraction:
         if self.is_zero():
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        if self._coeffs is not None:
-            return self._coeffs[-1]
-        return _view(self.field, self._data[-1])
+        return self.coeffs[-1]
 
     def is_monic(self) -> bool:
         return not self.is_zero() and self.leading() == SkewFraction.one(self.field)
@@ -262,75 +349,88 @@ class CentralPolynomial:
         if not isinstance(other, CentralPolynomial):
             return NotImplemented
         self._same(other)
-        return self.central_coeffs == other.central_coeffs
+        (da, a), (db, b) = self.parts(), other.parts()
+        if len(a) != len(b):
+            return False
+        if da == db:
+            return a == b
+        scale = _numerators(self.field).scale
+        return all(scale(x, db) == scale(y, da) for x, y in zip(a, b))
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
+        from .factor import _divexact, _mul, gcd
+
         self._same(other)
-        a, b = self.central_coeffs, other.central_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return CentralPolynomial._of(
-            self.field, [c + b[m] if m < len(b) else c for m, c in enumerate(a)]
-        )
+        ring = _numerators(self.field)
+        (da, a), (db, b) = self.parts(), other.parts()
+        if da != db:
+            g = gcd(da, db)
+            ra, rb = _divexact(da, g), _divexact(db, g)
+            a, b, da = [ring.scale(x, rb) for x in a], [ring.scale(y, ra) for y in b], _mul(da, rb)
+        zero = ring.zero(self.field)
+        return CentralPolynomial._of(self.field, da, [ring.add(x, y) for x, y in zip_longest(a, b, fillvalue=zero)])
 
     def __neg__(self) -> "CentralPolynomial":
-        return CentralPolynomial._of(self.field, [-c for c in self.central_coeffs])
+        den, nums = self.parts()
+        return CentralPolynomial._of(self.field, den, [_numerators(self.field).scale(a, [-1]) for a in nums])
 
     def __sub__(self, other: "CentralPolynomial") -> "CentralPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "CentralPolynomial") -> "CentralPolynomial":
+        from .factor import _mul
+
         self._same(other)
-        a, b = self.central_coeffs, other.central_coeffs
+        ring = _numerators(self.field)
+        (da, a), (db, b) = self.parts(), other.parts()
         if not a or not b:
             return CentralPolynomial.zero(self.field)
-        out = [_central_zero(self.field)] * (len(a) + len(b) - 1)
+        out = [ring.zero(self.field)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x.is_zero():
+            if ring.is_zero(x):
                 continue
             for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return CentralPolynomial._of(self.field, out)
+                if not ring.is_zero(y):
+                    out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+        return CentralPolynomial._of(self.field, _mul(da, db), out)
 
     def scale(self, c: SkewFraction) -> "CentralPolynomial":
         return self * CentralPolynomial.constant(c.field, c)
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
+        """(q, r) with self = q*g + r and deg r < deg g: pseudo-division over
+        the numerator ring, with r in lowest terms.
+
+        With q_l * lead(G) = c in Z[u], each step scales the remainder by c
+        and subtracts (top * q_l) x^s G, which cancels the top term; after k
+        steps  c^k A = Q G + R  for the numerators A of self and G of g, so
+        r = (den c^k)^-1 R  and  q = (den c^k)^-1 (den_g Q).
+        """
+        from .factor import _mul
+
         self._same(g)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        field = self.field
-        gd = g.central_coeffs
-        lead_inv = gd[-1].inv()
-        rem = list(self.central_coeffs)
-        quo = [_central_zero(field)] * max(len(rem) - len(gd) + 1, 0)
-        while len(rem) >= len(gd) and rem:
+        field, ring = self.field, _numerators(self.field)
+        (den, rem), (gden, gn) = self.parts(), g.parts()
+        rem, lower = list(rem), list(enumerate(gn[:-1]))
+        q_lead, c = ring.unit_multiple(gn[-1])
+        quo = [ring.zero(field)] * max(len(rem) - len(gn) + 1, 0)
+        for s in range(len(quo) - 1, -1, -1):
             top = rem.pop()
-            if top.is_zero():
+            if ring.is_zero(top):
                 continue
-            shift = len(rem) + 1 - len(gd)
-            c = top * lead_inv
-            quo[shift] = c
-            # the top term cancels; only the lower terms of g are subtracted
-            for j, b in enumerate(gd[:-1]):
-                if not b.is_zero():
-                    rem[shift + j] = rem[shift + j] - c * b
-        return CentralPolynomial._of(field, quo), CentralPolynomial._of(field, rem)
-
-    def residue(self) -> "Residue":
-        """self as a `Residue`: over one common Z[u] denominator, the lcm of
-        the coefficient denominators, when the invariant subfield is Q
-        (cached)."""
-        if self._residue is None:
-            if self.field.invariant_degree == 1:
-                self._residue = Residue(self.field, *_over_one_denominator(self.central_coeffs))
-            else:
-                self._residue = Residue(self.field, None, list(self.central_coeffs))
-        return self._residue
-
-    def embed_coefficients(self, prec: int) -> list[TwistedSeries]:
-        return [embed_fraction(c, prec) for c in self.coeffs]
+            if c != [1]:
+                rem = [ring.scale(a, c) for a in rem]
+                quo = [ring.scale(a, c) for a in quo]
+                den = _mul(den, c)
+            quo[s] = ring.mul(top, q_lead)
+            for j, b in lower:
+                if not ring.is_zero(b):
+                    rem[s + j] = ring.sub(rem[s + j], ring.mul(quo[s], b))
+        if gden != [1]:
+            quo = [ring.scale(a, gden) for a in quo]
+        return CentralPolynomial._of(field, den, quo), CentralPolynomial._of(field, *ring.reduce(den, rem))
 
     def evaluate_series(self, point):
         """The value at a `TwistedSeries`, or at a `CentralSeries` over a
@@ -362,163 +462,90 @@ class CentralPolynomial:
 
 def _series_coefficients(p: CentralPolynomial, point, prec: int) -> list:
     """p's coefficients as series at precision prec, of the point's kind: a
-    `CentralSeries` point takes them from the Z[u] pairs of `central_coeffs`."""
+    `CentralSeries` point takes them from p's Z[u] numerators and
+    denominator."""
     if isinstance(point, CentralSeries):
-        return [CentralSeries.embed(p.field, c.num, c.den, prec) for c in p.central_coeffs]
-    return p.embed_coefficients(prec)
-
-
-def _over_one_denominator(coeffs, den: Sequence[int] = (1,)) -> tuple[list[int], list[list[int]]]:
-    """(D, N) with coeffs[m] = N[m]/D for `RationalFunction`s coeffs, where D
-    in Z[u] is a multiple of den and of every denominator: their lcm over
-    Q[u] times an integer."""
-    from .factor import _divexact, _mul, gcd
-
-    den = list(den)
-    for c in coeffs:
-        if c.num and c.den != (1,):
-            cden = list(c.den)
-            if cden != den:
-                den = _mul(den, _divexact(cden, gcd(den, cden)))
-    return den, [_mul(list(c.num), _divexact(den, list(c.den))) for c in coeffs]
-
-
-class Residue:
-    """den(u)^-1 * sum_m nums[m] x^m: a polynomial in x over one common
-    denominator, as composition modulo f leaves it, before any gcd.
-
-    When the invariant subfield is Q, den and the nums are integer
-    polynomials in u = t^n; over any other, den is None and the nums are
-    the central coefficients themselves.  `==` cross-multiplies, and
-    `polynomial` reduces to the canonical `CentralPolynomial` with one
-    `RationalFunction.make` per coefficient.
-    """
-
-    __slots__ = ("field", "den", "nums")
-
-    def __init__(self, field: GroundField, den: list[int] | None, nums: list) -> None:
-        self.field, self.den, self.nums = field, den, nums
-
-    def is_zero(self) -> bool:
-        if self.den is None:
-            return all(c.is_zero() for c in self.nums)
-        return not any(self.nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Residue):
-            return NotImplemented
-        if self.den is None:
-            return self.polynomial() == other.polynomial()
-        from .factor import _mul
-
-        return all(
-            _mul(a, other.den) == _mul(b, self.den)
-            for a, b in zip_longest(self.nums, other.nums, fillvalue=[])
-        )
-
-    def polynomial(self) -> CentralPolynomial:
-        if self.den is None:
-            return CentralPolynomial._of(self.field, self.nums)
-        from .factor import RationalFunction
-
-        return CentralPolynomial._of(
-            self.field, [RationalFunction.make(a, self.den) for a in self.nums]
-        )
+        den, nums = p.parts()
+        return [CentralSeries.embed(p.field, a, den, prec) for a in nums]
+    return [embed_fraction(c, prec) for c in p.coeffs]
 
 
 class PowerRows:
-    """The rows q^k modulo f, k = 0, 1, ..., built on demand on central
-    coefficients: the matrix of powers that composition modulo f reads
-    (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-    power series", J. ACM 25, 1978),
+    """The rows q^k modulo f, k = 0, 1, ..., built on demand: the matrix of
+    powers that composition modulo f reads (R. P. Brent and H. T. Kung,
+    "Fast algorithms for manipulating formal power series", J. ACM 25,
+    1978),
 
         p(q) = sum_k p_k (q^k mod f)   modulo f,
 
-    for any polynomials p and q.  When the invariant subfield is Q the rows
-    are also held as integer polynomials over one common Z[u] denominator,
-    so a composite is a sum of integer polynomial products (a `Residue`)
-    with no gcd.  With q = x the rows are the reduction table x^p mod f.
+    for any polynomials p and q.  Row k+1 is (row k * q) modulo f, one
+    pseudo-division over the numerator ring (J. von zur Gathen and J.
+    Gerhard, *Modern Computer Algebra*, ch. 6) with one content reduction.
+    `compose` and `twisted_table` read the rows over one common Z[u]
+    denominator, so a composite is a sum of numerator products with no gcd.
+    With q = x the rows are the reduction table x^p mod f.
     """
 
-    __slots__ = ("f", "q", "_rows", "_last", "_den", "_nums", "_twisted")
+    __slots__ = ("f", "q", "_powers", "_shared", "_twisted")
 
     def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
         f._same(q)
         if f.is_zero():
             raise DivisionByZero("power rows modulo the zero polynomial")
         self.f, self.q = f, q
-        self._rows: list[list] = []
-        self._last: CentralPolynomial | None = None
-        self._den: list[int] = [1]
-        self._nums: list[list[list[int]]] = []
+        self._powers: list[CentralPolynomial] = []
+        self._shared: tuple[list[int], list[list]] | None = None
         self._twisted: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
 
-    def rows(self, count: int) -> list[list]:
-        """Rows 0 .. count-1: row k holds the coordinates of q^k modulo f."""
-        field, d = self.f.field, self.f.degree
-        while len(self._rows) < count:
-            if self._last is None:
-                power = CentralPolynomial.one(field) if d else CentralPolynomial.zero(field)
-            else:
-                _, power = (self._last * self.q).divmod_by(self.f)
-            self._last = power
-            coeffs = power.central_coeffs
-            self._rows.append([*coeffs, *[_central_zero(field)] * (d - len(coeffs))])
-        return self._rows[:count]
+    def powers(self, count: int) -> list[CentralPolynomial]:
+        """q^k modulo f for k < count."""
+        while len(self._powers) < count:
+            power = self._powers[-1] * self.q if self._powers else CentralPolynomial.one(self.f.field)
+            self._powers.append(power.divmod_by(self.f)[1])
+        return self._powers[:count]
 
-    def _table(self, count: int) -> list[list[list[int]]]:
-        """At least `count` rows as integer polynomials over the common
-        denominator `_den` (rational invariant subfield)."""
-        from .factor import _divexact, _mul
+    def _common(self, count: int) -> tuple[list[int], list[list]]:
+        """(C, N) with  q^k = C(u)^-1 * sum_m N[k][m] x^m  modulo f for at
+        least k < count, each row padded to deg f numerators (cached)."""
+        from .factor import _divexact
 
-        for row in self.rows(count)[len(self._nums) :]:
-            den, nums = _over_one_denominator(row, self._den)
-            if den != self._den:
-                scale = _divexact(den, self._den)
-                self._nums = [[_mul(a, scale) for a in r] for r in self._nums]
-                self._den = den
-            self._nums.append(nums)
-        return self._nums
+        if self._shared is None or len(self._shared[1]) < count:
+            field, d = self.f.field, self.f.degree
+            ring = _numerators(field)
+            rows = [p.parts() for p in self.powers(count)]
+            den = _lcm(c for c, _ in rows)
+            zero = ring.zero(field)
+            table = []
+            for c, nums in rows:
+                if c != den:
+                    scale = _divexact(den, c)
+                    nums = [ring.scale(a, scale) for a in nums]
+                table.append([*nums, *[zero] * (d - len(nums))])
+            self._shared = (den, table)
+        return self._shared
 
     def twisted_table(self, count: int) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
         """(C, T) with  q^k = C(t^n)^-1 * sum_m T[k][m] x^m  modulo f for at
         least k < count, over one common denominator C in Z[u] (cached)."""
         if self._twisted is None or len(self._twisted[1]) < count:
             field = self.f.field
-            if field.invariant_degree == 1:
-                nums = self._table(count)
-                table = [tuple(central_polynomial(field, a) for a in row) for row in nums]
-                self._twisted = (self._den, table)
-            else:
-                rows = self.rows(count)
-                den, flat = _over_common_denominator([c for row in rows for c in row])
-                d = self.f.degree
-                self._twisted = (den, [tuple(flat[k : k + d]) for k in range(0, len(flat), d)])
+            twisted = _numerators(field).twisted
+            den, table = self._common(count)
+            self._twisted = (den, [tuple(twisted(field, a) for a in row) for row in table])
         return self._twisted
 
-    def compose(self, p: CentralPolynomial) -> Residue:
-        """p(q) modulo f, as sum_k p_k (q^k mod f)."""
-        self.f._same(p)
-        field, d = self.f.field, self.f.degree
-        if field.invariant_degree != 1:
-            out = [_central_zero(field)] * d
-            for c, row in zip(p.central_coeffs, self.rows(p.degree + 1)):
-                if c.is_zero():
-                    continue
-                for m, r in enumerate(row):
-                    if not r.is_zero():
-                        out[m] = out[m] + c * r
-            return Residue(field, None, out)
-        from .factor import _add, _mul
+    def compose(self, p: CentralPolynomial) -> CentralPolynomial:
+        """p(q) modulo f, as sum_k p_k (q^k mod f), over the product of p's
+        denominator and the rows' common one."""
+        from .factor import _mul
 
-        common = p.residue()
-        out: list[list[int]] = [[] for _ in range(d)]
-        for a, row in zip(common.nums, self._table(p.degree + 1)):
-            if a:
-                for m, r in enumerate(row):
-                    if r:
-                        out[m] = _add(out[m], _mul(a, r))
-        return Residue(field, _mul(common.den, self._den), out)
+        self.f._same(p)
+        field = self.f.field
+        ring = _numerators(field)
+        pden, nums = p.parts()
+        den, table = self._common(len(nums))
+        out = _accumulate(ring, [ring.zero(field)] * self.f.degree, table, nums)
+        return CentralPolynomial._of(field, _mul(pden, den), out)
 
 
 class FiniteGroup:
@@ -616,7 +643,8 @@ class ExtensionScenario:
     * the image polynomial q_g for every group element (closure of the
       generator images under the table, with consistency checks),
     * the series root rho, lifted once at padded precision, and its central
-      form (`root`, `root_work`) when it has one.
+      form (`root`, `root_work`) when it has one,
+    * the fixed space of the full group (`fixed_space`).
     """
 
     def __init__(
@@ -656,6 +684,7 @@ class ExtensionScenario:
         self._reduction: PowerRows | None = None
         self._images: dict[str, CentralPolynomial] | None = None
         self._powers: dict[str, PowerRows] = {}
+        self._fixed: list[list[SkewFraction]] | None = None
         self._rho_work: TwistedSeries | None = None
         self._rho: TwistedSeries | None = None
         self._root_work: CentralSeries | TwistedSeries | None = None
@@ -675,10 +704,6 @@ class ExtensionScenario:
             self._reduction = PowerRows(self.f, CentralPolynomial.x(self.field))
         return self._reduction
 
-    def reduce_polynomial(self, p: CentralPolynomial) -> "CentralPolynomial":
-        _, rem = p.divmod_by(self.f)
-        return rem
-
     # -- Galois data ----------------------------------------------------------
 
     @property
@@ -689,13 +714,13 @@ class ExtensionScenario:
         read off the power rows of q_g; whenever an element is reached twice
         the two candidate images must agree, otherwise the declared table
         and the declared generator images are inconsistent.  Only an image
-        reached for the first time is reduced to canonical form.
+        reached for the first time is brought to lowest terms.
         """
         if self._images is None:
             group = self.group
             images = {group.identity: self.reduction.q}
             for name, q in self.generator_images.items():
-                reduced = self.reduce_polynomial(q)
+                reduced = q.divmod_by(self.f)[1]
                 if name in images and images[name] != reduced:
                     raise ScenarioValidationError(
                         f"{self.name}: image of {name!r} conflicts with identity"
@@ -711,13 +736,13 @@ class ExtensionScenario:
                     h = group.op(g, s)
                     candidate = powers[g].compose(images[s])
                     if h in images:
-                        if candidate != images[h].residue():
+                        if candidate != images[h]:
                             raise ScenarioValidationError(
                                 f"{self.name}: image of {h!r} is path dependent "
                                 f"(via {g!r}*{s!r})"
                             )
                     else:
-                        images[h] = candidate.polynomial()
+                        images[h] = candidate.reduced()
                         queue.append(h)
             missing = sorted(set(group.elements) - set(images))
             if missing:
@@ -871,14 +896,7 @@ class TensorElement:
             return cls._reduced(scenario, den, conv + [SkewPolynomial.zero(scenario.field)] * (d - len(conv)))
         c, table = scenario.reduction.twisted_table(max(len(conv), 2 * d - 1))
         out = conv[:d] if c == [1] else [times_central(v, c) for v in conv[:d]]
-        for p in range(d, len(conv)):
-            v = conv[p]
-            if v.is_zero():
-                continue
-            for m, entry in enumerate(table[p]):
-                if not entry.is_zero():
-                    out[m] = out[m] + entry * v
-        return cls._reduced(scenario, _mul(den, c), out)
+        return cls._reduced(scenario, _mul(den, c), _accumulate(_POLYNOMIALS, out, table[d:], conv[d:]))
 
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
@@ -1012,13 +1030,7 @@ class TensorElement:
 
         c, table = self.scenario.power_rows(g).twisted_table(self.scenario.degree)
         out = [SkewPolynomial.zero(self.scenario.field)] * self.scenario.degree
-        for i, v in enumerate(self.polys):
-            if v.is_zero():
-                continue
-            for m, entry in enumerate(table[i]):
-                if not entry.is_zero():
-                    out[m] = out[m] + entry * v
-        return TensorElement._reduced(self.scenario, _mul(self.den, c), out)
+        return TensorElement._reduced(self.scenario, _mul(self.den, c), _accumulate(_POLYNOMIALS, out, table, self.polys))
 
     def __str__(self) -> str:
         parts = []
@@ -1042,7 +1054,7 @@ def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int],
     Each den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
     (`skewpoly.norm_conjugate`), and C is the lcm of the c.
     """
-    from .factor import _divexact, _mul, gcd
+    from .factor import _divexact
 
     pairs = []
     for v in values:
@@ -1051,10 +1063,7 @@ def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int],
         else:
             q, c = norm_conjugate(v.den)
             pairs.append((c, q * v.num))
-    common = [1]
-    for c, _ in pairs:
-        if c != common:
-            common = _mul(common, _divexact(c, gcd(common, c)))
+    common = _lcm(c for c, _ in pairs)
     return common, [p if c == common else times_central(p, _divexact(common, c)) for c, p in pairs]
 
 
@@ -1063,30 +1072,40 @@ def fixed_space(
 ) -> list[list[SkewFraction]]:
     """Canonical basis of the joint fixed space of the listed group elements.
 
-    Defaults to the full group.  The matrices have central entries, so the
-    kernel computed over the commutative central coefficients has the same
-    dimension as the fixed subspace over the whole skew field.  The basis is
-    returned as `SkewFraction`s.
+    Defaults to the full group, whose basis is computed once per scenario.
+    The matrices have central entries, so the kernel computed over the
+    center has the same dimension as the fixed subspace over the whole skew
+    field.  The basis is returned as `SkewFraction`s.
     """
-    names = list(elements) if elements is not None else list(scenario.group.elements)
+    if elements is not None:
+        return _fixed_space(scenario, list(elements))
+    if scenario._fixed is None:
+        scenario._fixed = _fixed_space(scenario, scenario.group.elements)
+    return [list(vec) for vec in scenario._fixed]
+
+
+def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list[SkewFraction]]:
     for g in names:
         if g not in scenario.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
-    d = scenario.degree
-    field = scenario.field
-    one, zero = _central_one(field), _central_zero(field)
+    d, field = scenario.degree, scenario.field
+    ring = _numerators(field)
+    one, zero = ring.entry(field, ring.one(field), [1]), ring.entry(field, ring.zero(field), [1])
     rows = []
     for g in names:
         if g == scenario.group.identity:
             continue
-        M = scenario.power_rows(g).rows(d)
+        M = []
+        for power in scenario.power_rows(g).powers(d):
+            den, nums = power.parts()
+            M.append([ring.entry(field, a, den) for a in nums] + [zero] * (d - len(nums)))
         for m in range(d):
             rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
     if rows:
         basis = linalg.nullspace(rows, d)
     else:
         basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
-    return [[_view(field, c) for c in vec] for vec in basis]
+    return [[ring.view(field, c) for c in vec] for vec in basis]
 
 
 def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
@@ -1326,27 +1345,19 @@ def _horner(c: list[int], u0: int) -> int:
     return value
 
 
-def _specialised(coeffs: list, u0: int) -> list[int] | None:
-    """f(x, u0) cleared to Z[x] from the (i, N_i, D_i) of f's coefficients
-    N_i/D_i in Q(u); None when a denominator vanishes at u0."""
-    values = []
-    for i, num, den in coeffs:
-        d = _horner(den, u0)
-        if d == 0:
-            return None
-        values.append((i, Fraction(_horner(num, u0), d)))
-    scale = lcm(*(v.denominator for _, v in values))
-    cleared = [0] * (values[-1][0] + 1)
-    for i, v in values:
-        cleared[i] = v.numerator * (scale // v.denominator)
-    return cleared
+def _specialised(den: list[int], nums: Sequence[list[int]], u0: int) -> list[int] | None:
+    """f(x, u0) cleared to Z[x], for f = den(u)^-1 * sum_i nums[i] x^i in
+    lowest terms; None when den vanishes at u0."""
+    if _horner(den, u0) == 0:
+        return None
+    return [_horner(num, u0) for num in nums]
 
 
 def _specialisation_point(scenario: ExtensionScenario) -> int | None:
     """The first u0 in _SPECIALISATION_POINTS that certifies f irreducible.
 
-    u0 certifies when every coefficient denominator of f is nonzero at u0,
-    and f(x, u0), cleared to Z[x], factors as one irreducible factor of
+    u0 certifies when the denominator of f is nonzero at u0, and f(x, u0),
+    cleared to Z[x], factors as one irreducible factor of
     degree `scenario.degree` = deg f (so its multiplicity is 1, and the
     leading coefficient of f is nonzero at u0).  None when no point does.
     Exponents off the multiples of the twist order raise
@@ -1354,13 +1365,9 @@ def _specialisation_point(scenario: ExtensionScenario) -> int | None:
     """
     from .factor import factor_list
 
-    coeffs = [
-        (i, c.num, c.den)
-        for i, c in enumerate(scenario.f.central_coeffs)
-        if not c.is_zero()
-    ]
+    den, nums = scenario.f.reduced().parts()
     for u0 in _SPECIALISATION_POINTS:
-        cleared = _specialised(coeffs, u0)
+        cleared = _specialised(den, nums, u0)
         if cleared is None:
             continue
         factors = factor_list(cleared)[1]
@@ -1401,11 +1408,8 @@ def _irreducibility_certificate(scenario: ExtensionScenario) -> tuple[str, str]:
     def upoly(c: list[int]):
         return sum((a * u_sym**k for k, a in enumerate(c)), sympy.Integer(0))
 
-    expr = sympy.Integer(0)
-    for i, c in enumerate(scenario.f.central_coeffs):
-        if not c.is_zero():
-            expr += upoly(c.num) / upoly(c.den) * x_sym**i
-    numerator, _ = sympy.fraction(sympy.together(expr))
+    # F = sum_i N_i x^i: the denominator of f lies in Q[u] and is content
+    numerator = sum((upoly(a) * x_sym**i for i, a in enumerate(scenario.f.parts()[1])), sympy.Integer(0))
     factors = sympy.factor_list(sympy.expand(numerator), x_sym, u_sym)[1]
     positive = [(p, e) for p, e in factors if sympy.degree(p, gen=x_sym) > 0]
     if (
@@ -1462,7 +1466,7 @@ def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
             rows = scenario.power_rows(a)
             for b in scenario.group.elements:
                 ab = scenario.group.op(a, b)
-                if rows.compose(images[b]) != images[ab].residue():
+                if rows.compose(images[b]) != images[ab]:
                     return ("fail", f"q_({a}*{b}) differs from q_{b}(q_{a}(x)) modulo f")
         return ("pass", f"all {len(scenario.group.elements)**2} products compose correctly")
 

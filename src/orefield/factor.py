@@ -21,8 +21,9 @@ irreducibility test of `orefield.ground` (cubics and up) use it instead of
 sympy.
 
 `RationalFunction` is the field Q(u) on the same lists: a reduced quotient
-of two integer polynomials.  `orefield.extend` keeps the coefficients of
-its central polynomials, reduction tables and Galois matrices in it.
+of two integer polynomials.  `orefield.extend` eliminates over it to find
+fixed spaces; its central polynomials and their power rows compute on the
+integer polynomials themselves, over one common denominator.
 
 Every user imports this module on first use, so a process that only builds
 the catalog or does arithmetic on it does not load it.
@@ -400,12 +401,11 @@ class RationalFunction:
     lc(D) > 0; zero is 0/1.
 
     The form is unique, so `==` and `hash` compare the parts.  Sums and
-    products reduce as in Henrici's rational arithmetic (P. Henrici, "A
-    subroutine for computations with rational numbers", J. ACM 3, 1956): of
-    two reduced operands, a product can only cancel gcd(N1, D2) and
-    gcd(N2, D1), and a sum only a factor of gcd(D1, D2), so every gcd runs
-    on the smallest polynomials that can share a factor.  Construct through
-    `make` (or `zero`/`one`); the constructor takes canonical parts as is.
+    products form the cross products and reduce them with one gcd (`make`):
+    this field is the entry type of small eliminations only (the fixed
+    spaces of `orefield.extend`), not of the central polynomials, which
+    keep one Z[u] denominator.  Construct through `make` (or `zero`/`one`);
+    the constructor takes canonical parts as is.
     """
 
     __slots__ = ("num", "den")
@@ -449,43 +449,14 @@ class RationalFunction:
         return RationalFunction(tuple(-a for a in self.num), self.den)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num:
-            return other
-        if not other.num:
-            return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b == d:
-            return RationalFunction.make(_add(a, c), b)
-        g = gcd(b, d) if len(b) > 1 and len(d) > 1 else [1]
-        if len(g) == 1:
-            # a/b + c/d = (ad + cb)/(bd), already coprime
-            return _canonical(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
-        b, d = _divexact(b, g), _divexact(d, g)
-        t = _add(_mul(a, d), _mul(c, b))
-        if not t:
-            return _ZERO
-        # only the factors of g can divide t
-        g2 = gcd(t, g)
-        if len(g2) > 1:
-            t, g = _divexact(t, g2), _divexact(g, g2)
-        return _canonical(t, _mul(_mul(b, d), g))
+        return RationalFunction.make(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num or not other.num:
-            return _ZERO
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if len(a) > 1 and len(d) > 1:
-            g = gcd(a, d)
-            if len(g) > 1:
-                a, d = _divexact(a, g), _divexact(d, g)
-        if len(c) > 1 and len(b) > 1:
-            g = gcd(c, b)
-            if len(g) > 1:
-                c, b = _divexact(c, g), _divexact(b, g)
-        return _canonical(_mul(a, c), _mul(b, d))
+        return RationalFunction.make(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def inv(self) -> "RationalFunction":
         if not self.num:

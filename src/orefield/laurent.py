@@ -62,7 +62,7 @@ from .errors import (
 )
 from .ground import GroundElement, GroundField
 from .skewfrac import SkewFraction
-from .skewpoly import SkewPolynomial, central_ints, central_polynomial, norm_conjugate
+from .skewpoly import SkewPolynomial, central_fraction_ints, central_ints, central_polynomial, norm_conjugate
 
 
 class TwistedSeries:
@@ -892,6 +892,4 @@ def _embed_coefficient(c: SkewFraction, prec: int, central: bool):
         raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
     if not central:
         return embed_fraction(c, prec)
-    (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
-    num, den = central_ints(c.field, num_rows), central_ints(c.field, den_rows)
-    return CentralSeries.embed(c.field, [a * den_den for a in num], [a * num_den for a in den], prec)
+    return CentralSeries.embed(c.field, *central_fraction_ints(c), prec)

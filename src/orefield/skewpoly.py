@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
-from .errors import DivisionByZero, NotInvertible
+from .errors import DivisionByZero, NotInvertible, ScenarioValidationError
 from .ground import GroundElement, GroundField
 
 
@@ -408,6 +408,25 @@ def central_ints(field: GroundField, rows: list) -> list[int] | None:
         else:
             ints.append(row[0])
     return ints
+
+
+def central_fraction_ints(c) -> tuple[list[int], list[int]] | None:
+    """(N, D) in Z[u] with N(u)/D(u) the fraction c = den^-1 * num: the
+    `central_ints` of both parts, cross-multiplied by their row
+    denominators.  None unless both parts are rational at the multiples of
+    the twist order; a nonzero coefficient at any other exponent raises
+    `ScenarioValidationError`."""
+    field = c.field
+    (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
+    num, den = central_ints(field, num_rows), central_ints(field, den_rows)
+    if num is None or den is None:
+        n, zero = field.sigma_order, field.zero_row
+        for p in (c.num, c.den):
+            m = next((m for m, r in enumerate(p.int_rows()[0]) if m % n and r != zero), None)
+            if m is not None:
+                raise ScenarioValidationError(f"exponent {m} of {p} is not a multiple of the twist order")
+        return None
+    return [a * den_den for a in num], [a * num_den for a in den]
 
 
 def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:

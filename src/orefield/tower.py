@@ -20,13 +20,12 @@ from .extend import (
     ExtensionScenario,
     FiniteGroup,
     PowerRows,
-    _check_stride,
     fixed_space,
     guarded_check,
     run_scenario_checks,
 )
 from .skewfrac import SkewFraction
-from .skewpoly import central_ints
+from .skewpoly import central_fraction_ints
 
 
 class GroupSystem:
@@ -326,7 +325,7 @@ def check_functoriality(ts: TowerScenario) -> list[CheckResult]:
             )
         top = ts.levels[n + 2]
         bottom = ts.levels[n]
-        composite = PowerRows(top.f, ts.embedding_powers(n + 1).compose(lower_emb).polynomial())
+        composite = PowerRows(top.f, ts.embedding_powers(n + 1).compose(lower_emb).reduced())
         for g in ts.system.levels[n + 2].elements:
             psi = ts.eps[n + 2][g]
             projected = ts.restriction(n + 1, ts.restriction(n + 2, g))
@@ -358,7 +357,8 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
     field Q(u), u = t^n.  The witness is the reduced N(u)/D(u), and being a
     square there forces every irreducible factor of N and D to even
     multiplicity; one odd factor is an exact disproof.  N and D are read as
-    integer polynomials from the witness's rows and factored over Z by
+    integer polynomials from the witness's rows (`central_fraction_ints`;
+    integer factors do not change which factors are odd) and factored over Z by
     `orefield.factor`, so this certificate never imports sympy.  A witness
     outside Q(u) fails; an exponent off the multiples of n raises
     `ScenarioValidationError`.
@@ -375,9 +375,8 @@ def nonsquare_certificate(label: str, witness: SkewFraction) -> CheckResult:
         )
     from .factor import factor_list, poly_str
 
-    parts = [central_ints(field, part.int_rows()[0]) for part in (witness.num, witness.den)]
-    if None in parts:
-        _check_stride(witness)
+    parts = central_fraction_ints(witness)
+    if parts is None:
         return CheckResult(name, "fail", law, f"the witness {witness} is not in Q(u)")
     odd = [
         poly_str(factor, "u")

@@ -1,10 +1,13 @@
 """Shared fields and hypothesis strategies for the test suite."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import orefield
 from orefield.extend import canonical_decomposition
 from orefield.ground import (
     gauss_conjugation,
@@ -25,6 +28,13 @@ ROOT2 = make_number_field([-2, 0, 1], sigma_image=[0, -1], name="Q(sqrt2)/flip")
 
 ALL_FIELDS = [RATIONALS, GAUSS, HAMILTON, ROOT2]
 TWISTED_FIELDS = [GAUSS, ROOT2]
+
+
+def fresh_env():
+    """The environment of a fresh process that imports this checkout's
+    `orefield`: its source directory first on PYTHONPATH."""
+    paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 @pytest.fixture

@@ -16,10 +16,12 @@ Bareiss norm conjugate (adjugate of left multiplication, eliminated over
 Z[u]) is what
 `skewpoly.norm_conjugate` ran for fields without a closed form before it
 moved to Cayley-Hamilton on reduced traces.  The central polynomial
-routines are the `SkewFraction`-coefficient arithmetic of `orefield.extend` before its
-central coefficients became pairs over Z[u].  The tensor routines are the
-`SkewFraction`-coordinate arithmetic of `TensorElement` before it moved to
-one central denominator, with the Gauss-Jordan solve it inverted by.
+routines are the `SkewFraction`-coefficient arithmetic of `orefield.extend`
+before its central polynomials moved to numerators over one Z[u]
+denominator.  The tensor routines are the `SkewFraction`-coordinate
+arithmetic of `TensorElement` before it moved to one central denominator,
+with the Gauss-Jordan solve it inverted by, on rows x^p and q_g^i modulo f
+that the central polynomial routines compute.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from itertools import zip_longest
@@ -49,7 +52,6 @@ from orefield.errors import (
     SingularElement,
     ZeroSeries,
 )
-from orefield.extend import _view
 from orefield.laurent import TwistedSeries
 from orefield.sampling import random_fraction
 from orefield.skewfrac import SkewFraction
@@ -621,8 +623,8 @@ def center_by_commutation(field, max_degree):
 
 # -- central polynomials ------------------------------------------------------
 #
-# The arithmetic `CentralPolynomial` ran before its coefficients moved to
-# reduced pairs over Z[u]: x is central, so these are the commutative
+# The arithmetic `CentralPolynomial` ran before it moved to numerators over
+# one Z[u] denominator: x is central, so these are the commutative
 # schoolbook routines on tuples of central `SkewFraction`s (ascending in x,
 # no trailing zeros), with every coefficient operation on the Ore path.
 
@@ -684,20 +686,60 @@ def central_compose(field, f, g):
 #
 # The arithmetic `TensorElement` ran before it moved to one central
 # denominator: coordinate vectors of `SkewFraction`s over the rows x^p and
-# q_g^i modulo f (`reduction_row` and `matrix`, read from the scenario's
-# `PowerRows`), every product and sum reduced on the Ore path, and inversion
-# by Gauss-Jordan elimination over the skew field.
+# q_g^i modulo f, every product and sum reduced on the Ore path, and inversion
+# by Gauss-Jordan elimination over the skew field.  The rows come from the
+# central polynomial routines above, on the scenario's input coefficients
+# (f and the generator images), not from its `PowerRows`.
+
+
+def padded(scenario, coeffs):
+    """A remainder modulo f as its deg f coordinates."""
+    return coeffs + (SkewFraction.zero(scenario.field),) * (scenario.degree - len(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _x_power(scenario, p):
+    """x^p modulo f, as a `central_divmod` remainder of x times x^(p-1)."""
+    field = scenario.field
+    if p == 0:
+        return central_divmod(field, (SkewFraction.one(field),), scenario.f.coeffs)[1]
+    shifted = (SkewFraction.zero(field),) + _x_power(scenario, p - 1)
+    return central_divmod(field, central_trim(shifted), scenario.f.coeffs)[1]
 
 
 def reduction_row(scenario, p):
     """The coordinates of x^p modulo f, as `SkewFraction`s."""
-    return tuple(_view(scenario.field, c) for c in scenario.reduction.rows(p + 1)[p])
+    return padded(scenario, _x_power(scenario, p))
 
 
+@lru_cache(maxsize=None)
+def images(scenario):
+    """q_g modulo f for every group element: the generator images reduced
+    by f, closed under q_(g*s) = q_s(q_g) modulo f."""
+    field, f, group = scenario.field, scenario.f.coeffs, scenario.group
+    out = {group.identity: central_divmod(field, (SkewFraction.zero(field), SkewFraction.one(field)), f)[1]}
+    for s, q in scenario.generator_images.items():
+        out[s] = central_divmod(field, q.coeffs, f)[1]
+    queue = list(out)
+    for g in queue:
+        for s in scenario.generator_images:
+            h = group.op(g, s)
+            if h not in out:
+                out[h] = central_divmod(field, central_compose(field, out[s], out[g]), f)[1]
+                queue.append(h)
+    return out
+
+
+@lru_cache(maxsize=None)
 def matrix(scenario, g):
     """Row i = the coordinates of q_g(x)^i modulo f, as `SkewFraction`s."""
-    rows = scenario.power_rows(g).rows(scenario.degree)
-    return [[_view(scenario.field, c) for c in row] for row in rows]
+    field, f, q = scenario.field, scenario.f.coeffs, images(scenario)[g]
+    power = central_divmod(field, (SkewFraction.one(field),), f)[1]
+    rows = []
+    for _ in range(scenario.degree):
+        rows.append(padded(scenario, power))
+        power = central_divmod(field, central_mul(field, power, q), f)[1]
+    return tuple(rows)
 
 
 def tensor_make(scenario, values):

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 
-from conftest import GAUSS, HAMILTON, checked_decomposition
+from conftest import GAUSS, HAMILTON, checked_decomposition, fresh_env
 
 from orefield.catalog import scenario_catalog, tower_catalog
 from orefield.extend import (
@@ -304,8 +304,8 @@ def test_criterion_8_verify_reports_are_byte_identical():
         "--format",
         "json",
     ]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    first = subprocess.run(command, capture_output=True, check=True, env=fresh_env())
+    second = subprocess.run(command, capture_output=True, check=True, env=fresh_env())
     assert first.stdout == second.stdout
     rows = json.loads(first.stdout)
     assert rows and all(r["status"] == "pass" for r in rows)

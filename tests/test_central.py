@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _central, _view
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows
 from orefield.factor import RationalFunction, content, gcd
 from orefield.ground import make_number_field
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
 
 from conftest import GAUSS, HAMILTON, RATIONALS
+from test_kernel import H_GOLDEN
 
 # Q(sqrt2) with the identity twist: its invariant subfield is Q(sqrt2), so
 # central coefficients stay `SkewFraction`s there
@@ -75,11 +76,15 @@ def check_pair(field, a, b):
             rb.inv()
     for r, s in results:
         assert is_canonical(r)
-        view = _view(field, r)
+        view = CentralPolynomial._of(field, list(r.den), [list(r.num)]).coefficient(0)
         made = SkewFraction.make(view.num, view.den)
         assert view.same_representation(s) and view.same_representation(made)
         assert str(view) == str(s)
-        assert _central(field, s) == r and hash(_central(field, s)) == hash(r)
+        # s converts to its lowest terms over Z[u]: r's parts
+        den, nums = CentralPolynomial.constant(field, s).parts()
+        assert (den, list(nums[0]) if nums else []) == (list(r.den), list(r.num))
+        central = RationalFunction.make(nums[0] if nums else [], den)
+        assert central == r and hash(central) == hash(r)
         assert (r == ra) == (s == sa)
 
 
@@ -182,6 +187,7 @@ def check_polys(field, p, q, g):
         quo, rem = p.divmod_by(g)
         assert (quo.coeffs, rem.coeffs) == schoolbook.central_divmod(field, a, c)
         assert quo * g + rem == p
+        assert rem.reduced().parts() == rem.parts()
         check_composition(field, g, p, q)
 
 
@@ -190,9 +196,11 @@ def check_composition(field, f, p, q):
     Horner and dividing by f."""
     expected = schoolbook.central_divmod(field, schoolbook.central_compose(field, p.coeffs, q.coeffs), f.coeffs)[1]
     composite = PowerRows(f, q).compose(p)
-    assert composite.polynomial().coeffs == expected
+    assert composite.coeffs == expected
     assert composite.is_zero() == (not expected)
-    assert composite == CentralPolynomial(field, expected).residue()
+    assert composite == CentralPolynomial(field, expected)
+    # both lowest-terms forms of one value are the same parts
+    assert composite.reduced().parts() == CentralPolynomial(field, expected).reduced().parts()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -239,9 +247,14 @@ def test_raw_coefficients_off_the_center_are_refused():
     raw = CentralPolynomial(GAUSS, (i_u, SkewFraction.one(GAUSS)))
     assert raw.degree == 1 and raw.is_monic()
     with pytest.raises(ScenarioValidationError, match="is not central"):
-        raw.central_coeffs
+        raw.parts()
     with pytest.raises(ScenarioValidationError, match="is not central"):
         CentralPolynomial.x(GAUSS).scale(i_u)
+    # a quaternion unit over Q(sqrt5), whose invariant subfield is not Q
+    units = (H_GOLDEN.element([Fraction(int(k == j)) for k in range(H_GOLDEN.dim)]) for j in range(H_GOLDEN.dim))
+    unit = next(c for c in map(SkewFraction.from_ground, units) if not c.is_invariant_central())
+    with pytest.raises(ScenarioValidationError, match="is not central"):
+        CentralPolynomial(H_GOLDEN, (unit, SkewFraction.one(H_GOLDEN))).parts()
 
 
 def test_mixing_fields_raises():

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-import orefield
+from conftest import fresh_env
 from orefield.catalog import scenario_catalog, tower_catalog
 from orefield.cli import EXIT_CHECKS, EXIT_PARSE, EXIT_VALIDATION, main
 from orefield.extend import _irreducibility_certificate
@@ -254,10 +253,8 @@ def test_verify_extend_and_field_construction_never_import_sympy():
 
 def run_fresh(script):
     """What the script prints, run in a fresh process on this checkout."""
-    paths = [str(Path(orefield.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=300
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()

@@ -163,11 +163,28 @@ def test_reduction_rows_are_the_remainders_of_the_powers_of_x(scenario):
     zero, one = SkewFraction.zero(field), SkewFraction.one(field)
     c, table = scenario.reduction.twisted_table(2 * d - 1)
     den = central_polynomial(field, c)
+    powers = scenario.reduction.powers(2 * d - 1)
     for p in range(2 * d - 1):
         remainder = sb.central_divmod(field, (zero,) * p + (one,), scenario.f.coeffs)[1]
         expected = remainder + (zero,) * (d - len(remainder))
         assert sb.reduction_row(scenario, p) == expected
         assert tuple(SkewFraction.make(entry, den) for entry in table[p]) == expected
+        assert powers[p].coeffs == remainder
+
+
+@pytest.mark.parametrize("scenario", ROW_SCENARIOS, ids=[s.name for s in ROW_SCENARIOS])
+def test_galois_rows_are_the_powers_of_the_images(scenario):
+    """The first d power rows of q_g, and q_g itself, against the schoolbook
+    closure of the generator images."""
+    d = scenario.degree
+    for g in scenario.group.elements:
+        rows = scenario.power_rows(g)
+        assert rows.q.coeffs == sb.images(scenario)[g]
+        c, table = rows.twisted_table(d)
+        den = central_polynomial(scenario.field, c)
+        expected = sb.matrix(scenario, g)
+        assert [tuple(SkewFraction.make(entry, den) for entry in row) for row in table[:d]] == list(expected)
+        assert [sb.padded(scenario, p.coeffs) for p in rows.powers(d)] == list(expected)
 
 
 def test_the_identity_rows_are_the_table_products_reduce_with(monkeypatch):
