@@ -41,6 +41,7 @@ from .extend import (
     ExtensionScenario,
     TensorElement,
     ext_tau,
+    guarded_check,
     run_scenario_checks,
 )
 from .ground import gauss_conjugation, hamilton_rationals, make_rationals
@@ -228,22 +229,15 @@ def cmd_tower(args: argparse.Namespace) -> int:
 # -- verify: batteries, relations, and seeded random probes ------------------
 
 
-def _probe(name: str, law: str, fn) -> CheckResult:
-    try:
-        ok, details = fn()
-    except OrefieldError as exc:
-        ok, details = False, str(exc)
-    return CheckResult(name, "pass" if ok else "fail", law, details)
-
-
-def _inversion_probe(element: TensorElement) -> tuple[bool, str]:
+def _inversion_probe(element: TensorElement) -> tuple[str, str]:
     inverse = element.inv()
     one = TensorElement.make(element.scenario, [1])
-    ok = element * inverse == one and inverse * element == one
-    return ok, "two-sided round trip" + (" exact" if ok else " FAILED")
+    if element * inverse == one and inverse * element == one:
+        return "pass", "two-sided round trip exact"
+    return "fail", "two-sided round trip FAILED"
 
 
-def _tau_probe(a: TensorElement, b: TensorElement) -> tuple[bool, str]:
+def _tau_probe(a: TensorElement, b: TensorElement) -> tuple[str, str]:
     # Denominators spend some of the root's precision, so step the request
     # down until all three evaluations fit.
     want = a.scenario.precision
@@ -258,8 +252,9 @@ def _tau_probe(a: TensorElement, b: TensorElement) -> tuple[bool, str]:
             if want < 4:
                 raise
     prec = min(lhs.prec, rhs.prec)
-    ok = lhs.truncate(prec) == rhs.truncate(prec)
-    return ok, f"tau(a*b) = tau(a)*tau(b) to t^{prec}" + ("" if ok else " FAILED")
+    if lhs.truncate(prec) == rhs.truncate(prec):
+        return "pass", f"tau(a*b) = tau(a)*tau(b) to t^{prec}"
+    return "fail", f"tau(a*b) = tau(a)*tau(b) to t^{prec} FAILED"
 
 
 _RANDOM_INVERSIONS = 3
@@ -272,12 +267,12 @@ def _level_probes(level: ExtensionScenario, rng: random.Random) -> list[CheckRes
     from .sampling import random_tensor
 
     rows = [
-        _probe(
+        guarded_check(
             f"{level.name}:generator-invert",
             "x * x^-1 = x^-1 * x = 1",
             lambda: _inversion_probe(TensorElement.x(level)),
         ),
-        _probe(
+        guarded_check(
             f"{level.name}:shifted-generator-invert",
             "(1 + x) * (1 + x)^-1 = (1 + x)^-1 * (1 + x) = 1",
             lambda: _inversion_probe(
@@ -289,7 +284,7 @@ def _level_probes(level: ExtensionScenario, rng: random.Random) -> list[CheckRes
         for k in range(_RANDOM_INVERSIONS):
             element = random_tensor(level, rng, max_degree=2)
             rows.append(
-                _probe(
+                guarded_check(
                     f"{level.name}:random-invert[{k}]",
                     "a * a^-1 = a^-1 * a = 1",
                     lambda element=element: _inversion_probe(element),
@@ -299,7 +294,7 @@ def _level_probes(level: ExtensionScenario, rng: random.Random) -> list[CheckRes
             a = random_tensor(level, rng, max_degree=1, span=2)
             b = random_tensor(level, rng, max_degree=1, span=2)
             rows.append(
-                _probe(
+                guarded_check(
                     f"{level.name}:random-tau-hom[{k}]",
                     "tau is multiplicative",
                     lambda a=a, b=b: _tau_probe(a, b),

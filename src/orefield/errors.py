@@ -36,10 +36,6 @@ class ReduciblePolynomial(OrefieldError):
     """A defining polynomial that must be irreducible is not."""
 
 
-class NotCentral(OrefieldError):
-    """Element expected to be central is not."""
-
-
 class CapExceeded(OrefieldError):
     """A degree/size cap was exceeded."""
 

@@ -47,9 +47,12 @@ the rest of the package (towers, command line) consumes:
   vanishes exactly when every table entry does.  It does not recompute the
   identity; the tests do, on every decomposition they make.
 
-Inputs come in through one lift, `SkewFraction.coerce`, and the fixed space
-is the kernel that `linalg.nullspace` computes over the center, on the
-entries N_m/den of the Galois matrices.
+Inputs come in through one lift, `SkewFraction.coerce`.  The fixed space
+is the kernel of the Galois matrices minus 1 over the center, which
+`linalg.ring_nullspace` computes by the tensor inverse's fraction-free
+elimination, over the numerator ring: the rows N - C of each matrix over its
+common Z[u] denominator C, so no fraction is formed until the basis is shown
+as canonical `SkewFraction`s.
 """
 
 from __future__ import annotations
@@ -103,19 +106,20 @@ from .skewpoly import (
 # Q (every catalog level), and the central `SkewPolynomial`s otherwise, since
 # `norm_conjugate` brings any K'(u) denominator down to Z[u].  `_numerators`
 # chooses the ring's few operations once per field, so the polynomials, their
-# power rows and the fixed space run one code on either:
+# power rows and the fixed space run one code on either.  `linalg.eliminate`
+# takes the ring as a parameter: a fixed space eliminates over the numerator
+# ring, a tensor inverse over `_POLYNOMIALS`, all twisted polynomials.
 #
-# * `zero(field)`, `one(field)`, `is_zero`, `add`, `sub`, `mul`, and
-#   `scale(a, c)`, the product with c in Z[u];
+# * `zero(field)`, `one(field)`, `is_zero`, `degree`, `add`, `sub`, `mul`,
+#   and `scale(a, c)`, the product with c in Z[u];
 # * `unit_multiple(a)`, (q, c) with q*a = c in Z[u] and lc(c) > 0;
+# * `primitive(row)`, the row divided by its content;
 # * `reduce(den, nums)`, the same value with no common factor of den and the
 #   nums left and lc(den) > 0 (lowest terms);
 # * `convert(field, coeffs)`, (den, nums) for central `SkewFraction`s,
 #   refusing one off the center;
-# * `entry(field, a, den)`, the element a/den of the center that
-#   `linalg.nullspace` eliminates over, `view(field, e)`, that entry as a
-#   canonical `SkewFraction`, and `twisted(field, a)`, a as a twisted
-#   polynomial.
+# * `view(field, a, den)`, the element a/den of the center as a canonical
+#   `SkewFraction`, and `twisted(field, a)`, a as a twisted polynomial.
 #
 # `orefield.factor` is imported on first use: building the catalog scenarios
 # needs no central arithmetic, so a process that builds them only to compute
@@ -129,30 +133,30 @@ def _numerators(field: GroundField) -> SimpleNamespace:
 
 @cache
 def _integers() -> SimpleNamespace:
-    """Z[u] as ascending integer lists, the numerator ring when K' = Q; the
-    entries are `RationalFunction`s."""
+    """Z[u] as ascending integer lists, the numerator ring when K' = Q."""
     from math import gcd as igcd
 
-    from .factor import RationalFunction, _add, _divexact, _mul, _sub, gcd
+    from .factor import _add, _divexact, _mul, _sub, gcd
 
-    def reduce(den, nums):
-        if not any(nums):
-            return [1], []
-        g = den
-        for num in nums:
+    def primitive(row):
+        # the gcd over Q[u] first, then the integer content
+        g = []
+        for a in row:
             if len(g) == 1:
                 break
-            if num:
-                g = gcd(g, num)
+            g = gcd(g, a)
         if len(g) > 1:
-            den, nums = _divexact(den, g), [_divexact(num, g) if num else num for num in nums]
-        # then no integer content common to den and the nums, and lc(den) > 0
-        c = igcd(*den, *(a for num in nums for a in num))
+            row = [_divexact(a, g) for a in row]
+        c = igcd(*(x for a in row for x in a))
+        if c > 1:
+            row = [[x // c for x in a] for a in row]
+        return row
+
+    def reduce(den, nums):
+        den, *nums = primitive([den, *nums])
         if den[-1] < 0:
-            c = -c
-        if c == 1:
-            return den, nums
-        return [a // c for a in den], [[a // c for a in num] for num in nums]
+            den, nums = [-a for a in den], [[-a for a in num] for num in nums]
+        return den, nums
 
     def convert(field, coeffs):
         pairs = []
@@ -164,25 +168,32 @@ def _integers() -> SimpleNamespace:
         den = _lcm(d for _, d in pairs)
         return reduce(den, [_mul(num, _divexact(den, d)) for num, d in pairs])
 
-    def view(field, e):
-        # den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D); a Bezout
-        # identity D*a + N*b = 1 over Q[u] holds in the skew ring too, so
-        # this is the canonical reduced form
-        lead = e.den[-1]
-        return SkewFraction(central_polynomial(field, e.den, lead), central_polynomial(field, e.num, lead))
+    def view(field, a, den):
+        # in lowest terms, den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D);
+        # a Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring
+        # too, so this is the canonical reduced form
+        if not a:
+            den = [1]
+        elif len(a) > 1 and len(den) > 1:
+            g = gcd(a, den)
+            if len(g) > 1:
+                a, den = _divexact(a, g), _divexact(den, g)
+        lead = den[-1]
+        return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, a, lead))
 
     return SimpleNamespace(
         zero=lambda field: [],
         one=lambda field: [1],
         is_zero=lambda a: not a,
+        degree=len,
         add=_add,
         sub=_sub,
         mul=_mul,
         scale=_mul,
         unit_multiple=lambda a: ([1], a) if a[-1] > 0 else ([-1], [-x for x in a]),
+        primitive=primitive,
         reduce=reduce,
         convert=convert,
-        entry=lambda field, a, den: RationalFunction.make(a, den),
         view=view,
         twisted=central_polynomial,
     )
@@ -196,21 +207,42 @@ def _central_fractions(field: GroundField, coeffs: Sequence[SkewFraction]) -> tu
     return _over_common_denominator(coeffs)
 
 
+def _primitive_row(row: list) -> list:
+    """`primitive` over the twisted polynomials: the row divided by its
+    content over Q[u] and by its rational content."""
+    from math import gcd, lcm
+
+    from .skewpoly import central_content, divide_central
+
+    g = central_content(row)
+    if not g:
+        return row
+    if len(g) > 1:
+        row = [divide_central(p, g) for p in row]
+    parts = [p.int_rows() for p in row]
+    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
+    den = lcm(*(d for _, d in parts))
+    if num == den == 1:
+        return row
+    return [times_central(p, [den], num) for p in row]
+
+
 # the twisted polynomials; their central elements K'[u] are the numerator ring
-# when K' is larger than Q, with central `SkewFraction`s as the entries
+# when K' is larger than Q, and all of them are the entries of a tensor inverse
 _POLYNOMIALS = SimpleNamespace(
     zero=SkewPolynomial.zero,
     one=SkewPolynomial.one,
     is_zero=SkewPolynomial.is_zero,
+    degree=lambda a: a.degree,
     add=SkewPolynomial.__add__,
     sub=SkewPolynomial.__sub__,
     mul=SkewPolynomial.__mul__,
     scale=times_central,
     unit_multiple=norm_conjugate,
+    primitive=_primitive_row,
     reduce=lambda den, nums: reduce_central(den, list(nums)),
     convert=_central_fractions,
-    entry=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
-    view=lambda field, e: e,
+    view=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
     twisted=lambda field, a: a,
 )
 
@@ -317,8 +349,8 @@ class CentralPolynomial:
     @property
     def coeffs(self) -> tuple[SkewFraction, ...]:
         if self._coeffs is None:
-            ring, field, den = _numerators(self.field), self.field, self._den
-            self._coeffs = tuple(ring.view(field, ring.entry(field, a, den)) for a in self._nums)
+            view, field, den = _numerators(self.field).view, self.field, self._den
+            self._coeffs = tuple(view(field, a, den) for a in self._nums)
         return self._coeffs
 
     @property
@@ -1010,7 +1042,7 @@ class TensorElement:
                     if not entry.is_zero():
                         rows[m][j] = rows[m][j] + entry * a
         rhs = [central_polynomial(scenario.field, _mul(self.den, c))] + [zero] * (d - 1)
-        sol = linalg.solve_right_generic(rows, rhs)
+        sol = linalg.solve_right_generic(_POLYNOMIALS, scenario.field, rows, rhs)
         if sol is None:
             raise SingularElement(
                 f"element of {self.scenario.name} is not invertible"
@@ -1085,27 +1117,33 @@ def fixed_space(
 
 
 def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list[SkewFraction]]:
+    """The kernel of the M_g - 1 over the center, by fraction-free
+    elimination: M_g is C_g(u)^-1 N_g, the rows of q_g^i over one
+    denominator, so the rows of N_g - C_g have the same kernel."""
     for g in names:
         if g not in scenario.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
     d, field = scenario.degree, scenario.field
     ring = _numerators(field)
-    one, zero = ring.entry(field, ring.one(field), [1]), ring.entry(field, ring.zero(field), [1])
     rows = []
     for g in names:
         if g == scenario.group.identity:
             continue
-        M = []
-        for power in scenario.power_rows(g).powers(d):
-            den, nums = power.parts()
-            M.append([ring.entry(field, a, den) for a in nums] + [zero] * (d - len(nums)))
+        common, table = scenario.power_rows(g)._common(d)
+        c = ring.scale(ring.one(field), common)
         for m in range(d):
-            rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
-    if rows:
-        basis = linalg.nullspace(rows, d)
-    else:
-        basis = [[one if i == j else zero for i in range(d)] for j in range(d)]
-    return [[ring.view(field, c) for c in vec] for vec in basis]
+            rows.append([ring.sub(table[i][m], c) if i == m else table[i][m] for i in range(d)])
+    return [[ring.view(field, a, den) for a in vec] for den, vec in linalg.ring_nullspace(ring, field, rows, d)]
+
+
+def is_fixed_line(basis: Sequence[Sequence[SkewFraction]]) -> bool:
+    """Whether a fixed-space basis is the one vector 1, 0, ..., 0: the fixed
+    space is the base field."""
+    return (
+        len(basis) == 1
+        and basis[0][0] == SkewFraction.one(basis[0][0].field)
+        and all(c.is_zero() for c in basis[0][1:])
+    )
 
 
 def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
@@ -1483,9 +1521,7 @@ def run_scenario_checks(scenario: ExtensionScenario) -> list[CheckResult]:
         basis = fixed_space(scenario)
         if len(basis) != 1:
             return ("fail", f"fixed space has dimension {len(basis)}, expected 1")
-        one = SkewFraction.one(scenario.field)
-        vec = basis[0]
-        if not (vec[0] == one and all(c.is_zero() for c in vec[1:])):
+        if not is_fixed_line(basis):
             return ("fail", "fixed space is one dimensional but not spanned by 1")
         return ("pass", "fixed space is exactly the span of 1")
 

@@ -20,10 +20,10 @@ The certificates of `orefield.extend` and `orefield.tower` and the
 irreducibility test of `orefield.ground` (cubics and up) use it instead of
 sympy.
 
-`RationalFunction` is the field Q(u) on the same lists: a reduced quotient
-of two integer polynomials.  `orefield.extend` eliminates over it to find
-fixed spaces; its central polynomials and their power rows compute on the
-integer polynomials themselves, over one common denominator.
+The products, sums and exact quotients on the same lists are the Z[u]
+arithmetic of `orefield.extend`: its central polynomials, their power rows
+and its fixed-space elimination compute on integer polynomials over one
+common denominator, and no quotient in Q(u) is ever formed.
 
 Every user imports this module on first use, so a process that only builds
 the catalog or does arithmetic on it does not load it.
@@ -36,13 +36,10 @@ from itertools import combinations
 from math import gcd as igcd, isqrt
 from typing import Sequence
 
-from .errors import DivisionByZero
-from .kernel import power
-
 Poly = list[int]
 
 __all__ = [
-    "content", "primitive", "gcd", "squarefree", "factor_list", "poly_str", "RationalFunction",
+    "content", "primitive", "gcd", "squarefree", "factor_list", "poly_str",
 ]
 
 
@@ -391,104 +388,3 @@ def poly_str(coeffs: Sequence[int], var: str = "u") -> str:
             parts.append(f"{'+' if a > 0 else '-'} {body}")
     return " ".join(parts) if parts else "0"
 
-
-# -- the rational function field Q(u) ---------------------------------------------
-
-
-class RationalFunction:
-    """N/D in Q(u), with N and D integer polynomials in canonical form:
-    gcd(N, D) = 1 in Q[u], no integer content common to N and D, and
-    lc(D) > 0; zero is 0/1.
-
-    The form is unique, so `==` and `hash` compare the parts.  Sums and
-    products form the cross products and reduce them with one gcd (`make`):
-    this field is the entry type of small eliminations only (the fixed
-    spaces of `orefield.extend`), not of the central polynomials, which
-    keep one Z[u] denominator.  Construct through `make` (or `zero`/`one`);
-    the constructor takes canonical parts as is.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]) -> None:
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def make(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
-        """The canonical form of num/den."""
-        num, den = _trim(list(num)), _trim(list(den))
-        if not den:
-            raise DivisionByZero("rational function with zero denominator")
-        if len(num) > 1 and len(den) > 1:
-            g = gcd(num, den)
-            if len(g) > 1:
-                num, den = _divexact(num, g), _divexact(den, g)
-        return _canonical(num, den)
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return _ONE
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(tuple(-a for a in self.num), self.den)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        a, b, c, d = self.num, self.den, other.num, other.den
-        return RationalFunction.make(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(_mul(self.num, other.num), _mul(self.den, other.den))
-
-    def inv(self) -> "RationalFunction":
-        if not self.num:
-            raise DivisionByZero("inversion of the zero rational function")
-        if self.num[-1] < 0:
-            return RationalFunction(tuple(-a for a in self.den), tuple(-a for a in self.num))
-        return RationalFunction(self.den, self.num)
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n == 0:
-            return _ONE
-        x = self if n > 0 else self.inv()
-        return power(x, abs(n) - 1, x)
-
-    def __str__(self) -> str:
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
-
-    __repr__ = __str__
-
-
-def _canonical(num: Poly, den: Poly) -> RationalFunction:
-    """num/den for parts coprime in Q[u]: content and sign fixed."""
-    if not num:
-        return _ZERO
-    c = igcd(*num, *den)
-    if den[-1] < 0:
-        c = -c
-    if c != 1:
-        num = [a // c for a in num]
-        den = [a // c for a in den]
-    return RationalFunction(tuple(num), tuple(den))
-
-
-_ZERO = RationalFunction((), (1,))
-_ONE = RationalFunction((1,), (1,))

@@ -47,7 +47,6 @@ from .errors import (
     InfiniteOrder,
     MixedFields,
     NotAnAutomorphism,
-    NotCentral,
     NotInvertible,
     ReduciblePolynomial,
 )
@@ -523,16 +522,6 @@ class GroundField:
         """Central and fixed by the automorphism; takes integer coordinates."""
         sigma = self.ksig[1 % self.sigma_order]
         return sigma(a) == self.kscale(self.sig_den, a) and self.is_central_coords(a)
-
-    def in_invariant_subfield(self, a: GroundElement) -> bool:
-        """Whether a central element is fixed by the automorphism.
-
-        Raises NotCentral for elements outside the center, since membership
-        in the invariant subfield of the center is not defined for them.
-        """
-        if not self.is_central_coords(a.coords):
-            raise NotCentral(f"{a} does not commute with the field basis")
-        return self.sigma_coords(a.coords) == a.coords
 
     def __repr__(self) -> str:
         return f"GroundField({self.name})"

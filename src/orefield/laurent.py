@@ -300,7 +300,7 @@ class TwistedSeries:
 class CentralSeries:
     """An element of Q((u)), u = t^n (n the automorphism order): the
     commutative series with rational coefficients on the exponents divisible
-    by n, the series analogue of `orefield.factor.RationalFunction`.
+    by n, the series analogue of a quotient in Q(u).
 
     Stored as one list of ints over one positive denominator: ints[k]/den is
     the coefficient of t^(val + n*k) for val <= val + n*k < prec.  `val` and

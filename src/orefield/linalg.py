@@ -1,20 +1,22 @@
-"""Exact linear algebra over the rationals (and other exact fields).
+"""Exact linear algebra.
 
-`rref` is the one Gauss-Jordan elimination, over any exact commutative
-field: `fractions.Fraction`s, `orefield.factor.RationalFunction`s, or
-central `SkewFraction`s.  It needs ``+ - * ==`` and integer powers of the
-entries (``x ** -1`` the inverse, ``x ** 0`` the unit), and no pivoting
-heuristics because the arithmetic is exact.  `nullspace`, `solve`,
-`invert_matrix` and `rank` are built on it.  `solve_right_generic` solves
-over the skew field of fractions of a twisted polynomial ring without
-forming a fraction: fraction-free elimination on polynomial entries, whose
-pivots are inverted through their norm conjugates.
+`rref` is Gauss-Jordan elimination over the rationals (`fractions.Fraction`
+entries), with no pivoting heuristics because the arithmetic is exact;
+`nullspace`, `invert_matrix` and `rank` are built on it.
+
+`eliminate` is the one elimination over the fraction field of a twisted
+polynomial ring or of its center, and it forms no fraction: a fraction-free
+forward pass over a ring given as a namespace of operations (the numerator
+rings of `orefield.extend`), whose pivots are inverted through their norm
+conjugates.  One back-substitution over a growing central denominator reads
+its echelon form.  `solve_right_generic` runs it once, against the
+right-hand side: the inverse of a tensor element.  `ring_nullspace` runs it
+once per free column: the fixed space of a group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -26,18 +28,16 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     pivots: list[int] = []
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    one = _unit(mat)
-    zero = one - one
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c] ** -1
+        inv = 1 / mat[r][c]
         mat[r] = [v * inv for v in mat[r]]
         for i in range(nrows):
-            if i != r and mat[i][c] != zero:
+            if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -47,46 +47,22 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     return mat, pivots
 
 
-def _unit(rows: list[Row]):
-    """The 1 of the entries' field; of the rationals for an empty matrix."""
-    return rows[0][0] ** 0 if rows and rows[0] else Fraction(1)
-
-
 def nullspace(rows: list[Row], ncols: int) -> list[tuple]:
-    """Canonical basis of the right kernel of the matrix, over the field of
-    its entries (the rationals when there are no rows).
+    """Canonical basis of the right kernel of the rational matrix.
 
     One basis vector per free column, ordered by free column index; the
     vector has 1 at its free column which makes the basis reproducible.
     """
-    one = _unit(rows)
-    zero = one - one
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -mat[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def solve(rows: list[Row], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of ``rows @ x = rhs`` or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = mat[r][ncols]
-    return x
 
 
 def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[Row]:
@@ -129,78 +105,102 @@ def rank(rows: list[Row]) -> int:
     return len(rref(rows)[1]) if rows else 0
 
 
-def solve_right_generic(rows: list[list], rhs: list):
-    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over the skew field of
-    fractions of D[t], for entries that are twisted polynomials.
+def solve_right_generic(ring, field, rows: list[list], rhs: list):
+    """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over the fraction field of a
+    ring of twisted polynomials or of its center (see `eliminate`).
 
-    Fraction-free elimination that multiplies rows on the left only, which
-    is compatible with unknowns on the right of the coefficients (entries do
-    not commute).  A pivot pi comes with its norm conjugate, q*pi = c(t^n)
-    central, so an entry e below it is cleared by
+    Returns (den, xs) with x_j = den(t^n)^-1 * xs[j], den in Z[u] primitive
+    with a positive leading coefficient and no factor of den common to every
+    xs[j], or None when the system is singular or inconsistent.
+    """
+    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = eliminate(ring, field, mat, ncols)
+    if len(pivots) < ncols or any(not ring.is_zero(row[ncols]) for row in mat[ncols:]):
+        return None
+    return _back_substitute(ring, mat, pivots, [row[ncols] for row in mat])
+
+
+def ring_nullspace(ring, field, rows: list[list], ncols: int) -> list[tuple[list[int], list]]:
+    """Canonical basis of the right kernel over the ring's fraction field,
+    as `nullspace` orders and normalises it: one vector per free column fc,
+    with x_fc = 1 and 0 at the other free columns.  Each vector comes as
+    (den, vec) in lowest terms, with x_j = den(t^n)^-1 * vec[j]."""
+    mat = [list(row) for row in rows]
+    pivots = eliminate(ring, field, mat, ncols)
+    cols = [k for k, _, _ in pivots]
+    basis = []
+    for fc in range(ncols):
+        if fc in cols:
+            continue
+        # x_fc = 1 moves column fc to the right-hand side
+        den, xs = _back_substitute(ring, mat, pivots, [ring.scale(row[fc], [-1]) for row in mat[: len(cols)]])
+        vec = [ring.zero(field)] * ncols
+        vec[fc] = ring.scale(ring.one(field), den)
+        for k, x in zip(cols, xs):
+            vec[k] = x
+        basis.append((den, vec))
+    return basis
+
+
+def eliminate(ring, field, mat: list[list], ncols: int) -> list[tuple]:
+    """Fraction-free forward elimination of the first ncols columns of mat,
+    in place, over a ring of twisted polynomials or its center; returns the
+    pivots (column, q, c), one per row of the echelon form.
+
+    `ring` names the entries' operations: `zero`, `one`, `is_zero`,
+    `degree`, `sub`, `mul`, `scale` (the product with c in Z[u]),
+    `unit_multiple(p)`, (q, c) with q*p = c in Z[u] (E. H. Bareiss, Math.
+    Comp. 22, 1968; M. Giesbrecht, J. Symbolic Comput. 26, 1998),
+    `primitive(row)`, the row divided by its content, and, for the
+    back-substitution, `reduce(den, xs)`, den(u)^-1 * xs in lowest terms.
+    Rows are multiplied on the left only, which keeps unknowns on the right
+    of noncommuting entries, and an entry e below the pivot p is cleared by
 
         row <- c * row - (e*q) * (pivot row),
 
-    and the row is then divided by its content: the gcd over Q[u] of its
-    Z[u]-coordinates, and its rational content.  Back-substitution keeps the
-    unknowns over one growing central denominator.  Returns (den, xs) with
-    x_j = den(t^n)^-1 * xs[j], den in Z[u] primitive with a positive leading
-    coefficient, or None when the system is singular or inconsistent.
+    after which the row is divided by its content.  The pivot is the entry of
+    least degree in its column, which keeps the norms small.
     """
-    from .factor import _mul
-    from .skewpoly import SkewPolynomial, norm_conjugate, reduce_central, times_central
-
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    ncols = len(rows[0])
+    zero = ring.zero(field)
     pivots = []
     for k in range(ncols):
-        nonzero = [i for i in range(k, n) if not aug[i][k].is_zero()]
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(mat)) if not ring.is_zero(mat[i][k])]
         if not nonzero:
-            return None
-        # the pivot of least degree keeps the norms small
-        best = min(nonzero, key=lambda i: aug[i][k].degree)
-        aug[k], aug[best] = aug[best], aug[k]
-        pivot = aug[k]
-        q, c = norm_conjugate(pivot[k])
-        pivots.append((q, c))
-        zero = SkewPolynomial.zero(pivot[k].field)
-        for i in range(k + 1, n):
-            row = aug[i]
-            if row[k].is_zero():
+            continue
+        best = min(nonzero, key=lambda i: ring.degree(mat[i][k]))
+        mat[r], mat[best] = mat[best], mat[r]
+        pivot = mat[r]
+        q, c = ring.unit_multiple(pivot[k])
+        pivots.append((k, q, c))
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            if ring.is_zero(row[k]):
                 continue
-            factor = row[k] * q
-            aug[i] = _primitive_row(
+            factor = ring.mul(row[k], q)
+            mat[i] = ring.primitive(
                 [zero] * (k + 1)
-                + [times_central(a, c) - factor * b for a, b in zip(row[k + 1 :], pivot[k + 1 :])]
+                + [ring.sub(ring.scale(a, c), ring.mul(factor, b)) for a, b in zip(row[k + 1 :], pivot[k + 1 :])]
             )
-    if any(not aug[i][ncols].is_zero() for i in range(ncols, n)):
-        return None
+    return pivots
+
+
+def _back_substitute(ring, mat: list[list], pivots: list[tuple], rhs: list) -> tuple[list[int], list]:
+    """The unknowns of the pivot columns of the echelon form, with rhs[r] on
+    the right of row r and the other unknowns 0, over one growing central
+    denominator: (den, xs), x_(pivot r) = den(t^n)^-1 * xs[r]."""
+    from .factor import _mul
+
     den = [1]
     xs: list = []
-    for k in range(ncols - 1, -1, -1):
-        q, c = pivots[k]
-        row = aug[k]
-        acc = times_central(row[ncols], den)
-        for j, x in enumerate(xs, k + 1):
-            acc = acc - row[j] * x
-        # x_k = pi^-1 den^-1 acc = (c den)^-1 q acc, as den is central
-        xs = [q * acc] + [times_central(x, c) for x in xs]
-        den, xs = reduce_central(_mul(den, c), xs)
+    for r in range(len(pivots) - 1, -1, -1):
+        _, q, c = pivots[r]
+        row = mat[r]
+        acc = ring.scale(rhs[r], den)
+        for (j, _, _), x in zip(pivots[r + 1 :], xs):
+            acc = ring.sub(acc, ring.mul(row[j], x))
+        # x = p^-1 den^-1 acc = (c den)^-1 q acc, as den is central
+        xs = [ring.mul(q, acc)] + [ring.scale(x, c) for x in xs]
+        den, xs = ring.reduce(_mul(den, c), xs)
     return den, xs
-
-
-def _primitive_row(row: list) -> list:
-    """The row divided by its content over Q[u] and by its rational content."""
-    from .skewpoly import central_content, divide_central, times_central
-
-    g = central_content(row)
-    if not g:
-        return row
-    if len(g) > 1:
-        row = [divide_central(p, g) for p in row]
-    parts = [p.int_rows() for p in row]
-    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
-    den = lcm(*(d for _, d in parts))
-    if num == den == 1:
-        return row
-    return [times_central(p, [den], num) for p in row]

@@ -211,11 +211,6 @@ class SkewPolynomial:
         self.field.check_same(c.field)
         return self * SkewPolynomial.constant(self.field, c)
 
-    def monic_right(self) -> "SkewPolynomial":
-        """Right-unit scaling to a monic polynomial (keeps left divisibility)."""
-        u = self.leading().inv().sigma(-self.degree)
-        return self.scale_right(u)
-
     def apply_sigma(self, power: int = 1) -> "SkewPolynomial":
         """Apply the automorphism coefficientwise."""
         return SkewPolynomial(

@@ -22,6 +22,7 @@ from .extend import (
     PowerRows,
     fixed_space,
     guarded_check,
+    is_fixed_line,
     run_scenario_checks,
 )
 from .skewfrac import SkewFraction
@@ -240,20 +241,13 @@ def degree_ledger(ts: TowerScenario) -> list[LedgerRow]:
     rows = []
     for n, scenario in enumerate(ts.levels):
         order = len(ts.system.levels[n].elements)
-        basis = fixed_space(scenario)
-        one = SkewFraction.one(scenario.field)
-        fixed_line = (
-            len(basis) == 1
-            and basis[0][0] == one
-            and all(c.is_zero() for c in basis[0][1:])
-        )
         rows.append(
             LedgerRow(
                 level=n + 1,
                 dimension=scenario.degree,
                 group_order=order,
                 degree_matches=scenario.degree == order,
-                fixed_line=fixed_line,
+                fixed_line=is_fixed_line(fixed_space(scenario)),
             )
         )
     return rows

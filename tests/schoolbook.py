@@ -21,7 +21,10 @@ before its central polynomials moved to numerators over one Z[u]
 denominator.  The tensor routines are the `SkewFraction`-coordinate
 arithmetic of `TensorElement` before it moved to one central denominator,
 with the Gauss-Jordan solve it inverted by, on rows x^p and q_g^i modulo f
-that the central polynomial routines compute.
+that the central polynomial routines compute, and the fixed space as the
+kernel of the q_g^i rows by Gauss-Jordan on their central `SkewFraction`
+entries: the field-generic elimination `orefield.linalg` ran before fixed
+spaces moved to fraction-free rows over the center's numerator ring.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -56,6 +59,79 @@ from orefield.laurent import TwistedSeries
 from orefield.sampling import random_fraction
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
+
+
+# -- Gauss-Jordan over any exact field ------------------------------------------
+#
+# The elimination `orefield.linalg` ran over every exact commutative field
+# before the center's eliminations moved to fraction-free rows: it needs
+# ``+ - * ==`` and integer powers of the entries (``x ** -1`` the inverse,
+# ``x ** 0`` the unit), so it runs on `Fraction`s and on central
+# `SkewFraction`s alike.
+
+
+def _field_unit(rows):
+    """The 1 of the entries' field; of the rationals for an empty matrix."""
+    return rows[0][0] ** 0 if rows and rows[0] else Fraction(1)
+
+
+def rref(rows):
+    """Reduced row echelon form: (reduced rows, pivot column list)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    one = _field_unit(mat)
+    zero = one - one
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != zero), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c] ** -1
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != zero:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def nullspace(rows, ncols):
+    """Canonical basis of the right kernel, one vector per free column with
+    1 there and 0 at the other free columns."""
+    one = _field_unit(rows)
+    zero = one - one
+    mat, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve(rows, rhs):
+    """One solution of ``rows @ x = rhs`` with the free variables 0, or None
+    if inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    mat, pivots = rref(aug)
+    ncols = len(rows[0]) if rows else 0
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = mat[r][ncols]
+    return x
 
 
 # -- ground fields ------------------------------------------------------------
@@ -112,7 +188,7 @@ def _base_inv(field, a):
         return (Fraction(1) / a[0],)
     cols = [_base_mul(field, a, _unit(d, j)) for j in range(d)]
     rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    sol = linalg.solve(rows, list(_unit(d, 0)))
+    sol = solve(rows, list(_unit(d, 0)))
     if sol is None:
         raise DivisionByZero(f"inversion of zero divisor in {field.name}")
     return tuple(sol)
@@ -815,6 +891,24 @@ def tensor_apply(scenario, a, g):
             if not M[i][m].is_zero():
                 out[m] = out[m] + v * M[i][m]
     return tuple(out)
+
+
+def fixed_space(scenario, names):
+    """The kernel of the M_g - 1 over the center, by Gauss-Jordan on the
+    `SkewFraction` entries of `matrix`."""
+    field, d = scenario.field, scenario.degree
+    one = SkewFraction.one(field)
+    rows = []
+    for g in names:
+        if g == scenario.group.identity:
+            continue
+        M = matrix(scenario, g)
+        for m in range(d):
+            rows.append([M[i][m] - one if i == m else M[i][m] for i in range(d)])
+    if not rows:
+        zero = SkewFraction.zero(field)
+        return [[one if i == j else zero for i in range(d)] for j in range(d)]
+    return [list(vec) for vec in nullspace(rows, d)]
 
 
 def tensor_str(coords):

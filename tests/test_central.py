@@ -1,5 +1,6 @@
-"""Central coefficients: `RationalFunction` and `CentralPolynomial` against
-the `SkewFraction` arithmetic they replace (the oracle in `schoolbook`)."""
+"""Central coefficients: `CentralPolynomial` against the `SkewFraction`
+arithmetic it replaces (the oracle in `schoolbook`), and its constants, the
+elements of Q(u) over Z[u], against central `SkewFraction`s."""
 
 import operator
 import random
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows
-from orefield.factor import RationalFunction, content, gcd
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _integers
+from orefield.factor import content, gcd
 from orefield.ground import make_number_field
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial
@@ -46,46 +47,50 @@ def central_fraction(field, num, den, root2=()):
     return SkewFraction.make(upoly(field, num, root2), upoly(field, den))
 
 
-def is_canonical(r):
-    assert isinstance(r.num, tuple) and isinstance(r.den, tuple)
-    assert r.den and r.den[-1] > 0
-    assert not r.num or r.num[-1] != 0
-    assert content(r.num + r.den) == 1
-    if r.num:
-        assert len(gcd(r.num, r.den)) == 1
+def is_canonical(den, nums):
+    """Lowest terms over Z[u]: lc(den) > 0, no content common to den and the
+    numerators, and no common factor over Q[u]; zero is 0/1."""
+    assert den and den[-1] > 0
+    assert all(not num or num[-1] != 0 for num in nums)
+    assert content([*den, *(a for num in nums for a in num)]) == 1
+    if any(nums):
+        g = den
+        for num in nums:
+            g = gcd(g, num)
+        assert len(g) == 1
     else:
-        assert r.den == (1,)
+        assert den == [1]
     return True
 
 
-# -- RationalFunction against central SkewFractions ----------------------------------
+# -- constants of central polynomials against central SkewFractions ---------------------
 
 
 def check_pair(field, a, b):
-    """Every operation on a, b = (num, den) pairs, over Z[u] and on the Ore
-    path, with each view equal to the fraction the Ore path builds."""
-    ra, rb = RationalFunction.make(*a), RationalFunction.make(*b)
+    """Every operation on a, b = (num, den) pairs, on the constants of
+    `CentralPolynomial` over Z[u] and on the Ore path, with each view equal
+    to the fraction the Ore path builds."""
     sa, sb = central_fraction(field, *a), central_fraction(field, *b)
-    results = [(ra, sa), (rb, sb), (ra + rb, sa + sb), (ra - rb, sa - sb), (ra * rb, sa * sb)]
-    results.append((-ra, -sa))
-    if not rb.is_zero():
-        results.append((rb.inv(), sb.inv()))
-        results.append((ra * rb.inv(), sa * sb.inv()))
+    ca, cb = CentralPolynomial.constant(field, sa), CentralPolynomial.constant(field, sb)
+    one = CentralPolynomial.one(field)
+    results = [(ca, sa), (cb, sb), (ca + cb, sa + sb), (ca - cb, sa - sb), (ca * cb, sa * sb)]
+    results.append((-ca, -sa))
+    if not sb.is_zero():
+        results.append((one.divmod_by(cb)[0], sb.inv()))
+        results.append((ca.divmod_by(cb)[0], sa * sb.inv()))
     else:
         with pytest.raises(DivisionByZero):
-            rb.inv()
+            ca.divmod_by(cb)
     for r, s in results:
-        assert is_canonical(r)
-        view = CentralPolynomial._of(field, list(r.den), [list(r.num)]).coefficient(0)
+        view = CentralPolynomial._of(field, *r.parts()).coefficient(0)
         made = SkewFraction.make(view.num, view.den)
         assert view.same_representation(s) and view.same_representation(made)
         assert str(view) == str(s)
-        # s converts to its lowest terms over Z[u]: r's parts
+        # s converts to its lowest terms over Z[u]: r's parts, reduced
         den, nums = CentralPolynomial.constant(field, s).parts()
-        assert (den, list(nums[0]) if nums else []) == (list(r.den), list(r.num))
-        central = RationalFunction.make(nums[0] if nums else [], den)
-        assert central == r and hash(central) == hash(r)
-        assert (r == ra) == (s == sa)
+        assert is_canonical(den, nums)
+        assert (den, nums) == r.reduced().parts()
+        assert (r == ca) == (s == sa)
 
 
 @settings(max_examples=80, deadline=None)
@@ -115,45 +120,21 @@ def test_rational_functions_match_central_fractions_at_fixed_seeds():
         check_pair(field, ([], [3]), ([-5], [-2]))
 
 
-def test_rational_function_edges():
-    zero, one = RationalFunction.zero(), RationalFunction.one()
-    assert zero.is_zero() and RationalFunction.make([], [5]) == zero
-    assert RationalFunction.make([4], [4]) == one
-    assert RationalFunction.make([2, 2], [-4, 0, 4]) == RationalFunction.make([-1], [2, -2])
-    assert RationalFunction.make([3], [6]).den == (2,)
-    assert (one + zero) == one and (zero * one) == zero
-    with pytest.raises(DivisionByZero):
-        RationalFunction.make([1], [0])
-    with pytest.raises(DivisionByZero):
-        zero.inv()
-    x = RationalFunction.make([1, 1], [0, -2])
-    assert x.inv() * x == one and x - x == zero
-
-
-def test_rational_function_powers_match_repeated_products(monkeypatch):
-    """x ** k is the product of |k| factors x (or x^-1), and x ** -1 is the
-    inverse itself, with no product."""
-    rng = random.Random(67)
-    one = RationalFunction.one()
-    for _ in range(6):
-        num = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))]
-        den = [rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))]
-        num[-1], den[-1] = num[-1] or 1, den[-1] or 1
-        x = RationalFunction.make(num, den)
-        for k in range(-3, 4):
-            factor, expected = x if k > 0 else x.inv(), one
-            for _ in range(abs(k)):
-                expected = expected * factor
-            assert x ** k == expected
-        calls = []
-        mul = RationalFunction.__mul__
-        monkeypatch.setattr(RationalFunction, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-        assert x ** -1 == x.inv()
-        monkeypatch.undo()
-        assert not calls
-    assert RationalFunction.zero() ** 0 == one
-    with pytest.raises(DivisionByZero):
-        RationalFunction.zero() ** -1
+def test_lowest_terms_over_z_u_edges():
+    """`reduce` and `view` of the Z[u] ring on the edge cases of Q(u)."""
+    ring = _integers()
+    assert ring.reduce([5], [[]]) == ([1], [[]])
+    assert ring.reduce([4], [[4]]) == ([1], [[1]])
+    # (2 + 2u)/(-4 + 4u^2) = 1/(2u - 2)
+    assert ring.reduce([-4, 0, 4], [[2, 2]]) == ([-2, 2], [[1]])
+    assert ring.reduce([6], [[3], [], [0, 9]]) == ([2], [[1], [], [0, 3]])
+    assert ring.reduce([-1, 0, 1], [[1, 1], [-1, 1]]) == ([-1, 0, 1], [[1, 1], [-1, 1]])
+    for field in Z_U_FIELDS:
+        assert ring.view(field, [], [7, 1]).same_representation(SkewFraction.zero(field))
+        assert ring.view(field, [4], [4]).same_representation(SkewFraction.one(field))
+        half = central_fraction(field, [-1], [2, -2])
+        assert ring.view(field, [2, 2], [-4, 0, 4]).same_representation(half)
+        assert ring.view(field, [3], [6]).same_representation(central_fraction(field, [1], [2]))
 
 
 # -- CentralPolynomial against the schoolbook arithmetic --------------------------------

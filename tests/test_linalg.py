@@ -1,46 +1,68 @@
-"""`linalg.nullspace`: the one Gauss-Jordan elimination, over the rationals,
-over Q(u) as `RationalFunction`s, and over the center of a fraction field
-whose invariant subfield is not Q, as `SkewFraction`s.
+"""Kernels: `linalg.nullspace`, Gauss-Jordan over the rationals, and
+`linalg.ring_nullspace`, the fraction-free elimination over the center's
+numerator rings: over Q(u) on Z[u] numerators (the `_integers()` ring), and
+over the center of a fraction field whose invariant subfield is not Q, on
+central twisted polynomials (`_POLYNOMIALS`).
 
 Every basis is checked for M*v = 0 and for its canonical shape (each vector
 has its 1 at its own free column and 0 at the others'), and its size against
-sympy.
+sympy.  A ring basis vector (den, xs) stands for den^-1 * xs, so its 1 is
+den and M*v = 0 holds on the numerators.
 """
 
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from orefield import linalg
-from orefield.factor import RationalFunction
-from orefield.skewfrac import SkewFraction
+from orefield.extend import _POLYNOMIALS, _integers, _primitive_row
+from orefield.factor import content, gcd
+from orefield.skewpoly import central_content
 
-from test_central import STATIC, central_fraction
+from conftest import RATIONALS
+from test_central import STATIC, upoly
 
 U = sympy.Symbol("u")
 
 
-def check_kernel(rows, ncols, basis, zero, one):
+FRACTIONS = SimpleNamespace(add=operator.add, mul=operator.mul)
+
+
+def check_kernel(rows, ncols, basis, zero, ones, ring=FRACTIONS):
     """M*v = 0 for each basis vector, and the canonical shape: the last
-    nonzero entry of each vector is its 1 at its free column, the free
-    columns increase, and each vector is 0 at the other free columns."""
+    nonzero entry of each vector is its 1 (ones[i] for vector i) at its free
+    column, the free columns increase, and each vector is 0 at the other
+    free columns."""
     free = []
-    for v in basis:
+    for v, one in zip(basis, ones, strict=True):
         assert len(v) == ncols
         for row in rows:
             acc = zero
             for a, b in zip(row, v):
-                acc = acc + a * b
+                acc = ring.add(acc, ring.mul(a, b))
             assert acc == zero
         f = max(c for c in range(ncols) if v[c] != zero)
         assert v[f] == one
         free.append(f)
     assert free == sorted(set(free))
     for i, v in enumerate(basis):
-        assert [v[f] for f in free] == [one if j == i else zero for j in range(len(free))]
+        assert [v[f] for f in free] == [ones[i] if j == i else zero for j in range(len(free))]
+
+
+def check_ring_kernel(ring, field, rows, ncols):
+    """`check_kernel` on the numerators of a ring basis, each vector in
+    lowest terms; returns the basis."""
+    basis = linalg.ring_nullspace(ring, field, rows, ncols)
+    ones = [ring.scale(ring.one(field), den) for den, _ in basis]
+    check_kernel(rows, ncols, [v for _, v in basis], ring.zero(field), ones, ring)
+    for den, v in basis:
+        assert ring.reduce(den, v) == (den, v)
+    return basis
 
 
 def sympy_dimension(entries, ncols, domain):
@@ -55,7 +77,7 @@ def sympy_dimension(entries, ncols, domain):
 
 def check_rational(rows, ncols):
     basis = linalg.nullspace(rows, ncols)
-    check_kernel(rows, ncols, basis, Fraction(0), Fraction(1))
+    check_kernel(rows, ncols, basis, Fraction(0), [Fraction(1)] * len(basis))
     oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
     expected = oracle.nullspace()
     assert len(basis) == len(expected)
@@ -85,7 +107,7 @@ def test_rational_nullspace_matches_sympy(matrix):
     check_rational(*matrix)
 
 
-def low_rank(rng, nrows, ncols, rank, entry):
+def low_rank(rng, nrows, ncols, rank, entry, ring=FRACTIONS):
     """An nrows x ncols product of random nrows x rank and rank x ncols
     factors, so its kernel has dimension at least ncols - rank."""
     left = [[entry(rng) for _ in range(rank)] for _ in range(nrows)]
@@ -94,9 +116,9 @@ def low_rank(rng, nrows, ncols, rank, entry):
     for row in left:
         acc = []
         for c in range(ncols):
-            s = row[0] * right[0][c]
+            s = ring.mul(row[0], right[0][c])
             for k in range(1, rank):
-                s = s + row[k] * right[k][c]
+                s = ring.add(s, ring.mul(row[k], right[k][c]))
             acc.append(s)
         out.append(acc)
     return out
@@ -117,28 +139,29 @@ def test_rational_nullspace_matches_sympy_at_fixed_seeds():
 def test_rational_nullspace_edges():
     assert linalg.nullspace([], 2) == [(1, 0), (0, 1)]
     zero_rows = [[Fraction(0)] * 3, [Fraction(0)] * 3]
-    check_kernel(zero_rows, 3, linalg.nullspace(zero_rows, 3), Fraction(0), Fraction(1))
+    check_kernel(zero_rows, 3, linalg.nullspace(zero_rows, 3), Fraction(0), [Fraction(1)] * 3)
     assert len(linalg.nullspace(zero_rows, 3)) == 3
     assert linalg.nullspace([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(5)]], 2) == []
 
 
-# -- rational functions in u ----------------------------------------------------
+# -- Q(u) on Z[u] numerators -----------------------------------------------------
 
 
-def random_rational_function(rng):
+def random_upoly(rng):
     num = [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]
-    den = [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 2)]
-    return RationalFunction.make(num, den)
+    while num and not num[-1]:
+        num.pop()
+    return num
 
 
-def as_sympy_rf(r):
-    return sum(a * U**k for k, a in enumerate(r.num)) / sum(a * U**k for k, a in enumerate(r.den))
+def as_sympy_upoly(a):
+    return sum(c * U**k for k, c in enumerate(a))
 
 
-def check_rational_functions(rows, ncols):
-    basis = linalg.nullspace(rows, ncols)
-    check_kernel(rows, ncols, basis, RationalFunction.zero(), RationalFunction.one())
-    entries = [[as_sympy_rf(x) for x in r] for r in rows]
+def check_integer_ring(rows, ncols):
+    ring = _integers()
+    basis = check_ring_kernel(ring, RATIONALS, rows, ncols)
+    entries = [[as_sympy_upoly(x) for x in r] for r in rows]
     assert len(basis) == sympy_dimension(entries, ncols, sympy.QQ.frac_field(U))
 
 
@@ -147,45 +170,78 @@ def test_rational_function_nullspace_at_fixed_seeds():
         rng = random.Random(seed)
         nrows, ncols = rng.randint(1, 3), rng.randint(2, 4)
         rank = rng.randint(1, min(nrows, ncols))
-        check_rational_functions(low_rank(rng, nrows, ncols, rank, random_rational_function), ncols)
+        check_integer_ring(low_rank(rng, nrows, ncols, rank, random_upoly, _integers()), ncols)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 4))
 def test_rational_function_nullspace_on_random_matrices(seed, nrows, ncols):
     rng = random.Random(seed)
-    rows = [[random_rational_function(rng) for _ in range(ncols)] for _ in range(nrows)]
-    check_rational_functions(rows, ncols)
+    rows = [[random_upoly(rng) for _ in range(ncols)] for _ in range(nrows)]
+    check_integer_ring(rows, ncols)
 
 
-# -- central fractions over Q(sqrt2)/id -------------------------------------------
+def test_ring_nullspace_edges():
+    ring = _integers()
+    assert linalg.ring_nullspace(ring, RATIONALS, [], 2) == [([1], [[1], []]), ([1], [[], [1]])]
+    assert linalg.ring_nullspace(ring, RATIONALS, [[[2], []], [[], [0, 5]]], 2) == []
+    # u*x_0 + (u^2 + u)*x_1 = 0: x = (-(u + 1), 1), with the 1 over den 1
+    assert linalg.ring_nullspace(ring, RATIONALS, [[[0, 1], [0, 1, 1]]], 2) == [([1], [[-1, -1], [1]])]
+    # 2*x_0 + u*x_1 = 0: x = (-u/2, 1) = 2^-1 * (-u, 2)
+    assert linalg.ring_nullspace(ring, RATIONALS, [[[2], [0, 1]]], 2) == [([2], [[0, -1], [2]])]
 
 
-def random_central_fraction(rng):
-    """(a + b sqrt2 u) / (1 + c u) with small integers: central, since the
-    twist is the identity, and with coefficients off Q."""
+# -- the center of Q(sqrt2)/id on central polynomials ----------------------------------
+
+
+def random_central_polynomial(rng):
+    """a + (c + b sqrt2) u with small integers: central, since the twist is
+    the identity, and with coefficients off Q."""
     a, b, c = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1)
-    return central_fraction(STATIC, [a], [1, c], root2=[0, b])
+    return upoly(STATIC, [a, c], root2=[0, b])
 
 
-def as_sympy_central(x):
-    def poly(p):
-        return sum(
-            (e.coords[0] + e.coords[1] * sympy.sqrt(2)) * U**k for k, e in enumerate(p.coeffs)
-        )
-
-    return poly(x.num) / poly(x.den)
+def as_sympy_central(p):
+    return sum((e.coords[0] + e.coords[1] * sympy.sqrt(2)) * U**k for k, e in enumerate(p.coeffs))
 
 
 def test_central_fraction_nullspace_at_fixed_seeds():
-    zero, one = SkewFraction.zero(STATIC), SkewFraction.one(STATIC)
     domain = sympy.QQ.algebraic_field(sympy.sqrt(2)).frac_field(U)
     for seed in range(12):
         rng = random.Random(seed)
         nrows, ncols = rng.randint(1, 3), rng.randint(2, 3)
         rank = rng.randint(1, min(nrows, ncols))
-        rows = low_rank(rng, nrows, ncols, rank, random_central_fraction)
-        basis = linalg.nullspace(rows, ncols)
-        check_kernel(rows, ncols, basis, zero, one)
+        rows = low_rank(rng, nrows, ncols, rank, random_central_polynomial, _POLYNOMIALS)
+        basis = check_ring_kernel(_POLYNOMIALS, STATIC, rows, ncols)
         entries = [[as_sympy_central(x) for x in r] for r in rows]
         assert len(basis) == sympy_dimension(entries, ncols, domain)
+
+
+def has_no_content(ring, row):
+    """No common factor over Q[u] and, for integer lists, no integer content;
+    for twisted polynomials, no rational content either (`_primitive_row`
+    leaves the row as it is)."""
+    if ring is _POLYNOMIALS:
+        return central_content(row) == [1] and _primitive_row(row) == row
+    g = []
+    for a in row:
+        g = gcd(g, a)
+    return len(g) == 1 and content([x for a in row for x in a]) == 1
+
+
+def test_eliminated_rows_are_primitive():
+    """Each row that a pivot clears is divided by its content, so the
+    entries stay small: common factors of the inputs do not survive."""
+    rng = random.Random(5)
+    cases = [
+        (_integers(), RATIONALS, random_upoly, [[6], [0, 4]]),
+        (_POLYNOMIALS, STATIC, random_central_polynomial, [upoly(STATIC, [3], root2=[0, 3]), upoly(STATIC, [1, 1])]),
+    ]
+    for ring, field, entry, scales in cases:
+        for _ in range(6):
+            rows = low_rank(rng, 3, 3, 2, entry, ring)
+            rows = [[ring.mul(s, a) for a in row] for s, row in zip(scales + scales, rows)]
+            mat = [list(row) for row in rows]
+            pivots = linalg.eliminate(ring, field, mat, 3)
+            for row in mat[1 : len(pivots)]:
+                assert has_no_content(ring, row)

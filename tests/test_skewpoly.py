@@ -181,14 +181,6 @@ def test_right_scaling_matches_constant_product(f, a):
     assert f.scale_left(a) == c * f
 
 
-@given(f=nonzero_polys(GAUSS, max_degree=3))
-def test_monic_right_is_right_unit_scaling(f):
-    m = f.monic_right()
-    assert m.is_monic()
-    u = f.leading().inv().sigma(-f.degree)
-    assert m == f.scale_right(u)
-
-
 def test_power_matches_repeated_product():
     f = P(GAUSS, [1, 1], [0, 1])
     assert f ** 3 == f * f * f

@@ -12,15 +12,17 @@ import schoolbook as sb
 from orefield import kernel, laurent
 from orefield.catalog import scenario_catalog, scenario_names
 from orefield.errors import InsufficientPrecision, MixedScenarios, SingularElement
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, TensorElement, ext_tau
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, TensorElement, ext_tau, fixed_space
 from orefield.laurent import CentralSeries, TwistedSeries
 from orefield.factor import content, gcd
 from orefield.sampling import random_fraction, random_tensor
+from orefield.scenario_io import load_document
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial, central_coordinates, central_polynomial
 
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
+from test_cli import R2L1
 from test_kernel import CUBIC, H_GOLDEN
 
 Z2 = FiniteGroup(
@@ -185,6 +187,23 @@ def test_galois_rows_are_the_powers_of_the_images(scenario):
         expected = sb.matrix(scenario, g)
         assert [tuple(SkewFraction.make(entry, den) for entry in row) for row in table[:d]] == list(expected)
         assert [sb.padded(scenario, p.coeffs) for p in rows.powers(d)] == list(expected)
+
+
+FIXED_SCENARIOS = ROW_SCENARIOS + [load_document(R2L1)]
+
+
+@pytest.mark.parametrize("scenario", FIXED_SCENARIOS, ids=[s.name for s in FIXED_SCENARIOS])
+def test_fixed_spaces_match_gauss_jordan_on_central_fractions(scenario):
+    """The fraction-free fixed space of the full group and of every single
+    element against the kernel of the schoolbook Galois matrices, computed by
+    Gauss-Jordan on their central `SkewFraction` entries: the same canonical
+    basis, entry for entry."""
+    elements = scenario.group.elements
+    for names in [elements] + [[g] for g in elements]:
+        basis, expected = fixed_space(scenario, names), sb.fixed_space(scenario, names)
+        assert len(basis) == len(expected)
+        for vec, oracle in zip(basis, expected):
+            assert all(a.same_representation(b) for a, b in zip(vec, oracle, strict=True))
 
 
 def test_the_identity_rows_are_the_table_products_reduce_with(monkeypatch):
