@@ -29,14 +29,15 @@ the rest of the package (towers, command line) consumes:
   the lifted root.
 * `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
   central denominator c in Z[u] and twisted polynomials P_i, in a canonical
-  form with structural `==`.  Multiplication and inversion reduce through
-  the rows of x and `apply` acts by the rows of q_g, all read through
-  `twisted_table`; inversion solves a one-sided system by fraction-free
-  elimination with norm-conjugate pivots (`linalg.solve_right_generic`);
-  fraction inputs enter through the norm conjugate
-  (`skewpoly.norm_conjugate`), den^-1 num = c^-1 (q num).  None of these
-  runs an Ore reduction; `coords` shows the coordinates as canonical
-  `SkewFraction`s, built on first use.
+  form with structural `==`.  Multiplication reduces through the rows of x
+  and `apply` acts by the rows of q_g, both read through `twisted_table`;
+  inversion goes through reduced norms, e^-1 = c E* Pi N^-1, with
+  E E* = nu in F = K'(u)[x]/(f) and nu Pi = N in the center, by
+  Cayley-Hamilton (`skewpoly.cayley_hamilton`) on the rows of x alone, so it
+  eliminates nothing and reads no Galois image; fraction inputs enter
+  through the norm conjugate (`skewpoly.norm_conjugate`),
+  den^-1 num = c^-1 (q num).  None of these runs an Ore reduction; `coords`
+  shows the coordinates as canonical `SkewFraction`s, built on first use.
 * `ext_tau` -- evaluation at the series root, a homomorphism into the
   twisted Laurent series: c(t^n)^-1 * sum_i P_i rho^i, one division by the
   central denominator, computed once per element.  The root residual and
@@ -49,8 +50,8 @@ the rest of the package (towers, command line) consumes:
 
 Inputs come in through one lift, `SkewFraction.coerce`.  The fixed space
 is the kernel of the Galois matrices minus 1 over the center, which
-`linalg.ring_nullspace` computes by the tensor inverse's fraction-free
-elimination, over the numerator ring: the rows N - C of each matrix over its
+`linalg.ring_nullspace` computes by fraction-free elimination, over the
+numerator ring: the rows N - C of each matrix over its
 common Z[u] denominator C, so no fraction is formed until the basis is shown
 as canonical `SkewFraction`s.
 """
@@ -90,7 +91,11 @@ from .laurent import (
 from .skewfrac import SkewFraction
 from .skewpoly import (
     SkewPolynomial,
+    _conjugate,
+    _trace,
+    cayley_hamilton,
     central_fraction_ints,
+    central_ints,
     central_polynomial,
     norm_conjugate,
     reduce_central,
@@ -108,7 +113,8 @@ from .skewpoly import (
 # chooses the ring's few operations once per field, so the polynomials, their
 # power rows and the fixed space run one code on either.  `linalg.eliminate`
 # takes the ring as a parameter: a fixed space eliminates over the numerator
-# ring, a tensor inverse over `_POLYNOMIALS`, all twisted polynomials.
+# ring; the tests' reference tensor inverse eliminates over `_POLYNOMIALS`,
+# all twisted polynomials.
 #
 # * `zero(field)`, `one(field)`, `is_zero`, `degree`, `add`, `sub`, `mul`,
 #   and `scale(a, c)`, the product with c in Z[u];
@@ -119,7 +125,10 @@ from .skewpoly import (
 # * `convert(field, coeffs)`, (den, nums) for central `SkewFraction`s,
 #   refusing one off the center;
 # * `view(field, a, den)`, the element a/den of the center as a canonical
-#   `SkewFraction`, and `twisted(field, a)`, a as a twisted polynomial.
+#   `SkewFraction`, and `twisted(field, a)`, a as a twisted polynomial;
+# * `central(field, polys)`, (den, nums) with polys[k] = den^-1 nums[k] for
+#   central twisted polynomials, den an integer, and `times(p, a)`, the
+#   twisted polynomial p times a.
 #
 # `orefield.factor` is imported on first use: building the catalog scenarios
 # needs no central arithmetic, so a process that builds them only to compute
@@ -134,7 +143,7 @@ def _numerators(field: GroundField) -> SimpleNamespace:
 @cache
 def _integers() -> SimpleNamespace:
     """Z[u] as ascending integer lists, the numerator ring when K' = Q."""
-    from math import gcd as igcd
+    from math import gcd as igcd, lcm
 
     from .factor import _add, _divexact, _mul, _sub, gcd
 
@@ -181,6 +190,11 @@ def _integers() -> SimpleNamespace:
         lead = den[-1]
         return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, a, lead))
 
+    def central(field, polys):
+        parts = [p.int_rows() for p in polys]
+        common = lcm(*(over for _, over in parts))
+        return [common], [[a * (common // over) for a in central_ints(field, rows)] for rows, over in parts]
+
     return SimpleNamespace(
         zero=lambda field: [],
         one=lambda field: [1],
@@ -196,6 +210,8 @@ def _integers() -> SimpleNamespace:
         convert=convert,
         view=view,
         twisted=central_polynomial,
+        central=central,
+        times=times_central,
     )
 
 
@@ -204,7 +220,7 @@ def _central_fractions(field: GroundField, coeffs: Sequence[SkewFraction]) -> tu
     for c in coeffs:
         if not c.is_invariant_central():
             raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
-    return _over_common_denominator(coeffs)
+    return _over_common_denominator((c.num, c.den) for c in coeffs)
 
 
 def _primitive_row(row: list) -> list:
@@ -228,7 +244,7 @@ def _primitive_row(row: list) -> list:
 
 
 # the twisted polynomials; their central elements K'[u] are the numerator ring
-# when K' is larger than Q, and all of them are the entries of a tensor inverse
+# when K' is larger than Q
 _POLYNOMIALS = SimpleNamespace(
     zero=SkewPolynomial.zero,
     one=SkewPolynomial.one,
@@ -244,6 +260,8 @@ _POLYNOMIALS = SimpleNamespace(
     convert=_central_fractions,
     view=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
     twisted=lambda field, a: a,
+    central=lambda field, polys: ([1], list(polys)),
+    times=SkewPolynomial.__mul__,
 )
 
 
@@ -886,7 +904,8 @@ class TensorElement:
     so the form is unique and `==` compares the parts.  x and c are central:
     sums, products, the Galois action and inversion run on polynomial
     products and the scenario's tables over one central denominator, with
-    one gcd normalisation over Z[u] per result and no Ore reduction.
+    one gcd normalisation over Z[u] per result and no Ore reduction;
+    inversion multiplies by conjugates until the norm is central (`inv`).
     `coords`, the coordinates over the skew field as canonical
     `SkewFraction`s, are built on first use.  The constructor takes d
     coordinates (anything `make` coerces) and brings them to that form.
@@ -933,9 +952,14 @@ class TensorElement:
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
         """Coerce a (possibly long) coefficient list, reducing modulo f."""
-        field = scenario.field
-        den, conv = _over_common_denominator([SkewFraction.coerce(field, v) for v in values])
-        return cls._modulo_f(scenario, den, conv)
+        coerced = [SkewFraction.coerce(scenario.field, v) for v in values]
+        return cls.from_quotients(scenario, [(v.num, v.den) for v in coerced])
+
+    @classmethod
+    def from_quotients(cls, scenario: ExtensionScenario, quotients: Sequence[tuple[SkewPolynomial, SkewPolynomial]]) -> "TensorElement":
+        """sum_k den_k^-1 num_k x^k for a (possibly long) list of (num_k,
+        den_k) pairs, den_k nonzero, reduced modulo f: no Ore reduction."""
+        return cls._modulo_f(scenario, *_over_common_denominator(quotients))
 
     @classmethod
     def zero(cls, scenario: ExtensionScenario) -> "TensorElement":
@@ -1012,43 +1036,58 @@ class TensorElement:
         return TensorElement._modulo_f(self.scenario, _mul(self.den, other.den), conv)
 
     def inv(self) -> "TensorElement":
-        """Right inverse (= two-sided: compose with the verify in tests).
+        """Two-sided inverse through reduced norms (I. Reiner, *Maximal
+        Orders*, 1975).  With self = c^-1 E, E = sum_i P_i x^i and x central:
 
-        For self = c^-1 * sum_i P_i x^i and the table x^p = C^-1 T_p, the
-        inverse sum_j y_j x^j solves  sum_j (sum_i P_i T'_(i+j)) y_j = c*C e_0
-        with T'_p = C e_p for p < d; the unknowns y_j sit on the right of
-        the known coefficients, which is what `linalg.solve_right_generic`
-        eliminates.  A singular system means the element is a zero divisor
-        (f reducible) or zero.
+        1. E* with nu = E E* in F = K'(u)[x]/(f) (`_reduced_norm`);
+        2. Pi with nu Pi = N in K'(u): Cayley-Hamilton in F on the numerator
+           ring, `CentralPolynomial` products reduced by the rows of x, with
+           the traces Tr(x^j) read off the same rows (`_residue_trace`), so
+           f alone decides it and no Galois image is read;
+        3. N^-1 as a quotient by an element of Z[u], through the norm
+           conjugate of N (`norm_conjugate`) when K' is larger than Q;
+
+        then self^-1 = c E* Pi N^-1, with one reduction modulo f and one
+        `reduce_central`.  N = 0 means self is zero or a zero divisor (f
+        reducible, or F splitting the algebra).
         """
         from .factor import _mul
 
         if self.is_zero():
             raise SingularElement("inversion of zero")
-        scenario = self.scenario
-        d = scenario.degree
-        zero = SkewPolynomial.zero(scenario.field)
-        c, table = scenario.reduction.twisted_table(2 * d - 1)
-        rows = [[zero] * d for _ in range(d)]
-        for i, a in enumerate(self.polys):
-            if a.is_zero():
-                continue
-            scaled = a if c == [1] else times_central(a, c)
-            for j in range(d):
-                if i + j < d:
-                    rows[i + j][j] = rows[i + j][j] + scaled
-                    continue
-                for m, entry in enumerate(table[i + j]):
-                    if not entry.is_zero():
-                        rows[m][j] = rows[m][j] + entry * a
-        rhs = [central_polynomial(scenario.field, _mul(self.den, c))] + [zero] * (d - 1)
-        sol = linalg.solve_right_generic(_POLYNOMIALS, scenario.field, rows, rhs)
-        if sol is None:
-            raise SingularElement(
-                f"element of {self.scenario.name} is not invertible"
-            )
-        # the solution comes in the canonical form already
-        return TensorElement._raw(scenario, *sol)
+        scenario, field, d = self.scenario, self.scenario.field, self.scenario.degree
+        ring, rows = _numerators(field), scenario.reduction
+        star, nu = _reduced_norm(TensorElement._raw(scenario, (1,), self.polys))
+
+        def mul(a, b):
+            p = a * b
+            return p if p.degree < d else rows.compose(p)
+
+        # a nu of degree < 1 in x lies in K'(u) already
+        pi = CentralPolynomial.one(field) if nu.degree < 1 else cayley_hamilton(nu, d, _residue_trace(rows), _divide, mul)
+        norm_den, norm = mul(nu, pi).parts()
+        if not norm:
+            raise SingularElement(f"element of {scenario.name} is not invertible")
+        # N^-1 = norm_den / norm, with norm brought down to Z[u]; c and
+        # norm_den join Pi's numerators, norm its denominator
+        norm, top = norm[0], _mul(list(self.den), norm_den)
+        if ring is _POLYNOMIALS:
+            q, norm = norm_conjugate(norm)
+            top = times_central(q, top)
+        pi_den, pi = pi.parts()
+        pi = [ring.mul(a, top) for a in pi]
+        den = _mul(pi_den, norm)
+        if star is None:
+            conv = [ring.twisted(field, a) for a in pi]
+        else:
+            den = _mul(list(star.den), den)
+            conv = [SkewPolynomial.zero(field)] * (2 * d - 1)
+            for i, p in enumerate(star.polys):
+                if not p.is_zero():
+                    for j, a in enumerate(pi):
+                        if not ring.is_zero(a):
+                            conv[i + j] = conv[i + j] + ring.times(p, a)
+        return TensorElement._modulo_f(scenario, den, conv)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n == 0:
@@ -1080,8 +1119,9 @@ class TensorElement:
     __repr__ = __str__
 
 
-def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int], list[SkewPolynomial]]:
-    """(C, P) with values[k] = C(t^n)^-1 * P[k], C in Z[u] primitive.
+def _over_common_denominator(quotients: Iterable[tuple[SkewPolynomial, SkewPolynomial]]) -> tuple[list[int], list[SkewPolynomial]]:
+    """(C, P) with den_k^-1 num_k = C(t^n)^-1 * P[k] for the pairs (num_k,
+    den_k), C in Z[u] primitive.
 
     Each den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
     (`skewpoly.norm_conjugate`), and C is the lcm of the c.
@@ -1089,14 +1129,77 @@ def _over_common_denominator(values: Sequence[SkewFraction]) -> tuple[list[int],
     from .factor import _divexact
 
     pairs = []
-    for v in values:
-        if v.is_polynomial():
-            pairs.append(([1], v.num))
+    for num, den in quotients:
+        if den.degree == 0 and den.is_monic():  # den = 1
+            pairs.append(([1], num))
         else:
-            q, c = norm_conjugate(v.den)
-            pairs.append((c, q * v.num))
+            q, c = norm_conjugate(den)
+            pairs.append((c, q * num))
     common = _lcm(c for c, _ in pairs)
     return common, [p if c == common else times_central(p, _divexact(common, c)) for c, p in pairs]
+
+
+def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, CentralPolynomial]:
+    """(E*, nu) with nu = E E* in F = K'(u)[x]/(f) for E = `element`, nu
+    reduced modulo f.  x is central, so at reduced degree m = 2 E* is the
+    conjugate Trd(P_i) - P_i of each coordinate; at m > 2 E* comes from
+    Cayley-Hamilton in the algebra over F, whose reduced trace is taken
+    coordinate by coordinate; at m = 1 E lies in F, and E* = 1 comes back
+    as None."""
+    from .factor import _mul
+
+    scenario, field = element.scenario, element.scenario.field
+    m = field.reduced_degree
+    if m == 1:
+        star = None
+    elif m == 2:
+        star = TensorElement._raw(scenario, (1,), [_conjugate(p) for p in element.polys])
+    else:
+
+        def trace(a):
+            return TensorElement._raw(scenario, a.den, [_trace(p, field.ktrd, field.trd_den) for p in a.polys])
+
+        def divide(a, k):
+            return TensorElement._raw(scenario, a.den, [times_central(p, [1], k) for p in a.polys])
+
+        star = cayley_hamilton(element, m, trace, divide)
+    product = element if star is None else element * star
+    common, nums = _numerators(field).central(field, product.polys)
+    return star, CentralPolynomial._of(field, _mul(list(product.den), common), nums)
+
+
+def _residue_trace(rows: PowerRows):
+    """The trace of F = K'(u)[x]/(f) over K'(u) on `CentralPolynomial`s of
+    degree < d, from the rows x^p mod f over their common denominator C:
+    Tr(x^j) = sum_m (x^(j+m) mod f)_m, the trace of multiplication by x^j."""
+    from .factor import _mul
+
+    field, d = rows.f.field, rows.f.degree
+    ring = _numerators(field)
+    common, table = rows._common(2 * d - 1)
+    zero = ring.zero(field)
+    traces = []
+    for j in range(d):
+        acc = zero
+        for m in range(d):
+            acc = ring.add(acc, table[j + m][m])
+        traces.append(acc)
+
+    def trace(a):
+        den, nums = a.parts()
+        acc = zero
+        for x, t in zip(nums, traces):
+            if not ring.is_zero(x):
+                acc = ring.add(acc, ring.mul(x, t))
+        return CentralPolynomial._of(field, _mul(den, common), [acc])
+
+    return trace
+
+
+def _divide(a: CentralPolynomial, k: int) -> CentralPolynomial:
+    """a/k for an integer k."""
+    den, nums = a.parts()
+    return CentralPolynomial._of(a.field, [k * x for x in den], nums)
 
 
 def fixed_space(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import gcd as igcd, isqrt
+from operator import add
 from typing import Sequence
 
 Poly = list[int]
@@ -55,7 +56,7 @@ def _trim(f: Poly) -> Poly:
 def _add(f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
-    return _trim([a + g[k] if k < len(g) else a for k, a in enumerate(f)])
+    return _trim([*map(add, f, g), *f[len(g) :]])
 
 
 def _sub(f: Poly, g: Poly) -> Poly:

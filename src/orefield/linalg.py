@@ -9,9 +9,10 @@ polynomial ring or of its center, and it forms no fraction: a fraction-free
 forward pass over a ring given as a namespace of operations (the numerator
 rings of `orefield.extend`), whose pivots are inverted through their norm
 conjugates.  One back-substitution over a growing central denominator reads
-its echelon form.  `solve_right_generic` runs it once, against the
-right-hand side: the inverse of a tensor element.  `ring_nullspace` runs it
-once per free column: the fixed space of a group.
+its echelon form.  `ring_nullspace` runs it once per free column: the fixed
+space of a group.  `solve_right_generic` runs it once, against the
+right-hand side: the tests' reference for tensor inverses, which the package
+computes through reduced norms (`extend.TensorElement.inv`).
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def rank(rows: list[Row]) -> int:
 
 def solve_right_generic(ring, field, rows: list[list], rhs: list):
     """Solve ``sum_j rows[i][j] * x_j = rhs[i]`` over the fraction field of a
-    ring of twisted polynomials or of its center (see `eliminate`).
+    ring of twisted polynomials or of its center (see `eliminate`): the
+    tests' reference for tensor inverses.
 
     Returns (den, xs) with x_j = den(t^n)^-1 * xs[j], den in Z[u] primitive
     with a positive leading coefficient and no factor of den common to every

@@ -77,23 +77,24 @@ _TENSOR_DEN_DEGREES = (0, 0, 0, 1, 1, 2)
 
 
 def random_tensor(scenario, rng: random.Random, max_degree: int = 4, span: int = 3):
-    """Nonzero tensor element whose coordinates have degree <= max_degree."""
+    """Nonzero tensor element whose coordinates have degree <= max_degree.
+
+    Each coordinate is den^-1 num for random polynomials, built straight
+    from the pair (`TensorElement.from_quotients`) with no Ore reduction."""
     from .extend import TensorElement
 
     field = scenario.field
+    zero, one = SkewPolynomial.zero(field), SkewPolynomial.one(field)
     while True:
-        coords = []
+        quotients = []
         for _ in range(scenario.degree):
             if rng.random() < 0.2:
-                coords.append(SkewFraction.zero(field))
+                quotients.append((zero, one))
                 continue
             num = random_nonzero_polynomial(field, rng, max_degree, span)
             den_degree = rng.choice(_TENSOR_DEN_DEGREES)
-            if den_degree == 0:
-                coords.append(SkewFraction.from_polynomial(num))
-            else:
-                den = random_nonzero_polynomial(field, rng, den_degree, 2)
-                coords.append(SkewFraction.make(num, den))
-        element = TensorElement.make(scenario, coords)
+            den = one if den_degree == 0 else random_nonzero_polynomial(field, rng, den_degree, 2)
+            quotients.append((num, den))
+        element = TensorElement.from_quotients(scenario, quotients)
         if not element.is_zero():
             return element

@@ -33,6 +33,7 @@ of fractions over one central denominator.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
@@ -205,11 +206,6 @@ class SkewPolynomial:
         """c * f  (no twist: constants multiply coefficients directly)."""
         self.field.check_same(c.field)
         return SkewPolynomial.constant(self.field, c) * self
-
-    def scale_right(self, c: GroundElement) -> "SkewPolynomial":
-        """f * c = sum_i f_i sigma^i(c) t^i."""
-        self.field.check_same(c.field)
-        return self * SkewPolynomial.constant(self.field, c)
 
     def apply_sigma(self, power: int = 1) -> "SkewPolynomial":
         """Apply the automorphism coefficientwise."""
@@ -528,9 +524,9 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     if w == 1 and p.is_invariant_central():
         q = SkewPolynomial.one(field)
     else:
-        q = _conjugate(p) if m == 2 else _cayley_hamilton(p, m, field.ktrd, field.trd_den)
+        q = _conjugate(p) if m == 2 else _polynomial_cayley_hamilton(p, m, field.ktrd, field.trd_den)
         if w > 1:
-            q = _cayley_hamilton(q * p, w, field.ktr, field.tr_den) * q
+            q = _polynomial_cayley_hamilton(q * p, w, field.ktr, field.tr_den) * q
     prod, pden = (q * p).int_rows()
     scale, c = primitive([prod[k][0] for k in range(0, len(prod), field.sigma_order)])
     if not c:
@@ -566,26 +562,38 @@ def _trace(p: SkewPolynomial, ktr, over: int) -> SkewPolynomial:
     return SkewPolynomial._from_rows(field, out, den * over)
 
 
-def _cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> SkewPolynomial:
+def cayley_hamilton(p, m: int, trace, divide, mul=operator.mul):
     """q = sum_(k<m) (-1)^k e_k p^(m-1-k), so that  p*q = q*p = +-e_m,  for
     the degree-m characteristic polynomial of p whose power sums are the
-    traces s_k = ktr(p^k)/over: k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
-    q is summed by Horner's rule."""
-    if m == 1:
-        return SkewPolynomial.one(p.field)
+    traces s_k = trace(p^k): k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
+
+    Generic over the element type, for m >= 2: the elements add, subtract
+    and negate, `mul` multiplies them, every trace commutes with every
+    element, and divide(a, k) is a/k for an integer k.  `norm_conjugate`
+    runs it on polynomials, `extend.TensorElement.inv` on tensor elements
+    and on the residues modulo f.  q sums the powers p, ..., p^(m-1) that
+    the traces read, each times its e_k, so a trace that is a constant of
+    the element type makes that a cheap product."""
     powers = [p]
     for _ in range(m - 2):
-        powers.append(powers[-1] * p)
-    sums = [_trace(x, ktr, over) for x in powers]
-    e, q = [], p
+        powers.append(mul(powers[-1], p))
+    sums = [trace(x) for x in powers]
+    e, q = [], powers[-1]
     for k in range(1, m):
         # e[k-1] = e_k; the term i = k has e_0 = 1
         acc = sums[k - 1] if k % 2 else -sums[k - 1]
         for i in range(1, k):
-            term = e[k - i - 1] * sums[i - 1]
+            term = mul(e[k - i - 1], sums[i - 1])
             acc = acc + term if i % 2 else acc - term
-        e.append(times_central(acc, [1], k))
-        q = q - e[-1] if k % 2 else q + e[-1]
-        if k < m - 1:
-            q = q * p
+        e.append(divide(acc, k))
+        term = e[-1] if k == m - 1 else mul(e[-1], powers[m - 2 - k])
+        q = q - term if k % 2 else q + term
     return q
+
+
+def _polynomial_cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> SkewPolynomial:
+    """`cayley_hamilton` on a polynomial, with the traces `ktr`/over taken
+    coefficientwise (`_trace`); 1 at m = 1."""
+    if m == 1:
+        return SkewPolynomial.one(p.field)
+    return cayley_hamilton(p, m, lambda x: _trace(x, ktr, over), lambda a, k: times_central(a, [1], k))

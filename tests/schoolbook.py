@@ -25,6 +25,9 @@ that the central polynomial routines compute, and the fixed space as the
 kernel of the q_g^i rows by Gauss-Jordan on their central `SkewFraction`
 entries: the field-generic elimination `orefield.linalg` ran before fixed
 spaces moved to fraction-free rows over the center's numerator ring.
+`elimination_inverse` is the fraction-free d x d elimination over the
+twisted polynomials that `TensorElement.inv` ran before it inverted through
+reduced norms; unlike the rest, it calls the package's own elimination.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -878,6 +881,46 @@ def tensor_inv(scenario, a):
     if sol is None:
         raise SingularElement(f"element of {scenario.name} is not invertible")
     return tuple(sol)
+
+
+def elimination_inverse(element):
+    """The inverse `TensorElement.inv` computed before it moved to reduced
+    norms, as a `TensorElement`.
+
+    For element = c^-1 * sum_i P_i x^i and the table x^p = C^-1 T_p, the
+    inverse sum_j y_j x^j solves  sum_j (sum_i P_i T'_(i+j)) y_j = c*C e_0
+    with T'_p = C e_p for p < d; the unknowns y_j sit on the right of the
+    known coefficients, which `linalg.solve_right_generic` eliminates
+    fraction-free over the twisted polynomials (`extend._POLYNOMIALS`).  A
+    singular system means a zero divisor (f reducible) or zero.
+    """
+    from orefield.extend import _POLYNOMIALS, TensorElement
+    from orefield.factor import _mul
+    from orefield.skewpoly import central_polynomial, times_central
+
+    if element.is_zero():
+        raise SingularElement("inversion of zero")
+    scenario = element.scenario
+    d = scenario.degree
+    zero = SkewPolynomial.zero(scenario.field)
+    c, table = scenario.reduction.twisted_table(2 * d - 1)
+    rows = [[zero] * d for _ in range(d)]
+    for i, a in enumerate(element.polys):
+        if a.is_zero():
+            continue
+        scaled = a if c == [1] else times_central(a, c)
+        for j in range(d):
+            if i + j < d:
+                rows[i + j][j] = rows[i + j][j] + scaled
+                continue
+            for m, entry in enumerate(table[i + j]):
+                if not entry.is_zero():
+                    rows[m][j] = rows[m][j] + entry * a
+    rhs = [central_polynomial(scenario.field, _mul(list(element.den), c))] + [zero] * (d - 1)
+    sol = linalg.solve_right_generic(_POLYNOMIALS, scenario.field, rows, rhs)
+    if sol is None:
+        raise SingularElement(f"element of {scenario.name} is not invertible")
+    return TensorElement._raw(scenario, *sol)
 
 
 def tensor_apply(scenario, a, g):

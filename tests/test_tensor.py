@@ -11,8 +11,17 @@ from hypothesis import given, settings, strategies as st
 import schoolbook as sb
 from orefield import kernel, laurent
 from orefield.catalog import scenario_catalog, scenario_names
-from orefield.errors import InsufficientPrecision, MixedScenarios, SingularElement
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, TensorElement, ext_tau, fixed_space
+from orefield.errors import InsufficientPrecision, MixedScenarios, ScenarioValidationError, SingularElement
+from orefield.extend import (
+    CentralPolynomial,
+    ExtensionScenario,
+    FiniteGroup,
+    PowerRows,
+    TensorElement,
+    ext_tau,
+    fixed_space,
+    run_scenario_checks,
+)
 from orefield.laurent import CentralSeries, TwistedSeries
 from orefield.factor import content, gcd
 from orefield.sampling import random_fraction, random_tensor
@@ -223,7 +232,7 @@ def test_the_identity_rows_are_the_table_products_reduce_with(monkeypatch):
     assert x * x == TensorElement.make(scenario, [3])
     assert x.inv() == TensorElement.make(scenario, [0, SkewFraction.coerce(RATIONALS, Fraction(1, 3))])
     assert x.apply(identity) == x
-    assert len(read) == 3 and all(r is rows for r in read)
+    assert len(read) == 2 and all(r is rows for r in read)
 
 
 def test_constructor_takes_coordinates_and_checks_their_number():
@@ -281,6 +290,104 @@ def test_products_inverses_and_equality_make_no_ore_reduction(monkeypatch):
         assert a * a.inv() == one
         assert (a * b == b * a) in (True, False)
     assert calls == []
+
+
+# -- inversion through reduced norms ---------------------------------------------
+
+R2L1_SCENARIO = load_document(R2L1)
+NORM_SCENARIOS = SCENARIOS + [R2L1_SCENARIO]
+NORM_IDS = [s.name for s in NORM_SCENARIOS]
+
+
+def check_inverse(a, oracle=True):
+    """`inv` against the fraction-free elimination it replaced and, where it
+    is cheap enough, the Gauss-Jordan oracle; both products are one."""
+    inverse = a.inv()
+    assert is_canonical(inverse)
+    assert inverse == sb.elimination_inverse(a)
+    if oracle:
+        assert inverse.coords == sb.tensor_inv(a.scenario, a.coords)
+    one = TensorElement.one(a.scenario)
+    assert a * inverse == one and inverse * a == one
+
+
+# the oracle's inverses over H/Q(sqrt5) take seconds: the elimination stands in
+@pytest.mark.parametrize("scenario", NORM_SCENARIOS, ids=NORM_IDS)
+def test_norm_inverses_match_the_elimination_and_the_oracle(scenario):
+    oracle = scenario is not GOLDEN_SCENARIO
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        check_inverse(random_tensor(scenario, random.Random(seed), max_degree=2), oracle)
+
+    check()
+    rng = random.Random(5)
+    x = TensorElement.x(scenario)
+    for a in [x, x + TensorElement.one(scenario)] + [random_tensor(scenario, rng, max_degree=2) for _ in range(3)]:
+        check_inverse(a, oracle)
+
+
+# the oracle takes minutes on a random quartic element, so it checks the
+# generators; the random elements are checked against the elimination
+@pytest.mark.parametrize("name", ["T1L2", "T2L2"])
+def test_quartic_norm_inverses_match_the_elimination(name):
+    scenario = scenario_catalog(name)
+    x = TensorElement.x(scenario)
+    for a in (x, x + TensorElement.one(scenario)):
+        check_inverse(a)
+    rng = random.Random(5)
+    for _ in range(3):
+        check_inverse(random_tensor(scenario, rng, max_degree=2), oracle=False)
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        check_inverse(random_tensor(scenario, random.Random(seed), max_degree=2), oracle=False)
+
+    check()
+
+
+def test_zero_divisors_raise_like_the_elimination():
+    for field, name in ((HAMILTON, "split-H"), (RATIONALS, "split-Q")):
+        split = quadratic(name, field, SkewFraction.one(field))
+        for values in ([1, 1], [1, -1], [SkewFraction.t_power(field, 1), SkewFraction.t_power(field, 1)]):
+            element = TensorElement.make(split, values)
+            with pytest.raises(SingularElement):
+                element.inv()
+            with pytest.raises(SingularElement):
+                sb.elimination_inverse(element)
+        for values in ([2, 1], [SkewFraction.t_power(field, 1), 1], [1, 0, 1]):
+            check_inverse(TensorElement.make(split, values))
+
+
+def test_inverses_read_f_alone(monkeypatch):
+    """Inversion reads no Galois image, so a scenario whose generator image
+    is corrupted still inverts exactly."""
+    base = scenario_catalog("T1L1")
+    field = base.field
+    corrupt = ExtensionScenario(
+        "T1L1 with x -> x + 1",
+        field,
+        base.f,
+        base.group,
+        {g: CentralPolynomial.from_coeffs(field, [1, 1]) for g in base.generator_images},
+        base.precision,
+        newton_seed=base.newton_seed,
+    )
+    with pytest.raises(ScenarioValidationError):
+        corrupt.images
+    assert any(check.status == "fail" for check in run_scenario_checks(corrupt))
+
+    def unread(*args):
+        raise AssertionError("inversion read a Galois image")
+
+    monkeypatch.setattr(ExtensionScenario, "images", property(unread))
+    monkeypatch.setattr(ExtensionScenario, "power_rows", unread)
+    rng = random.Random(17)
+    for scenario in [corrupt] + NORM_SCENARIOS:
+        for _ in range(2):
+            check_inverse(random_tensor(scenario, rng, max_degree=2), oracle=scenario is not GOLDEN_SCENARIO)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS[:3], ids=IDS[:3])
