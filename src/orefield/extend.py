@@ -20,8 +20,8 @@ the rest of the package (towers, command line) consumes:
   read by everything that works modulo f: with q = x they are the reduction
   table x^p mod f, with q = q_g the Galois matrix of g, and for any q the
   table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f).
-  `compose` and `twisted_table` read the rows over one common Z[u]
-  denominator.
+  `compose`, `twisted_table` and its integer view `int_table` read the
+  rows over one common Z[u] denominator.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data: one `PowerRows` per image
@@ -29,8 +29,9 @@ the rest of the package (towers, command line) consumes:
   the lifted root.
 * `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
   central denominator c in Z[u] and twisted polynomials P_i, in a canonical
-  form with structural `==`.  Multiplication reduces through the rows of x
-  and `apply` acts by the rows of q_g, both read through `twisted_table`;
+  form with structural `==`.  Products convolve the P_i as integer rows
+  and reduce by the rows of x, `apply` acts by the rows of q_g, both read
+  through `PowerRows.int_table` with one normalisation per coordinate;
   inversion goes through reduced norms, e^-1 = c E* Pi N^-1, with
   E E* = nu in F = K'(u)[x]/(f) and nu Pi = N in the center, by
   Cayley-Hamilton (`skewpoly.cayley_hamilton`) on the rows of x alone, so it
@@ -59,12 +60,12 @@ as canonical `SkewFraction`s.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import kernel, linalg
 from .errors import (
@@ -127,8 +128,7 @@ from .skewpoly import (
 # * `view(field, a, den)`, the element a/den of the center as a canonical
 #   `SkewFraction`, and `twisted(field, a)`, a as a twisted polynomial;
 # * `central(field, polys)`, (den, nums) with polys[k] = den^-1 nums[k] for
-#   central twisted polynomials, den an integer, and `times(p, a)`, the
-#   twisted polynomial p times a.
+#   central twisted polynomials, den an integer.
 #
 # `orefield.factor` is imported on first use: building the catalog scenarios
 # needs no central arithmetic, so a process that builds them only to compute
@@ -143,7 +143,7 @@ def _numerators(field: GroundField) -> SimpleNamespace:
 @cache
 def _integers() -> SimpleNamespace:
     """Z[u] as ascending integer lists, the numerator ring when K' = Q."""
-    from math import gcd as igcd, lcm
+    from math import gcd as igcd
 
     from .factor import _add, _divexact, _mul, _sub, gcd
 
@@ -211,7 +211,6 @@ def _integers() -> SimpleNamespace:
         view=view,
         twisted=central_polynomial,
         central=central,
-        times=times_central,
     )
 
 
@@ -226,7 +225,7 @@ def _central_fractions(field: GroundField, coeffs: Sequence[SkewFraction]) -> tu
 def _primitive_row(row: list) -> list:
     """`primitive` over the twisted polynomials: the row divided by its
     content over Q[u] and by its rational content."""
-    from math import gcd, lcm
+    from math import gcd
 
     from .skewpoly import central_content, divide_central
 
@@ -261,19 +260,7 @@ _POLYNOMIALS = SimpleNamespace(
     view=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
     twisted=lambda field, a: a,
     central=lambda field, polys: ([1], list(polys)),
-    times=SkewPolynomial.__mul__,
 )
-
-
-def _accumulate(ring: SimpleNamespace, out: list, rows, values) -> list:
-    """out[m] + sum_k rows[k][m] * values[k] for every m, skipping zeros."""
-    for row, v in zip(rows, values):
-        if ring.is_zero(v):
-            continue
-        for m, entry in enumerate(row):
-            if not ring.is_zero(entry):
-                out[m] = ring.add(out[m], ring.mul(entry, v))
-    return out
 
 
 def _lcm(dens: Iterable[Sequence[int]]) -> list[int]:
@@ -536,7 +523,7 @@ class PowerRows:
     With q = x the rows are the reduction table x^p mod f.
     """
 
-    __slots__ = ("f", "q", "_powers", "_shared", "_twisted")
+    __slots__ = ("f", "q", "_powers", "_shared", "_twisted", "_ints")
 
     def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
         f._same(q)
@@ -546,6 +533,7 @@ class PowerRows:
         self._powers: list[CentralPolynomial] = []
         self._shared: tuple[list[int], list[list]] | None = None
         self._twisted: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
+        self._ints: tuple[list[int], int, list[list]] | None = None
 
     def powers(self, count: int) -> list[CentralPolynomial]:
         """q^k modulo f for k < count."""
@@ -584,6 +572,18 @@ class PowerRows:
             self._twisted = (den, [tuple(twisted(field, a) for a in row) for row in table])
         return self._twisted
 
+    def int_table(self, count: int) -> tuple[list[int], int, list[list]]:
+        """(C, E, Z) with  q^k = (E C(t^n))^-1 * sum_m Z[k][m] x^m  modulo f
+        for at least k < count: the `twisted_table` over one integer
+        denominator E, each entry in the form `kernel.central_sum` takes
+        (cached, and grown with the table)."""
+        den, table = self.twisted_table(count)
+        if self._ints is None or len(self._ints[2]) < len(table):
+            d = self.f.degree
+            e, flat = kernel.central_view(self.f.field, [p.int_rows() for row in table for p in row])
+            self._ints = (den, e, [flat[k : k + d] for k in range(0, len(flat), d)])
+        return self._ints
+
     def compose(self, p: CentralPolynomial) -> CentralPolynomial:
         """p(q) modulo f, as sum_k p_k (q^k mod f), over the product of p's
         denominator and the rows' common one."""
@@ -594,7 +594,12 @@ class PowerRows:
         ring = _numerators(field)
         pden, nums = p.parts()
         den, table = self._common(len(nums))
-        out = _accumulate(ring, [ring.zero(field)] * self.f.degree, table, nums)
+        out = [ring.zero(field)] * self.f.degree
+        for row, v in zip(table, nums):
+            if not ring.is_zero(v):
+                for m, entry in enumerate(row):
+                    if not ring.is_zero(entry):
+                        out[m] = ring.add(out[m], ring.mul(entry, v))
         return CentralPolynomial._of(field, _mul(pden, den), out)
 
 
@@ -659,8 +664,7 @@ class FiniteGroup:
                 raise ScenarioValidationError(f"no inverse for {g!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One validation verdict, shaped for both text and JSON reporting."""
 
     name: str
@@ -902,8 +906,8 @@ class TensorElement:
     factor of c divides every Z[u]-coordinate of every P_i.  The c with
     c * element polynomial form an ideal of Q[u], and this c generates it,
     so the form is unique and `==` compares the parts.  x and c are central:
-    sums, products, the Galois action and inversion run on polynomial
-    products and the scenario's tables over one central denominator, with
+    products, the Galois action and inversion run on integer rows (see
+    `orefield.kernel`) and the scenario's tables over one denominator, with
     one gcd normalisation over Z[u] per result and no Ore reduction;
     inversion multiplies by conjugates until the norm is central (`inv`).
     `coords`, the coordinates over the skew field as canonical
@@ -936,18 +940,20 @@ class TensorElement:
         return cls._raw(scenario, *reduce_central(den, polys))
 
     @classmethod
-    def _modulo_f(cls, scenario: ExtensionScenario, den: Sequence[int], conv: list) -> "TensorElement":
-        """den(t^n)^-1 * sum_p conv[p] x^p, reduced modulo f."""
+    def _from_conv(cls, scenario: ExtensionScenario, den: Sequence[int], conv: list, over: int, rows: PowerRows | None = None) -> "TensorElement":
+        """den(t^n)^-1 * sum_k (conv[k]/over) q^k modulo f for integer rows
+        conv[k], q = x (reducing a conv longer than d) unless `rows` are q's:
+        one `kernel.central_sum` per coordinate and one normalisation."""
         from .factor import _mul
 
-        d = scenario.degree
-        while len(conv) > d and conv[-1].is_zero():
-            conv.pop()
-        if len(conv) <= d:
-            return cls._reduced(scenario, den, conv + [SkewPolynomial.zero(scenario.field)] * (d - len(conv)))
-        c, table = scenario.reduction.twisted_table(max(len(conv), 2 * d - 1))
-        out = conv[:d] if c == [1] else [times_central(v, c) for v in conv[:d]]
-        return cls._reduced(scenario, _mul(den, c), _accumulate(_POLYNOMIALS, out, table[d:], conv[d:]))
+        field, d = scenario.field, scenario.degree
+        if rows is None and len(kernel.strip(conv, [])) <= d:
+            sums = [(r, 1) for r in conv] + [([], 1)] * (d - len(conv))
+        else:
+            c, e, table = (rows or scenario.reduction).int_table(len(conv))
+            den, over = _mul(den, c), over * e
+            sums = [kernel.central_sum(field, [(v, row[m]) for v, row in zip(conv, table)]) for m in range(d)]
+        return cls._reduced(scenario, den, [SkewPolynomial._from_rows(field, r, over * k) for r, k in sums])
 
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
@@ -959,7 +965,8 @@ class TensorElement:
     def from_quotients(cls, scenario: ExtensionScenario, quotients: Sequence[tuple[SkewPolynomial, SkewPolynomial]]) -> "TensorElement":
         """sum_k den_k^-1 num_k x^k for a (possibly long) list of (num_k,
         den_k) pairs, den_k nonzero, reduced modulo f: no Ore reduction."""
-        return cls._modulo_f(scenario, *_over_common_denominator(quotients))
+        den, polys = _over_common_denominator(quotients)
+        return cls._from_conv(scenario, den, *kernel.over_common([p.int_rows() for p in polys]))
 
     @classmethod
     def zero(cls, scenario: ExtensionScenario) -> "TensorElement":
@@ -1025,15 +1032,10 @@ class TensorElement:
         from .factor import _mul
 
         self._same(other)
-        d = self.scenario.degree
-        conv = [SkewPolynomial.zero(self.scenario.field)] * (2 * d - 1)
-        for i, a in enumerate(self.polys):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.polys):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        return TensorElement._modulo_f(self.scenario, _mul(self.den, other.den), conv)
+        field = self.scenario.field
+        (a, da), (b, db) = (kernel.over_common([p.int_rows() for p in e.polys]) for e in (self, other))
+        over = da * db * field.mul_den * field.sig_den
+        return TensorElement._from_conv(self.scenario, _mul(self.den, other.den), kernel.convolve_rows(field, a, b), over)
 
     def inv(self) -> "TensorElement":
         """Two-sided inverse through reduced norms (I. Reiner, *Maximal
@@ -1075,19 +1077,13 @@ class TensorElement:
             q, norm = norm_conjugate(norm)
             top = times_central(q, top)
         pi_den, pi = pi.parts()
-        pi = [ring.mul(a, top) for a in pi]
-        den = _mul(pi_den, norm)
+        den, pi = _mul(pi_den, norm), [ring.twisted(field, ring.mul(a, top)) for a in pi]
         if star is None:
-            conv = [ring.twisted(field, a) for a in pi]
-        else:
-            den = _mul(list(star.den), den)
-            conv = [SkewPolynomial.zero(field)] * (2 * d - 1)
-            for i, p in enumerate(star.polys):
-                if not p.is_zero():
-                    for j, a in enumerate(pi):
-                        if not ring.is_zero(a):
-                            conv[i + j] = conv[i + j] + ring.times(p, a)
-        return TensorElement._modulo_f(scenario, den, conv)
+            return TensorElement._reduced(scenario, den, pi + [SkewPolynomial.zero(field)] * (d - len(pi)))
+        e, pi = kernel.central_view(field, [p.int_rows() for p in pi])
+        s, over = kernel.over_common([p.int_rows() for p in star.polys])
+        conv, k = kernel.central_convolve(field, s, pi)
+        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, over * e * k)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n == 0:
@@ -1097,11 +1093,8 @@ class TensorElement:
 
     def apply(self, g: str) -> "TensorElement":
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""
-        from .factor import _mul
-
-        c, table = self.scenario.power_rows(g).twisted_table(self.scenario.degree)
-        out = [SkewPolynomial.zero(self.scenario.field)] * self.scenario.degree
-        return TensorElement._reduced(self.scenario, _mul(self.den, c), _accumulate(_POLYNOMIALS, out, table, self.polys))
+        conv, over = kernel.over_common([p.int_rows() for p in self.polys])
+        return TensorElement._from_conv(self.scenario, self.den, conv, over, self.scenario.power_rows(g))
 
     def __str__(self) -> str:
         parts = []
@@ -1268,9 +1261,10 @@ def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
 
 
 def _value_at_root(element: TensorElement) -> TwistedSeries:
-    """c(t^n)^-1 * sum_i P_i rho^i: sparse polynomial-times-series products
-    and one division by the central denominator, which `solve_left` reads as
-    central and runs on Q((u)) with no conjugate.
+    """c(t^n)^-1 * sum_i P_i rho^i: one sum of central products on integer
+    rows when rho is central, sparse polynomial-times-series products
+    otherwise, and one division by the central denominator, which
+    `solve_left` reads as central and runs on Q((u)) with no conjugate.
 
     The result is cut to the precision the coordinate-wise sum
     sum_i embed(v_i, N) * rho^i  reaches, N = rho.prec:  the least of N and,
@@ -1284,23 +1278,27 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     v = field.sigma_order * next(k for k, a in enumerate(element.den) if a)
     zero = field.zero_row
     reach = top
-    acc = None
+    terms = []
     for p, power in zip(element.polys, scenario.root_powers):
         if p.is_zero():
             continue
         low = next(m for m, r in enumerate(p.int_rows()[0]) if r != zero)
         reach = min(reach, top + power.val, power.prec + min(low - v, top))
         # P_i rho^i is known to prec rho^i + low, as the product rule says
-        work = power.prec + low - power.val
-        if isinstance(power, CentralSeries):
-            # rho^i = t^val * (sum_k a_k u^k)/den commutes with P_i
-            ints, den = power.int_coeffs()
-            term = TwistedSeries.from_polynomial(times_central(p, ints, den), work).shift(power.val)
-        else:
-            term = TwistedSeries.from_polynomial(p, work) * power
-        acc = term if acc is None else acc + term
-    if acc is None:
+        terms.append((p, power, power.prec + low))
+    if not terms:
         return TwistedSeries.zero(field, top)
+    val, prec = min(power.val for _, power, _ in terms), min(known for _, _, known in terms)
+    if isinstance(terms[0][1], CentralSeries):
+        # rho^i = t^val_i * (sum_k a_k u^k)/den_i commutes with P_i: the sum
+        # is one `kernel.central_rows` over a common denominator
+        parts = [(p.int_rows(), power.int_coeffs(), power.val - val) for p, power, _ in terms]
+        common = lcm(*(dp * dc for (_, dp), (_, dc), _ in parts))
+        sums = [([zero] * shift + r, [a * (common // (dp * dc)) for a in c]) for (r, dp), (c, dc), shift in parts]
+        acc = TwistedSeries._from_rows(field, val, kernel.central_rows(field, sums, max(prec - val, 0)), common, prec)
+    else:
+        products = [TwistedSeries.from_polynomial(p, known - power.val) * power for p, power, known in terms]
+        acc = sum(products[1:], products[0])
     if element.den != (1,):
         c = central_polynomial(field, element.den)
         work = max(acc.prec, acc.prec + v - acc.val, v + 1)

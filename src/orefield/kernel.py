@@ -13,7 +13,11 @@ run on the field's paired bilinear form instead (`kleft`, `kright`,
 `ksums`, `kcombine`): R products per pair of rows, R = `mul_rank` (1 on Q,
 3 on Q(i), 10 on H_Q), against dim^2 in `kmac`.  The polynomial kernels
 keep `kmac`: on their short, small operands the extra additions of the
-pairing cost more than the products it saves.
+pairing cost more than the products it saves.  Products of polynomials
+in a central x (the tensor elements of `orefield.extend`) add every pair
+into one accumulator per power of x (`mul_into`), and a product by a
+central c(t^n), c in Z[u], takes integer multiples of rows or of whole
+coordinates and no ground product (`central_rows`).
 
 The kernel scales: with dT = `field.mul_den` and s = `field.sig_den`,
 
@@ -36,7 +40,9 @@ instead of making each remainder monic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .ground import GroundElement, GroundField
@@ -62,19 +68,27 @@ def elements_of(field: GroundField, rows: Rows, den: int) -> list[GroundElement]
 
 def content(*polys: Rows) -> int:
     """gcd of every entry (0 for all-zero input)."""
-    return gcd(*(x for p in polys for r in p for x in r))
+    return gcd(*chain.from_iterable(chain.from_iterable(polys)))
 
 
 def divide(rows: Rows, g: int) -> Rows:
-    return [tuple(x // g for x in r) for r in rows]
+    return [tuple([x // g for x in r]) for r in rows]
 
 
 def scale(rows: Rows, c: int) -> Rows:
     return rows if c == 1 else [tuple([c * x for x in r]) for r in rows]
 
 
+def over_common(parts: Sequence[tuple[Rows, int]]) -> tuple[list[Rows], int]:
+    """Several (rows, den) over their common denominator: (numerators, den)."""
+    den = lcm(*(d for _, d in parts))
+    return [scale(rows, den // d) for rows, d in parts], den
+
+
 def reduce(rows: Rows, den: int) -> tuple[Rows, int]:
     """Cancel the common content of the numerators and den; den > 0."""
+    if den == 1:
+        return rows, den
     g = gcd(den, content(rows))
     if den < 0:
         g = -g
@@ -130,15 +144,109 @@ def mul_rows(field: GroundField, f: Rows, g: Rows) -> Rows:
     """s*dT * (f*g):  out_m = sum_{i+j=m} f_i sigma^i(g_j)."""
     if not f or not g:
         return []
+    return mul_into(field, [field.zero_row] * (len(f) + len(g) - 1), f, g)
+
+
+def mul_into(field: GroundField, out: Rows, f: Rows, g: Rows) -> Rows:
+    """out + s*dT * (f*g), in place: `mul_rows` added into `out`, which has
+    at least len(f) + len(g) - 1 rows."""
     n = field.sigma_order
     kmac, zero = field.kmac, field.zero_row
     twisted = [list(map(sig, g)) for sig in field.ksig[: min(n, len(f))]]
-    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == zero:
+        if a != zero:
+            for j, b in enumerate(twisted[i % n], i):
+                out[j] = kmac(out[j], a, b)
+    return out
+
+
+def central_rows(field: GroundField, terms, size: int | None = None) -> Rows:
+    """sum f*c(t^n) over the pairs (f, c) of `terms`, c in Z[u], cut to
+    `size` rows (default: all of them).  u = t^n is central with rational
+    coefficients, so a c with at least dim nonzero coefficients, such as a
+    power of a root series, runs coordinate-major: one strided run of
+    integer products per nonzero entry of f.  A sparser one, such as most
+    entries of a reduction table, runs row by row: one tuple per nonzero
+    coefficient of c and nonzero row of f."""
+    n, zero = field.sigma_order, field.zero_row
+    terms = [(f, c) for f, c in terms if f and c]
+    if size is None:
+        size = max((len(f) + n * (len(c) - 1) for f, c in terms), default=0)
+    out = [zero] * size
+    cols = None
+    for f, c in terms:
+        nonzero = [(n * k, a) for k, a in enumerate(c) if a]
+        if len(nonzero) >= len(zero):
+            cols = cols or [[0] * size for _ in zero]
+            span = n * len(c)
+            for col, coord in zip(cols, zip(*f)):
+                for m, y in enumerate(coord):
+                    if y:
+                        # cut at the column's length, as map stops there
+                        col[m : m + span : n] = map(add, col[m : m + span : n], map(y.__mul__, c))
             continue
-        for j, b in enumerate(twisted[i % n]):
-            out[i + j] = kmac(out[i + j], a, b)
+        for shift, a in nonzero:
+            for m, r in enumerate(f[: max(size - shift, 0)], shift):
+                if r != zero:
+                    out[m] = tuple(map(add, out[m], r if a == 1 else map(a.__mul__, r)))
+    if cols:
+        out = [tuple(map(add, r, s)) for r, s in zip(out, zip(*cols))]
+    return out
+
+
+def central_sum(field: GroundField, terms) -> tuple[Rows, int]:
+    """(rows, k) with rows = k * sum f*z over the pairs (f, z) of `terms`,
+    z central in the form `central_view` gives: in Z[u] when the invariant
+    subfield K' is Q, multiplied by `central_rows` with k = 1; otherwise the
+    integer rows of a central twisted polynomial, multiplied by `mul_into`
+    with k = s*dT."""
+    if field.invariant_degree == 1:
+        return central_rows(field, terms), 1
+    terms = [(f, z) for f, z in terms if f and z]
+    out = [field.zero_row] * max((len(f) + len(z) - 1 for f, z in terms), default=0)
+    for f, z in terms:
+        mul_into(field, out, f, z)
+    return out, field.sig_den * field.mul_den
+
+
+def central_convolve(field: GroundField, a: list[Rows], zs: list) -> tuple[list[Rows], int]:
+    """(conv, k) with conv[p] = k * sum_(i+j=p) a_i*z_j for integer rows a_i
+    and central z_j, not all zero: the x-convolution of `convolve_rows` with
+    a central right factor, one `central_sum` per power of x."""
+    a, zs = strip(a, []), strip(zs, [])
+    sums = [
+        central_sum(field, [(f, zs[p - i]) for i, f in enumerate(a) if 0 <= p - i < len(zs)])
+        for p in range(len(a) + len(zs) - 1)
+    ]
+    return [rows for rows, _ in sums], sums[0][1]
+
+
+def central_view(field: GroundField, parts: Sequence[tuple[Rows, int]]) -> tuple[int, list]:
+    """(E, Z) for central twisted polynomials given as (rows, den): their
+    numerators over the common integer denominator E, each in the form
+    `central_sum` takes: the element of Z[u] when K' is Q (the rational
+    rows at the multiples of n), the rows otherwise."""
+    nums, den = over_common(parts)
+    if field.invariant_degree == 1:
+        n = field.sigma_order
+        nums = [[r[0] for r in rows[::n]] for rows in nums]
+    return den, nums
+
+
+def convolve_rows(field: GroundField, a: list[Rows], b: list[Rows]) -> list[Rows]:
+    """s*dT * sum_(i+j=p) a_i*b_j for every p: the product of two polynomials
+    in a central x whose coefficients are the integer rows a_i, b_j, as one
+    accumulator of `mul_into` per power of x up to the product's degree."""
+    a, b = strip(a, []), strip(b, [])
+    if not a or not b:
+        return []
+    size = max(map(len, a)) + max(map(len, b)) - 1
+    out = [[field.zero_row] * size for _ in range(len(a) + len(b) - 1)]
+    for i, f in enumerate(a):
+        if f:
+            for j, g in enumerate(b):
+                if g:
+                    mul_into(field, out[i + j], f, g)
     return out
 
 

@@ -421,21 +421,13 @@ def central_fraction_ints(c) -> tuple[list[int], list[int]] | None:
 
 
 def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:
-    """p * c(t^n) / over, for c in Z[u]: a convolution of rows with stride n."""
+    """p * c(t^n) / over, for c in Z[u]: a convolution of rows with stride n
+    (`kernel.central_rows`)."""
     field = p.field
     rows, den = p.int_rows()
     if len(c) == 1:
         return SkewPolynomial._from_rows(field, kernel.scale(rows, c[0]), den * over)
-    n, zero = field.sigma_order, field.zero_row
-    out = [zero] * (len(rows) + (len(c) - 1) * n) if rows and c else []
-    for k, a in enumerate(c):
-        if not a:
-            continue
-        for m, row in enumerate(rows):
-            if row != zero:
-                o = out[m + k * n]
-                out[m + k * n] = tuple([x + a * y for x, y in zip(o, row)])
-    return SkewPolynomial._from_rows(field, out, den * over)
+    return SkewPolynomial._from_rows(field, kernel.central_rows(field, [(rows, c)]), den * over)
 
 
 def divide_central(p: SkewPolynomial, g: Sequence[int]) -> SkewPolynomial:

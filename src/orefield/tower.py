@@ -10,8 +10,7 @@ group element.  Everything is checked exhaustively — the groups are small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EmbeddingMissing, OrefieldError, ScenarioValidationError
 from .extend import (
@@ -84,8 +83,7 @@ class GroupSystem:
                         )
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     """One level of the degree bookkeeping table."""
 
     level: int

@@ -28,6 +28,9 @@ spaces moved to fraction-free rows over the center's numerator ring.
 `elimination_inverse` is the fraction-free d x d elimination over the
 twisted polynomials that `TensorElement.inv` ran before it inverted through
 reduced norms; unlike the rest, it calls the package's own elimination.
+The integer-row loops are the `kernel.mul_rows` and `skewpoly.times_central`
+that products ran before they accumulated into given rows and columns; they
+read the field's compiled integer kernel.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -513,6 +516,46 @@ def common_left_multiple(a, b):
     u, v = u_cur, -v_cur
     c = inv_coords(field, _coords(u)[-1])
     return _scale_left(u, c), _scale_left(v, c)
+
+
+# -- integer-row loops ------------------------------------------------------------
+#
+# The loops on integer rows (see `orefield.kernel`) that products ran before
+# the tensor arithmetic moved onto integer accumulators: `mul_rows` built
+# its own output, and `times_central` added one tuple per nonzero
+# coefficient of c and nonzero row.  Unlike the rest of this module they
+# read the field's compiled kernel (`kmac`, `ksig`), the oracle for the
+# accumulating and coordinate-major routines that replaced them.
+
+
+def mul_rows(field, f, g):
+    """s*dT * (f*g) on integer rows."""
+    if not f or not g:
+        return []
+    n = field.sigma_order
+    kmac, zero = field.kmac, field.zero_row
+    twisted = [list(map(sig, g)) for sig in field.ksig[: min(n, len(f))]]
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == zero:
+            continue
+        for j, b in enumerate(twisted[i % n]):
+            out[i + j] = kmac(out[i + j], a, b)
+    return out
+
+
+def times_central_rows(field, rows, c):
+    """The rows of p * c(t^n) for the rows of p and c in Z[u]."""
+    n, zero = field.sigma_order, field.zero_row
+    out = [zero] * (len(rows) + (len(c) - 1) * n) if rows and c else []
+    for k, a in enumerate(c):
+        if not a:
+            continue
+        for m, row in enumerate(rows):
+            if row != zero:
+                o = out[m + k * n]
+                out[m + k * n] = tuple([x + a * y for x, y in zip(o, row)])
+    return out
 
 
 # -- norm conjugates by elimination --------------------------------------------

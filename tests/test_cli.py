@@ -297,6 +297,13 @@ def test_catalog_verify_imports_neither_yaml_nor_the_expression_language():
     assert loaded_after(commands, ("yaml", "orefield.scenario_io", "orefield.exprs")) == "[]"
 
 
+def test_verify_loads_neither_dataclasses_nor_inspect():
+    """The check rows are named tuples: `dataclasses` would load `inspect`,
+    `ast`, `dis` and `tokenize` into every run."""
+    commands = [["verify", "--scenario", "T1", "--seed", "7"]]
+    assert loaded_after(commands, ("dataclasses", "inspect")) == "[]"
+
+
 def test_eval_and_center_never_import_the_samplers():
     """Only verify's seeded probes draw random elements."""
     commands = [["eval", "t*i + i*t"], ["center", "--field", "gauss"]]

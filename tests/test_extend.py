@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -30,10 +31,10 @@ from orefield.extend import (
 from orefield.laurent import TwistedSeries, is_invariant_series
 from orefield.sampling import random_tensor
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial
+from orefield.skewpoly import SkewPolynomial, central_polynomial
 
 import schoolbook
-from conftest import GAUSS, HAMILTON, checked_decomposition
+from conftest import GAUSS, HAMILTON, RATIONALS, checked_decomposition
 
 F = Fraction
 
@@ -467,6 +468,27 @@ def test_power_rows_compose_as_horner_and_division_on_every_catalog_level(name):
         rows = scenario.power_rows(g)
         assert rows.q == scenario.images[g]
         check_power_rows(scenario, scenario.images[g], rows)
+
+
+def test_integer_views_of_the_reduction_rows_belong_to_their_scenario():
+    """The same f = x^2 - (1 + t^2) over Q, Q(i) and H_Q: each scenario's
+    `PowerRows` keeps its own integer view of the rows x^p mod f, written in
+    its own field's u = t^n, and a longer request grows it."""
+    views = []
+    for field in (RATIONALS, GAUSS, HAMILTON):
+        c = rational_poly(field, 1, 0, 1)
+        scenario = quadratic_scenario(f"x^2 - 1 - t^2 over {field.name}", field, c)
+        x = TensorElement.x(scenario)
+        assert x * x == TensorElement.make(scenario, [c])
+        rows = scenario.reduction
+        den, e, table = rows.int_table(3)
+        assert rows.twisted_table(3) == (den, [tuple(central_polynomial(field, z, e) for z in row) for row in table])
+        longer = rows.int_table(6)
+        assert len(longer[2]) >= 6 and longer[2][:3] == table and rows.int_table(3) is longer
+        views.append(longer)
+    # Q and H_Q read u = t, Q(i) reads u = t^2
+    assert views[0][2] == views[2][2] != views[1][2]
+    assert all(a is not b and a[2] is not b[2] for a, b in combinations(views, 2))
 
 
 def corrupted(name, images):

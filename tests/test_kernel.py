@@ -204,6 +204,73 @@ def test_polynomial_kernels_match_reference_fixed_seed(field):
     _check_polys(SkewPolynomial.zero(field), SkewPolynomial.t_power(field, 4))
 
 
+# the row routines over every catalog field, the invariant subfield Q(sqrt2)
+# (sigma = id), a cubic twist and quaternions over Q(sqrt5): dimensions 1 to
+# 8, twists of order 1 to 3, and both forms of `kernel.central_sum`
+ROW_FIELDS = ALL_FIELDS + [STATIC_ROOT2, CUBIC, H_GOLDEN]
+ROW_IDS = [f.name for f in ROW_FIELDS]
+
+
+def _padded_sum(field, *parts):
+    out = []
+    for rows in parts:
+        out = kernel.lincomb(out, 1, rows, 1, field.zero_row)
+    return out
+
+
+def _check_row_products(field, f, g, h, c, b):
+    """`mul_into` accumulates what separate `mul_rows` calls make, and
+    `central_rows` is the old `times_central` loop, alone, summed and cut."""
+    zero = field.zero_row
+    expected = _padded_sum(field, sb.mul_rows(field, f, g), sb.mul_rows(field, h, f))
+    out = [zero] * len(expected)
+    kernel.mul_into(field, out, f, g)
+    kernel.mul_into(field, out, h, f)
+    assert out == expected
+    assert kernel.mul_rows(field, f, g) == sb.mul_rows(field, f, g)
+    alone = sb.times_central_rows(field, f, c)
+    assert kernel.central_rows(field, [(f, c)]) == alone
+    both = _padded_sum(field, alone, sb.times_central_rows(field, g, b))
+    assert kernel.central_rows(field, [(f, c), (g, b)]) == both
+    assert kernel.central_rows(field, [(f, c), (g, b)], len(both) // 2) == both[: len(both) // 2]
+    # c(t^n) as a central twisted polynomial, in the form central_sum reads
+    p, q = SkewPolynomial._from_rows(field, f, 1), central_polynomial(field, c)
+    e, (z,) = kernel.central_view(field, [q.int_rows()])
+    rows, k = kernel.central_sum(field, [(f, z)])
+    assert SkewPolynomial._from_rows(field, rows, k * e) == times_central(p, c) == p * q
+
+
+def int_rows(field, max_len=5):
+    """Integer rows, a third of them zero."""
+    row = st.tuples(*[st.integers(-9, 9)] * field.dim)
+    return st.lists(st.one_of(row, row, st.just(field.zero_row)), max_size=max_len)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_accumulating_and_central_row_products_match_the_loops(field, data):
+    f, g, h = (data.draw(int_rows(field)) for _ in range(3))
+    c, b = (data.draw(st.lists(st.integers(-3, 3), max_size=10)) for _ in range(2))
+    _check_row_products(field, f, g, h, c, b)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=ROW_IDS)
+def test_accumulating_and_central_row_products_match_the_loops_fixed_seed(field):
+    rng = random.Random(19)
+    zero = field.zero_row
+
+    def rows(size):
+        return [zero if rng.random() < 0.3 else tuple(rng.randint(-99, 99) for _ in zero) for _ in range(size)]
+
+    for size in range(6):
+        f, g, h = rows(size + 1), rows(size), rows(3)
+        dense = [rng.randint(1, 9) for _ in range(field.dim + size)]
+        # a one-term c, a dense one and one with zero coefficients
+        for c, b in (([rng.randint(-5, 5)], dense), (dense, [0, 0, 3]), ([1], [])):
+            _check_row_products(field, f, g, h, c, b)
+
+
 def test_mixed_fields_rejected_by_every_kernel():
     f = SkewPolynomial.t_power(GAUSS, 2)
     g = SkewPolynomial.t_power(ROOT2, 1)
