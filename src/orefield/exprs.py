@@ -34,6 +34,9 @@ from .skewfrac import EXPONENT_CAP, FACTOR_DEGREE_CAP, PRECISION_CAP, SkewFracti
 
 _SYMBOLS = "+-*/^()[],"
 
+# the most digits of an integer literal: CPython's default str -> int limit
+LITERAL_DIGITS_CAP = 4300
+
 
 @dataclass(frozen=True)
 class Token:
@@ -58,6 +61,8 @@ def tokenize(text: str) -> list[Token]:
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
+            if pos - start > LITERAL_DIGITS_CAP:
+                raise CapExceeded(f"integer literal of {pos - start} digits exceeds cap {LITERAL_DIGITS_CAP}")
             tokens.append(Token("num", text[start:pos], start + 1))
             continue
         if ch.isalpha() or ch == "_":

@@ -11,9 +11,9 @@ the rest of the package (towers, command line) consumes:
 
 * `CentralPolynomial` -- polynomials in the central variable x whose
   coefficients are central fractions, in one form on every field:
-  den(u)^-1 * sum_m N_m x^m, u = t^n, with den in Z[u] and the N_m in the
-  numerator ring of the center (Z[u] when the invariant subfield K' is Q,
-  as at every catalog level, central twisted polynomials otherwise).
+  den(u)^-1 * sum_m N_m x^m, u = t^n, with den in Z[u] and the N_m in
+  K'[u], K' the invariant subfield, the ring `kernel.center` (Z[u] when K'
+  is Q, as at every catalog level).
   Ordinary commutative arithmetic on the numerators, no gcd per
   coefficient; `coeffs` shows canonical `SkewFraction`s.
 * `PowerRows` -- the rows q^k modulo f of one polynomial q, built once and
@@ -51,8 +51,8 @@ the rest of the package (towers, command line) consumes:
 
 Inputs come in through one lift, `SkewFraction.coerce`.  The fixed space
 is the kernel of the Galois matrices minus 1 over the center, which
-`linalg.ring_nullspace` computes by fraction-free elimination, over the
-numerator ring: the rows N - C of each matrix over its
+`linalg.ring_nullspace` computes by fraction-free elimination, over
+K'[u]: the rows N - C of each matrix over its
 common Z[u] denominator C, so no fraction is formed until the basis is shown
 as canonical `SkewFraction`s.
 """
@@ -60,11 +60,9 @@ as canonical `SkewFraction`s.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import kernel, linalg
@@ -80,6 +78,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .ground import GroundElement, GroundField
+from .kernel import center
 from .laurent import (
     CentralSeries,
     TwistedSeries,
@@ -96,7 +95,6 @@ from .skewpoly import (
     _trace,
     cayley_hamilton,
     central_fraction_ints,
-    central_ints,
     central_polynomial,
     norm_conjugate,
     reduce_central,
@@ -106,161 +104,51 @@ from .skewpoly import (
 
 # -- central polynomials -----------------------------------------------------------
 #
-# A central polynomial is den(u)^-1 * sum_m N_m x^m, u = t^n: one denominator
-# den in Z[u] and numerators N_m in the numerator ring of the center K'(u).
-# That ring is Z[u] itself, as integer lists, when the invariant subfield K' is
-# Q (every catalog level), and the central `SkewPolynomial`s otherwise, since
-# `norm_conjugate` brings any K'(u) denominator down to Z[u].  `_numerators`
-# chooses the ring's few operations once per field, so the polynomials, their
-# power rows and the fixed space run one code on either.  `linalg.eliminate`
-# takes the ring as a parameter: a fixed space eliminates over the numerator
-# ring; the tests' reference tensor inverse eliminates over `_POLYNOMIALS`,
-# all twisted polynomials.
-#
-# * `zero(field)`, `one(field)`, `is_zero`, `degree`, `add`, `sub`, `mul`,
-#   and `scale(a, c)`, the product with c in Z[u];
-# * `unit_multiple(a)`, (q, c) with q*a = c in Z[u] and lc(c) > 0;
-# * `primitive(row)`, the row divided by its content;
-# * `reduce(den, nums)`, the same value with no common factor of den and the
-#   nums left and lc(den) > 0 (lowest terms);
-# * `convert(field, coeffs)`, (den, nums) for central `SkewFraction`s,
-#   refusing one off the center;
-# * `view(field, a, den)`, the element a/den of the center as a canonical
-#   `SkewFraction`, and `twisted(field, a)`, a as a twisted polynomial;
-# * `central(field, polys)`, (den, nums) with polys[k] = den^-1 nums[k] for
-#   central twisted polynomials, den an integer.
-#
+# A central polynomial is den(u)^-1 * sum_m N_m x^m, u = t^n: den in Z[u] and
+# the N_m in K'[u], K' the invariant subfield, in the ring `kernel.center`
+# that the polynomials, their power rows and the fixed space run on.  Beside
+# it, `_convert` reads central `SkewFraction`s in lowest terms (every
+# denominator comes down to Z[u] through its norm), `_view` shows a/den as a
+# canonical `SkewFraction` and `_twisted` a as a twisted polynomial.
 # `orefield.factor` is imported on first use: building the catalog scenarios
-# needs no central arithmetic, so a process that builds them only to compute
-# with their fields does not load it.
+# needs no central arithmetic.
 
 
-def _numerators(field: GroundField) -> SimpleNamespace:
-    """The numerator ring of the center of `field`'s fraction field."""
-    return _integers() if field.invariant_degree == 1 else _POLYNOMIALS
+def _convert(field: GroundField, coeffs: Sequence[SkewFraction]) -> tuple[list[int], list]:
+    from .factor import _divexact
 
-
-@cache
-def _integers() -> SimpleNamespace:
-    """Z[u] as ascending integer lists, the numerator ring when K' = Q."""
-    from math import gcd as igcd
-
-    from .factor import _add, _divexact, _mul, _sub, gcd
-
-    def primitive(row):
-        # the gcd over Q[u] first, then the integer content
-        g = []
-        for a in row:
-            if len(g) == 1:
-                break
-            g = gcd(g, a)
-        if len(g) > 1:
-            row = [_divexact(a, g) for a in row]
-        c = igcd(*(x for a in row for x in a))
-        if c > 1:
-            row = [[x // c for x in a] for a in row]
-        return row
-
-    def reduce(den, nums):
-        den, *nums = primitive([den, *nums])
-        if den[-1] < 0:
-            den, nums = [-a for a in den], [[-a for a in num] for num in nums]
-        return den, nums
-
-    def convert(field, coeffs):
-        pairs = []
-        for c in coeffs:
-            parts = central_fraction_ints(c)
-            if parts is None:
-                raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
-            pairs.append(parts)
-        den = _lcm(d for _, d in pairs)
-        return reduce(den, [_mul(num, _divexact(den, d)) for num, d in pairs])
-
-    def view(field, a, den):
-        # in lowest terms, den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D);
-        # a Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring
-        # too, so this is the canonical reduced form
-        if not a:
-            den = [1]
-        elif len(a) > 1 and len(den) > 1:
-            g = gcd(a, den)
-            if len(g) > 1:
-                a, den = _divexact(a, g), _divexact(den, g)
-        lead = den[-1]
-        return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, a, lead))
-
-    def central(field, polys):
-        parts = [p.int_rows() for p in polys]
-        common = lcm(*(over for _, over in parts))
-        return [common], [[a * (common // over) for a in central_ints(field, rows)] for rows, over in parts]
-
-    return SimpleNamespace(
-        zero=lambda field: [],
-        one=lambda field: [1],
-        is_zero=lambda a: not a,
-        degree=len,
-        add=_add,
-        sub=_sub,
-        mul=_mul,
-        scale=_mul,
-        unit_multiple=lambda a: ([1], a) if a[-1] > 0 else ([-1], [-x for x in a]),
-        primitive=primitive,
-        reduce=reduce,
-        convert=convert,
-        view=view,
-        twisted=central_polynomial,
-        central=central,
-    )
-
-
-def _central_fractions(field: GroundField, coeffs: Sequence[SkewFraction]) -> tuple[list[int], list[SkewPolynomial]]:
-    """`convert` over the twisted polynomials: the norm conjugates' form."""
+    pairs = []
     for c in coeffs:
-        if not c.is_invariant_central():
+        parts = central_fraction_ints(c)
+        if parts is None:
             raise ScenarioValidationError(f"coefficient {c} of a central polynomial is not central")
-    return _over_common_denominator((c.num, c.den) for c in coeffs)
+        pairs.append(parts)
+    den = _lcm(d for _, d in pairs)
+    ring = center(field)
+    return ring.reduce(den, [ring.scale(num, _divexact(den, d)) for num, d in pairs])
 
 
-def _primitive_row(row: list) -> list:
-    """`primitive` over the twisted polynomials: the row divided by its
-    content over Q[u] and by its rational content."""
-    from math import gcd
+def _view(field: GroundField, a: list, den: list[int]) -> SkewFraction:
+    from .factor import _divexact, gcd
 
-    from .skewpoly import central_content, divide_central
+    if (r := center(field).rational(a)) is None:
+        # off Q[u] the lowest terms are a gcd over K'[u]: the Ore reduction's
+        return SkewFraction.make(_twisted(field, a), central_polynomial(field, den))
+    # in lowest terms, den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D); a
+    # Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring too, so
+    # this is the canonical reduced form
+    if not r:
+        den = [1]
+    elif len(r) > 1 and len(den) > 1:
+        g = gcd(r, den)
+        if len(g) > 1:
+            r, den = _divexact(r, g), _divexact(den, g)
+    lead = den[-1]
+    return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, r, lead))
 
-    g = central_content(row)
-    if not g:
-        return row
-    if len(g) > 1:
-        row = [divide_central(p, g) for p in row]
-    parts = [p.int_rows() for p in row]
-    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
-    den = lcm(*(d for _, d in parts))
-    if num == den == 1:
-        return row
-    return [times_central(p, [den], num) for p in row]
 
-
-# the twisted polynomials; their central elements K'[u] are the numerator ring
-# when K' is larger than Q
-_POLYNOMIALS = SimpleNamespace(
-    zero=SkewPolynomial.zero,
-    one=SkewPolynomial.one,
-    is_zero=SkewPolynomial.is_zero,
-    degree=lambda a: a.degree,
-    add=SkewPolynomial.__add__,
-    sub=SkewPolynomial.__sub__,
-    mul=SkewPolynomial.__mul__,
-    scale=times_central,
-    unit_multiple=norm_conjugate,
-    primitive=_primitive_row,
-    reduce=lambda den, nums: reduce_central(den, list(nums)),
-    convert=_central_fractions,
-    view=lambda field, a, den: SkewFraction.make(a, central_polynomial(field, den)),
-    twisted=lambda field, a: a,
-    central=lambda field, polys: ([1], list(polys)),
-)
+def _twisted(field: GroundField, a: list) -> SkewPolynomial:
+    return SkewPolynomial._from_rows(field, center(field).rows(a), 1)
 
 
 def _lcm(dens: Iterable[Sequence[int]]) -> list[int]:
@@ -280,7 +168,7 @@ class CentralPolynomial:
 
     x is adjoined centrally, so this is plain commutative polynomial
     arithmetic, held as den(u)^-1 * sum_m N_m x^m over one denominator den
-    in Z[u] (see `_numerators`).  Sums and products are numerator products
+    in Z[u] (see `kernel.center`).  Sums and products are numerator products
     over the product or lcm of the denominators, with no gcd per
     coefficient; `divmod_by` pseudo-divides and brings its remainder to
     lowest terms, and `==` cross-multiplies.  `coeffs` shows the
@@ -303,9 +191,8 @@ class CentralPolynomial:
     @classmethod
     def _of(cls, field: GroundField, den: list[int], nums) -> "CentralPolynomial":
         """den(u)^-1 * sum_m nums[m] x^m, as given."""
-        is_zero = _numerators(field).is_zero
         nums = list(nums)
-        while nums and is_zero(nums[-1]):
+        while nums and not nums[-1]:
             nums.pop()
         p = cls.__new__(cls)
         p.field, p._coeffs = field, None
@@ -343,19 +230,19 @@ class CentralPolynomial:
     def parts(self) -> tuple[list[int], tuple]:
         """(den, nums) with self = den(u)^-1 * sum_m nums[m] x^m."""
         if self._nums is None:
-            den, nums = _numerators(self.field).convert(self.field, self._coeffs)
+            den, nums = _convert(self.field, self._coeffs)
             self._den, self._nums = den, tuple(nums)
         return self._den, self._nums
 
     def reduced(self) -> "CentralPolynomial":
         """self with no common factor of den and the numerators left."""
-        return CentralPolynomial._of(self.field, *_numerators(self.field).reduce(*self.parts()))
+        return CentralPolynomial._of(self.field, *center(self.field).reduce(*self.parts()))
 
     @property
     def coeffs(self) -> tuple[SkewFraction, ...]:
         if self._coeffs is None:
-            view, field, den = _numerators(self.field).view, self.field, self._den
-            self._coeffs = tuple(view(field, a, den) for a in self._nums)
+            field, den = self.field, self._den
+            self._coeffs = tuple(_view(field, a, den) for a in self._nums)
         return self._coeffs
 
     @property
@@ -391,14 +278,14 @@ class CentralPolynomial:
             return False
         if da == db:
             return a == b
-        scale = _numerators(self.field).scale
+        scale = center(self.field).scale
         return all(scale(x, db) == scale(y, da) for x, y in zip(a, b))
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
         from .factor import _divexact, _mul, gcd
 
         self._same(other)
-        ring = _numerators(self.field)
+        ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
         if da != db:
             g = gcd(da, db)
@@ -409,7 +296,7 @@ class CentralPolynomial:
 
     def __neg__(self) -> "CentralPolynomial":
         den, nums = self.parts()
-        return CentralPolynomial._of(self.field, den, [_numerators(self.field).scale(a, [-1]) for a in nums])
+        return CentralPolynomial._of(self.field, den, [center(self.field).scale(a, [-1]) for a in nums])
 
     def __sub__(self, other: "CentralPolynomial") -> "CentralPolynomial":
         return self + (-other)
@@ -418,7 +305,7 @@ class CentralPolynomial:
         from .factor import _mul
 
         self._same(other)
-        ring = _numerators(self.field)
+        ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
         if not a or not b:
             return CentralPolynomial.zero(self.field)
@@ -436,7 +323,7 @@ class CentralPolynomial:
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
         """(q, r) with self = q*g + r and deg r < deg g: pseudo-division over
-        the numerator ring, with r in lowest terms.
+        K'[u], with r in lowest terms.
 
         With q_l * lead(G) = c in Z[u], each step scales the remainder by c
         and subtracts (top * q_l) x^s G, which cancels the top term; after k
@@ -448,7 +335,7 @@ class CentralPolynomial:
         self._same(g)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        field, ring = self.field, _numerators(self.field)
+        field, ring = self.field, center(self.field)
         (den, rem), (gden, gn) = self.parts(), g.parts()
         rem, lower = list(rem), list(enumerate(gn[:-1]))
         q_lead, c = ring.unit_multiple(gn[-1])
@@ -470,10 +357,8 @@ class CentralPolynomial:
         return CentralPolynomial._of(field, den, quo), CentralPolynomial._of(field, *ring.reduce(den, rem))
 
     def evaluate_series(self, point):
-        """The value at a `TwistedSeries`, or at a `CentralSeries` over a
-        rational invariant subfield, as a series of the point's kind."""
-        if isinstance(point, CentralSeries) and self.field.invariant_degree != 1:
-            point = point.to_twisted()
+        """The value at a `TwistedSeries` or a `CentralSeries`, as a series
+        of the point's kind."""
         if self.is_zero():
             return type(point).zero(self.field, point.prec)
         return evaluate_poly(_series_coefficients(self, point, point.prec), point)
@@ -516,7 +401,7 @@ class PowerRows:
         p(q) = sum_k p_k (q^k mod f)   modulo f,
 
     for any polynomials p and q.  Row k+1 is (row k * q) modulo f, one
-    pseudo-division over the numerator ring (J. von zur Gathen and J.
+    pseudo-division over K'[u] (J. von zur Gathen and J.
     Gerhard, *Modern Computer Algebra*, ch. 6) with one content reduction.
     `compose` and `twisted_table` read the rows over one common Z[u]
     denominator, so a composite is a sum of numerator products with no gcd.
@@ -549,7 +434,7 @@ class PowerRows:
 
         if self._shared is None or len(self._shared[1]) < count:
             field, d = self.f.field, self.f.degree
-            ring = _numerators(field)
+            ring = center(field)
             rows = [p.parts() for p in self.powers(count)]
             den = _lcm(c for c, _ in rows)
             zero = ring.zero(field)
@@ -567,9 +452,8 @@ class PowerRows:
         least k < count, over one common denominator C in Z[u] (cached)."""
         if self._twisted is None or len(self._twisted[1]) < count:
             field = self.f.field
-            twisted = _numerators(field).twisted
             den, table = self._common(count)
-            self._twisted = (den, [tuple(twisted(field, a) for a in row) for row in table])
+            self._twisted = (den, [tuple(_twisted(field, a) for a in row) for row in table])
         return self._twisted
 
     def int_table(self, count: int) -> tuple[list[int], int, list[list]]:
@@ -591,7 +475,7 @@ class PowerRows:
 
         self.f._same(p)
         field = self.f.field
-        ring = _numerators(field)
+        ring = center(field)
         pden, nums = p.parts()
         den, table = self._common(len(nums))
         out = [ring.zero(field)] * self.f.degree
@@ -855,11 +739,11 @@ class ExtensionScenario:
     @property
     def root_work(self) -> CentralSeries | TwistedSeries:
         """`rho_work` in the form the checks compute with: its `CentralSeries`
-        when the invariant subfield is Q and rho lies in Q((u)), as every
-        catalog root does, and `rho_work` itself otherwise."""
+        when rho lies in K'((u)), as every lifted root does, and `rho_work`
+        itself otherwise."""
         if self._root_work is None:
             work = self.rho_work
-            central = CentralSeries.from_twisted(work) if self.field.invariant_degree == 1 else None
+            central = CentralSeries.from_twisted(work)
             self._root_work = work if central is None else central
         return self._root_work
 
@@ -1046,8 +930,8 @@ class TensorElement:
            ring, `CentralPolynomial` products reduced by the rows of x, with
            the traces Tr(x^j) read off the same rows (`_residue_trace`), so
            f alone decides it and no Galois image is read;
-        3. N^-1 as a quotient by an element of Z[u], through the norm
-           conjugate of N (`norm_conjugate`) when K' is larger than Q;
+        3. N^-1 as a quotient by an element of Z[u], through the norm of
+           K'/Q (`unit_multiple` of `kernel.center`);
 
         then self^-1 = c E* Pi N^-1, with one reduction modulo f and one
         `reduce_central`.  N = 0 means self is zero or a zero divisor (f
@@ -1058,7 +942,7 @@ class TensorElement:
         if self.is_zero():
             raise SingularElement("inversion of zero")
         scenario, field, d = self.scenario, self.scenario.field, self.scenario.degree
-        ring, rows = _numerators(field), scenario.reduction
+        ring, rows = center(field), scenario.reduction
         star, nu = _reduced_norm(TensorElement._raw(scenario, (1,), self.polys))
 
         def mul(a, b):
@@ -1070,20 +954,17 @@ class TensorElement:
         norm_den, norm = mul(nu, pi).parts()
         if not norm:
             raise SingularElement(f"element of {scenario.name} is not invertible")
-        # N^-1 = norm_den / norm, with norm brought down to Z[u]; c and
-        # norm_den join Pi's numerators, norm its denominator
-        norm, top = norm[0], _mul(list(self.den), norm_den)
-        if ring is _POLYNOMIALS:
-            q, norm = norm_conjugate(norm)
-            top = times_central(q, top)
+        # N^-1 = norm_den q / c for q N = c in Z[u]; c joins Pi's
+        # denominator, and self's c, norm_den and q its numerators
+        q, norm = ring.unit_multiple(norm[0])
+        top = ring.scale(q, _mul(list(self.den), norm_den))
         pi_den, pi = pi.parts()
-        den, pi = _mul(pi_den, norm), [ring.twisted(field, ring.mul(a, top)) for a in pi]
+        den, pi = _mul(pi_den, norm), [ring.mul(a, top) for a in pi]
         if star is None:
-            return TensorElement._reduced(scenario, den, pi + [SkewPolynomial.zero(field)] * (d - len(pi)))
-        e, pi = kernel.central_view(field, [p.int_rows() for p in pi])
+            return TensorElement._reduced(scenario, den, [_twisted(field, a) for a in pi] + [SkewPolynomial.zero(field)] * (d - len(pi)))
         s, over = kernel.over_common([p.int_rows() for p in star.polys])
         conv, k = kernel.central_convolve(field, s, pi)
-        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, over * e * k)
+        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, over * k)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n == 0:
@@ -1157,8 +1038,8 @@ def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, Central
 
         star = cayley_hamilton(element, m, trace, divide)
     product = element if star is None else element * star
-    common, nums = _numerators(field).central(field, product.polys)
-    return star, CentralPolynomial._of(field, _mul(list(product.den), common), nums)
+    common, nums = kernel.central_view(field, [p.int_rows() for p in product.polys])
+    return star, CentralPolynomial._of(field, _mul(list(product.den), [common]), nums)
 
 
 def _residue_trace(rows: PowerRows):
@@ -1168,7 +1049,7 @@ def _residue_trace(rows: PowerRows):
     from .factor import _mul
 
     field, d = rows.f.field, rows.f.degree
-    ring = _numerators(field)
+    ring = center(field)
     common, table = rows._common(2 * d - 1)
     zero = ring.zero(field)
     traces = []
@@ -1220,7 +1101,7 @@ def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list
         if g not in scenario.group.elements:
             raise UnknownGroupElement(f"unknown group element {g!r}")
     d, field = scenario.degree, scenario.field
-    ring = _numerators(field)
+    ring = center(field)
     rows = []
     for g in names:
         if g == scenario.group.identity:
@@ -1229,7 +1110,7 @@ def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list
         c = ring.scale(ring.one(field), common)
         for m in range(d):
             rows.append([ring.sub(table[i][m], c) if i == m else table[i][m] for i in range(d)])
-    return [[ring.view(field, a, den) for a in vec] for den, vec in linalg.ring_nullspace(ring, field, rows, d)]
+    return [[_view(field, a, den) for a in vec] for den, vec in linalg.ring_nullspace(ring, field, rows, d)]
 
 
 def is_fixed_line(basis: Sequence[Sequence[SkewFraction]]) -> bool:
@@ -1262,8 +1143,8 @@ def ext_tau(element: TensorElement, precision: int) -> TwistedSeries:
 
 def _value_at_root(element: TensorElement) -> TwistedSeries:
     """c(t^n)^-1 * sum_i P_i rho^i: one sum of central products on integer
-    rows when rho is central, sparse polynomial-times-series products
-    otherwise, and one division by the central denominator, which
+    rows when rho is central, sparse polynomial-times-series products for a
+    root given off the center, and one division by the central denominator, which
     `solve_left` reads as central and runs on Q((u)) with no conjugate.
 
     The result is cut to the precision the coordinate-wise sum
@@ -1291,11 +1172,12 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     val, prec = min(power.val for _, power, _ in terms), min(known for _, _, known in terms)
     if isinstance(terms[0][1], CentralSeries):
         # rho^i = t^val_i * (sum_k a_k u^k)/den_i commutes with P_i: the sum
-        # is one `kernel.central_rows` over a common denominator
+        # is one `kernel.central_sum` over a common denominator
         parts = [(p.int_rows(), power.int_coeffs(), power.val - val) for p, power, _ in terms]
         common = lcm(*(dp * dc for (_, dp), (_, dc), _ in parts))
         sums = [([zero] * shift + r, [a * (common // (dp * dc)) for a in c]) for (r, dp), (c, dc), shift in parts]
-        acc = TwistedSeries._from_rows(field, val, kernel.central_rows(field, sums, max(prec - val, 0)), common, prec)
+        rows, k = kernel.central_sum(field, sums, max(prec - val, 0))
+        acc = TwistedSeries._from_rows(field, val, rows, common * k, prec)
     else:
         products = [TwistedSeries.from_polynomial(p, known - power.val) * power for p, power, known in terms]
         acc = sum(products[1:], products[0])
@@ -1392,82 +1274,6 @@ def canonical_decomposition(
                 lam = field.element(lam_coords)
                 table[(r, j)] = table[(r, j)] + z.scale_ground_left(lam).shift(n * q)
     return table
-
-
-def match_root_polynomial(
-    scenario: ExtensionScenario,
-    target: TwistedSeries,
-    num_degree: int = 4,
-    den_degree: int = 4,
-) -> CentralPolynomial | None:
-    """Search q with central coefficients, deg q < deg f, and q(rho) = target.
-
-    Sets up the rational linear system  sum_i N_i(t^n) rho^i = D(t^n) target
-    with polynomial ansatz degrees in t^n, and returns the polynomial built
-    from the first kernel vector with nonzero denominator part.  The answer
-    only matches to the available series precision: callers must verify it
-    exactly (e.g. through  f(q) = 0 mod f).
-    """
-    field = scenario.field
-    n = field.sigma_order
-    d = scenario.degree
-    wbasis = [field.element(w) for w in field.invariant_basis]
-    nw = len(wbasis)
-    cols: list[TwistedSeries] = []
-    for i in range(d):
-        base = scenario.rho_powers[i]
-        for e in range(num_degree + 1):
-            for w in wbasis:
-                cols.append(base.scale_ground_left(w).shift(n * e))
-    for e in range(den_degree + 1):
-        for w in wbasis:
-            cols.append(-target.scale_ground_left(w).shift(n * e))
-    lo = min(s.val for s in cols)
-    hi = min(s.prec for s in cols)
-    if hi <= lo:
-        return None
-    rows = []
-    for m in range(lo, hi):
-        for c in range(field.dim):
-            rows.append([col.coefficient(m).coords[c] for col in cols])
-    nn = d * (num_degree + 1) * nw
-    for vec in linalg.nullspace(rows, len(cols)):
-        den_part = vec[nn:]
-        if all(v == 0 for v in den_part):
-            continue
-        den_poly = SkewPolynomial.from_coeffs(field, _spread(field, den_part, nw, n, den_degree))
-        if den_poly.is_zero():
-            continue
-        coeffs = []
-        for i in range(d):
-            seg = vec[i * (num_degree + 1) * nw : (i + 1) * (num_degree + 1) * nw]
-            num_poly = SkewPolynomial.from_coeffs(field, _spread(field, seg, nw, n, num_degree))
-            coeffs.append(
-                SkewFraction.zero(field)
-                if num_poly.is_zero()
-                else SkewFraction.make(num_poly, den_poly)
-            )
-        return CentralPolynomial(field, tuple(coeffs))
-    return None
-
-
-def _spread(
-    field: GroundField, flat: Sequence[Fraction], nw: int, n: int, degree: int
-) -> list[GroundElement]:
-    """Coefficient list in t with entries at exponents n*e from a flat vector."""
-    out = []
-    for e in range(degree + 1):
-        coords = tuple(
-            sum(
-                (flat[e * nw + l] * field.invariant_basis[l][c] for l in range(nw)),
-                Fraction(0),
-            )
-            for c in range(field.dim)
-        )
-        if e:
-            out.extend([field.zero()] * (n - 1))
-        out.append(field.element(coords))
-    return out
 
 
 # -- the check battery ---------------------------------------------------------

@@ -36,6 +36,7 @@ if a nonzero element turns out to be non invertible the arithmetic raises
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, Iterable, Sequence
@@ -113,9 +114,28 @@ class GroundElement:
         return self.field.is_central_coords(self.coords) and self.sigma() == self
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.coords)) + "]"
+        return "[" + ",".join(map(_rational_str, self.coords)) + "]"
 
     __repr__ = __str__
+
+
+def _rational_str(x: Fraction) -> str:
+    """str(x) at any size: CPython converts an int of at most
+    `sys.get_int_max_str_digits()` digits (4300 by default) to str, so a
+    larger one is written in pieces of that many digits."""
+    try:
+        return str(x)
+    except ValueError:
+        num = _digits(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+
+
+def _digits(n: int) -> str:
+    size = sys.get_int_max_str_digits()
+    if abs(n) < 10**size:
+        return str(n)
+    high, low = divmod(abs(n), 10**size)
+    return ("-" if n < 0 else "") + _digits(high) + str(low).zfill(size)
 
 
 class GroundField:
@@ -147,6 +167,7 @@ class GroundField:
         self.h_basis = self._compute_h_basis()
         self._compile_traces()
         self._splitting: list[list[Fraction]] | None = None
+        self._center = None  # the ring K'[u] of `kernel.center`
 
     # -- construction helpers -------------------------------------------
 
@@ -311,17 +332,15 @@ class GroundField:
         return kadj
 
     def _compile_traces(self) -> None:
-        """The reduced degree and the two traces behind `skewpoly.norm_conjugate`.
+        """The reduced degree and the reduced trace behind `skewpoly.norm_conjugate`.
 
         D(t) is central simple over K'(u), u = t^n, K' the invariant subfield
         of dimension w = len(invariant_basis) over Q; its reduced degree m has
         m^2 * w = dim * n.  With tr(a) the trace of left multiplication by a
         on D over Q and pi the tr-orthogonal projection of D onto K', the
-        reduced trace is  Trd(sum a_k t^k) = sum_k m * pi(a_kn) u^k,  and the
-        trace of K' over Q is  w * tr(x) / dim  on x in K'.  Compiled over
-        integers like `ksig`:  ktrd(a) = trd_den * m * pi(a),
-        kconj(a) = trd_den * (m * pi(a) - a)  (the conjugate when m = 2) and
-        ktr(a) = tr_den * w * tr(a) / dim  in coordinate 0.
+        reduced trace is  Trd(sum a_k t^k) = sum_k m * pi(a_kn) u^k.  Compiled
+        over integers like `ksig`:  ktrd(a) = trd_den * m * pi(a)  and
+        kconj(a) = trd_den * (m * pi(a) - a)  (the conjugate when m = 2).
         """
         dim, basis = self.dim, self.invariant_basis
         w = self.invariant_degree = len(basis)
@@ -344,9 +363,6 @@ class GroundField:
         self.ktrd = _compile_linear("ktrd", trd)
         conj = [[x - self.trd_den * (r == c) for c, x in enumerate(row)] for r, row in enumerate(trd)]
         self.kconj = _compile_linear("kconj", conj)
-        tr_k = [Fraction(w * x, dim * self.mul_den) for x in tr]
-        self.tr_den = lcm(*(x.denominator for x in tr_k))
-        self.ktr = _compile_linear("ktr", [[int(x * self.tr_den) for x in tr_k]] + [[0] * dim] * (dim - 1))
         self.norm_terms = self._norm_terms(units) if m == 2 and w == 1 else None
 
     def _norm_terms(self, units: list[Coords]) -> list[list[tuple[int, int, int]]]:

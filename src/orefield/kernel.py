@@ -40,9 +40,10 @@ instead of making each remainder monic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
-from operator import add
+from operator import add, mul as mul_
+from types import SimpleNamespace
 from typing import Sequence
 
 from .ground import GroundElement, GroundField
@@ -137,6 +138,217 @@ def power(x, n: int, one):
         x = x * x
 
 
+def cayley_hamilton(p, m: int, trace, divide, mul=mul_):
+    """q = sum_(k<m) (-1)^k e_k p^(m-1-k), so that  p*q = q*p = +-e_m,  for
+    the degree-m characteristic polynomial of p whose power sums are the
+    traces s_k = trace(p^k): k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
+
+    Generic over the element type, for m >= 2: the elements add, subtract
+    and negate, `mul` multiplies them, every trace commutes with every
+    element, and divide(a, k) is a/k for an integer k.
+    `skewpoly.norm_conjugate` runs it on polynomials,
+    `extend.TensorElement.inv` on tensor elements and on the residues modulo
+    f, and `Center.conjugate` on K'[u] and K'[[u]].  q sums the powers p, ..., p^(m-1) that
+    the traces read, each times its e_k, so a trace that is a constant of
+    the element type makes that a cheap product."""
+    powers = [p]
+    for _ in range(m - 2):
+        powers.append(mul(powers[-1], p))
+    sums = [trace(x) for x in powers]
+    e, q = [], powers[-1]
+    for k in range(1, m):
+        # e[k-1] = e_k; the term i = k has e_0 = 1
+        acc = sums[k - 1] if k % 2 else -sums[k - 1]
+        for i in range(1, k):
+            term = mul(e[k - i - 1], sums[i - 1])
+            acc = acc + term if i % 2 else acc - term
+        e.append(divide(acc, k))
+        term = e[-1] if k == m - 1 else mul(e[-1], powers[m - 2 - k])
+        q = q - term if k % 2 else q + term
+    return q
+
+
+
+
+# -- the center ------------------------------------------------------------------
+#
+# K'[u], u = t^n, K' the invariant subfield, on a basis beta_0 = 1, ...,
+# beta_(w-1) of K' whose structure constants c_ijk, beta_i beta_j =
+# sum_k c_ijk beta_k, are integers (H. Cohen, *A Course in Computational
+# Algebraic Number Theory*, 4.2): sum a_kb beta_b u^k is one list of ints, a_kb
+# at index k*w + b, with no trailing zeros, so at w = 1 the Z[u] list of
+# `orefield.factor`, multiplied by its `_mul`.  A series in K'[[u]] has w ints
+# per power of u.  `center` builds the operations `linalg.eliminate` takes and
+# those the series and twisted polynomials read: `conjugate`, the norm down to
+# Z[u]; `ints` and `rows`, a(t^n) as integer rows over `over`; `spread`, which
+# writes products by K'[u] as k times products by Z[u].
+
+
+class _Sum(list):
+    """An element of K'[u] under `cayley_hamilton`'s +, - and negation."""
+
+    def __add__(self, other):
+        from .factor import _add
+
+        return _Sum(_add(self, other))
+
+    def __sub__(self, other):
+        return self + [-x for x in other]
+
+    def __neg__(self):
+        return _Sum([-x for x in self])
+
+
+def center(field: GroundField) -> SimpleNamespace:
+    """The ring K'[u] of `field`, built on first use and kept on the field."""
+    if field._center is None:
+        field._center = _build_center(field)
+    return field._center
+
+
+def _build_center(field: GroundField) -> SimpleNamespace:
+    from . import linalg
+    from .factor import _add, _divexact, _mul, _sub, _trim, gcd as ugcd
+
+    w, n, dim, zero = field.invariant_degree, field.sigma_order, field.dim, field.zero_row
+    basis: list = []
+    for b in (field.one().coords, *field.invariant_basis):
+        if linalg.rank([*basis, list(b)]) > len(basis):
+            basis.append([x * lcm(*(y.denominator for y in b)) for x in b])
+    piv = linalg.rref(basis)[1]  # coordinates that determine an element of K'
+
+    def structure(basis):
+        # a = sum_b (inv a[piv])_b beta_b on K', and the c_ijk
+        inv = linalg.invert_matrix([[b[j] for b in basis] for j in piv])
+        products = [[field.kmul(bi, bj) for bj in basis] for bi in basis]
+        return inv, [[linalg.mat_vec(inv, [Fraction(p[j], field.mul_den) for j in piv]) for p in row] for row in products]
+
+    inv, consts = structure(basis)
+    clear = lcm(*(c.denominator for row in consts for v in row for c in v))
+    if clear > 1:
+        # beta_b' = clear * beta_b for b > 0 makes c_ijk' = clear^(2 - (k > 0)) c_ijk
+        basis = [basis[0], *([clear * x for x in b] for b in basis[1:])]
+        inv, consts = structure(basis)
+    over = lcm(*(x.denominator for row in inv for x in row))
+    reader = [[int(row[piv.index(j)] * over) if j in piv else 0 for j in range(dim)] for row in inv]
+    basis = [tuple(map(int, b)) for b in basis]
+    unit, tail = basis == [zero[:b] + (1,) + zero[b + 1 :] for b in range(w)], zero[w:]  # beta_b = e_b, as usual
+
+    def back(x):
+        return tuple(x) + tail if unit else tuple([sum(map(mul_, x, col)) for col in zip(*basis)])
+
+    traces = [int(sum(consts[b][k][k] for k in range(w))) for b in range(w)]
+    table = [(i, j, [(k, int(c)) for k, c in enumerate(consts[i][j]) if c]) for i in range(w) for j in range(w)]
+
+    def parts(a):
+        return [a] if w == 1 else [a[b::w] for b in range(w)]
+
+    def join(cols):
+        out = [0] * (w * max(map(len, cols), default=0))
+        for b, col in enumerate(cols):
+            out[b : b + w * len(col) : w] = col
+        return _trim(out)
+
+    def lift(c):
+        return c if w == 1 else join([c])
+
+    def rational(a):
+        return a if w == 1 else None if any(any(a[b::w]) for b in range(1, w)) else a[::w]
+
+    def mul_cut(a, b, size):
+        # the products of the coordinates modulo u^size, then the table
+        out = [0] * (w * size)
+        for i, j, terms in table:
+            p = [0] * size if w > 1 else out
+            for s, x in enumerate(a[i : w * size : w]):
+                if x:
+                    for t, y in enumerate(b[j : w * (size - s) : w], s):
+                        p[t] += x * y
+            for m, c in terms if w > 1 else ():
+                out[m::w] = map(add, out[m::w], map(c.__mul__, p))
+        return out
+
+    def mul(a, b):
+        return _trim(mul_cut(a, b, -(-len(a) // w) - (-len(b) // w) - 1))
+
+    def trace(a):
+        return lift(_trim([sum(map(mul_, traces, a[m : m + w])) for m in range(0, len(a), w)]))
+
+    def conjugate(a, size=None):
+        def product(x, y):
+            return _Sum(mul(x, y) if size is None else mul_cut(x, y, size))
+
+        q = cayley_hamilton(_Sum(a), w, lambda x: _Sum(trace(x)), lambda x, m: _Sum([y // m for y in x]), product)
+        return list(q), rational(product(a, q))
+
+    def unit_multiple(a):
+        q, c = [1], rational(a)
+        if c is None:
+            q, c = conjugate(a)
+        return (q, c) if c[-1] > 0 else ([-x for x in q], [-x for x in c])
+
+    def primitive(row):
+        # the gcd over Q[u] of every coordinate first, then the integer content
+        g = []
+        for part in row if w == 1 else [part for a in row for part in parts(a)]:
+            if len(g) == 1:
+                break
+            g = ugcd(g, part)
+        if len(g) > 1:
+            row = [join([_divexact(_trim(part), g) for part in parts(a)]) for a in row]
+        c = gcd(*(x for a in row for x in a))
+        if c > 1:
+            row = [[x // c for x in a] for a in row]
+        return row
+
+    def reduce(den, nums):
+        den, *nums = primitive([lift(den), *nums])
+        den = rational(den)
+        if den[-1] < 0:
+            den, nums = [-a for a in den], [[-a for a in num] for num in nums]
+        return den, nums
+
+    def ints(rows):
+        out = []
+        for m, row in enumerate(rows):
+            if m % n:
+                if row != zero:
+                    return None
+            elif unit:
+                if row[w:] != tail:
+                    return None
+                out += row[:w]
+            elif back(x := [sum(map(mul_, r, row)) for r in reader]) != tuple(over * y for y in row):
+                return None
+            else:
+                out += x
+        return out
+
+    def rows(a):
+        blocks = [back(x) if any(x) else zero for x in zip_longest(*[iter(a)] * w, fillvalue=0)]
+        out = [zero] * (n * (len(blocks) - 1) + 1) if blocks else []
+        out[::n] = blocks
+        return out
+
+    def spread(terms):
+        if w == 1:
+            return terms
+        out = []
+        for f, z in terms:
+            for b, part in enumerate(parts(z)):
+                if f and _trim(part):
+                    out.append((f, [field.mul_den * x for x in part]) if b == 0 else ([field.kmul(r, basis[b]) for r in f], part))
+        return out
+
+    return SimpleNamespace(
+        w=w, over=over, k=1 if w == 1 else field.mul_den, zero=lambda field: [], one=lambda field: [1], is_zero=lambda a: not a,
+        degree=len, add=_add, sub=_sub, mul=_mul if w == 1 else mul, mul_cut=mul_cut,
+        scale=_mul if w == 1 else (lambda a, c: mul(a, lift(c))), conjugate=conjugate,
+        unit_multiple=unit_multiple, primitive=primitive, reduce=reduce, parts=parts, join=join,
+        lift=lift, rational=rational, ints=ints, rows=rows, spread=spread,
+    )
+
+
 # -- products ------------------------------------------------------------------
 
 
@@ -194,19 +406,13 @@ def central_rows(field: GroundField, terms, size: int | None = None) -> Rows:
     return out
 
 
-def central_sum(field: GroundField, terms) -> tuple[Rows, int]:
-    """(rows, k) with rows = k * sum f*z over the pairs (f, z) of `terms`,
-    z central in the form `central_view` gives: in Z[u] when the invariant
-    subfield K' is Q, multiplied by `central_rows` with k = 1; otherwise the
-    integer rows of a central twisted polynomial, multiplied by `mul_into`
-    with k = s*dT."""
-    if field.invariant_degree == 1:
-        return central_rows(field, terms), 1
-    terms = [(f, z) for f, z in terms if f and z]
-    out = [field.zero_row] * max((len(f) + len(z) - 1 for f, z in terms), default=0)
-    for f, z in terms:
-        mul_into(field, out, f, z)
-    return out, field.sig_den * field.mul_den
+def central_sum(field: GroundField, terms, size: int | None = None) -> tuple[Rows, int]:
+    """(rows, k) with rows = k * sum f*z(t^n) over the pairs (f, z) of
+    `terms`, z in K'[u] (see `Center`), cut to `size` rows (default: all of
+    them): one `central_rows` over the pairs (f*beta_b, z_b) of the
+    coordinates z_b in Z[u] of z, with k = 1 when K' is Q."""
+    ring = center(field)
+    return central_rows(field, ring.spread(terms), size), ring.k
 
 
 def central_convolve(field: GroundField, a: list[Rows], zs: list) -> tuple[list[Rows], int]:
@@ -223,14 +429,11 @@ def central_convolve(field: GroundField, a: list[Rows], zs: list) -> tuple[list[
 
 def central_view(field: GroundField, parts: Sequence[tuple[Rows, int]]) -> tuple[int, list]:
     """(E, Z) for central twisted polynomials given as (rows, den): their
-    numerators over the common integer denominator E, each in the form
-    `central_sum` takes: the element of Z[u] when K' is Q (the rational
-    rows at the multiples of n), the rows otherwise."""
+    elements of K'[u] (`Center.ints`) over the common integer denominator E,
+    in the form `central_sum` takes."""
+    ring = center(field)
     nums, den = over_common(parts)
-    if field.invariant_degree == 1:
-        n = field.sigma_order
-        nums = [[r[0] for r in rows[::n]] for rows in nums]
-    return den, nums
+    return den * ring.over, [strip(ring.ints(rows), 0) for rows in nums]
 
 
 def convolve_rows(field: GroundField, a: list[Rows], b: list[Rows]) -> list[Rows]:

@@ -27,22 +27,23 @@ q num by the central norm c of den, (q, c) = `norm_conjugate`(den).
 Polynomials embed through `from_polynomial`; the embedding is the canonical
 one fixing the ground field and sending t to t.
 
-`CentralSeries` is the commutative field Q((u)), u = t^n (n the
-automorphism order), inside the twisted series: rational coefficients on
-the exponents divisible by n, stored as one list of ints over one positive
-denominator, in canonical form.  Its `val` and `prec` stay t-exponents
-(coefficient k sits at t^(val + n*k)), so the precision rules above, and
-those of `solve_left`, hold for it unchanged, and it prints as the
-`TwistedSeries` it converts to.  A product costs one integer convolution
-instead of a twisted one on rows of the ground field's dimension.
+`CentralSeries` is the commutative field K'((u)), u = t^n (n the
+automorphism order, K' the invariant subfield), inside the twisted series:
+coefficients in K' on the exponents divisible by n, stored as one list of
+ints in the layout of `kernel.center` over one positive denominator, in
+canonical form.  Its `val` and `prec` stay t-exponents (coefficient k sits
+at t^(val + n*k)), so the precision rules above, and those of `solve_left`,
+hold for it unchanged, and it prints as the `TwistedSeries` it converts to.
+A product costs w^2 integer convolutions (one when K' is Q) through K''s
+multiplication table, instead of a twisted one on rows of the ground
+field's dimension.
 
 `newton_root` lifts a simple residual root of a polynomial with *central*
 coefficients (invariant coefficients supported on exponents divisible by
 the automorphism order) to a series root, doubling the contact valuation
 each round.  The commutativity of everything in sight is what makes the
-classical iteration legitimate; the inputs are checked for it.  When the
-invariant subfield is Q the lift lies in Q((u)) and runs on `CentralSeries`;
-otherwise the same loop runs on `TwistedSeries`.
+classical iteration legitimate; the inputs are checked for it.  The lift
+lies in K'((u)) and runs on `CentralSeries`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .errors import (
 )
 from .ground import GroundElement, GroundField
 from .skewfrac import SkewFraction
-from .skewpoly import SkewPolynomial, central_fraction_ints, central_ints, central_polynomial, norm_conjugate
+from .skewpoly import SkewPolynomial, central_fraction_ints, central_polynomial, norm_conjugate
 
 
 class TwistedSeries:
@@ -298,18 +299,20 @@ class TwistedSeries:
 
 
 class CentralSeries:
-    """An element of Q((u)), u = t^n (n the automorphism order): the
-    commutative series with rational coefficients on the exponents divisible
-    by n, the series analogue of a quotient in Q(u).
+    """An element of K'((u)), u = t^n (n the automorphism order, K' the
+    invariant subfield): the commutative series with coefficients in K' on
+    the exponents divisible by n, the series analogue of a quotient in K'(u).
 
-    Stored as one list of ints over one positive denominator: ints[k]/den is
-    the coefficient of t^(val + n*k) for val <= val + n*k < prec.  `val` and
+    Stored as one list of ints over one positive denominator, in the layout
+    of `kernel.center`: ints[k*w + b]/den is the coordinate b of the
+    coefficient of t^(val + n*k) for val <= val + n*k < prec.  `val` and
     `prec` are t-exponents, so the precision rules of `TwistedSeries` (add,
     mul, inv, `solve_left`) hold unchanged.  The form is canonical (den > 0,
     no content common to den and the ints, a nonzero first coefficient; the
     zero series has no ints and val == prec), so `==` compares the parts.
     `to_twisted` and `from_twisted` convert without changing the value or
-    the precision.
+    the precision.  Division goes through the norm, s^-1 = q (s q)^-1 with
+    s q in Q((u)).
     """
 
     __slots__ = ("field", "val", "prec", "_ints", "_den")
@@ -320,15 +323,16 @@ class CentralSeries:
         val is a multiple of n unless every coefficient is zero."""
         s = cls.__new__(cls)
         s.field, s.prec = field, prec
-        n = field.sigma_order
+        n, w = field.sigma_order, kernel.center(field).w
         start = next((k for k, c in enumerate(ints) if c), None)
-        if start is None or val + n * start >= prec:
+        if start is None or val + n * (start // w) >= prec:
             s.val, s._ints, s._den = prec, [], 1
             return s
+        start //= w
         val += n * start
         size = -((val - prec) // n)
-        ints = ints[start : start + size]
-        ints += [0] * (size - len(ints))
+        ints = ints[start * w : (start + size) * w]
+        ints += [0] * (size * w - len(ints))
         g = gcd(den, *ints)
         if den < 0:
             g = -g
@@ -344,39 +348,47 @@ class CentralSeries:
 
     @classmethod
     def from_ground(cls, e: GroundElement, prec: int) -> "CentralSeries":
-        """A rational constant."""
+        """A constant in K'."""
+        ring = kernel.center(e.field)
         (row,), den = kernel.rows_of([e])
-        if any(row[1:]):
-            raise ValueError(f"{e} is not rational")
-        return cls._make(e.field, 0, [row[0]], den, prec)
+        ints = ring.ints([row])
+        if ints is None:
+            raise ValueError(f"{e} is not in the invariant subfield")
+        return cls._make(e.field, 0, ints, den * ring.over, prec)
 
     @classmethod
     def embed(cls, field: GroundField, num: Sequence[int], den: Sequence[int], prec: int) -> "CentralSeries":
-        """num(u)/den(u) for integer polynomials in u, to precision exactly
-        prec: the value and precision `embed_fraction` gives the fraction."""
-        n = field.sigma_order
+        """num(u)/den(u) for num in K'[u] and den in Z[u], to precision
+        exactly prec: the value and precision `embed_fraction` gives the
+        fraction."""
+        ring = kernel.center(field)
+        n, w = field.sigma_order, ring.w
         lo_num = next((k for k, c in enumerate(num) if c), None)
         if lo_num is None:
             return cls.zero(field, prec)
+        lo_num //= w
         lo_den = next(k for k, c in enumerate(den) if c)
         val = n * (lo_num - lo_den)
         size = -((val - prec) // n)
         if size <= 0:
             return cls.zero(field, prec)
-        ints, q_den = _quotient(list(den[lo_den:]), list(num[lo_num:]), size)
+        ints, q_den = _central_quotient(ring, ring.lift(den[lo_den:]), num[lo_num * w :], size)
         return cls._make(field, val, ints, q_den, prec)
 
     @classmethod
     def from_twisted(cls, s: TwistedSeries) -> "CentralSeries | None":
-        """s as a central series, or None unless every coefficient of s is
-        rational and sits on an exponent divisible by n."""
+        """s as a central series, or None unless every coefficient of s lies
+        in K' and sits on an exponent divisible by n."""
         field = s.field
         if s.is_zero():
             return cls.zero(field, s.prec)
+        ring = kernel.center(field)
         rows, den = s.int_rows()
-        ints = central_ints(field, rows)
+        ints = ring.ints(rows)
         if s.val % field.sigma_order or ints is None:
             return None
+        if ring.over != 1:
+            return cls._make(field, s.val, ints, den * ring.over, s.prec)
         # the rows are canonical, so the ints are too
         c = cls.__new__(cls)
         c.field, c.val, c.prec, c._ints, c._den = field, s.val, s.prec, ints, den
@@ -386,13 +398,7 @@ class CentralSeries:
         field = self.field
         if self.is_zero():
             return TwistedSeries.zero(field, self.prec)
-        n, zero = field.sigma_order, field.zero_row
-        tail = zero[1:]
-        rows = [zero] * (self.prec - self.val)
-        for k, c in enumerate(self._ints):
-            if c:
-                rows[n * k] = (c,) + tail
-        return TwistedSeries._from_rows(field, self.val, rows, self._den, self.prec)
+        return TwistedSeries._from_rows(field, self.val, kernel.center(field).rows(self._ints), self._den, self.prec)
 
     def int_coeffs(self) -> tuple[list, int]:
         """Integer numerators of the coefficients over one common denominator."""
@@ -443,15 +449,15 @@ class CentralSeries:
         terms = [(s, c) for s, c in ((self, 1), (other, sign)) if not s.is_zero()]
         if not terms:
             return CentralSeries.zero(field, prec)
-        n = field.sigma_order
+        n, w = field.sigma_order, kernel.center(field).w
         val = min(s.val for s, _ in terms)
-        size = -((val - prec) // n)
+        size = -((val - prec) // n) * w
         if size <= 0:
             return CentralSeries.zero(field, prec)
         den = lcm(*(s._den for s, _ in terms))
         out = [0] * size
         for s, c in terms:
-            shift = (s.val - val) // n
+            shift = (s.val - val) // n * w
             scale = c * (den // s._den)
             for k, a in enumerate(s._ints[: max(size - shift, 0)], shift):
                 out[k] += scale * a
@@ -474,33 +480,19 @@ class CentralSeries:
             return CentralSeries.zero(field, prec)
         val = self.val + other.val
         size = -((val - prec) // field.sigma_order)
-        out = [0] * max(size, 0)
-        g = other._ints
-        for i, a in enumerate(self._ints[:size]):
-            if a:
-                for j, b in enumerate(g[: size - i], i):
-                    out[j] += a * b
+        out = kernel.center(field).mul_cut(self._ints, other._ints, size)
         return CentralSeries._make(field, val, out, self._den * other._den, prec)
 
-    def scale_ground_left(self, c: GroundElement) -> "CentralSeries":
-        """c * self for a rational constant c."""
-        field = self.field
-        field.check_same(c.field)
-        if c.is_zero() or self.is_zero():
-            return CentralSeries.zero(field, self.prec)
-        (row,), dc = kernel.rows_of([c])
-        if any(row[1:]):
-            raise ValueError(f"{c} is not rational")
-        return CentralSeries._make(
-            field, self.val, [row[0] * a for a in self._ints], dc * self._den, self.prec
-        )
+    def times(self, k: int) -> "CentralSeries":
+        """k * self for an integer k."""
+        return CentralSeries._make(self.field, self.val, [k * a for a in self._ints], self._den, self.prec)
 
     def inv(self) -> "CentralSeries":
         """The inverse to the precision `TwistedSeries.inv` propagates."""
         if self.is_zero():
             raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
-        v = self.val
-        ints, den = _quotient(self._ints, [self._den], len(self._ints))
+        v, size = self.val, -((self.val - self.prec) // self.field.sigma_order)
+        ints, den = _central_quotient(kernel.center(self.field), self._ints, [self._den], size)
         return CentralSeries._make(self.field, -v, ints, den, self.prec - 2 * v)
 
     def solve_left(self, num: "CentralSeries") -> "CentralSeries":
@@ -517,7 +509,7 @@ class CentralSeries:
         size = -((w - out_prec) // field.sigma_order)
         if size <= 0:
             return CentralSeries.zero(field, out_prec)
-        ints, den = _quotient(self._ints, [c * self._den for c in num._ints], size)
+        ints, den = _central_quotient(kernel.center(field), self._ints, [c * self._den for c in num._ints], size)
         return CentralSeries._make(field, w, ints, den * num._den, out_prec)
 
     def __str__(self) -> str:
@@ -560,6 +552,21 @@ def _quotient(d: list, num: list, size: int) -> tuple[list, int]:
         dens.append(e // g)
         every = lcm(every, e // g)
     return [o * (every // e) for o, e in zip(outs, dens)], every
+
+
+def _central_quotient(ring, d: list, num: list, size: int) -> tuple[list, int]:
+    """(X, E) with X/E = num/d modulo u^size for num and d in K'[[u]]
+    (`kernel.center`), d with a nonzero first coefficient: `_quotient`, one
+    column for each coordinate of K', after d^-1 = q (d q)^-1 with d q in
+    Z[[u]] when d is not there."""
+    r = ring.rational(d)
+    if r is None:
+        q, r = ring.conjugate(d, size)
+        num = ring.mul_cut(q, num, size)
+    if ring.w == 1:
+        return _quotient(r, num, size)
+    cols, e = _quotients(r, ring.parts(num), size)
+    return ring.join(cols), e
 
 
 def _quotients(d: list, nums: list, size: int) -> tuple[list, int]:
@@ -627,9 +634,10 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
     conjugate is
     * none when den is itself central (`CentralSeries.from_twisted`); the
       whole division runs on `CentralSeries` when num is central too, and
-      otherwise on `_quotients`, which divides all the coordinates by N's
-      recurrence at once (the central divisors that reach it, from
-      `embed_fraction` and `ext_tau`, are polynomials of a few terms);
+      otherwise, for den in Q((u)), on `_quotients`, which divides all the
+      coordinates by N's recurrence at once (the central divisors that
+      reach it, from `embed_fraction` and `ext_tau`, are polynomials of a
+      few terms);
     * the rule of `skewpoly._conjugate` on the rows at m = 2 over K' = Q,
       with only the rational coordinate of N computed (`_conjugate_norm`);
     * otherwise `norm_conjugate` of the known part of den as a polynomial,
@@ -649,8 +657,9 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
         num_central = CentralSeries.from_twisted(num)
         if num_central is not None:
             return central.solve_left(num_central).to_twisted()
-        conj = None
-        norm, norm_den = central.int_coeffs()
+    norm = central and kernel.center(field).rational(central._ints)
+    if norm:
+        conj, norm_den = None, central._den
     else:
         d, dd = den.int_rows()
         # over a split quaternion algebra a leading coefficient of zero norm
@@ -817,9 +826,8 @@ def newton_root(
     precision it lost to the coefficients' poles, so the result carries
     the same precision as a lift run at `work` throughout.
 
-    The coefficients are invariant series in t^n, so when the invariant
-    subfield is Q the whole lift lies in Q((u)) and runs on `CentralSeries`;
-    over any other invariant subfield the same loop runs on `TwistedSeries`.
+    The coefficients are invariant series in t^n, so the whole lift lies in
+    K'((u)), K' the invariant subfield, and runs on `CentralSeries`.
     """
     if not coeffs or len(coeffs) < 2:
         raise ValueError("need a polynomial of degree >= 1")
@@ -830,11 +838,8 @@ def newton_root(
     depth = len(coeffs) - 1
     work = precision + 2 * depth * den_val + 2
     pad = work - precision
-    central = field.invariant_degree == 1
-    fc = [_embed_coefficient(c, work, central) for c in coeffs]
-    dc = [
-        fc[m].scale_ground_left(field.from_rational(m)) for m in range(1, len(fc))
-    ]
+    fc = [_embed_coefficient(c, work) for c in coeffs]
+    dc = [fc[m].times(m) for m in range(1, len(fc))]
 
     def at(series: list, x, p: int):
         return evaluate_poly([s.truncate(p) for s in series], x)
@@ -844,7 +849,7 @@ def newton_root(
         return x if q == p else x._at_precision(x.prec + q - p)
 
     p = min(work, 2 + pad)
-    rho = (CentralSeries if central else TwistedSeries).from_ground(seed, p)
+    rho = CentralSeries.from_ground(seed, p)
     value, deriv = at(fc, rho, p), at(dc, rho, p)
     if deriv.is_zero() or deriv.val > 0:
         raise NotSimpleRoot("derivative at the seed is not a unit mod t")
@@ -880,16 +885,13 @@ def newton_root(
         raise InsufficientPrecision(
             f"newton produced precision {rho.prec} < requested {precision}"
         )
-    rho = rho.truncate(precision)
-    return rho.to_twisted() if central else rho
+    return rho.truncate(precision).to_twisted()
 
 
-def _embed_coefficient(c: SkewFraction, prec: int, central: bool):
-    """A polynomial coefficient of `newton_root` as an invariant series,
-    refused unless it lies in the center; a `CentralSeries` read straight
-    from the rows of num and den when `central`."""
+def _embed_coefficient(c: SkewFraction, prec: int) -> CentralSeries:
+    """A polynomial coefficient of `newton_root` as a `CentralSeries` read
+    straight from the rows of num and den, refused unless it lies in the
+    center."""
     if not c.is_invariant_central():
         raise NotInvariantSeries("polynomial coefficients must be invariant series in t^n")
-    if not central:
-        return embed_fraction(c, prec)
     return CentralSeries.embed(c.field, *central_fraction_ints(c), prec)

@@ -6,8 +6,8 @@ entries), with no pivoting heuristics because the arithmetic is exact;
 
 `eliminate` is the one elimination over the fraction field of a twisted
 polynomial ring or of its center, and it forms no fraction: a fraction-free
-forward pass over a ring given as a namespace of operations (the numerator
-rings of `orefield.extend`), whose pivots are inverted through their norm
+forward pass over a ring given as a namespace of operations (the center's
+ring `kernel.center`, or the tests' twisted polynomials), whose pivots are inverted through their norm
 conjugates.  One back-substitution over a growing central denominator reads
 its echelon form.  `ring_nullspace` runs it once per free column: the fixed
 space of a group.  `solve_right_generic` runs it once, against the

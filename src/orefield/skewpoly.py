@@ -33,10 +33,10 @@ of fractions over one central denominator.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
+from .kernel import cayley_hamilton
 from .errors import DivisionByZero, NotInvertible, ScenarioValidationError
 from .ground import GroundElement, GroundField
 
@@ -383,33 +383,17 @@ def central_polynomial(field: GroundField, c: Sequence[int], over: int = 1) -> S
     return SkewPolynomial._from_rows(field, rows, over)
 
 
-def central_ints(field: GroundField, rows: list) -> list[int] | None:
-    """c in Z[u] with `rows` the integer rows of c(t^n), the inverse of
-    `central_polynomial`, or None unless rows[0], rows[n], rows[2n], ... are
-    rational and every other row is zero (over a rational invariant
-    subfield: unless the rows are those of an element of Q[u])."""
-    n, zero = field.sigma_order, field.zero_row
-    ints = []
-    for m, row in enumerate(rows):
-        if m % n:
-            if row != zero:
-                return None
-        elif any(row[1:]):
-            return None
-        else:
-            ints.append(row[0])
-    return ints
-
-
 def central_fraction_ints(c) -> tuple[list[int], list[int]] | None:
-    """(N, D) in Z[u] with N(u)/D(u) the fraction c = den^-1 * num: the
-    `central_ints` of both parts, cross-multiplied by their row
-    denominators.  None unless both parts are rational at the multiples of
-    the twist order; a nonzero coefficient at any other exponent raises
+    """(N, D), N in K'[u] and D in Z[u] (see `kernel.center`), with N/D the
+    fraction c = den^-1 * num: the elements of both parts, cross-multiplied
+    by their row denominators, with den brought down to Z[u] by its norm when
+    it is not there.  None unless both parts lie in K'[u]; a nonzero
+    coefficient at an exponent off the multiples of the twist order raises
     `ScenarioValidationError`."""
     field = c.field
+    ring = kernel.center(field)
     (num_rows, num_den), (den_rows, den_den) = c.num.int_rows(), c.den.int_rows()
-    num, den = central_ints(field, num_rows), central_ints(field, den_rows)
+    num, den = ring.ints(num_rows), ring.ints(den_rows)
     if num is None or den is None:
         n, zero = field.sigma_order, field.zero_row
         for p in (c.num, c.den):
@@ -417,7 +401,11 @@ def central_fraction_ints(c) -> tuple[list[int], list[int]] | None:
             if m is not None:
                 raise ScenarioValidationError(f"exponent {m} of {p} is not a multiple of the twist order")
         return None
-    return [a * den_den for a in num], [a * num_den for a in den]
+    num, den = kernel.strip(num, 0), kernel.strip(den, 0)
+    if (d := ring.rational(den)) is None:
+        q, d = ring.unit_multiple(den)
+        num = ring.mul(q, num)
+    return [a * den_den for a in num], [a * num_den for a in d]
 
 
 def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:
@@ -501,7 +489,7 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     characteristic polynomial, and q = sum_(k<m) (-1)^k e_k p^(m-1-k) has
     p*q = +-Nrd(p).  At m = 2, q = Trd(p) - p: the quaternion conjugate, and
     sigma(a) - b*t for p = a + b*t over a quadratic field.  When K' is not Q,
-    the same rule with the trace of K' over Q takes the norm down to Q[u];
+    the norm of K'/Q (`kernel.center`'s `conjugate`) takes it down to Q[u];
     then, or when m > 2, one `reduce_central` cuts c to the minimal central
     multiple of p.
 
@@ -518,7 +506,9 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     else:
         q = _conjugate(p) if m == 2 else _polynomial_cayley_hamilton(p, m, field.ktrd, field.trd_den)
         if w > 1:
-            q = _polynomial_cayley_hamilton(q * p, w, field.ktr, field.tr_den) * q
+            ring = kernel.center(field)
+            down = ring.conjugate(kernel.strip(ring.ints((q * p).int_rows()[0]), 0))[0]
+            q = SkewPolynomial._from_rows(field, ring.rows(down), 1) * q
     prod, pden = (q * p).int_rows()
     scale, c = primitive([prod[k][0] for k in range(0, len(prod), field.sigma_order)])
     if not c:
@@ -552,35 +542,6 @@ def _trace(p: SkewPolynomial, ktr, over: int) -> SkewPolynomial:
     out = [field.zero_row] * len(rows)
     out[:: field.sigma_order] = map(ktr, rows[:: field.sigma_order])
     return SkewPolynomial._from_rows(field, out, den * over)
-
-
-def cayley_hamilton(p, m: int, trace, divide, mul=operator.mul):
-    """q = sum_(k<m) (-1)^k e_k p^(m-1-k), so that  p*q = q*p = +-e_m,  for
-    the degree-m characteristic polynomial of p whose power sums are the
-    traces s_k = trace(p^k): k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
-
-    Generic over the element type, for m >= 2: the elements add, subtract
-    and negate, `mul` multiplies them, every trace commutes with every
-    element, and divide(a, k) is a/k for an integer k.  `norm_conjugate`
-    runs it on polynomials, `extend.TensorElement.inv` on tensor elements
-    and on the residues modulo f.  q sums the powers p, ..., p^(m-1) that
-    the traces read, each times its e_k, so a trace that is a constant of
-    the element type makes that a cheap product."""
-    powers = [p]
-    for _ in range(m - 2):
-        powers.append(mul(powers[-1], p))
-    sums = [trace(x) for x in powers]
-    e, q = [], powers[-1]
-    for k in range(1, m):
-        # e[k-1] = e_k; the term i = k has e_0 = 1
-        acc = sums[k - 1] if k % 2 else -sums[k - 1]
-        for i in range(1, k):
-            term = mul(e[k - i - 1], sums[i - 1])
-            acc = acc + term if i % 2 else acc - term
-        e.append(divide(acc, k))
-        term = e[-1] if k == m - 1 else mul(e[-1], powers[m - 2 - k])
-        q = q - term if k % 2 else q + term
-    return q
 
 
 def _polynomial_cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> SkewPolynomial:

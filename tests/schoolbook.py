@@ -26,7 +26,9 @@ kernel of the q_g^i rows by Gauss-Jordan on their central `SkewFraction`
 entries: the field-generic elimination `orefield.linalg` ran before fixed
 spaces moved to fraction-free rows over the center's numerator ring.
 `elimination_inverse` is the fraction-free d x d elimination over the
-twisted polynomials that `TensorElement.inv` ran before it inverted through
+twisted polynomials (`POLYNOMIALS`, the ring that also held the center's
+numerators when the invariant subfield is not Q, before they moved to
+`kernel.center`) that `TensorElement.inv` ran before it inverted through
 reduced norms; unlike the rest, it calls the package's own elimination.
 The integer-row loops are the `kernel.mul_rows` and `skewpoly.times_central`
 that products ran before they accumulated into given rows and columns; they
@@ -44,9 +46,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
 from itertools import zip_longest
+from math import gcd, lcm
+from types import SimpleNamespace
 
 from orefield import linalg
 from orefield.errors import (
@@ -64,7 +66,14 @@ from orefield.errors import (
 from orefield.laurent import TwistedSeries
 from orefield.sampling import random_fraction
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial
+from orefield.skewpoly import (
+    SkewPolynomial,
+    central_content,
+    divide_central,
+    norm_conjugate,
+    reduce_central,
+    times_central,
+)
 
 
 # -- Gauss-Jordan over any exact field ------------------------------------------
@@ -934,12 +943,12 @@ def elimination_inverse(element):
     inverse sum_j y_j x^j solves  sum_j (sum_i P_i T'_(i+j)) y_j = c*C e_0
     with T'_p = C e_p for p < d; the unknowns y_j sit on the right of the
     known coefficients, which `linalg.solve_right_generic` eliminates
-    fraction-free over the twisted polynomials (`extend._POLYNOMIALS`).  A
-    singular system means a zero divisor (f reducible) or zero.
+    fraction-free over the twisted polynomials (`POLYNOMIALS`).  A singular
+    system means a zero divisor (f reducible) or zero.
     """
-    from orefield.extend import _POLYNOMIALS, TensorElement
+    from orefield.extend import TensorElement
     from orefield.factor import _mul
-    from orefield.skewpoly import central_polynomial, times_central
+    from orefield.skewpoly import central_polynomial
 
     if element.is_zero():
         raise SingularElement("inversion of zero")
@@ -960,10 +969,42 @@ def elimination_inverse(element):
                 if not entry.is_zero():
                     rows[m][j] = rows[m][j] + entry * a
     rhs = [central_polynomial(scenario.field, _mul(list(element.den), c))] + [zero] * (d - 1)
-    sol = linalg.solve_right_generic(_POLYNOMIALS, scenario.field, rows, rhs)
+    sol = linalg.solve_right_generic(POLYNOMIALS, scenario.field, rows, rhs)
     if sol is None:
         raise SingularElement(f"element of {scenario.name} is not invertible")
     return TensorElement._raw(scenario, *sol)
+
+
+def primitive_row(row):
+    """The twisted polynomials divided by their content over Q[u] and by
+    their rational content."""
+    g = central_content(row)
+    if not g:
+        return row
+    if len(g) > 1:
+        row = [divide_central(p, g) for p in row]
+    parts = [p.int_rows() for p in row]
+    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
+    den = lcm(*(d for _, d in parts))
+    if num == den == 1:
+        return row
+    return [times_central(p, [den], num) for p in row]
+
+
+# the twisted polynomials as a ring for `linalg.eliminate`
+POLYNOMIALS = SimpleNamespace(
+    zero=SkewPolynomial.zero,
+    one=SkewPolynomial.one,
+    is_zero=SkewPolynomial.is_zero,
+    degree=lambda a: a.degree,
+    add=SkewPolynomial.__add__,
+    sub=SkewPolynomial.__sub__,
+    mul=SkewPolynomial.__mul__,
+    scale=times_central,
+    unit_multiple=norm_conjugate,
+    primitive=primitive_row,
+    reduce=lambda den, nums: reduce_central(den, list(nums)),
+)
 
 
 def tensor_apply(scenario, a, g):

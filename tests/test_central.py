@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _integers
-from orefield.factor import content, gcd
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _convert, _twisted, _view
+from orefield.factor import _trim, content, gcd
 from orefield.ground import make_number_field
+from orefield.kernel import center
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial
+from orefield.skewpoly import SkewPolynomial, central_polynomial, times_central
 
 from conftest import GAUSS, HAMILTON, RATIONALS
-from test_kernel import H_GOLDEN
+from test_kernel import CUBIC, H_GOLDEN
 
 # Q(sqrt2) with the identity twist: its invariant subfield is Q(sqrt2), so
 # central coefficients stay `SkewFraction`s there
@@ -121,8 +122,8 @@ def test_rational_functions_match_central_fractions_at_fixed_seeds():
 
 
 def test_lowest_terms_over_z_u_edges():
-    """`reduce` and `view` of the Z[u] ring on the edge cases of Q(u)."""
-    ring = _integers()
+    """`reduce` of the Z[u] ring and `_view` on the edge cases of Q(u)."""
+    ring = center(RATIONALS)
     assert ring.reduce([5], [[]]) == ([1], [[]])
     assert ring.reduce([4], [[4]]) == ([1], [[1]])
     # (2 + 2u)/(-4 + 4u^2) = 1/(2u - 2)
@@ -130,11 +131,79 @@ def test_lowest_terms_over_z_u_edges():
     assert ring.reduce([6], [[3], [], [0, 9]]) == ([2], [[1], [], [0, 3]])
     assert ring.reduce([-1, 0, 1], [[1, 1], [-1, 1]]) == ([-1, 0, 1], [[1, 1], [-1, 1]])
     for field in Z_U_FIELDS:
-        assert ring.view(field, [], [7, 1]).same_representation(SkewFraction.zero(field))
-        assert ring.view(field, [4], [4]).same_representation(SkewFraction.one(field))
+        assert _view(field, [], [7, 1]).same_representation(SkewFraction.zero(field))
+        assert _view(field, [4], [4]).same_representation(SkewFraction.one(field))
         half = central_fraction(field, [-1], [2, -2])
-        assert ring.view(field, [2, 2], [-4, 0, 4]).same_representation(half)
-        assert ring.view(field, [3], [6]).same_representation(central_fraction(field, [1], [2]))
+        assert _view(field, [2, 2], [-4, 0, 4]).same_representation(half)
+        assert _view(field, [3], [6]).same_representation(central_fraction(field, [1], [2]))
+
+
+# -- the ring K'[u] against the twisted polynomials ------------------------------------
+
+# K' = Q(sqrt2) and Q(sqrt5), w = 2, and the cubic, w = 1 with n = 3
+RING_FIELDS = [STATIC, CUBIC, H_GOLDEN]
+
+
+def check_center_ring(field, a, b, c):
+    """`kernel.center`'s operations on a, b in K'[u] and c in Z[u] against
+    the central twisted polynomials they stand for (`schoolbook.POLYNOMIALS`)."""
+    ring, ref = center(field), schoolbook.POLYNOMIALS
+    pa, pb = _twisted(field, a), _twisted(field, b)
+    assert _twisted(field, ring.mul(a, b)) == pa * pb and ring.mul(a, b) == ring.mul(b, a)
+    assert _twisted(field, ring.scale(a, c)) == times_central(pa, c)
+    assert ring.join(ring.parts(a)) == a and ring.rational(ring.lift(c)) == c
+    for x in (a, b):
+        if x:
+            q, n = ring.unit_multiple(x)
+            assert n[-1] > 0 and _twisted(field, ring.mul(q, x)) == central_polynomial(field, n)
+    if not c:
+        return
+    # lowest terms: the value of the reference's, no common factor left
+    den, (ra, rb) = ring.reduce(c, [a, b])
+    pden, (qa, qb) = ref.reduce(c, [pa, pb])
+    g = den
+    for part in ring.parts(ra) + ring.parts(rb):
+        g = gcd(g, part)
+    assert den[-1] > 0 and content(den + ra + rb) == 1 and len(g) == 1
+    for r, q in ((ra, qa), (rb, qb)):
+        assert times_central(_twisted(field, r), pden) == times_central(q, den)
+    # central fractions in, canonical fractions out
+    fractions = [SkewFraction.make(p, central_polynomial(field, c)) for p in (pa, pb)]
+    den, nums = _convert(field, fractions)
+    assert all(_view(field, x, den).same_representation(f) for x, f in zip(nums, fractions))
+
+
+def center_elements(field, size=3):
+    w = center(field).w
+    entry = st.integers(-3, 3)
+    return st.lists(entry, max_size=w * size).map(_trim)
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=lambda f: f.name)
+def test_the_center_ring_matches_the_twisted_polynomials(field):
+    @settings(max_examples=30, deadline=None)
+    @given(center_elements(field), center_elements(field), upolys)
+    def check(a, b, c):
+        check_center_ring(field, a, b, _trim(list(c)))
+
+    check()
+
+
+@pytest.mark.parametrize("field", RING_FIELDS, ids=lambda f: f.name)
+def test_the_center_ring_matches_the_twisted_polynomials_at_fixed_seeds(field):
+    rng = random.Random(31)
+    w = center(field).w
+
+    def element():
+        return _trim([rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(w * rng.randint(0, 4))])
+
+    for _ in range(20):
+        c = _trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+        check_center_ring(field, element(), element(), c)
+    # a common factor 1 + u of everything, and units of K'
+    one_plus_u = [1] + [0] * (w - 1) + [1]
+    check_center_ring(field, one_plus_u, center(field).mul(one_plus_u, one_plus_u), [1, 1])
+    check_center_ring(field, [0] * (w - 1) + [1], [1], [2])
 
 
 # -- CentralPolynomial against the schoolbook arithmetic --------------------------------

@@ -116,6 +116,32 @@ def test_exponent_cap(capsys):
     assert _exceeds_cap(capsys, "eval", "--field", "gauss", "t^-100000")
 
 
+def test_integer_literal_digit_cap(capsys):
+    """A literal past CPython's 4300-digit str -> int limit is refused before
+    it is converted; one at the cap is read."""
+    assert _exceeds_cap(capsys, "eval", "1" * 4400)
+    code, out, _ = run(capsys, "eval", "--field", "rationals", "9" * 4300)
+    assert code == 0 and out.strip() == "[" + "9" * 4300 + "]"
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_coefficients_past_the_digit_limit_print(capsys, form):
+    """2^(2^14) has 4933 digits: more than CPython converts to a string in one
+    piece by default, and the printer writes them all."""
+    code, out, _ = run(capsys, "eval", "--format", form, "((2^64)^64)^4")
+    assert code == 0
+    value = json.loads(out)["value"] if form == "json" else out.strip()
+    assert sys.get_int_max_str_digits() == 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(2 ** (2**14))
+    finally:
+        sys.set_int_max_str_digits(4300)
+    assert value == f"[{digits},0]" and len(digits) == 4933
+    code, out, _ = run(capsys, "eval", "--field", "rationals", "(0 - ((2^64)^64)^4)/3")
+    assert code == 0 and out.strip() == f"[-{digits}/3]"
+
+
 def _capped_scenario_file(tmp_path, doc):
     path = tmp_path / f"{doc['name']}-capped.yaml"
     path.write_text(yaml.safe_dump(doc))

@@ -25,7 +25,6 @@ from orefield.extend import (
     TensorElement,
     ext_tau,
     fixed_space,
-    match_root_polynomial,
     run_scenario_checks,
 )
 from orefield.laurent import TwistedSeries, is_invariant_series
@@ -426,20 +425,6 @@ def test_decomposition_rejects_noninvariant_series():
 def test_decomposition_rejects_nonseries_input():
     with pytest.raises(TypeError):
         checked_decomposition(GAUSS, [(GAUSS.one(), 7)])
-
-
-# ------------------------------------------------------- series-to-element match
-
-def test_match_recovers_a_polynomial_from_its_series():
-    target = ext_tau(TensorElement.make(QUAT, [1, -1]), 48)
-    q = match_root_polynomial(QUAT, target)
-    assert q == CentralPolynomial.from_coeffs(HAMILTON, [1, -1])
-
-
-def test_match_returns_none_for_a_corrupted_series():
-    target = ext_tau(TensorElement.x(QUAT), 48)
-    corrupted = target + TwistedSeries.t_power(HAMILTON, 20, 48)
-    assert match_root_polynomial(QUAT, corrupted) is None
 
 
 # ------------------------------------------------- composition by power rows

@@ -662,14 +662,20 @@ def test_newton_root_matches_full_precision_loop_when_poles_cost_precision():
 # n = 1, 1, 2, 3: every one has the invariant subfield Q
 CENTRAL_FIELDS = [RATIONALS, HAMILTON, GAUSS, CUBIC]
 CENTRAL_IDS = [f.name for f in CENTRAL_FIELDS]
+# and two with K' = Q(sqrt2) and Q(sqrt5), with the basis 1, e_1 of K'
+SERIES_FIELDS = CENTRAL_FIELDS + [STATIC_ROOT2, H_GOLDEN]
+SERIES_IDS = [f.name for f in SERIES_FIELDS]
 
 
 def _central(field, ints, den, val_u, prec):
-    """(CentralSeries, TwistedSeries) of sum_k ints[k]/den t^(n*(val_u + k)) + O(t^prec)."""
+    """(CentralSeries, TwistedSeries) of sum_k ints[k]/den t^(n*(val_u + k)) + O(t^prec),
+    an entry of ints an integer or the pair of coordinates of an element of K'
+    on 1 and e_1."""
     n = field.sigma_order
     coeffs = []
     for c in ints:
-        coeffs += [Fraction(c, den)] + [0] * (n - 1)
+        coords = [Fraction(x, den) for x in (c if isinstance(c, tuple) else (c,))]
+        coeffs += [coords + [0] * (field.dim - len(coords))] + [0] * (n - 1)
     twisted = TwistedSeries.make(field, n * val_u, coeffs, prec)
     central = CentralSeries.from_twisted(twisted)
     assert central is not None and central.to_twisted() == twisted
@@ -682,6 +688,9 @@ def _same_central(c, t):
 
 
 def _check_central(a, ta, b, tb):
+    """The central operations against the twisted ones, and the divisions,
+    which the twisted series also run on the center, against the schoolbook
+    recurrences."""
     assert _same_central(a + b, ta + tb)
     assert _same_central(a - b, ta - tb)
     assert _same_central(-a, -ta)
@@ -698,6 +707,8 @@ def _check_central(a, ta, b, tb):
             assert _same_central(x.inv(), tx.inv())
             assert _same_central(x.solve_left(a), solve_left(tx, ta))
             assert _same_central(x.solve_left(b), solve_left(tx, tb))
+            assert sb.series_eq(x.inv().to_twisted(), sb.series_inv(tx))
+            assert sb.series_eq(x.solve_left(a).to_twisted(), sb.solve_left(tx, ta))
     for prec in {a.prec + 1, a.prec, a.prec - 1, a.val + 1, a.val, a.val - 1}:
         if prec > a.prec:
             with pytest.raises(InsufficientPrecision):
@@ -707,13 +718,18 @@ def _check_central(a, ta, b, tb):
 
 
 def _random_central(field, rng):
-    ints = [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(rng.randint(0, 6))]
+    def entry():
+        if field.invariant_degree == 1:
+            return rng.randint(-4, 4)
+        return (rng.randint(-4, 4), rng.randint(-4, 4))
+
+    ints = [entry() if rng.random() < 0.7 else 0 for _ in range(rng.randint(0, 6))]
     val_u = rng.randint(-2, 2)
     prec = field.sigma_order * val_u + rng.randint(-1, 13)
     return _central(field, ints, rng.randint(1, 6), val_u, prec)
 
 
-@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+@pytest.mark.parametrize("field", SERIES_FIELDS, ids=SERIES_IDS)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_central_series_match_twisted_series(field, seed):
@@ -723,7 +739,7 @@ def test_central_series_match_twisted_series(field, seed):
     _check_central(b, tb, a, ta)
 
 
-@pytest.mark.parametrize("field", CENTRAL_FIELDS, ids=CENTRAL_IDS)
+@pytest.mark.parametrize("field", SERIES_FIELDS, ids=SERIES_IDS)
 def test_central_series_match_twisted_series_fixed_seed(field):
     rng = random.Random(2024)
     n = field.sigma_order
@@ -805,22 +821,24 @@ def test_embed_fraction_at_or_below_the_valuation_is_zero(field):
 
 
 def test_newton_root_runs_on_the_center(monkeypatch):
-    """Over a field whose invariant subfield is Q the lift makes no twisted
-    series product; over Q(sqrt2) with sigma = id the same loop makes them."""
+    """The lift makes no twisted series product over any invariant subfield
+    K': it runs on K'((u)), Q(sqrt2)((u)) over Q(sqrt2)/id and over H over
+    Q(sqrt5)."""
     calls = []
     original = kernel.series_mul_rows
     monkeypatch.setattr(kernel, "series_mul_rows", lambda *a: calls.append(1) or original(*a))
-    for field in (HAMILTON, GAUSS, CUBIC):
+    for field in (HAMILTON, GAUSS, CUBIC, STATIC_ROOT2, H_GOLDEN):
         n = field.sigma_order
         one_plus_u = SkewPolynomial.from_coeffs(field, [1] + [0] * (n - 1) + [1])
         coeffs = [SkewFraction.from_polynomial(-one_plus_u), SkewFraction.zero(field), SkewFraction.one(field)]
         root = newton_root(coeffs, field.one(), 20)
         assert root == sb.newton_root(coeffs, field.one(), 20)
-    assert calls == []
-    coeffs = [SkewFraction.coerce(STATIC_ROOT2, c) for c in ([-1, 0], 0, 1)]
+    # x^2 - (3 + 2 sqrt2) - t at the seed 1 + sqrt2, off Q
+    coeffs = [SkewFraction.coerce(STATIC_ROOT2, c) for c in ([-3, -2], 0, 1)]
     coeffs[0] = coeffs[0] - SkewFraction.t_power(STATIC_ROOT2, 1)
-    newton_root(coeffs, STATIC_ROOT2.one(), 10)
-    assert calls
+    seed = STATIC_ROOT2.element([1, 1])
+    assert newton_root(coeffs, seed, 10) == sb.newton_root(coeffs, seed, 10)
+    assert calls == []
 
 
 # -- one path for every field ---------------------------------------------------------

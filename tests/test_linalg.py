@@ -1,8 +1,9 @@
 """Kernels: `linalg.nullspace`, Gauss-Jordan over the rationals, and
-`linalg.ring_nullspace`, the fraction-free elimination over the center's
-numerator rings: over Q(u) on Z[u] numerators (the `_integers()` ring), and
-over the center of a fraction field whose invariant subfield is not Q, on
-central twisted polynomials (`_POLYNOMIALS`).
+`linalg.ring_nullspace`, the fraction-free elimination over the rings of the
+center: over Q(u) on Z[u] numerators (`kernel.center` at w = 1), and over
+the center of a fraction field whose invariant subfield is not Q, on K'[u]
+(`kernel.center` at w = 2) and on the tests' reference ring of central
+twisted polynomials (`schoolbook.POLYNOMIALS`).
 
 Every basis is checked for M*v = 0 and for its canonical shape (each vector
 has its 1 at its own free column and 0 at the others'), and its size against
@@ -15,16 +16,18 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from orefield import linalg
-from orefield.extend import _POLYNOMIALS, _integers, _primitive_row
-from orefield.factor import content, gcd
+from orefield.factor import _trim, content, gcd
+from orefield.kernel import center
 from orefield.skewpoly import central_content
 
 from conftest import RATIONALS
+from schoolbook import POLYNOMIALS, primitive_row
 from test_central import STATIC, upoly
 
 U = sympy.Symbol("u")
@@ -159,7 +162,7 @@ def as_sympy_upoly(a):
 
 
 def check_integer_ring(rows, ncols):
-    ring = _integers()
+    ring = center(RATIONALS)
     basis = check_ring_kernel(ring, RATIONALS, rows, ncols)
     entries = [[as_sympy_upoly(x) for x in r] for r in rows]
     assert len(basis) == sympy_dimension(entries, ncols, sympy.QQ.frac_field(U))
@@ -170,7 +173,7 @@ def test_rational_function_nullspace_at_fixed_seeds():
         rng = random.Random(seed)
         nrows, ncols = rng.randint(1, 3), rng.randint(2, 4)
         rank = rng.randint(1, min(nrows, ncols))
-        check_integer_ring(low_rank(rng, nrows, ncols, rank, random_upoly, _integers()), ncols)
+        check_integer_ring(low_rank(rng, nrows, ncols, rank, random_upoly, center(RATIONALS)), ncols)
 
 
 @settings(max_examples=20, deadline=None)
@@ -182,7 +185,7 @@ def test_rational_function_nullspace_on_random_matrices(seed, nrows, ncols):
 
 
 def test_ring_nullspace_edges():
-    ring = _integers()
+    ring = center(RATIONALS)
     assert linalg.ring_nullspace(ring, RATIONALS, [], 2) == [([1], [[1], []]), ([1], [[], [1]])]
     assert linalg.ring_nullspace(ring, RATIONALS, [[[2], []], [[], [0, 5]]], 2) == []
     # u*x_0 + (u^2 + u)*x_1 = 0: x = (-(u + 1), 1), with the 1 over den 1
@@ -191,7 +194,7 @@ def test_ring_nullspace_edges():
     assert linalg.ring_nullspace(ring, RATIONALS, [[[2], [0, 1]]], 2) == [([2], [[0, -1], [2]])]
 
 
-# -- the center of Q(sqrt2)/id on central polynomials ----------------------------------
+# -- the center of Q(sqrt2)/id, on K'[u] and on central polynomials -------------------
 
 
 def random_central_polynomial(rng):
@@ -201,31 +204,51 @@ def random_central_polynomial(rng):
     return upoly(STATIC, [a, c], root2=[0, b])
 
 
+def random_center_element(rng):
+    """The same draw as an element of K'[u], a at index 0, c + b sqrt2 at
+    indices 2 and 3 (beta_1 = sqrt2)."""
+    a, b, c = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1)
+    return _trim([a, 0, c, b])
+
+
 def as_sympy_central(p):
     return sum((e.coords[0] + e.coords[1] * sympy.sqrt(2)) * U**k for k, e in enumerate(p.coeffs))
 
 
-def test_central_fraction_nullspace_at_fixed_seeds():
+def as_sympy_center(a):
+    return sum((a[k] + (a[k + 1] if k + 1 < len(a) else 0) * sympy.sqrt(2)) * U ** (k // 2) for k in range(0, len(a), 2))
+
+
+CENTER_RINGS = [
+    (POLYNOMIALS, random_central_polynomial, as_sympy_central),
+    (center(STATIC), random_center_element, as_sympy_center),
+]
+CENTER_IDS = ["polynomials", "center"]
+
+
+@pytest.mark.parametrize("ring, entry, as_sympy", CENTER_RINGS, ids=CENTER_IDS)
+def test_central_fraction_nullspace_at_fixed_seeds(ring, entry, as_sympy):
     domain = sympy.QQ.algebraic_field(sympy.sqrt(2)).frac_field(U)
     for seed in range(12):
         rng = random.Random(seed)
         nrows, ncols = rng.randint(1, 3), rng.randint(2, 3)
         rank = rng.randint(1, min(nrows, ncols))
-        rows = low_rank(rng, nrows, ncols, rank, random_central_polynomial, _POLYNOMIALS)
-        basis = check_ring_kernel(_POLYNOMIALS, STATIC, rows, ncols)
-        entries = [[as_sympy_central(x) for x in r] for r in rows]
+        rows = low_rank(rng, nrows, ncols, rank, entry, ring)
+        basis = check_ring_kernel(ring, STATIC, rows, ncols)
+        entries = [[as_sympy(x) for x in r] for r in rows]
         assert len(basis) == sympy_dimension(entries, ncols, domain)
 
 
 def has_no_content(ring, row):
-    """No common factor over Q[u] and, for integer lists, no integer content;
-    for twisted polynomials, no rational content either (`_primitive_row`
+    """No common factor over Q[u] of the coordinates and no integer content;
+    for twisted polynomials, no rational content either (`primitive_row`
     leaves the row as it is)."""
-    if ring is _POLYNOMIALS:
-        return central_content(row) == [1] and _primitive_row(row) == row
+    if ring is POLYNOMIALS:
+        return central_content(row) == [1] and primitive_row(row) == row
     g = []
     for a in row:
-        g = gcd(g, a)
+        for part in ring.parts(a):
+            g = gcd(g, part)
     return len(g) == 1 and content([x for a in row for x in a]) == 1
 
 
@@ -233,9 +256,11 @@ def test_eliminated_rows_are_primitive():
     """Each row that a pivot clears is divided by its content, so the
     entries stay small: common factors of the inputs do not survive."""
     rng = random.Random(5)
+    static = center(STATIC)
     cases = [
-        (_integers(), RATIONALS, random_upoly, [[6], [0, 4]]),
-        (_POLYNOMIALS, STATIC, random_central_polynomial, [upoly(STATIC, [3], root2=[0, 3]), upoly(STATIC, [1, 1])]),
+        (center(RATIONALS), RATIONALS, random_upoly, [[6], [0, 4]]),
+        (POLYNOMIALS, STATIC, random_central_polynomial, [upoly(STATIC, [3], root2=[0, 3]), upoly(STATIC, [1, 1])]),
+        (static, STATIC, random_center_element, [[3, 3], [1, 0, 1]]),
     ]
     for ring, field, entry, scales in cases:
         for _ in range(6):

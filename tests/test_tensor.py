@@ -1,6 +1,7 @@
 """`TensorElement` on one central denominator against the
 `SkewFraction`-coordinate arithmetic it replaces (the oracle in `schoolbook`)."""
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -434,10 +435,23 @@ def check_tau(element, powers):
             assert ext_tau(element, want) == sb.series_truncate(full, want)
 
 
+def test_the_r2l1_root_is_lifted_on_its_center():
+    """R2L1's root, over Q(sqrt2)/id, lies in Q(sqrt2)((u)) and is lifted
+    there: it is the root the lift on twisted series made (pinned) and the
+    schoolbook lift's."""
+    scenario = load_document(R2L1)
+    root = scenario.rho_work
+    assert isinstance(scenario.root_work, CentralSeries) and scenario.root_work.to_twisted() == root
+    digest = "fe21a66d51ea00a2e4d349f4e4f232aeb5c017b07278786e85beaad2b8844d04"
+    assert hashlib.sha256(str(root).encode()).hexdigest() == digest
+    assert sb.series_eq(root, sb.newton_root(list(scenario.f.coeffs), scenario.newton_seed, root.prec))
+
+
 def test_catalog_roots_are_central_and_the_given_root_is_not():
+    """Every lifted root lies in K'((u)), K' = Q(sqrt2) over Q(sqrt2)/id."""
     for scenario in TAU_SCENARIOS:
         central = isinstance(scenario.root, CentralSeries)
-        assert central == (scenario not in (I_ROOT, ROOT2_SCENARIO))
+        assert central == (scenario is not I_ROOT)
         twisted = scenario.root.to_twisted() if central else scenario.root
         assert twisted == scenario.rho
 
