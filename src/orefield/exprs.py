@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .errors import CapExceeded, ExprEvalError, ExprSyntaxError
@@ -367,6 +368,17 @@ def _bound_degree(degree: int, fraction: bool, what: str) -> None:
     _capped(degree, _FRACTION_DEGREE_CAP if fraction else PRECISION_CAP, what)
 
 
+# The Ore steps of a fraction + - * / grow with degree and coefficient size
+# together, so (deg a + deg b) * (bits a + bits b) is bounded before they run,
+# bits the largest bit length in a fraction's integer rows and denominators.
+FRACTION_WORK_CAP = 2**15
+
+
+def _bound_work(a: SkewFraction, b: SkewFraction) -> None:
+    bits = [max(x.bit_length() for rows, den in (v.num.int_rows(), v.den.int_rows()) for x in chain(*rows, (den,))) for v in (a, b)]
+    _capped((a.size() + b.size()) * sum(bits), FRACTION_WORK_CAP, "fraction work")
+
+
 def _is_series(value: Value) -> bool:
     return isinstance(value, TwistedSeries)
 
@@ -450,8 +462,11 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
             # a sum of polynomials keeps the larger degree, already bounded
             if fraction:
                 _capped(_degree(a) + _degree(b), _FRACTION_DEGREE_CAP, "sum degree")
+                _bound_work(a, b)
             return a + b if node.op == "+" else a - b
         _bound_degree(_degree(a) + _degree(b), fraction, "product degree")
+        if fraction:
+            _bound_work(a, b)
         return a * b
     if isinstance(node, Call):
         return _call(node, ctx)

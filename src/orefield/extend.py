@@ -20,18 +20,18 @@ the rest of the package (towers, command line) consumes:
   read by everything that works modulo f: with q = x they are the reduction
   table x^p mod f, with q = q_g the Galois matrix of g, and for any q the
   table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f).
-  `compose`, `twisted_table` and its integer view `int_table` read the
-  rows over one common Z[u] denominator.
+  They are kept once, as `table`: numerators in K'[u] over one common
+  Z[u] denominator.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data: one `PowerRows` per image
   polynomial (x's rows are the reduction table), the full image closure and
-  the lifted root.
+  the lifted root, stored once as `root_work`.
 * `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
   central denominator c in Z[u] and twisted polynomials P_i, in a canonical
   form with structural `==`.  Products convolve the P_i as integer rows
   and reduce by the rows of x, `apply` acts by the rows of q_g, both read
-  through `PowerRows.int_table` with one normalisation per coordinate;
+  from `PowerRows.table` with one normalisation per coordinate;
   inversion goes through reduced norms, e^-1 = c E* Pi N^-1, with
   E E* = nu in F = K'(u)[x]/(f) and nu Pi = N in the center, by
   Cayley-Hamilton (`skewpoly.cayley_hamilton`) on the rows of x alone, so it
@@ -403,12 +403,12 @@ class PowerRows:
     for any polynomials p and q.  Row k+1 is (row k * q) modulo f, one
     pseudo-division over K'[u] (J. von zur Gathen and J.
     Gerhard, *Modern Computer Algebra*, ch. 6) with one content reduction.
-    `compose` and `twisted_table` read the rows over one common Z[u]
-    denominator, so a composite is a sum of numerator products with no gcd.
-    With q = x the rows are the reduction table x^p mod f.
+    `table` holds the rows over one common Z[u] denominator, so a composite
+    is a sum of numerator products with no gcd.  With q = x the rows are the
+    reduction table x^p mod f.
     """
 
-    __slots__ = ("f", "q", "_powers", "_shared", "_twisted", "_ints")
+    __slots__ = ("f", "q", "_powers", "_shared")
 
     def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
         f._same(q)
@@ -417,8 +417,6 @@ class PowerRows:
         self.f, self.q = f, q
         self._powers: list[CentralPolynomial] = []
         self._shared: tuple[list[int], list[list]] | None = None
-        self._twisted: tuple[list[int], list[tuple[SkewPolynomial, ...]]] | None = None
-        self._ints: tuple[list[int], int, list[list]] | None = None
 
     def powers(self, count: int) -> list[CentralPolynomial]:
         """q^k modulo f for k < count."""
@@ -427,9 +425,10 @@ class PowerRows:
             self._powers.append(power.divmod_by(self.f)[1])
         return self._powers[:count]
 
-    def _common(self, count: int) -> tuple[list[int], list[list]]:
+    def table(self, count: int) -> tuple[list[int], list[list]]:
         """(C, N) with  q^k = C(u)^-1 * sum_m N[k][m] x^m  modulo f for at
-        least k < count, each row padded to deg f numerators (cached)."""
+        least k < count, C in Z[u] and the N[k][m] in K'[u], each row padded
+        to deg f numerators (cached, and grown on request)."""
         from .factor import _divexact
 
         if self._shared is None or len(self._shared[1]) < count:
@@ -447,27 +446,6 @@ class PowerRows:
             self._shared = (den, table)
         return self._shared
 
-    def twisted_table(self, count: int) -> tuple[list[int], list[tuple[SkewPolynomial, ...]]]:
-        """(C, T) with  q^k = C(t^n)^-1 * sum_m T[k][m] x^m  modulo f for at
-        least k < count, over one common denominator C in Z[u] (cached)."""
-        if self._twisted is None or len(self._twisted[1]) < count:
-            field = self.f.field
-            den, table = self._common(count)
-            self._twisted = (den, [tuple(_twisted(field, a) for a in row) for row in table])
-        return self._twisted
-
-    def int_table(self, count: int) -> tuple[list[int], int, list[list]]:
-        """(C, E, Z) with  q^k = (E C(t^n))^-1 * sum_m Z[k][m] x^m  modulo f
-        for at least k < count: the `twisted_table` over one integer
-        denominator E, each entry in the form `kernel.central_sum` takes
-        (cached, and grown with the table)."""
-        den, table = self.twisted_table(count)
-        if self._ints is None or len(self._ints[2]) < len(table):
-            d = self.f.degree
-            e, flat = kernel.central_view(self.f.field, [p.int_rows() for row in table for p in row])
-            self._ints = (den, e, [flat[k : k + d] for k in range(0, len(flat), d)])
-        return self._ints
-
     def compose(self, p: CentralPolynomial) -> CentralPolynomial:
         """p(q) modulo f, as sum_k p_k (q^k mod f), over the product of p's
         denominator and the rows' common one."""
@@ -477,7 +455,7 @@ class PowerRows:
         field = self.f.field
         ring = center(field)
         pden, nums = p.parts()
-        den, table = self._common(len(nums))
+        den, table = self.table(len(nums))
         out = [ring.zero(field)] * self.f.degree
         for row, v in zip(table, nums):
             if not ring.is_zero(v):
@@ -580,8 +558,9 @@ class ExtensionScenario:
       identity, `reduction` itself),
     * the image polynomial q_g for every group element (closure of the
       generator images under the table, with consistency checks),
-    * the series root rho, lifted once at padded precision, and its central
-      form (`root`, `root_work`) when it has one,
+    * the series root, lifted once at padded precision and kept once as
+      `root_work` (a `CentralSeries` when it lies in K'((u))); `root` cuts
+      it to the stated precision, and `rho` shows that as a twisted series,
     * the fixed space of the full group (`fixed_space`).
     """
 
@@ -623,11 +602,8 @@ class ExtensionScenario:
         self._images: dict[str, CentralPolynomial] | None = None
         self._powers: dict[str, PowerRows] = {}
         self._fixed: list[list[SkewFraction]] | None = None
-        self._rho_work: TwistedSeries | None = None
-        self._rho: TwistedSeries | None = None
         self._root_work: CentralSeries | TwistedSeries | None = None
         self._root_powers: list | None = None
-        self._rho_powers: list[TwistedSeries] | None = None
 
     @property
     def degree(self) -> int:
@@ -711,47 +687,30 @@ class ExtensionScenario:
         return 2 * self.degree * worst + 4
 
     @property
-    def rho_work(self) -> TwistedSeries:
-        """The root at padded internal precision (residual checks use this)."""
-        if self._rho_work is None:
-            if self.rho_override is not None:
-                self._rho_work = self.rho_override
-            else:
-                coeffs = (
-                    list(self.newton_coeffs)
-                    if self.newton_coeffs is not None
-                    else list(self.f.coeffs)
-                )
-                self._rho_work = newton_root(
-                    coeffs,
-                    self.newton_seed,
-                    self.precision + self._coefficient_valuation_pad(),
-                )
-        return self._rho_work
-
-    @property
-    def rho(self) -> TwistedSeries:
-        if self._rho is None:
-            work = self.rho_work
-            self._rho = work if work.prec <= self.precision else work.truncate(self.precision)
-        return self._rho
-
-    @property
     def root_work(self) -> CentralSeries | TwistedSeries:
-        """`rho_work` in the form the checks compute with: its `CentralSeries`
-        when rho lies in K'((u)), as every lifted root does, and `rho_work`
-        itself otherwise."""
+        """The root at padded internal precision (residual checks use this):
+        the override or the Newton lift, kept as its `CentralSeries` when it
+        lies in K'((u)), as every lifted root does."""
         if self._root_work is None:
-            work = self.rho_work
+            work = self.rho_override
+            if work is None:
+                coeffs = self.newton_coeffs if self.newton_coeffs is not None else self.f.coeffs
+                work = newton_root(list(coeffs), self.newton_seed, self.precision + self._coefficient_valuation_pad())
             central = CentralSeries.from_twisted(work)
             self._root_work = work if central is None else central
         return self._root_work
 
     @property
     def root(self) -> CentralSeries | TwistedSeries:
-        """`rho` in the form of `root_work`."""
+        """`root_work` at the stated precision."""
         work = self.root_work
         return work if work.prec <= self.precision else work.truncate(self.precision)
+
+    @property
+    def rho(self) -> TwistedSeries:
+        """`root` as a twisted series."""
+        root = self.root
+        return root.to_twisted() if isinstance(root, CentralSeries) else root
 
     @property
     def root_powers(self) -> list:
@@ -763,14 +722,6 @@ class ExtensionScenario:
                 powers.append(powers[-1] * root)
             self._root_powers = powers
         return self._root_powers
-
-    @property
-    def rho_powers(self) -> list[TwistedSeries]:
-        if self._rho_powers is None:
-            self._rho_powers = [
-                p.to_twisted() if isinstance(p, CentralSeries) else p for p in self.root_powers
-            ]
-        return self._rho_powers
 
     def validate(self) -> None:
         """Run every check; raise ScenarioValidationError on the first failure."""
@@ -834,8 +785,8 @@ class TensorElement:
         if rows is None and len(kernel.strip(conv, [])) <= d:
             sums = [(r, 1) for r in conv] + [([], 1)] * (d - len(conv))
         else:
-            c, e, table = (rows or scenario.reduction).int_table(len(conv))
-            den, over = _mul(den, c), over * e
+            c, table = (rows or scenario.reduction).table(len(conv))
+            den = _mul(den, c)
             sums = [kernel.central_sum(field, [(v, row[m]) for v, row in zip(conv, table)]) for m in range(d)]
         return cls._reduced(scenario, den, [SkewPolynomial._from_rows(field, r, over * k) for r, k in sums])
 
@@ -1050,7 +1001,7 @@ def _residue_trace(rows: PowerRows):
 
     field, d = rows.f.field, rows.f.degree
     ring = center(field)
-    common, table = rows._common(2 * d - 1)
+    common, table = rows.table(2 * d - 1)
     zero = ring.zero(field)
     traces = []
     for j in range(d):
@@ -1106,7 +1057,7 @@ def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list
     for g in names:
         if g == scenario.group.identity:
             continue
-        common, table = scenario.power_rows(g)._common(d)
+        common, table = scenario.power_rows(g).table(d)
         c = ring.scale(ring.one(field), common)
         for m in range(d):
             rows.append([ring.sub(table[i][m], c) if i == m else table[i][m] for i in range(d)])
@@ -1155,7 +1106,7 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     """
     scenario = element.scenario
     field = scenario.field
-    top = scenario.rho.prec
+    top = scenario.root.prec
     v = field.sigma_order * next(k for k, a in enumerate(element.den) if a)
     zero = field.zero_row
     reach = top

@@ -387,12 +387,7 @@ class CentralSeries:
         ints = ring.ints(rows)
         if s.val % field.sigma_order or ints is None:
             return None
-        if ring.over != 1:
-            return cls._make(field, s.val, ints, den * ring.over, s.prec)
-        # the rows are canonical, so the ints are too
-        c = cls.__new__(cls)
-        c.field, c.val, c.prec, c._ints, c._den = field, s.val, s.prec, ints, den
-        return c
+        return cls._make(field, s.val, ints, den * ring.over, s.prec)
 
     def to_twisted(self) -> TwistedSeries:
         field = self.field

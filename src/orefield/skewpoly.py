@@ -19,11 +19,11 @@ not, because conjugating a constant through a polynomial usually leaves
 the constants).  `gcld` therefore normalises its output to be monic by a
 right unit.
 
-Coefficients are `GroundElement`s; polynomials are stored as ascending
-coefficient tuples with no trailing zeros, the zero polynomial being the
-empty tuple (its degree is reported as -1).  Products, divisions and the
-Euclidean loops run on the integer rows of `orefield.kernel`; a polynomial
-keeps its rows once computed, since it is immutable.
+Coefficients are `GroundElement`s, ascending with no trailing zeros (the
+zero polynomial has none; its degree is reported as -1).  A polynomial is
+stored once, as the canonical integer rows of `orefield.kernel`, converted
+on construction; products, divisions and the Euclidean loops run on them,
+and `coeffs` is a view built on first use.
 
 u = t^n (n the order of the twist) is central.  `norm_conjugate` writes
 p^-1 = c(t^n)^-1 * q with c an integer polynomial in u, and the helpers
@@ -42,16 +42,17 @@ from .ground import GroundElement, GroundField
 
 
 class SkewPolynomial:
-    """Construct from coefficients (or the classmethods); results of the
-    kernel carry integer rows instead and materialise `coeffs` on demand."""
+    """Construct from coefficients (or the classmethods), which are converted
+    to integer rows and kept, less trailing zeros, as the `coeffs` view;
+    results of the kernel carry rows only, and build `coeffs` on first use."""
 
     __slots__ = ("field", "_coeffs", "_chint", "_rows")
 
     def __init__(self, field: GroundField, coeffs: tuple[GroundElement, ...]) -> None:
         self.field = field
-        self._coeffs: tuple[GroundElement, ...] | None = coeffs
+        self._rows: tuple[list, int] = kernel.normalise(*kernel.rows_of(coeffs), field.zero_row)
+        self._coeffs: tuple[GroundElement, ...] | None = coeffs[: len(self._rows[0])]
         self._chint: bool | None = None
-        self._rows: tuple[list, int] | None = None
 
     @classmethod
     def _from_rows(cls, field: GroundField, rows: list, den: int) -> "SkewPolynomial":
@@ -66,15 +67,12 @@ class SkewPolynomial:
     @property
     def coeffs(self) -> tuple[GroundElement, ...]:
         if self._coeffs is None:
-            rows, den = self._rows
-            self._coeffs = tuple(kernel.elements_of(self.field, rows, den))
+            self._coeffs = tuple(kernel.elements_of(self.field, *self._rows))
         return self._coeffs
 
     def int_rows(self) -> tuple[list, int]:
         """Integer numerators of the coefficients over one common denominator:
         canonical (no trailing zero rows, den > 0, no common content)."""
-        if self._rows is None:
-            self._rows = kernel.rows_of(self._coeffs)
         return self._rows
 
     # -- constructors -----------------------------------------------------
@@ -88,11 +86,11 @@ class SkewPolynomial:
 
     @classmethod
     def zero(cls, field: GroundField) -> "SkewPolynomial":
-        return cls(field, ())
+        return cls._from_rows(field, [], 1)
 
     @classmethod
     def one(cls, field: GroundField) -> "SkewPolynomial":
-        return cls(field, (field.one(),))
+        return cls._from_rows(field, [(1,) + field.zero_row[1:]], 1)
 
     @classmethod
     def t_power(cls, field: GroundField, power: int = 1, coeff=None) -> "SkewPolynomial":
@@ -110,7 +108,7 @@ class SkewPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs if self._coeffs is not None else self._rows[0]) - 1
+        return len(self._rows[0]) - 1
 
     def is_zero(self) -> bool:
         return self.degree < 0
@@ -118,15 +116,13 @@ class SkewPolynomial:
     def leading(self) -> GroundElement:
         if self.is_zero():
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        if self._coeffs is not None:
-            return self._coeffs[-1]
         rows, den = self._rows
         return kernel.elements_of(self.field, rows[-1:], den)[0]
 
     def is_monic(self) -> bool:
         if self.is_zero():
             return False
-        rows, den = self.int_rows()
+        rows, den = self._rows
         return rows[-1] == (den,) + self.field.zero_row[1:]
 
     def is_invariant_central(self) -> bool:
@@ -140,7 +136,7 @@ class SkewPolynomial:
             n, zero = field.sigma_order, field.zero_row
             self._chint = all(
                 r == zero or (m % n == 0 and field.is_invariant_row(r))
-                for m, r in enumerate(self.int_rows()[0])
+                for m, r in enumerate(self._rows[0])
             )
         return self._chint
 
@@ -153,11 +149,12 @@ class SkewPolynomial:
         return (
             isinstance(other, SkewPolynomial)
             and self.field == other.field
-            and self.int_rows() == other.int_rows()
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(c.coords for c in self.coeffs))
+        rows, den = self._rows
+        return hash((den, tuple(rows)))
 
     # -- ring operations ----------------------------------------------------
 
@@ -179,8 +176,6 @@ class SkewPolynomial:
         return self._combine(other, -1)
 
     def __neg__(self) -> "SkewPolynomial":
-        if self._coeffs is not None:
-            return SkewPolynomial(self.field, tuple(-c for c in self._coeffs))
         rows, den = self._rows
         return SkewPolynomial._from_rows(self.field, kernel.scale(rows, -1), den)
 
@@ -209,9 +204,10 @@ class SkewPolynomial:
 
     def apply_sigma(self, power: int = 1) -> "SkewPolynomial":
         """Apply the automorphism coefficientwise."""
-        return SkewPolynomial(
-            self.field, tuple(c.sigma(power) for c in self.coeffs)
-        )
+        field = self.field
+        rows, den = self._rows
+        sig = field.ksig[power % field.sigma_order]
+        return SkewPolynomial._from_rows(field, list(map(sig, rows)), den * field.sig_den)
 
     # -- division ------------------------------------------------------------
 

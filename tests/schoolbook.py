@@ -935,6 +935,17 @@ def tensor_inv(scenario, a):
     return tuple(sol)
 
 
+def twisted_table(rows, count):
+    """(C, T) with  q^k = C(t^n)^-1 * sum_m T[k][m] x^m  modulo f for at
+    least k < count: `PowerRows.table` with each entry a(u) of K'[u] written
+    as the twisted polynomial a(t^n)."""
+    from orefield.extend import _twisted
+
+    c, table = rows.table(count)
+    field = rows.f.field
+    return c, [tuple(_twisted(field, a) for a in row) for row in table]
+
+
 def elimination_inverse(element):
     """The inverse `TensorElement.inv` computed before it moved to reduced
     norms, as a `TensorElement`.
@@ -955,7 +966,7 @@ def elimination_inverse(element):
     scenario = element.scenario
     d = scenario.degree
     zero = SkewPolynomial.zero(scenario.field)
-    c, table = scenario.reduction.twisted_table(2 * d - 1)
+    c, table = twisted_table(scenario.reduction, 2 * d - 1)
     rows = [[zero] * d for _ in range(d)]
     for i, a in enumerate(element.polys):
         if a.is_zero():

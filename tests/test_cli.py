@@ -142,6 +142,26 @@ def test_coefficients_past_the_digit_limit_print(capsys, form):
     assert code == 0 and out.strip() == f"[-{digits}/3]"
 
 
+# two fractions of degree 16 with 1015- and 744-bit coefficients: (16 + 16) *
+# (1015 + 744) = 56288 units of fraction work; at ^-8, 16 * 880 = 14080
+BIG_COEFFICIENT_SUM = "(12345678901234567890+[0,1]*t)^{0} + (98765432109876+t)^{0}"
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_fraction_work_cap(capsys, form):
+    """A fraction sum whose degree times coefficient size is past the cap is
+    refused before its Ore steps run; the same sum at half the degree and
+    size is computed."""
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--field", "gauss", "--format", form, BIG_COEFFICIENT_SUM.format(-16))
+    assert code == EXIT_VALIDATION and "fraction work 56288 exceeds cap 32768" in err
+    assert time.perf_counter() - t0 < 5.0
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "--format", form, BIG_COEFFICIENT_SUM.format(-8))
+    assert code == 0
+    value = json.loads(out)["value"] if form == "json" else out.strip()
+    assert value.startswith("([630255428964940584411930494212205423900996034699246024728987985201657785172015947207")
+
+
 def _capped_scenario_file(tmp_path, doc):
     path = tmp_path / f"{doc['name']}-capped.yaml"
     path.write_text(yaml.safe_dump(doc))

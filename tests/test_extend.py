@@ -23,6 +23,7 @@ from orefield.extend import (
     FiniteGroup,
     PowerRows,
     TensorElement,
+    _view,
     ext_tau,
     fixed_space,
     run_scenario_checks,
@@ -457,8 +458,8 @@ def test_power_rows_compose_as_horner_and_division_on_every_catalog_level(name):
 
 def test_integer_views_of_the_reduction_rows_belong_to_their_scenario():
     """The same f = x^2 - (1 + t^2) over Q, Q(i) and H_Q: each scenario's
-    `PowerRows` keeps its own integer view of the rows x^p mod f, written in
-    its own field's u = t^n, and a longer request grows it."""
+    `PowerRows` keeps its own table of the rows x^p mod f, written in its
+    own field's u = t^n, and a longer request grows it."""
     views = []
     for field in (RATIONALS, GAUSS, HAMILTON):
         c = rational_poly(field, 1, 0, 1)
@@ -466,14 +467,14 @@ def test_integer_views_of_the_reduction_rows_belong_to_their_scenario():
         x = TensorElement.x(scenario)
         assert x * x == TensorElement.make(scenario, [c])
         rows = scenario.reduction
-        den, e, table = rows.int_table(3)
-        assert rows.twisted_table(3) == (den, [tuple(central_polynomial(field, z, e) for z in row) for row in table])
-        longer = rows.int_table(6)
-        assert len(longer[2]) >= 6 and longer[2][:3] == table and rows.int_table(3) is longer
+        den, table = rows.table(3)
+        assert [tuple(_view(field, z, den) for z in row) for row in table] == [schoolbook.padded(scenario, p.coeffs) for p in rows.powers(3)]
+        longer = rows.table(6)
+        assert len(longer[1]) >= 6 and longer[1][:3] == table and rows.table(3) is longer
         views.append(longer)
     # Q and H_Q read u = t, Q(i) reads u = t^2
-    assert views[0][2] == views[2][2] != views[1][2]
-    assert all(a is not b and a[2] is not b[2] for a, b in combinations(views, 2))
+    assert views[0][1] == views[2][1] != views[1][1]
+    assert all(a is not b and a[1] is not b[1] for a, b in combinations(views, 2))
 
 
 def corrupted(name, images):

@@ -204,6 +204,52 @@ def test_polynomial_kernels_match_reference_fixed_seed(field):
     _check_polys(SkewPolynomial.zero(field), SkewPolynomial.t_power(field, 4))
 
 
+def _check_construction_paths(field, coeffs, scale, power):
+    """A polynomial built from its coefficients (also given straight to the
+    constructor, with a zero on top), from its rows (times a scale, with a
+    zero row on top) and by the named constructor that makes it, when one
+    does: equal, with the same hash, print, degree, coefficients, leading
+    coefficient, negative and twist, which match the coefficientwise ones."""
+    made = SkewPolynomial.from_coeffs(field, coeffs)
+    rows, den = kernel.rows_of(made.coeffs)
+    paths = [made, SkewPolynomial(field, (*coeffs, field.zero()))]
+    paths.append(SkewPolynomial._from_rows(field, kernel.scale(rows, scale) + [field.zero_row], den * scale))
+    nonzero = [m for m, c in enumerate(made.coeffs) if not c.is_zero()]
+    if not nonzero:
+        paths.append(SkewPolynomial.zero(field))
+    elif nonzero == [made.degree]:
+        lead = made.coeffs[-1]
+        paths.append(SkewPolynomial.t_power(field, made.degree, lead))
+        if made.degree == 0:
+            paths.append(SkewPolynomial.constant(field, lead))
+            if lead == field.one():
+                paths.append(SkewPolynomial.one(field))
+    for p in paths:
+        assert p == made and hash(p) == hash(made) and str(p) == str(made) and p + SkewPolynomial.one(field) != made
+        assert p.degree == made.degree == len(made.coeffs) - 1 and p.coeffs == made.coeffs
+        if made.coeffs:
+            assert p.leading() == made.coeffs[-1]
+        assert same(-p, SkewPolynomial.from_coeffs(field, [-c for c in made.coeffs]))
+        assert same(p.apply_sigma(power), SkewPolynomial.from_coeffs(field, [c.sigma(power) for c in made.coeffs]))
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_construction_path_gives_the_same_polynomial(field, data):
+    coeffs = data.draw(st.lists(st.one_of(elements(field), st.just(field.zero())), max_size=4))
+    scale = data.draw(st.integers(-6, 6).filter(bool))
+    _check_construction_paths(field, coeffs, scale, data.draw(st.integers(-3, 3)))
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_every_construction_path_gives_the_same_polynomial_fixed_seed(field):
+    rng = random.Random(23)
+    monomials = [[], [field.one()], [random_nonzero_element(field, rng)], [field.zero()] * 2 + [random_nonzero_element(field, rng)]]
+    for coeffs in monomials + [random_polynomial(field, rng, 4).coeffs for _ in range(6)]:
+        _check_construction_paths(field, list(coeffs), rng.choice([-3, -1, 1, 2, 5]), rng.randrange(-3, 4))
+
+
 # the row routines over every catalog field, the invariant subfield Q(sqrt2)
 # (sigma = id), a cubic twist and quaternions over Q(sqrt5): dimensions 1 to
 # 8, twists of order 1 to 3, and both forms of `kernel.central_sum`

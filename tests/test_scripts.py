@@ -3,8 +3,9 @@
 `scripts/export_scenarios.py` must regenerate every file in `scenarios/`
 byte for byte (compared in memory; nothing is written), the output of
 `scripts/cubic_walkthrough.py` (root lifting, Galois orbit, tau and the
-canonical decomposition of the cubic) is pinned by its sha256, and
-`scripts/verify_catalog.py` passes every catalog tower.
+canonical decomposition of the cubic) is pinned by its sha256,
+`scripts/verify_catalog.py` passes every catalog tower, and
+`scripts/verify_startup.py` times a fresh-process verify in its parts.
 """
 
 import contextlib
@@ -67,3 +68,19 @@ def test_verify_catalog_passes_every_tower(monkeypatch):
     lines = out.getvalue().splitlines()
     assert [line.split(":")[0] for line in lines] == list(tower_names())
     assert all(", 0 failing, " in line and "[fail]" not in line for line in lines)
+
+
+def test_verify_startup_times_a_fresh_verify(monkeypatch):
+    monkeypatch.setattr("sys.argv", ["verify_startup.py", "--towers", "T3", "--runs", "1"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "verify_startup.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    lines = out.getvalue().splitlines()
+    tower = next(line.split() for line in lines if line.startswith("T3 "))
+    assert all(float(ms) > 0 for ms in tower[1:4])
+    # the first verify imports what the catalog scenarios do not need
+    assert "orefield.factor," in tower and "orefield.sampling" in " ".join(tower)
+    modules = {line.split()[0]: line.split()[1:] for line in lines[lines.index("") + 2 :]}
+    assert {"orefield.cli", "orefield.extend", "orefield.factor", "total"} <= set(modules)
+    assert int(modules["total"][0]) == sum(int(lines) for name, (lines, _) in modules.items() if name != "total")

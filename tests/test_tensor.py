@@ -173,7 +173,7 @@ ROW_SCENARIOS += [ROOT2_SCENARIO, CUBIC_SCENARIO]
 def test_reduction_rows_are_the_remainders_of_the_powers_of_x(scenario):
     field, d = scenario.field, scenario.degree
     zero, one = SkewFraction.zero(field), SkewFraction.one(field)
-    c, table = scenario.reduction.twisted_table(2 * d - 1)
+    c, table = sb.twisted_table(scenario.reduction, 2 * d - 1)
     den = central_polynomial(field, c)
     powers = scenario.reduction.powers(2 * d - 1)
     for p in range(2 * d - 1):
@@ -192,7 +192,7 @@ def test_galois_rows_are_the_powers_of_the_images(scenario):
     for g in scenario.group.elements:
         rows = scenario.power_rows(g)
         assert rows.q.coeffs == sb.images(scenario)[g]
-        c, table = rows.twisted_table(d)
+        c, table = sb.twisted_table(rows, d)
         den = central_polynomial(scenario.field, c)
         expected = sb.matrix(scenario, g)
         assert [tuple(SkewFraction.make(entry, den) for entry in row) for row in table[:d]] == list(expected)
@@ -222,18 +222,20 @@ def test_the_identity_rows_are_the_table_products_reduce_with(monkeypatch):
     rows = scenario.power_rows(identity)
     assert rows is scenario.reduction and rows.q == CentralPolynomial.x(RATIONALS)
     read = []
-    real = PowerRows.twisted_table
+    real = PowerRows.table
 
     def recording(self, count):
         read.append(self)
         return real(self, count)
 
-    monkeypatch.setattr(PowerRows, "twisted_table", recording)
+    monkeypatch.setattr(PowerRows, "table", recording)
     x = TensorElement.x(scenario)
     assert x * x == TensorElement.make(scenario, [3])
     assert x.inv() == TensorElement.make(scenario, [0, SkewFraction.coerce(RATIONALS, Fraction(1, 3))])
     assert x.apply(identity) == x
-    assert len(read) == 2 and all(r is rows for r in read)
+    # the product and the action read it once each, the inverse for its
+    # residue traces and for one reduction of a product
+    assert len(read) == 4 and all(r is rows for r in read)
 
 
 def test_constructor_takes_coordinates_and_checks_their_number():
@@ -440,8 +442,8 @@ def test_the_r2l1_root_is_lifted_on_its_center():
     there: it is the root the lift on twisted series made (pinned) and the
     schoolbook lift's."""
     scenario = load_document(R2L1)
-    root = scenario.rho_work
-    assert isinstance(scenario.root_work, CentralSeries) and scenario.root_work.to_twisted() == root
+    assert isinstance(scenario.root_work, CentralSeries)
+    root = scenario.root_work.to_twisted()
     digest = "fe21a66d51ea00a2e4d349f4e4f232aeb5c017b07278786e85beaad2b8844d04"
     assert hashlib.sha256(str(root).encode()).hexdigest() == digest
     assert sb.series_eq(root, sb.newton_root(list(scenario.f.coeffs), scenario.newton_seed, root.prec))
