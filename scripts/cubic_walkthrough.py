@@ -22,7 +22,7 @@ def main() -> None:
     rho = scn.rho
     print(f"\nseries root (precision {rho.prec}):")
     print(f"  rho = {rho}")
-    residual = scn.f.evaluate_series(rho)
+    residual = scn.f.evaluate_series(scn.root)
     print(f"  f(rho) = {residual}   (zero to the carried precision)")
 
     x = TensorElement.x(scn)

@@ -4,13 +4,17 @@
     python3 scripts/verify_startup.py [--towers T1,T2,T3] [--runs 5] [--seed 7]
 
 For each run and tower, a new interpreter imports `orefield.cli`, runs
-`cli.main(["verify", ...])` once, and then once more in the same process.
-The script prints, per tower, the median of each of the three times over the
+`cli.main(["verify", ...])` once, once more in the same process, and a third
+time after emptying the catalog's caches of fields, scenarios and towers.
+The script prints, per tower, the median of each of the four times over the
 runs and the modules that the first `main` imports.  The second `main`
 reuses what the first left in the process (imported modules, the catalog's
 built and validated tower with its lifted roots and Galois data, the
 interpreter's warm-up), so first minus second is what a fresh process pays
-once.
+once.  The third (`rebuilt`) builds the fields and the tower again and
+derives their data anew, with the modules imported and the interpreter
+warm: rebuilt minus second is the tower's construction and validation, and
+first minus rebuilt the first-use imports and the warm-up.
 
 Then it prints, for each `orefield` module that a verify has loaded, its
 line count and the best of 5 `compile()` times of its source: what every
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import orefield
 
-# the child: one JSON line with the three times and the modules loaded
+# the child: one JSON line with the four times and the modules loaded
 CHILD = """
 import contextlib, io, json, sys, time
 argv = ["verify", "--scenario", sys.argv[1], "--seed", sys.argv[2], "--format", "json"]
@@ -45,14 +49,22 @@ loaded = sorted(set(sys.modules) - before)
 with contextlib.redirect_stdout(io.StringIO()) as second:
     again = orefield.cli.main(argv)
 t3 = time.perf_counter()
+from orefield import catalog
+for built in (catalog._FIELDS, catalog._SCENARIOS, catalog._TOWERS):
+    built.clear()
+t4 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as third:
+    rebuilt = orefield.cli.main(argv)
+t5 = time.perf_counter()
 print(json.dumps({
     "import_ms": 1e3 * (t1 - t0), "first_ms": 1e3 * (t2 - t1), "second_ms": 1e3 * (t3 - t2),
-    "exit": [code, again], "same_report": first.getvalue() == second.getvalue(),
+    "rebuilt_ms": 1e3 * (t5 - t4), "exit": [code, again, rebuilt],
+    "same_report": first.getvalue() == second.getvalue() == third.getvalue(),
     "loaded": loaded, "orefield": sorted(m for m in sys.modules if m.split(".")[0] == "orefield"),
 }))
 """
 
-TIMES = ("import_ms", "first_ms", "second_ms")
+TIMES = ("import_ms", "first_ms", "second_ms", "rebuilt_ms")
 
 
 def child_env() -> dict:
@@ -93,15 +105,15 @@ def main() -> int:
 
     worst = 0
     modules = set()
-    print(f"{'tower':<6} {'import ms':>10} {'first ms':>10} {'second ms':>10}  modules the first main loads")
+    print(f"{'tower':<6} {'import ms':>10} {'first ms':>10} {'second ms':>10} {'rebuilt ms':>11}  modules the first main loads")
     for tower, runs in results.items():
         medians = [statistics.median(r[key] for r in runs) for key in TIMES]
         loaded = sorted(set().union(*(r["loaded"] for r in runs)))
-        print(f"{tower:<6} {medians[0]:>10.2f} {medians[1]:>10.2f} {medians[2]:>10.2f}  {', '.join(loaded)}")
+        print(f"{tower:<6} {medians[0]:>10.2f} {medians[1]:>10.2f} {medians[2]:>10.2f} {medians[3]:>11.2f}  {', '.join(loaded)}")
         for r in runs:
             worst = max(worst, *r["exit"])
             if not r["same_report"]:
-                print(f"  {tower}: the second verify printed a different report")
+                print(f"  {tower}: a later verify printed a different report")
                 worst = max(worst, 1)
             modules.update(r["orefield"])
 

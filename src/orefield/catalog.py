@@ -11,11 +11,15 @@ The quadratic layers adjoin square roots of 1+u and 1+u^2; the quartic level
 is generated by the sum of the two roots, with the four sign symmetries as
 its group.  Non-squareness of 1+u, 1+u^2 and their product certifies that
 the layers are independent, so the quartic really has group (Z/2)^2.
+
+f, the generator images and the quartic embedding are written in the one
+stored form of `CentralPolynomial`, den(u)^-1 * sum_m N_m x^m with integer
+coefficient lists in u (every catalog field has the invariant subfield Q),
+so building a scenario or a tower runs no central arithmetic and no Ore
+reduction.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ScenarioValidationError, UnknownCatalogEntry
 from .extend import CentralPolynomial, ExtensionScenario, FiniteGroup
@@ -26,7 +30,7 @@ from .ground import (
     make_rationals,
 )
 from .skewfrac import SkewFraction
-from .skewpoly import SkewPolynomial
+from .skewpoly import central_polynomial
 from .tower import GroupSystem, TowerScenario, run_tower_checks
 
 _FIELDS: dict[str, GroundField] = {}
@@ -42,17 +46,16 @@ def _field(kind: str) -> GroundField:
     return _FIELDS[kind]
 
 
-def _upoly(field: GroundField, *coeffs) -> SkewPolynomial:
-    """Polynomial in the central variable u = t^n with rational coefficients."""
-    n = field.sigma_order
-    rows = [[Fraction(0)] * field.dim for _ in range((len(coeffs) - 1) * n + 1)]
-    for k, c in enumerate(coeffs):
-        rows[k * n][0] = Fraction(c)
-    return SkewPolynomial.from_coeffs(field, rows)
+def _upoly(field: GroundField, *coeffs: int) -> SkewFraction:
+    """sum_k coeffs[k] u^k in the central variable u = t^n, as a fraction."""
+    return SkewFraction.from_polynomial(central_polynomial(field, coeffs))
 
 
-def _uratio(field: GroundField, num, den=(1,)) -> SkewFraction:
-    return SkewFraction.make(_upoly(field, *num), _upoly(field, *den))
+def _central(field: GroundField, den: tuple[int, ...], *nums: tuple[int, ...]) -> CentralPolynomial:
+    """den(u)^-1 * sum_m nums[m] x^m, den and the nums[m] integer
+    coefficients in u = t^n: the stored form of `CentralPolynomial`, as the
+    invariant subfield of every catalog field is Q."""
+    return CentralPolynomial(field, list(den), [list(a) for a in nums])
 
 
 def _z2() -> FiniteGroup:
@@ -84,8 +87,8 @@ def _z3() -> FiniteGroup:
 
 def _quadratic(name: str, field: GroundField) -> ExtensionScenario:
     """x^2 = 1 + u with the sign flip as the order-two symmetry."""
-    f = CentralPolynomial.from_coeffs(field, [_uratio(field, (-1, -1)), 0, 1])
-    flip = CentralPolynomial.from_coeffs(field, [0, -1])
+    f = _central(field, (1,), (-1, -1), (), (1,))
+    flip = _central(field, (1,), (), (-1,))
     return ExtensionScenario(
         name=name,
         field=field,
@@ -105,35 +108,24 @@ def _quartic(name: str, field: GroundField) -> ExtensionScenario:
     act through the odd polynomials below (solve for sqrt(A), sqrt(B) in the
     basis 1, x, x^2, x^3).
     """
-    f = CentralPolynomial.from_coeffs(
-        field,
-        [_uratio(field, (0, 0, 1, -2, 1)), 0, _uratio(field, (-4, -2, -2)), 0, 1],
-    )
-    den = (0, 1, -1)  # u - u^2
-    flip_b = CentralPolynomial.from_coeffs(
-        field,
-        [0, _uratio(field, (4, 2, 2), den), 0, _uratio(field, (-1,), den)],
-    )
-    # negated on the fractions: building a scenario loads no central arithmetic
-    minus_flip_b = CentralPolynomial(field, tuple(-c for c in flip_b.coeffs))
+    f = _central(field, (1,), (0, 0, 1, -2, 1), (), (-4, -2, -2), (), (1,))
+    # ((4 + 2u + 2u^2)x - x^3) / (u - u^2), over the denominator u^2 - u
+    flip_b = _central(field, (0, -1, 1), (), (-4, -2, -2), (), (1,))
     return ExtensionScenario(
         name=name,
         field=field,
         f=f,
         group=_v4(),
-        generator_images={"01": flip_b, "10": minus_flip_b},
+        generator_images={"01": flip_b, "10": -flip_b},
         precision=48,
         newton_seed=field.from_rational(2),
     )
 
 
 def _quartic_embedding(field: GroundField) -> CentralPolynomial:
-    """sqrt(A) in the quartic basis: ((u^2+3u+4)x - x^3) / (2u - 2u^2)."""
-    den = (0, 2, -2)
-    return CentralPolynomial.from_coeffs(
-        field,
-        [0, _uratio(field, (4, 3, 1), den), 0, _uratio(field, (-1,), den)],
-    )
+    """sqrt(A) in the quartic basis: ((u^2+3u+4)x - x^3) / (2u - 2u^2),
+    over the denominator 2u^2 - 2u."""
+    return _central(field, (0, -2, 2), (), (-4, -3, -1), (), (1,))
 
 
 def _cyclic_cubic(name: str, field: GroundField) -> ExtensionScenario:
@@ -143,20 +135,10 @@ def _cyclic_cubic(name: str, field: GroundField) -> ExtensionScenario:
     whose reduction at u = 0 has 0 as a simple root.  The generating symmetry
     sends x to  2 + (1-u)x/u - x^2.
     """
-    inv_u = (0, 1)
-    f = CentralPolynomial.from_coeffs(
-        field,
-        [1, _uratio(field, (1, -3), inv_u), _uratio(field, (-1,), inv_u), 1],
-    )
-    advance = CentralPolynomial.from_coeffs(
-        field, [2, _uratio(field, (1, -1), inv_u), -1]
-    )
-    cleared = [
-        _uratio(field, (0, 1)),
-        _uratio(field, (1, -3)),
-        _uratio(field, (-1,)),
-        _uratio(field, (0, 1)),
-    ]
+    u = (0, 1)
+    f = _central(field, u, (0, 1), (1, -3), (-1,), (0, 1))
+    advance = _central(field, u, (0, 2), (1, -1), (0, -1))
+    cleared = [_upoly(field, 0, 1), _upoly(field, 1, -3), _upoly(field, -1), _upoly(field, 0, 1)]
     return ExtensionScenario(
         name=name,
         field=field,
@@ -206,9 +188,9 @@ def _identity_eps(group: FiniteGroup) -> dict[str, str]:
 
 def _witnesses(field: GroundField) -> tuple[tuple[str, SkewFraction], ...]:
     return (
-        ("u+1", _uratio(field, (1, 1))),
-        ("u^2+1", _uratio(field, (1, 0, 1))),
-        ("u^3+u^2+u+1", _uratio(field, (1, 1, 1, 1))),
+        ("u+1", _upoly(field, 1, 1)),
+        ("u^2+1", _upoly(field, 1, 0, 1)),
+        ("u^3+u^2+u+1", _upoly(field, 1, 1, 1, 1)),
     )
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Union
 
+from . import kernel
 from .errors import CapExceeded, ExprEvalError, ExprSyntaxError
 from .extend import ExtensionScenario, TensorElement, ext_tau
 from .ground import GroundElement, GroundField
@@ -370,13 +371,19 @@ def _bound_degree(degree: int, fraction: bool, what: str) -> None:
 
 # The Ore steps of a fraction + - * / grow with degree and coefficient size
 # together, so (deg a + deg b) * (bits a + bits b) is bounded before they run,
-# bits the largest bit length in a fraction's integer rows and denominators.
+# bits the largest bit length in a fraction's integer rows and denominators;
+# a power of a fraction bounds each of its products.
 FRACTION_WORK_CAP = 2**15
 
 
 def _bound_work(a: SkewFraction, b: SkewFraction) -> None:
     bits = [max(x.bit_length() for rows, den in (v.num.int_rows(), v.den.int_rows()) for x in chain(*rows, (den,))) for v in (a, b)]
     _capped((a.size() + b.size()) * sum(bits), FRACTION_WORK_CAP, "fraction work")
+
+
+def _bounded_product(a: SkewFraction, b: SkewFraction) -> SkewFraction:
+    _bound_work(a, b)
+    return a * b
 
 
 def _is_series(value: Value) -> bool:
@@ -451,8 +458,11 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
             "power degree",
         )
         if node.exponent < 0:
-            return _invert(base) ** (-node.exponent)
-        return base ** node.exponent
+            base = _invert(base)
+        n = abs(node.exponent)
+        if n and _is_fraction(base):
+            return kernel.power(base, n - 1, base, _bounded_product)
+        return base ** n
     if isinstance(node, Bin):
         a, b = _join(evaluate(node.left, ctx), evaluate(node.right, ctx), ctx)
         if node.op == "/":

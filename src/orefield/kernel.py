@@ -121,8 +121,9 @@ def lincomb(a: Rows, x: int, b: Rows, y: int, zero: Row) -> Rows:
     return [tuple([x * u + y * w for u, w in zip(r, s)]) for r, s in zip(a, b)]
 
 
-def power(x, n: int, one):
-    """x^n for n >= 0 by square-and-multiply, with `one` the unit of x's ring.
+def power(x, n: int, one, mul=mul_):
+    """x^n for n >= 0 by square-and-multiply, with `one` the unit of x's ring
+    and `mul` its product.
 
     The products result*x come in the order of the bits of n, as in the
     textbook loop; the square after the top bit, which no product would
@@ -131,11 +132,11 @@ def power(x, n: int, one):
     result = one
     while True:
         if n & 1:
-            result = result * x
+            result = mul(result, x)
         n >>= 1
         if not n:
             return result
-        x = x * x
+        x = mul(x, x)
 
 
 def cayley_hamilton(p, m: int, trace, divide, mul=mul_):

@@ -443,6 +443,10 @@ def load_document(text: str) -> ExtensionScenario | TowerScenario:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"bad YAML: {exc}") from None
+    except ValueError as exc:
+        # a scalar the YAML constructors cannot build, such as an integer
+        # past the interpreter's limit on decimal digits
+        raise ScenarioFormatError(f"bad YAML value: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ScenarioFormatError("scenario file must hold a mapping")
     kind = doc.get("kind")
@@ -485,7 +489,7 @@ def _scenario_body(scn: ExtensionScenario) -> dict:
             newton["coeffs"] = [_coefficient_entry(c) for c in scn.newton_coeffs]
         doc["newton"] = newton
     if scn.rho_override is not None:
-        series = scn.rho_override
+        series = scn.rho_override.to_twisted()
         doc["root"] = {
             "val": series.val,
             "prec": series.prec,

@@ -224,10 +224,7 @@ def _embedding_row(
 ) -> tuple[str, str]:
     if not powers.compose(lower.f).is_zero():
         return ("fail", "f_lower(p(x)) is nonzero modulo f_upper")
-    point, target = upper.root, lower.root
-    if type(point) is not type(target):
-        point, target = upper.rho, lower.rho
-    series = powers.q.evaluate_series(point)
+    series, target = powers.q.evaluate_series(upper.root), lower.root
     common = min(series.prec, target.prec)
     if series.truncate(common) != target.truncate(common):
         return ("fail", f"p(rho_upper) differs from rho_lower before O(t^{common})")

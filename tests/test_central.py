@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
-from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _convert, _twisted, _view
+from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _twisted, _view
 from orefield.factor import _trim, content, gcd
 from orefield.ground import make_number_field
 from orefield.kernel import center
@@ -72,7 +72,7 @@ def check_pair(field, a, b):
     `CentralPolynomial` over Z[u] and on the Ore path, with each view equal
     to the fraction the Ore path builds."""
     sa, sb = central_fraction(field, *a), central_fraction(field, *b)
-    ca, cb = CentralPolynomial.constant(field, sa), CentralPolynomial.constant(field, sb)
+    ca, cb = CentralPolynomial.from_coeffs(field, [sa]), CentralPolynomial.from_coeffs(field, [sb])
     one = CentralPolynomial.one(field)
     results = [(ca, sa), (cb, sb), (ca + cb, sa + sb), (ca - cb, sa - sb), (ca * cb, sa * sb)]
     results.append((-ca, -sa))
@@ -83,12 +83,12 @@ def check_pair(field, a, b):
         with pytest.raises(DivisionByZero):
             ca.divmod_by(cb)
     for r, s in results:
-        view = CentralPolynomial._of(field, *r.parts()).coefficient(0)
+        view = CentralPolynomial(field, *r.parts()).coefficient(0)
         made = SkewFraction.make(view.num, view.den)
         assert view.same_representation(s) and view.same_representation(made)
         assert str(view) == str(s)
         # s converts to its lowest terms over Z[u]: r's parts, reduced
-        den, nums = CentralPolynomial.constant(field, s).parts()
+        den, nums = CentralPolynomial.from_coeffs(field, [s]).parts()
         assert is_canonical(den, nums)
         assert (den, nums) == r.reduced().parts()
         assert (r == ca) == (s == sa)
@@ -169,7 +169,7 @@ def check_center_ring(field, a, b, c):
         assert times_central(_twisted(field, r), pden) == times_central(q, den)
     # central fractions in, canonical fractions out
     fractions = [SkewFraction.make(p, central_polynomial(field, c)) for p in (pa, pb)]
-    den, nums = _convert(field, fractions)
+    den, nums = CentralPolynomial.from_coeffs(field, fractions).parts()
     assert all(_view(field, x, den).same_representation(f) for x, f in zip(nums, fractions))
 
 
@@ -248,9 +248,9 @@ def check_composition(field, f, p, q):
     composite = PowerRows(f, q).compose(p)
     assert composite.coeffs == expected
     assert composite.is_zero() == (not expected)
-    assert composite == CentralPolynomial(field, expected)
+    assert composite == CentralPolynomial.from_coeffs(field, expected)
     # both lowest-terms forms of one value are the same parts
-    assert composite.reduced().parts() == CentralPolynomial(field, expected).reduced().parts()
+    assert composite.reduced().parts() == CentralPolynomial.from_coeffs(field, expected).reduced().parts()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -285,26 +285,30 @@ def test_central_polynomials_match_at_fixed_seeds():
             for k in constants:
                 check_polys(field, p, k, k)
                 check_polys(field, k, p, x)
-        # the raw constructor converts its coefficients on first use
-        raw = CentralPolynomial(field, (value(field), zero, one))
-        assert raw == CentralPolynomial.from_coeffs(field, raw.coeffs)
-        assert raw.is_monic() and raw.leading() == one
+        # the stored form given as it is: the same value and view, and monic
+        # on any denominator
+        monic = CentralPolynomial.from_coeffs(field, (value(field), zero, one))
+        den, nums = monic.parts()
+        given = CentralPolynomial(field, den, nums)
+        assert given == monic and given.coeffs == monic.coeffs
+        assert given.is_monic() and given.leading() == one
+        scaled = CentralPolynomial(field, [2 * a for a in den], [[2 * a for a in num] for num in nums])
+        assert scaled == monic and scaled.is_monic()
+        assert not (-given).is_monic() and not CentralPolynomial(field, [2 * a for a in den], nums).is_monic()
 
 
 def test_raw_coefficients_off_the_center_are_refused():
     # i*u over Q(i): its exponent is a multiple of n, its coefficient is not invariant
     i_u = SkewFraction.from_polynomial(SkewPolynomial.from_coeffs(GAUSS, [[0, 0], [0, 0], [0, 1]]))
-    raw = CentralPolynomial(GAUSS, (i_u, SkewFraction.one(GAUSS)))
-    assert raw.degree == 1 and raw.is_monic()
     with pytest.raises(ScenarioValidationError, match="is not central"):
-        raw.parts()
+        CentralPolynomial.from_coeffs(GAUSS, (i_u, SkewFraction.one(GAUSS)))
     with pytest.raises(ScenarioValidationError, match="is not central"):
         CentralPolynomial.x(GAUSS).scale(i_u)
     # a quaternion unit over Q(sqrt5), whose invariant subfield is not Q
     units = (H_GOLDEN.element([Fraction(int(k == j)) for k in range(H_GOLDEN.dim)]) for j in range(H_GOLDEN.dim))
     unit = next(c for c in map(SkewFraction.from_ground, units) if not c.is_invariant_central())
     with pytest.raises(ScenarioValidationError, match="is not central"):
-        CentralPolynomial(H_GOLDEN, (unit, SkewFraction.one(H_GOLDEN))).parts()
+        CentralPolynomial.from_coeffs(H_GOLDEN, (unit, SkewFraction.one(H_GOLDEN)))
 
 
 def test_mixing_fields_raises():

@@ -162,6 +162,25 @@ def test_fraction_work_cap(capsys, form):
     assert value.startswith("([630255428964940584411930494212205423900996034699246024728987985201657785172015947207")
 
 
+# A = (1+i*t)^-8*(3+t)^8: A^8 squares A^4, a product past the cap, as A^4*A^4
+# written out is
+BIG_FRACTION_POWER = "((1+i*t)^-8*(3+t)^8)^{0}"
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_fraction_power_work_cap(capsys, form):
+    """Each product of a fraction power is bounded as a product is, before
+    its Ore steps run; the power of half the size is computed."""
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--field", "gauss", "--format", form, BIG_FRACTION_POWER.format(8))
+    assert code == EXIT_VALIDATION and "fraction work 104832 exceeds cap 32768" in err
+    assert time.perf_counter() - t0 < 5.0
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "--format", form, BIG_FRACTION_POWER.format(4))
+    assert code == 0
+    value = json.loads(out)["value"] if form == "json" else out.strip()
+    assert value.startswith("([3721135185114176449457281366875176981969770006349682464584313415")
+
+
 def _capped_scenario_file(tmp_path, doc):
     path = tmp_path / f"{doc['name']}-capped.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -187,6 +206,16 @@ def test_scenario_file_root_and_level_precision_caps(capsys, tmp_path):
     doc["levels"][0]["precision"] = 1025
     code, _, err = run(capsys, "tower", "--scenario", _capped_scenario_file(tmp_path, doc))
     assert code == EXIT_VALIDATION and "precision 1025 exceeds cap" in err
+
+
+def test_scenario_file_integer_past_the_digit_limit_is_a_format_error(capsys, tmp_path):
+    """An integer of more than the interpreter's 4,300 decimal digits fails
+    in the YAML reader; it is reported as a scenario error."""
+    text = (SCENARIOS / "T3L1.yaml").read_text(encoding="utf-8")
+    path = tmp_path / "digits.yaml"
+    path.write_text(text.replace("precision: 48", "precision: " + "9" * 5000))
+    code, _, err = run(capsys, "extend", "--scenario", str(path))
+    assert code == EXIT_PARSE and err.startswith("scenario error: bad YAML value: Exceeds the limit (4300 digits)")
 
 
 def test_scenario_file_precision_at_the_cap_is_accepted():
@@ -519,6 +548,31 @@ def test_tower_file_with_witnesses_off_the_center_fails(capsys, tmp_path):
         assert all(line.endswith(" is not in Q(u)") for line in failing[:2])
         assert failing[2] == (
             "[fail] nonsquare[u^3+u^2+u+1]: exponent 1 of [1,0]*t is not a multiple of the twist order"
+        )
+
+
+I_ROOT = """kind: extension
+field: hamilton
+name: x^2+1 at i
+precision: 12
+f: [1, 0, 1]
+group: {elements: [e, s], identity: e, table: {e: {e: e, s: s}, s: {e: s, s: e}}}
+images: {s: [0, -1]}
+root: {val: 0, prec: 12, coeffs: ['[0,1,0,0]']}
+"""
+
+
+def test_a_given_root_off_the_center_is_refused(capsys, tmp_path):
+    """tau sends the central x to the root, so a root i over H_Q, which
+    would make x + i a zero divisor, is refused when the file is read."""
+    path = tmp_path / "i-root.yaml"
+    path.write_text(I_ROOT)
+    for command in ("extend", "verify"):
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == (
+            "validation error: x^2+1 at i: the root [0,1,0,0] + O(t^12) does not lie in the center "
+            "K'((u)), but tau sends the central x to it\n"
         )
 
 

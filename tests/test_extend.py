@@ -35,6 +35,7 @@ from orefield.skewpoly import SkewPolynomial, central_polynomial
 
 import schoolbook
 from conftest import GAUSS, HAMILTON, RATIONALS, checked_decomposition
+from test_tensor import TAU_SCENARIOS
 
 F = Fraction
 
@@ -353,13 +354,16 @@ def test_tau_twisted_root_is_invariant_and_even():
 
 
 def test_tau_is_a_homomorphism():
+    """On random tensors, whose coordinates hold ground elements off the
+    center, at every catalog level and over Q(sqrt2)/id, where K' is not Q."""
     rng = random.Random(15)
-    for scenario in (QUAT, GAUSSX):
+    for scenario in (QUAT, GAUSSX, *TAU_SCENARIOS):
+        prec = min(32, scenario.precision)
         a = random_tensor(scenario, rng, max_degree=2)
         b = random_tensor(scenario, rng, max_degree=2)
-        ta, tb = ext_tau(a, 32), ext_tau(b, 32)
-        assert (ta + tb).truncate(32) == ext_tau(a + b, 32)
-        assert (ta * tb).truncate(32) == ext_tau(a * b, 32)
+        ta, tb = ext_tau(a, prec), ext_tau(b, prec)
+        assert (ta + tb).truncate(prec) == ext_tau(a + b, prec)
+        assert (ta * tb).truncate(prec) == ext_tau(a * b, prec)
 
 
 def test_tau_precision_guard():
@@ -434,7 +438,7 @@ def test_decomposition_rejects_nonseries_input():
 def horner_and_division(scenario, p, q):
     """p(q) modulo f by Horner in the polynomial ring, then division by f."""
     field = scenario.field
-    composed = CentralPolynomial(field, schoolbook.central_compose(field, p.coeffs, q.coeffs))
+    composed = CentralPolynomial.from_coeffs(field, schoolbook.central_compose(field, p.coeffs, q.coeffs))
     return composed.divmod_by(scenario.f)[1]
 
 

@@ -410,17 +410,7 @@ def test_powers_match_repeated_products(scenario):
 
 # -- evaluation at the series root ------------------------------------------------
 
-# x^2 + 1 over H_Q with the root i given, not lifted: a root that is not central
-I_ROOT = ExtensionScenario(
-    "x^2+1 at i",
-    HAMILTON,
-    CentralPolynomial.from_coeffs(HAMILTON, [1, 0, 1]),
-    Z2,
-    {"s": CentralPolynomial.from_coeffs(HAMILTON, [0, -1])},
-    12,
-    rho_override=TwistedSeries.from_ground(HAMILTON.element([0, 1, 0, 0]), 12),
-)
-TAU_SCENARIOS = [scenario_catalog(name) for name in scenario_names()] + [I_ROOT, ROOT2_SCENARIO]
+TAU_SCENARIOS = [scenario_catalog(name) for name in scenario_names()] + [ROOT2_SCENARIO]
 TAU_IDS = [s.name for s in TAU_SCENARIOS]
 
 
@@ -450,12 +440,24 @@ def test_the_r2l1_root_is_lifted_on_its_center():
 
 
 def test_catalog_roots_are_central_and_the_given_root_is_not():
-    """Every lifted root lies in K'((u)), K' = Q(sqrt2) over Q(sqrt2)/id."""
+    """Every lifted root lies in K'((u)), K' = Q(sqrt2) over Q(sqrt2)/id.
+    The root i of x^2 + 1 over H_Q, given and not lifted, does not: tau
+    would send the central x to it, and x + i would be a zero divisor, so
+    the scenario is refused."""
     for scenario in TAU_SCENARIOS:
-        central = isinstance(scenario.root, CentralSeries)
-        assert central == (scenario is not I_ROOT)
-        twisted = scenario.root.to_twisted() if central else scenario.root
-        assert twisted == scenario.rho
+        assert isinstance(scenario.root, CentralSeries)
+        assert scenario.root.to_twisted() == scenario.rho
+    i = TwistedSeries.from_ground(HAMILTON.element([0, 1, 0, 0]), 12)
+    with pytest.raises(ScenarioValidationError, match=r"x\^2\+1 at i: the root .* does not lie in the center"):
+        ExtensionScenario(
+            "x^2+1 at i",
+            HAMILTON,
+            CentralPolynomial.from_coeffs(HAMILTON, [1, 0, 1]),
+            Z2,
+            {"s": CentralPolynomial.from_coeffs(HAMILTON, [0, -1])},
+            12,
+            rho_override=i,
+        )
 
 
 @pytest.mark.parametrize("scenario", TAU_SCENARIOS, ids=TAU_IDS)

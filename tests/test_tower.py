@@ -149,8 +149,8 @@ def test_twisted_tower_validates():
 
 def test_embedded_generator_tracks_the_lower_root():
     ts = tower_catalog("T1")
-    series = ts.embeddings[0].evaluate_series(ts.levels[1].rho)
-    lower = ts.levels[0].rho
+    series = ts.embeddings[0].evaluate_series(ts.levels[1].root)
+    lower = ts.levels[0].root
     common = min(series.prec, lower.prec)
     assert common >= 40
     assert series.truncate(common) == lower.truncate(common)
