@@ -27,11 +27,12 @@ the rest of the package (towers, command line) consumes:
   recipe, plus lazily computed derived data: one `PowerRows` per image
   polynomial (x's rows are the reduction table), the full image closure and
   the root in K'((u)), stored once as `root_work`.
-* `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i: one
-  central denominator c in Z[u] and twisted polynomials P_i, in a canonical
-  form with structural `==`.  Products convolve the P_i as integer rows
-  and reduce by the rows of x, `apply` acts by the rows of q_g, both read
-  from `PowerRows.table` with one normalisation per coordinate;
+* `TensorElement` -- an element of L as c(t^n)^-1 * sum_i P_i x^i, stored
+  once: c in Z[u] and the P_i as d lists of integer rows over one integer
+  denominator, in a canonical form with structural `==`
+  (`kernel.reduce_central`).  Products convolve the stored rows and reduce
+  by the rows of x, `apply` acts by the rows of q_g, both read from
+  `PowerRows.table` with one central reduction per result;
   inversion goes through reduced norms, e^-1 = c E* Pi N^-1, with
   E E* = nu in F = K'(u)[x]/(f) and nu Pi = N in the center, by
   Cayley-Hamilton (`skewpoly.cayley_hamilton`) on the rows of x alone, so it
@@ -83,22 +84,19 @@ from .kernel import center
 from .laurent import (
     CentralSeries,
     TwistedSeries,
+    central_coefficients,
     evaluate_poly,
     is_invariant_series,
-    newton_root,
+    newton_lift,
     solve_left,
 )
 from .skewfrac import SkewFraction
 from .skewpoly import (
     SkewPolynomial,
-    _conjugate,
-    _trace,
     cayley_hamilton,
     central_fraction_ints,
     central_polynomial,
     norm_conjugate,
-    reduce_central,
-    times_central,
 )
 
 
@@ -298,9 +296,6 @@ class CentralPolynomial:
                 if not ring.is_zero(y):
                     out[i + j] = ring.add(out[i + j], ring.mul(x, y))
         return CentralPolynomial(self.field, _mul(da, db), out)
-
-    def scale(self, c: SkewFraction) -> "CentralPolynomial":
-        return self * CentralPolynomial.from_coeffs(c.field, [c])
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
         """(q, r) with self = q*g + r and deg r < deg g: pseudo-division over
@@ -664,8 +659,8 @@ class ExtensionScenario:
 
     def _coefficient_valuation_pad(self) -> int:
         """Extra working precision to absorb denominator valuations of f:
-        the worst pole at t = 0 of a coefficient N_m/den, n (v(den) - v(N_m))
-        in t, read on the numerators."""
+        2 d v + 4 for the worst pole v at t = 0 of a coefficient N_m/den,
+        n (v(den) - v(N_m)) in t, read on the numerators."""
         den, nums = self.f.parts()
         low, w = next(k for k, a in enumerate(den) if a), self.field.invariant_degree
         worst = max((low - next(k for k, c in enumerate(num) if c) // w for num in nums if num), default=0)
@@ -674,11 +669,15 @@ class ExtensionScenario:
     @property
     def root_work(self) -> CentralSeries:
         """The root at padded internal precision (residual checks use this):
-        the given root or the Newton lift, which lies in K'((u)) too."""
+        the given root or the Newton lift in K'((u)), which reads f's
+        coefficients from its stored form (or the given `newton_coeffs`)."""
         if self._root_work is None:
-            coeffs = self.newton_coeffs if self.newton_coeffs is not None else self.f.coeffs
-            lift = newton_root(list(coeffs), self.newton_seed, self.precision + self._coefficient_valuation_pad())
-            self._root_work = CentralSeries.from_twisted(lift)
+            pad = self._coefficient_valuation_pad()
+            if self.newton_coeffs is not None:
+                coeffs = central_coefficients(self.newton_coeffs, self.precision + pad)
+            else:  # at the working precision `central_coefficients` gives
+                coeffs = _series_coefficients(self.f, self.precision + 2 * pad - 2)
+            self._root_work = newton_lift(coeffs, self.newton_seed, self.precision + pad)
         return self._root_work
 
     @property
@@ -716,59 +715,58 @@ class ExtensionScenario:
 class TensorElement:
     """Element of the extension:  c(t^n)^-1 * sum_i P_i x^i.
 
-    c (`den`) lies in Z[u], u = t^n, and is primitive with a positive
-    leading coefficient; the P_i (`polys`) are twisted polynomials, and no
-    factor of c divides every Z[u]-coordinate of every P_i.  The c with
+    Stored once: c (`den`) in Z[u], u = t^n, primitive with a positive
+    leading coefficient, and the P_i as a tuple of d lists of integer rows
+    (`rows`, see `orefield.kernel`) over one positive integer `over`, with
+    no integer content common to `over` and the rows and no factor of c
+    over Q[u] dividing every Z[u]-coordinate of the rows.  The c with
     c * element polynomial form an ideal of Q[u], and this c generates it,
     so the form is unique and `==` compares the parts.  x and c are central:
-    products, the Galois action and inversion run on integer rows (see
-    `orefield.kernel`) and the scenario's tables over one denominator, with
-    one gcd normalisation over Z[u] per result and no Ore reduction;
-    inversion multiplies by conjugates until the norm is central (`inv`).
-    `coords`, the coordinates over the skew field as canonical
-    `SkewFraction`s, are built on first use.  The constructor takes d
-    coordinates (anything `make` coerces) and brings them to that form.
+    products, the Galois action and inversion run on the rows and the
+    scenario's tables, with one `kernel.reduce_central` per result and no
+    Ore reduction; inversion multiplies by conjugates until the norm is
+    central (`inv`).  `coords`, the coordinates as canonical `SkewFraction`s,
+    are built on first use.  The constructor takes d coordinates (anything
+    `make` coerces) and brings them to that form.
     """
 
-    __slots__ = ("scenario", "den", "polys", "_coords", "_tau")
+    __slots__ = ("scenario", "den", "rows", "over", "_coords", "_tau")
 
     def __init__(self, scenario: ExtensionScenario, coords: Sequence) -> None:
         d = scenario.degree
         if len(coords) != d:
             raise ValueError(f"expected {d} coordinates, got {len(coords)}")
         made = TensorElement.make(scenario, coords)
-        self.scenario, self.den, self.polys = scenario, made.den, made.polys
+        self.scenario, self.den, self.rows, self.over = scenario, made.den, made.rows, made.over
         self._coords: tuple[SkewFraction, ...] | None = None
         self._tau: TwistedSeries | None = None
 
     @classmethod
-    def _raw(cls, scenario: ExtensionScenario, den: Sequence[int], polys: Sequence) -> "TensorElement":
-        """den(t^n)^-1 * sum_i polys[i] x^i from parts in canonical form."""
+    def _raw(cls, scenario: ExtensionScenario, den: Sequence[int], rows: Sequence, over: int) -> "TensorElement":
+        """den(t^n)^-1 * sum_i (rows[i]/over) x^i from parts in canonical form."""
         element = cls.__new__(cls)
-        element.scenario, element.den, element.polys = scenario, tuple(den), tuple(polys)
+        element.scenario, element.den, element.rows, element.over = scenario, tuple(den), tuple(rows), over
         element._coords = element._tau = None
         return element
 
     @classmethod
-    def _reduced(cls, scenario: ExtensionScenario, den: Sequence[int], polys: list) -> "TensorElement":
-        """den(t^n)^-1 * sum_i polys[i] x^i in canonical form."""
-        return cls._raw(scenario, *reduce_central(den, polys))
+    def _reduced(cls, scenario: ExtensionScenario, den: Sequence[int], rows: Sequence, over: int) -> "TensorElement":
+        """den(t^n)^-1 * sum_i (rows[i]/over) x^i in canonical form."""
+        return cls._raw(scenario, *kernel.reduce_central(scenario.field, den, rows, over))
 
     @classmethod
     def _from_conv(cls, scenario: ExtensionScenario, den: Sequence[int], conv: list, over: int, rows: PowerRows | None = None) -> "TensorElement":
         """den(t^n)^-1 * sum_k (conv[k]/over) q^k modulo f for integer rows
         conv[k], q = x (reducing a conv longer than d) unless `rows` are q's:
-        one `kernel.central_sum` per coordinate and one normalisation."""
+        one `kernel.central_sum` per coordinate and one reduction."""
         from .factor import _mul
 
         field, d = scenario.field, scenario.degree
         if rows is None and len(kernel.strip(conv, [])) <= d:
-            sums = [(r, 1) for r in conv] + [([], 1)] * (d - len(conv))
-        else:
-            c, table = (rows or scenario.reduction).table(len(conv))
-            den = _mul(den, c)
-            sums = [kernel.central_sum(field, [(v, row[m]) for v, row in zip(conv, table)]) for m in range(d)]
-        return cls._reduced(scenario, den, [SkewPolynomial._from_rows(field, r, over * k) for r, k in sums])
+            return cls._reduced(scenario, den, conv + [[]] * (d - len(conv)), over)
+        c, table = (rows or scenario.reduction).table(len(conv))
+        sums = [kernel.central_sum(field, [(v, row[m]) for v, row in zip(conv, table)]) for m in range(d)]
+        return cls._reduced(scenario, _mul(den, c), [r for r, _ in sums], over * sums[0][1])
 
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
@@ -779,13 +777,27 @@ class TensorElement:
     @classmethod
     def from_quotients(cls, scenario: ExtensionScenario, quotients: Sequence[tuple[SkewPolynomial, SkewPolynomial]]) -> "TensorElement":
         """sum_k den_k^-1 num_k x^k for a (possibly long) list of (num_k,
-        den_k) pairs, den_k nonzero, reduced modulo f: no Ore reduction."""
-        den, polys = _over_common_denominator(quotients)
-        return cls._from_conv(scenario, den, *kernel.over_common([p.int_rows() for p in polys]))
+        den_k) pairs, den_k nonzero, reduced modulo f: no Ore reduction.  Each
+        den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
+        (`skewpoly.norm_conjugate`), over the lcm of the c."""
+        from .factor import _divexact
+
+        pairs = []
+        for num, den in quotients:
+            if den.degree == 0 and den.is_monic():  # den = 1
+                pairs.append(([1], num.int_rows()))
+            else:
+                q, c = norm_conjugate(den)
+                pairs.append((c, (q * num).int_rows()))
+        common = _lcm(c for c, _ in pairs)
+        conv, over = kernel.over_common([p for _, p in pairs])
+        field = scenario.field
+        conv = [r if c == common else kernel.central_rows(field, [(r, _divexact(common, c))]) for (c, _), r in zip(pairs, conv)]
+        return cls._from_conv(scenario, common, conv, over)
 
     @classmethod
     def zero(cls, scenario: ExtensionScenario) -> "TensorElement":
-        return cls._raw(scenario, (1,), (SkewPolynomial.zero(scenario.field),) * scenario.degree)
+        return cls._raw(scenario, (1,), [[] for _ in range(scenario.degree)], 1)
 
     @classmethod
     def one(cls, scenario: ExtensionScenario) -> "TensorElement":
@@ -799,11 +811,13 @@ class TensorElement:
     def coords(self) -> tuple[SkewFraction, ...]:
         """The coordinates c(t^n)^-1 * P_i as canonical `SkewFraction`s."""
         if self._coords is None:
+            field = self.scenario.field
+            polys = [SkewPolynomial._from_rows(field, p, self.over) for p in self.rows]
             if self.den == (1,):
-                self._coords = tuple(SkewFraction.from_polynomial(p) for p in self.polys)
+                self._coords = tuple(map(SkewFraction.from_polynomial, polys))
             else:
-                c = central_polynomial(self.scenario.field, self.den)
-                self._coords = tuple(SkewFraction.make(p, c) for p in self.polys)
+                c = central_polynomial(field, self.den)
+                self._coords = tuple(SkewFraction.make(p, c) for p in polys)
         return self._coords
 
     def _same(self, other: "TensorElement") -> None:
@@ -813,32 +827,36 @@ class TensorElement:
             )
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.polys)
+        return not any(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._same(other)
         # both sides are canonical, and the canonical form is unique
-        return self.den == other.den and self.polys == other.polys
+        return self.den == other.den and self.over == other.over and self.rows == other.rows
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        """The sum over the lcm g ra rb of the central denominators g ra, g rb."""
         from .factor import _divexact, _mul, gcd
 
         self._same(other)
-        a, b = self.den, other.den
+        field, over = self.scenario.field, self.over * other.over
+        a, b, pairs = list(self.den), list(other.den), zip(self.rows, other.rows)
         if a == b:
-            return TensorElement._reduced(self.scenario, a, [p + q for p, q in zip(self.polys, other.polys)])
+            return TensorElement._reduced(self.scenario, a, [kernel.lincomb(p, other.over, q, self.over, field.zero_row) for p, q in pairs], over)
         g = gcd(a, b)
-        ra, rb = _divexact(list(a), g), _divexact(list(b), g)
-        sums = [times_central(p, rb) + times_central(q, ra) for p, q in zip(self.polys, other.polys)]
+        ra, rb = [self.over * x for x in _divexact(a, g)], [other.over * x for x in _divexact(b, g)]
+        sums = [kernel.central_rows(field, [(p, rb), (q, ra)]) for p, q in pairs]
+        den = _mul(a, _divexact(b, g))
         if len(g) == 1:
-            # coprime denominators leave nothing to cancel
-            return TensorElement._raw(self.scenario, _mul(a, b), sums)
-        return TensorElement._reduced(self.scenario, _mul(_mul(ra, rb), g), sums)
+            # with coprime denominators a central factor of the sum would
+            # divide a canonical numerator: only integers cancel
+            return TensorElement._raw(self.scenario, den, *kernel.reduce_central(field, [1], sums, over)[1:])
+        return TensorElement._reduced(self.scenario, den, sums, over)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement._raw(self.scenario, self.den, [-p for p in self.polys])
+        return TensorElement._raw(self.scenario, self.den, [kernel.scale(p, -1) for p in self.rows], self.over)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
@@ -848,9 +866,9 @@ class TensorElement:
 
         self._same(other)
         field = self.scenario.field
-        (a, da), (b, db) = (kernel.over_common([p.int_rows() for p in e.polys]) for e in (self, other))
-        over = da * db * field.mul_den * field.sig_den
-        return TensorElement._from_conv(self.scenario, _mul(self.den, other.den), kernel.convolve_rows(field, a, b), over)
+        over = self.over * other.over * field.mul_den * field.sig_den
+        conv = kernel.convolve_rows(field, list(self.rows), list(other.rows))
+        return TensorElement._from_conv(self.scenario, _mul(self.den, other.den), conv, over)
 
     def inv(self) -> "TensorElement":
         """Two-sided inverse through reduced norms (I. Reiner, *Maximal
@@ -865,8 +883,8 @@ class TensorElement:
            K'/Q (`unit_multiple` of `kernel.center`);
 
         then self^-1 = c E* Pi N^-1, with one reduction modulo f and one
-        `reduce_central`.  N = 0 means self is zero or a zero divisor (f
-        reducible, or F splitting the algebra).
+        `kernel.reduce_central`.  N = 0 means self is zero or a zero divisor
+        (f reducible, or F splitting the algebra).
         """
         from .factor import _mul
 
@@ -874,7 +892,7 @@ class TensorElement:
             raise SingularElement("inversion of zero")
         scenario, field, d = self.scenario, self.scenario.field, self.scenario.degree
         ring, rows = center(field), scenario.reduction
-        star, nu = _reduced_norm(TensorElement._raw(scenario, (1,), self.polys))
+        star, nu = _reduced_norm(TensorElement._raw(scenario, (1,), self.rows, self.over))
 
         def mul(a, b):
             p = a * b
@@ -892,10 +910,9 @@ class TensorElement:
         pi_den, pi = pi.parts()
         den, pi = _mul(pi_den, norm), [ring.mul(a, top) for a in pi]
         if star is None:
-            return TensorElement._reduced(scenario, den, [_twisted(field, a) for a in pi] + [SkewPolynomial.zero(field)] * (d - len(pi)))
-        s, over = kernel.over_common([p.int_rows() for p in star.polys])
-        conv, k = kernel.central_convolve(field, s, pi)
-        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, over * k)
+            return TensorElement._reduced(scenario, den, [ring.rows(a) for a in pi] + [[]] * (d - len(pi)), 1)
+        conv, k = kernel.central_convolve(field, list(star.rows), pi)
+        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, star.over * k)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n == 0:
@@ -905,8 +922,7 @@ class TensorElement:
 
     def apply(self, g: str) -> "TensorElement":
         """The Galois action: x -> q_g(x), extended coefficient-linearly."""
-        conv, over = kernel.over_common([p.int_rows() for p in self.polys])
-        return TensorElement._from_conv(self.scenario, self.den, conv, over, self.scenario.power_rows(g))
+        return TensorElement._from_conv(self.scenario, self.den, list(self.rows), self.over, self.scenario.power_rows(g))
 
     def __str__(self) -> str:
         parts = []
@@ -924,53 +940,36 @@ class TensorElement:
     __repr__ = __str__
 
 
-def _over_common_denominator(quotients: Iterable[tuple[SkewPolynomial, SkewPolynomial]]) -> tuple[list[int], list[SkewPolynomial]]:
-    """(C, P) with den_k^-1 num_k = C(t^n)^-1 * P[k] for the pairs (num_k,
-    den_k), C in Z[u] primitive.
-
-    Each den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
-    (`skewpoly.norm_conjugate`), and C is the lcm of the c.
-    """
-    from .factor import _divexact
-
-    pairs = []
-    for num, den in quotients:
-        if den.degree == 0 and den.is_monic():  # den = 1
-            pairs.append(([1], num))
-        else:
-            q, c = norm_conjugate(den)
-            pairs.append((c, q * num))
-    common = _lcm(c for c, _ in pairs)
-    return common, [p if c == common else times_central(p, _divexact(common, c)) for c, p in pairs]
-
-
 def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, CentralPolynomial]:
     """(E*, nu) with nu = E E* in F = K'(u)[x]/(f) for E = `element`, nu
-    reduced modulo f.  x is central, so at reduced degree m = 2 E* is the
-    conjugate Trd(P_i) - P_i of each coordinate; at m > 2 E* comes from
-    Cayley-Hamilton in the algebra over F, whose reduced trace is taken
-    coordinate by coordinate; at m = 1 E lies in F, and E* = 1 comes back
-    as None."""
+    reduced modulo f and read off the rows as K'[u] (`Center.ints`).  x is
+    central, so at reduced degree m = 2 E* is the conjugate Trd(P_i) - P_i
+    of each coordinate (`kernel.conjugate_rows`); at m > 2 E* comes from
+    Cayley-Hamilton in the algebra over F, with the reduced trace taken
+    coordinate by coordinate; at m = 1 E lies in F, and E* = 1 is None."""
     from .factor import _mul
 
     scenario, field = element.scenario, element.scenario.field
-    m = field.reduced_degree
+    m, n, zero = field.reduced_degree, field.sigma_order, field.zero_row
     if m == 1:
         star = None
     elif m == 2:
-        star = TensorElement._raw(scenario, (1,), [_conjugate(p) for p in element.polys])
+        conj = [kernel.conjugate_rows(field, p) for p in element.rows]
+        star = TensorElement._reduced(scenario, (1,), conj, element.over * field.trd_den)
     else:
 
         def trace(a):
-            return TensorElement._raw(scenario, a.den, [_trace(p, field.ktrd, field.trd_den) for p in a.polys])
+            rows = [[field.ktrd(r) if k % n == 0 else zero for k, r in enumerate(p)] for p in a.rows]
+            return TensorElement._reduced(scenario, a.den, rows, a.over * field.trd_den)
 
         def divide(a, k):
-            return TensorElement._raw(scenario, a.den, [times_central(p, [1], k) for p in a.polys])
+            return TensorElement._reduced(scenario, a.den, a.rows, a.over * k)
 
         star = cayley_hamilton(element, m, trace, divide)
     product = element if star is None else element * star
-    common, nums = kernel.central_view(field, [p.int_rows() for p in product.polys])
-    return star, CentralPolynomial(field, _mul(list(product.den), [common]), nums)
+    ring = center(field)
+    nums = [kernel.strip(ring.ints(p), 0) for p in product.rows]
+    return star, CentralPolynomial(field, _mul(list(product.den), [product.over * ring.over]), nums)
 
 
 def _residue_trace(rows: PowerRows):
@@ -1090,10 +1089,10 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     zero = field.zero_row
     reach = top
     terms = []
-    for p, power in zip(element.polys, scenario.root_powers):
-        if p.is_zero():
+    for p, power in zip(element.rows, scenario.root_powers):
+        if not p:
             continue
-        low = next(m for m, r in enumerate(p.int_rows()[0]) if r != zero)
+        low = next(m for m, r in enumerate(p) if r != zero)
         reach = min(reach, top + power.val, power.prec + min(low - v, top))
         # P_i rho^i is known to prec rho^i + low, as the product rule says
         terms.append((p, power, power.prec + low))
@@ -1102,11 +1101,11 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     val, prec = min(power.val for _, power, _ in terms), min(known for _, _, known in terms)
     # rho^i = t^val_i * (sum_k a_k u^k)/den_i commutes with P_i: the sum is
     # one `kernel.central_sum` over a common denominator
-    parts = [(p.int_rows(), power.int_coeffs(), power.val - val) for p, power, _ in terms]
-    common = lcm(*(dp * dc for (_, dp), (_, dc), _ in parts))
-    sums = [([zero] * shift + r, [a * (common // (dp * dc)) for a in c]) for (r, dp), (c, dc), shift in parts]
+    parts = [(p, power.int_coeffs(), power.val - val) for p, power, _ in terms]
+    common = lcm(*(dc for _, (_, dc), _ in parts))
+    sums = [([zero] * shift + p, [a * (common // dc) for a in c]) for p, (c, dc), shift in parts]
     rows, k = kernel.central_sum(field, sums, max(prec - val, 0))
-    acc = TwistedSeries._from_rows(field, val, rows, common * k, prec)
+    acc = TwistedSeries._from_rows(field, val, rows, element.over * common * k, prec)
     if element.den != (1,):
         c = central_polynomial(field, element.den)
         work = max(acc.prec, acc.prec + v - acc.val, v + 1)

@@ -17,7 +17,10 @@ pairing cost more than the products it saves.  Products of polynomials
 in a central x (the tensor elements of `orefield.extend`) add every pair
 into one accumulator per power of x (`mul_into`), and a product by a
 central c(t^n), c in Z[u], takes integer multiples of rows or of whole
-coordinates and no ground product (`central_rows`).
+coordinates and no ground product (`central_rows`).  A vector of such rows
+over c(t^n) and one integer denominator is brought to lowest terms by
+`reduce_central`, the one central reduction, which the tensor elements and
+the norm conjugates of `orefield.skewpoly` call.
 
 The kernel scales: with dT = `field.mul_den` and s = `field.sig_den`,
 
@@ -428,13 +431,62 @@ def central_convolve(field: GroundField, a: list[Rows], zs: list) -> tuple[list[
     return [rows for rows, _ in sums], sums[0][1]
 
 
-def central_view(field: GroundField, parts: Sequence[tuple[Rows, int]]) -> tuple[int, list]:
-    """(E, Z) for central twisted polynomials given as (rows, den): their
-    elements of K'[u] (`Center.ints`) over the common integer denominator E,
-    in the form `central_sum` takes."""
-    ring = center(field)
-    nums, den = over_common(parts)
-    return den * ring.over, [strip(ring.ints(rows), 0) for rows in nums]
+def reduce_central(field: GroundField, den: Sequence[int], polys: Sequence[Rows], over: int) -> tuple[list[int], list[Rows], int]:
+    """The canonical form of the vector den(t^n)^-1 * polys/over, for
+    integer rows polys[i] over one integer over != 0 and den in Z[u]:
+    (den, polys, over) with each polys[i] stripped, den primitive with a
+    positive leading coefficient, over > 0, no factor of den over Q[u] that
+    divides every Z[u]-coordinate of the polys (coordinate (r, l) of rows is
+    sum_k rows[k*n + r][l] u^k), and no integer content common to over and
+    the rows.  A zero vector comes back as ([1], polys, 1).
+
+    The factor is the gcd over Q[u] of den and every coordinate, and the
+    exact quotients are integral (Gauss's lemma): a synthetic division by
+    g(t^n) with stride n.  With den = [] (no denominator) the rows are
+    divided by their content over Q[u] and then their integer content."""
+    from .factor import _divexact, gcd as ugcd, primitive
+
+    n, zero = field.sigma_order, field.zero_row
+    polys = [strip(list(p), zero) for p in polys]
+    if not any(polys):
+        return [1], polys, 1
+    g = primitive(den)[1]
+    for coord in (c for p in polys for r in range(n) for c in zip(*p[r::n]) if any(c)):
+        if len(g) == 1:
+            break
+        g = ugcd(g, coord)
+    if len(g) > 1:
+        den, polys = _divexact(list(den), g), [_divide_central(field, p, g) for p in polys]
+    scale, den = primitive(den)
+    c = gcd(over * scale, content(*polys))
+    if over * scale < 0:
+        c = -c
+    return den, [divide(p, c) for p in polys] if c != 1 else polys, over * scale // c
+
+
+def _divide_central(field: GroundField, rows: Rows, g: list[int]) -> Rows:
+    """rows / g(t^n) for g in Z[u] primitive of degree >= 1 that divides
+    every Z[u]-coordinate of the rows, by synthetic division."""
+    n, zero = field.sigma_order, field.zero_row
+    shift, lead = (len(g) - 1) * n, g[-1]
+    lower = [(j * n, b) for j, b in enumerate(g[:-1]) if b]
+    rem = list(rows)
+    quo = [zero] * max(len(rem) - shift, 0)
+    for m in range(len(quo) - 1, -1, -1):
+        top = rem[m + shift]
+        if top != zero:
+            quo[m] = q = tuple([x // lead for x in top])
+            for off, b in lower:
+                rem[m + off] = tuple([x - b * y for x, y in zip(rem[m + off], q)])
+    return quo
+
+
+def conjugate_rows(field: GroundField, rows: Rows, offset: int = 0) -> Rows:
+    """trd_den * (Trd(p) - p) for a field of reduced degree 2 and p given by
+    its rows from t^offset on, in one pass: the constant term of each power
+    of u = t^n goes through `kconj`, the rest is scaled by -trd_den."""
+    n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
+    return [kconj(r) if (offset + k) % n == 0 else kscale(-s, r) for k, r in enumerate(rows)]
 
 
 def convolve_rows(field: GroundField, a: list[Rows], b: list[Rows]) -> list[Rows]:

@@ -43,7 +43,8 @@ coefficients (invariant coefficients supported on exponents divisible by
 the automorphism order) to a series root, doubling the contact valuation
 each round.  The commutativity of everything in sight is what makes the
 classical iteration legitimate; the inputs are checked for it.  The lift
-lies in K'((u)) and runs on `CentralSeries`.
+lies in K'((u)) and runs on `CentralSeries` (`newton_lift`, which takes the
+coefficients there).
 """
 
 from __future__ import annotations
@@ -633,7 +634,7 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
       coordinates by N's recurrence at once (the central divisors that
       reach it, from `embed_fraction` and `ext_tau`, are polynomials of a
       few terms);
-    * the rule of `skewpoly._conjugate` on the rows at m = 2 over K' = Q,
+    * the rule of `kernel.conjugate_rows` at m = 2 over K' = Q,
       with only the rational coordinate of N computed (`_conjugate_norm`);
     * otherwise `norm_conjugate` of the known part of den as a polynomial,
       whose inverse agrees with den^-1 to the precision of the result.
@@ -695,8 +696,8 @@ def _conjugate_norm(field: GroundField, d: list, dd: int, v: int) -> tuple[tuple
     n*K < len(d), over ints_den.  N sums the `GroundField.norm_terms` forms
     over the pairs of rows in one residue class; each (p, l) is a
     convolution of two coordinates, which reads each pair once when p = l."""
-    n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
-    conj = [kconj(r) if (v + k) % n == 0 else kscale(-s, r) for k, r in enumerate(d)]
+    n, s = field.sigma_order, field.trd_den
+    conj = kernel.conjugate_rows(field, d, v)
     count = -(-len(d) // n)
     ints = [0] * count
     for r in range(min(n, len(d))):
@@ -806,34 +807,46 @@ def newton_root(
     seed: GroundElement,
     precision: int,
 ) -> TwistedSeries:
-    """Series root of a polynomial with central coefficients.
+    """Series root of a polynomial with central coefficients, the ascending
+    x-coefficients `coeffs`, as a twisted series: `newton_lift` on
+    `central_coefficients`."""
+    return newton_lift(central_coefficients(coeffs, precision), seed, precision).to_twisted()
 
-    `coeffs` are the ascending x-coefficients; `seed` must be an invariant
-    scalar with  f(seed) = 0 mod t  and  f'(seed) a unit mod t  (simple
-    residual root).  The contact valuation c (the valuation of f at the
-    current root) doubles every round, and a round only needs the series to
-    about 2c: it runs at precision  min(work, 2c + pad),  where `work` is
-    the padded precision of the whole lift and pad = work - precision
-    (Brent & Kung, "Fast algorithms for manipulating formal power series",
-    J. ACM 25, 1978).  So the lift costs about two rounds at full precision
-    instead of one per round.  The root entering a round is a fixed series,
-    so it moves to the higher precision by zero extension; it keeps the
-    precision it lost to the coefficients' poles, so the result carries
-    the same precision as a lift run at `work` throughout.
 
-    The coefficients are invariant series in t^n, so the whole lift lies in
-    K'((u)), K' the invariant subfield, and runs on `CentralSeries`.
-    """
+def central_coefficients(coeffs: Sequence[SkewFraction], precision: int) -> list[CentralSeries]:
+    """The coefficients of a polynomial of degree d >= 1 in K'((u)), at the
+    working precision of a lift to `precision`:  precision + 2 d v + 2,  v
+    the worst pole order at t = 0 of a coefficient (in t).  A coefficient
+    off the center is refused."""
     if not coeffs or len(coeffs) < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    field = coeffs[0].field
+    pole = max((_low_degree(c.den) for c in coeffs if not c.is_zero()), default=0)
+    work = precision + 2 * (len(coeffs) - 1) * pole + 2
+    return [_embed_coefficient(c, work) for c in coeffs]
+
+
+def newton_lift(coeffs: Sequence[CentralSeries], seed: GroundElement, precision: int) -> CentralSeries:
+    """Series root in K'((u)) of the polynomial with the ascending
+    x-coefficients `coeffs`, given to a working precision `work` >=
+    precision.
+
+    `seed` must be an invariant scalar with  f(seed) = 0 mod t  and
+    f'(seed) a unit mod t  (simple residual root).  The contact valuation c
+    (the valuation of f at the current root) doubles every round, and a round
+    only needs the series to about 2c: it runs at precision
+    min(work, 2c + pad),  pad = work - precision  (Brent & Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25, 1978).  So
+    the lift costs about two rounds at full precision instead of one per
+    round.  The root entering a round is a fixed series, so it moves to the
+    higher precision by zero extension; it keeps the precision it lost to the
+    coefficients' poles, so the result carries the same precision as a lift
+    run at `work` throughout.
+    """
     if not seed.is_invariant():
         raise NotInvariantSeries("newton seed must lie in the invariant subfield")
-    den_val = max((_low_degree(c.den) for c in coeffs if not c.is_zero()), default=0)
-    depth = len(coeffs) - 1
-    work = precision + 2 * depth * den_val + 2
+    work = min(c.prec for c in coeffs)
     pad = work - precision
-    fc = [_embed_coefficient(c, work) for c in coeffs]
+    fc = list(coeffs)
     dc = [fc[m].times(m) for m in range(1, len(fc))]
 
     def at(series: list, x, p: int):
@@ -880,7 +893,7 @@ def newton_root(
         raise InsufficientPrecision(
             f"newton produced precision {rho.prec} < requested {precision}"
         )
-    return rho.truncate(precision).to_twisted()
+    return rho.truncate(precision)
 
 
 def _embed_coefficient(c: SkewFraction, prec: int) -> CentralSeries:

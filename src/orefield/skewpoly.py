@@ -26,14 +26,13 @@ on construction; products, divisions and the Euclidean loops run on them,
 and `coeffs` is a view built on first use.
 
 u = t^n (n the order of the twist) is central.  `norm_conjugate` writes
-p^-1 = c(t^n)^-1 * q with c an integer polynomial in u, and the helpers
-beside it compute on the Z[u]-coordinates of a polynomial: the arithmetic
-of fractions over one central denominator.
+p^-1 = c(t^n)^-1 * q with c an integer polynomial in u, in lowest terms by
+`kernel.reduce_central`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernel
 from .kernel import cayley_hamilton
@@ -350,23 +349,8 @@ def common_left_multiple(
 
 # -- central scalars and the norm conjugate ----------------------------------------
 #
-# u = t^n (n the twist order) is central, and D[t] is a free Q[u]-module on the
-# e_l t^r (l < dim, r < n).  The Z[u]-coordinate (r, l) of a polynomial is read
-# off its integer rows as  sum_k rows[k*n + r][l] u^k;  the rational scalar of
-# the rows (their denominator) does not change a gcd over Q[u].  An element of
-# Z[u] is a list of Python ints, ascending, as in `orefield.factor`.
-
-
-def central_coordinates(p: SkewPolynomial) -> Iterator[list[int]]:
-    """The nonzero Z[u]-coordinates of p's integer rows."""
-    rows = p.int_rows()[0]
-    n, dim = p.field.sigma_order, p.field.dim
-    for r in range(n):
-        block = rows[r::n]
-        for l in range(dim):
-            coord = [row[l] for row in block]
-            if any(coord):
-                yield coord
+# u = t^n (n the twist order) is central.  An element of Z[u] is a list of
+# Python ints, ascending, as in `orefield.factor`.
 
 
 def central_polynomial(field: GroundField, c: Sequence[int], over: int = 1) -> SkewPolynomial:
@@ -404,74 +388,6 @@ def central_fraction_ints(c) -> tuple[list[int], list[int]] | None:
     return [a * den_den for a in num], [a * num_den for a in d]
 
 
-def times_central(p: SkewPolynomial, c: Sequence[int], over: int = 1) -> SkewPolynomial:
-    """p * c(t^n) / over, for c in Z[u]: a convolution of rows with stride n
-    (`kernel.central_rows`)."""
-    field = p.field
-    rows, den = p.int_rows()
-    if len(c) == 1:
-        return SkewPolynomial._from_rows(field, kernel.scale(rows, c[0]), den * over)
-    return SkewPolynomial._from_rows(field, kernel.central_rows(field, [(rows, c)]), den * over)
-
-
-def divide_central(p: SkewPolynomial, g: Sequence[int]) -> SkewPolynomial:
-    """p / g(t^n), for a primitive g in Z[u] that divides every Z[u]-coordinate
-    of p: the quotient's coordinates are then integral (Gauss's lemma), and
-    the synthetic division below divides exactly."""
-    field = p.field
-    rows, den = p.int_rows()
-    if len(g) == 1:
-        return SkewPolynomial._from_rows(field, rows, den * g[0])
-    n, zero = field.sigma_order, field.zero_row
-    shift, lead = (len(g) - 1) * n, g[-1]
-    lower = [(j * n, b) for j, b in enumerate(g[:-1]) if b]
-    rem = list(rows)
-    quo = [zero] * max(len(rem) - shift, 0)
-    for m in range(len(quo) - 1, -1, -1):
-        top = rem[m + shift]
-        if top == zero:
-            continue
-        q = tuple([x // lead for x in top])
-        quo[m] = q
-        for off, b in lower:
-            rem[m + off] = tuple([x - b * y for x, y in zip(rem[m + off], q)])
-    return SkewPolynomial._from_rows(field, quo, den)
-
-
-def central_content(polys: Iterable[SkewPolynomial], start: Sequence[int] = ()) -> list[int]:
-    """The gcd over Q[u] of `start` and of every Z[u]-coordinate of polys:
-    primitive with a positive leading coefficient, [] when all are zero.
-    Stops at the first constant."""
-    from .factor import gcd, primitive
-
-    g = primitive(start)[1]
-    for p in polys:
-        for coord in central_coordinates(p):
-            if len(g) == 1:
-                return g
-            g = gcd(g, coord) if g else primitive(coord)[1]
-    return g
-
-
-def reduce_central(den: Sequence[int], polys: list) -> tuple[list[int], list]:
-    """The canonical form of the vector den(t^n)^-1 * polys, den in Z[u]
-    nonzero: den primitive with a positive leading coefficient, and no
-    common factor of den and every Z[u]-coordinate of polys left (so a
-    zero vector has den = [1])."""
-    from .factor import _divexact, primitive
-
-    g = central_content(polys, den)
-    if not g or all(p.is_zero() for p in polys):
-        return [1], polys
-    if len(g) > 1:
-        den = _divexact(list(den), g)
-        polys = [divide_central(p, g) for p in polys]
-    scale, den = primitive(den)
-    if scale != 1:
-        polys = [times_central(p, [1], scale) for p in polys]
-    return den, polys
-
-
 def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     """(q, c) with  q*p = p*q = c(t^n),  c in Z[u] nonzero, primitive, with a
     positive leading coefficient.
@@ -486,8 +402,8 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     p*q = +-Nrd(p).  At m = 2, q = Trd(p) - p: the quaternion conjugate, and
     sigma(a) - b*t for p = a + b*t over a quadratic field.  When K' is not Q,
     the norm of K'/Q (`kernel.center`'s `conjugate`) takes it down to Q[u];
-    then, or when m > 2, one `reduce_central` cuts c to the minimal central
-    multiple of p.
+    then, or when m > 2, one `kernel.reduce_central` cuts c to the minimal
+    central multiple of p.
 
     Since D[t] is a domain, q*p = c central gives p*q = c too.
     """
@@ -514,21 +430,16 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
         )
     # q*p = scale * c / pden, so (q * pden/scale) * p = c
     qrows, qden = q.int_rows()
-    q = SkewPolynomial._from_rows(field, kernel.scale(qrows, pden), qden * scale)
+    qrows, qden = kernel.scale(qrows, pden), qden * scale
     if w > 1 or m > 2:
-        c, (q,) = reduce_central(c, [q])
-    return q, c
+        c, (qrows,), qden = kernel.reduce_central(field, c, [qrows], qden)
+    return SkewPolynomial._from_rows(field, qrows, qden), c
 
 
 def _conjugate(p: SkewPolynomial) -> SkewPolynomial:
-    """Trd(p) - p for a field of reduced degree 2, in one pass over the rows:
-    the constant term of each power of u goes through `kconj`, the rest
-    changes sign."""
-    field = p.field
+    """Trd(p) - p for a field of reduced degree 2 (`kernel.conjugate_rows`)."""
     rows, den = p.int_rows()
-    n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
-    out = [kconj(r) if k % n == 0 else kscale(-s, r) for k, r in enumerate(rows)]
-    return SkewPolynomial._from_rows(field, out, den * s)
+    return SkewPolynomial._from_rows(p.field, kernel.conjugate_rows(p.field, rows), den * p.field.trd_den)
 
 
 def _trace(p: SkewPolynomial, ktr, over: int) -> SkewPolynomial:
@@ -545,4 +456,9 @@ def _polynomial_cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> Sk
     coefficientwise (`_trace`); 1 at m = 1."""
     if m == 1:
         return SkewPolynomial.one(p.field)
-    return cayley_hamilton(p, m, lambda x: _trace(x, ktr, over), lambda a, k: times_central(a, [1], k))
+
+    def divide(a, k):
+        rows, den = a.int_rows()
+        return SkewPolynomial._from_rows(a.field, rows, den * k)
+
+    return cayley_hamilton(p, m, lambda x: _trace(x, ktr, over), divide)

@@ -30,9 +30,9 @@ twisted polynomials (`POLYNOMIALS`, the ring that also held the center's
 numerators when the invariant subfield is not Q, before they moved to
 `kernel.center`) that `TensorElement.inv` ran before it inverted through
 reduced norms; unlike the rest, it calls the package's own elimination.
-The integer-row loops are the `kernel.mul_rows` and `skewpoly.times_central`
-that products ran before they accumulated into given rows and columns; they
-read the field's compiled integer kernel.
+The integer-row loops are the `kernel.mul_rows` and the product by a
+central c(t^n) that products ran before they accumulated into given rows and
+columns; they read the field's compiled integer kernel.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -47,10 +47,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from types import SimpleNamespace
 
-from orefield import linalg
+from orefield import kernel, linalg
 from orefield.errors import (
     DivisionByZero,
     InsufficientPrecision,
@@ -66,14 +66,7 @@ from orefield.errors import (
 from orefield.laurent import TwistedSeries
 from orefield.sampling import random_fraction
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import (
-    SkewPolynomial,
-    central_content,
-    divide_central,
-    norm_conjugate,
-    reduce_central,
-    times_central,
-)
+from orefield.skewpoly import SkewPolynomial, central_polynomial, norm_conjugate
 
 
 # -- Gauss-Jordan over any exact field ------------------------------------------
@@ -531,7 +524,7 @@ def common_left_multiple(a, b):
 #
 # The loops on integer rows (see `orefield.kernel`) that products ran before
 # the tensor arithmetic moved onto integer accumulators: `mul_rows` built
-# its own output, and `times_central` added one tuple per nonzero
+# its own output, and the product by c(t^n) added one tuple per nonzero
 # coefficient of c and nonzero row.  Unlike the rest of this module they
 # read the field's compiled kernel (`kmac`, `ksig`), the oracle for the
 # accumulating and coordinate-major routines that replaced them.
@@ -959,7 +952,6 @@ def elimination_inverse(element):
     """
     from orefield.extend import TensorElement
     from orefield.factor import _mul
-    from orefield.skewpoly import central_polynomial
 
     if element.is_zero():
         raise SingularElement("inversion of zero")
@@ -968,10 +960,11 @@ def elimination_inverse(element):
     zero = SkewPolynomial.zero(scenario.field)
     c, table = twisted_table(scenario.reduction, 2 * d - 1)
     rows = [[zero] * d for _ in range(d)]
-    for i, a in enumerate(element.polys):
+    for i, p in enumerate(element.rows):
+        a = SkewPolynomial._from_rows(scenario.field, p, element.over)
         if a.is_zero():
             continue
-        scaled = a if c == [1] else times_central(a, c)
+        scaled = POLYNOMIALS.scale(a, c)
         for j in range(d):
             if i + j < d:
                 rows[i + j][j] = rows[i + j][j] + scaled
@@ -983,23 +976,26 @@ def elimination_inverse(element):
     sol = linalg.solve_right_generic(POLYNOMIALS, scenario.field, rows, rhs)
     if sol is None:
         raise SingularElement(f"element of {scenario.name} is not invertible")
-    return TensorElement._raw(scenario, *sol)
+    # the solution is in lowest terms, and its rows over their common
+    # denominator have no integer content left
+    den, xs = sol
+    return TensorElement._raw(scenario, den, *kernel.over_common([x.int_rows() for x in xs]))
+
+
+def reduce_central(den, polys):
+    """den(t^n)^-1 * polys in lowest terms, as twisted polynomials:
+    `kernel.reduce_central` on their rows over one denominator."""
+    field = polys[0].field
+    den, rows, over = kernel.reduce_central(field, den, *kernel.over_common([p.int_rows() for p in polys]))
+    return den, [SkewPolynomial._from_rows(field, r, over) for r in rows]
 
 
 def primitive_row(row):
     """The twisted polynomials divided by their content over Q[u] and by
-    their rational content."""
-    g = central_content(row)
-    if not g:
-        return row
-    if len(g) > 1:
-        row = [divide_central(p, g) for p in row]
-    parts = [p.int_rows() for p in row]
-    num = gcd(*(x for rows, _ in parts for r in rows for x in r))
-    den = lcm(*(d for _, d in parts))
-    if num == den == 1:
-        return row
-    return [times_central(p, [den], num) for p in row]
+    their rational content: `kernel.reduce_central` with no denominator."""
+    field = row[0].field
+    rows = kernel.reduce_central(field, [], kernel.over_common([p.int_rows() for p in row])[0], 1)[1]
+    return [SkewPolynomial._from_rows(field, r, 1) for r in rows]
 
 
 # the twisted polynomials as a ring for `linalg.eliminate`
@@ -1011,10 +1007,10 @@ POLYNOMIALS = SimpleNamespace(
     add=SkewPolynomial.__add__,
     sub=SkewPolynomial.__sub__,
     mul=SkewPolynomial.__mul__,
-    scale=times_central,
+    scale=lambda p, c: p * central_polynomial(p.field, c),
     unit_multiple=norm_conjugate,
     primitive=primitive_row,
-    reduce=lambda den, nums: reduce_central(den, list(nums)),
+    reduce=reduce_central,
 )
 
 

@@ -24,7 +24,6 @@ from sympy.polys.matrices import DomainMatrix
 from orefield import linalg
 from orefield.factor import _trim, content, gcd
 from orefield.kernel import center
-from orefield.skewpoly import central_content
 
 from conftest import RATIONALS
 from schoolbook import POLYNOMIALS, primitive_row
@@ -241,15 +240,20 @@ def test_central_fraction_nullspace_at_fixed_seeds(ring, entry, as_sympy):
 
 def has_no_content(ring, row):
     """No common factor over Q[u] of the coordinates and no integer content;
-    for twisted polynomials, no rational content either (`primitive_row`
+    for twisted polynomials, whose Z[u]-coordinate (r, l) is
+    sum_k rows[k*n + r][l] u^k, no rational content either (`primitive_row`
     leaves the row as it is)."""
     if ring is POLYNOMIALS:
-        return central_content(row) == [1] and primitive_row(row) == row
+        n = row[0].field.sigma_order
+        parts = [list(c) for p in row for r in range(n) for c in zip(*p.int_rows()[0][r::n])]
+        ok = primitive_row(row) == row
+    else:
+        parts = [part for a in row for part in ring.parts(a)]
+        ok = content([x for a in row for x in a]) == 1
     g = []
-    for a in row:
-        for part in ring.parts(a):
-            g = gcd(g, part)
-    return len(g) == 1 and content([x for a in row for x in a]) == 1
+    for part in parts:
+        g = gcd(g, part)
+    return ok and len(g) == 1
 
 
 def test_eliminated_rows_are_primitive():

@@ -2,6 +2,7 @@
 `SkewFraction`-coordinate arithmetic it replaces (the oracle in `schoolbook`)."""
 
 import hashlib
+import math
 import operator
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from orefield.factor import content, gcd
 from orefield.sampling import random_fraction, random_tensor
 from orefield.scenario_io import load_document
 from orefield.skewfrac import SkewFraction
-from orefield.skewpoly import SkewPolynomial, central_coordinates, central_polynomial
+from orefield.skewpoly import SkewPolynomial, central_polynomial
 
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
@@ -61,15 +62,50 @@ IDS = [s.name for s in SCENARIOS]
 
 
 def is_canonical(a):
-    assert a.den and a.den[-1] > 0 and content(a.den) == 1
-    coords = [c for p in a.polys for c in central_coordinates(p)]
+    """The stored form: den primitive with a positive leading coefficient;
+    d lists of integer rows, each with no trailing zero row, over one
+    positive integer denominator coprime to their entries; and no factor
+    over Q[u] of den and of every Z[u]-coordinate of the rows, the
+    coordinate (r, l) being sum_k rows[k*n + r][l] u^k."""
+    field = a.scenario.field
+    n, zero = field.sigma_order, field.zero_row
+    assert type(a.den) is tuple and a.den and a.den[-1] > 0 and content(a.den) == 1
+    assert type(a.rows) is tuple and len(a.rows) == a.scenario.degree
+    assert all(type(p) is list and (not p or p[-1] != zero) for p in a.rows)
+    assert a.over > 0 and math.gcd(a.over, *(x for p in a.rows for r in p for x in r)) == 1
+    coords = [list(c) for p in a.rows for r in range(n) for c in zip(*p[r::n]) if any(c)]
     if not coords:
-        assert a.den == (1,)
+        assert a.den == (1,) and a.over == 1
     g = list(a.den)
     for c in coords:
         g = gcd(g, c)
     assert len(g) == 1
     return True
+
+
+def check_construction_paths(scenario, values):
+    """Every way to build the element of `values` stores the same triple
+    (den, rows, over) and shows the same coordinates."""
+    element = TensorElement.make(scenario, values)
+    fractions = [SkewFraction.coerce(scenario.field, v) for v in values]
+    paths = [
+        TensorElement(scenario, element.coords),
+        TensorElement.make(scenario, element.coords),
+        TensorElement.from_quotients(scenario, [(v.num, v.den) for v in fractions]),
+        element * TensorElement.one(scenario),
+        TensorElement.one(scenario) * element,
+        element + TensorElement.zero(scenario),
+        element.apply(scenario.group.identity),
+    ]
+    # over H/Q(sqrt5) an element reduced from a long list takes seconds to invert
+    if not element.is_zero() and (scenario is not GOLDEN_SCENARIO or len(values) <= scenario.degree):
+        paths.append(element.inv().inv())
+    assert is_canonical(element)
+    assert not any(isinstance(v, SkewPolynomial) for v in (element.den, element.rows, element.over))
+    for other in paths:
+        assert is_canonical(other)
+        assert (other.den, other.rows, other.over) == (element.den, element.rows, element.over)
+        assert other == element and other.coords == element.coords
 
 
 def check_values(scenario, values):
@@ -133,6 +169,19 @@ def test_tensor_arithmetic_matches_the_schoolbook_arithmetic(scenario):
         check_values(scenario, random_values(scenario, rng, size))
 
     check()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=IDS)
+def test_every_construction_path_stores_the_same_form(scenario):
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 2 * scenario.degree))
+    def check(seed, size):
+        check_construction_paths(scenario, random_values(scenario, random.Random(seed), size))
+
+    check()
+    rng = random.Random(47)
+    for values in ([], [0, 1], [1] * scenario.degree, random_values(scenario, rng, scenario.degree)):
+        check_construction_paths(scenario, values)
 
 
 # the oracle's inverses over H/Q(sqrt5) take seconds: hypothesis covers it
