@@ -33,17 +33,25 @@ from .skewfrac import SkewFraction
 from .skewpoly import central_polynomial
 from .tower import GroupSystem, TowerScenario, run_tower_checks
 
+_FIELD_BUILDERS = {
+    "rationals": make_rationals,
+    "gauss": gauss_conjugation,
+    "hamilton": hamilton_rationals,
+}
+
 _FIELDS: dict[str, GroundField] = {}
 
 
-def _field(kind: str) -> GroundField:
-    if kind not in _FIELDS:
-        _FIELDS[kind] = {
-            "rationals": make_rationals,
-            "gauss": gauss_conjugation,
-            "hamilton": hamilton_rationals,
-        }[kind]()
-    return _FIELDS[kind]
+def field_names() -> tuple[str, ...]:
+    return tuple(_FIELD_BUILDERS)
+
+
+def field_catalog(name: str) -> GroundField:
+    """The named ground field, built once: the catalog scenarios, `--field`
+    and the field names of scenario files all read this one."""
+    if name not in _FIELDS:
+        _FIELDS[name] = _FIELD_BUILDERS[name]()
+    return _FIELDS[name]
 
 
 def _upoly(field: GroundField, *coeffs: int) -> SkewFraction:
@@ -154,11 +162,11 @@ def _cyclic_cubic(name: str, field: GroundField) -> ExtensionScenario:
 # -- catalog plumbing -----------------------------------------------------------
 
 _SCENARIO_BUILDERS = {
-    "T1L1": lambda: _quadratic("T1L1", _field("hamilton")),
-    "T1L2": lambda: _quartic("T1L2", _field("hamilton")),
-    "T2L1": lambda: _quadratic("T2L1", _field("gauss")),
-    "T2L2": lambda: _quartic("T2L2", _field("gauss")),
-    "T3L1": lambda: _cyclic_cubic("T3L1", _field("rationals")),
+    "T1L1": lambda: _quadratic("T1L1", field_catalog("hamilton")),
+    "T1L2": lambda: _quartic("T1L2", field_catalog("hamilton")),
+    "T2L1": lambda: _quadratic("T2L1", field_catalog("gauss")),
+    "T2L2": lambda: _quartic("T2L2", field_catalog("gauss")),
+    "T3L1": lambda: _cyclic_cubic("T3L1", field_catalog("rationals")),
 }
 
 _SCENARIOS: dict[str, ExtensionScenario] = {}
@@ -195,7 +203,7 @@ def _witnesses(field: GroundField) -> tuple[tuple[str, SkewFraction], ...]:
 
 
 def _build_quadratic_tower(name: str, l1: str, l2: str, kind: str) -> TowerScenario:
-    field = _field(kind)
+    field = field_catalog(kind)
     level1, level2 = scenario_catalog(l1), scenario_catalog(l2)
     system = GroupSystem([_z2(), _v4()], [_first_coordinate()])
     return TowerScenario(
@@ -225,7 +233,7 @@ def _build_t4() -> TowerScenario:
     The top connecting map swaps the two sign coordinates; the top labelling
     absorbs the swap, so restriction to the (identical) middle level matches.
     """
-    field = _field("hamilton")
+    field = field_catalog("hamilton")
     level1, level2 = scenario_catalog("T1L1"), scenario_catalog("T1L2")
     swap = {"00": "00", "10": "01", "01": "10", "11": "11"}
     system = GroupSystem([_z2(), _v4(), _v4()], [_first_coordinate(), swap])

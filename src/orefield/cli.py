@@ -28,7 +28,7 @@ import random
 import sys
 from typing import Callable, Sequence
 
-from .catalog import scenario_catalog, scenario_names, tower_catalog, tower_names
+from .catalog import field_catalog, field_names, scenario_catalog, scenario_names, tower_catalog, tower_names
 from .errors import (
     ExprSyntaxError,
     InsufficientPrecision,
@@ -44,7 +44,6 @@ from .extend import (
     guarded_check,
     run_scenario_checks,
 )
-from .ground import gauss_conjugation, hamilton_rationals, make_rationals
 from .laurent import TwistedSeries
 from .skewfrac import SkewFraction, center_basis
 from .skewpoly import SkewPolynomial
@@ -55,12 +54,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CHECKS = 4
 EXIT_INTERNAL = 5
-
-_FIELDS: dict[str, Callable] = {
-    "rationals": make_rationals,
-    "gauss": gauss_conjugation,
-    "hamilton": hamilton_rationals,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +74,7 @@ def _evaluator(args: argparse.Namespace) -> Callable[[str], object]:
         scenario = target
         field = scenario.field
     else:
-        field = _FIELDS[args.field]()
+        field = field_catalog(args.field)
     ctx = EvalContext(field, scenario=scenario, precision=args.precision)
     return lambda text: evaluate_text(text, ctx)
 
@@ -194,7 +187,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_center(args: argparse.Namespace) -> int:
-    field = _FIELDS[args.field]()
+    field = field_catalog(args.field)
     basis = center_basis(field, args.max_deg)
     if args.format == "json":
         print(json.dumps([str(p) for p in basis], indent=2, sort_keys=True))
@@ -341,10 +334,14 @@ def _add_common(sub: argparse.ArgumentParser, *, scenario: bool, field: bool) ->
     if field:
         sub.add_argument(
             "--field",
-            choices=sorted(_FIELDS),
+            choices=sorted(field_names()),
             default="gauss",
             help="ground field for expressions (default: gauss)",
         )
+
+
+# argparse reads an argument that starts with '-' as an option
+_DASH = " (after '--' when it starts with '-', as in: -- \"-t\")"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expr")
+    p.add_argument("expr", help=f"the expression{_DASH}")
     _add_common(p, scenario=True, field=True)
     p.add_argument("--precision", type=int, default=16, help="series precision")
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("divmod", help="divide one twisted polynomial by another")
-    p.add_argument("dividend")
-    p.add_argument("divisor")
+    p.add_argument("dividend", help=f"the twisted polynomial to divide{_DASH}")
+    p.add_argument("divisor", help=f"the twisted polynomial to divide by{_DASH}")
     _add_common(p, scenario=False, field=True)
     p.add_argument("--precision", type=int, default=16, help="series precision")
     p.add_argument(
@@ -371,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_divmod)
 
     p = sub.add_parser("invert", help="invert an expression and verify the round trip")
-    p.add_argument("expr")
+    p.add_argument("expr", help=f"the expression{_DASH}")
     _add_common(p, scenario=True, field=True)
     p.add_argument("--precision", type=int, default=16, help="series precision")
     p.set_defaults(run=cmd_invert)

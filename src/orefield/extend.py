@@ -35,7 +35,7 @@ the rest of the package (towers, command line) consumes:
   `PowerRows.table` with one central reduction per result;
   inversion goes through reduced norms, e^-1 = c E* Pi N^-1, with
   E E* = nu in F = K'(u)[x]/(f) and nu Pi = N in the center, by
-  Cayley-Hamilton (`skewpoly.cayley_hamilton`) on the rows of x alone, so it
+  Cayley-Hamilton (`kernel.cayley_hamilton`) on the rows of x alone, so it
   eliminates nothing and reads no Galois image; fraction inputs enter
   through the norm conjugate (`skewpoly.norm_conjugate`),
   den^-1 num = c^-1 (q num).  None of these runs an Ore reduction; `coords`
@@ -80,7 +80,7 @@ from .errors import (
     UnknownGroupElement,
 )
 from .ground import GroundElement, GroundField
-from .kernel import center
+from .kernel import cayley_hamilton, center, common_denominator, zmul
 from .laurent import (
     CentralSeries,
     TwistedSeries,
@@ -93,7 +93,6 @@ from .laurent import (
 from .skewfrac import SkewFraction
 from .skewpoly import (
     SkewPolynomial,
-    cayley_hamilton,
     central_fraction_ints,
     central_polynomial,
     norm_conjugate,
@@ -112,38 +111,20 @@ from .skewpoly import (
 
 
 def _view(field: GroundField, a: list, den: list[int]) -> SkewFraction:
-    from .factor import _divexact, gcd
-
-    if (r := center(field).rational(a)) is None:
+    ring = center(field)
+    if ring.rational(a) is None:
         # off Q[u] the lowest terms are a gcd over K'[u]: the Ore reduction's
         return SkewFraction.make(_twisted(field, a), central_polynomial(field, den))
-    # in lowest terms, den = D(t^n)/lc(D) is monic and num = N(t^n)/lc(D); a
-    # Bezout identity D*a + N*b = 1 over Q[u] holds in the skew ring too, so
-    # this is the canonical reduced form
-    if not r:
-        den = [1]
-    elif len(r) > 1 and len(den) > 1:
-        g = gcd(r, den)
-        if len(g) > 1:
-            r, den = _divexact(r, g), _divexact(den, g)
+    # in lowest terms (`reduce`), den = D(t^n)/lc(D) is monic and num =
+    # N(t^n)/lc(D); a Bezout identity D*a + N*b = 1 over Q[u] holds in the
+    # skew ring too, so this is the canonical reduced form
+    den, (a,) = ring.reduce(den, [a])
     lead = den[-1]
-    return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, r, lead))
+    return SkewFraction(central_polynomial(field, den, lead), central_polynomial(field, ring.rational(a), lead))
 
 
 def _twisted(field: GroundField, a: list) -> SkewPolynomial:
     return SkewPolynomial._from_rows(field, center(field).rows(a), 1)
-
-
-def _lcm(dens: Iterable[Sequence[int]]) -> list[int]:
-    """A common multiple in Z[u] of the dens: their lcm over Q[u] times an
-    integer."""
-    from .factor import _divexact, _mul, gcd
-
-    common = [1]
-    for c in dens:
-        if c != common:
-            common = _mul(common, _divexact(list(c), gcd(common, c)))
-    return common
 
 
 class CentralPolynomial:
@@ -176,8 +157,6 @@ class CentralPolynomial:
         """The polynomial with these coefficients (anything
         `SkewFraction.coerce` takes), in lowest terms over Z[u]; a
         coefficient off the center raises `ScenarioValidationError`."""
-        from .factor import _divexact
-
         fracs, pairs = [], []
         for c in coeffs:
             frac = SkewFraction.coerce(field, c)
@@ -187,9 +166,9 @@ class CentralPolynomial:
                 )
             fracs.append(frac)
             pairs.append(central_fraction_ints(frac))
-        den = _lcm(d for _, d in pairs)
+        den, cofactors = common_denominator(d for _, d in pairs)
         ring = center(field)
-        p = cls(field, *ring.reduce(den, [ring.scale(num, _divexact(den, d)) for num, d in pairs]))
+        p = cls(field, *ring.reduce(den, [ring.scale(num, k) for (num, _), k in zip(pairs, cofactors)]))
         # the given fractions are canonical: they are the view
         p._coeffs = tuple(fracs[: len(p.nums)])
         return p
@@ -262,17 +241,16 @@ class CentralPolynomial:
         return all(scale(x, db) == scale(y, da) for x, y in zip(a, b))
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        from .factor import _divexact, _mul, gcd
-
         self._same(other)
         ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
-        if da != db:
-            g = gcd(da, db)
-            ra, rb = _divexact(da, g), _divexact(db, g)
-            a, b, da = [ring.scale(x, rb) for x in a], [ring.scale(y, ra) for y in b], _mul(da, rb)
+        den, (ka, kb) = common_denominator([da, db])
+        if ka != [1]:
+            a = [ring.scale(x, ka) for x in a]
+        if kb != [1]:
+            b = [ring.scale(y, kb) for y in b]
         zero = ring.zero(self.field)
-        return CentralPolynomial(self.field, da, [ring.add(x, y) for x, y in zip_longest(a, b, fillvalue=zero)])
+        return CentralPolynomial(self.field, den, [ring.add(x, y) for x, y in zip_longest(a, b, fillvalue=zero)])
 
     def __neg__(self) -> "CentralPolynomial":
         return CentralPolynomial(self.field, self.den, [[-x for x in a] for a in self.nums])
@@ -281,8 +259,6 @@ class CentralPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        from .factor import _mul
-
         self._same(other)
         ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
@@ -295,7 +271,7 @@ class CentralPolynomial:
             for j, y in enumerate(b):
                 if not ring.is_zero(y):
                     out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-        return CentralPolynomial(self.field, _mul(da, db), out)
+        return CentralPolynomial(self.field, zmul(da, db), out)
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
         """(q, r) with self = q*g + r and deg r < deg g: pseudo-division over
@@ -306,8 +282,6 @@ class CentralPolynomial:
         steps  c^k A = Q G + R  for the numerators A of self and G of g, so
         r = (den c^k)^-1 R  and  q = (den c^k)^-1 (den_g Q).
         """
-        from .factor import _mul
-
         self._same(g)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
@@ -323,7 +297,7 @@ class CentralPolynomial:
             if c != [1]:
                 rem = [ring.scale(a, c) for a in rem]
                 quo = [ring.scale(a, c) for a in quo]
-                den = _mul(den, c)
+                den = zmul(den, c)
             quo[s] = ring.mul(top, q_lead)
             for j, b in lower:
                 if not ring.is_zero(b):
@@ -401,19 +375,16 @@ class PowerRows:
         """(C, N) with  q^k = C(u)^-1 * sum_m N[k][m] x^m  modulo f for at
         least k < count, C in Z[u] and the N[k][m] in K'[u], each row padded
         to deg f numerators (cached, and grown on request)."""
-        from .factor import _divexact
-
         if self._shared is None or len(self._shared[1]) < count:
             field, d = self.f.field, self.f.degree
             ring = center(field)
             rows = [p.parts() for p in self.powers(count)]
-            den = _lcm(c for c, _ in rows)
+            den, cofactors = common_denominator(c for c, _ in rows)
             zero = ring.zero(field)
             table = []
-            for c, nums in rows:
-                if c != den:
-                    scale = _divexact(den, c)
-                    nums = [ring.scale(a, scale) for a in nums]
+            for (_, nums), k in zip(rows, cofactors):
+                if k != [1]:
+                    nums = [ring.scale(a, k) for a in nums]
                 table.append([*nums, *[zero] * (d - len(nums))])
             self._shared = (den, table)
         return self._shared
@@ -421,8 +392,6 @@ class PowerRows:
     def compose(self, p: CentralPolynomial) -> CentralPolynomial:
         """p(q) modulo f, as sum_k p_k (q^k mod f), over the product of p's
         denominator and the rows' common one."""
-        from .factor import _mul
-
         self.f._same(p)
         field = self.f.field
         ring = center(field)
@@ -434,7 +403,7 @@ class PowerRows:
                 for m, entry in enumerate(row):
                     if not ring.is_zero(entry):
                         out[m] = ring.add(out[m], ring.mul(entry, v))
-        return CentralPolynomial(field, _mul(pden, den), out)
+        return CentralPolynomial(field, zmul(pden, den), out)
 
 
 class FiniteGroup:
@@ -759,14 +728,12 @@ class TensorElement:
         """den(t^n)^-1 * sum_k (conv[k]/over) q^k modulo f for integer rows
         conv[k], q = x (reducing a conv longer than d) unless `rows` are q's:
         one `kernel.central_sum` per coordinate and one reduction."""
-        from .factor import _mul
-
         field, d = scenario.field, scenario.degree
         if rows is None and len(kernel.strip(conv, [])) <= d:
             return cls._reduced(scenario, den, conv + [[]] * (d - len(conv)), over)
         c, table = (rows or scenario.reduction).table(len(conv))
         sums = [kernel.central_sum(field, [(v, row[m]) for v, row in zip(conv, table)]) for m in range(d)]
-        return cls._reduced(scenario, _mul(den, c), [r for r, _ in sums], over * sums[0][1])
+        return cls._reduced(scenario, zmul(den, c), [r for r, _ in sums], over * sums[0][1])
 
     @classmethod
     def make(cls, scenario: ExtensionScenario, values: Sequence) -> "TensorElement":
@@ -780,8 +747,6 @@ class TensorElement:
         den_k) pairs, den_k nonzero, reduced modulo f: no Ore reduction.  Each
         den^-1 num is c^-1 (q num) for the norm conjugate q*den = c
         (`skewpoly.norm_conjugate`), over the lcm of the c."""
-        from .factor import _divexact
-
         pairs = []
         for num, den in quotients:
             if den.degree == 0 and den.is_monic():  # den = 1
@@ -789,10 +754,10 @@ class TensorElement:
             else:
                 q, c = norm_conjugate(den)
                 pairs.append((c, (q * num).int_rows()))
-        common = _lcm(c for c, _ in pairs)
+        common, cofactors = common_denominator(c for c, _ in pairs)
         conv, over = kernel.over_common([p for _, p in pairs])
         field = scenario.field
-        conv = [r if c == common else kernel.central_rows(field, [(r, _divexact(common, c))]) for (c, _), r in zip(pairs, conv)]
+        conv = [r if k == [1] else kernel.central_rows(field, [(r, k)]) for k, r in zip(cofactors, conv)]
         return cls._from_conv(scenario, common, conv, over)
 
     @classmethod
@@ -837,19 +802,13 @@ class TensorElement:
         return self.den == other.den and self.over == other.over and self.rows == other.rows
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        """The sum over the lcm g ra rb of the central denominators g ra, g rb."""
-        from .factor import _divexact, _mul, gcd
-
+        """The sum over the lcm of the central denominators."""
         self._same(other)
         field, over = self.scenario.field, self.over * other.over
-        a, b, pairs = list(self.den), list(other.den), zip(self.rows, other.rows)
-        if a == b:
-            return TensorElement._reduced(self.scenario, a, [kernel.lincomb(p, other.over, q, self.over, field.zero_row) for p, q in pairs], over)
-        g = gcd(a, b)
-        ra, rb = [self.over * x for x in _divexact(a, g)], [other.over * x for x in _divexact(b, g)]
-        sums = [kernel.central_rows(field, [(p, rb), (q, ra)]) for p, q in pairs]
-        den = _mul(a, _divexact(b, g))
-        if len(g) == 1:
+        den, (ka, kb) = common_denominator([self.den, other.den])
+        ka, kb = [other.over * x for x in ka], [self.over * x for x in kb]
+        sums = [kernel.central_rows(field, [(p, ka), (q, kb)]) for p, q in zip(self.rows, other.rows)]
+        if len(ka) == len(other.den):
             # with coprime denominators a central factor of the sum would
             # divide a canonical numerator: only integers cancel
             return TensorElement._raw(self.scenario, den, *kernel.reduce_central(field, [1], sums, over)[1:])
@@ -862,13 +821,11 @@ class TensorElement:
         return self + (-other)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        from .factor import _mul
-
         self._same(other)
         field = self.scenario.field
         over = self.over * other.over * field.mul_den * field.sig_den
         conv = kernel.convolve_rows(field, list(self.rows), list(other.rows))
-        return TensorElement._from_conv(self.scenario, _mul(self.den, other.den), conv, over)
+        return TensorElement._from_conv(self.scenario, zmul(self.den, other.den), conv, over)
 
     def inv(self) -> "TensorElement":
         """Two-sided inverse through reduced norms (I. Reiner, *Maximal
@@ -886,8 +843,6 @@ class TensorElement:
         `kernel.reduce_central`.  N = 0 means self is zero or a zero divisor
         (f reducible, or F splitting the algebra).
         """
-        from .factor import _mul
-
         if self.is_zero():
             raise SingularElement("inversion of zero")
         scenario, field, d = self.scenario, self.scenario.field, self.scenario.degree
@@ -906,13 +861,13 @@ class TensorElement:
         # N^-1 = norm_den q / c for q N = c in Z[u]; c joins Pi's
         # denominator, and self's c, norm_den and q its numerators
         q, norm = ring.unit_multiple(norm[0])
-        top = ring.scale(q, _mul(list(self.den), norm_den))
+        top = ring.scale(q, zmul(self.den, norm_den))
         pi_den, pi = pi.parts()
-        den, pi = _mul(pi_den, norm), [ring.mul(a, top) for a in pi]
+        den, pi = zmul(pi_den, norm), [ring.mul(a, top) for a in pi]
         if star is None:
             return TensorElement._reduced(scenario, den, [ring.rows(a) for a in pi] + [[]] * (d - len(pi)), 1)
         conv, k = kernel.central_convolve(field, list(star.rows), pi)
-        return TensorElement._from_conv(scenario, _mul(list(star.den), den), conv, star.over * k)
+        return TensorElement._from_conv(scenario, zmul(star.den, den), conv, star.over * k)
 
     def __pow__(self, n: int) -> "TensorElement":
         if n == 0:
@@ -942,13 +897,12 @@ class TensorElement:
 
 def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, CentralPolynomial]:
     """(E*, nu) with nu = E E* in F = K'(u)[x]/(f) for E = `element`, nu
-    reduced modulo f and read off the rows as K'[u] (`Center.ints`).  x is
-    central, so at reduced degree m = 2 E* is the conjugate Trd(P_i) - P_i
-    of each coordinate (`kernel.conjugate_rows`); at m > 2 E* comes from
-    Cayley-Hamilton in the algebra over F, with the reduced trace taken
-    coordinate by coordinate; at m = 1 E lies in F, and E* = 1 is None."""
-    from .factor import _mul
-
+    reduced modulo f and read off the rows as K'[u] (`kernel.center`'s
+    `ints`).  x is central, so at reduced degree m = 2 E* is the conjugate
+    Trd(P_i) - P_i of each coordinate (`kernel.conjugate_rows`); at m > 2 E*
+    comes from Cayley-Hamilton in the algebra over F, with the reduced trace
+    taken coordinate by coordinate; at m = 1 E lies in F, and E* = 1 is
+    None."""
     scenario, field = element.scenario, element.scenario.field
     m, n, zero = field.reduced_degree, field.sigma_order, field.zero_row
     if m == 1:
@@ -969,15 +923,13 @@ def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, Central
     product = element if star is None else element * star
     ring = center(field)
     nums = [kernel.strip(ring.ints(p), 0) for p in product.rows]
-    return star, CentralPolynomial(field, _mul(list(product.den), [product.over * ring.over]), nums)
+    return star, CentralPolynomial(field, zmul(product.den, [product.over * ring.over]), nums)
 
 
 def _residue_trace(rows: PowerRows):
     """The trace of F = K'(u)[x]/(f) over K'(u) on `CentralPolynomial`s of
     degree < d, from the rows x^p mod f over their common denominator C:
     Tr(x^j) = sum_m (x^(j+m) mod f)_m, the trace of multiplication by x^j."""
-    from .factor import _mul
-
     field, d = rows.f.field, rows.f.degree
     ring = center(field)
     common, table = rows.table(2 * d - 1)
@@ -995,7 +947,7 @@ def _residue_trace(rows: PowerRows):
         for x, t in zip(nums, traces):
             if not ring.is_zero(x):
                 acc = ring.add(acc, ring.mul(x, t))
-        return CentralPolynomial(field, _mul(den, common), [acc])
+        return CentralPolynomial(field, zmul(den, common), [acc])
 
     return trace
 

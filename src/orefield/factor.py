@@ -20,124 +20,32 @@ The certificates of `orefield.extend` and `orefield.tower` and the
 irreducibility test of `orefield.ground` (cubics and up) use it instead of
 sympy.
 
-The products, sums and exact quotients on the same lists are the Z[u]
-arithmetic of `orefield.extend`: its central polynomials, their power rows
-and its fixed-space elimination compute on integer polynomials over one
-common denominator, and no quotient in Q(u) is ever formed.
-
-Every user imports this module on first use, so a process that only builds
-the catalog or does arithmetic on it does not load it.
+The ring operations on these lists (products, exact quotients, content and
+the gcd) are the Z[u] arithmetic of `orefield.kernel`, which every layer
+shares; this module imports them and adds only the factorisation.  Every
+user imports it on first use, so a process that only builds the catalog or
+does arithmetic on it does not load it.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import gcd as igcd, isqrt
-from operator import add
+from math import isqrt
 from typing import Sequence
+
+from .kernel import zadd, zdivexact, zgcd, zmul, zprimitive, zsub, ztrim
 
 Poly = list[int]
 
-__all__ = [
-    "content", "primitive", "gcd", "squarefree", "factor_list", "poly_str",
-]
+__all__ = ["squarefree", "factor_list", "poly_str"]
 
 
-# -- integer polynomials --------------------------------------------------------
-
-
-def _trim(f: Poly) -> Poly:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _add(f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    return _trim([*map(add, f, g), *f[len(g) :]])
-
-
-def _sub(f: Poly, g: Poly) -> Poly:
-    return _add(f, [-b for b in g])
-
-
-def _mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
+# -- square-free parts ---------------------------------------------------------------
 
 
 def _derivative(f: Poly) -> Poly:
     return [k * a for k, a in enumerate(f)][1:]
-
-
-def content(f: Sequence[int]) -> int:
-    """The gcd of the coefficients (0 for the zero polynomial)."""
-    return igcd(*f)
-
-
-def primitive(f: Sequence[int]) -> tuple[int, Poly]:
-    """(c, p) with f = c*p and p primitive with a positive leading
-    coefficient; (0, []) for the zero polynomial."""
-    f = _trim(list(f))
-    if not f:
-        return 0, []
-    c = content(f)
-    if f[-1] < 0:
-        c = -c
-    return c, [a // c for a in f]
-
-
-def _divexact(f: Poly, g: Poly) -> Poly:
-    """f / g when g divides f in Z[x]."""
-    r = list(f)
-    dg = len(g) - 1
-    q = [0] * (len(r) - dg)
-    for k in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[k + dg], g[-1])
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        q[k] = c
-        if c:
-            for j, b in enumerate(g):
-                r[k + j] -= c * b
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _prem(f: Poly, g: Poly) -> Poly:
-    """lc(g)^k * f modulo g for some k >= 0: a remainder of degree < deg g."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg:
-        c, s = r[-1], len(r) - 1 - dg
-        r = [g[-1] * a for a in r]
-        for j, b in enumerate(g):
-            r[s + j] -= c * b
-        _trim(r)
-    return r
-
-
-def gcd(f: Sequence[int], g: Sequence[int]) -> Poly:
-    """The primitive gcd with a positive leading coefficient (primitive
-    remainder sequence); [] when both are zero."""
-    f, g = primitive(f)[1], primitive(g)[1]
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        if len(g) == 1:
-            # a nonzero constant: the inputs are coprime
-            return g
-        f, g = g, primitive(_prem(f, g))[1]
-    return f
 
 
 def squarefree(f: Sequence[int]) -> list[tuple[Poly, int]]:
@@ -146,17 +54,17 @@ def squarefree(f: Sequence[int]) -> list[tuple[Poly, int]]:
     pairwise coprime and non-constant."""
     f = list(f)
     df = _derivative(f)
-    a0 = gcd(f, df)
-    b, c = _divexact(f, a0), _divexact(df, a0)
-    d = _sub(c, _derivative(b))
+    a0 = zgcd(f, df)
+    b, c = zdivexact(f, a0), zdivexact(df, a0)
+    d = zsub(c, _derivative(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = gcd(b, d)
-        b, c = _divexact(b, a), _divexact(d, a)
+        a = zgcd(b, d)
+        b, c = zdivexact(b, a), zdivexact(d, a)
         if len(a) > 1:
             out.append((a, i))
-        d = _sub(c, _derivative(b))
+        d = zsub(c, _derivative(b))
         i += 1
     return out
 
@@ -165,7 +73,7 @@ def squarefree(f: Sequence[int]) -> list[tuple[Poly, int]]:
 
 
 def _reduce(f: Poly, m: int) -> Poly:
-    return _trim([a % m for a in f])
+    return ztrim([a % m for a in f])
 
 
 def _divmod_mod(f: Poly, g: Poly, m: int) -> tuple[Poly, Poly]:
@@ -180,7 +88,7 @@ def _divmod_mod(f: Poly, g: Poly, m: int) -> tuple[Poly, Poly]:
         if c:
             for j, b in enumerate(g):
                 r[k + j] = (r[k + j] - c * b) % m
-    return _trim(q), _trim(r[:dg])
+    return ztrim(q), ztrim(r[:dg])
 
 
 def _monic_mod(f: Poly, p: int) -> Poly:
@@ -201,8 +109,8 @@ def _gcdex_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     while r1:
         q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _reduce(_sub(s0, _mul(q, s1)), p)
-        t0, t1 = t1, _reduce(_sub(t0, _mul(q, t1)), p)
+        s0, s1 = s1, _reduce(zsub(s0, zmul(q, s1)), p)
+        t0, t1 = t1, _reduce(zsub(t0, zmul(q, t1)), p)
     inv = pow(r0[0], -1, p)
     return _reduce([a * inv for a in s0], p), _reduce([a * inv for a in t0], p)
 
@@ -212,10 +120,10 @@ def _powmod(a: Poly, e: int, g: Poly, p: int) -> Poly:
     result, base = [1], _divmod_mod(a, g, p)[1]
     while e:
         if e & 1:
-            result = _divmod_mod(_mul(result, base), g, p)[1]
+            result = _divmod_mod(zmul(result, base), g, p)[1]
         e >>= 1
         if e:
-            base = _divmod_mod(_mul(base, base), g, p)[1]
+            base = _divmod_mod(zmul(base, base), g, p)[1]
     return result
 
 
@@ -227,12 +135,12 @@ def _equal_degree(f: Poly, i: int, p: int, rng: random.Random) -> list[Poly]:
         return [f]
     e = (p**i - 1) // 2
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = ztrim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         g = _gcd_mod(a, f, p)
         if len(g) == 1:
-            g = _gcd_mod(_reduce(_sub(_powmod(a, e, f, p), [1]), p), f, p)
+            g = _gcd_mod(_reduce(zsub(_powmod(a, e, f, p), [1]), p), f, p)
         if 1 < len(g) < len(f):
             q = _divmod_mod(f, g, p)[0]
             return _equal_degree(g, i, p, rng) + _equal_degree(q, i, p, rng)
@@ -246,7 +154,7 @@ def _factor_mod(f: Poly, p: int, rng: random.Random) -> list[Poly]:
     h, g, i = x, f, 1
     while 2 * i <= len(g) - 1:
         h = _powmod(h, p, g, p)
-        d = _gcd_mod(g, _reduce(_sub(h, x), p), p)
+        d = _gcd_mod(g, _reduce(zsub(h, x), p), p)
         if len(d) > 1:
             out.extend(_equal_degree(d, i, p, rng))
             g = _divmod_mod(g, d, p)[0]
@@ -272,14 +180,14 @@ def _hensel_step(m: int, f: Poly, g: Poly, h: Poly, s: Poly, t: Poly):
     """MCA Algorithm 15.10: from f = g*h and s*g + t*h = 1 modulo m (h monic)
     to the same identities modulo m^2."""
     mm = m * m
-    e = _reduce(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod_mod(_mul(s, e), h, mm)
-    g = _reduce(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
-    h = _reduce(_add(h, r), mm)
-    b = _reduce(_sub(_add(_mul(s, g), _mul(t, h)), [1]), mm)
-    c, d = _divmod_mod(_mul(s, b), h, mm)
-    s = _reduce(_sub(s, d), mm)
-    t = _reduce(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
+    e = _reduce(zsub(f, zmul(g, h)), mm)
+    q, r = _divmod_mod(zmul(s, e), h, mm)
+    g = _reduce(zadd(g, zadd(zmul(t, e), zmul(q, g))), mm)
+    h = _reduce(zadd(h, r), mm)
+    b = _reduce(zsub(zadd(zmul(s, g), zmul(t, h)), [1]), mm)
+    c, d = _divmod_mod(zmul(s, b), h, mm)
+    s = _reduce(zsub(s, d), mm)
+    t = _reduce(zsub(t, zadd(zmul(t, b), zmul(c, g))), mm)
     return g, h, s, t
 
 
@@ -293,10 +201,10 @@ def _hensel_lift(f: Poly, factors: list[Poly], p: int, top: int) -> list[Poly]:
     k = len(factors) // 2
     g = [f[-1] % p]
     for a in factors[:k]:
-        g = _reduce(_mul(g, a), p)
+        g = _reduce(zmul(g, a), p)
     h = factors[k]
     for a in factors[k + 1 :]:
-        h = _reduce(_mul(h, a), p)
+        h = _reduce(zmul(h, a), p)
     s, t = _gcdex_mod(g, h, p)
     m = p
     while m < top:
@@ -307,7 +215,7 @@ def _hensel_lift(f: Poly, factors: list[Poly], p: int, top: int) -> list[Poly]:
 
 def _symmetric(f: Poly, m: int) -> Poly:
     half = m // 2
-    return _trim([a - m if a > half else a for a in (x % m for x in f)])
+    return ztrim([a - m if a > half else a for a in (x % m for x in f)])
 
 
 def _norm1(f: Poly) -> int:
@@ -338,14 +246,14 @@ def _zassenhaus(f: Poly, rng: random.Random) -> list[Poly]:
             g, h = [f[-1]], [f[-1]]
             for i in rest:
                 if i in subset:
-                    g = _reduce(_mul(g, lifted[i]), top)
+                    g = _reduce(zmul(g, lifted[i]), top)
                 else:
-                    h = _reduce(_mul(h, lifted[i]), top)
+                    h = _reduce(zmul(h, lifted[i]), top)
             g, h = _symmetric(g, top), _symmetric(h, top)
             if _norm1(g) * _norm1(h) <= bound:
                 rest = [i for i in rest if i not in subset]
-                found.append(primitive(g)[1])
-                f = primitive(h)[1]
+                found.append(zprimitive(g)[1])
+                f = zprimitive(h)[1]
                 break
         else:
             size += 1
@@ -361,7 +269,7 @@ def factor_list(coeffs: Sequence[int]) -> tuple[int, list[tuple[Poly, int]]]:
     factors are sorted by degree, then by coefficients.  The zero polynomial
     gives (0, []), a constant c gives (c, []).
     """
-    c, f = primitive(coeffs)
+    c, f = zprimitive(coeffs)
     if len(f) < 2:
         return c, []
     rng = random.Random(0)

@@ -254,7 +254,8 @@ class GroundField:
         left, right, combine = _paired_forms(terms)
         self.mul_rank = len(left)
         self.kleft = _compile_linear("kleft", left)
-        self.kright = _compile_linear("kright", right)
+        # equal forms on a commutative field: one compiled map
+        self.kright = self.kleft if right == left else _compile_linear("kright", right)
         self.ksums = _compile_sums("ksums", self.mul_rank)
         self.kcombine = _compile_linear("kcombine", combine)
         self.kscale = _compile("kscale", "k, a", [_unpack("a", dim)], [f"k*a{i}" for i in range(dim)])
@@ -478,30 +479,30 @@ class GroundField:
         rm = [[Fraction(right[j][i], den) for j in range(dim)] for i in range(dim)]
         return lm, rm
 
-    def _compute_center_basis(self) -> tuple[Coords, ...]:
+    def _commutator_rows(self) -> list[list[Fraction]]:
+        """The rows of a -> e_m a - a e_m for every basis element e_m: their
+        kernel is the center (all of a commutative field)."""
         if self.kind != "quaternions":
-            return tuple(_unit(self.dim, j) for j in range(self.dim))
+            return []
         rows: list[list[Fraction]] = []
         for m in range(self.dim):
             lm, rm = self._mult_matrices(_unit(self.dim, m))
             for i in range(self.dim):
                 rows.append([lm[i][j] - rm[i][j] for j in range(self.dim)])
-        return tuple(linalg.nullspace(rows, self.dim))
+        return rows
+
+    def _compute_center_basis(self) -> tuple[Coords, ...]:
+        if self.kind != "quaternions":
+            return tuple(_unit(self.dim, j) for j in range(self.dim))
+        return tuple(linalg.nullspace(self._commutator_rows(), self.dim))
 
     def _compute_invariant_basis(self) -> tuple[Coords, ...]:
         if self.sigma_is_identity:
             return self.center_basis
-        rows: list[list[Fraction]] = []
-        if self.kind == "quaternions":
-            for m in range(self.dim):
-                lm, rm = self._mult_matrices(_unit(self.dim, m))
-                for i in range(self.dim):
-                    rows.append([lm[i][j] - rm[i][j] for j in range(self.dim)])
+        rows = self._commutator_rows()
         ident = linalg.identity(self.dim)
         for i in range(self.dim):
-            rows.append(
-                [self.sigma_matrix[i][j] - ident[i][j] for j in range(self.dim)]
-            )
+            rows.append([self.sigma_matrix[i][j] - ident[i][j] for j in range(self.dim)])
         return tuple(linalg.nullspace(rows, self.dim))
 
     def _compute_h_basis(self) -> tuple[GroundElement, ...]:

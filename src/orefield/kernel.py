@@ -17,10 +17,17 @@ pairing cost more than the products it saves.  Products of polynomials
 in a central x (the tensor elements of `orefield.extend`) add every pair
 into one accumulator per power of x (`mul_into`), and a product by a
 central c(t^n), c in Z[u], takes integer multiples of rows or of whole
-coordinates and no ground product (`central_rows`).  A vector of such rows
-over c(t^n) and one integer denominator is brought to lowest terms by
-`reduce_central`, the one central reduction, which the tensor elements and
-the norm conjugates of `orefield.skewpoly` call.
+coordinates and no ground product (`central_rows`).
+
+The center's ring lives here too.  Its denominators c(u), u = t^n, are
+integer polynomials, and the Z[u] arithmetic on them (`zmul`, `zdivexact`,
+`zgcd`, ...) is the one that every layer calls, `orefield.factor` included.
+`common_denominator` puts central values over one c, and `central_divisor`
+is the one gcd over Q[u] of a denominator and every coordinate of a vector:
+`reduce_central` divides it out of integer rows over c(t^n) and one integer
+denominator (the tensor elements and the norm conjugates of
+`orefield.skewpoly`), `center`'s `reduce` and `primitive` out of K'[u]
+lists (central polynomials and the fixed-space elimination).
 
 The kernel scales: with dT = `field.mul_den` and s = `field.sig_den`,
 
@@ -47,7 +54,7 @@ from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import add, mul as mul_
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ground import GroundElement, GroundField
 
@@ -152,9 +159,9 @@ def cayley_hamilton(p, m: int, trace, divide, mul=mul_):
     element, and divide(a, k) is a/k for an integer k.
     `skewpoly.norm_conjugate` runs it on polynomials,
     `extend.TensorElement.inv` on tensor elements and on the residues modulo
-    f, and `Center.conjugate` on K'[u] and K'[[u]].  q sums the powers p, ..., p^(m-1) that
-    the traces read, each times its e_k, so a trace that is a constant of
-    the element type makes that a cheap product."""
+    f, and `center`'s `conjugate` on K'[u] and K'[[u]].  q sums the powers
+    p, ..., p^(m-1) that the traces read, each times its e_k, so a trace that
+    is a constant of the element type makes that a cheap product."""
     powers = [p]
     for _ in range(m - 2):
         powers.append(mul(powers[-1], p))
@@ -172,6 +179,130 @@ def cayley_hamilton(p, m: int, trace, divide, mul=mul_):
     return q
 
 
+# -- Z[u] ----------------------------------------------------------------------
+#
+# An integer polynomial in one variable is a dense ascending list of ints with
+# no trailing zeros, the zero polynomial the empty list: the denominators c(u)
+# of the center, its numerators when K' is Q, and what `orefield.factor`
+# factors.  No quotient in Q(u) is ever formed.
+
+
+def ztrim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def zadd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    return ztrim([*map(add, f, g), *f[len(g) :]])
+
+
+def zsub(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    return zadd(f, [-b for b in g])
+
+
+def zmul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def zcontent(f: Sequence[int]) -> int:
+    """The gcd of the coefficients (0 for the zero polynomial)."""
+    return gcd(*f)
+
+
+def zprimitive(f: Sequence[int]) -> tuple[int, list[int]]:
+    """(c, p) with f = c*p and p primitive with a positive leading
+    coefficient; (0, []) for the zero polynomial."""
+    f = ztrim(list(f))
+    if not f:
+        return 0, []
+    c = zcontent(f)
+    if f[-1] < 0:
+        c = -c
+    return c, [a // c for a in f]
+
+
+def zdivexact(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g when g divides f in Z[u]."""
+    r = list(f)
+    dg = len(g) - 1
+    q = [0] * (len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dg], g[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for j, b in enumerate(g):
+                r[k + j] -= c * b
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def zprem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """lc(g)^k * f modulo g for some k >= 0: a remainder of degree < deg g."""
+    r = list(f)
+    dg = len(g) - 1
+    while len(r) - 1 >= dg:
+        c, s = r[-1], len(r) - 1 - dg
+        r = [g[-1] * a for a in r]
+        for j, b in enumerate(g):
+            r[s + j] -= c * b
+        ztrim(r)
+    return r
+
+
+def zgcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The primitive gcd with a positive leading coefficient (primitive
+    remainder sequence); [] when both are zero."""
+    f, g = zprimitive(f)[1], zprimitive(g)[1]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        if len(g) == 1:
+            # a nonzero constant: the inputs are coprime
+            return g
+        f, g = g, zprimitive(zprem(f, g))[1]
+    return f
+
+
+def common_denominator(dens: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(C, cofactors) with cofactors[i] * dens[i] = C for nonzero dens in
+    Z[u], C their lcm over Q[u] times an integer: values den_i^-1 * a_i are
+    C^-1 * (cofactors[i] * a_i) over one denominator."""
+    dens = [list(d) for d in dens]
+    common = [1]
+    for d in dens:
+        if d != common:
+            common = zmul(common, zdivexact(d, zgcd(common, d)))
+    return common, [[1] if d == common else zdivexact(common, d) for d in dens]
+
+
+def central_divisor(den: Sequence[int], coords: Iterable[Sequence[int]]) -> list[int]:
+    """The gcd over Q[u] of den and every Z[u]-list in `coords`, primitive
+    with a positive leading coefficient: [1] as soon as it is a constant, and
+    with den = [] (no denominator) the gcd of the coordinates alone.
+
+    Dividing den and every coordinate by it brings the vector coords/den to
+    lowest terms over Q[u], and the quotients are integral (Gauss's lemma).
+    `reduce_central` divides rows by it, `center`'s `primitive` and `reduce`
+    K'[u] lists, each then with its own integer content."""
+    g = zprimitive(den)[1]
+    for c in coords:
+        if len(g) == 1:
+            break
+        g = zgcd(g, c)
+    return g
 
 
 # -- the center ------------------------------------------------------------------
@@ -180,8 +311,8 @@ def cayley_hamilton(p, m: int, trace, divide, mul=mul_):
 # beta_(w-1) of K' whose structure constants c_ijk, beta_i beta_j =
 # sum_k c_ijk beta_k, are integers (H. Cohen, *A Course in Computational
 # Algebraic Number Theory*, 4.2): sum a_kb beta_b u^k is one list of ints, a_kb
-# at index k*w + b, with no trailing zeros, so at w = 1 the Z[u] list of
-# `orefield.factor`, multiplied by its `_mul`.  A series in K'[[u]] has w ints
+# at index k*w + b, with no trailing zeros, so at w = 1 the Z[u] list above,
+# multiplied by `zmul`.  A series in K'[[u]] has w ints
 # per power of u.  `center` builds the operations `linalg.eliminate` takes and
 # those the series and twisted polynomials read: `conjugate`, the norm down to
 # Z[u]; `ints` and `rows`, a(t^n) as integer rows over `over`; `spread`, which
@@ -192,9 +323,7 @@ class _Sum(list):
     """An element of K'[u] under `cayley_hamilton`'s +, - and negation."""
 
     def __add__(self, other):
-        from .factor import _add
-
-        return _Sum(_add(self, other))
+        return _Sum(zadd(self, other))
 
     def __sub__(self, other):
         return self + [-x for x in other]
@@ -212,7 +341,6 @@ def center(field: GroundField) -> SimpleNamespace:
 
 def _build_center(field: GroundField) -> SimpleNamespace:
     from . import linalg
-    from .factor import _add, _divexact, _mul, _sub, _trim, gcd as ugcd
 
     w, n, dim, zero = field.invariant_degree, field.sigma_order, field.dim, field.zero_row
     basis: list = []
@@ -251,7 +379,7 @@ def _build_center(field: GroundField) -> SimpleNamespace:
         out = [0] * (w * max(map(len, cols), default=0))
         for b, col in enumerate(cols):
             out[b : b + w * len(col) : w] = col
-        return _trim(out)
+        return ztrim(out)
 
     def lift(c):
         return c if w == 1 else join([c])
@@ -273,10 +401,10 @@ def _build_center(field: GroundField) -> SimpleNamespace:
         return out
 
     def mul(a, b):
-        return _trim(mul_cut(a, b, -(-len(a) // w) - (-len(b) // w) - 1))
+        return ztrim(mul_cut(a, b, -(-len(a) // w) - (-len(b) // w) - 1))
 
     def trace(a):
-        return lift(_trim([sum(map(mul_, traces, a[m : m + w])) for m in range(0, len(a), w)]))
+        return lift(ztrim([sum(map(mul_, traces, a[m : m + w])) for m in range(0, len(a), w)]))
 
     def conjugate(a, size=None):
         def product(x, y):
@@ -291,23 +419,23 @@ def _build_center(field: GroundField) -> SimpleNamespace:
             q, c = conjugate(a)
         return (q, c) if c[-1] > 0 else ([-x for x in q], [-x for x in c])
 
-    def primitive(row):
-        # the gcd over Q[u] of every coordinate first, then the integer content
-        g = []
-        for part in row if w == 1 else [part for a in row for part in parts(a)]:
-            if len(g) == 1:
-                break
-            g = ugcd(g, part)
+    def cancel(den, row):
+        # den in Z[u] ([] for none) and the row over Q[u] first
+        # (`central_divisor`), then the integer content
+        g = central_divisor(den, row if w == 1 else [part for a in row for part in parts(a)])
         if len(g) > 1:
-            row = [join([_divexact(_trim(part), g) for part in parts(a)]) for a in row]
-        c = gcd(*(x for a in row for x in a))
+            den = zdivexact(den, g)
+            row = [join([zdivexact(ztrim(part), g) for part in parts(a)]) for a in row]
+        c = gcd(*den, *(x for a in row for x in a))
         if c > 1:
-            row = [[x // c for x in a] for a in row]
-        return row
+            den, row = [x // c for x in den], [[x // c for x in a] for a in row]
+        return den, row
+
+    def primitive(row):
+        return cancel([], row)[1]
 
     def reduce(den, nums):
-        den, *nums = primitive([lift(den), *nums])
-        den = rational(den)
+        den, nums = cancel(den, nums)
         if den[-1] < 0:
             den, nums = [-a for a in den], [[-a for a in num] for num in nums]
         return den, nums
@@ -340,14 +468,14 @@ def _build_center(field: GroundField) -> SimpleNamespace:
         out = []
         for f, z in terms:
             for b, part in enumerate(parts(z)):
-                if f and _trim(part):
+                if f and ztrim(part):
                     out.append((f, [field.mul_den * x for x in part]) if b == 0 else ([field.kmul(r, basis[b]) for r in f], part))
         return out
 
     return SimpleNamespace(
         w=w, over=over, k=1 if w == 1 else field.mul_den, zero=lambda field: [], one=lambda field: [1], is_zero=lambda a: not a,
-        degree=len, add=_add, sub=_sub, mul=_mul if w == 1 else mul, mul_cut=mul_cut,
-        scale=_mul if w == 1 else (lambda a, c: mul(a, lift(c))), conjugate=conjugate,
+        degree=len, add=zadd, sub=zsub, mul=zmul if w == 1 else mul, mul_cut=mul_cut,
+        scale=zmul if w == 1 else (lambda a, c: mul(a, lift(c))), conjugate=conjugate,
         unit_multiple=unit_multiple, primitive=primitive, reduce=reduce, parts=parts, join=join,
         lift=lift, rational=rational, ints=ints, rows=rows, spread=spread,
     )
@@ -412,7 +540,7 @@ def central_rows(field: GroundField, terms, size: int | None = None) -> Rows:
 
 def central_sum(field: GroundField, terms, size: int | None = None) -> tuple[Rows, int]:
     """(rows, k) with rows = k * sum f*z(t^n) over the pairs (f, z) of
-    `terms`, z in K'[u] (see `Center`), cut to `size` rows (default: all of
+    `terms`, z in K'[u] (see `center`), cut to `size` rows (default: all of
     them): one `central_rows` over the pairs (f*beta_b, z_b) of the
     coordinates z_b in Z[u] of z, with k = 1 when K' is Q."""
     ring = center(field)
@@ -440,24 +568,18 @@ def reduce_central(field: GroundField, den: Sequence[int], polys: Sequence[Rows]
     sum_k rows[k*n + r][l] u^k), and no integer content common to over and
     the rows.  A zero vector comes back as ([1], polys, 1).
 
-    The factor is the gcd over Q[u] of den and every coordinate, and the
-    exact quotients are integral (Gauss's lemma): a synthetic division by
-    g(t^n) with stride n.  With den = [] (no denominator) the rows are
+    The factor is the `central_divisor` g of den and every coordinate, and
+    the rows are divided by g(t^n) in one synthetic division with stride n.
+    With den = [] (no denominator) the rows are
     divided by their content over Q[u] and then their integer content."""
-    from .factor import _divexact, gcd as ugcd, primitive
-
     n, zero = field.sigma_order, field.zero_row
     polys = [strip(list(p), zero) for p in polys]
     if not any(polys):
         return [1], polys, 1
-    g = primitive(den)[1]
-    for coord in (c for p in polys for r in range(n) for c in zip(*p[r::n]) if any(c)):
-        if len(g) == 1:
-            break
-        g = ugcd(g, coord)
+    g = central_divisor(den, (c for p in polys for r in range(n) for c in zip(*p[r::n]) if any(c)))
     if len(g) > 1:
-        den, polys = _divexact(list(den), g), [_divide_central(field, p, g) for p in polys]
-    scale, den = primitive(den)
+        den, polys = zdivexact(den, g), [_divide_central(field, p, g) for p in polys]
+    scale, den = zprimitive(den)
     c = gcd(over * scale, content(*polys))
     if over * scale < 0:
         c = -c

@@ -192,7 +192,7 @@ def _back_substitute(ring, mat: list[list], pivots: list[tuple], rhs: list) -> t
     """The unknowns of the pivot columns of the echelon form, with rhs[r] on
     the right of row r and the other unknowns 0, over one growing central
     denominator: (den, xs), x_(pivot r) = den(t^n)^-1 * xs[r]."""
-    from .factor import _mul
+    from .kernel import zmul  # kernel imports ground, which imports this module
 
     den = [1]
     xs: list = []
@@ -204,5 +204,5 @@ def _back_substitute(ring, mat: list[list], pivots: list[tuple], rhs: list) -> t
             acc = ring.sub(acc, ring.mul(row[j], x))
         # x = p^-1 den^-1 acc = (c den)^-1 q acc, as den is central
         xs = [ring.mul(q, acc)] + [ring.scale(x, c) for x in xs]
-        den, xs = ring.reduce(_mul(den, c), xs)
+        den, xs = ring.reduce(zmul(den, c), xs)
     return den, xs

@@ -60,18 +60,11 @@ from typing import Any, Mapping
 
 import yaml
 
+from .catalog import field_catalog, field_names
 from .errors import CapExceeded, OrefieldError, ScenarioFormatError, ScenarioValidationError
 from .exprs import EvalContext, evaluate_text
 from .extend import CentralPolynomial, ExtensionScenario, FiniteGroup
-from .ground import (
-    GroundElement,
-    GroundField,
-    gauss_conjugation,
-    hamilton_rationals,
-    make_number_field,
-    make_quaternions,
-    make_rationals,
-)
+from .ground import GroundElement, GroundField, make_number_field, make_quaternions
 from .laurent import TwistedSeries
 from .skewfrac import FACTOR_DEGREE_CAP, PRECISION_CAP, SkewFraction
 from .tower import GroupSystem, TowerScenario
@@ -166,19 +159,13 @@ def _rational_str(value: Fraction) -> Any:
 # ground fields
 
 
-_FIELD_NAMES = ("rationals", "gauss", "hamilton")
-
-
 def parse_field(spec: Any, where: str = "field") -> GroundField:
-    """Build a ground field from its scenario-file description."""
+    """The ground field of a scenario-file description: a name of the
+    catalog's (`catalog.field_catalog`) or an inline field, built anew."""
     if isinstance(spec, str):
-        if spec == "rationals":
-            return make_rationals()
-        if spec == "gauss":
-            return gauss_conjugation()
-        if spec == "hamilton":
-            return hamilton_rationals()
-        raise _fail(where, f"unknown field name {spec!r} (try one of {', '.join(_FIELD_NAMES)})")
+        if spec in field_names():
+            return field_catalog(spec)
+        raise _fail(where, f"unknown field name {spec!r} (try one of {', '.join(field_names())})")
     doc = _mapping(
         spec, where, (), ("min-poly", "sigma-image", "alpha", "beta", "name")
     )
@@ -217,12 +204,9 @@ def _constant(value: Any, where: str) -> Fraction | list[Fraction]:
 
 def field_spec(field: GroundField) -> Any:
     """The scenario-file description of a ground field (inverse of parse_field)."""
-    if field.kind == "rationals":
-        return "rationals"
-    if field == gauss_conjugation():
-        return "gauss"
-    if field == hamilton_rationals():
-        return "hamilton"
+    for name in field_names():
+        if field == field_catalog(name):
+            return name
     doc: dict[str, Any] = {}
     if field.base_poly is not None:
         doc["min-poly"] = [_rational_str(c) for c in field.base_poly]

@@ -407,8 +407,6 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
 
     Since D[t] is a domain, q*p = c central gives p*q = c too.
     """
-    from .factor import primitive
-
     if p.is_zero():
         raise DivisionByZero("the zero polynomial has no norm")
     field = p.field
@@ -422,7 +420,7 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
             down = ring.conjugate(kernel.strip(ring.ints((q * p).int_rows()[0]), 0))[0]
             q = SkewPolynomial._from_rows(field, ring.rows(down), 1) * q
     prod, pden = (q * p).int_rows()
-    scale, c = primitive([prod[k][0] for k in range(0, len(prod), field.sigma_order)])
+    scale, c = kernel.zprimitive([prod[k][0] for k in range(0, len(prod), field.sigma_order)])
     if not c:
         raise NotInvertible(
             f"nonzero polynomial with zero norm in {field.name}; "

@@ -951,7 +951,7 @@ def elimination_inverse(element):
     system means a zero divisor (f reducible) or zero.
     """
     from orefield.extend import TensorElement
-    from orefield.factor import _mul
+    from orefield.kernel import zmul
 
     if element.is_zero():
         raise SingularElement("inversion of zero")
@@ -972,7 +972,7 @@ def elimination_inverse(element):
             for m, entry in enumerate(table[i + j]):
                 if not entry.is_zero():
                     rows[m][j] = rows[m][j] + entry * a
-    rhs = [central_polynomial(scenario.field, _mul(list(element.den), c))] + [zero] * (d - 1)
+    rhs = [central_polynomial(scenario.field, zmul(list(element.den), c))] + [zero] * (d - 1)
     sol = linalg.solve_right_generic(POLYNOMIALS, scenario.field, rows, rhs)
     if sol is None:
         raise SingularElement(f"element of {scenario.name} is not invertible")

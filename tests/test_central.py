@@ -7,19 +7,20 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from orefield.errors import DivisionByZero, MixedFields, ScenarioValidationError
 from orefield.extend import CentralPolynomial, ExtensionScenario, FiniteGroup, PowerRows, _twisted, _view
-from orefield.factor import _trim, content, gcd
 from orefield.ground import make_number_field
-from orefield.kernel import center
+from orefield import kernel
+from orefield.kernel import center, common_denominator, zcontent, zgcd, zmul, zprimitive, ztrim
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial, central_polynomial
 
 from conftest import GAUSS, HAMILTON, RATIONALS
-from test_kernel import CUBIC, H_GOLDEN
+from test_kernel import CUBIC, H_GOLDEN, NORM_FIELDS, NORM_IDS
 
 # Q(sqrt2) with the identity twist: its invariant subfield is Q(sqrt2), so
 # central coefficients stay `SkewFraction`s there
@@ -53,11 +54,11 @@ def is_canonical(den, nums):
     numerators, and no common factor over Q[u]; zero is 0/1."""
     assert den and den[-1] > 0
     assert all(not num or num[-1] != 0 for num in nums)
-    assert content([*den, *(a for num in nums for a in num)]) == 1
+    assert zcontent([*den, *(a for num in nums for a in num)]) == 1
     if any(nums):
         g = den
         for num in nums:
-            g = gcd(g, num)
+            g = zgcd(g, num)
         assert len(g) == 1
     else:
         assert den == [1]
@@ -138,6 +139,118 @@ def test_lowest_terms_over_z_u_edges():
         assert _view(field, [3], [6]).same_representation(central_fraction(field, [1], [2]))
 
 
+# -- one common denominator and one reduction over Q[u] -----------------------------------
+
+U = sympy.Symbol("u")
+# small factors, so that random products share some and repeat others
+Z_U_FACTORS = [[1, 1], [-1, 1], [1, 0, 1], [1, 2], [2, -1, 3], [2], [-3]]
+
+
+def zproduct(factors):
+    out = [1]
+    for f in factors:
+        out = zmul(out, f)
+    return out
+
+
+def q_u_monic(f):
+    return sympy.Poly(list(reversed(f)), U, domain="QQ").monic()
+
+
+def check_common_denominator(dens):
+    """Each cofactor times its den is C, and C is their lcm over Q[u] up to
+    an integer (sympy's lcm is the reference)."""
+    common, cofactors = common_denominator(dens)
+    assert len(cofactors) == len(dens)
+    assert all(zmul(k, d) == common for d, k in zip(dens, cofactors))
+    lcm = sympy.Poly(1, U, domain="QQ")
+    for d in dens:
+        lcm = lcm.lcm(q_u_monic(d))
+    assert q_u_monic(common) == lcm.monic()
+
+
+dens_lists = st.lists(st.lists(st.sampled_from(Z_U_FACTORS), max_size=3).map(zproduct), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dens_lists)
+def test_common_denominator_is_the_lcm_with_exact_cofactors(dens):
+    check_common_denominator(dens)
+
+
+def test_common_denominator_at_fixed_seeds():
+    # equal, coprime, repeated, a den of 1, and dens that differ by an integer
+    for dens in ([[1, 1], [1, 1]], [[1, 1], [1, 0, 1]], [[1, 1], [1, 2, 1], [1, 1]], [[1], [1, 1]], [[2, 2], [1, 1], [3]]):
+        check_common_denominator(dens)
+    assert common_denominator([[1, 1], [1, 1]]) == ([1, 1], [[1], [1]])
+    assert common_denominator([(1, 1), [1, 0, 1]]) == ([1, 1, 1, 1], [[1, 0, 1], [1, 1]])
+    rng = random.Random(41)
+    for _ in range(30):
+        check_common_denominator([zproduct(rng.choices(Z_U_FACTORS, k=rng.randrange(4))) for _ in range(rng.randint(1, 4))])
+
+
+def check_shared_reduction(field, den, nums, factor):
+    """The vector nums/den with `factor` planted in den and every entry:
+    `center`'s `reduce` on the K'[u] lists and `kernel.reduce_central` on the
+    same values as integer rows (`rows`) cancel the same factor over Q[u] and
+    give equal fractions."""
+    ring = center(field)
+    den, nums = zmul(den, factor), [ring.scale(a, factor) for a in nums]
+    cden, cnums = ring.reduce(den, nums)
+    rden, rrows, over = kernel.reduce_central(field, den, [ring.rows(a) for a in nums], 1)
+    if not any(nums):
+        assert (cden, rden) == ([1], [1])
+        return
+    assert zprimitive(cden)[1] == rden and len(rden) <= len(den) - len(factor) + 1
+    g = cden
+    for part in (part for a in cnums for part in ring.parts(a)):
+        g = zgcd(g, part)
+    assert len(g) == 1
+    for a, rows in zip(cnums, rrows):
+        # rows(a)/cden = rows/(over rden)
+        assert kernel.central_rows(field, [(ring.rows(a), [over * x for x in rden])]) == kernel.central_rows(field, [(rows, cden)])
+
+
+@pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
+def test_center_reduce_and_row_reduction_cancel_the_same_factor(field):
+    w = center(field).w
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(center_elements(field), min_size=1, max_size=3), nonzero_upolys.map(ztrim), st.sampled_from(Z_U_FACTORS))
+    def check(nums, den, factor):
+        check_shared_reduction(field, den, nums, factor)
+
+    check()
+    rng = random.Random(43)
+    for _ in range(8):
+        nums = [ztrim([rng.randint(-3, 3) for _ in range(w * rng.randint(0, 3))]) for _ in range(rng.randint(1, 3))]
+        den = ztrim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) or [1]
+        check_shared_reduction(field, den, nums, zproduct(rng.choices(Z_U_FACTORS, k=2)))
+
+
+def check_view(field, a, den):
+    """`_view` builds the canonical fraction of a/den without an Ore reduction."""
+    made = SkewFraction.make(_twisted(field, a), central_polynomial(field, den))
+    assert _view(field, a, den).same_representation(made)
+
+
+@pytest.mark.parametrize("field", FIELDS + [CUBIC, H_GOLDEN], ids=lambda f: f.name)
+def test_view_is_the_canonical_fraction(field):
+    @settings(max_examples=20, deadline=None)
+    @given(center_elements(field), nonzero_upolys.map(ztrim), st.sampled_from(Z_U_FACTORS))
+    def check(a, den, factor):
+        check_view(field, a, den)
+        check_view(field, center(field).scale(a, factor), zmul(den, factor))
+
+    check()
+    rng = random.Random(47)
+    w = center(field).w
+    for _ in range(10):
+        a = ztrim([rng.randint(-3, 3) for _ in range(w * rng.randint(0, 3))])
+        factor = zproduct(rng.choices(Z_U_FACTORS, k=2))
+        check_view(field, center(field).scale(a, factor), zmul([rng.randint(1, 3), rng.choice([-2, -1, 1, 2])], factor))
+
+
 # -- the ring K'[u] against the twisted polynomials ------------------------------------
 
 # K' = Q(sqrt2) and Q(sqrt5), w = 2, and the cubic, w = 1 with n = 3
@@ -163,8 +276,8 @@ def check_center_ring(field, a, b, c):
     pden, (qa, qb) = ref.reduce(c, [pa, pb])
     g = den
     for part in ring.parts(ra) + ring.parts(rb):
-        g = gcd(g, part)
-    assert den[-1] > 0 and content(den + ra + rb) == 1 and len(g) == 1
+        g = zgcd(g, part)
+    assert den[-1] > 0 and zcontent(den + ra + rb) == 1 and len(g) == 1
     for r, q in ((ra, qa), (rb, qb)):
         assert ref.scale(_twisted(field, r), pden) == ref.scale(q, den)
     # central fractions in, canonical fractions out
@@ -176,7 +289,7 @@ def check_center_ring(field, a, b, c):
 def center_elements(field, size=3):
     w = center(field).w
     entry = st.integers(-3, 3)
-    return st.lists(entry, max_size=w * size).map(_trim)
+    return st.lists(entry, max_size=w * size).map(ztrim)
 
 
 @pytest.mark.parametrize("field", RING_FIELDS, ids=lambda f: f.name)
@@ -184,7 +297,7 @@ def test_the_center_ring_matches_the_twisted_polynomials(field):
     @settings(max_examples=30, deadline=None)
     @given(center_elements(field), center_elements(field), upolys)
     def check(a, b, c):
-        check_center_ring(field, a, b, _trim(list(c)))
+        check_center_ring(field, a, b, ztrim(list(c)))
 
     check()
 
@@ -195,10 +308,10 @@ def test_the_center_ring_matches_the_twisted_polynomials_at_fixed_seeds(field):
     w = center(field).w
 
     def element():
-        return _trim([rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(w * rng.randint(0, 4))])
+        return ztrim([rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(w * rng.randint(0, 4))])
 
     for _ in range(20):
-        c = _trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+        c = ztrim([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
         check_center_ring(field, element(), element(), c)
     # a common factor 1 + u of everything, and units of K'
     one_plus_u = [1] + [0] * (w - 1) + [1]

@@ -90,6 +90,20 @@ def test_eval_rejects_tower_contexts(capsys):
     assert code == EXIT_PARSE and "tower" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_leading_minus_is_an_option_unless_it_follows_a_double_dash(capsys, fmt):
+    """argparse reads "-t" as an option, so the expression is missing (exit
+    2); after "--" it is the expression, as the help text says."""
+    for expr, value in (("-t", "[-1,0]*t"), ("-(0)", "0")):
+        code, out, err = run(capsys, "eval", "--format", fmt, expr)
+        assert code == EXIT_PARSE and not out and "required: expr" in err
+        code, out, _ = run(capsys, "eval", "--format", fmt, "--", expr)
+        assert code == 0
+        assert (json.loads(out) == {"value": value}) if fmt == "json" else out.strip() == value
+    code, out, _ = run(capsys, "eval", "-h")
+    assert code == 0 and "after '--' when it starts with '-'" in " ".join(out.split())
+
+
 # -- caps: each user-controlled size is bounded, and breaking a bound exits 3 at once
 
 

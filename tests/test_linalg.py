@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from orefield import linalg
-from orefield.factor import _trim, content, gcd
-from orefield.kernel import center
+from orefield.kernel import center, zcontent, zgcd, ztrim
 
 from conftest import RATIONALS
 from schoolbook import POLYNOMIALS, primitive_row
@@ -207,7 +206,7 @@ def random_center_element(rng):
     """The same draw as an element of K'[u], a at index 0, c + b sqrt2 at
     indices 2 and 3 (beta_1 = sqrt2)."""
     a, b, c = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1)
-    return _trim([a, 0, c, b])
+    return ztrim([a, 0, c, b])
 
 
 def as_sympy_central(p):
@@ -249,10 +248,10 @@ def has_no_content(ring, row):
         ok = primitive_row(row) == row
     else:
         parts = [part for a in row for part in ring.parts(a)]
-        ok = content([x for a in row for x in a]) == 1
+        ok = zcontent([x for a in row for x in a]) == 1
     g = []
     for part in parts:
-        g = gcd(g, part)
+        g = zgcd(g, part)
     return ok and len(g) == 1
 
 

@@ -5,7 +5,8 @@ import yaml
 
 from conftest import GAUSS, HAMILTON, RATIONALS, ROOT2
 
-from orefield.catalog import scenario_catalog, scenario_names, tower_catalog, tower_names
+from orefield import cli
+from orefield.catalog import field_catalog, field_names, scenario_catalog, scenario_names, tower_catalog, tower_names
 from orefield.errors import ScenarioFormatError, ScenarioValidationError
 from orefield.extend import ExtensionScenario, run_scenario_checks
 from orefield.scenario_io import (
@@ -31,6 +32,19 @@ def test_named_fields_round_trip():
     for name, field in (("rationals", RATIONALS), ("gauss", GAUSS), ("hamilton", HAMILTON)):
         assert field_spec(field) == name
         assert parse_field(name) == field
+
+
+@pytest.mark.parametrize("name", field_names())
+def test_a_field_name_means_the_one_catalog_field(name):
+    """A scenario file's field name, `--field` and the catalog scenarios all
+    read the catalog's one table of named fields."""
+    field = parse_field(name)
+    assert field is field_catalog(name) and field_spec(field) == name
+    args = cli.build_parser().parse_args(["eval", "--field", name, "t"])
+    assert cli._evaluator(args)("t").field is field
+    named = [s for s in scenario_names() if scenario_catalog(s).field == field]
+    assert named and all(scenario_catalog(s).field is field for s in named)
+    assert load_document(dump_document(scenario_catalog("T3L1"))).field is field_catalog("rationals")
 
 
 def test_custom_number_field_round_trips():

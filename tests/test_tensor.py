@@ -25,7 +25,7 @@ from orefield.extend import (
     run_scenario_checks,
 )
 from orefield.laurent import CentralSeries, TwistedSeries
-from orefield.factor import content, gcd
+from orefield.kernel import zcontent, zgcd
 from orefield.sampling import random_fraction, random_tensor
 from orefield.scenario_io import load_document
 from orefield.skewfrac import SkewFraction
@@ -69,7 +69,7 @@ def is_canonical(a):
     coordinate (r, l) being sum_k rows[k*n + r][l] u^k."""
     field = a.scenario.field
     n, zero = field.sigma_order, field.zero_row
-    assert type(a.den) is tuple and a.den and a.den[-1] > 0 and content(a.den) == 1
+    assert type(a.den) is tuple and a.den and a.den[-1] > 0 and zcontent(a.den) == 1
     assert type(a.rows) is tuple and len(a.rows) == a.scenario.degree
     assert all(type(p) is list and (not p or p[-1] != zero) for p in a.rows)
     assert a.over > 0 and math.gcd(a.over, *(x for p in a.rows for r in p for x in r)) == 1
@@ -78,7 +78,7 @@ def is_canonical(a):
         assert a.den == (1,) and a.over == 1
     g = list(a.den)
     for c in coords:
-        g = gcd(g, c)
+        g = zgcd(g, c)
     assert len(g) == 1
     return True
 
