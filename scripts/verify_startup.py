@@ -17,10 +17,12 @@ warm: rebuilt minus second is the tower's construction and validation, and
 first minus rebuilt the first-use imports and the warm-up.
 
 Then it prints, for each `orefield` module that a verify has loaded, its
-line count and the best of 5 `compile()` times of its source: what every
-fresh import pays when no bytecode cache is written or read (as under
-PYTHONDONTWRITEBYTECODE).  The children run in this process's environment,
-with this checkout's `orefield` first on their path.
+line count and the `compile()` time of its source: what every fresh import
+pays when no bytecode cache is written or read (as under
+PYTHONDONTWRITEBYTECODE).  Each of 7 rounds compiles every module once; the
+first round, which warms the interpreter up, is dropped, and the column is
+each module's median over the other 6.  The children run in this process's
+environment, with this checkout's `orefield` first on their path.
 """
 
 import argparse
@@ -80,14 +82,20 @@ def run_child(tower: str, seed: int) -> dict:
     return json.loads(done.stdout)
 
 
-def compile_ms(path: Path, repeat: int = 5) -> float:
-    source = path.read_text(encoding="utf-8")
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        compile(source, str(path), "exec")
-        best = min(best, time.perf_counter() - t0)
-    return 1e3 * best
+COMPILE_ROUNDS = 7  # the first is a warm-up and is dropped
+
+
+def compile_ms(paths: list[Path]) -> list[float]:
+    """The median compile() time of each source, in ms, over the rounds after
+    the first; each round compiles every source once."""
+    sources = [(path.read_text(encoding="utf-8"), str(path)) for path in paths]
+    times: list[list[float]] = [[] for _ in paths]
+    for _ in range(COMPILE_ROUNDS):
+        for source, spent in zip(sources, times):
+            t0 = time.perf_counter()
+            compile(*source, "exec")
+            spent.append(time.perf_counter() - t0)
+    return [1e3 * statistics.median(spent[1:]) for spent in times]
 
 
 def main() -> int:
@@ -120,10 +128,10 @@ def main() -> int:
     package = Path(orefield.__file__).resolve().parent
     print(f"\n{'module':<22} {'lines':>6} {'compile ms':>11}")
     total_lines = total_ms = 0
-    for name in sorted(modules):
-        path = package / (name.split(".", 1)[1] + ".py" if "." in name else "__init__.py")
+    names = sorted(modules)
+    paths = [package / (name.split(".", 1)[1] + ".py" if "." in name else "__init__.py") for name in names]
+    for name, path, ms in zip(names, paths, compile_ms(paths)):
         lines = len(path.read_text(encoding="utf-8").splitlines())
-        ms = compile_ms(path)
         total_lines, total_ms = total_lines + lines, total_ms + ms
         print(f"{name:<22} {lines:>6} {ms:>11.2f}")
     print(f"{'total':<22} {total_lines:>6} {total_ms:>11.2f}")

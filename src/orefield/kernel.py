@@ -22,6 +22,10 @@ coordinates and no ground product (`central_rows`).
 The center's ring lives here too.  Its denominators c(u), u = t^n, are
 integer polynomials, and the Z[u] arithmetic on them (`zmul`, `zdivexact`,
 `zgcd`, ...) is the one that every layer calls, `orefield.factor` included.
+`zgcd` is the heuristic gcd (GCDHEU: one integer gcd of the values at a
+point, read back in that point's digits and checked by exact division) when
+both inputs have at least HEU_LENGTH coefficients, and the primitive
+remainder sequence on smaller inputs and when the heuristic fails.
 `common_denominator` puts central values over one c, and `central_divisor`
 is the one gcd over Q[u] of a denominator and every coordinate of a vector:
 `reduce_central` divides it out of integer rows over c(t^n) and one integer
@@ -262,10 +266,68 @@ def zprem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return r
 
 
+HEU_LENGTH = 9  # the heuristic gcd runs when both inputs have this many coefficients
+HEU_TRIES = 6
+
+
 def zgcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """The primitive gcd with a positive leading coefficient (primitive
-    remainder sequence); [] when both are zero."""
+    """The primitive gcd with a positive leading coefficient; [] when both
+    are zero.
+
+    When both primitive parts have at least HEU_LENGTH coefficients, the
+    heuristic gcd (`_heuristic_gcd`) tries up to HEU_TRIES points xi, the
+    first above its bound and each later one about 3 times larger; the
+    primitive remainder sequence (`_prs_gcd`) runs on smaller inputs, where
+    it is faster, and when every try fails.  Both give the same gcd."""
     f, g = zprimitive(f)[1], zprimitive(g)[1]
+    if len(f) >= HEU_LENGTH and len(g) >= HEU_LENGTH:
+        xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 3
+        for _ in range(HEU_TRIES):
+            h = _heuristic_gcd(f, g, xi)
+            if h is not None:
+                return h
+            xi = 3 * xi + 1
+    return _prs_gcd(f, g)
+
+
+def _heuristic_gcd(f: list[int], g: list[int], xi: int) -> list[int] | None:
+    """gcd(f, g) for primitive f and g, read from the integer gcd of f(xi)
+    and g(xi), or None when this xi does not give it (GCDHEU: B. W. Char,
+    K. O. Geddes & G. H. Gonnet, J. Symbolic Comput. 7, 1989).
+
+    The candidate h is the primitive part of the polynomial whose balanced
+    base-xi digits (each of absolute value at most xi/2) are that integer
+    gcd.  It is the gcd when it divides f and g exactly and
+    xi > 2 * min(|f|_inf, |g|_inf) + 2: a further common factor k of degree
+    >= 1 would have |k(xi)| > xi/2, more than h's content, which k(xi)
+    divides.  Below that bound no candidate is accepted."""
+    if xi <= 2 * min(max(map(abs, f)), max(map(abs, g))) + 2:
+        return None
+    fx = gx = 0
+    for c in reversed(f):
+        fx = fx * xi + c
+    for c in reversed(g):
+        gx = gx * xi + c
+    gamma, half = gcd(fx, gx), xi // 2
+    digits = []
+    while gamma:
+        r = gamma % xi
+        if r > half:
+            r -= xi
+        digits.append(r)
+        gamma = (gamma - r) // xi
+    h = zprimitive(digits)[1]
+    try:
+        zdivexact(f, h)
+        zdivexact(g, h)
+    except ArithmeticError:
+        return None
+    return h
+
+
+def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd(f, g) for primitive f and g with positive leading coefficients,
+    by the primitive remainder sequence."""
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -561,17 +623,17 @@ def central_convolve(field: GroundField, a: list[Rows], zs: list) -> tuple[list[
 
 def reduce_central(field: GroundField, den: Sequence[int], polys: Sequence[Rows], over: int) -> tuple[list[int], list[Rows], int]:
     """The canonical form of the vector den(t^n)^-1 * polys/over, for
-    integer rows polys[i] over one integer over != 0 and den in Z[u]:
-    (den, polys, over) with each polys[i] stripped, den primitive with a
-    positive leading coefficient, over > 0, no factor of den over Q[u] that
+    integer rows polys[i] over one integer over != 0 and a nonzero den in
+    Z[u]: (den, polys, over) with each polys[i] stripped, den primitive with
+    a positive leading coefficient, over > 0, no factor of den over Q[u] that
     divides every Z[u]-coordinate of the polys (coordinate (r, l) of rows is
     sum_k rows[k*n + r][l] u^k), and no integer content common to over and
     the rows.  A zero vector comes back as ([1], polys, 1).
 
     The factor is the `central_divisor` g of den and every coordinate, and
-    the rows are divided by g(t^n) in one synthetic division with stride n.
-    With den = [] (no denominator) the rows are
-    divided by their content over Q[u] and then their integer content."""
+    the rows are divided by g(t^n) in one synthetic division with stride n."""
+    if not den:
+        raise ZeroDivisionError("reduce_central needs a nonzero denominator")
     n, zero = field.sigma_order, field.zero_row
     polys = [strip(list(p), zero) for p in polys]
     if not any(polys):

@@ -20,10 +20,13 @@ Precision bookkeeping is pessimistic and explicit:
 Products are row convolutions on the integer rows of `orefield.kernel`.
 Inversion, `solve_left` and `embed_fraction` divide through the center: a
 conjugate s* makes N = s * s* central, so  s^-1 * x = N^-1 * (s* * x),  and
-dividing by N is an ascending recurrence on integers (`_quotient`), one per
-coordinate of the twisted series, not a twisted one.  A central divisor
-needs no conjugate, and a fraction den^-1 num embeds as the division of
-q num by the central norm c of den, (q, c) = `norm_conjugate`(den).
+dividing by N is an ascending recurrence on integers, not a twisted one.
+`_quotient` is the scalar recurrence, one dot product over a window of the
+last quotients per step; it inverts a dense norm once and divides in
+Q((u)).  `_quotients` divides every coordinate by a central divisor of few
+terms at once.  A central divisor needs no conjugate, and a fraction
+den^-1 num embeds as the division of q num by the central norm c of den,
+(q, c) = `norm_conjugate`(den).
 Polynomials embed through `from_polynomial`; the embedding is the canonical
 one fixing the ground field and sending t to t.
 
@@ -522,31 +525,36 @@ def _quotient(d: list, num: list, size: int) -> tuple[list, int]:
     reduced, as O_j over its own denominator E_j, so the cancellation of a
     quotient keeps the numbers small; the result is put over one common
     denominator at the end.  An E_j may be negative; their lcm E is not.
-    `_divide` brings every twisted division down to it, or to its
+
+    The sum runs on a window: with `every` the lcm of the |E_i| so far and
+    `span` the index of d's last nonzero term below size, the window holds
+    x_i * every for the last `span` quotients, so a step is one dot product
+    with d_span .. d_1 and one gcd with d_0 * every, and the window is
+    rescaled only when `every` grows.  Dense and gappy divisors run the same
+    loop.  `_divide` brings every twisted division down to it, or to its
     several-column form `_quotients`.
     """
     d0 = d[0]
-    terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
+    span = next((k for k in range(min(len(d), size) - 1, 0, -1) if d[k]), 0)
+    rev = d[span:0:-1]  # d_span .. d_1, against the window's oldest .. newest
+    window: list[int] = []
     outs: list[int] = []
     dens: list[int] = []
-    every = 1  # lcm of all the E_k so far
-    active = 0
+    every = 1
     for j in range(size):
-        while active < len(terms) and terms[active][0] <= j:
-            active += 1
-        act = terms[:active]
-        # over the common denominator of the x_(j-k) in the sum: when every
-        # d_1 .. d_j is nonzero, that is the lcm of all E_k so far
-        common = every if active == j else lcm(*(dens[j - k] for k, _ in act))
-        acc = num[j] * common if j < len(num) else 0
-        for k, dk in act:
-            e = dens[j - k]
-            acc -= dk * (outs[j - k] if e == common else outs[j - k] * (common // e))
-        e = d0 * common
+        acc = (num[j] * every if j < len(num) else 0) - sum(map(mul, rev if j >= span else rev[span - j :], window))
+        e = d0 * every
         g = gcd(acc, e)
-        outs.append(acc // g)
-        dens.append(e // g)
-        every = lcm(every, e // g)
+        o, e = acc // g, e // g
+        outs.append(o)
+        dens.append(e)
+        r = abs(e) // gcd(every, e)
+        if r > 1:
+            every *= r
+            window = [r * x for x in window]
+        window.append(o * (every // e))
+        if len(window) > span:
+            del window[0]
     return [o * (every // e) for o, e in zip(outs, dens)], every
 
 
@@ -572,8 +580,9 @@ def _quotients(d: list, nums: list, size: int) -> tuple[list, int]:
     Each step reduces every column over one denominator E_j and shares the
     factors d_k E/E_(j-k) among them, so dividing by a central polynomial
     costs its few terms per coefficient, with one lcm and one gcd per step
-    for all the columns.  `_quotient` stays the scalar form: a single
-    column runs faster without the sharing.
+    for all the columns.  `_quotient` is the scalar form, on a window over
+    one running lcm; on these few-term divisors with several columns the
+    per-term factors here cost less than rescaling every column's window.
     """
     d0 = d[0]
     terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
@@ -639,7 +648,8 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
     * otherwise `norm_conjugate` of the known part of den as a polynomial,
       whose inverse agrees with den^-1 to the precision of the result.
     A norm from a conjugate is a dense series: it is inverted once
-    (`_quotient`) and the inverse convolved with each coordinate
+    (`_quotient`, one dot product over its window of quotients per
+    coefficient) and the inverse convolved with each coordinate
     (`_convolve`).  Every route computes the exact quotient of the known
     parts on the result's window, so the canonical result is the same
     whichever runs.

@@ -33,6 +33,8 @@ reduced norms; unlike the rest, it calls the package's own elimination.
 The integer-row loops are the `kernel.mul_rows` and the product by a
 central c(t^n) that products ran before they accumulated into given rows and
 columns; they read the field's compiled integer kernel.
+`quotient` is the per-term recurrence that `laurent._quotient` ran before
+it kept a window over one running lcm.
 `ext_tau` is the coordinate-wise evaluation at the series root, one
 embedded fraction per coordinate, that `orefield.extend.ext_tau` ran before
 it divided once by the central denominator.  The
@@ -47,7 +49,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 from orefield import kernel, linalg
@@ -991,11 +993,17 @@ def reduce_central(den, polys):
 
 
 def primitive_row(row):
-    """The twisted polynomials divided by their content over Q[u] and by
-    their rational content: `kernel.reduce_central` with no denominator."""
+    """The twisted polynomials divided by their content over Q[u] (the
+    `kernel.central_divisor` of their Z[u]-coordinates) and by their
+    rational content."""
     field = row[0].field
-    rows = kernel.reduce_central(field, [], kernel.over_common([p.int_rows() for p in row])[0], 1)[1]
-    return [SkewPolynomial._from_rows(field, r, 1) for r in rows]
+    n, zero = field.sigma_order, field.zero_row
+    rows = [kernel.strip(list(r), zero) for r in kernel.over_common([p.int_rows() for p in row])[0]]
+    g = kernel.central_divisor([], (c for p in rows for r in range(n) for c in zip(*p[r::n]) if any(c)))
+    if len(g) > 1:
+        rows = [kernel._divide_central(field, p, g) for p in rows]
+    c = kernel.content(*rows)
+    return [SkewPolynomial._from_rows(field, kernel.divide(r, c) if c > 1 else r, 1) for r in rows]
 
 
 # the twisted polynomials as a ring for `linalg.eliminate`
@@ -1095,6 +1103,33 @@ def solve_right_generic(rows, rhs):
 
 
 # -- twisted Laurent series -------------------------------------------------
+
+
+def quotient(d, num, size):
+    """(X, E) with  sum_j X_j/E u^j = num/d  mod u^size, d[0] != 0: the
+    per-term recurrence `laurent._quotient` ran before it kept a window over
+    one running lcm.  Each step puts the x_(j-k) of its sum over their own
+    common denominator, with one division per term."""
+    d0 = d[0]
+    terms = [(k, dk) for k, dk in enumerate(d[1:size], 1) if dk]
+    outs, dens = [], []
+    every = 1  # lcm of all the E_k so far
+    active = 0
+    for j in range(size):
+        while active < len(terms) and terms[active][0] <= j:
+            active += 1
+        act = terms[:active]
+        common = every if active == j else lcm(*(dens[j - k] for k, _ in act))
+        acc = num[j] * common if j < len(num) else 0
+        for k, dk in act:
+            e = dens[j - k]
+            acc -= dk * (outs[j - k] if e == common else outs[j - k] * (common // e))
+        e = d0 * common
+        g = gcd(acc, e)
+        outs.append(acc // g)
+        dens.append(e // g)
+        every = lcm(every, e // g)
+    return [o * (every // e) for o, e in zip(outs, dens)], every
 
 
 def _series(field, val, coords, prec):

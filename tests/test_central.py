@@ -189,6 +189,78 @@ def test_common_denominator_at_fixed_seeds():
         check_common_denominator([zproduct(rng.choices(Z_U_FACTORS, k=rng.randrange(4))) for _ in range(rng.randint(1, 4))])
 
 
+# -- the heuristic gcd against the primitive remainder sequence ---------------------
+
+
+def prs(f, g):
+    return kernel._prs_gcd(zprimitive(f)[1], zprimitive(g)[1])
+
+
+def random_zpoly(rng, length, bits):
+    return ztrim([rng.randint(-(2**bits), 2**bits) for _ in range(length)])
+
+
+zpolys = st.integers(1, 120).flatmap(lambda bits: st.lists(st.integers(-(2**bits), 2**bits), max_size=12).map(ztrim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(zpolys, zpolys, zpolys)
+def test_gcd_matches_the_remainder_sequence(a, b, common):
+    """Random inputs and products with a planted common factor (zero,
+    constant and negative-leading inputs among them), on both sides of the
+    heuristic's length threshold."""
+    assert zgcd(a, b) == prs(a, b)
+    f, g = zmul(a, common), zmul(b, common)
+    assert zgcd(f, g) == prs(f, g) == zgcd(g, f)
+
+
+def test_gcd_matches_the_remainder_sequence_at_fixed_seeds():
+    rng = random.Random(67)
+    for f, g in (([], []), ([], [0, -4, 6]), ([5], [10, 15]), ([-3], []), ([0] * 9 + [-2], [0] * 12 + [4])):
+        assert zgcd(f, g) == prs(f, g)
+    for _ in range(60):
+        common = random_zpoly(rng, rng.randint(1, 12), rng.randint(1, 40))
+        f = zmul(common, random_zpoly(rng, rng.randint(1, 24), rng.randint(1, 60)))
+        g = zmul(common, random_zpoly(rng, rng.randint(1, 24), rng.randint(1, 60)))
+        if rng.random() < 0.5:
+            f, g = [-x for x in f], zmul(g, [rng.randint(-9, 9), 1])
+        assert zgcd(f, g) == prs(f, g)
+
+
+def test_gcd_of_degree_200_matches_sympy():
+    """Degree 200 and about 500 bits, where the remainder sequence would not
+    finish: sympy's gcd is the reference."""
+    rng = random.Random(5)
+
+    def poly(length, bits):
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(length - 1)] + [rng.randint(1, 2**bits)]
+
+    # a planted common factor of degree 60, and primitive parts with none
+    for common_length in (61, 1):
+        common = poly(common_length, 250)
+        f, g = zmul(common, poly(201 - common_length, 240)), zmul(common, poly(201 - common_length, 240))
+        ref = sympy.Poly(list(reversed(f)), U).gcd(sympy.Poly(list(reversed(g)), U))
+        assert zgcd(f, g) == zprimitive([int(c) for c in reversed(ref.all_coeffs())])[1]
+
+
+def test_a_heuristic_point_below_the_bound_never_gives_a_gcd(monkeypatch):
+    """With xi at or below 2 min(|f|, |g|) + 2 a common factor k can have
+    k(xi) = +-1: here the gcd is u^2 - 1, and at xi = 2 the digits give u + 1
+    alone, which divides both inputs.  The helper gives no candidate there,
+    and `zgcd` falls back to the remainder sequence."""
+    rng = random.Random(71)
+    f = zmul([-1, 1], zmul([1, 1], random_zpoly(rng, 10, 3)))
+    g = zmul([-1, 1], zmul([1, 1], random_zpoly(rng, 10, 3)))
+    bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for xi in range(2, bound + 1):
+        assert kernel._heuristic_gcd(f, g, xi) is None
+    assert kernel._heuristic_gcd(f, g, bound + 1) == prs(f, g)
+    original, fallbacks = kernel._heuristic_gcd, []
+    monkeypatch.setattr(kernel, "_heuristic_gcd", lambda f, g, xi: original(f, g, 2))
+    monkeypatch.setattr(kernel, "_prs_gcd", lambda f, g, prs=kernel._prs_gcd: fallbacks.append(1) or prs(f, g))
+    assert zgcd(f, g) == original(f, g, bound + 1) and fallbacks == [1]
+
+
 def check_shared_reduction(field, den, nums, factor):
     """The vector nums/den with `factor` planted in den and every entry:
     `center`'s `reduce` on the K'[u] lists and `kernel.reduce_central` on the
@@ -226,6 +298,23 @@ def test_center_reduce_and_row_reduction_cancel_the_same_factor(field):
         nums = [ztrim([rng.randint(-3, 3) for _ in range(w * rng.randint(0, 3))]) for _ in range(rng.randint(1, 3))]
         den = ztrim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) or [1]
         check_shared_reduction(field, den, nums, zproduct(rng.choices(Z_U_FACTORS, k=2)))
+
+
+def test_reduce_central_needs_a_denominator_and_primitive_row_divides_itself():
+    """den = [] is no denominator: `kernel.reduce_central` refuses it rather
+    than give an integer denominator of 0, and the schoolbook's
+    `primitive_row` divides out the content over Q[u] and then the integer
+    content on its own."""
+    with pytest.raises(ZeroDivisionError):
+        kernel.reduce_central(RATIONALS, [], [[(2,), (2,)]], 1)
+    # (2 + 2t) / (3 (2 + 2u)) with u = t is 1/3
+    assert kernel.reduce_central(RATIONALS, [2, 2], [[(2,), (2,)]], 3) == ([1], [[(1,)]], 3)
+    two = SkewPolynomial.from_coeffs(RATIONALS, [2, 2])
+    # 2 + 2t and (2 + 2t)^2 share 1 + t, and then 2
+    assert schoolbook.primitive_row([two, two * two]) == [SkewPolynomial.one(RATIONALS), two]
+    # over Q(i) with u = t^2: 2 + 2t^2 and 4i + 4i t^2 share 1 + u and 2
+    row = [SkewPolynomial.from_coeffs(GAUSS, [2, 0, 2]), SkewPolynomial.from_coeffs(GAUSS, [[0, 4], 0, [0, 4]])]
+    assert schoolbook.primitive_row(row) == [SkewPolynomial.one(GAUSS), SkewPolynomial.from_coeffs(GAUSS, [[0, 2]])]
 
 
 def check_view(field, a, den):

@@ -5,7 +5,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import schoolbook as sb
+from orefield import laurent
 from orefield.errors import (
     InsufficientPrecision,
     NoResidualRoot,
@@ -330,3 +333,48 @@ def test_solve_left_edge_cases():
     one = TwistedSeries.from_polynomial(P(GAUSS, [1, 0]), 8)
     s = solve_left(t2, one)
     assert s.val == -2 and s.coefficient(-2).coords[0] == 1
+
+
+# -- the central division: `_quotient` against the per-term recurrence -----------------
+
+
+def check_quotient(d, num, size):
+    """`_quotient` gives the (X, E) of the schoolbook recurrence, and
+    X * d = E * num modulo u^size."""
+    x, e = laurent._quotient(d, num, size)
+    assert (x, e) == sb.quotient(d, num, size)
+    assert len(x) == size and e > 0
+    for j in range(size):
+        lhs = sum(d[k] * x[j - k] for k in range(min(j, len(d) - 1) + 1))
+        assert lhs == (e * num[j] if j < len(num) else 0)
+
+
+@st.composite
+def quotient_cases(draw):
+    size = draw(st.integers(0, 20))
+    bits = draw(st.integers(2, 200))
+    coeff = st.integers(-(2**bits), 2**bits)
+    d0 = draw(st.sampled_from([1, -1, -3, 2**61 + 15, -(2**63 - 25)]) | coeff.filter(bool))
+    # gappy or dense, and possibly longer than size (terms past it are unused)
+    tail = draw(st.lists(st.just(0) | coeff, max_size=size + 4))
+    num = draw(st.lists(coeff, max_size=size + 3))
+    return [d0, *tail], num, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_cases())
+def test_quotient_matches_the_per_term_recurrence(case):
+    check_quotient(*case)
+
+
+def test_quotient_matches_the_per_term_recurrence_at_fixed_seeds():
+    rng = random.Random(61)
+    for size in (0, 1, 2, 9, 32):
+        for density in (1.0, 0.3, 0.0):
+            for d0 in (1, -1, -7, 2**61 + 15, 3**60):
+                bits = rng.choice((2, 20, 64, 200))
+                # terms past size, and at times trailing zeros, go unused
+                d = [d0] + [rng.randint(-(2**bits), 2**bits) if rng.random() < density else 0 for _ in range(size + 2)]
+                d += [0] * rng.randint(0, 2)
+                for length in (max(size - 1, 0), size, size + 2):
+                    check_quotient(d, [rng.randint(-(2**bits), 2**bits) for _ in range(length)], size)
