@@ -28,7 +28,7 @@ from typing import Union
 from . import kernel
 from .errors import CapExceeded, ExprEvalError, ExprSyntaxError
 from .extend import ExtensionScenario, TensorElement, ext_tau
-from .ground import GroundElement, GroundField
+from .ground import GroundElement, GroundField, _rational_str
 from .laurent import TwistedSeries, embed_fraction
 from .skewfrac import EXPONENT_CAP, FACTOR_DEGREE_CAP, PRECISION_CAP, SkewFraction
 
@@ -260,10 +260,10 @@ def parse_expr(text: str) -> Node:
 # precedence levels: additive 1, multiplicative 2, unary minus 3, power 4
 def _print(node: Node, context: int) -> str:
     if isinstance(node, Num):
-        out = _rational(node.value)
+        out = _rational_str(node.value)
         need = 2 if node.value.denominator != 1 else 5
     elif isinstance(node, Coords):
-        out = "[" + ",".join(_rational(v) for v in node.entries) + "]"
+        out = "[" + ",".join(map(_rational_str, node.entries)) + "]"
         need = 5
     elif isinstance(node, Var):
         out = node.name
@@ -291,12 +291,6 @@ def _print(node: Node, context: int) -> str:
     else:
         raise TypeError(f"not an expression node: {node!r}")
     return f"({out})" if need < context else out
-
-
-def _rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def print_expr(node: Node) -> str:

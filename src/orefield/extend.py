@@ -15,13 +15,16 @@ the rest of the package (towers, command line) consumes:
   K'[u], K' the invariant subfield, the ring `kernel.center` (Z[u] when K'
   is Q, as at every catalog level).
   Ordinary commutative arithmetic on the numerators, no gcd per
-  coefficient; `coeffs` shows canonical `SkewFraction`s.
+  coefficient, in the Z[u] routines of `orefield.kernel` (`zadd`, `zsub`)
+  and the product of `kernel.center`; `coeffs` shows canonical
+  `SkewFraction`s, and a polynomial prints by descending powers of x.
 * `PowerRows` -- the rows q^k modulo f of one polynomial q, built once and
   read by everything that works modulo f: with q = x they are the reduction
   table x^p mod f, with q = q_g the Galois matrix of g, and for any q the
   table that composition modulo f reads, p(q) = sum_k p_k (q^k mod f).
   They are kept once, as `table`: numerators in K'[u] over one common
-  Z[u] denominator.
+  Z[u] denominator, grown from the last row, row k+1 = (row k * q) mod f;
+  `powers` reads polynomials off it.
 * `FiniteGroup` -- a small group given by an explicit multiplication table.
 * `ExtensionScenario` -- f, the group, the generator images and the root
   recipe, plus lazily computed derived data: one `PowerRows` per image
@@ -79,8 +82,8 @@ from .errors import (
     SingularElement,
     UnknownGroupElement,
 )
-from .ground import GroundElement, GroundField
-from .kernel import cayley_hamilton, center, common_denominator, zmul
+from .ground import GroundElement, GroundField, terms_str
+from .kernel import cayley_hamilton, center, common_denominator, zadd, zmul, zsub
 from .laurent import (
     CentralSeries,
     TwistedSeries,
@@ -224,14 +227,10 @@ class CentralPolynomial:
         lead, w = self.nums[-1], self.field.invariant_degree
         return lead[::w] == self.den and not any(any(lead[b::w]) for b in range(1, w))
 
-    def _same(self, other: "CentralPolynomial") -> None:
-        if self.field is not other.field:
-            self.field.check_same(other.field)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CentralPolynomial):
             return NotImplemented
-        self._same(other)
+        self.field.check_same(other.field)
         (da, a), (db, b) = self.parts(), other.parts()
         if len(a) != len(b):
             return False
@@ -241,7 +240,7 @@ class CentralPolynomial:
         return all(scale(x, db) == scale(y, da) for x, y in zip(a, b))
 
     def __add__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        self._same(other)
+        self.field.check_same(other.field)
         ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
         den, (ka, kb) = common_denominator([da, db])
@@ -249,8 +248,7 @@ class CentralPolynomial:
             a = [ring.scale(x, ka) for x in a]
         if kb != [1]:
             b = [ring.scale(y, kb) for y in b]
-        zero = ring.zero(self.field)
-        return CentralPolynomial(self.field, den, [ring.add(x, y) for x, y in zip_longest(a, b, fillvalue=zero)])
+        return CentralPolynomial(self.field, den, [zadd(x, y) for x, y in zip_longest(a, b, fillvalue=[])])
 
     def __neg__(self) -> "CentralPolynomial":
         return CentralPolynomial(self.field, self.den, [[-x for x in a] for a in self.nums])
@@ -259,18 +257,18 @@ class CentralPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "CentralPolynomial") -> "CentralPolynomial":
-        self._same(other)
+        self.field.check_same(other.field)
         ring = center(self.field)
         (da, a), (db, b) = self.parts(), other.parts()
         if not a or not b:
             return CentralPolynomial.zero(self.field)
-        out = [ring.zero(self.field)] * (len(a) + len(b) - 1)
+        out = [[]] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if ring.is_zero(x):
+            if not x:
                 continue
             for j, y in enumerate(b):
-                if not ring.is_zero(y):
-                    out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+                if y:
+                    out[i + j] = zadd(out[i + j], ring.mul(x, y))
         return CentralPolynomial(self.field, zmul(da, db), out)
 
     def divmod_by(self, g: "CentralPolynomial") -> tuple["CentralPolynomial", "CentralPolynomial"]:
@@ -282,17 +280,17 @@ class CentralPolynomial:
         steps  c^k A = Q G + R  for the numerators A of self and G of g, so
         r = (den c^k)^-1 R  and  q = (den c^k)^-1 (den_g Q).
         """
-        self._same(g)
+        self.field.check_same(g.field)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
         field, ring = self.field, center(self.field)
         (den, rem), (gden, gn) = self.parts(), g.parts()
         rem, lower = list(rem), list(enumerate(gn[:-1]))
         q_lead, c = ring.unit_multiple(gn[-1])
-        quo = [ring.zero(field)] * max(len(rem) - len(gn) + 1, 0)
+        quo = [[]] * max(len(rem) - len(gn) + 1, 0)
         for s in range(len(quo) - 1, -1, -1):
             top = rem.pop()
-            if ring.is_zero(top):
+            if not top:
                 continue
             if c != [1]:
                 rem = [ring.scale(a, c) for a in rem]
@@ -300,8 +298,8 @@ class CentralPolynomial:
                 den = zmul(den, c)
             quo[s] = ring.mul(top, q_lead)
             for j, b in lower:
-                if not ring.is_zero(b):
-                    rem[s + j] = ring.sub(rem[s + j], ring.mul(quo[s], b))
+                if b:
+                    rem[s + j] = zsub(rem[s + j], ring.mul(quo[s], b))
         if gden != [1]:
             quo = [ring.scale(a, gden) for a in quo]
         return CentralPolynomial(field, den, quo), CentralPolynomial(field, *ring.reduce(den, rem))
@@ -314,20 +312,8 @@ class CentralPolynomial:
         return evaluate_poly(_series_coefficients(self, point.prec), point)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for m in range(self.degree, -1, -1):
-            c = self.coeffs[m]
-            if c.is_zero():
-                continue
-            if m == 0:
-                parts.append(f"({c})")
-            elif m == 1:
-                parts.append(f"({c})*x")
-            else:
-                parts.append(f"({c})*x^{m}")
-        return " + ".join(parts)
+        terms = [(m, f"({c})") for m, c in enumerate(self.coeffs) if not c.is_zero()]
+        return terms_str(reversed(terms), "x")
 
     __repr__ = __str__
 
@@ -354,55 +340,56 @@ class PowerRows:
     reduction table x^p mod f.
     """
 
-    __slots__ = ("f", "q", "_powers", "_shared")
+    __slots__ = ("f", "q", "_shared")
 
     def __init__(self, f: CentralPolynomial, q: CentralPolynomial) -> None:
-        f._same(q)
+        f.field.check_same(q.field)
         if f.is_zero():
             raise DivisionByZero("power rows modulo the zero polynomial")
         self.f, self.q = f, q
-        self._powers: list[CentralPolynomial] = []
-        self._shared: tuple[list[int], list[list]] | None = None
+        self._shared: tuple[list[int], list[list]] = ([1], [])
 
     def powers(self, count: int) -> list[CentralPolynomial]:
-        """q^k modulo f for k < count."""
-        while len(self._powers) < count:
-            power = self._powers[-1] * self.q if self._powers else CentralPolynomial.one(self.f.field)
-            self._powers.append(power.divmod_by(self.f)[1])
-        return self._powers[:count]
+        """q^k modulo f for k < count, read from `table`."""
+        den, table = self.table(count)
+        return [CentralPolynomial(self.f.field, den, row) for row in table[:count]]
 
     def table(self, count: int) -> tuple[list[int], list[list]]:
         """(C, N) with  q^k = C(u)^-1 * sum_m N[k][m] x^m  modulo f for at
         least k < count, C in Z[u] and the N[k][m] in K'[u], each row padded
-        to deg f numerators (cached, and grown on request)."""
-        if self._shared is None or len(self._shared[1]) < count:
+        to deg f numerators (cached, and grown on request from its last row
+        into a new table, so a table handed out earlier keeps its rows)."""
+        den, table = self._shared
+        if len(table) < count:
             field, d = self.f.field, self.f.degree
             ring = center(field)
-            rows = [p.parts() for p in self.powers(count)]
-            den, cofactors = common_denominator(c for c, _ in rows)
-            zero = ring.zero(field)
-            table = []
-            for (_, nums), k in zip(rows, cofactors):
+            table = list(table)
+            while len(table) < count:
+                power = CentralPolynomial(field, den, table[-1]) * self.q if table else CentralPolynomial.one(field)
+                rden, nums = power.divmod_by(self.f)[1].parts()
+                den, (k, kr) = common_denominator([den, rden])
                 if k != [1]:
-                    nums = [ring.scale(a, k) for a in nums]
-                table.append([*nums, *[zero] * (d - len(nums))])
+                    table = [[ring.scale(a, k) for a in row] for row in table]
+                if kr != [1]:
+                    nums = [ring.scale(a, kr) for a in nums]
+                table.append([*nums, *[[]] * (d - len(nums))])
             self._shared = (den, table)
         return self._shared
 
     def compose(self, p: CentralPolynomial) -> CentralPolynomial:
         """p(q) modulo f, as sum_k p_k (q^k mod f), over the product of p's
         denominator and the rows' common one."""
-        self.f._same(p)
+        self.f.field.check_same(p.field)
         field = self.f.field
         ring = center(field)
         pden, nums = p.parts()
         den, table = self.table(len(nums))
-        out = [ring.zero(field)] * self.f.degree
+        out = [[]] * self.f.degree
         for row, v in zip(table, nums):
-            if not ring.is_zero(v):
+            if v:
                 for m, entry in enumerate(row):
-                    if not ring.is_zero(entry):
-                        out[m] = ring.add(out[m], ring.mul(entry, v))
+                    if entry:
+                        out[m] = zadd(out[m], ring.mul(entry, v))
         return CentralPolynomial(field, zmul(pden, den), out)
 
 
@@ -526,8 +513,7 @@ class ExtensionScenario:
         self.precision = precision
         self.newton_seed = newton_seed
         self.newton_coeffs = tuple(newton_coeffs) if newton_coeffs is not None else None
-        if f.field is not field:
-            field.check_same(f.field)
+        field.check_same(f.field)
         if f.is_zero() or f.degree < 1:
             raise ScenarioValidationError(f"{name}: f must have degree >= 1")
         if not f.is_monic():
@@ -880,17 +866,7 @@ class TensorElement:
         return TensorElement._from_conv(self.scenario, self.den, list(self.rows), self.over, self.scenario.power_rows(g))
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(f"({c})")
-            elif i == 1:
-                parts.append(f"({c})*x")
-            else:
-                parts.append(f"({c})*x^{i}")
-        return " + ".join(parts) if parts else "0"
+        return terms_str(((i, f"({c})") for i, c in enumerate(self.coords) if not c.is_zero()), "x")
 
     __repr__ = __str__
 
@@ -933,20 +909,19 @@ def _residue_trace(rows: PowerRows):
     field, d = rows.f.field, rows.f.degree
     ring = center(field)
     common, table = rows.table(2 * d - 1)
-    zero = ring.zero(field)
     traces = []
     for j in range(d):
-        acc = zero
+        acc = []
         for m in range(d):
-            acc = ring.add(acc, table[j + m][m])
+            acc = zadd(acc, table[j + m][m])
         traces.append(acc)
 
     def trace(a):
         den, nums = a.parts()
-        acc = zero
+        acc = []
         for x, t in zip(nums, traces):
-            if not ring.is_zero(x):
-                acc = ring.add(acc, ring.mul(x, t))
+            if x:
+                acc = zadd(acc, ring.mul(x, t))
         return CentralPolynomial(field, zmul(den, common), [acc])
 
     return trace
@@ -989,9 +964,9 @@ def _fixed_space(scenario: ExtensionScenario, names: Sequence[str]) -> list[list
         if g == scenario.group.identity:
             continue
         common, table = scenario.power_rows(g).table(d)
-        c = ring.scale(ring.one(field), common)
+        c = ring.scale([1], common)
         for m in range(d):
-            rows.append([ring.sub(table[i][m], c) if i == m else table[i][m] for i in range(d)])
+            rows.append([zsub(table[i][m], c) if i == m else table[i][m] for i in range(d)])
     return [[_view(field, a, den) for a in vec] for den, vec in linalg.ring_nullspace(ring, field, rows, d)]
 
 
@@ -1057,7 +1032,7 @@ def _value_at_root(element: TensorElement) -> TwistedSeries:
     common = lcm(*(dc for _, (_, dc), _ in parts))
     sums = [([zero] * shift + p, [a * (common // dc) for a in c]) for p, (c, dc), shift in parts]
     rows, k = kernel.central_sum(field, sums, max(prec - val, 0))
-    acc = TwistedSeries._from_rows(field, val, rows, element.over * common * k, prec)
+    acc = TwistedSeries._make(field, val, rows, element.over * common * k, prec)
     if element.den != (1,):
         c = central_polynomial(field, element.den)
         work = max(acc.prec, acc.prec + v - acc.val, v + 1)

@@ -34,6 +34,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
+from .ground import _digits
 from .kernel import zadd, zdivexact, zgcd, zmul, zprimitive, zsub, ztrim
 
 Poly = list[int]
@@ -290,7 +291,7 @@ def poly_str(coeffs: Sequence[int], var: str = "u") -> str:
         if not a:
             continue
         mono = "" if k == 0 else var if k == 1 else f"{var}**{k}"
-        body = str(abs(a)) if not mono else mono if abs(a) == 1 else f"{abs(a)}*{mono}"
+        body = _digits(abs(a)) if not mono else mono if abs(a) == 1 else f"{_digits(abs(a))}*{mono}"
         if not parts:
             parts.append(body if a > 0 else f"-{body}")
         else:

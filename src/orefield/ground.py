@@ -119,6 +119,13 @@ class GroundElement:
     __repr__ = __str__
 
 
+def terms_str(terms: Iterable[tuple[int, str]], var: str) -> str:
+    """The sum of printed terms, in the order given: the pair (e, c) writes
+    c at e = 0, c*var at e = 1 and c*var^e otherwise; "0" for no terms."""
+    parts = [c if e == 0 else f"{c}*{var}" if e == 1 else f"{c}*{var}^{e}" for e, c in terms]
+    return " + ".join(parts) if parts else "0"
+
+
 def _rational_str(x: Fraction) -> str:
     """str(x) at any size: CPython converts an int of at most
     `sys.get_int_max_str_digits()` digits (4300 by default) to str, so a
@@ -848,17 +855,7 @@ def _coerce_base(value, base_dim: int) -> Coords:
 
 
 def _poly_label(poly: Coords) -> str:
-    parts = []
-    for m, c in enumerate(poly):
-        if c == 0:
-            continue
-        if m == 0:
-            parts.append(str(c))
-        elif m == 1:
-            parts.append(f"{c}*y")
-        else:
-            parts.append(f"{c}*y^{m}")
-    return " + ".join(parts)
+    return terms_str(((m, _rational_str(c)) for m, c in enumerate(poly) if c), "y")
 
 
 def hamilton_rationals() -> GroundField:

@@ -17,6 +17,10 @@ Precision bookkeeping is pessimistic and explicit:
 * ``inv``: a series of valuation v known mod t^N has an inverse of
   valuation -v known mod t^(N-2v).
 
+The rules of add and inv and that of `solve_left`, the canonical form,
+``==``, hashing and ``truncate`` are written once, in the window
+`_SeriesWindow` that both series classes build on; each keeps its product.
+
 Products are row convolutions on the integer rows of `orefield.kernel`.
 Inversion, `solve_left` and `embed_fraction` divide through the center: a
 conjugate s* makes N = s * s* central, so  s^-1 * x = N^-1 * (s* * x),  and
@@ -36,7 +40,8 @@ coefficients in K' on the exponents divisible by n, stored as one list of
 ints in the layout of `kernel.center` over one positive denominator, in
 canonical form.  Its `val` and `prec` stay t-exponents (coefficient k sits
 at t^(val + n*k)), so the precision rules above, and those of `solve_left`,
-hold for it unchanged, and it prints as the `TwistedSeries` it converts to.
+are the same window code for it, and it prints as the `TwistedSeries` it
+converts to.
 A product costs w^2 integer convolutions (one when K' is Q) through K''s
 multiplication table, instead of a twisted one on rows of the ground
 field's dimension.
@@ -52,6 +57,7 @@ coefficients there).
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
@@ -59,25 +65,133 @@ from typing import Sequence
 from . import kernel
 from .errors import (
     InsufficientPrecision,
-    MixedFields,
     NoResidualRoot,
     NotInvariantSeries,
     NotSimpleRoot,
     ZeroSeries,
 )
-from .ground import GroundElement, GroundField
+from .ground import GroundElement, GroundField, terms_str
 from .skewfrac import SkewFraction
 from .skewpoly import SkewPolynomial, central_fraction_ints, central_polynomial, norm_conjugate
 
 
-class TwistedSeries:
-    """Stored as integer rows over one denominator (see `orefield.kernel`):
-    rows[k]/den is the coefficient of t^(val+k) for val <= val+k < prec.
-    The form is canonical (den > 0, no content common to den and the rows, a
-    nonzero first row; the zero series has no rows and val == prec), so `==`
-    compares rows, and `coeffs` is built from them on first use."""
+class _SeriesWindow:
+    """A series known on the exponents val .. prec-1, stored as integer data
+    over one positive denominator: the rules `TwistedSeries` and
+    `CentralSeries` share.  `_data` is laid out by `_layout`, (step, width,
+    fill): each coefficient is `width` entries and covers `step` exponents,
+    and `fill` is a zero entry.  The form is canonical (den > 0, no content
+    common to den and the data, a nonzero first coefficient; the zero series
+    has no data and val == prec), so `==` compares the parts."""
 
-    __slots__ = ("field", "val", "prec", "_rows", "_den", "_coeffs")
+    __slots__ = ("field", "val", "prec", "_data", "_den")
+
+    @classmethod
+    def _make(cls, field: GroundField, val: int, data: list, den: int, prec: int):
+        """Normalised series with the data over den from t^val on; val is
+        a multiple of the step unless every coefficient is zero."""
+        s = cls.__new__(cls)
+        s._set(field, val, data, den, prec)
+        return s
+
+    def _set(self, field: GroundField, val: int, data: list, den: int, prec: int) -> None:
+        self.field, self.prec = field, prec
+        step, width, fill = self._layout()
+        start = next((k for k, x in enumerate(data) if x != fill), None)
+        if start is None or val + step * (start // width) >= prec:
+            self.val, self._data, self._den = prec, [], 1
+            return
+        start -= start % width
+        val += step * (start // width)
+        size = -((val - prec) // step) * width
+        data = data[start : start + size]
+        self.val = val
+        self._data, self._den = self._reduce(data + [fill] * (size - len(data)), den)
+
+    @classmethod
+    def zero(cls, field: GroundField, prec: int):
+        return cls._make(field, prec, [], 1, prec)
+
+    def is_zero(self) -> bool:
+        """Zero to the stated precision."""
+        return self.val >= self.prec
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.val == other.val
+            and self.prec == other.prec
+            and self._den == other._den
+            and self._data == other._data
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.val, self.prec, self._den, tuple(self._data)))
+
+    def truncate(self, prec: int):
+        if prec > self.prec:
+            raise InsufficientPrecision(
+                f"cannot extend precision {self.prec} to {prec}"
+            )
+        if prec == self.prec:
+            return self
+        return self._at_precision(prec)
+
+    def _at_precision(self, prec: int):
+        """The same coefficients, cut at prec or known as zeros up to it."""
+        return self._make(self.field, self.val, self._data, self._den, prec)
+
+    def _window(self, val: int, prec: int) -> list:
+        """The data on the exponents val .. prec-1, for val <= self.val."""
+        step, width, fill = self._layout()
+        size, shift = -((val - prec) // step) * width, (self.val - val) // step * width
+        return [fill] * shift + self._data[: size - shift] if shift < size else []
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, known to the lesser precision."""
+        self.field.check_same(other.field)
+        prec = min(self.prec, other.prec)
+        val = min(self.val, other.val)
+        if val >= prec:
+            return self.zero(self.field, prec)
+        den = lcm(self._den, other._den)
+        a, b = self._window(val, prec), other._window(val, prec)
+        data = self._lincomb(a, den // self._den, b, sign * (den // other._den))
+        return self._make(self.field, val, data, den, prec)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _inverse_window(self) -> tuple[int, int]:
+        """(val, prec) of the inverse: -v and N - 2v for a series of
+        valuation v known mod t^N."""
+        if self.is_zero():
+            # no known nonzero coefficient: nothing to divide by
+            raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
+        return -self.val, self.prec - 2 * self.val
+
+    def _quotient_window(self, num) -> tuple[int, int]:
+        """(val, prec) of self^-1 * num, the precision `self.inv() * num`
+        propagates; prec <= val when the quotient is zero to it, as when num
+        is."""
+        self.field.check_same(num.field)
+        if self.is_zero():
+            raise ZeroSeries(f"division by a series that is zero mod t^{self.prec}")
+        v = self.val
+        return num.val - v, min(self.prec - 2 * v + num.val, self.prec - v, num.prec - v)
+
+
+class TwistedSeries(_SeriesWindow):
+    """Stored as integer rows over one denominator (see `orefield.kernel`):
+    `_data[k]/den` is the coefficient of t^(val+k) for val <= val+k < prec.
+    The form is canonical (`_SeriesWindow`), and `coeffs` is built from the
+    rows on first use."""
+
+    __slots__ = ("_coeffs",)
 
     def __init__(
         self,
@@ -89,39 +203,28 @@ class TwistedSeries:
         rows, den = kernel.rows_of(coeffs)
         self._set(field, val, rows, den, prec)
 
-    @classmethod
-    def _from_rows(
-        cls, field: GroundField, val: int, rows: list, den: int, prec: int
-    ) -> "TwistedSeries":
-        """Normalised series with coefficients rows[k]/den at t^(val+k)."""
-        s = cls.__new__(cls)
-        s._set(field, val, rows, den, prec)
-        return s
-
-    def _set(self, field: GroundField, val: int, rows: list, den: int, prec: int) -> None:
-        self.field = field
-        self.prec = prec
+    def _set(self, *parts) -> None:
         self._coeffs = None
-        zero = field.zero_row
-        start = next((k for k, r in enumerate(rows) if r != zero), None)
-        if start is None or val + start >= prec:
-            self.val, self._rows, self._den = prec, [], 1
-            return
-        val += start
-        rows = rows[start : start + prec - val]
-        self.val = val
-        self._rows, self._den = kernel.reduce(rows + [zero] * (prec - val - len(rows)), den)
+        super()._set(*parts)
+
+    def _layout(self) -> tuple[int, int, tuple]:
+        return 1, 1, self.field.zero_row
+
+    _reduce = staticmethod(kernel.reduce)
+
+    def _lincomb(self, a: list, x: int, b: list, y: int) -> list:
+        return kernel.lincomb(a, x, b, y, self.field.zero_row)
 
     @property
     def coeffs(self) -> tuple[GroundElement, ...]:
         """The coefficients of t^val .. t^(prec-1)."""
         if self._coeffs is None:
-            self._coeffs = tuple(kernel.elements_of(self.field, self._rows, self._den))
+            self._coeffs = tuple(kernel.elements_of(self.field, self._data, self._den))
         return self._coeffs
 
     def int_rows(self) -> tuple[list, int]:
         """Integer numerators of the coefficients over one common denominator."""
-        return self._rows, self._den
+        return self._data, self._den
 
     @classmethod
     def make(
@@ -129,10 +232,6 @@ class TwistedSeries:
     ) -> "TwistedSeries":
         """Normalised series from raw data; coefficients beyond prec are cut."""
         return cls(field, val, [field.coerce(c) for c in coeffs], prec)
-
-    @classmethod
-    def zero(cls, field: GroundField, prec: int) -> "TwistedSeries":
-        return cls._from_rows(field, prec, [], 1, prec)
 
     @classmethod
     def from_ground(cls, e: GroundElement, prec: int) -> "TwistedSeries":
@@ -149,13 +248,9 @@ class TwistedSeries:
     @classmethod
     def from_polynomial(cls, p: SkewPolynomial, prec: int) -> "TwistedSeries":
         rows, den = p.int_rows()
-        return cls._from_rows(p.field, 0, rows, den, prec)
+        return cls._make(p.field, 0, rows, den, prec)
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """Zero to the stated precision."""
-        return self.val >= self.prec
 
     def coefficient(self, exponent: int) -> GroundElement:
         if exponent >= self.prec:
@@ -166,35 +261,9 @@ class TwistedSeries:
             return self.field.zero()
         return self.coeffs[exponent - self.val]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TwistedSeries)
-            and self.field == other.field
-            and self.val == other.val
-            and self.prec == other.prec
-            and self._den == other._den
-            and self._rows == other._rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.val, self.prec, self._den, tuple(self._rows)))
-
-    def truncate(self, prec: int) -> "TwistedSeries":
-        if prec > self.prec:
-            raise InsufficientPrecision(
-                f"cannot extend precision {self.prec} to {prec}"
-            )
-        if prec == self.prec:
-            return self
-        return self._at_precision(prec)
-
-    def _at_precision(self, prec: int) -> "TwistedSeries":
-        """The same coefficients, cut at prec or known as zeros up to it."""
-        return TwistedSeries._from_rows(self.field, self.val, self._rows, self._den, prec)
-
     def shift(self, k: int) -> "TwistedSeries":
         """s * t^k: every exponent, and the precision, moves up by k."""
-        s = self._canonical(self.val + k, self._rows, self.prec + k)
+        s = self._canonical(self.val + k, self._data, self.prec + k)
         s._coeffs = self._coeffs
         return s
 
@@ -202,48 +271,18 @@ class TwistedSeries:
         """A series over this one's field and denominator from rows that
         are already in canonical form for them."""
         s = TwistedSeries.__new__(TwistedSeries)
-        s.field, s.val, s.prec, s._rows, s._den, s._coeffs = (
+        s.field, s.val, s.prec, s._data, s._den, s._coeffs = (
             self.field, val, prec, rows, self._den, None
         )
         return s
 
-    def _same(self, other: "TwistedSeries") -> None:
-        if self.field is not other.field:
-            self.field.check_same(other.field)
-
     # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other: "TwistedSeries", sign: int) -> "TwistedSeries":
-        self._same(other)
-        field = self.field
-        prec = min(self.prec, other.prec)
-        val = min(self.val, other.val)
-        size = prec - val
-        if size <= 0:
-            return TwistedSeries.zero(field, prec)
-        zero = field.zero_row
-        den = lcm(self._den, other._den)
-
-        def window(s: "TwistedSeries") -> list:
-            shift = s.val - val
-            return [zero] * shift + s._rows[: size - shift] if shift < size else []
-
-        rows = kernel.lincomb(
-            window(self), den // self._den, window(other), sign * (den // other._den), zero
-        )
-        return TwistedSeries._from_rows(field, val, rows, den, prec)
-
-    def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "TwistedSeries") -> "TwistedSeries":
-        return self._combine(other, -1)
-
     def __neg__(self) -> "TwistedSeries":
-        return self._canonical(self.val, kernel.scale(self._rows, -1), self.prec)
+        return self._canonical(self.val, kernel.scale(self._data, -1), self.prec)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
-        self._same(other)
+        self.field.check_same(other.field)
         field = self.field
         prec = min(self.prec + other.val, other.prec + self.val)
         if self.is_zero() or other.is_zero():
@@ -253,7 +292,7 @@ class TwistedSeries:
         g, dg = other.int_rows()
         rows = kernel.series_mul_rows(field, f, self.val, g, prec - val)
         den = df * dg * field.mul_den * field.sig_den
-        return TwistedSeries._from_rows(field, val, rows, den, prec)
+        return TwistedSeries._make(field, val, rows, den, prec)
 
     def scale_ground_left(self, c: GroundElement) -> "TwistedSeries":
         field = self.field
@@ -261,18 +300,15 @@ class TwistedSeries:
         if c.is_zero() or self.is_zero():
             return TwistedSeries.zero(field, self.prec)
         (cr,), dc = kernel.rows_of([c])
-        rows = [field.kmul(cr, r) for r in self._rows]
-        return TwistedSeries._from_rows(
+        rows = [field.kmul(cr, r) for r in self._data]
+        return TwistedSeries._make(
             field, self.val, rows, dc * self._den * field.mul_den, self.prec
         )
 
     def inv(self) -> "TwistedSeries":
         """Two-sided inverse to the propagated precision, through the
         center (see `_divide`)."""
-        if self.is_zero():
-            # no known nonzero coefficient: nothing to divide by
-            raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
-        return _divide(self, None, -self.val, self.prec - 2 * self.val)
+        return _divide(self, None, *self._inverse_window())
 
     def __pow__(self, n: int) -> "TwistedSeries":
         if n < 0:
@@ -285,70 +321,47 @@ class TwistedSeries:
         # printing does not keep the coefficients it builds
         coeffs = self._coeffs
         if coeffs is None:
-            coeffs = kernel.elements_of(self.field, self._rows, self._den)
-        parts = []
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            e = self.val + k
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{e}")
-        return " + ".join(parts) + f" + O(t^{self.prec})"
+            coeffs = kernel.elements_of(self.field, self._data, self._den)
+        terms = ((e, str(c)) for e, c in enumerate(coeffs, self.val) if not c.is_zero())
+        return terms_str(terms, "t") + f" + O(t^{self.prec})"
 
     __repr__ = __str__
 
 
-class CentralSeries:
+class CentralSeries(_SeriesWindow):
     """An element of K'((u)), u = t^n (n the automorphism order, K' the
     invariant subfield): the commutative series with coefficients in K' on
     the exponents divisible by n, the series analogue of a quotient in K'(u).
 
     Stored as one list of ints over one positive denominator, in the layout
-    of `kernel.center`: ints[k*w + b]/den is the coordinate b of the
+    of `kernel.center`: `_data[k*w + b]/den` is the coordinate b of the
     coefficient of t^(val + n*k) for val <= val + n*k < prec.  `val` and
     `prec` are t-exponents, so the precision rules of `TwistedSeries` (add,
-    mul, inv, `solve_left`) hold unchanged.  The form is canonical (den > 0,
-    no content common to den and the ints, a nonzero first coefficient; the
-    zero series has no ints and val == prec), so `==` compares the parts.
+    mul, inv, `solve_left`) hold unchanged.  The form is canonical
+    (`_SeriesWindow`), so `==` compares the parts.
     `to_twisted` and `from_twisted` convert without changing the value or
     the precision.  Division goes through the norm, s^-1 = q (s q)^-1 with
     s q in Q((u)).
     """
 
-    __slots__ = ("field", "val", "prec", "_ints", "_den")
+    __slots__ = ()
 
-    @classmethod
-    def _make(cls, field: GroundField, val: int, ints: list, den: int, prec: int) -> "CentralSeries":
-        """Normalised series with coefficients ints[k]/den at t^(val+n*k);
-        val is a multiple of n unless every coefficient is zero."""
-        s = cls.__new__(cls)
-        s.field, s.prec = field, prec
-        n, w = field.sigma_order, kernel.center(field).w
-        start = next((k for k, c in enumerate(ints) if c), None)
-        if start is None or val + n * (start // w) >= prec:
-            s.val, s._ints, s._den = prec, [], 1
-            return s
-        start //= w
-        val += n * start
-        size = -((val - prec) // n)
-        ints = ints[start * w : (start + size) * w]
-        ints += [0] * (size * w - len(ints))
+    def _layout(self) -> tuple[int, int, int]:
+        return self.field.sigma_order, kernel.center(self.field).w, 0
+
+    @staticmethod
+    def _reduce(ints: list, den: int) -> tuple[list, int]:
         g = gcd(den, *ints)
         if den < 0:
             g = -g
         if g != 1:
             ints = [c // g for c in ints]
             den //= g
-        s.val, s._ints, s._den = val, ints, den
-        return s
+        return ints, den
 
-    @classmethod
-    def zero(cls, field: GroundField, prec: int) -> "CentralSeries":
-        return cls._make(field, prec, [], 1, prec)
+    @staticmethod
+    def _lincomb(a: list, x: int, b: list, y: int) -> list:
+        return [x * p + y * q for p, q in zip_longest(a, b, fillvalue=0)]
 
     @classmethod
     def from_ground(cls, e: GroundElement, prec: int) -> "CentralSeries":
@@ -397,119 +410,48 @@ class CentralSeries:
         field = self.field
         if self.is_zero():
             return TwistedSeries.zero(field, self.prec)
-        return TwistedSeries._from_rows(field, self.val, kernel.center(field).rows(self._ints), self._den, self.prec)
+        return TwistedSeries._make(field, self.val, kernel.center(field).rows(self._data), self._den, self.prec)
 
     def int_coeffs(self) -> tuple[list, int]:
         """Integer numerators of the coefficients over one common denominator."""
-        return self._ints, self._den
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """Zero to the stated precision."""
-        return self.val >= self.prec
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CentralSeries)
-            and self.field == other.field
-            and self.val == other.val
-            and self.prec == other.prec
-            and self._den == other._den
-            and self._ints == other._ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.val, self.prec, self._den, tuple(self._ints)))
-
-    def truncate(self, prec: int) -> "CentralSeries":
-        if prec > self.prec:
-            raise InsufficientPrecision(
-                f"cannot extend precision {self.prec} to {prec}"
-            )
-        if prec == self.prec:
-            return self
-        return self._at_precision(prec)
-
-    def _at_precision(self, prec: int) -> "CentralSeries":
-        """The same coefficients, cut at prec or known as zeros up to it."""
-        return CentralSeries._make(self.field, self.val, self._ints, self._den, prec)
-
-    def _same(self, other: "CentralSeries") -> None:
-        if self.field is not other.field:
-            self.field.check_same(other.field)
+        return self._data, self._den
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other: "CentralSeries", sign: int) -> "CentralSeries":
-        self._same(other)
-        field = self.field
-        prec = min(self.prec, other.prec)
-        terms = [(s, c) for s, c in ((self, 1), (other, sign)) if not s.is_zero()]
-        if not terms:
-            return CentralSeries.zero(field, prec)
-        n, w = field.sigma_order, kernel.center(field).w
-        val = min(s.val for s, _ in terms)
-        size = -((val - prec) // n) * w
-        if size <= 0:
-            return CentralSeries.zero(field, prec)
-        den = lcm(*(s._den for s, _ in terms))
-        out = [0] * size
-        for s, c in terms:
-            shift = (s.val - val) // n * w
-            scale = c * (den // s._den)
-            for k, a in enumerate(s._ints[: max(size - shift, 0)], shift):
-                out[k] += scale * a
-        return CentralSeries._make(field, val, out, den, prec)
-
-    def __add__(self, other: "CentralSeries") -> "CentralSeries":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "CentralSeries") -> "CentralSeries":
-        return self._combine(other, -1)
-
     def __neg__(self) -> "CentralSeries":
-        return CentralSeries._make(self.field, self.val, [-c for c in self._ints], self._den, self.prec)
+        return self.times(-1)
 
     def __mul__(self, other: "CentralSeries") -> "CentralSeries":
-        self._same(other)
+        self.field.check_same(other.field)
         field = self.field
         prec = min(self.prec + other.val, other.prec + self.val)
         if self.is_zero() or other.is_zero():
             return CentralSeries.zero(field, prec)
         val = self.val + other.val
         size = -((val - prec) // field.sigma_order)
-        out = kernel.center(field).mul_cut(self._ints, other._ints, size)
+        out = kernel.center(field).mul_cut(self._data, other._data, size)
         return CentralSeries._make(field, val, out, self._den * other._den, prec)
 
     def times(self, k: int) -> "CentralSeries":
         """k * self for an integer k."""
-        return CentralSeries._make(self.field, self.val, [k * a for a in self._ints], self._den, self.prec)
+        return CentralSeries._make(self.field, self.val, [k * a for a in self._data], self._den, self.prec)
 
     def inv(self) -> "CentralSeries":
         """The inverse to the precision `TwistedSeries.inv` propagates."""
-        if self.is_zero():
-            raise ZeroSeries(f"inversion of a series that is zero mod t^{self.prec}")
-        v, size = self.val, -((self.val - self.prec) // self.field.sigma_order)
-        ints, den = _central_quotient(kernel.center(self.field), self._ints, [self._den], size)
-        return CentralSeries._make(self.field, -v, ints, den, self.prec - 2 * v)
+        val, prec = self._inverse_window()
+        size = -((val - prec) // self.field.sigma_order)
+        ints, den = _central_quotient(kernel.center(self.field), self._data, [self._den], size)
+        return CentralSeries._make(self.field, val, ints, den, prec)
 
     def solve_left(self, num: "CentralSeries") -> "CentralSeries":
         """self^-1 * num, to the precision `laurent.solve_left` gives."""
-        field = self.field
-        self._same(num)
-        if self.is_zero():
-            raise ZeroSeries(f"division by a series that is zero mod t^{self.prec}")
-        v = self.val
-        out_prec = min(self.prec - 2 * v + num.val, self.prec - v, num.prec - v)
-        if num.is_zero():
-            return CentralSeries.zero(field, out_prec)
-        w = num.val - v
-        size = -((w - out_prec) // field.sigma_order)
+        val, prec = self._quotient_window(num)
+        size = -((val - prec) // self.field.sigma_order)
         if size <= 0:
-            return CentralSeries.zero(field, out_prec)
-        ints, den = _central_quotient(kernel.center(field), self._ints, [c * self._den for c in num._ints], size)
-        return CentralSeries._make(field, w, ints, den * num._den, out_prec)
+            return CentralSeries.zero(self.field, prec)
+        ring = kernel.center(self.field)
+        ints, den = _central_quotient(ring, self._data, [c * self._den for c in num._data], size)
+        return CentralSeries._make(self.field, val, ints, den * num._den, prec)
 
     def __str__(self) -> str:
         return str(self.to_twisted())
@@ -616,15 +558,10 @@ def solve_left(den: TwistedSeries, num: TwistedSeries) -> TwistedSeries:
     """The unique s with den * s = num, i.e. den^-1 * num, through the
     center (see `_divide`).  The result precision is the same as
     `den.inv() * num` would propagate."""
-    field = den.field
-    den._same(num)
-    if den.is_zero():
-        raise ZeroSeries(f"division by a series that is zero mod t^{den.prec}")
-    v = den.val
-    out_prec = min(den.prec - 2 * v + num.val, den.prec - v, num.prec - v)
-    if num.is_zero() or out_prec <= num.val - v:
-        return TwistedSeries.zero(field, out_prec)
-    return _divide(den, num, num.val - v, out_prec)
+    val, prec = den._quotient_window(num)
+    if prec <= val:
+        return TwistedSeries.zero(den.field, prec)
+    return _divide(den, num, val, prec)
 
 
 def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) -> TwistedSeries:
@@ -663,7 +600,7 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
         num_central = CentralSeries.from_twisted(num)
         if num_central is not None:
             return central.solve_left(num_central).to_twisted()
-    norm = central and kernel.center(field).rational(central._ints)
+    norm = central and kernel.center(field).rational(central._data)
     if norm:
         conj, norm_den = None, central._den
     else:
@@ -696,7 +633,7 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
     for r in range(n):
         for k, row in zip(range(r, size, n), zip(*cols[r * dim : (r + 1) * dim])):
             out[k] = row
-    return TwistedSeries._from_rows(field, w, out, y_den * e, prec)
+    return TwistedSeries._make(field, w, out, y_den * e, prec)
 
 
 def _conjugate_norm(field: GroundField, d: list, dd: int, v: int) -> tuple[tuple, list, int]:

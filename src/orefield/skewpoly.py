@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 from . import kernel
 from .kernel import cayley_hamilton
 from .errors import DivisionByZero, NotInvertible, ScenarioValidationError
-from .ground import GroundElement, GroundField
+from .ground import GroundElement, GroundField, terms_str
 
 
 class SkewPolynomial:
@@ -157,12 +157,8 @@ class SkewPolynomial:
 
     # -- ring operations ----------------------------------------------------
 
-    def _same(self, other: "SkewPolynomial") -> None:
-        if self.field is not other.field:
-            self.field.check_same(other.field)
-
     def _combine(self, other: "SkewPolynomial", sign: int) -> "SkewPolynomial":
-        self._same(other)
+        self.field.check_same(other.field)
         f, df = self.int_rows()
         g, dg = other.int_rows()
         rows = kernel.lincomb(f, dg, g, sign * df, self.field.zero_row)
@@ -179,7 +175,7 @@ class SkewPolynomial:
         return SkewPolynomial._from_rows(self.field, kernel.scale(rows, -1), den)
 
     def __mul__(self, other: "SkewPolynomial") -> "SkewPolynomial":
-        self._same(other)
+        self.field.check_same(other.field)
         field = self.field
         if self.is_zero() or other.is_zero():
             return SkewPolynomial.zero(field)
@@ -211,7 +207,7 @@ class SkewPolynomial:
     # -- division ------------------------------------------------------------
 
     def _divmod(self, g: "SkewPolynomial", pdivmod) -> tuple["SkewPolynomial", "SkewPolynomial"]:
-        self._same(g)
+        self.field.check_same(g.field)
         if g.is_zero():
             raise DivisionByZero("polynomial division by zero")
         field = self.field
@@ -238,19 +234,7 @@ class SkewPolynomial:
         coeffs = self._coeffs
         if coeffs is None:
             coeffs = kernel.elements_of(self.field, *self._rows)
-        if not coeffs:
-            return "0"
-        parts = []
-        for m, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            if m == 0:
-                parts.append(str(c))
-            elif m == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{m}")
-        return " + ".join(parts)
+        return terms_str(((m, str(c)) for m, c in enumerate(coeffs) if not c.is_zero()), "t")
 
     __repr__ = __str__
 
@@ -262,7 +246,7 @@ def gcld(f: SkewPolynomial, g: SkewPolynomial) -> SkewPolynomial:
     keep exactly the common left divisors of the pair (rational scalars are
     central); every common left divisor of f and g left-divides the result.
     """
-    f._same(g)
+    f.field.check_same(g.field)
     if f.is_zero() and g.is_zero():
         raise DivisionByZero("gcld(0, 0) is undefined")
     field = f.field
@@ -310,7 +294,7 @@ def ore_witness(
     remainder hands over the least common right multiple, so deg b1 <= deg b
     and deg a1 <= deg a.  The witness is normalised so that b1 is monic.
     """
-    a._same(b)
+    a.field.check_same(b.field)
     field = a.field
     if b.is_zero():
         raise DivisionByZero("ore witness needs b != 0")
@@ -337,7 +321,7 @@ def common_left_multiple(
     left multiple; hence deg u <= deg b and deg v <= deg a.  u is normalised
     monic so the output is reproducible.
     """
-    a._same(b)
+    a.field.check_same(b.field)
     field = a.field
     if a.is_zero() or b.is_zero():
         raise DivisionByZero("common left multiple needs nonzero inputs")

@@ -465,6 +465,12 @@ def test_central_polynomials_match_the_schoolbook_arithmetic(field):
     check()
 
 
+def test_central_polynomials_print_by_descending_powers_of_x():
+    p = CentralPolynomial.from_coeffs(RATIONALS, [2, 5, 0, 3])
+    assert str(p) == "([3])*x^3 + ([5])*x + ([2])"
+    assert str(p - p) == "0"
+
+
 def test_central_polynomials_match_at_fixed_seeds():
     rng = random.Random(29)
 

@@ -565,6 +565,23 @@ def test_tower_file_with_witnesses_off_the_center_fails(capsys, tmp_path):
         )
 
 
+def test_a_witness_factor_past_the_digit_limit_is_printed_in_full(capsys, tmp_path):
+    """u + 10^7200 has more digits than the interpreter converts to str at
+    once; its row passes and prints it, in text and in json."""
+    doc = tower_document(tower_catalog("T2", validate=False))
+    doc["nonsquares"].append({"label": "big", "witness": "t^2 + ((10^60)^60)^2"})
+    path = tmp_path / "big-witness.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    details = "odd factors: u + 1" + "0" * 7200
+    for command in ("tower", "verify"):
+        code, out, _ = run(capsys, command, "--scenario", str(path))
+        assert code == 0 and f"[pass] nonsquare[big]: {details}\n" in out
+        code, out, _ = run(capsys, command, "--scenario", str(path), "--format", "json")
+        rows = {r["check-name"]: r for r in json.loads(out)}
+        assert code == 0 and rows["nonsquare[big]"]["status"] == "pass"
+        assert rows["nonsquare[big]"]["details"] == details
+
+
 I_ROOT = """kind: extension
 field: hamilton
 name: x^2+1 at i

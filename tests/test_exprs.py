@@ -163,6 +163,12 @@ def test_printer_parenthesizes_negated_products():
     assert print_expr(Neg(Bin("*", Var("t"), Var("i")))) == "-(t*i)"
 
 
+def test_printer_writes_rationals_past_the_digit_limit():
+    big = 10**5000
+    assert print_expr(Num(Fraction(-7, big))) == "-7/1" + "0" * 5000
+    assert print_expr(Coords((Fraction(big), Fraction(1, 3)))) == "[1" + "0" * 5000 + ",1/3]"
+
+
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4))
 def test_rational_literals_round_trip(q):
     # Non-unit denominators print as divisions, so compare by value: the

@@ -125,3 +125,8 @@ def test_poly_str_prints_as_sympy_does():
     for coeffs in ([1, 1], [1, 0, 1], [7, -1, 0, 0, 0, 3], [0, 1], [0, 2], [-1, 0, 1], [5], [0, 0, -1, 1]):
         assert poly_str(coeffs, "u") == str(_expr(coeffs))
     assert poly_str([], "u") == "0"
+
+
+def test_poly_str_writes_coefficients_past_the_digit_limit():
+    big = 10**5000 - 1
+    assert poly_str([-big, 0, big], "u") == f"{'9' * 5000}*u**2 - {'9' * 5000}"

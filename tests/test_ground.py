@@ -25,6 +25,13 @@ F = Fraction
 
 # ---------------------------------------------------------------- frozen facts
 
+def test_terms_print_by_exponent_in_the_order_given():
+    terms = [(-1, "[1]"), (0, "[2]"), (1, "[3]"), (2, "[4]")]
+    assert ground.terms_str(terms, "t") == "[1]*t^-1 + [2] + [3]*t + [4]*t^2"
+    assert ground.terms_str(reversed(terms[1:]), "x") == "[4]*x^2 + [3]*x + [2]"
+    assert ground.terms_str([], "t") == "0"
+
+
 def test_gauss_i_squared():
     i = GAUSS.element([0, 1])
     assert (i * i).coords == (F(-1), F(0))

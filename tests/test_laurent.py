@@ -17,6 +17,7 @@ from orefield.errors import (
     ZeroSeries,
 )
 from orefield.laurent import (
+    CentralSeries,
     TwistedSeries,
     embed_fraction,
     evaluate_poly,
@@ -59,6 +60,33 @@ def test_leading_zero_coefficients_raise_valuation():
     assert s.val == 1
     assert s.coefficient(1) == GAUSS.one()
     assert str(s) == "[1,0]*t + [0,1]*t^2 + O(t^4)"
+
+
+def central_pair(val, values, prec):
+    """sum_k values[k] t^(val + 2k) + O(t^prec) over Q(i), u = t^2, as a
+    twisted and as a central series."""
+    coeffs = [c for a in values for c in ([a, 0], 0)]
+    twisted = TwistedSeries.make(GAUSS, val, coeffs, prec)
+    return twisted, CentralSeries.from_twisted(twisted)
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["TwistedSeries", "CentralSeries"])
+def test_both_series_keep_the_window_rules(kind):
+    x = central_pair(-2, [3, Fraction(1, 2), -1], 5)[kind]
+    y = central_pair(0, [1, 0, 7], 4)[kind]
+    with pytest.raises(InsufficientPrecision):
+        x.truncate(6)
+    assert x.truncate(5) is x and x.truncate(1).prec == 1
+    twin = central_pair(-2, [3, Fraction(1, 2), -1], 5)[kind]
+    assert twin is not x and twin == x and hash(twin) == hash(x)
+    # the same value in the other class is another object
+    other = central_pair(-2, [3, Fraction(1, 2), -1], 5)[1 - kind]
+    assert x != other and other != x
+    for value in (x + y, x - y, y - x):
+        assert value.prec == 4 and value.val == -2
+    assert x + y == central_pair(-2, [3, Fraction(3, 2), -1], 4)[kind]
+    assert (x - x).is_zero() and x - x == type(x).zero(GAUSS, 5)
+    assert str(type(x).zero(GAUSS, 3)) == "O(t^3)"
 
 
 def test_printing_keeps_no_coefficients():

@@ -4,8 +4,9 @@
 byte for byte (compared in memory; nothing is written), the output of
 `scripts/cubic_walkthrough.py` (root lifting, Galois orbit, tau and the
 canonical decomposition of the cubic) is pinned by its sha256,
-`scripts/verify_catalog.py` passes every catalog tower, and
-`scripts/verify_startup.py` times a fresh-process verify in its parts.
+`scripts/verify_catalog.py` passes every catalog tower,
+`scripts/verify_startup.py` times a fresh-process verify in its parts, and
+`scripts/code_lines.py` counts the lines and code lines of each module.
 """
 
 import contextlib
@@ -85,3 +86,27 @@ def test_verify_startup_times_a_fresh_verify(monkeypatch):
     modules = {line.split()[0]: line.split()[1:] for line in lines[lines.index("") + 2 :]}
     assert {"orefield.cli", "orefield.extend", "orefield.factor", "total"} <= set(modules)
     assert int(modules["total"][0]) == sum(int(lines) for name, (lines, _) in modules.items() if name != "total")
+
+
+def _code_lines(monkeypatch, directory):
+    """{module: (lines, code lines)} and the totals row of
+    `scripts/code_lines.py` run on a directory."""
+    monkeypatch.setattr("sys.argv", ["code_lines.py", str(directory)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    rows = {name: (int(lines), int(code)) for lines, code, name in map(str.split, out.getvalue().splitlines()[1:])}
+    return rows, rows.pop("total")
+
+
+def test_code_lines_sums_its_columns_and_skips_docstrings(monkeypatch, tmp_path):
+    (tmp_path / "a.py").write_text('import os\n\n# a comment\nx = """two\nlines"""\n')
+    (tmp_path / "b.py").write_text("def f():\n    return 1\n")
+    rows, total = _code_lines(monkeypatch, tmp_path)
+    # a string that is no docstring counts on every line it spans
+    assert rows == {"a.py": (5, 3), "b.py": (2, 2)}
+    assert total == tuple(map(sum, zip(*rows.values())))
+    (tmp_path / "b.py").write_text('"""A module."""\n\n\ndef f():\n    """Return\n    one."""\n    return 1\n')
+    rows, total = _code_lines(monkeypatch, tmp_path)
+    assert rows["b.py"] == (7, 2) and total == (12, 5)
