@@ -155,16 +155,8 @@ def cmd_divmod(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _one_like(value):
-    if isinstance(value, SkewFraction):
-        return SkewFraction.one(value.field)
-    if isinstance(value, TensorElement):
-        return TensorElement.make(value.scenario, [1])
-    return TwistedSeries.make(value.field, 0, [value.field.one()], value.prec)
-
-
 def _round_trip(value, inverse) -> bool:
-    one = _one_like(value)
+    one = value ** 0
     left = inverse * value
     right = value * inverse
     if isinstance(value, TwistedSeries):
@@ -224,7 +216,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
 
 def _inversion_probe(element: TensorElement) -> tuple[str, str]:
     inverse = element.inv()
-    one = TensorElement.make(element.scenario, [1])
+    one = TensorElement.one(element.scenario)
     if element * inverse == one and inverse * element == one:
         return "pass", "two-sided round trip exact"
     return "fail", "two-sided round trip FAILED"
@@ -269,7 +261,7 @@ def _level_probes(level: ExtensionScenario, rng: random.Random) -> list[CheckRes
             f"{level.name}:shifted-generator-invert",
             "(1 + x) * (1 + x)^-1 = (1 + x)^-1 * (1 + x) = 1",
             lambda: _inversion_probe(
-                TensorElement.make(level, [1]) + TensorElement.x(level)
+                TensorElement.one(level) + TensorElement.x(level)
             ),
         ),
     ]

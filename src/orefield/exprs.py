@@ -364,45 +364,64 @@ def _bound_degree(degree: int, fraction: bool, what: str) -> None:
 
 
 # The Ore steps of a fraction + - * / grow with degree and coefficient size
-# together, so (deg a + deg b) * (bits a + bits b) is bounded before they run,
-# bits the largest bit length in a fraction's integer rows and denominators;
-# a power of a fraction bounds each of its products.
+# together, and so do the row convolutions and reductions modulo f of a
+# product of extension elements.  So (deg a + deg b) * (bits a + bits b) is
+# bounded before they run: for a fraction, deg is its degree in t and bits the
+# largest bit length in its integer rows and denominators; for an extension
+# element c(t^n)^-1 * sum P_i x^i, deg is the larger u-degree of c and of the
+# P_i, and bits the largest bit length in c, the P_i and their denominator.
+# An inverse of an extension element runs through its reduced norm over the
+# center, of degree k = m*d (m the reduced degree of the ground field, d the
+# degree of f), whose degree and bits grow to about k times the element's, so
+# it counts as (k deg) * (k bits).  A power bounds each of its products.
 FRACTION_WORK_CAP = 2**15
+TENSOR_WORK_CAP = 2**18
 
 
-def _bound_work(a: SkewFraction, b: SkewFraction) -> None:
-    bits = [max(x.bit_length() for rows, den in (v.num.int_rows(), v.den.int_rows()) for x in chain(*rows, (den,))) for v in (a, b)]
-    _capped((a.size() + b.size()) * sum(bits), FRACTION_WORK_CAP, "fraction work")
+def _work_size(v: SkewFraction | TensorElement) -> tuple[int, int]:
+    """(deg, bits) of a fraction or an extension element, as bounded above."""
+    if isinstance(v, TensorElement):
+        n = v.scenario.field.sigma_order
+        degree = max([len(v.den) - 1, *((len(p) - 1) // n for p in v.rows)])
+        return degree, max(x.bit_length() for x in chain(v.den, (v.over,), *chain(*v.rows)))
+    return v.size(), max(x.bit_length() for rows, den in (v.num.int_rows(), v.den.int_rows()) for x in chain(*rows, (den,)))
 
 
-def _bounded_product(a: SkewFraction, b: SkewFraction) -> SkewFraction:
-    _bound_work(a, b)
+def _bound_work(a: SkewFraction | TensorElement, b: SkewFraction | TensorElement) -> None:
+    (da, ba), (db, bb) = _work_size(a), _work_size(b)
+    cap, what = (TENSOR_WORK_CAP, "extension work") if isinstance(a, TensorElement) else (FRACTION_WORK_CAP, "fraction work")
+    _capped((da + db) * (ba + bb), cap, what)
+
+
+def _bounded_product(a: Value, b: Value) -> Value:
+    if isinstance(a, TensorElement) or _is_fraction(a) or _is_fraction(b):
+        _bound_work(a, b)
     return a * b
 
 
-def _is_series(value: Value) -> bool:
-    return isinstance(value, TwistedSeries)
+def _bounded_inverse(value: Value) -> Value:
+    if isinstance(value, TensorElement):
+        deg, bits = _work_size(value)
+        k = value.scenario.field.reduced_degree * value.scenario.degree
+        _capped(k * deg * k * bits, TENSOR_WORK_CAP, "extension inverse work")
+    return value.inv()
 
 
 def _join(a: Value, b: Value, ctx: EvalContext) -> tuple[Value, Value]:
     """Lift a mixed pair to a common kind (fraction < tensor, fraction < series)."""
-    if isinstance(a, TensorElement) and _is_series(b):
+    if isinstance(a, TensorElement) and isinstance(b, TwistedSeries):
         raise ExprEvalError("cannot mix extension elements with series")
-    if _is_series(a) and isinstance(b, TensorElement):
+    if isinstance(a, TwistedSeries) and isinstance(b, TensorElement):
         raise ExprEvalError("cannot mix extension elements with series")
     if isinstance(a, TensorElement) and isinstance(b, SkewFraction):
         return a, TensorElement.make(a.scenario, [b])
     if isinstance(a, SkewFraction) and isinstance(b, TensorElement):
         return TensorElement.make(b.scenario, [a]), b
-    if _is_series(a) and isinstance(b, SkewFraction):
+    if isinstance(a, TwistedSeries) and isinstance(b, SkewFraction):
         return a, embed_fraction(b, a.prec)
-    if isinstance(a, SkewFraction) and _is_series(b):
+    if isinstance(a, SkewFraction) and isinstance(b, TwistedSeries):
         return embed_fraction(a, b.prec), b
     return a, b
-
-
-def _invert(value: Value) -> Value:
-    return value.inv()
 
 
 def _as_literal_int(node: Node) -> int:
@@ -452,15 +471,15 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
             "power degree",
         )
         if node.exponent < 0:
-            base = _invert(base)
+            base = _bounded_inverse(base)
         n = abs(node.exponent)
-        if n and _is_fraction(base):
+        if n and not isinstance(base, TwistedSeries):
             return kernel.power(base, n - 1, base, _bounded_product)
         return base ** n
     if isinstance(node, Bin):
         a, b = _join(evaluate(node.left, ctx), evaluate(node.right, ctx), ctx)
         if node.op == "/":
-            b = _invert(b)
+            b = _bounded_inverse(b)
         fraction = _is_fraction(a) or _is_fraction(b)
         if node.op in "+-":
             # a sum of polynomials keeps the larger degree, already bounded
@@ -469,9 +488,7 @@ def evaluate(node: Node, ctx: EvalContext) -> Value:
                 _bound_work(a, b)
             return a + b if node.op == "+" else a - b
         _bound_degree(_degree(a) + _degree(b), fraction, "product degree")
-        if fraction:
-            _bound_work(a, b)
-        return a * b
+        return _bounded_product(a, b)
     if isinstance(node, Call):
         return _call(node, ctx)
     raise TypeError(f"not an expression node: {node!r}")

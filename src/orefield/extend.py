@@ -42,7 +42,9 @@ the rest of the package (towers, command line) consumes:
   eliminates nothing and reads no Galois image; fraction inputs enter
   through the norm conjugate (`skewpoly.norm_conjugate`),
   den^-1 num = c^-1 (q num).  None of these runs an Ore reduction; `coords`
-  shows the coordinates as canonical `SkewFraction`s, built on first use.
+  shows the coordinates as canonical `SkewFraction`s, built on first use:
+  through the central view `_view` when a coordinate lies in K'(u), through
+  the Ore reduction otherwise.
 * `ext_tau` -- evaluation at the series root, a homomorphism into the
   twisted Laurent series: c(t^n)^-1 * sum_i P_i rho^i, one division by the
   central denominator, computed once per element.  It sends the central x
@@ -66,12 +68,13 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import kernel, linalg
 from .errors import (
+    CapExceeded,
     DivisionByZero,
     InsufficientPrecision,
     MixedScenarios,
@@ -667,6 +670,11 @@ class ExtensionScenario:
         return f"ExtensionScenario({self.name}, degree {self.degree})"
 
 
+# the most deg c * bits of a coordinate that `TensorElement.coords` shows
+# through the Ore reduction
+COORDS_WORK_CAP = 2**14
+
+
 class TensorElement:
     """Element of the extension:  c(t^n)^-1 * sum_i P_i x^i.
 
@@ -760,15 +768,29 @@ class TensorElement:
 
     @property
     def coords(self) -> tuple[SkewFraction, ...]:
-        """The coordinates c(t^n)^-1 * P_i as canonical `SkewFraction`s."""
+        """The coordinates c(t^n)^-1 * P_i as canonical `SkewFraction`s: a
+        P_i in K'[u] through `_view`, as the coefficients of a
+        `CentralPolynomial` are shown, any other through the Ore reduction of
+        `SkewFraction.make`.  The cost of that reduction, which `_view` also
+        runs off Q[u], grows steeply with deg c * bits (bits the largest bit
+        length in c, P_i and their denominator): past COORDS_WORK_CAP it
+        raises `CapExceeded` before it runs."""
         if self._coords is None:
             field = self.scenario.field
-            polys = [SkewPolynomial._from_rows(field, p, self.over) for p in self.rows]
-            if self.den == (1,):
-                self._coords = tuple(map(SkewFraction.from_polynomial, polys))
-            else:
-                c = central_polynomial(field, self.den)
-                self._coords = tuple(SkewFraction.make(p, c) for p in polys)
+            ring = center(field)
+            c, den = central_polynomial(field, self.den), [self.over * ring.over * x for x in self.den]
+            coords = []
+            for p in self.rows:
+                a = ring.ints(p)  # ring.over * P_i in K'[u]
+                if a is None or ring.rational(a) is None:
+                    bits = max(x.bit_length() for x in chain(self.den, (self.over,), *p))
+                    if (work := (len(self.den) - 1) * bits) > COORDS_WORK_CAP:
+                        raise CapExceeded(f"coordinate work {work} exceeds cap {COORDS_WORK_CAP}")
+                if a is None:
+                    coords.append(SkewFraction.make(SkewPolynomial._from_rows(field, p, self.over), c))
+                else:
+                    coords.append(_view(field, kernel.strip(a, 0), den))
+            self._coords = tuple(coords)
         return self._coords
 
     def _same(self, other: "TensorElement") -> None:
@@ -874,32 +896,22 @@ class TensorElement:
 def _reduced_norm(element: TensorElement) -> tuple[TensorElement | None, CentralPolynomial]:
     """(E*, nu) with nu = E E* in F = K'(u)[x]/(f) for E = `element`, nu
     reduced modulo f and read off the rows as K'[u] (`kernel.center`'s
-    `ints`).  x is central, so at reduced degree m = 2 E* is the conjugate
-    Trd(P_i) - P_i of each coordinate (`kernel.conjugate_rows`); at m > 2 E*
-    comes from Cayley-Hamilton in the algebra over F, with the reduced trace
-    taken coordinate by coordinate; at m = 1 E lies in F, and E* = 1 is
-    None."""
-    scenario, field = element.scenario, element.scenario.field
-    m, n, zero = field.reduced_degree, field.sigma_order, field.zero_row
-    if m == 1:
-        star = None
-    elif m == 2:
-        conj = [kernel.conjugate_rows(field, p) for p in element.rows]
-        star = TensorElement._reduced(scenario, (1,), conj, element.over * field.trd_den)
-    else:
-
-        def trace(a):
-            rows = [[field.ktrd(r) if k % n == 0 else zero for k, r in enumerate(p)] for p in a.rows]
-            return TensorElement._reduced(scenario, a.den, rows, a.over * field.trd_den)
-
-        def divide(a, k):
-            return TensorElement._reduced(scenario, a.den, a.rows, a.over * k)
-
-        star = cayley_hamilton(element, m, trace, divide)
+    `ints`).  x is central, so E* is `kernel.reduced_conjugate` on the
+    coordinates: at reduced degree m = 2 the conjugate Trd(P_i) - P_i of each
+    coordinate (`kernel.conjugate_rows`); at m > 2 Cayley-Hamilton in the
+    algebra over F, with the reduced trace taken coordinate by coordinate; at
+    m = 1 E lies in F, and E* = 1 is None."""
+    field = element.scenario.field
+    star = kernel.reduced_conjugate(field, element, _remap)
     product = element if star is None else element * star
     ring = center(field)
     nums = [kernel.strip(ring.ints(p), 0) for p in product.rows]
     return star, CentralPolynomial(field, zmul(product.den, [product.over * ring.over]), nums)
+
+
+def _remap(element: TensorElement, f, k: int) -> TensorElement:
+    """The element with coordinates f(P_i) over k times its denominator."""
+    return TensorElement._reduced(element.scenario, element.den, [f(p) for p in element.rows], element.over * k)
 
 
 def _residue_trace(rows: PowerRows):

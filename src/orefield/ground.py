@@ -376,7 +376,7 @@ class GroundField:
     def _norm_terms(self, units: list[Coords]) -> list[list[tuple[int, int, int]]]:
         """The rational coordinate of a series norm N = s * s* at m = 2 over
         K' = Q, as integer bilinear forms; s* is `kconj` on the exponents
-        divisible by n and -trd_den elsewhere (`skewpoly._conjugate`'s rule).
+        divisible by n and -trd_den elsewhere (`kernel.conjugate_rows`' rule).
 
         A term a t^f of s times the conjugate of a term b t^g, f + g = 0 mod
         n, adds  (a sigma^f(b*))_0 = B_e(a, b), e = f mod n, to N.  Here

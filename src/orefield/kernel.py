@@ -54,6 +54,7 @@ instead of making each remainder monic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import add, mul as mul_
@@ -161,9 +162,9 @@ def cayley_hamilton(p, m: int, trace, divide, mul=mul_):
     Generic over the element type, for m >= 2: the elements add, subtract
     and negate, `mul` multiplies them, every trace commutes with every
     element, and divide(a, k) is a/k for an integer k.
-    `skewpoly.norm_conjugate` runs it on polynomials,
-    `extend.TensorElement.inv` on tensor elements and on the residues modulo
-    f, and `center`'s `conjugate` on K'[u] and K'[[u]].  q sums the powers
+    `reduced_conjugate` runs it on polynomials and on tensor elements,
+    `extend.TensorElement.inv` on the residues modulo f, and `center`'s
+    `conjugate` on K'[u] and K'[[u]].  q sums the powers
     p, ..., p^(m-1) that the traces read, each times its e_k, so a trace that
     is a constant of the element type makes that a cheap product."""
     powers = [p]
@@ -671,6 +672,32 @@ def conjugate_rows(field: GroundField, rows: Rows, offset: int = 0) -> Rows:
     of u = t^n goes through `kconj`, the rest is scaled by -trd_den."""
     n, s, kconj, kscale = field.sigma_order, field.trd_den, field.kconj, field.kscale
     return [kconj(r) if (offset + k) % n == 0 else kscale(-s, r) for k, r in enumerate(rows)]
+
+
+def trace_rows(field: GroundField, rows: Rows) -> Rows:
+    """trd_den * Trd(p) for p given by its rows: `ktrd` on the powers of
+    u = t^n, zero elsewhere."""
+    n, ktrd, zero = field.sigma_order, field.ktrd, field.zero_row
+    return [ktrd(r) if k % n == 0 else zero for k, r in enumerate(rows)]
+
+
+def reduced_conjugate(field: GroundField, x, remap):
+    """x* with x x* = x* x = +-Nrd(x), central over K'(u), for a polynomial
+    in t or a polynomial in a central x with such coefficients, or None at
+    reduced degree m = 1, where x* = 1 (M. Giesbrecht, J. Symbolic Comput.
+    26, 1998; I. Reiner, *Maximal Orders*, 1975).
+
+    At m = 2, x* = Trd(x) - x, row list by row list (`conjugate_rows`); at
+    m > 2, `cayley_hamilton` with the reduced trace taken row list by row
+    list (`trace_rows`).  remap(x, f, k) maps each row list of x by f and
+    multiplies its integer denominator by k.  `skewpoly.norm_conjugate` and
+    the tensor inverse of `orefield.extend` call it."""
+    m = field.reduced_degree
+    if m == 1:
+        return None
+    if m == 2:
+        return remap(x, partial(conjugate_rows, field), field.trd_den)
+    return cayley_hamilton(x, m, lambda a: remap(a, partial(trace_rows, field), field.trd_den), lambda a, k: remap(a, list, k))
 
 
 def convolve_rows(field: GroundField, a: list[Rows], b: list[Rows]) -> list[Rows]:

@@ -731,12 +731,7 @@ def is_invariant_series(s: TwistedSeries) -> bool:
     """Coefficients invariant and supported on exponents divisible by the
     automorphism order: the commutative series the twisted ring is built
     over."""
-    field = s.field
-    n, zero = field.sigma_order, field.zero_row
-    return all(
-        r == zero or ((s.val + k) % n == 0 and field.is_invariant_row(r))
-        for k, r in enumerate(s.int_rows()[0])
-    )
+    return CentralSeries.from_twisted(s) is not None
 
 
 def evaluate_poly(

@@ -77,7 +77,6 @@ __all__ = [
     "scenario_document",
     "tower_document",
     "dump_document",
-    "save_path",
 ]
 
 
@@ -525,8 +524,3 @@ def dump_document(obj: ExtensionScenario | TowerScenario, header: str | None = N
         lines = [f"# {line}".rstrip() for line in header.strip().splitlines()]
         return "\n".join(lines) + "\n" + text
     return text
-
-
-def save_path(obj: ExtensionScenario | TowerScenario, path, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_document(obj, header=header))

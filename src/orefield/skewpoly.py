@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import kernel
-from .kernel import cayley_hamilton
 from .errors import DivisionByZero, NotInvertible, ScenarioValidationError
 from .ground import GroundElement, GroundField, terms_str
 
@@ -380,7 +379,8 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     Giesbrecht, J. Symbolic Comput. 26, 1998; X. Caruso & J. Le Borgne,
     J. Symbolic Comput. 79, 2017).  q is 1 when p is central and the
     invariant subfield K' is Q.  Otherwise q comes from Cayley-Hamilton in
-    D(t), of reduced degree m over its center K'(u): Newton's identities turn
+    D(t), of reduced degree m over its center K'(u)
+    (`kernel.reduced_conjugate`): Newton's identities turn
     the reduced traces Trd(p^k) into the coefficients e_k of the reduced
     characteristic polynomial, and q = sum_(k<m) (-1)^k e_k p^(m-1-k) has
     p*q = +-Nrd(p).  At m = 2, q = Trd(p) - p: the quaternion conjugate, and
@@ -398,7 +398,7 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     if w == 1 and p.is_invariant_central():
         q = SkewPolynomial.one(field)
     else:
-        q = _conjugate(p) if m == 2 else _polynomial_cayley_hamilton(p, m, field.ktrd, field.trd_den)
+        q = kernel.reduced_conjugate(field, p, _remap) or SkewPolynomial.one(field)
         if w > 1:
             ring = kernel.center(field)
             down = ring.conjugate(kernel.strip(ring.ints((q * p).int_rows()[0]), 0))[0]
@@ -418,29 +418,7 @@ def norm_conjugate(p: SkewPolynomial) -> tuple[SkewPolynomial, list[int]]:
     return SkewPolynomial._from_rows(field, qrows, qden), c
 
 
-def _conjugate(p: SkewPolynomial) -> SkewPolynomial:
-    """Trd(p) - p for a field of reduced degree 2 (`kernel.conjugate_rows`)."""
+def _remap(p: SkewPolynomial, f, k: int) -> SkewPolynomial:
+    """The polynomial with rows f(rows) over k times p's denominator."""
     rows, den = p.int_rows()
-    return SkewPolynomial._from_rows(p.field, kernel.conjugate_rows(p.field, rows), den * p.field.trd_den)
-
-
-def _trace(p: SkewPolynomial, ktr, over: int) -> SkewPolynomial:
-    """The trace `ktr`/over of p, coefficientwise on the powers of u = t^n."""
-    field = p.field
-    rows, den = p.int_rows()
-    out = [field.zero_row] * len(rows)
-    out[:: field.sigma_order] = map(ktr, rows[:: field.sigma_order])
-    return SkewPolynomial._from_rows(field, out, den * over)
-
-
-def _polynomial_cayley_hamilton(p: SkewPolynomial, m: int, ktr, over: int) -> SkewPolynomial:
-    """`cayley_hamilton` on a polynomial, with the traces `ktr`/over taken
-    coefficientwise (`_trace`); 1 at m = 1."""
-    if m == 1:
-        return SkewPolynomial.one(p.field)
-
-    def divide(a, k):
-        rows, den = a.int_rows()
-        return SkewPolynomial._from_rows(a.field, rows, den * k)
-
-    return cayley_hamilton(p, m, lambda x: _trace(x, ktr, over), divide)
+    return SkewPolynomial._from_rows(p.field, f(rows), den * k)

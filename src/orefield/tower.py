@@ -74,13 +74,19 @@ class GroupSystem:
                 raise ScenarioValidationError(
                     f"connecting map {n + 2}->{n + 1} is not surjective"
                 )
-            for a in upper.elements:
-                for b in upper.elements:
-                    if s[upper.op(a, b)] != lower.op(s[a], s[b]):
-                        raise ScenarioValidationError(
-                            f"connecting map {n + 2}->{n + 1} breaks the product "
-                            f"at ({a!r}, {b!r})"
-                        )
+            if (broken := _first_break(s, upper, lower)) is not None:
+                raise ScenarioValidationError(
+                    f"connecting map {n + 2}->{n + 1} breaks the product at ({broken[0]!r}, {broken[1]!r})"
+                )
+
+
+def _first_break(phi: Mapping[str, str], upper: FiniteGroup, lower: FiniteGroup) -> tuple[str, str] | None:
+    """The first pair (a, b) of `upper` with phi(a*b) != phi(a)*phi(b) in
+    `lower`, or None when phi is a homomorphism."""
+    return next(
+        ((a, b) for a in upper.elements for b in upper.elements if phi[upper.op(a, b)] != lower.op(phi[a], phi[b])),
+        None,
+    )
 
 
 class LedgerRow(NamedTuple):
@@ -271,28 +277,12 @@ def check_eps_isomorphisms(ts: TowerScenario) -> list[CheckResult]:
         system_group = ts.system.levels[n]
         scenario_group = ts.levels[n].group
         if len(set(labelling.values())) != len(scenario_group.elements):
-            results.append(
-                CheckResult(name, "fail", law, "labelling is not a bijection")
-            )
-            continue
-        broken = None
-        for a in system_group.elements:
-            for b in system_group.elements:
-                left = labelling[system_group.op(a, b)]
-                right = scenario_group.op(labelling[a], labelling[b])
-                if left != right:
-                    broken = (a, b)
-                    break
-            if broken:
-                break
-        if broken:
-            results.append(
-                CheckResult(name, "fail", law, f"product breaks at {broken!r}")
-            )
+            status, details = "fail", "labelling is not a bijection"
+        elif (broken := _first_break(labelling, system_group, scenario_group)) is not None:
+            status, details = "fail", f"product breaks at {broken!r}"
         else:
-            results.append(
-                CheckResult(name, "pass", law, "bijective and multiplicative")
-            )
+            status, details = "pass", "bijective and multiplicative"
+        results.append(CheckResult(name, status, law, details))
     return results
 
 
@@ -321,18 +311,10 @@ def check_functoriality(ts: TowerScenario) -> list[CheckResult]:
             phi = ts.eps[n][projected]
             name = f"functorial[{n + 3}->{n + 1}:{g}]"
             if _composition_mismatch(top.power_rows(psi), composite, bottom.images[phi]):
-                results.append(
-                    CheckResult(
-                        name,
-                        "fail",
-                        law,
-                        f"{g!r} does not restrict to {phi!r} across two levels",
-                    )
-                )
+                status, details = "fail", f"{g!r} does not restrict to {phi!r} across two levels"
             else:
-                results.append(
-                    CheckResult(name, "pass", law, f"{g!r} lands on {phi!r}")
-                )
+                status, details = "pass", f"{g!r} lands on {phi!r}"
+            results.append(CheckResult(name, status, law, details))
     return results
 
 

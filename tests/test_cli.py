@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from conftest import fresh_env
-from orefield.catalog import scenario_catalog, tower_catalog
+from orefield.catalog import scenario_catalog, scenario_names, tower_catalog
 from orefield.cli import EXIT_CHECKS, EXIT_PARSE, EXIT_VALIDATION, main
 from orefield.extend import _irreducibility_certificate
 from orefield.scenario_io import load_document, scenario_document, tower_document
@@ -83,6 +84,25 @@ def test_eval_semantic_errors_are_validation_class(capsys):
 def test_eval_accepts_scenario_contexts(capsys):
     code, out, _ = run(capsys, "eval", "x^2 - x^2", "--scenario", "T3L1")
     assert code == 0 and out.strip() == "0"
+
+
+def test_a_fraction_is_lifted_to_the_kind_of_either_operand(capsys):
+    """A fraction on the left of an extension element or a series is lifted
+    to its kind, and tau of a fraction is its embedding through the scenario."""
+    code, out, _ = run(capsys, "eval", "--scenario", "T3L1", "(1+t)+x")
+    assert code == 0 and out.strip() == "([1] + [1]*t) + ([1])*x"
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "(1+t)+embed(t)")
+    assert code == 0 and out.strip() == "[1,0] + [2,0]*t + O(t^16)"
+    code, out, _ = run(capsys, "eval", "--scenario", "T3L1", "tau((1+t)^-1, 6)")
+    assert code == 0 and out.strip() == "[1] + [-1]*t + [1]*t^2 + [-1]*t^3 + [1]*t^4 + [-1]*t^5 + O(t^6)"
+
+
+def test_series_invert_exactly_and_take_negative_powers(capsys):
+    code, out, _ = run(capsys, "invert", "--field", "gauss", "embed(1+t)")
+    terms = ["[1,0]", "[-1,0]*t"] + [f"[{(-1) ** k},0]*t^{k}" for k in range(2, 16)]
+    assert code == 0 and out.splitlines() == ["inverse: " + " + ".join(terms) + " + O(t^16)", "round_trip: exact"]
+    code, out, _ = run(capsys, "eval", "--field", "gauss", "embed(1+t, 6)^-2")
+    assert code == 0 and out.strip() == "[1,0] + [-2,0]*t + [3,0]*t^2 + [-4,0]*t^3 + [5,0]*t^4 + [-6,0]*t^5 + O(t^6)"
 
 
 def test_eval_rejects_tower_contexts(capsys):
@@ -193,6 +213,80 @@ def test_fraction_power_work_cap(capsys, form):
     assert code == 0
     value = json.loads(out)["value"] if form == "json" else out.strip()
     assert value.startswith("([3721135185114176449457281366875176981969770006349682464584313415")
+
+
+# Powers and inverses of extension elements with large constants, which ran
+# for seconds to minutes: each now exits 0 or 3 within seconds.  A product,
+# inverse or power step of extension elements is bounded by degree * bits
+# before it runs, and so is a coordinate that is shown through the Ore
+# reduction; one in K'[u] is shown through the central view at any size.
+LONG_RUNS = [
+    ("T3L1", "((x+t+12345)^-1)^32", None),
+    ("T3L1", "((x+t+12345)^-1)^64", "extension work 668160 exceeds cap 262144"),
+    ("T2L2", "((x+t+12345)^-1)^8", "coordinate work 55680 exceeds cap 16384"),
+    ("T2L2", "((x+t+12345)^-1)^16", "coordinate work 222720 exceeds cap 16384"),
+    ("T1L2", "((x+t+123456789012345678901234567890)^-1)^8", None),
+    ("T1L2", "((x+t+123456789012345678901234567890)^-1)^64", "extension work 296928 exceeds cap 262144"),
+    # an inverse grows through the reduced norm, of degree 8 over the center on T1L2
+    ("T1L2", "((x+t+123456789012345678901234567890)^-1)^-1", None),
+    ("T1L2", "(((x+t+123456789012345678901234567890)^-1)^2)^-1", "extension inverse work 297216 exceeds cap 262144"),
+    # many steps below the cap: high degree, few bits
+    ("T2L2", "(t+1+x^3)^-40", "extension work 440128 exceeds cap 262144"),
+]
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("scenario, expr, refusal", LONG_RUNS, ids=[f"{s}:{e}" for s, e, _ in LONG_RUNS])
+def test_large_powers_of_extension_elements_end_within_seconds(capsys, form, scenario, expr, refusal):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--scenario", scenario, "--format", form, expr)
+    assert time.perf_counter() - t0 < 5.0
+    if refusal is None:
+        assert code == 0
+    else:
+        assert code == EXIT_VALIDATION and refusal in err and not out
+
+
+LONG_RUN_SHA256 = {
+    "T3L1": "46cd69ed332b9500b0e1c28c5596e83707391ca566643fa71f88294ae408edf1",
+    "T2L2": "67815ce8702c39e7f20a10d488c90c69c6b9c432a0fa028ee171736aaebf5b2b",
+}
+
+
+def test_extension_values_below_the_caps_print_as_before(capsys):
+    """T3L1's coordinates lie in Q(u) and are shown through the central view:
+    the same text as the Ore reduction gave; T2L2's are not, and at a quarter
+    of the refused size they are shown through it."""
+    code, out, _ = run(capsys, "eval", "--scenario", "T3L1", "((x+t+12345)^-1)^32")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == LONG_RUN_SHA256["T3L1"]
+    code, out, _ = run(capsys, "eval", "--scenario", "T2L2", "((x+t+12345)^-1)^4")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == LONG_RUN_SHA256["T2L2"]
+
+
+LEAVES = st.sampled_from(["x", "t", "1", "2", "12345", "123456789012345678901234567890"])
+
+
+def expressions(depth):
+    """Sums, differences, products, quotients and powers with exponents of
+    at most 64 in absolute value, nested at most `depth` deep."""
+    if depth == 0:
+        return LEAVES
+    inner = expressions(depth - 1)
+    return st.one_of(
+        LEAVES,
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}{p[1]}{p[2]})"),
+        st.tuples(inner, st.integers(-64, 64)).map(lambda p: f"({p[0]})^{p[1]}"),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(scenario_names()), expressions(3))
+def test_expressions_over_the_catalog_levels_exit_0_2_or_3(level, expr):
+    """No short expression ends in an internal error: a cap refuses it (3),
+    a division by zero or a zero divisor is a validation error (3), or it
+    prints (0)."""
+    code = main(["eval", "--scenario", level, expr])
+    assert code in (0, EXIT_PARSE, EXIT_VALIDATION)
 
 
 def _capped_scenario_file(tmp_path, doc):

@@ -37,7 +37,6 @@ from orefield.sampling import (
 from orefield.skewfrac import CENTER_DEGREE_CAP, SkewFraction, center_basis
 from orefield.skewpoly import (
     SkewPolynomial,
-    _trace,
     central_polynomial,
     common_left_multiple,
     gcld,
@@ -1036,7 +1035,8 @@ def test_reduced_degree_and_reduced_trace(field):
     assert m * m * w == field.dim * field.sigma_order
 
     def trd(p):
-        return _trace(p, field.ktrd, field.trd_den)
+        rows, den = p.int_rows()
+        return SkewPolynomial._from_rows(field, kernel.trace_rows(field, rows), den * field.trd_den)
 
     one = SkewPolynomial.one(field)
     assert trd(one) == SkewPolynomial.constant(field, m)

@@ -156,6 +156,8 @@ def test_inverse_of_i_t():
     assert inv.coefficient(-1) == GAUSS.element([0, 1])  # i * t^-1
     assert (it * inv).coefficient(0) == GAUSS.one()
     assert (inv * it).coefficient(0) == GAUSS.one()
+    square = it ** -2  # a negative power inverts first
+    assert square == (inv * inv).truncate(square.prec) and square.coefficient(-2) == GAUSS.one()
 
 
 def test_inverse_round_trips_randomized():

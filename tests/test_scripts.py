@@ -5,15 +5,19 @@ byte for byte (compared in memory; nothing is written), the output of
 `scripts/cubic_walkthrough.py` (root lifting, Galois orbit, tau and the
 canonical decomposition of the cubic) is pinned by its sha256,
 `scripts/verify_catalog.py` passes every catalog tower,
-`scripts/verify_startup.py` times a fresh-process verify in its parts, and
-`scripts/code_lines.py` counts the lines and code lines of each module.
+`scripts/verify_startup.py` times a fresh-process verify in its parts,
+`scripts/code_lines.py` counts the lines and code lines of each module, and
+`scripts/unrun_lines.py` lists the lines a pytest run never executes.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +114,19 @@ def test_code_lines_sums_its_columns_and_skips_docstrings(monkeypatch, tmp_path)
     (tmp_path / "b.py").write_text('"""A module."""\n\n\ndef f():\n    """Return\n    one."""\n    return 1\n')
     rows, total = _code_lines(monkeypatch, tmp_path)
     assert rows["b.py"] == (7, 2) and total == (12, 5)
+
+
+def test_unrun_lines_lists_only_the_function_no_test_calls(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def used(x):\n    y = x + 1\n    return y\n\n\ndef unused(x):\n    if x:\n        return 2\n    return 3\n"
+    )
+    (tmp_path / "test_mod.py").write_text("from pkg.mod import used\n\n\ndef test_used():\n    assert used(1) == 2\n")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    argv = [sys.executable, str(SCRIPTS / "unrun_lines.py"), "--source", str(package), "-q", "-p", "no:cacheprovider", "test_mod.py"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # the def lines run when the module is imported; unused's body never runs
+    assert done.stdout.splitlines()[-2:] == ["mod.py: 3 unrun: 7-9", "total: 3 unrun lines in 2 modules"]

@@ -24,9 +24,10 @@ from orefield.extend import (
     fixed_space,
     run_scenario_checks,
 )
+from orefield.ground import make_number_field
 from orefield.laurent import CentralSeries, TwistedSeries
 from orefield.kernel import zcontent, zgcd
-from orefield.sampling import random_fraction, random_tensor
+from orefield.sampling import random_fraction, random_nonzero_polynomial, random_tensor
 from orefield.scenario_io import load_document
 from orefield.skewfrac import SkewFraction
 from orefield.skewpoly import SkewPolynomial, central_polynomial
@@ -34,7 +35,7 @@ from orefield.skewpoly import SkewPolynomial, central_polynomial
 from conftest import HAMILTON, RATIONALS
 from test_central import STATIC, central_fraction
 from test_cli import R2L1
-from test_kernel import CUBIC, H_GOLDEN
+from test_kernel import CUBIC, H_GOLDEN, _check_norm_conjugate
 
 Z2 = FiniteGroup(
     ("e", "s"), "e", {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
@@ -474,6 +475,32 @@ def check_tau(element, powers):
                 ext_tau(element, want)
         else:
             assert ext_tau(element, want) == sb.series_truncate(full, want)
+
+
+# Q(zeta5) with sigma(z) = z^4 of order 2: the invariant subfield Q(sqrt5) has
+# the basis 1, z^2 + z^3, which is not the first two unit vectors, so
+# `kernel.center` reads K' off the rows through its reader matrix
+ZETA5_CONJ = make_number_field([1, 1, 1, 1, 1], sigma_image=[-1, -1, -1, -1], name="Q(zeta5)/conj")
+
+
+def test_a_center_off_the_unit_vectors_matches_the_oracle():
+    field = ZETA5_CONJ
+    beta = field.element([0, 0, 1, 1])
+    assert kernel.center(field).w == 2 and field.invariant_basis[1] == beta.coords
+    # x^2 = 1 + beta*u: f's coefficients lie in K'[u] off Q[u]
+    scenario = quadratic("Q(zeta5)/conj", field, SkewFraction.from_polynomial(SkewPolynomial.from_coeffs(field, [1, 0, beta])))
+    assert all(row.status != "fail" for row in run_scenario_checks(scenario))
+    x, one = TensorElement.x(scenario), TensorElement.one(scenario)
+    rng = random.Random(59)
+    # x^-1 = (1 + beta*u)^-1 * x has a coordinate in K'[u] off Q[u]
+    elements = [x, one + x, x.inv()] + [random_tensor(scenario, rng, max_degree=2) for _ in range(3)]
+    powers = sb.root_powers(scenario)
+    for a, b in zip(elements, elements[1:]):
+        check_pair(scenario, a, b)
+        check_tau(a, powers)
+    check_construction_paths(scenario, [beta, SkewFraction.from_polynomial(SkewPolynomial.from_coeffs(field, [beta, 0, 1]))])
+    for _ in range(3):
+        _check_norm_conjugate(random_nonzero_polynomial(field, rng, 4))
 
 
 def test_the_r2l1_root_is_lifted_on_its_center():
