@@ -156,9 +156,11 @@ def cmd_divmod(args: argparse.Namespace) -> int:
 
 
 def _round_trip(value, inverse) -> bool:
+    from .exprs import _bounded_product
+
     one = value ** 0
-    left = inverse * value
-    right = value * inverse
+    left = _bounded_product(inverse, value)
+    right = _bounded_product(value, inverse)
     if isinstance(value, TwistedSeries):
         prec = min(left.prec, right.prec)
         return left.truncate(prec) == one.truncate(prec) and right.truncate(
@@ -168,8 +170,12 @@ def _round_trip(value, inverse) -> bool:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
+    """The inverse and its round trip, under the work bounds of an
+    expression's inverse and products (exit 3 past them)."""
+    from .exprs import _bounded_inverse
+
     value = _evaluator(args)(args.expr)
-    inverse = value.inv()
+    inverse = _bounded_inverse(value)
     _print_value(
         args,
         inverse=str(inverse),

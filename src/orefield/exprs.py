@@ -350,6 +350,10 @@ def _is_fraction(value: Value) -> bool:
     return isinstance(value, SkewFraction) and not value.is_polynomial()
 
 
+def _is_constant(value: Value) -> bool:
+    return isinstance(value, SkewFraction) and value.size() == 0
+
+
 # The degree of a result is bounded before it is formed.  Polynomial products
 # and powers are cheap and may reach PRECISION_CAP, as many coefficients as a
 # series holds.  Arithmetic on fractions runs Ore common multiples and gcld,
@@ -367,7 +371,8 @@ def _bound_degree(degree: int, fraction: bool, what: str) -> None:
 # together, and so do the row convolutions and reductions modulo f of a
 # product of extension elements.  So (deg a + deg b) * (bits a + bits b) is
 # bounded before they run: for a fraction, deg is its degree in t and bits the
-# largest bit length in its integer rows and denominators; for an extension
+# largest bit length in its integer rows and denominators, and a product of
+# two constants, of degree 0, still counts its bits once; for an extension
 # element c(t^n)^-1 * sum P_i x^i, deg is the larger u-degree of c and of the
 # P_i, and bits the largest bit length in c, the P_i and their denominator.
 # An inverse of an extension element runs through its reduced norm over the
@@ -389,12 +394,17 @@ def _work_size(v: SkewFraction | TensorElement) -> tuple[int, int]:
 
 def _bound_work(a: SkewFraction | TensorElement, b: SkewFraction | TensorElement) -> None:
     (da, ba), (db, bb) = _work_size(a), _work_size(b)
-    cap, what = (TENSOR_WORK_CAP, "extension work") if isinstance(a, TensorElement) else (FRACTION_WORK_CAP, "fraction work")
-    _capped((da + db) * (ba + bb), cap, what)
+    if isinstance(a, TensorElement):
+        _capped((da + db) * (ba + bb), TENSOR_WORK_CAP, "extension work")
+    else:
+        _capped(max(da + db, 1) * (ba + bb), FRACTION_WORK_CAP, "fraction work")
 
 
 def _bounded_product(a: Value, b: Value) -> Value:
-    if isinstance(a, TensorElement) or _is_fraction(a) or _is_fraction(b):
+    """a * b, after the work bound of a product that involves an extension
+    element, a fraction, or two constants; other polynomial products are
+    bounded by their degree alone."""
+    if isinstance(a, TensorElement) or _is_fraction(a) or _is_fraction(b) or _is_constant(a) and _is_constant(b):
         _bound_work(a, b)
     return a * b
 

@@ -22,7 +22,9 @@ adjugate `adj(a)` with  a * adj(a) = N(a)  for a nonzero rational N(a)
 (closed forms up to base degree 2, Cayley-Hamilton by Newton's identities
 above).  The product is compiled twice: as written, for the polynomial
 kernels, and as a paired bilinear form with fewer big-integer products per
-pair (`_paired_forms`), for series products.  They take coordinate tuples of
+pair (`_paired_forms`: the lowest-rank of the candidate forms that
+reproduces the structure constants exactly, 8 products on H_Q by Howell and
+Lafon's quaternion form), for series products.  They take coordinate tuples of
 Python ints (or of Fractions) and are what `orefield.kernel` runs every
 polynomial and series operation on,
 beside the reduced trace behind `skewpoly.norm_conjugate` and, at reduced
@@ -244,10 +246,13 @@ class GroundField:
         R = mul_rank, with the linear forms kleft(a) = (L_r(a))_r and
         kright(b) = (R_r(b))_r of `_paired_forms`, and
         ksums(c, A, B) = c + sum of the termwise products of the pairs of
-        forms in zip(A, B).  So a sum of products of pairs costs R
-        big-integer products per pair instead of dim^2: 1 on Q (every map
-        the identity), 3 on Q(i), 6 on a cubic field, 10 on H_Q and on a
-        quartic field, 36 on quaternions over a quadratic field.
+        forms in zip(A, B).  kcombine is linear up to one exact division by
+        a common divisor (2 for the Howell-Lafon form, 1 otherwise), so it
+        may combine a whole sum of products at once.  So a sum of products
+        of pairs costs R big-integer products per pair instead of dim^2:
+        1 on Q (every map the identity), 3 on Q(i), 6 on a cubic field,
+        8 on H_Q, 10 on a quartic field, 36 on quaternions over a quadratic
+        field.
         """
         dim = self.dim
         table = self._structure_constants()
@@ -258,13 +263,13 @@ class GroundField:
         self.kmsub = _compile_bilinear(
             "kmsub", [{ij: -c for ij, c in t.items()} for t in terms], accumulate=True
         )
-        left, right, combine = _paired_forms(terms)
+        left, right, combine, div = _paired_forms(terms)
         self.mul_rank = len(left)
         self.kleft = _compile_linear("kleft", left)
         # equal forms on a commutative field: one compiled map
         self.kright = self.kleft if right == left else _compile_linear("kright", right)
         self.ksums = _compile_sums("ksums", self.mul_rank)
-        self.kcombine = _compile_linear("kcombine", combine)
+        self.kcombine = _compile_linear("kcombine", combine, div)
         self.kscale = _compile("kscale", "k, a", [_unpack("a", dim)], [f"k*a{i}" for i in range(dim)])
         self.sig_den = lcm(*(x.denominator for m in self._sigma_pows for row in m for x in row))
         self.ksig: list[Callable] = [
@@ -664,10 +669,43 @@ def _compile_bilinear(name: str, terms: list[dict[tuple[int, int], int]], accumu
     return _compile(name, "a, b", unpack, exprs)
 
 
-def _paired_forms(terms: list[dict[tuple[int, int], int]]) -> tuple[list, list, list]:
-    """(left, right, combine) with  sum c * a_i * b_j over terms[k][(i, j)] = c
-    equal to  sum_r combine[k][r] * (left[r] . a) * (right[r] . b)  for
-    every k: the bilinear form with fewer products, for sums of many pairs.
+def _paired_forms(terms: list[dict[tuple[int, int], int]]) -> tuple[list, list, list, int]:
+    """(left, right, combine, div) with  sum c * a_i * b_j  over
+    terms[k][(i, j)] = c  equal to
+    sum_r combine[k][r] * (left[r] . a) * (right[r] . b) / div  for every k:
+    the bilinear form with fewer products, for sums of many pairs.
+
+    The candidates are the greedy pairing (`_greedy_pairs`, div = 1) and, on
+    a field of dimension 4, Howell and Lafon's 8-product quaternion form
+    (`_HOWELL_LAFON`, div = 2).  Each is checked against the structure
+    constants (`_reproduces`), so a form that does not give the product is
+    refused when the field is built, and the lowest rank left is kept: 8 on
+    H_Q, where the Howell-Lafon form is exact, and the greedy pairing on
+    every other field.
+    """
+    candidates = [_greedy_pairs(terms)] + ([_HOWELL_LAFON] if len(terms) == 4 else [])
+    exact = [forms for forms in candidates if _reproduces(terms, forms)]
+    if not exact:
+        raise ArithmeticError("no paired bilinear form reproduces the structure constants")
+    return min(exact, key=lambda forms: len(forms[0]))
+
+
+def _reproduces(terms: list[dict[tuple[int, int], int]], forms: tuple[list, list, list, int]) -> bool:
+    """Whether  sum_r combine[k][r] * left[r][i] * right[r][j] = div * c  for
+    every k, i, j and c = terms[k].get((i, j), 0): the forms give the product
+    exactly, on every pair of basis elements and so on every pair."""
+    left, right, combine, div = forms
+    dim = len(terms)
+    return all(
+        sum(g * a[i] * b[j] for g, a, b in zip(combine[k], left, right)) == div * terms[k].get((i, j), 0)
+        for k in range(dim)
+        for i in range(dim)
+        for j in range(dim)
+    )
+
+
+def _greedy_pairs(terms: list[dict[tuple[int, int], int]]) -> tuple[list, list, list, int]:
+    """`_paired_forms` by pairing terms, with div = 1.
 
     Every diagonal product a_i b_i is made once and shared.  An off-diagonal
     pair i < j whose coefficients agree in every coordinate k takes one
@@ -712,7 +750,22 @@ def _paired_forms(terms: list[dict[tuple[int, int], int]]) -> tuple[list, list, 
         [form[0] for form, _ in kept],
         [form[1] for form, _ in kept],
         [[col[k] for _, col in kept] for k in range(dim)],
+        1,
     )
+
+
+# T. D. Howell and J.-C. Lafon, "The complexity of the quaternion product",
+# Cornell TR 75-245 (1975): a product of quaternions a, b in 8 products, in
+# the coordinates 1, i, j, ij of H_Q.  With P_r = L_r(a) * R_r(b) and
+# A = (P_0 + P_1 + P_2 + P_3) / 2, exact since P_0 + P_1 + P_2 + P_3 is even,
+#   ab = (A - P_0 + P_4) + (A - P_0 - P_1 - P_2 + P_5) i
+#        + (A - P_1 + P_6) j + (A - P_2 + P_7) ij.
+_HOWELL_LAFON = (
+    [(0, 1, 0, 1), (1, 0, -1, 0), (1, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1), (1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)],
+    [(0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 1, -1), (1, 1, 0, 0), (0, 0, 1, 1), (1, -1, 0, 0)],
+    [[-1, 1, 1, 1, 2, 0, 0, 0], [-1, -1, -1, 1, 0, 2, 0, 0], [1, -1, 1, 1, 0, 0, 2, 0], [1, 1, -1, 1, 0, 0, 0, 2]],
+    2,
+)
 
 
 def _compile_sums(name: str, count: int) -> Callable:
@@ -726,12 +779,15 @@ def _compile_sums(name: str, count: int) -> Callable:
     return _exec(name, lines)
 
 
-def _compile_linear(name: str, matrix: list[list[int]]) -> Callable:
-    """a -> matrix @ a; the identity compiles to the identity function."""
+def _compile_linear(name: str, matrix: list[list[int]], div: int = 1) -> Callable:
+    """a -> matrix @ a // div, for a div that divides every entry of
+    matrix @ a; the identity compiles to the identity function."""
     n, m = len(matrix), len(matrix[0])
-    if n == m and all(matrix[r][c] == (r == c) for r in range(n) for c in range(n)):
+    if div == 1 and n == m and all(matrix[r][c] == (r == c) for r in range(n) for c in range(n)):
         return _identity
     exprs = [_signed_sum([(matrix[r][c], f"a{c}") for c in range(m)]) for r in range(n)]
+    if div != 1:
+        exprs = [f"({e})//{div}" for e in exprs]
     return _compile(name, "a", [_unpack("a", m)], exprs)
 
 

@@ -11,7 +11,7 @@ created or normalised inside a loop.  Series products, whose long
 convolutions of big coefficients are dominated by integer multiplication,
 run on the field's paired bilinear form instead (`kleft`, `kright`,
 `ksums`, `kcombine`): R products per pair of rows, R = `mul_rank` (1 on Q,
-3 on Q(i), 10 on H_Q), against dim^2 in `kmac`.  The polynomial kernels
+3 on Q(i), 8 on H_Q), against dim^2 in `kmac`.  The polynomial kernels
 keep `kmac`: on their short, small operands the extra additions of the
 pairing cost more than the products it saves.  Products of polynomials
 in a central x (the tensor elements of `orefield.extend`) add every pair
@@ -724,7 +724,7 @@ def series_mul_rows(
 
     Each product of two rows is the field's paired bilinear form
     dT * a*b = kcombine(L_r(a) * R_r(b) for r < R), R = `field.mul_rank`
-    (10 on H_Q, 3 on Q(i), 1 on Q).  So each row of f is mapped to its left
+    (8 on H_Q, 3 on Q(i), 1 on Q).  So each row of f is mapped to its left
     forms once and each twisted row of g to its right forms once, each output
     coefficient accumulates R integer sums, and is combined once at the end.
     The terms f_i with i in one residue class mod n all twist g by the same

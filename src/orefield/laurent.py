@@ -586,10 +586,10 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
       whose inverse agrees with den^-1 to the precision of the result.
     A norm from a conjugate is a dense series: it is inverted once
     (`_quotient`, one dot product over its window of quotients per
-    coefficient) and the inverse convolved with each coordinate
-    (`_convolve`).  Every route computes the exact quotient of the known
-    parts on the result's window, so the canonical result is the same
-    whichever runs.
+    coefficient) and the inverse convolved with all the coordinates at
+    once (`_convolve`, packed into one integer per index).  Every route
+    computes the exact quotient of the known parts on the result's window,
+    so the canonical result is the same whichever runs.
     """
     field = den.field
     size = prec - w
@@ -628,7 +628,7 @@ def _divide(den: TwistedSeries, num: TwistedSeries | None, w: int, prec: int) ->
         cols, e = _quotients(norm, [[norm_den * a for a in col] for col in cols], count)
     else:
         inverse, e = _quotient(norm, [norm_den], count)
-        cols = [_convolve(inverse, col, count) for col in cols]
+        cols = _convolve(inverse, cols, count)
     out = [field.zero_row] * size
     for r in range(n):
         for k, row in zip(range(r, size, n), zip(*cols[r * dim : (r + 1) * dim])):
@@ -683,15 +683,39 @@ def _polynomial_conjugate(field: GroundField, d: list, dd: int, v: int) -> tuple
     return (rows[q_val:], q_val, q_den), c[next(k for k, a in enumerate(c) if a) :], 1
 
 
-def _convolve(ints: list, col: list, count: int) -> list:
-    """The first `count` coefficients of ints * col as power series: a
-    multiple of `ints` added for each nonzero entry of col, so a polynomial
-    costs its number of terms."""
+def _convolve(ints: list, cols: list, count: int) -> list:
+    """The first `count` coefficients of ints * col as power series, for
+    each col of cols: a multiple of `ints` added for each nonzero entry, so
+    a polynomial costs its number of terms.
+
+    Several columns run as one convolution: entry i of every column is
+    packed into one integer, `width` bits a slot, and each sum is read back
+    as balanced `width`-bit digits.  A sum of count products has
+    |sum| < 2^(bits(max|ints|) + bits(max|col|) + bits(count)), so one bit
+    more keeps every digit below half a slot and the digits exact.  A single
+    column runs the same loop unpacked.
+    """
+    col = cols[0]
+    if len(cols) > 1:
+        cut = [c[:count] for c in cols]
+        width = max(map(abs, ints)).bit_length() + max((abs(a) for c in cut for a in c), default=0).bit_length() + count.bit_length() + 1
+        col = [sum(a << (width * k) for k, a in enumerate(entry)) for entry in zip_longest(*cut, fillvalue=0)]
     acc = [0] * count
     for i, a in enumerate(col[:count]):
         if a:
             acc[i:] = map(add, acc[i:], map(a.__mul__, ints[: count - i]))
-    return acc
+    if len(cols) == 1:
+        return [acc]
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for v in acc:
+        entry = []
+        for _ in cols:
+            d = ((v + half) & mask) - half
+            entry.append(d)
+            v = (v - d) >> width
+        digits.append(entry)
+    return [list(c) for c in zip(*digits)]
 
 
 def embed_fraction(x: SkewFraction, prec: int) -> TwistedSeries:

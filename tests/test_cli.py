@@ -176,6 +176,24 @@ def test_coefficients_past_the_digit_limit_print(capsys, form):
     assert code == 0 and out.strip() == f"[-{digits}/3]"
 
 
+# Powers of constants: each product counts the bits of its factors, as a
+# fraction product does, so a short power cannot print megabytes or run for
+# long; ((2^64)^64)^4 above stays below the cap.
+CONSTANT_POWERS = [
+    ("--field", "rationals", "((12345^64)^64)^64", "fraction work 55672 exceeds cap 32768"),
+    ("--scenario", "T2L2", "(((123456789012345678901234567890)^61)^-51)^58", "fraction work 47162 exceeds cap 32768"),
+]
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("option, where, expr, refusal", CONSTANT_POWERS, ids=[f"{w}:{e}" for _, w, e, _ in CONSTANT_POWERS])
+def test_powers_of_constants_are_bounded_by_their_bits(capsys, form, option, where, expr, refusal):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", option, where, "--format", form, expr)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_VALIDATION and refusal in err and not out
+
+
 # two fractions of degree 16 with 1015- and 744-bit coefficients: (16 + 16) *
 # (1015 + 744) = 56288 units of fraction work; at ^-8, 16 * 880 = 14080
 BIG_COEFFICIENT_SUM = "(12345678901234567890+[0,1]*t)^{0} + (98765432109876+t)^{0}"
@@ -546,6 +564,36 @@ def test_invert_zero_is_validation(capsys):
 def test_invert_tensor_elements(capsys):
     code, out, _ = run(capsys, "invert", "x + 1", "--scenario", "T3L1")
     assert code == 0 and "round_trip: exact" in out
+
+
+# `invert` bounds its inverse and the products of its round trip as an
+# expression's inverse and products are bounded, so an inverse that would
+# run for seconds to minutes exits 3; the ^16 values are refused before the
+# inverse, as in `eval`.
+LONG_INVERTS = [
+    ("T1L2", "((x+t+123456789012345678901234567890)^-1)^16", "extension work 296928 exceeds cap 262144"),
+    ("T1L2", "((x+t+123456789012345678901234567890)^-1)^8", "extension inverse work 4750848 exceeds cap 262144"),
+    ("T3L1", "((x+t+123456789012345678901234567890)^-1)^16", "extension work 296960 exceeds cap 262144"),
+    ("T3L1", "((x+t+123456789012345678901234567890)^-1)^12", "extension inverse work 1503360 exceeds cap 262144"),
+    ("T3L1", "((x+t+123456789012345678901234567890)^-1)^4", None),
+    ("T1L2", "((x+t+12345)^-1)^4", None),
+]
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("scenario, expr, refusal", LONG_INVERTS, ids=[f"{s}:{e}" for s, e, _ in LONG_INVERTS])
+def test_invert_bounds_its_work_as_eval_does(capsys, form, scenario, expr, refusal):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invert", "--scenario", scenario, "--format", form, expr)
+    assert time.perf_counter() - t0 < 5.0
+    if refusal is None:
+        trip = json.loads(out)["round_trip"] if form == "json" else out.splitlines()[-1]
+        assert code == 0 and trip in ("exact", "round_trip: exact")
+    else:
+        assert code == EXIT_VALIDATION and refusal in err and not out
+        # `eval` refuses the inverse of the same value with the same message
+        code, _, eval_err = run(capsys, "eval", "--scenario", scenario, "--format", form, f"({expr})^-1")
+        assert code == EXIT_VALIDATION and eval_err == err
 
 
 def test_center_enumerates_even_powers_of_t(capsys):

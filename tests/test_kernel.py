@@ -24,8 +24,8 @@ from orefield.errors import (
     OrefieldError,
     ZeroSeries,
 )
-from orefield.ground import make_number_field, make_quaternions
-from orefield import kernel
+from orefield.ground import hamilton_rationals, make_number_field, make_quaternions
+from orefield import ground, kernel
 from orefield.laurent import CentralSeries, TwistedSeries, embed_fraction, newton_root, solve_left
 from orefield.sampling import (
     random_element,
@@ -102,7 +102,7 @@ def test_ground_kernel_matches_reference(field, data):
 
 
 # R, the big-integer products per pair of rows in a series product
-PAIRED_RANKS = {"Q": 1, "Q(i)/conj": 3, "H_Q": 10, "cubic": 6, "Q(zeta5)": 10, "H over Q(sqrt5)": 36}
+PAIRED_RANKS = {"Q": 1, "Q(i)/conj": 3, "H_Q": 8, "cubic": 6, "Q(zeta5)": 10, "H over Q(sqrt5)": 36}
 
 
 @pytest.mark.parametrize("field", NORM_FIELDS, ids=NORM_IDS)
@@ -120,6 +120,24 @@ def test_paired_forms_give_the_product(field):
             assert len(products) == field.mul_rank
             expected = tuple(field.mul_den * x for x in sb.mul_coords(field, a, b))
             assert field.kcombine(products) == expected
+
+
+def test_a_paired_form_that_misses_the_product_is_refused(monkeypatch):
+    """A candidate form is checked against the structure constants when the
+    field is built: a Howell-Lafon table with one wrong coefficient is
+    dropped for the greedy pairing, and with no exact candidate left the
+    field is not built."""
+    left, right, combine, div = ground._HOWELL_LAFON
+    broken = (left, right, [combine[0][:-1] + [1], *combine[1:]], div)
+    monkeypatch.setattr(ground, "_HOWELL_LAFON", broken)
+    field = hamilton_rationals()
+    assert field.mul_rank == 10
+    a, b = (3, -1, 4, 1), (-5, 9, 2, -6)
+    products = tuple(x * y for x, y in zip(field.kleft(a), field.kright(b)))
+    assert field.kcombine(products) == sb.mul_coords(field, a, b)
+    monkeypatch.setattr(ground, "_greedy_pairs", lambda terms: broken)
+    with pytest.raises(ArithmeticError, match="no paired bilinear form"):
+        hamilton_rationals()
 
 
 def test_rational_paired_forms_are_the_identity():

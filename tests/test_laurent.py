@@ -408,3 +408,53 @@ def test_quotient_matches_the_per_term_recurrence_at_fixed_seeds():
                 d += [0] * rng.randint(0, 2)
                 for length in (max(size - 1, 0), size, size + 2):
                     check_quotient(d, [rng.randint(-(2**bits), 2**bits) for _ in range(length)], size)
+
+
+# -- the packed convolution: `_convolve` against the per-column loop -----------------
+
+
+def check_convolve(ints, cols, count):
+    """Each column of `_convolve` is the product of `ints` and that column
+    cut to `count` terms, as the one-column loop and the plain sum give it."""
+    out = laurent._convolve(ints, cols, count)
+    assert len(out) == len(cols)
+    for col, got in zip(cols, out):
+        plain = [sum(ints[j - i] * col[i] for i in range(min(j + 1, len(col)))) for j in range(count)]
+        assert got == plain == laurent._convolve(ints, [col], count)[0]
+
+
+@st.composite
+def convolve_cases(draw):
+    count = draw(st.integers(1, 12))
+    x_bits, col_bits = (draw(st.sampled_from([1, 8, 64, 700])) for _ in range(2))
+    ints = draw(st.lists(st.just(0) | st.integers(-(2**x_bits), 2**x_bits), min_size=count, max_size=count))
+    entry = st.just(0) | st.integers(-(2**col_bits), 2**col_bits)
+    # columns of count or count - 1 entries: the residue classes of an odd size
+    cols = draw(st.lists(st.integers(max(count - 1, 0), count).flatmap(lambda k: st.lists(entry, min_size=k, max_size=k)), min_size=1, max_size=6))
+    return ints, cols, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(convolve_cases())
+def test_packed_convolution_matches_the_per_column_loop(case):
+    check_convolve(*case)
+
+
+def test_packed_convolution_matches_the_per_column_loop_at_fixed_seeds():
+    rng = random.Random(67)
+    for count in (1, 2, 5, 24):
+        for bits in (1, 64, 700):
+            ints = [rng.randint(-(2**bits), 2**bits) for _ in range(count)]
+            for n, dim in ((1, 1), (1, 4), (2, 2), (2, 1)):
+                # the columns of `_divide` for an odd size: n residue classes
+                # of dim coordinates, the later classes one entry short
+                size = n * count - (n - 1)
+                rows = [tuple(rng.choice((0, 1, -1, rng.randint(-(2**bits), 2**bits))) for _ in range(dim)) for _ in range(size)]
+                cols = [[row[l] for row in rows[r:size:n]] for r in range(n) for l in range(dim)]
+                check_convolve(ints, cols, count)
+                check_convolve(ints, [[0] * len(c) for c in cols], count)
+                # every entry at the largest size of its bit length, of one
+                # sign and then of the other: sums that need the whole slot
+                top = [[2**bits - 1] * len(c) for c in cols]
+                check_convolve([2**bits - 1] * count, top, count)
+                check_convolve([1 - 2**bits] * count, top, count)
